@@ -36,7 +36,7 @@ from .errors import (
     TorsionDetected,
     TruncationInconclusive,
 )
-from .padic import PadicNum
+from .padic import PadicNum, require_prime
 from .series import PSeries
 from .polygon import count_roots_open_disk, newton_polygon, verify_iterate_shape
 from .dynamics import (
@@ -68,6 +68,7 @@ class Config:
     n_max_limit: int | None = None
 
     def resolve(self, p: int) -> "Config":
+        require_prime(p)
         if self.N < 4:
             raise ValueError("N must be at least 4")
         if self.M < p * p:

@@ -159,7 +159,6 @@ def logarithm_limit(f: PSeries, n_max: int = None) -> Logarithm:
     ident = PSeries.identity(p, M, f.coeff_prec)
     if n_max == 0:
         return Logarithm(ident, "iterate-limit", c, stabilization=[])
-    prev = ident
     prev_norm = ident
     evidence = []
     last_incr = None
@@ -175,7 +174,7 @@ def logarithm_limit(f: PSeries, n_max: int = None) -> Logarithm:
         incr = min(floors) if floors else INF
         evidence.append((n, incr))
         stable = all(x.is_zero_like() for x in diff.coeffs.values())
-        prev_norm, prev = norm, fn
+        prev_norm = norm
         last_incr = diff
         if stable:
             return Logarithm(norm, "iterate-limit", c, stabilization=evidence)

@@ -188,8 +188,10 @@ def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
         denom = cpow - c
         corr = {}
         for (a, b), coeff in defect.coeffs.items():
-            if a + b != d or coeff.is_zero_like():
+            if a + b != d:
                 continue
+            # a zero-like defect still bounds the correction: storing it
+            # (rather than leaving an exact zero) keeps F's precision honest
             delta = coeff / denom
             if delta.val_floor() < 0:
                 msg = f"no integral lift: degree-{d} correction at {(a, b)} has valuation {delta.val_floor()}"

@@ -16,6 +16,7 @@ infinite p-adic expansion, so exactness is reserved for zero.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     DivisionByZeroToPrecision,
@@ -37,6 +38,15 @@ def vp_int(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+@lru_cache(maxsize=None)
+def require_prime(p) -> int:
+    """Return p if it is a prime (checked by trial division), else raise
+    ValueError.  Every entry point that takes a prime calls this."""
+    if isinstance(p, int) and p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1)):
+        return p
+    raise ValueError(f"p must be a prime, got {p!r}")
 
 
 def _pdigits_ceil(k: int, p: int) -> int:

@@ -288,10 +288,6 @@ def weierstrass_preparation(g: PSeries):
     return P, U
 
 
-def _poly_coeff_list(P: PSeries, degree: int):
-    return [P.c((i,)) for i in range(degree + 1)]
-
-
 def _solve_linear(p, rows, rhs):
     """Gaussian elimination over Q_p with min-valuation pivoting.
 

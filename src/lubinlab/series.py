@@ -13,6 +13,7 @@ x-adic accuracy is lost beyond min(x_prec).
 """
 
 from fractions import Fraction
+from operator import add
 
 from .errors import (
     ConstantTermError,
@@ -20,7 +21,7 @@ from .errors import (
     PrecisionExhausted,
     PrimeMismatch,
 )
-from .padic import INF, PadicNum, reduce_terms
+from .padic import INF, PadicNum, reduce_terms, require_prime
 
 
 def _deg(exps) -> int:
@@ -35,7 +36,7 @@ class PSeries:
     def __init__(self, prime, nvars, x_prec, coeffs, coeff_prec):
         if not 1 <= nvars <= 3:
             raise ValueError("1 to 3 variables supported")
-        self.prime = prime
+        self.prime = require_prime(prime)
         self.nvars = nvars
         self.x_prec = x_prec
         self.coeff_prec = coeff_prec
@@ -55,6 +56,13 @@ class PSeries:
         self.coeffs = clean
 
     # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, p, nvars, M, coeffs, N):
+        """Wrap a coefficient dict that is already clean (kernel output)."""
+        s = object.__new__(cls)
+        s.prime, s.nvars, s.x_prec, s.coeffs, s.coeff_prec = p, nvars, M, coeffs, N
+        return s
 
     @classmethod
     def zero(cls, p, nvars, M, N):
@@ -149,6 +157,9 @@ class PSeries:
         other = self._align(other)
         M = min(self.x_prec, other.x_prec)
         p = self.prime
+        N = min(self.coeff_prec, other.coeff_prec)
+        if self.nvars == 1:
+            return _unpack(p, _packed_mul(p, _pack(self, M), _pack(other, M), M), M, N)
         acc: dict = {}
         a_items = list(self.coeffs.items())
         b_items = list(other.coeffs.items())
@@ -168,7 +179,7 @@ class PSeries:
                     triple = (va + cb.v, ua * cb.u, va + cb.v + rel)
                 acc.setdefault(e, []).append(triple)
         out = {e: reduce_terms(p, terms) for e, terms in acc.items()}
-        return PSeries(p, self.nvars, M, out, min(self.coeff_prec, other.coeff_prec))
+        return PSeries(p, self.nvars, M, out, N)
 
     def scalar_mul(self, s) -> "PSeries":
         if not isinstance(s, PadicNum):
@@ -441,13 +452,146 @@ class PSeries:
         return cls(p, nvars, M, coeffs, N)
 
 
+# -- packed univariate kernel ------------------------------------------------
+#
+# A univariate series below degree M is packed as three lists indexed by
+# degree: V (valuation), U (unit residue) and N (absolute precision).  The
+# int _ABSENT stands for INF in V (coefficient zero-like or absent) and in N
+# (coefficient absent, i.e. an exact zero); keeping every entry an int keeps
+# the min-plus ledger in integer arithmetic.
+
+_ABSENT = 1 << 62
+_HALF = _ABSENT >> 1  # sums at or above this involve an absent coefficient
+
+
+def _pack(s: PSeries, M: int):
+    """(V, U, N) lists of a univariate series below degree M."""
+    top = max((e for (e,) in s.coeffs if e < M), default=-1)
+    V = [_ABSENT] * (top + 1)
+    U = [0] * (top + 1)
+    N = [_ABSENT] * (top + 1)
+    for (e,), c in s.coeffs.items():
+        if e < M:
+            if c.v != INF:
+                V[e] = c.v
+                U[e] = c.u
+            N[e] = c.N
+    return V, U, N
+
+
+def _unpack(p: int, packed, M: int, coeff_prec) -> PSeries:
+    V, U, N = packed
+    coeffs = {
+        (e,): PadicNum(p, INF if v >= _HALF else v, u, n)
+        for e, (v, u, n) in enumerate(zip(V, U, N))
+        if n < _HALF
+    }
+    return PSeries._trusted(p, 1, M, coeffs, coeff_prec)
+
+
+def _kronecker(p: int, V, U):
+    """Shift to the least finite valuation s; return (s, nonnegative ints)."""
+    s = min(V, default=_ABSENT)
+    if s >= _HALF:
+        return 0, None
+    return s, [u * p ** (v - s) if v < _HALF else 0 for v, u in zip(V, U)]
+
+
+def _packed_mul(p: int, a, b, M: int):
+    """Product of two packed series below degree M.
+
+    Values come from one big-integer product (Kronecker substitution): each
+    operand, shifted to its least finite valuation, is laid out in byte slots
+    wide enough that no slot of the product overflows.  The precision of
+    degree k is the min-plus convolution
+
+        K_k = min over i+j=k of min(N_a[i] + v'_b[j], v'_a[i] + N_b[j])
+
+    with v' the valuation floor (v, or N for a zero-like coefficient), which
+    is the rule ``reduce_terms`` applies to the term triples of the dict
+    product.  Each output coefficient is then normalised as
+    ``reduce_terms`` would normalise its terms, raising PrecisionExhausted
+    in the same cases.
+    """
+    Va, Ua, Na = a
+    Vb, Ub, Nb = b
+    La, Lb = len(Va), len(Vb)
+    if not La or not Lb:
+        return [], [], []
+    nout = min(M, La + Lb - 1)
+    sa, A = _kronecker(p, Va, Ua)
+    sb, B = _kronecker(p, Vb, Ub)
+    if A is None or B is None:
+        C = [0] * nout
+    else:
+        bits = max(A).bit_length() + max(B).bit_length() + min(La, Lb).bit_length() + 1
+        w = (bits + 7) // 8
+        ia = int.from_bytes(b"".join(x.to_bytes(w, "little") for x in A), "little")
+        ib = int.from_bytes(b"".join(x.to_bytes(w, "little") for x in B), "little")
+        raw = (ia * ib).to_bytes((La + Lb - 1) * w, "little")
+        C = [int.from_bytes(raw[k * w : (k + 1) * w], "little") for k in range(nout)]
+    s = sa + sb
+    # One list of sums covers both halves of the ledger: a's (N, v') pairs
+    # against b's reversed (v', N) pairs.
+    A2 = [x for v, n in zip(Va, Na) for x in (n, n if v >= _HALF else v)]
+    B2 = [x for v, n in zip(Vb[::-1], Nb[::-1]) for x in (n if v >= _HALF else v, n)]
+    V, U, N = [], [], []
+    for k in range(nout):
+        if k < Lb:
+            K = min(map(add, A2, B2[2 * (Lb - 1 - k) :]))
+        else:
+            K = min(map(add, A2[2 * (k - Lb + 1) :], B2))
+        v, u = _ABSENT, 0
+        if K >= _HALF:
+            K = _ABSENT
+        else:
+            r = C[k] % p ** (K - s) if K > s else 0
+            if r:
+                v = s
+                while r % p == 0:
+                    r //= p
+                    v += 1
+                u = r
+            elif K <= 0:
+                # no digits survive; reduce_terms raises, naming the case
+                # from the least valuation among the terms
+                i0 = max(0, k - Lb + 1)
+                m = min(map(add, Va[i0:], Vb[k - i0 :: -1]))
+                reduce_terms(p, [(INF if m >= _HALF else m, 0, K)])
+        V.append(v)
+        U.append(u)
+        N.append(K)
+    return V, U, N
+
+
 def _compose_1var(g: PSeries, h: PSeries, M: int) -> PSeries:
-    """Horner evaluation of a univariate g at h (no constant in h)."""
+    """Horner evaluation of a univariate g at h (no constant in h).
+
+    A univariate h is packed once and every Horner step is one packed
+    product; since h has no constant term, slot 0 of each product is empty
+    and adding c_i is writing it there.
+    """
     p = g.prime
     N = min(g.coeff_prec, h.coeff_prec)
     h = h.truncate(M)
     top = max((e for (e,) in g.coeffs), default=0)
     top = min(top, M - 1)
+    if h.nvars == 1:
+        H = _pack(h, M)
+        acc = None
+        for i in range(top, 0, -1):
+            if acc is not None:
+                acc = _packed_mul(p, acc, H, M)
+            ci = g.coeffs.get((i,))
+            if ci is not None:
+                acc = _set_constant(acc, ci)
+        if acc is None:
+            return PSeries.zero(p, 1, M, N)
+        res = _packed_mul(p, acc, H, M)
+        c0 = g.coeffs.get((0,))
+        if c0 is not None:
+            res = _set_constant(res, c0)
+        return _unpack(p, res, M, N)
     zero_e = (0,) * h.nvars
     acc = PSeries.zero(p, h.nvars, M, N)
     wrote = False
@@ -465,6 +609,17 @@ def _compose_1var(g: PSeries, h: PSeries, M: int) -> PSeries:
     if c0 is not None:
         res = res + PSeries(p, h.nvars, M, {zero_e: c0}, N)
     return res
+
+
+def _set_constant(packed, c: PadicNum):
+    """Write c into slot 0 of a packed series whose slot 0 is empty."""
+    if packed is None or not packed[0]:
+        packed = ([_ABSENT], [0], [_ABSENT])
+    V, U, N = packed
+    V[0] = _ABSENT if c.v == INF else c.v
+    U[0] = c.u
+    N[0] = c.N
+    return packed
 
 
 def _compose_2var(g: PSeries, h1: PSeries, h2: PSeries, M: int) -> PSeries:

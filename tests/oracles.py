@@ -172,3 +172,89 @@ def is_lower_hull(points, vertices) -> bool:
         if Fraction(v) < h:
             return False
     return True
+
+
+# -- univariate series over precision-tracked triples -------------------------
+#
+# A coefficient is a (valuation, unit, absolute precision) triple, with
+# valuation INF for a value that is zero to its precision; an absent degree
+# is an exact zero.  These are the dict triple loop and Horner composition
+# that lubinlab used before its packed kernel, kept as the reference for it.
+
+INF = float("inf")
+
+
+class NoDigits(Exception):
+    """A coefficient would carry no significant digits (PrecisionExhausted)."""
+
+
+def _no_digits_msg(m, K):
+    if m == INF or m >= K:
+        return "sum has no significant digits"
+    return "zero known to nonpositive precision carries no digits"
+
+
+def reduce_triples(p: int, terms):
+    """Sum (v, u, N) triples as ``padic.reduce_terms`` does; None is an
+    exact zero, a NoDigits instance a sum without digits."""
+    K = min(n for _, _, n in terms)
+    m = min(v for v, _, _ in terms)
+    if K == INF:
+        return None
+    if m < K:
+        r = sum(u * p ** (v - m) for v, u, _ in terms if v < K) % p ** (K - m)
+        if r:
+            w = 0
+            while r % p == 0:
+                r //= p
+                w += 1
+            return (m + w, r, K)
+    if K <= 0:
+        return NoDigits(_no_digits_msg(m, K))
+    return (INF, 0, K)
+
+
+def triple_mul(p: int, a: dict, b: dict, M: int) -> dict:
+    """Product of two triple series below degree M.
+
+    Raises NoDigits with the message of the lowest degree that has none.
+    """
+    acc = {}
+    for i, (va, ua, na) in a.items():
+        for j, (vb, ub, nb) in b.items():
+            if i + j >= M:
+                continue
+            if va == INF or vb == INF:
+                fa = va if va != INF else na
+                fb = vb if vb != INF else nb
+                triple = (INF, 0, fa + fb)
+            else:
+                triple = (va + vb, ua * ub, min(na + vb, va + nb))
+            acc.setdefault(i + j, []).append(triple)
+    out = {}
+    for k in sorted(acc):
+        c = reduce_triples(p, acc[k])
+        if isinstance(c, NoDigits):
+            raise c
+        if c is not None:
+            out[k] = c
+    return out
+
+
+def triple_compose(p: int, g: dict, h: dict, M: int) -> dict:
+    """Horner evaluation of g at h (h without constant term) below degree M."""
+    assert 0 not in h
+    top = min(max(g, default=0), M - 1)
+    acc = None
+    for i in range(top, 0, -1):
+        if acc is not None:
+            acc = triple_mul(p, acc, h, M)
+        if i in g:
+            acc = dict(acc or {})
+            acc[0] = g[i]
+    if acc is None:
+        return {}
+    res = triple_mul(p, acc, h, M)
+    if 0 in g:
+        res[0] = g[0]
+    return res

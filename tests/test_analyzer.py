@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from lubinlab import (
     CERTIFIED,
     Config,
@@ -178,3 +180,17 @@ def test_monotone_precision_small_grid():
         for (n2, m2), v2 in verdicts.items():
             if n2 >= n1 and m2 >= m1 and v1 == CERTIFIED:
                 assert v2 != REJECTED
+
+
+@pytest.mark.parametrize("base", ["gm", "lt"])
+@pytest.mark.parametrize("M,N", [(12, 12), (16, 8)])
+def test_p2_twist_lift_keeps_zero_like_corrections(base, M, N):
+    """The twist w = x + 2x^2 at p = 2 is valid.  A zero-like degree-d
+    defect in the lift must become a zero-like correction, not an exact
+    zero, or the lift over-claims precision and disagrees with G."""
+    cfg = Config(N=N, M=M)
+    w = series_from_fractions(2, [1, 2], M, cfg.resolve(2).working_prec())
+    f, u = make_twist_fixture(base, w)
+    rep = analyze(f, u, cfg, name="tw")
+    assert rep.verdict == CERTIFIED, rep.reason
+    assert rep.data["frobenius"]["lift_agrees"]

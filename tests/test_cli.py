@@ -146,3 +146,10 @@ def test_inline_fraction_coefficients(capsys):
     code, out, _ = run(capsys, "polygon", "--p", "2", "--series", "1/2,1@0")
     assert code == 0
     assert json.loads(out)["vertices"][0] == [0, -1]
+
+
+@pytest.mark.parametrize("p", ["0", "1", "4", "-3"])
+def test_non_prime_p_rejected(capsys, p):
+    code, out, err = run(capsys, "polygon", "--p", p, "--series", "1,2,3@1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "prime" in err

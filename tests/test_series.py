@@ -194,3 +194,13 @@ def test_multivariate_basics():
     assert F.swap_vars(0, 1).equal_to_precision(F)
     d = F.derivative(1)
     assert d.c((0, 0)).congruent(1) and d.c((1, 0)).congruent(1)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, -3, 9])
+def test_non_prime_rejected_at_the_boundary(p):
+    from lubinlab import Config
+
+    with pytest.raises(ValueError, match="prime"):
+        PSeries.identity(p, 8, 10)
+    with pytest.raises(ValueError, match="prime"):
+        Config().resolve(p)
