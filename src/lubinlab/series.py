@@ -5,7 +5,8 @@ in a dict keyed by exponent tuples.  An absent key is an exact zero; a
 coefficient that merely vanished to its working precision stays stored, so
 the truncation-honesty machinery downstream (Newton polygons) can see the
 difference.  ``coeff_prec`` is the ambient p-adic precision used when
-coercing plain integers or rationals into coefficients.
+coercing plain integers or rationals into coefficients.  Univariate
+products and compositions run on a packed list form (see ``_packed_mul``).
 
 Substitution (``compose``) is defined for substituted series without
 constant term; on such inputs truncation commutes with composition, so no
@@ -56,13 +57,6 @@ class PSeries:
         self.coeffs = clean
 
     # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def _trusted(cls, p, nvars, M, coeffs, N):
-        """Wrap a coefficient dict that is already clean (kernel output)."""
-        s = object.__new__(cls)
-        s.prime, s.nvars, s.x_prec, s.coeffs, s.coeff_prec = p, nvars, M, coeffs, N
-        return s
 
     @classmethod
     def zero(cls, p, nvars, M, N):
@@ -486,7 +480,7 @@ def _unpack(p: int, packed, M: int, coeff_prec) -> PSeries:
         for e, (v, u, n) in enumerate(zip(V, U, N))
         if n < _HALF
     }
-    return PSeries._trusted(p, 1, M, coeffs, coeff_prec)
+    return PSeries(p, 1, M, coeffs, coeff_prec)
 
 
 def _kronecker(p: int, V, U):
