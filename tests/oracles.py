@@ -1,8 +1,8 @@
 """Independent reference implementations used to freeze expected values.
 
-Everything here works over exact Fractions and plain dicts, with no imports
-from the package under test, so a bug cannot cancel across both sides of an
-assertion.
+Everything here works over exact Fractions, integer triples and plain dicts,
+with no imports from the package under test, so a bug cannot cancel across
+both sides of an assertion.
 """
 
 from fractions import Fraction
