@@ -36,7 +36,7 @@ from .errors import (
     TorsionDetected,
     TruncationInconclusive,
 )
-from .padic import PadicNum, require_prime
+from .padic import PadicNum, floor_log, require_prime
 from .series import PSeries
 from .polygon import count_roots_open_disk, newton_polygon, verify_iterate_shape
 from .dynamics import (
@@ -73,6 +73,8 @@ class Config:
             raise ValueError("N must be at least 4")
         if self.M < p * p:
             raise ValueError(f"M must be at least p^2 = {p * p}")
+        if self.m2 < 3:
+            raise ValueError(f"M2 must be at least 3, got {self.m2}")
         guard = self.guard
         min_guard = -(-self.M // (p - 1))  # ceil
         if guard is None:
@@ -81,19 +83,11 @@ class Config:
             raise ValueError(f"guard must be at least ceil(M/(p-1)) = {min_guard}")
         n_shape = self.n_shape
         if n_shape is None:
-            n_shape = min(3, _floor_log(self.M, p))
+            n_shape = min(3, floor_log(self.M, p))
         return Config(self.N, self.M, self.m2, guard, n_shape, self.n_max_limit)
 
     def working_prec(self) -> int:
         return self.N + self.guard
-
-
-def _floor_log(M: int, p: int) -> int:
-    k, q = 0, p
-    while q <= M:
-        q *= p
-        k += 1
-    return k
 
 
 CERTIFIED = "CERTIFIED"

@@ -24,7 +24,7 @@ from .errors import (
     TorsionDetected,
     TruncationInconclusive,
 )
-from .padic import INF, PadicNum, is_root_of_unity, padic_pow, reduce_terms
+from .padic import INF, PadicNum, ceil_log, is_root_of_unity, padic_pow, reduce_terms
 from .series import PSeries
 from .polygon import iterate
 
@@ -155,7 +155,7 @@ def logarithm_limit(f: PSeries, n_max: int = None) -> Logarithm:
     M = f.x_prec
     c = f.linear_coeff()
     if n_max is None:
-        n_max = 2 * _ceil_log(M, p) + 4
+        n_max = 2 * ceil_log(M, p) + 4
     ident = PSeries.identity(p, M, f.coeff_prec)
     if n_max == 0:
         return Logarithm(ident, "iterate-limit", c, stabilization=[])
@@ -194,14 +194,6 @@ def logarithm_limit(f: PSeries, n_max: int = None) -> Logarithm:
             capped[e] = coeff.cap_prec(cap)
     series = PSeries(p, 1, M, capped, f.coeff_prec)
     return Logarithm(series, "iterate-limit", c, stabilization=evidence)
-
-
-def _ceil_log(M: int, p: int) -> int:
-    k, q = 0, 1
-    while q < M:
-        q *= p
-        k += 1
-    return k
 
 
 def dlog_integrality(logf: Logarithm) -> bool:

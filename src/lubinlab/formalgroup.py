@@ -6,7 +6,14 @@ Two independent constructions are implemented and cross-checked.
 and E its compositional inverse, but never forms a two-variable composition:
 writing A_j = E^(j)(L(x)), the chain rule gives A_0 = x and
 A_{j+1} = A_j' / L'(x), so F = sum_j A_j(x) L(y)^j / j! costs one univariate
-multiplication per Taylor order.
+multiplication per Taylor order.  Each order is added into running integer
+sums as soon as it is formed (``_TaylorSum``): L(y)^j is divided by j! once,
+every monomial keeps its least precision and valuation and one raw sum,
+and each coefficient of F is normalised once at the end.
+
+``FormalGroupLaw.check_associative`` expands both sides of
+F(F(x,y),z) = F(x,F(y,z)) as linear combinations of the powers of F, which
+are formed once as two-variable products.
 
 ``lubin_tate_lift`` solves f(F(x,y)) = F(f(x), f(y)) degree by degree with
 F = x + y mod degree 2; for f congruent to x^p mod p with f'(0) of
@@ -26,8 +33,8 @@ from .errors import (
     NonUniqueLift,
     PrecisionExhausted,
 )
-from .padic import INF, PadicNum
-from .series import PSeries
+from .padic import INF, PadicNum, reduce_terms, vp_int
+from .series import _ABSENT, PSeries
 from .dynamics import Logarithm
 
 
@@ -65,17 +72,28 @@ class FormalGroupLaw:
         return ok
 
     def check_associative(self, m2: int) -> bool:
-        """F(F(x,y),z) = F(x,F(y,z)) in the 3-variable ring below degree m2."""
-        p = self.F.prime
-        N = self.F.coeff_prec
-        F2 = self.F.truncate(m2)
-        fxy = _embed2to3(F2, (0, 1), m2)
-        fyz = _embed2to3(F2, (1, 2), m2)
-        z3 = PSeries.variable(p, 3, 2, m2, N)
-        x3 = PSeries.variable(p, 3, 0, m2, N)
-        lhs = F2.compose((fxy, z3))
-        rhs = F2.compose((x3, fyz))
-        ok = lhs.equal_to_precision(rhs)
+        """F(F(x,y),z) = F(x,F(y,z)) in the 3-variable ring below degree m2.
+
+        With F = sum c_ab x^a y^b, both sides are linear combinations of the
+        powers of F:
+
+            F(F(x,y), z) = sum c_ab F(x,y)^a z^b,
+            F(x, F(y,z)) = sum c_ab x^a F(y,z)^b,
+
+        so the powers F^k are formed once, as two-variable products, and
+        each coefficient of each side is one ledgered sum (``reduce_terms``)
+        of the products c_ab * [F^k]_e.  Both expansions claim only digits
+        their ledgers support, so agreement at the lesser precision of each
+        coefficient certifies associativity at those digits.
+        """
+        F = self.F.truncate(m2)
+        D = F.x_prec
+        pows = [{(0, 0): None}, F.coeffs]  # coefficients of F^k; None is the exact 1
+        power = F
+        for _ in range(2, D):
+            power = power * F
+            pows.append(power.coeffs)
+        ok = _substitute(F, pows, D, True).equal_to_precision(_substitute(F, pows, D, False))
         self.certificates["associative"] = {"ok": ok, "degree": m2}
         return ok
 
@@ -83,14 +101,25 @@ class FormalGroupLaw:
         return self.check_identity() and self.check_commutative() and self.check_associative(m2)
 
 
-def _embed2to3(F: PSeries, positions, m2: int) -> PSeries:
-    out = {}
+def _substitute(F: PSeries, pows, D: int, left: bool) -> PSeries:
+    """F(F(x,y), z) (left) or F(x, F(y,z)) below total degree D, from the
+    coefficient dicts pows[k] of F^k."""
+    p = F.prime
+    terms: dict = {}
     for (a, b), c in F.coeffs.items():
-        e = [0, 0, 0]
-        e[positions[0]] = a
-        e[positions[1]] = b
-        out[tuple(e)] = c
-    return PSeries(F.prime, 3, m2, out, F.coeff_prec)
+        k, free = (a, b) if left else (b, a)
+        for (i, j), d in pows[k].items():
+            if i + j + free >= D:
+                continue
+            e = (i, j, free) if left else (free, i, j)
+            if d is None:
+                t = (c.v, c.u, c.N)
+            elif c.v == INF or d.v == INF:
+                t = (INF, 0, c.val_floor() + d.val_floor())
+            else:
+                t = (c.v + d.v, c.u * d.u, min(c.N + d.v, c.v + d.N))
+            terms.setdefault(e, []).append(t)
+    return PSeries(p, 3, D, {e: reduce_terms(p, t) for e, t in terms.items()}, F.coeff_prec)
 
 
 class Bracket:
@@ -121,22 +150,15 @@ def group_from_log(logf: Logarithm, x_prec=None) -> FormalGroupLaw:
     L = L.truncate(M)
     dlog = L.derivative()
     inv_dlog = dlog.inverse()
+    acc = _TaylorSum(p, M)
     # Taylor orders in x: A_0 = x, A_{j+1} = A_j' / L'
-    acc: dict = {}
     A = PSeries.identity(p, M, N)
     Ly_pow = PSeries(p, 1, M, {(0,): PadicNum.one(p, N)}, N)  # L(y)^j
     factorial = 1
     for j in range(0, M):
         if j > 0:
             factorial *= j
-        for (a,), ca in A.coeffs.items():
-            for (b,), cb in Ly_pow.coeffs.items():
-                if a + b >= M or (b == 0 and j > 0):
-                    continue
-                c = (ca * cb).div_int(factorial)
-                key = (a, b)
-                prev = acc.get(key)
-                acc[key] = c if prev is None else prev + c
+        acc.add_order(A, Ly_pow, factorial, j > 0)
         if j + 1 >= M:
             break
         A = A.derivative() * inv_dlog
@@ -145,9 +167,94 @@ def group_from_log(logf: Logarithm, x_prec=None) -> FormalGroupLaw:
         Ly_pow = Ly_pow * L
         if not Ly_pow.coeffs:
             break
-    F = PSeries(p, 2, M, acc, N)
+    F = PSeries(p, 2, M, acc.coefficients(), N)
     _raise_if_not_integral(F, "group law from logarithm")
     return FormalGroupLaw(F, "from-log")
+
+
+class _TaylorSum:
+    """Running sums F_ab = sum_j A_j[a] * L(y)^j[b] / j! for a + b < M.
+
+    Each monomial keeps its least term precision K, its least finite term
+    valuation m and the raw integer sum R of its finite terms in units of
+    p^m; ``coefficients`` normalises each once.  A term's ledger is the
+    product rule min(N_a + v'_b, v'_a + N_b), with v' = N for a zero-like
+    factor, less v_p(j!).  The result is what adding the terms one by one as
+    PadicNum values gives, exceptions included: a zero-like term without
+    digits raises, and so does a partial sum once its precision reaches
+    K <= 0 with no digit below it.  Monomials come out in the order they
+    were first reached.
+    """
+
+    __slots__ = ("p", "M", "K", "m", "R", "order")
+
+    def __init__(self, p: int, M: int):
+        self.p = p
+        self.M = M
+        self.K = [_ABSENT] * (M * M)
+        self.m = [_ABSENT] * (M * M)
+        self.R = [0] * (M * M)
+        self.order = []
+
+    def add_order(self, A: PSeries, Ly_pow: PSeries, factorial: int, skip_constant: bool):
+        """Add A(x) * Ly_pow(y) / factorial below total degree M."""
+        p, M = self.p, self.M
+        K, m, R, order = self.K, self.m, self.R, self.order
+        w = vp_int(factorial, p)
+        rel = max((c.N - c.v for c in Ly_pow.coeffs.values() if c.v != INF), default=1)
+        inv = pow(factorial // p**w, -1, p**rel)
+        # Ly_pow / j! as (b, v, unit, N, v') in ascending b, the order the
+        # packed kernel stores degrees in
+        row = []
+        for (b,), c in Ly_pow.coeffs.items():
+            if b == 0 and skip_constant:
+                continue
+            if c.v == INF:
+                row.append((b, _ABSENT, 0, c.N - w, c.N - w))
+            else:
+                row.append((b, c.v - w, c.u * inv, c.N - w, c.v - w))
+        for (a,), ca in A.coeffs.items():
+            za = ca.v == INF
+            va, ua, na = ca.v, ca.u, ca.N
+            fa = na if za else va
+            base = a * M
+            for b, vb, ub, nb, fb in row:
+                if a + b >= M:
+                    break
+                if za or vb == _ABSENT:
+                    v, r, n = _ABSENT, 0, fa + fb
+                    if n <= 0:
+                        PadicNum.zero_to_prec(p, n)  # raises, as the product would
+                else:
+                    v, r = va + vb, ua * ub
+                    n = na + vb if na + vb < va + nb else va + nb
+                i = base + b
+                k = K[i]
+                if k == _ABSENT:
+                    K[i], m[i], R[i] = n, v, r
+                    order.append(i)
+                    continue
+                if n <= 0 or k <= 0:
+                    # the pairwise sum raises here if no digit survives
+                    self.value(i) + PadicNum(p, INF if v == _ABSENT else v, r, n)
+                if n < k:
+                    K[i] = n
+                if v != _ABSENT:
+                    mi = m[i]
+                    if mi == _ABSENT:
+                        m[i], R[i] = v, r
+                    elif v >= mi:
+                        R[i] += r * p ** (v - mi)
+                    else:
+                        m[i], R[i] = v, R[i] * p ** (mi - v) + r
+
+    def value(self, i: int) -> PadicNum:
+        """The normalised sum of monomial i so far."""
+        k = self.K[i]
+        return PadicNum._from_scaled(self.p, min(self.m[i], k), self.R[i], k)
+
+    def coefficients(self) -> dict:
+        return {divmod(i, self.M): self.value(i) for i in self.order}
 
 
 def _raise_if_not_integral(F: PSeries, what: str):

@@ -49,14 +49,22 @@ def require_prime(p) -> int:
     raise ValueError(f"p must be a prime, got {p!r}")
 
 
-def _pdigits_ceil(k: int, p: int) -> int:
-    """Least L with p^L >= k, for k >= 1 (an upper bound on v_p(k))."""
-    L = 0
-    q = 1
-    while q < k:
+def ceil_log(n: int, p: int) -> int:
+    """Least k with p^k >= n, for n >= 1 (an upper bound on v_p(n))."""
+    k, q = 0, 1
+    while q < n:
         q *= p
-        L += 1
-    return L
+        k += 1
+    return k
+
+
+def floor_log(n: int, p: int) -> int:
+    """Greatest k with p^k <= n, for n >= 1."""
+    k, q = 0, p
+    while q <= n:
+        q *= p
+        k += 1
+    return k
 
 
 class PadicNum:
@@ -401,7 +409,7 @@ def padic_log(x: PadicNum) -> PadicNum:
     k = 1
     while True:
         k += 1
-        if k * t - _pdigits_ceil(k, p) >= target and k > 2:
+        if k * t - ceil_log(k, p) >= target and k > 2:
             break
         ypow = ypow * y
         term = ypow.div_int(k)

@@ -579,12 +579,12 @@ def _compose_1var(g: PSeries, h: PSeries, M: int) -> PSeries:
             ci = g.coeffs.get((i,))
             if ci is not None:
                 acc = _set_constant(acc, ci)
-        if acc is None:
-            return PSeries.zero(p, 1, M, N)
-        res = _packed_mul(p, acc, H, M)
+        res = None if acc is None else _packed_mul(p, acc, H, M)
         c0 = g.coeffs.get((0,))
         if c0 is not None:
             res = _set_constant(res, c0)
+        if res is None:
+            return PSeries.zero(p, 1, M, N)
         return _unpack(p, res, M, N)
     zero_e = (0,) * h.nvars
     acc = PSeries.zero(p, h.nvars, M, N)
@@ -596,9 +596,7 @@ def _compose_1var(g: PSeries, h: PSeries, M: int) -> PSeries:
         if ci is not None:
             acc = acc + PSeries(p, h.nvars, M, {zero_e: ci}, N)
             wrote = True
-    if not wrote:
-        return PSeries.zero(p, h.nvars, M, N)
-    res = acc * h
+    res = acc * h if wrote else PSeries.zero(p, h.nvars, M, N)
     c0 = g.coeffs.get((0,))
     if c0 is not None:
         res = res + PSeries(p, h.nvars, M, {zero_e: c0}, N)

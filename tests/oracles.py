@@ -252,9 +252,176 @@ def triple_compose(p: int, g: dict, h: dict, M: int) -> dict:
         if i in g:
             acc = dict(acc or {})
             acc[0] = g[i]
-    if acc is None:
-        return {}
-    res = triple_mul(p, acc, h, M)
+    res = {} if acc is None else triple_mul(p, acc, h, M)
     if 0 in g:
         res[0] = g[0]
     return res
+
+
+# -- formal-group references over triples --------------------------------------
+#
+# The Taylor assembly of group_from_log and the associativity certificate as
+# lubinlab ran them before the streamed sum and the shared powers of F: one
+# PadicNum operation per pair of coefficients, emulated here on triples
+# (None is an exact zero), and a 3-variable Horner composition.
+
+ZERO_NO_DIGITS = "zero known to nonpositive precision carries no digits"
+
+
+def _vp(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def triple_times(p: int, a, b):
+    """One scalar product, as ``PadicNum.__mul__``."""
+    (va, ua, na), (vb, ub, nb) = a, b
+    if va == INF or vb == INF:
+        n = (va if va != INF else na) + (vb if vb != INF else nb)
+        if n <= 0:
+            raise NoDigits(ZERO_NO_DIGITS)
+        return (INF, 0, n)
+    rel = min(na - va, nb - vb)
+    return (va + vb, ua * ub % p**rel, va + vb + rel)
+
+
+def triple_div_int(p: int, a, k: int):
+    """Division by a positive integer, as ``PadicNum.div_int``."""
+    v, u, n = a
+    w = _vp(k, p)
+    if v == INF:
+        if n - w <= 0:
+            raise NoDigits(ZERO_NO_DIGITS)
+        return (INF, 0, n - w)
+    mod = p ** (n - v)
+    return (v - w, u * pow(k // p**w, -1, mod) % mod, n - w)
+
+
+def triple_add(p: int, a, b):
+    """One scalar sum, as ``PadicNum.__add__``, exceptions included."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    K = min(a[2], b[2])
+    vals = [t[0] for t in (a, b) if t[0] != INF]
+    if not vals:
+        if K <= 0:
+            raise NoDigits(ZERO_NO_DIGITS)
+        return (INF, 0, K)
+    m = min(min(vals), K)
+    if K - m <= 0:
+        if K <= 0:
+            raise NoDigits("result has no significant digits")
+        return (INF, 0, K)
+    r = sum(u * p ** (v - m) for v, u, _ in (a, b) if v != INF) % p ** (K - m)
+    if r == 0:
+        if K <= 0:
+            raise NoDigits(ZERO_NO_DIGITS)
+        return (INF, 0, K)
+    w = _vp(r, p)
+    return (m + w, r // p**w, K)
+
+
+def taylor_assembly(p: int, M: int, orders) -> dict:
+    """F = sum_j A_j(x) L(y)^j / j! below total degree M, one product,
+    factorial division and sum per pair of coefficients.
+
+    ``orders`` yields (A_j, L(y)^j) for j = 0, 1, ... as {degree: triple};
+    it is consumed lazily, so an exception while producing order j + 1
+    surfaces after order j is assembled.  Returns {(a, b): triple} in the
+    order monomials are first reached; raises NoDigits as PrecisionExhausted.
+    """
+    acc = {}
+    factorial = 1
+    for j, (A, Ly) in enumerate(orders):
+        if j > 0:
+            factorial *= j
+        for a, ca in A.items():
+            for b, cb in Ly.items():
+                if a + b >= M or (b == 0 and j > 0):
+                    continue
+                c = triple_div_int(p, triple_times(p, ca, cb), factorial)
+                acc[(a, b)] = triple_add(p, acc.get((a, b)), c)
+    return acc
+
+
+def _series_mul(p: int, a: dict, b: dict, M: int) -> dict:
+    """Multivariate product with one ledgered sum per monomial."""
+    acc = {}
+    for ea, (va, ua, na) in a.items():
+        for eb, (vb, ub, nb) in b.items():
+            if sum(ea) + sum(eb) >= M:
+                continue
+            if va == INF or vb == INF:
+                t = (INF, 0, (va if va != INF else na) + (vb if vb != INF else nb))
+            else:
+                t = (va + vb, ua * ub, min(na + vb, va + nb))
+            acc.setdefault(tuple(x + y for x, y in zip(ea, eb)), []).append(t)
+    out = {}
+    for e, terms in acc.items():
+        c = reduce_triples(p, terms)
+        if isinstance(c, NoDigits):
+            raise c
+        if c is not None:
+            out[e] = c
+    return out
+
+
+def _series_add(p: int, a: dict, b: dict) -> dict:
+    out = {e: triple_add(p, a.get(e), b.get(e)) for e in a.keys() | b.keys()}
+    return {e: c for e, c in out.items() if c is not None}
+
+
+def _horner_1var(p: int, g: dict, h: dict, M: int) -> dict:
+    """g(h) for univariate g and multivariate h without constant term."""
+    zero = (0,) * len(next(iter(h)))
+    acc, wrote = {}, False
+    for i in range(min(max(g, default=0), M - 1), 0, -1):
+        if wrote:
+            acc = _series_mul(p, acc, h, M)
+        if i in g:
+            acc = _series_add(p, acc, {zero: g[i]})
+            wrote = True
+    res = _series_mul(p, acc, h, M) if wrote else {}
+    if 0 in g:
+        res = _series_add(p, res, {zero: g[0]})
+    return res
+
+
+def _horner_2var(p: int, g: dict, h1: dict, h2: dict, M: int) -> dict:
+    """g(h1, h2) by Horner along the second variable of g."""
+    rows = {}
+    for (a, b), c in g.items():
+        if a < M:
+            rows.setdefault(b, {})[a] = c
+    acc = None
+    for b in range(max(rows, default=-1), -1, -1):
+        if acc is not None:
+            acc = _series_mul(p, acc, h2, M)
+        if b in rows:
+            val = _horner_1var(p, rows[b], h1, M)
+            acc = val if acc is None else _series_add(p, acc, val)
+    return acc or {}
+
+
+def horner_associative(p: int, F: dict, M: int, N: int) -> bool:
+    """F(F(x,y),z) = F(x,F(y,z)) below total degree M, both sides composed
+    in three variables, compared coefficient by coefficient at the lesser
+    precision.  F is {(a, b): triple} below degree M; N is the precision of
+    the substituted variables x and z."""
+    one = (0, 1, N)
+    fxy = {(a, b, 0): c for (a, b), c in F.items()}
+    fyz = {(0, a, b): c for (a, b), c in F.items()}
+    lhs = _horner_2var(p, F, fxy, {(0, 0, 1): one}, M)
+    rhs = _horner_2var(p, F, {(1, 0, 0): one}, fyz, M)
+    for e in lhs.keys() | rhs.keys():
+        b = rhs.get(e)
+        neg = b if b is None or b[0] == INF else (b[0], -b[1], b[2])
+        d = triple_add(p, lhs.get(e), neg)
+        if d is not None and d[0] != INF:
+            return False
+    return True

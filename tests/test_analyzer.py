@@ -194,3 +194,13 @@ def test_p2_twist_lift_keeps_zero_like_corrections(base, M, N):
     rep = analyze(f, u, cfg, name="tw")
     assert rep.verdict == CERTIFIED, rep.reason
     assert rep.data["frobenius"]["lift_agrees"]
+
+
+@pytest.mark.parametrize("m2", [0, 1, 2])
+def test_vacuous_m2_refused(m2):
+    """Below degree 3 the associativity and lift certificates check nothing."""
+    p = 2
+    f, u = gm_pair(p, 16, working(p))
+    with pytest.raises(ValueError, match="M2 must be at least 3"):
+        analyze(f, u, Config(N=8, M=16, m2=m2))
+    assert analyze(f, u, Config(N=8, M=16, m2=3)).verdict == CERTIFIED

@@ -153,3 +153,13 @@ def test_non_prime_p_rejected(capsys, p):
     code, out, err = run(capsys, "polygon", "--p", p, "--series", "1,2,3@1")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "prime" in err
+
+
+@pytest.mark.parametrize("m2", ["0", "1", "2"])
+def test_vacuous_m2_rejected(capsys, m2):
+    code, out, err = run(
+        capsys, "analyze", "--p", "3", "--N", "10", "--M", "25", "--M2", m2,
+        "--f", "3,3,1@1", "--u", "4,6,4,1@1",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "M2 must be at least 3" in err

@@ -3,11 +3,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from lubinlab import (
+    INF,
     AmbiguousAtPrecision,
+    FormalGroupLaw,
+    IntegralityFailure,
+    LubinlabError,
+    Logarithm,
     NoCandidate,
     PadicNum,
+    PrecisionExhausted,
     PSeries,
     bracket,
     exp_from_log,
@@ -17,7 +25,8 @@ from lubinlab import (
     lubin_tate_lift,
 )
 from conftest import one_plus_x_pow, series_from_fractions
-from oracles import binom
+from lubinlab.formalgroup import _TaylorSum
+from oracles import NoDigits, binom, horner_associative, taylor_assembly
 
 
 def gm_log(p, M=32, N=40):
@@ -185,3 +194,181 @@ def test_frobenius_window_too_small():
     logf = logarithm_recurrence(f)
     with pytest.raises((NoCandidate, AmbiguousAtPrecision)):
         frobenius_multiplier(logf, f)
+
+
+# -- the streamed Taylor assembly against the per-pair loop ---------------------
+
+
+def _triples(s):
+    return {e if len(e) > 1 else e[0]: (c.v, c.u, c.N) for e, c in s.coeffs.items()}
+
+
+def _taylor_orders(L, M, N):
+    """(A_j, L(y)^j) for j = 0, 1, ... in the order group_from_log forms them."""
+    p = L.prime
+    inv_dlog = L.derivative().inverse()
+    A = PSeries.identity(p, M, N)
+    Ly = PSeries(p, 1, M, {(0,): PadicNum.one(p, N)}, N)
+    for j in range(M):
+        yield _triples(A), _triples(Ly)
+        if j + 1 >= M:
+            return
+        A = A.derivative() * inv_dlog
+        if not A.coeffs:
+            return
+        Ly = Ly * L
+        if not Ly.coeffs:
+            return
+
+
+@st.composite
+def log_series(draw):
+    """x plus random coefficients: finite (negative valuations included),
+    zero-like or absent, at a low precision N."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    M = draw(st.integers(16, 20) if p == 2 else st.integers(2, 14))
+    N = draw(st.integers(2, 12))
+    coeffs = {(1,): (0, 1, N)}
+    for d in range(2, M):
+        kind = draw(st.sampled_from(("absent", "finite", "finite", "zero-like")))
+        if kind == "zero-like":
+            coeffs[(d,)] = (INF, 0, draw(st.integers(1, N)))
+        elif kind == "finite":
+            v = draw(st.integers(-2, 3))
+            rel = draw(st.integers(1, N))
+            u = p * draw(st.integers(0, p ** (rel - 1) - 1)) + draw(st.integers(1, p - 1))
+            coeffs[(d,)] = (v, u, v + rel)
+    return p, M, N, coeffs
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(log_series())
+@example((2, 16, 12, {(1,): (0, 1, 12)}))
+@example((3, 12, 8, {(1,): (0, 1, 8)}))
+@example((3, 4, 8, {(1,): (0, 1, 8), (2,): (-1, 1, 7)}))
+@example((3, 6, 6, {(1,): (0, 1, 6), (2,): (-1, 481, 5), (3,): (INF, 0, 4)}))
+def test_group_from_log_matches_pairwise_loop(case):
+    """Triple for triple, in the same order, and exception for exception."""
+    p, M, N, coeffs = case
+    L = PSeries(p, 1, M, {e: PadicNum(p, *t) for e, t in coeffs.items()}, N)
+    logf = Logarithm(L, "recurrence", PadicNum.from_int(p, p, N))
+    try:
+        want = taylor_assembly(p, M, _taylor_orders(L, M, N))
+    except (NoDigits, LubinlabError) as ex:
+        kind = PrecisionExhausted if isinstance(ex, NoDigits) else type(ex)
+        with pytest.raises(kind) as got:
+            group_from_log(logf)
+        assert str(got.value) == str(ex)
+        return
+    floors = [(e, v if v != INF else n) for e, (v, _, n) in want.items()]
+    bad = [(e, floor) for e, floor in floors if floor < 0]
+    if bad:
+        e, floor = bad[0]
+        with pytest.raises(IntegralityFailure) as got:
+            group_from_log(logf)
+        assert str(got.value) == f"group law from logarithm: coefficient at {e} has valuation floor {floor}"
+        return
+    got = group_from_log(logf).F
+    assert list(_triples(got).items()) == list(want.items())
+
+
+@st.composite
+def taylor_orders(draw):
+    """Arbitrary orders (A_j, L(y)^j) as {degree: triple}, precisions <= 0
+    included, to drive the running sums through every pairwise-sum case."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    M = draw(st.integers(2, 8))
+
+    def coefficient():
+        if draw(st.booleans()) and draw(st.booleans()):
+            return (INF, 0, draw(st.integers(1, 4)))
+        v = draw(st.integers(-3, 2))
+        rel = draw(st.integers(1, 4))
+        return (v, p * draw(st.integers(0, p ** (rel - 1) - 1)) + draw(st.integers(1, p - 1)), v + rel)
+
+    orders = []
+    for j in range(draw(st.integers(1, M))):
+        A = {a: coefficient() for a in sorted(draw(st.sets(st.integers(0, M - 1), max_size=3)))}
+        Ly = {b: coefficient() for b in sorted(draw(st.sets(st.integers(0, M - 1), max_size=3)))}
+        orders.append((A, Ly))
+    return p, M, orders
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(taylor_orders())
+@example(
+    # the j = 2 term cancels every digit below precision 0 and the j = 3
+    # term would bring one back: the pairwise sums raise at j = 2
+    (5, 4, [({}, {}), ({1: (-2, 1, 0)}, {1: (0, 1, 9)}), ({1: (-2, 23, 1)}, {1: (0, 1, 9)}),
+            ({1: (-1, 6, 1)}, {1: (0, 1, 9)})])
+)
+def test_taylor_sum_matches_pairwise_sums(case):
+    p, M, orders = case
+
+    def series(triples):
+        return PSeries(p, 1, M, {(d,): PadicNum(p, *t) for d, t in triples.items()}, 9)
+
+    def run():
+        acc = _TaylorSum(p, M)
+        factorial = 1
+        for j, (A, Ly) in enumerate(orders):
+            factorial *= max(j, 1)
+            acc.add_order(series(A), series(Ly), factorial, j > 0)
+        return {e: (c.v, c.u, c.N) for e, c in acc.coefficients().items()}
+
+    try:
+        want = taylor_assembly(p, M, orders)
+    except NoDigits as ex:
+        with pytest.raises(PrecisionExhausted) as got:
+            run()
+        assert str(got.value) == str(ex)
+        return
+    assert list(run().items()) == list(want.items())
+
+
+# -- the associativity certificate ------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_non_associative_law_rejected(p):
+    """x + y + x^2 y^2 is a unital commutative law but not associative."""
+    G = FormalGroupLaw(PSeries(p, 2, 12, {(1, 0): 1, (0, 1): 1, (2, 2): 1}, 20), "test")
+    assert G.check_identity()
+    assert G.check_commutative()
+    assert not G.check_associative(12)
+    assert G.certificates["associative"] == {"ok": False, "degree": 12}
+
+
+@st.composite
+def group_laws(draw):
+    """F from a log L = g(x) + (s/p) L(x^p) with g integral and g'(0) = 1,
+    which Hazewinkel's functional-equation lemma makes integral, with an
+    optional symmetric perturbation c (x^i y^j + x^j y^i), i, j >= 1."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    M = draw(st.integers(4, 9))
+    N = draw(st.integers(4, 12))
+    s = draw(st.integers(-p, p))
+    L = [Fraction(0), Fraction(1)]
+    for n in range(2, M):
+        g = draw(st.integers(-(p**2), p**2))
+        L.append(g + (Fraction(s, p) * L[n // p] if n % p == 0 else 0))
+    # a guard of M + 4 digits, above the analyzer's ceil(M/(p-1)) + 4
+    logf = Logarithm(PSeries.from_univariate_coeffs(p, L[1:], M, N + M + 4), "recurrence", None)
+    F = group_from_log(logf).F
+    m2 = draw(st.integers(3, M + 2))
+    if draw(st.booleans()):
+        # a monomial below the certificate's degree min(m2, M)
+        i = draw(st.integers(1, min(m2, M) - 2))
+        j = draw(st.integers(1, min(m2, M) - 1 - i))
+        c = draw(st.integers(1, p**N))
+        F = F + PSeries(p, 2, M, {(i, j): c, (j, i): c}, F.coeff_prec)
+    return F, m2
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group_laws())
+def test_associativity_matches_horner_certificate(case):
+    F, m2 = case
+    F2 = F.truncate(m2)
+    want = horner_associative(F.prime, _triples(F2), F2.x_prec, F.coeff_prec)
+    assert FormalGroupLaw(F, "test").check_associative(m2) == want
