@@ -215,14 +215,16 @@ def reduce_triples(p: int, terms):
 
 
 def triple_mul(p: int, a: dict, b: dict, M: int) -> dict:
-    """Product of two triple series below degree M.
+    """Product of two triple series below total degree M; keys are degrees
+    or, for several variables, exponent tuples.
 
-    Raises NoDigits with the message of the lowest degree that has none.
+    Raises NoDigits with the message of the lowest key that has none.
     """
     acc = {}
     for i, (va, ua, na) in a.items():
         for j, (vb, ub, nb) in b.items():
-            if i + j >= M:
+            e = i + j if isinstance(i, int) else tuple(x + y for x, y in zip(i, j))
+            if (e if isinstance(e, int) else sum(e)) >= M:
                 continue
             if va == INF or vb == INF:
                 fa = va if va != INF else na
@@ -230,7 +232,7 @@ def triple_mul(p: int, a: dict, b: dict, M: int) -> dict:
                 triple = (INF, 0, fa + fb)
             else:
                 triple = (va + vb, ua * ub, min(na + vb, va + nb))
-            acc.setdefault(i + j, []).append(triple)
+            acc.setdefault(e, []).append(triple)
     out = {}
     for k in sorted(acc):
         c = reduce_triples(p, acc[k])
@@ -268,14 +270,6 @@ def triple_compose(p: int, g: dict, h: dict, M: int) -> dict:
 ZERO_NO_DIGITS = "zero known to nonpositive precision carries no digits"
 
 
-def _vp(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def triple_times(p: int, a, b):
     """One scalar product, as ``PadicNum.__mul__``."""
     (va, ua, na), (vb, ub, nb) = a, b
@@ -291,7 +285,7 @@ def triple_times(p: int, a, b):
 def triple_div_int(p: int, a, k: int):
     """Division by a positive integer, as ``PadicNum.div_int``."""
     v, u, n = a
-    w = _vp(k, p)
+    w = frac_val(k, p)
     if v == INF:
         if n - w <= 0:
             raise NoDigits(ZERO_NO_DIGITS)
@@ -322,7 +316,7 @@ def triple_add(p: int, a, b):
         if K <= 0:
             raise NoDigits(ZERO_NO_DIGITS)
         return (INF, 0, K)
-    w = _vp(r, p)
+    w = frac_val(r, p)
     return (m + w, r // p**w, K)
 
 
@@ -349,28 +343,6 @@ def taylor_assembly(p: int, M: int, orders) -> dict:
     return acc
 
 
-def _series_mul(p: int, a: dict, b: dict, M: int) -> dict:
-    """Multivariate product with one ledgered sum per monomial."""
-    acc = {}
-    for ea, (va, ua, na) in a.items():
-        for eb, (vb, ub, nb) in b.items():
-            if sum(ea) + sum(eb) >= M:
-                continue
-            if va == INF or vb == INF:
-                t = (INF, 0, (va if va != INF else na) + (vb if vb != INF else nb))
-            else:
-                t = (va + vb, ua * ub, min(na + vb, va + nb))
-            acc.setdefault(tuple(x + y for x, y in zip(ea, eb)), []).append(t)
-    out = {}
-    for e, terms in acc.items():
-        c = reduce_triples(p, terms)
-        if isinstance(c, NoDigits):
-            raise c
-        if c is not None:
-            out[e] = c
-    return out
-
-
 def _series_add(p: int, a: dict, b: dict) -> dict:
     out = {e: triple_add(p, a.get(e), b.get(e)) for e in a.keys() | b.keys()}
     return {e: c for e, c in out.items() if c is not None}
@@ -382,11 +354,11 @@ def _horner_1var(p: int, g: dict, h: dict, M: int) -> dict:
     acc, wrote = {}, False
     for i in range(min(max(g, default=0), M - 1), 0, -1):
         if wrote:
-            acc = _series_mul(p, acc, h, M)
+            acc = triple_mul(p, acc, h, M)
         if i in g:
             acc = _series_add(p, acc, {zero: g[i]})
             wrote = True
-    res = _series_mul(p, acc, h, M) if wrote else {}
+    res = triple_mul(p, acc, h, M) if wrote else {}
     if 0 in g:
         res = _series_add(p, res, {zero: g[0]})
     return res
@@ -401,7 +373,7 @@ def _horner_2var(p: int, g: dict, h1: dict, h2: dict, M: int) -> dict:
     acc = None
     for b in range(max(rows, default=-1), -1, -1):
         if acc is not None:
-            acc = _series_mul(p, acc, h2, M)
+            acc = triple_mul(p, acc, h2, M)
         if b in rows:
             val = _horner_1var(p, rows[b], h1, M)
             acc = val if acc is None else _series_add(p, acc, val)
