@@ -16,9 +16,13 @@ F(F(x,y),z) = F(x,F(y,z)) as linear combinations of the powers of F, which
 are formed once as two-variable products.
 
 ``lubin_tate_lift`` solves f(F(x,y)) = F(f(x), f(y)) degree by degree with
-F = x + y mod degree 2; for f congruent to x^p mod p with f'(0) of
-valuation 1 the solution is integral and unique, which is what makes it an
-independent oracle for the first construction.
+F = x + y mod degree 2, below the truncation of f; for f congruent to x^p
+mod p with f'(0) of valuation 1 the solution is integral and unique, which
+is what makes it an independent oracle for the first construction.  Stage d
+forms only the degree-d parts of both sides: the Horner intermediates of
+f(F) are kept by degree across stages and extended with the degree-graded
+product of ``series``, and F(f(x), f(y)) is restricted to the monomials of
+degree d.
 
 ``frobenius_multiplier`` recovers the scalar pi with v(pi) = 1 whose
 bracket endomorphism exp(pi * L) reduces to x^p mod p, one base-p digit at
@@ -34,7 +38,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .padic import INF, PadicNum, reduce_terms, vp_int
-from .series import _ABSENT, PSeries
+from .series import _ABSENT, PSeries, _graded, _graded_mul
 from .dynamics import Logarithm
 
 
@@ -270,87 +274,84 @@ def _raise_if_not_integral(F: PSeries, what: str):
 def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
     """Unique integral F with f(F(x,y)) = F(f(x), f(y)) and F = x+y mod deg 2.
 
-    Solved degree by degree; the degree-d correction is the degree-d defect
-    divided by f'(0)^d - f'(0), a scalar of valuation exactly 1 when
-    v(f'(0)) = 1.  Non-integral corrections mean the preconditions fail and
-    raise NonUniqueLift (certified) or PrecisionExhausted (unresolved).
+    Solved degree by degree below min(x_prec, f.x_prec); the degree-d
+    correction is the degree-d defect divided by f'(0)^d - f'(0), a scalar of
+    valuation exactly 1 when v(f'(0)) = 1.  Non-integral corrections mean the
+    preconditions fail and raise NonUniqueLift (certified) or
+    PrecisionExhausted (unresolved).
+
+    Stage d forms only degree-d parts.  The left side keeps the Horner
+    intermediates acc_i = sum_{k>=i} c_k F^(k-i) of f(F) by degree: the
+    degree-e part of acc_i reads F below degree e+1 and acc_{i+1} below
+    degree e, which earlier stages fixed, so stage d adds the degree-(d-i)
+    part of each acc_i and takes [acc_1 F]_d.
     """
     p = f.prime
-    D = x_prec
     N = f.coeff_prec
     c = f.linear_coeff()
+    D = min(x_prec, f.x_prec)
     f = f.truncate(D)
     one = PadicNum.one(p, N)
     F = PSeries(p, 2, D, {(1, 0): one, (0, 1): one}, N)
+    Fparts = _graded(F, 2)
+    # acc[i][e]: degree-e part of acc_i, starting from [acc_i]_0 = c_i
+    acc = [None] + [[[((0, 0), f.coeffs[(i,)])] if (i,) in f.coeffs else []] for i in range(1, D)]
     # univariate powers of f, reused for F(f(x), f(y)) at every stage
     fpow = [PSeries(p, 1, D, {(0,): one}, N), f]
-    for _ in range(2, D):
+    for _ in range(2, D - 1):
         fpow.append(fpow[-1] * f)
     cpow = c
     for d in range(2, D):
         cpow = cpow * c  # c^d
-        lhs = _compose_f_after(f, F, d + 1)
-        rhs = _compose_pair(F, fpow, d + 1)
-        defect = lhs - rhs
+        for i in range(d - 1, 0, -1):
+            acc[i].append(list(_graded_mul(p, acc[i + 1], Fparts, d - i).items()))
+        lhs = _graded_mul(p, acc[1], Fparts, d)
+        rhs = _compose_pair(F, fpow, d)
         denom = cpow - c
         corr = {}
-        for (a, b), coeff in defect.coeffs.items():
-            if a + b != d:
-                continue
+        for e in sorted(lhs.keys() | rhs.keys()):
+            left, right = lhs.get(e), rhs.get(e)
+            coeff = -right if left is None else left if right is None else left - right
             # a zero-like defect still bounds the correction: storing it
             # (rather than leaving an exact zero) keeps F's precision honest
             delta = coeff / denom
             if delta.val_floor() < 0:
-                msg = f"no integral lift: degree-{d} correction at {(a, b)} has valuation {delta.val_floor()}"
+                msg = f"no integral lift: degree-{d} correction at {e} has valuation {delta.val_floor()}"
                 if delta.v != INF:
                     raise NonUniqueLift(msg)
                 raise PrecisionExhausted(msg)
-            corr[(a, b)] = delta
+            corr[e] = delta
+        Fparts.append(list(corr.items()))
         if corr:
             F = F + PSeries(p, 2, D, corr, N)
     _raise_if_not_integral(F, "group law lift")
     return FormalGroupLaw(F, "lubin-tate-lift")
 
 
-def _compose_f_after(f: PSeries, F: PSeries, trunc: int) -> PSeries:
-    """f(F(x,y)) truncated to total degree < trunc."""
-    return f.truncate(trunc).compose(F.truncate(trunc))
+def _compose_pair(F: PSeries, fpow, d: int) -> dict:
+    """Degree-d part of F(f(x), f(y)) from cached univariate powers of f.
 
-
-def _compose_pair(F: PSeries, fpow, trunc: int) -> PSeries:
-    """F(f(x), f(y)) from cached univariate powers of f."""
-    p = F.prime
-    N = F.coeff_prec
+    For each power y^b of F, the inner sum over a of c_ab [f^a]_i comes
+    first, then one product with [f^b]_(d-i) per monomial (i, d-i).
+    """
     rows: dict = {}
     for (a, b), c in F.coeffs.items():
-        if a + b >= trunc:
-            continue
-        rows.setdefault(b, {}).setdefault(a, []).append(c)
+        rows.setdefault(b, {})[a] = c
     acc: dict = {}
     for b, row in rows.items():
-        if b >= len(fpow):
-            continue
-        fy = fpow[b].truncate(trunc)
+        fy = fpow[b].coeffs
         inner: dict = {}
-        for a, cs in row.items():
-            if a >= len(fpow):
-                continue
-            fx = fpow[a].truncate(trunc)
-            for (i,), ci in fx.coeffs.items():
-                t = ci * cs[0]
-                prev = inner.get(i)
-                inner[i] = t if prev is None else prev + t
+        for a, c in row.items():
+            for (i,), ci in fpow[a].coeffs.items():
+                if (d - i,) in fy:
+                    t = ci * c
+                    prev = inner.get(i)
+                    inner[i] = t if prev is None else prev + t
         for i, ci in inner.items():
-            if ci.is_zero_like() and ci.is_exact_zero():
-                continue
-            for (j,), cj in fy.coeffs.items():
-                if i + j >= trunc:
-                    continue
-                t = ci * cj
-                key = (i, j)
-                prev = acc.get(key)
-                acc[key] = t if prev is None else prev + t
-    return PSeries(p, 2, trunc, acc, N)
+            t = ci * fy[(d - i,)]
+            prev = acc.get((i, d - i))
+            acc[(i, d - i)] = t if prev is None else prev + t
+    return acc
 
 
 def bracket(logf: Logarithm, a: PadicNum, exp_series: PSeries = None) -> Bracket:

@@ -6,7 +6,9 @@ coefficient that merely vanished to its working precision stays stored, so
 the truncation-honesty machinery downstream (Newton polygons) can see the
 difference.  ``coeff_prec`` is the ambient p-adic precision used when
 coercing plain integers or rationals into coefficients.  Univariate
-products and compositions run on a packed list form (see ``_packed_mul``).
+products and compositions run on a packed list form (see ``_packed_mul``);
+products in two or three variables are formed one total degree at a time
+(see ``_graded_mul``).
 
 Substitution (``compose``) is defined for substituted series without
 constant term; on such inputs truncation commutes with composition, so no
@@ -154,25 +156,10 @@ class PSeries:
         N = min(self.coeff_prec, other.coeff_prec)
         if self.nvars == 1:
             return _unpack(p, _packed_mul(p, _pack(self, M), _pack(other, M), M), M, N)
-        acc: dict = {}
-        a_items = list(self.coeffs.items())
-        b_items = list(other.coeffs.items())
-        if len(a_items) > len(b_items):
-            a_items, b_items = b_items, a_items
-        for ea, ca in a_items:
-            da = _deg(ea)
-            va, ua, na = ca.v, ca.u, ca.N
-            for eb, cb in b_items:
-                if da + _deg(eb) >= M:
-                    continue
-                e = tuple(x + y for x, y in zip(ea, eb))
-                if cb.v == INF or va == INF:
-                    triple = (INF, 0, ca.val_floor() + cb.val_floor())
-                else:
-                    rel = min(na - va, cb.N - cb.v)
-                    triple = (va + cb.v, ua * cb.u, va + cb.v + rel)
-                acc.setdefault(e, []).append(triple)
-        out = {e: reduce_terms(p, terms) for e, terms in acc.items()}
+        A, B = _graded(self, M), _graded(other, M)
+        out = {}
+        for e in range(M):
+            out.update(_graded_mul(p, A, B, e))
         return PSeries(p, self.nvars, M, out, N)
 
     def scalar_mul(self, s) -> "PSeries":
@@ -444,6 +431,54 @@ class PSeries:
             nvars = max(nvars, len(exps))
             coeffs[exps] = PadicNum.from_fraction(Fraction(s), p, N)
         return cls(p, nvars, M, coeffs, N)
+
+
+# -- degree-graded multivariate product ---------------------------------------
+#
+# A series in two or three variables is held as its homogeneous parts:
+# parts[k] lists the (exponents, coefficient) items of total degree k.  The
+# degree-e part of a product reads only the parts of degree <= e, so a caller
+# that grows its operands degree by degree (the Lubin-Tate lift) forms each
+# part of the product once.
+
+
+def _graded(s: PSeries, M: int) -> list:
+    """Homogeneous parts of s below total degree M, each in dict order."""
+    parts = [[] for _ in range(M)]
+    for e, c in s.coeffs.items():
+        k = _deg(e)
+        if k < M:
+            parts[k].append((e, c))
+    return parts
+
+
+def _graded_mul(p: int, A, B, e: int) -> dict:
+    """Degree-e part of the product of the graded series A and B.
+
+    Every pair of parts of degrees k + (e - k) contributes one term triple
+    per pair of coefficients: (v_a + v_b, u_a u_b, min(N_a + v_b, v_a + N_b)),
+    or only the precision bound v'_a + v'_b when a factor is zero-like.  Each
+    monomial is one ``reduce_terms`` over its triples, taken in exponent
+    order.
+    """
+    terms: dict = {}
+    for k in range(max(0, e - len(B) + 1), min(e + 1, len(A))):
+        row = [(eb, cb.v, cb.u, cb.N, cb.val_floor()) for eb, cb in B[e - k]]
+        for ea, ca in A[k]:
+            va, ua, na = ca.v, ca.u, ca.N
+            fa = ca.val_floor()
+            for eb, vb, ub, nb, fb in row:
+                if va == INF or vb == INF:
+                    t = (INF, 0, fa + fb)
+                else:
+                    n, m = na + vb, va + nb
+                    t = (va + vb, ua * ub, n if n < m else m)
+                key = tuple(map(add, ea, eb))
+                if key in terms:
+                    terms[key].append(t)
+                else:
+                    terms[key] = [t]
+    return {key: reduce_terms(p, terms[key]) for key in sorted(terms)}
 
 
 # -- packed univariate kernel ------------------------------------------------

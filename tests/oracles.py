@@ -216,9 +216,11 @@ def reduce_triples(p: int, terms):
 
 def triple_mul(p: int, a: dict, b: dict, M: int) -> dict:
     """Product of two triple series below total degree M; keys are degrees
-    or, for several variables, exponent tuples.
+    or, for several variables, exponent tuples.  The result is in graded
+    order: by total degree, then by exponents.
 
-    Raises NoDigits with the message of the lowest key that has none.
+    Raises NoDigits with the message of the first key in that order that
+    has none.
     """
     acc = {}
     for i, (va, ua, na) in a.items():
@@ -234,7 +236,7 @@ def triple_mul(p: int, a: dict, b: dict, M: int) -> dict:
                 triple = (va + vb, ua * ub, min(na + vb, va + nb))
             acc.setdefault(e, []).append(triple)
     out = {}
-    for k in sorted(acc):
+    for k in sorted(acc, key=lambda e: (e if isinstance(e, int) else sum(e), e)):
         c = reduce_triples(p, acc[k])
         if isinstance(c, NoDigits):
             raise c
@@ -397,3 +399,163 @@ def horner_associative(p: int, F: dict, M: int, N: int) -> bool:
         if d is not None and d[0] != INF:
             return False
     return True
+
+
+# -- the Lubin-Tate lift as it ran before the degree-incremental stages ----------
+#
+# At every degree d this recomputes f(F) by a full Horner composition with the
+# two-variable F below degree d + 1 and F(f(x), f(y)) from the powers of f,
+# and keeps only the degree-d part of the difference.  Series are plain dicts
+# in insertion order, and sums iterate ``a.keys() | b.keys()`` as
+# ``PSeries.__add__`` does.  The degree-d monomials of the difference are
+# visited in exponent order, so the monomial an error names and the order of
+# the result do not depend on how Python lays out a set of exponents.
+
+
+class NonUnique(Exception):
+    """A lift correction certifies negative valuation (NonUniqueLift)."""
+
+
+class NotIntegral(Exception):
+    """A coefficient of the lifted law is not integral (IntegralityFailure)."""
+
+
+def triple_neg(p: int, a):
+    """Negation, as ``PadicNum.__neg__``."""
+    v, u, n = a
+    return a if v == INF else (v, -u % p ** (n - v), n)
+
+
+def triple_div(p: int, a, b):
+    """Division by a value that is not zero-like, as ``PadicNum.__truediv__``."""
+    (va, ua, na), (vb, ub, nb) = a, b
+    if va == INF:
+        if na - vb <= 0:
+            raise NoDigits(ZERO_NO_DIGITS)
+        return (INF, 0, na - vb)
+    mod = p ** min(na - va, nb - vb)
+    return (va - vb, ua * pow(ub, -1, mod) % mod, va - vb + min(na - va, nb - vb))
+
+
+def _floor(t):
+    return t[0] if t[0] != INF else t[2]
+
+
+def _dict_add(p: int, a: dict, b: dict, M: int) -> dict:
+    """``PSeries.__add__`` on exponent-tuple dicts below total degree M."""
+    out = {}
+    for e in a.keys() | b.keys():
+        if sum(e) < M:
+            c = triple_add(p, a.get(e), b.get(e))
+            if c is not None:
+                out[e] = c
+    return out
+
+
+def _dict_mul(p: int, a: dict, b: dict, M: int) -> dict:
+    """The multivariate dict product: term triples per monomial in
+    first-reached order, each monomial reduced in that order."""
+    a_items, b_items = list(a.items()), list(b.items())
+    if len(a_items) > len(b_items):
+        a_items, b_items = b_items, a_items
+    acc = {}
+    for ea, (va, ua, na) in a_items:
+        for eb, (vb, ub, nb) in b_items:
+            if sum(ea) + sum(eb) >= M:
+                continue
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if va == INF or vb == INF:
+                t = (INF, 0, _floor((va, ua, na)) + _floor((vb, ub, nb)))
+            else:
+                t = (va + vb, ua * ub, min(na + vb, va + nb))
+            acc.setdefault(e, []).append(t)
+    out = {}
+    for e, terms in acc.items():
+        c = reduce_triples(p, terms)
+        if isinstance(c, NoDigits):
+            raise c
+        if c is not None:
+            out[e] = c
+    return out
+
+
+def _horner_after(p: int, f: dict, fM: int, F: dict, M: int) -> dict:
+    """f(F) below total degree M by Horner in two-variable dict products."""
+    M = min(fM, M)
+    F = {e: c for e, c in F.items() if sum(e) < M}
+    top = min(max((i for i in f if i < M), default=0), M - 1)
+    acc, wrote = {}, False
+    for i in range(top, 0, -1):
+        if wrote:
+            acc = _dict_mul(p, acc, F, M)
+        if i in f and i < M:
+            acc = _dict_add(p, acc, {(0, 0): f[i]}, M)
+            wrote = True
+    res = _dict_mul(p, acc, F, M) if wrote else {}
+    return _dict_add(p, res, {(0, 0): f[0]}, M) if 0 in f else res
+
+
+def _pair_after(p: int, F: dict, fpow, trunc: int) -> dict:
+    """F(f(x), f(y)) below total degree trunc: for each power of y, the
+    inner sum over the powers of x, then one product per degree of f^b."""
+    rows = {}
+    for (a, b), c in F.items():
+        if a + b < trunc:
+            rows.setdefault(b, {})[a] = c
+    acc = {}
+    for b, row in rows.items():
+        if b >= len(fpow):
+            continue
+        inner = {}
+        for a, c in row.items():
+            if a >= len(fpow):
+                continue
+            for i, ci in fpow[a].items():
+                if i < trunc:
+                    inner[i] = triple_add(p, inner.get(i), triple_times(p, ci, c))
+        for i, ci in inner.items():
+            for j, cj in fpow[b].items():
+                if i + j < trunc:
+                    acc[(i, j)] = triple_add(p, acc.get((i, j)), triple_times(p, ci, cj))
+    return acc
+
+
+def lubin_tate_lift(p: int, f: dict, fM: int, N: int, x_prec: int):
+    """The lift F with f(F(x,y)) = F(f(x), f(y)), F = x + y mod degree 2.
+
+    f is {degree: triple} below degree fM, in its dict order, with coefficient
+    precision N.  Returns (x_prec of F, {(a, b): triple} in order).  Raises
+    NonUnique or NoDigits where the lift raises NonUniqueLift or
+    PrecisionExhausted, with the same message.
+    """
+    D = x_prec
+    c = f.get(1)
+    fM = min(fM, D)
+    f = {i: t for i, t in f.items() if i < fM}
+    one = (0, 1, N)
+    F = {e: one for e in ((1, 0), (0, 1)) if D > 1}
+    fpow = [{0: one}, f]
+    for _ in range(2, D):
+        fpow.append(triple_mul(p, fpow[-1], f, fM))
+    cpow = c
+    for d in range(2, D):
+        cpow = triple_times(p, cpow, c)
+        lhs = _horner_after(p, f, fM, F, d + 1)
+        rhs = _pair_after(p, F, fpow, d + 1)
+        defect = _dict_add(p, lhs, {e: triple_neg(p, t) for e, t in rhs.items()}, min(fM, d + 1))
+        denom = triple_add(p, cpow, triple_neg(p, c))
+        corr = {}
+        for (a, b), coeff in sorted(defect.items()):
+            if a + b != d:
+                continue
+            delta = triple_div(p, coeff, denom)
+            if _floor(delta) < 0:
+                msg = f"no integral lift: degree-{d} correction at {(a, b)} has valuation {_floor(delta)}"
+                raise (NonUnique if delta[0] != INF else NoDigits)(msg)
+            corr[(a, b)] = delta
+        if corr:
+            F = _dict_add(p, F, corr, D)
+    for e, t in F.items():
+        if _floor(t) < 0:
+            raise NotIntegral(f"group law lift: coefficient at {e} has valuation floor {_floor(t)}")
+    return D, F

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from lubinlab import (
@@ -14,6 +14,7 @@ from lubinlab import (
     LubinlabError,
     Logarithm,
     NoCandidate,
+    NonUniqueLift,
     PadicNum,
     PrecisionExhausted,
     PSeries,
@@ -26,7 +27,8 @@ from lubinlab import (
 )
 from conftest import one_plus_x_pow, series_from_fractions
 from lubinlab.formalgroup import _TaylorSum
-from oracles import NoDigits, binom, horner_associative, taylor_assembly
+from oracles import NoDigits, NonUnique, NotIntegral, binom, horner_associative, taylor_assembly
+from oracles import lubin_tate_lift as recomputing_lift
 
 
 def gm_log(p, M=32, N=40):
@@ -94,6 +96,14 @@ def test_lift_additive_linear():
     GL = lubin_tate_lift(f, 12)
     nz = {e for e, c in GL.F.coeffs.items() if not c.is_zero_like()}
     assert nz == {(1, 0), (0, 1)}
+
+
+def test_lift_stops_at_the_truncation_of_f():
+    """f known below degree 8 determines F only below degree 8."""
+    f = one_plus_x_pow(2, 2, 8, 24)
+    GL = lubin_tate_lift(f, 12)
+    assert GL.F.x_prec == 8
+    assert _triples(GL.F) == _triples(lubin_tate_lift(f, 8).F)
 
 
 def test_bracket_closed_forms():
@@ -372,3 +382,108 @@ def test_associativity_matches_horner_certificate(case):
     F2 = F.truncate(m2)
     want = horner_associative(F.prime, _triples(F2), F2.x_prec, F.coeff_prec)
     assert FormalGroupLaw(F, "test").check_associative(m2) == want
+
+
+# -- the degree-incremental lift against the recomputing reference ---------------
+
+
+@st.composite
+def lift_inputs(draw):
+    """f with f'(0) of valuation 1 below degree fM, in a random dict order:
+    multiples of p and absent coefficients with a unit at degree p (a
+    Lubin-Tate series), and in some examples a unit at another degree (no
+    integral lift) or zero-like coefficients, at a low precision N."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    x_prec = draw(st.integers(4, 12))
+    fM = draw(st.one_of(st.just(x_prec), st.integers(3, 14)))
+    N = draw(st.integers(3, 12))
+    kinds = ["absent", "multiple", "multiple"]
+    if draw(st.booleans()):
+        kinds.append("zero-like")
+
+    def unit(rel):
+        return p * draw(st.integers(0, p ** (rel - 1) - 1)) + draw(st.integers(1, p - 1))
+
+    rel = draw(st.one_of(st.just(N - 1), st.integers(1, N - 1)))
+    coeffs = {1: (1, unit(rel), 1 + rel)}
+    stray = draw(st.integers(2, 2 * fM))
+    for d in range(2, fM):
+        kind = "unit" if d in (p, stray) else draw(st.sampled_from(kinds))
+        if kind == "zero-like":
+            coeffs[d] = (INF, 0, draw(st.integers(1, N)))
+        elif kind != "absent":
+            v = 0 if kind == "unit" else draw(st.integers(1, 3))
+            rel = draw(st.one_of(st.just(N), st.integers(1, N)))
+            coeffs[d] = (v, unit(rel), v + rel)
+    order = draw(st.permutations(sorted(coeffs)))
+    return p, N, fM, {d: coeffs[d] for d in order}, x_prec
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lift_inputs())
+@example((2, 8, 8, {1: (1, 1, 8), 2: (0, 1, 8)}, 12))
+@example((3, 6, 12, {1: (1, 1, 6), 2: (0, 1, 6), 3: (0, 1, 6), 4: (0, 2, 6)}, 12))
+def test_lift_matches_recomputing_reference(case):
+    """Triple for triple, in the same order, and exception for exception
+    with the lift that recomputed f(F) and F(f(x), f(y)) at every degree."""
+    p, N, fM, coeffs, x_prec = case
+    f = PSeries(p, 1, fM, {(d,): PadicNum(p, *t) for d, t in coeffs.items()}, N)
+    try:
+        _, want = recomputing_lift(p, coeffs, fM, N, x_prec)
+    except NoDigits:
+        # the reference also computes coefficients no degree-d defect reads
+        try:
+            lubin_tate_lift(f, x_prec)
+        except PrecisionExhausted:
+            return
+        event("reference raised PrecisionExhausted; the lift returned")
+        return
+    except (NonUnique, NotIntegral) as ex:
+        with pytest.raises(NonUniqueLift if isinstance(ex, NonUnique) else IntegralityFailure) as got:
+            lubin_tate_lift(f, x_prec)
+        assert str(got.value) == str(ex)
+        return
+    F = lubin_tate_lift(f, x_prec).F
+    assert F.x_prec == min(x_prec, fM)
+    assert list(_triples(F).items()) == list(want.items())
+
+
+@st.composite
+def exact_lift_inputs(draw):
+    """Integer coefficients of f = p*u x + ... + (unit) x^p + ..., multiples
+    of p elsewhere except, sometimes, one unit; a precision N and k > 0."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    M = draw(st.integers(4, 10))
+    coeffs = [p * draw(st.integers(-(p**3), p**3)) for _ in range(1, M)]
+    coeffs[0] = p * (p * draw(st.integers(-p, p)) + draw(st.integers(1, p - 1)))
+    if p < M:
+        coeffs[p - 1] = p * draw(st.integers(-p, p)) + draw(st.integers(1, p - 1))
+    if draw(st.booleans()):
+        coeffs[draw(st.integers(1, M - 2))] += draw(st.integers(1, p - 1))
+    return p, M, coeffs, draw(st.integers(3, 8)), draw(st.integers(1, 6))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(exact_lift_inputs())
+def test_lift_claims_only_digits_a_more_precise_run_confirms(case):
+    """Every digit the lift claims at precision N agrees with the lift of the
+    same f at N + k: a certified failure stays a failure, and each
+    coefficient agrees at the lesser of the two precisions (an exact zero
+    claims every digit)."""
+    p, M, coeffs, N, k = case
+
+    def lift(n):
+        try:
+            return lubin_tate_lift(PSeries.from_univariate_coeffs(p, coeffs, M, n), M)
+        except (NonUniqueLift, PrecisionExhausted) as ex:
+            return ex
+
+    lo, hi = lift(N), lift(N + k)
+    if isinstance(lo, PrecisionExhausted):
+        return
+    if isinstance(lo, NonUniqueLift):
+        assert isinstance(hi, NonUniqueLift)
+        return
+    assert isinstance(hi, FormalGroupLaw)
+    for e in lo.F.coeffs.keys() | hi.F.coeffs.keys():
+        assert lo.F.c(e).congruent(hi.F.c(e)), e
