@@ -43,6 +43,7 @@ from .dynamics import (
     CommutingPair,
     check_commute,
     dlog_integrality,
+    log_polygon_vertices,
     logarithm_limit,
     logarithm_recurrence,
     normalize_u,
@@ -67,14 +68,18 @@ class Config:
     n_shape: int | None = None
     n_max_limit: int | None = None
 
+    def __post_init__(self):
+        # below degree 3 the associativity and lift certificates check
+        # nothing, whatever the prime, so refuse before any fixture runs
+        if self.m2 < 3:
+            raise ValueError(f"M2 must be at least 3, got {self.m2}")
+
     def resolve(self, p: int) -> "Config":
         require_prime(p)
         if self.N < 4:
             raise ValueError("N must be at least 4")
         if self.M < p * p:
             raise ValueError(f"M must be at least p^2 = {p * p}")
-        if self.m2 < 3:
-            raise ValueError(f"M2 must be at least 3, got {self.m2}")
         guard = self.guard
         min_guard = -(-self.M // (p - 1))  # ceil
         if guard is None:
@@ -228,13 +233,7 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         return inconclusive("logarithm", str(ex))
     agree = logf.series.equal_to_precision(loglim.series)
     logpoly = newton_polygon(logf.series)
-    expected_vertices = []
-    q, k = 1, 0
-    while q < cfg.M:
-        expected_vertices.append((q, -k))
-        q *= p
-        k += 1
-    poly_ok = logpoly.negative_vertices() == expected_vertices
+    poly_ok = logpoly.negative_vertices() == log_polygon_vertices(p, cfg.M)
     dlog_ok = dlog_integrality(logf)
     report["logarithm"] = {
         "methods_agree": agree,

@@ -22,7 +22,7 @@ from .analyzer import (
     parse_series_arg,
     summary_table,
 )
-from .dynamics import logarithm_recurrence
+from .dynamics import log_polygon_vertices, logarithm_recurrence
 from .errors import LubinlabError
 from .formalgroup import exp_from_log, frobenius_multiplier, group_from_log
 from .polygon import newton_polygon
@@ -124,17 +124,11 @@ def cmd_log(args) -> int:
     logf = logarithm_recurrence(g)
     poly = newton_polygon(logf.series)
     p = g.prime
-    expected = []
-    q, k = 1, 0
-    while q < g.x_prec:
-        expected.append((q, -k))
-        q *= p
-        k += 1
     payload = {
         "p": p,
         "coefficients": _scalar_table(logf.series),
         "polygon_vertices": [list(v) for v in poly.negative_vertices()],
-        "polygon_ok": poly.negative_vertices() == expected,
+        "polygon_ok": poly.negative_vertices() == log_polygon_vertices(p, g.x_prec),
     }
     if args.format == "text":
         lines = [f"log coefficients (p={p}):"]

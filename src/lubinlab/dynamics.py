@@ -196,6 +196,18 @@ def logarithm_limit(f: PSeries, n_max: int = None) -> Logarithm:
     return Logarithm(series, "iterate-limit", c, stabilization=evidence)
 
 
+def log_polygon_vertices(p: int, M: int) -> list:
+    """The negative-slope vertices (p^k, -k), p^k < M, that the Newton
+    polygon of a logarithm truncated below degree M must have."""
+    vertices = []
+    q, k = 1, 0
+    while q < M:
+        vertices.append((q, -k))
+        q *= p
+        k += 1
+    return vertices
+
+
 def dlog_integrality(logf: Logarithm) -> bool:
     """True iff every coefficient of log' certifies valuation >= 0."""
     d = logf.series.derivative()

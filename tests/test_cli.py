@@ -1,6 +1,7 @@
 """CLI surface: flags, formats, exit codes, golden summary format."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -163,3 +164,27 @@ def test_vacuous_m2_rejected(capsys, m2):
     )
     assert code == 2 and out == ""
     assert err.startswith("error:") and "M2 must be at least 3" in err
+
+
+PAIRS = Path(__file__).resolve().parent.parent / "demos" / "fixtures" / "pairs.json"
+
+
+def test_batch_refuses_vacuous_m2(capsys):
+    """M2 does not depend on any fixture, so the whole run is refused once."""
+    code, out, err = run(capsys, "batch", "--fixture", str(PAIRS), "--M2", "1")
+    assert code == 2 and out == ""
+    assert err == "error: M2 must be at least 3, got 1\n"
+
+
+def test_batch_bad_fixture_entries_keep_their_rows(tmp_path, capsys):
+    fx = [
+        {"name": "bad_N", "p": 2, "N": 2, "M": 16, "f": "2,1@1", "u": "3,3,1@1"},
+        {"name": "bad_p", "p": 4, "N": 8, "M": 16, "f": "2,1@1", "u": "3,3,1@1"},
+    ]
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(fx))
+    code, out, _ = run(capsys, "batch", "--fixture", str(path))
+    assert code == 2
+    rows = out.splitlines()[2:]
+    assert rows[0].startswith("bad_N") and "fixture error: N must be at least 4" in rows[0]
+    assert rows[1].startswith("bad_p") and "fixture error: p must be a prime, got 4" in rows[1]
