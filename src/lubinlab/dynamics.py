@@ -199,13 +199,7 @@ def logarithm_limit(f: PSeries, n_max: int = None) -> Logarithm:
 def log_polygon_vertices(p: int, M: int) -> list:
     """The negative-slope vertices (p^k, -k), p^k < M, that the Newton
     polygon of a logarithm truncated below degree M must have."""
-    vertices = []
-    q, k = 1, 0
-    while q < M:
-        vertices.append((q, -k))
-        q *= p
-        k += 1
-    return vertices
+    return [(p**k, -k) for k in range(ceil_log(M, p))]
 
 
 def dlog_integrality(logf: Logarithm) -> bool:

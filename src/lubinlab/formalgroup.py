@@ -284,7 +284,8 @@ def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
     intermediates acc_i = sum_{k>=i} c_k F^(k-i) of f(F) by degree: the
     degree-e part of acc_i reads F below degree e+1 and acc_{i+1} below
     degree e, which earlier stages fixed, so stage d adds the degree-(d-i)
-    part of each acc_i and takes [acc_1 F]_d.
+    part of each acc_i and takes [acc_1 F]_d.  The corrections of a stage
+    are checked in exponent order, and the first non-integral one raises.
     """
     p = f.prime
     N = f.coeff_prec
@@ -294,8 +295,11 @@ def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
     one = PadicNum.one(p, N)
     F = PSeries(p, 2, D, {(1, 0): one, (0, 1): one}, N)
     Fparts = _graded(F, 2)
-    # acc[i][e]: degree-e part of acc_i, starting from [acc_i]_0 = c_i
-    acc = [None] + [[[((0, 0), f.coeffs[(i,)])] if (i,) in f.coeffs else []] for i in range(1, D)]
+    # acc[i][e]: the degree-e part of acc_i; its degree-0 part is c_i
+    acc = [None]
+    for i in range(1, D):
+        ci = f.coeffs.get((i,))
+        acc.append([[((0, 0), ci)] if ci is not None else []])
     # univariate powers of f, reused for F(f(x), f(y)) at every stage
     fpow = [PSeries(p, 1, D, {(0,): one}, N), f]
     for _ in range(2, D - 1):

@@ -408,8 +408,9 @@ def horner_associative(p: int, F: dict, M: int, N: int) -> bool:
 # and keeps only the degree-d part of the difference.  Series are plain dicts
 # in insertion order, and sums iterate ``a.keys() | b.keys()`` as
 # ``PSeries.__add__`` does.  The degree-d monomials of the difference are
-# visited in exponent order, so the monomial an error names and the order of
-# the result do not depend on how Python lays out a set of exponents.
+# checked in exponent order, as the degree-incremental lift checks them; the
+# recomputing lift went through them in the slot order of a Python set that
+# also held every lower monomial.
 
 
 class NonUnique(Exception):
@@ -433,8 +434,9 @@ def triple_div(p: int, a, b):
         if na - vb <= 0:
             raise NoDigits(ZERO_NO_DIGITS)
         return (INF, 0, na - vb)
-    mod = p ** min(na - va, nb - vb)
-    return (va - vb, ua * pow(ub, -1, mod) % mod, va - vb + min(na - va, nb - vb))
+    rel = min(na - va, nb - vb)
+    mod = p**rel
+    return (va - vb, ua * pow(ub, -1, mod) % mod, va - vb + rel)
 
 
 def _floor(t):
