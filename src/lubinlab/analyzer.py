@@ -73,6 +73,12 @@ class Config:
         # nothing, whatever the prime, so refuse before any fixture runs
         if self.m2 < 3:
             raise ValueError(f"M2 must be at least 3, got {self.m2}")
+        # no iterate shape to check, or a negative iteration count, is a
+        # meaningless request rather than a vacuous pass or a crash
+        if self.n_shape is not None and self.n_shape < 1:
+            raise ValueError(f"n_shape must be at least 1, got {self.n_shape}")
+        if self.n_max_limit is not None and self.n_max_limit < 0:
+            raise ValueError(f"n_max_limit must be at least 0, got {self.n_max_limit}")
 
     def resolve(self, p: int) -> "Config":
         require_prime(p)
@@ -225,10 +231,12 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         "gamma_valuation_of_1_minus": (npair.gamma - PadicNum.one(p, npair.gamma.N)).val_floor(),
     }
 
-    # 4. logarithm, both constructions
+    # 4. logarithm, both constructions; the limit keeps the iterates f^n
+    # that step 5 checks
+    n_top = sum(1 for n in range(1, cfg.n_shape + 1) if p**n < cfg.M)
     try:
         logf = logarithm_recurrence(f)
-        loglim = logarithm_limit(f, cfg.n_max_limit)
+        loglim = logarithm_limit(f, cfg.n_max_limit, keep=n_top)
     except (PrecisionExhausted, NoStabilization) as ex:
         return inconclusive("logarithm", str(ex))
     agree = logf.series.equal_to_precision(loglim.series)
@@ -249,13 +257,16 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
     if not dlog_ok:
         return rejected("logarithm derivative is not integral")
 
-    # 5. iterate polygon shapes
+    # 5. iterate polygon shapes, on the limit's chain of iterates (extended
+    # by the same compositions where the limit stopped early)
     shapes = []
-    for n in range(1, cfg.n_shape + 1):
-        if p**n >= cfg.M:
-            break
+    chain = list(loglim.iterates)
+    for n in range(1, n_top + 1):
+        if n > len(chain):
+            prev = chain[-1] if chain else PSeries.identity(p, f.x_prec, f.coeff_prec)
+            chain.append(f.compose(prev))
         try:
-            shapes.append({"n": n, "ok": verify_iterate_shape(f, n)})
+            shapes.append({"n": n, "ok": verify_iterate_shape(f, n, chain[n - 1])})
         except TruncationInconclusive as ex:
             return inconclusive("iterate_shape", str(ex))
     report["iterate_shape"] = shapes

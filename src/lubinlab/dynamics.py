@@ -89,16 +89,18 @@ class Logarithm:
     ``series`` has linear coefficient 1 and satisfies series∘f = f'(0)·series
     to precision.  ``stabilization`` (limit method only) records, per
     iteration, the least valuation of the increment between consecutive
-    normalized iterates.
+    normalized iterates, and ``iterates`` the leading iterates f^1, f^2, ...
+    it was asked to keep.
     """
 
-    __slots__ = ("series", "method", "fprime0", "stabilization")
+    __slots__ = ("series", "method", "fprime0", "stabilization", "iterates")
 
-    def __init__(self, series, method, fprime0, stabilization=None):
+    def __init__(self, series, method, fprime0, stabilization=None, iterates=()):
         self.series = series
         self.method = method
         self.fprime0 = fprime0
         self.stabilization = stabilization
+        self.iterates = iterates
 
 
 def logarithm_recurrence(f: PSeries) -> Logarithm:
@@ -143,13 +145,15 @@ def logarithm_recurrence(f: PSeries) -> Logarithm:
     return Logarithm(series, "recurrence", c)
 
 
-def logarithm_limit(f: PSeries, n_max: int = None) -> Logarithm:
+def logarithm_limit(f: PSeries, n_max: int = None, keep: int = 0) -> Logarithm:
     """Limit of the normalized iterates f^n / f'(0)^n.
 
     Runs until consecutive normalized iterates are indistinguishable at
     their stored precision or n_max is reached.  Each returned coefficient
     is capped at the valuation of its last observed increment (Cauchy
     estimate), so downstream comparisons happen at certified digits only.
+    The iterates f^1 .. f^keep that the run formed (each f.compose of the
+    one before, as ``polygon.iterate`` forms them) are kept in ``iterates``.
     """
     p = f.prime
     M = f.x_prec
@@ -161,10 +165,13 @@ def logarithm_limit(f: PSeries, n_max: int = None) -> Logarithm:
         return Logarithm(ident, "iterate-limit", c, stabilization=[])
     prev_norm = ident
     evidence = []
+    kept = []
     last_incr = None
     fn = ident
     for n in range(1, n_max + 1):
         fn = f.compose(fn)
+        if n <= keep:
+            kept.append(fn)
         cn = c**n
         norm = PSeries(
             p, 1, M, {e: coeff / cn for e, coeff in fn.coeffs.items()}, f.coeff_prec
@@ -177,7 +184,7 @@ def logarithm_limit(f: PSeries, n_max: int = None) -> Logarithm:
         prev_norm = norm
         last_incr = diff
         if stable:
-            return Logarithm(norm, "iterate-limit", c, stabilization=evidence)
+            return Logarithm(norm, "iterate-limit", c, evidence, kept)
     if len(evidence) >= 2 and evidence[-1][1] <= evidence[0][1]:
         raise NoStabilization(f"no stabilization after {n_max} iterates")
     capped = {}
@@ -193,7 +200,7 @@ def logarithm_limit(f: PSeries, n_max: int = None) -> Logarithm:
         else:
             capped[e] = coeff.cap_prec(cap)
     series = PSeries(p, 1, M, capped, f.coeff_prec)
-    return Logarithm(series, "iterate-limit", c, stabilization=evidence)
+    return Logarithm(series, "iterate-limit", c, evidence, kept)
 
 
 def log_polygon_vertices(p: int, M: int) -> list:

@@ -285,7 +285,10 @@ def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
     degree-e part of acc_i reads F below degree e+1 and acc_{i+1} below
     degree e, which earlier stages fixed, so stage d adds the degree-(d-i)
     part of each acc_i and takes [acc_1 F]_d.  The corrections of a stage
-    are checked in exponent order, and the first non-integral one raises.
+    are checked in exponent order.  A certified failure anywhere in the
+    stage decides the lift: the first one raises NonUniqueLift, and a stage
+    raises PrecisionExhausted (its first unresolved correction) only when
+    it has no certified failure.
     """
     p = f.prime
     N = f.coeff_prec
@@ -313,18 +316,26 @@ def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
         rhs = _compose_pair(F, fpow, d)
         denom = cpow - c
         corr = {}
+        unresolved = None
         for e in sorted(lhs.keys() | rhs.keys()):
             left, right = lhs.get(e), rhs.get(e)
-            coeff = -right if left is None else left if right is None else left - right
-            # a zero-like defect still bounds the correction: storing it
-            # (rather than leaving an exact zero) keeps F's precision honest
-            delta = coeff / denom
+            try:
+                coeff = -right if left is None else left if right is None else left - right
+                # a zero-like defect still bounds the correction: storing it
+                # (rather than leaving an exact zero) keeps F's precision honest
+                delta = coeff / denom
+            except PrecisionExhausted as ex:
+                unresolved = unresolved or ex
+                continue
             if delta.val_floor() < 0:
                 msg = f"no integral lift: degree-{d} correction at {e} has valuation {delta.val_floor()}"
                 if delta.v != INF:
                     raise NonUniqueLift(msg)
-                raise PrecisionExhausted(msg)
+                unresolved = unresolved or PrecisionExhausted(msg)
+                continue
             corr[e] = delta
+        if unresolved is not None:
+            raise unresolved
         Fparts.append(list(corr.items()))
         if corr:
             F = F + PSeries(p, 2, D, corr, N)

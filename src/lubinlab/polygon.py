@@ -204,9 +204,13 @@ def iterate(f: PSeries, n: int) -> PSeries:
     return out
 
 
-def verify_iterate_shape(f: PSeries, n: int) -> bool:
+def verify_iterate_shape(f: PSeries, n: int, fn: PSeries = None) -> bool:
     """Check that the negative-slope vertices of the n-th iterate's polygon
-    are exactly (p^k, n-k) for 0 <= k <= n."""
+    are exactly (p^k, n-k) for 0 <= k <= n.
+
+    fn, when given, is the iterate f^n as ``iterate(f, n)`` forms it, so a
+    caller that already holds the chain of iterates skips recomputing it.
+    """
     p = f.prime
     if n == 0:
         poly = newton_polygon(PSeries.identity(p, f.x_prec, f.coeff_prec))
@@ -215,7 +219,8 @@ def verify_iterate_shape(f: PSeries, n: int) -> bool:
         raise TruncationInconclusive(
             f"iterate degree p^{n} exceeds truncation order {f.x_prec}"
         )
-    fn = iterate(f, n)
+    if fn is None:
+        fn = iterate(f, n)
     poly = newton_polygon(fn)
     if not poly.negative_certified:
         raise TruncationInconclusive("iterate polygon not certified")

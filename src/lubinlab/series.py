@@ -10,6 +10,12 @@ products and compositions run on a packed list form (see ``_packed_mul``);
 products in two or three variables are formed one total degree at a time
 (see ``_graded_mul``).
 
+The univariate kernels skip work that cannot reach a result digit: a
+product drops the leading exact zeros (the x-adic order) of its operands
+and reads them only below its bound, and Horner composition forms the
+intermediate that h multiplies i more times only below M - i.  Neither
+changes a value or a precision of the result (see ``_compose_1var``).
+
 Substitution (``compose``) is defined for substituted series without
 constant term; on such inputs truncation commutes with composition, so no
 x-adic accuracy is lost beyond min(x_prec).
@@ -526,6 +532,11 @@ def _kronecker(p: int, V, U):
     return s, [u * p ** (v - s) if v < _HALF else 0 for v, u in zip(V, U)]
 
 
+def _order(N) -> int:
+    """Number of leading absent slots (exact zeros) of a packed series."""
+    return next((i for i, n in enumerate(N) if n < _HALF), len(N))
+
+
 def _packed_mul(p: int, a, b, M: int):
     """Product of two packed series below degree M.
 
@@ -541,6 +552,13 @@ def _packed_mul(p: int, a, b, M: int):
     product.  Each output coefficient is then normalised as
     ``reduce_terms`` would normalise its terms, raising PrecisionExhausted
     in the same cases.
+
+    Leading absent slots (the x-adic order ta of a and tb of b) add nothing
+    to a value, to the ledger or to the raise path, and every degree below
+    ta + tb of the product is absent.  So the product is formed on the
+    operands with those slots dropped, as offsets, and below M - (ta + tb);
+    its first ta + tb slots are absent.  A power f^k, which starts at
+    degree k, costs a product of length M - k.
     """
     Va, Ua, Na = a
     Vb, Ub, Nb = b
@@ -548,24 +566,32 @@ def _packed_mul(p: int, a, b, M: int):
     if not La or not Lb:
         return [], [], []
     nout = min(M, La + Lb - 1)
+    ta, tb = _order(Na), _order(Nb)
+    t = ta + tb
+    if ta == La or tb == Lb or t >= nout:
+        return [_ABSENT] * nout, [0] * nout, [_ABSENT] * nout
+    nin = nout - t
+    Va, Ua, Na = Va[ta : ta + nin], Ua[ta : ta + nin], Na[ta : ta + nin]
+    Vb, Ub, Nb = Vb[tb : tb + nin], Ub[tb : tb + nin], Nb[tb : tb + nin]
+    La, Lb = len(Va), len(Vb)
     sa, A = _kronecker(p, Va, Ua)
     sb, B = _kronecker(p, Vb, Ub)
     if A is None or B is None:
-        C = [0] * nout
+        C = [0] * nin
     else:
         bits = max(A).bit_length() + max(B).bit_length() + min(La, Lb).bit_length() + 1
         w = (bits + 7) // 8
         ia = int.from_bytes(b"".join(x.to_bytes(w, "little") for x in A), "little")
         ib = int.from_bytes(b"".join(x.to_bytes(w, "little") for x in B), "little")
         raw = (ia * ib).to_bytes((La + Lb - 1) * w, "little")
-        C = [int.from_bytes(raw[k * w : (k + 1) * w], "little") for k in range(nout)]
+        C = [int.from_bytes(raw[k * w : (k + 1) * w], "little") for k in range(nin)]
     s = sa + sb
     # One list of sums covers both halves of the ledger: a's (N, v') pairs
     # against b's reversed (v', N) pairs.
     A2 = [x for v, n in zip(Va, Na) for x in (n, n if v >= _HALF else v)]
     B2 = [x for v, n in zip(Vb[::-1], Nb[::-1]) for x in (n if v >= _HALF else v, n)]
-    V, U, N = [], [], []
-    for k in range(nout):
+    V, U, N = [_ABSENT] * t, [0] * t, [_ABSENT] * t
+    for k in range(nin):
         if k < Lb:
             K = min(map(add, A2, B2[2 * (Lb - 1 - k) :]))
         else:
@@ -599,6 +625,15 @@ def _compose_1var(g: PSeries, h: PSeries, M: int) -> PSeries:
     A univariate h is packed once and every Horner step is one packed
     product; since h has no constant term, slot 0 of each product is empty
     and adding c_i is writing it there.
+
+    The intermediate acc_i = sum_{l>=i} c_l h^(l-i) is multiplied by h i
+    more times, and h^i starts at degree i, so degrees >= M - i of acc_i
+    never reach the result: step i forms acc_{i+1} h below M - i (and
+    ``_packed_mul`` reads its operands only below that bound).  Output
+    degree k of a product reads only input degrees <= k, so every value and
+    ledger entry of the result is that of the full-length Horner loop; only
+    a PrecisionExhausted that loop raised for a dropped intermediate
+    coefficient is no longer raised.
     """
     p = g.prime
     N = min(g.coeff_prec, h.coeff_prec)
@@ -610,7 +645,7 @@ def _compose_1var(g: PSeries, h: PSeries, M: int) -> PSeries:
         acc = None
         for i in range(top, 0, -1):
             if acc is not None:
-                acc = _packed_mul(p, acc, H, M)
+                acc = _packed_mul(p, acc, H, M - i)
             ci = g.coeffs.get((i,))
             if ci is not None:
                 acc = _set_constant(acc, ci)

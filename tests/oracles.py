@@ -245,14 +245,20 @@ def triple_mul(p: int, a: dict, b: dict, M: int) -> dict:
     return out
 
 
-def triple_compose(p: int, g: dict, h: dict, M: int) -> dict:
-    """Horner evaluation of g at h (h without constant term) below degree M."""
+def triple_compose(p: int, g: dict, h: dict, M: int, truncate: bool = True) -> dict:
+    """Horner evaluation of g at h (h without constant term) below degree M.
+
+    The intermediate acc_i = sum_{l>=i} g_l h^(l-i) is multiplied by h i
+    more times, so with ``truncate`` it is formed below M - i only.  Without
+    it every intermediate is formed below M, as lubinlab did before, which
+    may raise NoDigits for a coefficient no digit of the result reads.
+    """
     assert 0 not in h
     top = min(max(g, default=0), M - 1)
     acc = None
     for i in range(top, 0, -1):
         if acc is not None:
-            acc = triple_mul(p, acc, h, M)
+            acc = triple_mul(p, acc, h, M - i if truncate else M)
         if i in g:
             acc = dict(acc or {})
             acc[0] = g[i]
@@ -410,7 +416,9 @@ def horner_associative(p: int, F: dict, M: int, N: int) -> bool:
 # ``PSeries.__add__`` does.  The degree-d monomials of the difference are
 # checked in exponent order, as the degree-incremental lift checks them; the
 # recomputing lift went through them in the slot order of a Python set that
-# also held every lower monomial.
+# also held every lower monomial.  The first certified non-integral
+# correction of a stage raises NonUnique even after an unresolved one; the
+# recomputing lift raised at whichever came first.
 
 
 class NonUnique(Exception):
@@ -544,17 +552,30 @@ def lubin_tate_lift(p: int, f: dict, fM: int, N: int, x_prec: int):
         cpow = triple_times(p, cpow, c)
         lhs = _horner_after(p, f, fM, F, d + 1)
         rhs = _pair_after(p, F, fpow, d + 1)
-        defect = _dict_add(p, lhs, {e: triple_neg(p, t) for e, t in rhs.items()}, min(fM, d + 1))
+        neg = {e: triple_neg(p, t) for e, t in rhs.items()}
+        # the defect below degree d, which the recomputing lift also formed
+        # (and which may raise NoDigits)
+        _dict_add(p, lhs, neg, min(fM, d))
         denom = triple_add(p, cpow, triple_neg(p, c))
-        corr = {}
-        for (a, b), coeff in sorted(defect.items()):
-            if a + b != d:
+        corr, unresolved = {}, None
+        top = sorted(e for e in lhs.keys() | neg.keys() if sum(e) == d) if d < fM else ()
+        for e in top:
+            # a certified failure anywhere in the stage wins over an
+            # unresolved correction, whichever comes first
+            try:
+                delta = triple_div(p, triple_add(p, lhs.get(e), neg.get(e)), denom)
+            except NoDigits as ex:
+                unresolved = unresolved or ex
                 continue
-            delta = triple_div(p, coeff, denom)
             if _floor(delta) < 0:
-                msg = f"no integral lift: degree-{d} correction at {(a, b)} has valuation {_floor(delta)}"
-                raise (NonUnique if delta[0] != INF else NoDigits)(msg)
-            corr[(a, b)] = delta
+                msg = f"no integral lift: degree-{d} correction at {e} has valuation {_floor(delta)}"
+                if delta[0] != INF:
+                    raise NonUnique(msg)
+                unresolved = unresolved or NoDigits(msg)
+                continue
+            corr[e] = delta
+        if unresolved is not None:
+            raise unresolved
         if corr:
             F = _dict_add(p, F, corr, D)
     for e, t in F.items():

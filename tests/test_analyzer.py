@@ -11,6 +11,7 @@ from lubinlab import (
     PSeries,
     REJECTED,
     analyze,
+    analyzer,
     analyze_fixture,
     batch_run,
     gm_pair,
@@ -204,3 +205,85 @@ def test_vacuous_m2_refused(m2):
     with pytest.raises(ValueError, match="M2 must be at least 3"):
         analyze(f, u, Config(N=8, M=16, m2=m2))
     assert analyze(f, u, Config(N=8, M=16, m2=3)).verdict == CERTIFIED
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n_shape": 0}, "n_shape must be at least 1, got 0"),
+        ({"n_shape": -1}, "n_shape must be at least 1, got -1"),
+        ({"n_max_limit": -1}, "n_max_limit must be at least 0, got -1"),
+    ],
+)
+def test_meaningless_sizes_refused(kwargs, message):
+    """No iterate shape to check passed vacuously, and a negative limit
+    count crashed analyze with an AttributeError."""
+    with pytest.raises(ValueError, match=message):
+        Config(N=8, M=16, **kwargs)
+    p = 2
+    f, u = gm_pair(p, 16, working(p))
+    assert analyze(f, u, Config(N=8, M=16, n_shape=1)).data["iterate_shape"] == [{"n": 1, "ok": True}]
+
+
+# -- the f-iterate chain shared by the limit and the shape checks --------------
+
+
+def gm_w1(p, cfg):
+    Nw = cfg.resolve(p).working_prec()
+    base = gm_pair(p, cfg.M, Nw)
+    return make_twist_fixture(base, series_from_fractions(p, [1, 1], cfg.M, Nw))
+
+
+def analyze_counting_chain(monkeypatch, f, u, cfg):
+    """analyze's report and the number of links of the f-iterate chain: the
+    calls f.compose(x) with x the identity or an earlier link, where f is
+    the series analyze works on (truncated and capped)."""
+    p = f.prime
+    Nw = cfg.resolve(p).working_prec()
+    outer = f.truncate(cfg.M).cap_coeff_prec(Nw).to_json()
+    start = PSeries.identity(p, cfg.M, Nw).to_json()
+    links = []
+    compose = PSeries.compose
+
+    def spy(self, args):
+        out = compose(self, args)
+        if self.to_json() == outer and isinstance(args, PSeries):
+            if any(args is x for x in links) or args.to_json() == start:
+                links.append(out)
+        return out
+
+    monkeypatch.setattr(PSeries, "compose", spy)
+    report = analyze(f, u, cfg, name="gm_w1")
+    monkeypatch.setattr(PSeries, "compose", compose)
+    return report, len(links)
+
+
+def test_limit_and_shapes_share_one_chain(monkeypatch):
+    cfg = Config()
+    f, u = gm_w1(2, cfg)
+    report, links = analyze_counting_chain(monkeypatch, f, u, cfg)
+    assert report.verdict == CERTIFIED
+    iterations = len(report.data["logarithm"]["limit_evidence"])
+    shapes = report.data["iterate_shape"]
+    assert [s["n"] for s in shapes] == [1, 2, 3] and all(s["ok"] for s in shapes)
+    assert links == max(iterations, len(shapes)) == iterations
+
+
+def test_shapes_extend_a_chain_the_limit_stopped_short(monkeypatch):
+    """Where the limit kept fewer iterates than the shapes need, the chain
+    is extended by the same compositions and the report does not change."""
+    cfg = Config(N=10, M=32, n_shape=4)
+    f, u = gm_w1(2, cfg)
+    want, links = analyze_counting_chain(monkeypatch, f, u, cfg)
+    limit = analyzer.logarithm_limit
+
+    def short(f, n_max=None, keep=0):
+        log = limit(f, n_max, keep)
+        log.iterates = log.iterates[:1]
+        return log
+
+    monkeypatch.setattr(analyzer, "logarithm_limit", short)
+    got, extended = analyze_counting_chain(monkeypatch, f, u, cfg)
+    assert got.to_json() == want.to_json()
+    assert len(want.data["iterate_shape"]) == 4
+    assert extended == links + 3

@@ -166,6 +166,17 @@ def test_vacuous_m2_rejected(capsys, m2):
     assert err.startswith("error:") and "M2 must be at least 3" in err
 
 
+@pytest.mark.parametrize("n_shape", ["0", "-1"])
+def test_no_iterate_shape_refused(capsys, n_shape):
+    """Checking no iterate shape used to pass as CERTIFIED with an empty list."""
+    code, out, err = run(
+        capsys, "analyze", "--p", "3", "--N", "10", "--M", "25", "--n-shape", n_shape,
+        "--f", "3,3,1@1", "--u", "4,6,4,1@1",
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: n_shape must be at least 1, got {n_shape}\n"
+
+
 PAIRS = Path(__file__).resolve().parent.parent / "demos" / "fixtures" / "pairs.json"
 
 

@@ -423,6 +423,10 @@ def lift_inputs(draw):
 @given(lift_inputs())
 @example((2, 8, 8, {1: (1, 1, 8), 2: (0, 1, 8)}, 12))
 @example((3, 6, 12, {1: (1, 1, 6), 2: (0, 1, 6), 3: (0, 1, 6), 4: (0, 2, 6)}, 12))
+# stage 2 has unresolved corrections at (0, 2) and (2, 0) around a certified
+# one at (1, 1): NonUniqueLift, where the first-come lift raised
+# PrecisionExhausted at (0, 2)
+@example((5, 3, 3, {2: (0, 1, 1), 1: (1, 6, 3)}, 4))
 def test_lift_matches_recomputing_reference(case):
     """Triple for triple, in the same order, and exception for exception
     with the lift that recomputed f(F) and F(f(x), f(y)) at every degree."""
@@ -446,6 +450,14 @@ def test_lift_matches_recomputing_reference(case):
     F = lubin_tate_lift(f, x_prec).F
     assert F.x_prec == min(x_prec, fM)
     assert list(_triples(F).items()) == list(want.items())
+
+
+def test_certified_lift_failure_wins_over_unresolved():
+    """A stage with a certified non-integral correction is decided by it,
+    even when an unresolved correction comes first in exponent order."""
+    f = PSeries(5, 1, 3, {(1,): PadicNum(5, 1, 6, 3), (2,): PadicNum(5, 0, 1, 1)}, 3)
+    with pytest.raises(NonUniqueLift, match=r"degree-2 correction at \(1, 1\) has valuation -1"):
+        lubin_tate_lift(f, 4)
 
 
 @st.composite

@@ -122,6 +122,29 @@ def test_iterate_shape_edge_cases():
         verify_iterate_shape(f, 4)  # 3^4 = 81 > 64
 
 
+@pytest.mark.parametrize(
+    "coeffs, want",
+    [
+        ([2, 1, 1], [True, True, True]),
+        ([2, 0, 1], [False, False, False]),
+        ([2, 0, 0, 1], [False, False, TruncationInconclusive]),
+    ],
+)
+def test_iterate_shape_alone_or_on_a_given_iterate(coeffs, want):
+    """Called alone, verify_iterate_shape forms f^n itself; handed the
+    iterate f^n, it gives the same answer."""
+    f = series_from_fractions(2, coeffs, 32, 20)
+    for n, w in enumerate(want, start=1):
+        if w is TruncationInconclusive:
+            with pytest.raises(TruncationInconclusive):
+                verify_iterate_shape(f, n)
+            with pytest.raises(TruncationInconclusive):
+                verify_iterate_shape(f, n, iterate(f, n))
+        else:
+            assert verify_iterate_shape(f, n) is w
+            assert verify_iterate_shape(f, n, iterate(f, n)) is w
+
+
 def test_weierstrass_factor_exact():
     g = series_from_fractions(2, [2, 1], 16, 24)  # x(x+2)
     fac, cof = weierstrass_factor(g, -1)
