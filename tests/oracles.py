@@ -78,18 +78,22 @@ def poly_pow(a: dict, k: int, M: int) -> dict:
     return out
 
 
-def lagrange_inversion(g: dict, M: int) -> dict:
-    """Compositional inverse of g = g1 x + ... via h_n = [x^(n-1)](x/g)^n / n."""
-    g1 = g[1]
-    # x/g as a power series: invert sum g_{i+1} x^i
-    base = {i - 1: c for i, c in g.items()}
-    inv = {0: Fraction(1) / g1}
+def poly_inverse(g: dict, M: int) -> dict:
+    """Multiplicative inverse of g below degree M; g[0] must be nonzero."""
+    inv = {0: Fraction(1) / g[0]}
     for n in range(1, M):
         s = Fraction(0)
         for k in range(1, n + 1):
-            if k in base and (n - k) in inv:
-                s += base[k] * inv[n - k]
-        inv[n] = -s / g1
+            if k in g and (n - k) in inv:
+                s += g[k] * inv[n - k]
+        inv[n] = -s / g[0]
+    return inv
+
+
+def lagrange_inversion(g: dict, M: int) -> dict:
+    """Compositional inverse of g = g1 x + ... via h_n = [x^(n-1)](x/g)^n / n."""
+    # x/g as a power series: invert sum g_{i+1} x^i
+    inv = poly_inverse({i - 1: c for i, c in g.items()}, M)
     out = {}
     for n in range(1, M):
         xg_n = poly_pow(inv, n, M)
