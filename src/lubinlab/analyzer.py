@@ -18,9 +18,7 @@ produce byte-identical JSON.
 """
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
@@ -95,7 +93,7 @@ class Config:
         n_shape = self.n_shape
         if n_shape is None:
             n_shape = min(3, floor_log(self.M, p))
-        return Config(self.N, self.M, self.m2, guard, n_shape, self.n_max_limit)
+        return replace(self, guard=guard, n_shape=n_shape)
 
     def working_prec(self) -> int:
         return self.N + self.guard
@@ -145,6 +143,11 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
     """Validate a candidate commuting pair and certify its formal group."""
     p = f.prime
     cfg = (config or Config()).resolve(p)
+    # a series known only below degree M' < M cannot show the degrees the
+    # checks below read (the logarithm polygon's vertices up to M, say)
+    for label, s in (("f", f), ("u", u)):
+        if s.x_prec < cfg.M:
+            raise ValueError(f"series {label} is truncated at degree {s.x_prec}, below M={cfg.M}")
     Nw = cfg.working_prec()
     f = f.truncate(cfg.M).cap_coeff_prec(Nw)
     u = u.truncate(cfg.M).cap_coeff_prec(Nw)
@@ -441,14 +444,7 @@ def load_fixtures(path: str):
 def analyze_fixture(entry: dict, config: Config = None) -> AnalysisReport:
     p = int(entry["p"])
     cfg = config or Config()
-    cfg = Config(
-        N=int(entry.get("N", cfg.N)),
-        M=int(entry.get("M", cfg.M)),
-        m2=cfg.m2,
-        guard=cfg.guard,
-        n_shape=cfg.n_shape,
-        n_max_limit=cfg.n_max_limit,
-    )
+    cfg = replace(cfg, N=int(entry.get("N", cfg.N)), M=int(entry.get("M", cfg.M)))
     resolved = cfg.resolve(p)
     Nw = resolved.working_prec()
     f = parse_series_arg(entry["f"], p, cfg.M, Nw)
@@ -457,11 +453,10 @@ def analyze_fixture(entry: dict, config: Config = None) -> AnalysisReport:
 
 
 def batch_run(fixtures, config: Config = None):
-    """Analyze a fixture collection; reports come back sorted by name.
-
-    Per-fixture failures are contained in the reports.  LUBINLAB_THREADS
-    caps the worker pool (default 1: sequential).
+    """Analyze a fixture collection, one after another; reports come back
+    sorted by name.  Per-fixture failures are contained in the reports.
     """
+
     def run_one(entry):
         name = entry.get("name", "fixture")
         try:
@@ -485,12 +480,7 @@ def batch_run(fixtures, config: Config = None):
                 }
             )
 
-    threads = int(os.environ.get("LUBINLAB_THREADS", "1"))
-    if threads > 1 and len(fixtures) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run_one, fixtures))
-    else:
-        reports = [run_one(e) for e in fixtures]
+    reports = [run_one(e) for e in fixtures]
     reports.sort(key=lambda r: str(r.data.get("name")))
     return reports
 

@@ -20,12 +20,11 @@ from .errors import (
     DomainError,
     NoStabilization,
     NotInvertible,
-    PrecisionExhausted,
     TorsionDetected,
     TruncationInconclusive,
 )
-from .padic import INF, PadicNum, ceil_log, is_root_of_unity, padic_pow, reduce_terms
-from .series import PSeries
+from .padic import INF, PadicNum, ceil_log, is_root_of_unity, padic_pow
+from .series import PSeries, _solve_by_powers
 from .polygon import iterate
 
 
@@ -108,10 +107,9 @@ def logarithm_recurrence(f: PSeries) -> Logarithm:
 
     Degree n costs one division by f'(0)^n - f'(0); with v(f'(0)) = 1 that
     denominator has valuation exactly 1, and the per-coefficient ledger of
-    the scalars records the cumulative loss.
+    the scalars records the cumulative loss.  This is the solve of
+    ``series.reversion`` with lam = f'(0) (``_solve_by_powers``).
     """
-    p = f.prime
-    M = f.x_prec
     c = f.linear_coeff()
     if c.is_zero_like():
         raise NotInvertible("f'(0) is zero to precision")
@@ -119,29 +117,7 @@ def logarithm_recurrence(f: PSeries) -> Logarithm:
         torsion, _ = is_root_of_unity(c)
         if torsion:
             raise DomainError("f'(0) must not be a root of unity")
-    fpow = [None, f]
-    for k in range(2, M):
-        fpow.append(fpow[-1] * f)
-    coeffs = {(1,): PadicNum.one(p, f.coeff_prec)}
-    cpow = c
-    for n in range(2, M):
-        cpow = cpow * c  # c^n
-        terms = [(INF, 0, INF)]
-        for k in range(1, n):
-            ak = coeffs.get((k,))
-            if ak is None:
-                continue
-            fk = fpow[k].c((n,))
-            prod = ak * fk
-            terms.append((prod.v, prod.u, prod.N))
-        s = reduce_terms(p, terms)
-        denom = cpow - c
-        if denom.is_zero_like():
-            raise PrecisionExhausted(f"recurrence denominator vanishes at degree {n}")
-        an = -s / denom
-        if not an.is_exact_zero():
-            coeffs[(n,)] = an
-    series = PSeries(p, 1, M, coeffs, f.coeff_prec)
+    series = _solve_by_powers(f, PadicNum.one(f.prime, f.coeff_prec), c)
     return Logarithm(series, "recurrence", c)
 
 

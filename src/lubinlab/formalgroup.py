@@ -137,7 +137,12 @@ class Bracket:
 
 
 def exp_from_log(logf: Logarithm) -> PSeries:
-    """Compositional inverse of the logarithm (cached by callers)."""
+    """The exponential E, the compositional inverse of the logarithm.
+
+    This is the named exponential: callers form it once and pass it to
+    ``bracket`` and ``frobenius_multiplier``, and ``bench/tracer.py`` times
+    it as its own layer.
+    """
     return logf.series.reversion()
 
 
@@ -325,14 +330,16 @@ def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
                 # (rather than leaving an exact zero) keeps F's precision honest
                 delta = coeff / denom
             except PrecisionExhausted as ex:
-                unresolved = unresolved or ex
+                unresolved = unresolved or PrecisionExhausted(
+                    f"degree-{d} correction at {e} unresolved: {ex}"
+                )
                 continue
+            # a zero-like quotient keeps a positive precision, so a negative
+            # floor is a certified valuation
             if delta.val_floor() < 0:
-                msg = f"no integral lift: degree-{d} correction at {e} has valuation {delta.val_floor()}"
-                if delta.v != INF:
-                    raise NonUniqueLift(msg)
-                unresolved = unresolved or PrecisionExhausted(msg)
-                continue
+                raise NonUniqueLift(
+                    f"no integral lift: degree-{d} correction at {e} has valuation {delta.val_floor()}"
+                )
             corr[e] = delta
         if unresolved is not None:
             raise unresolved

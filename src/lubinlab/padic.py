@@ -140,9 +140,6 @@ class PadicNum:
         """True when the value is indistinguishable from 0 at its precision."""
         return self.v == INF
 
-    def is_unit(self) -> bool:
-        return self.v == 0
-
     def val_floor(self):
         """Certified lower bound on the valuation (the valuation itself if finite)."""
         return self.v if self.v != INF else self.N
@@ -156,9 +153,6 @@ class PadicNum:
         if self.v < 0:
             raise ValueError("negative valuation has no integer residue")
         return self.u * self.p**self.v
-
-    def unit_residue(self) -> int:
-        return self.u
 
     def as_fraction(self) -> Fraction:
         """The canonical representative as an exact rational p^v * u."""

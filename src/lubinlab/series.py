@@ -16,9 +16,12 @@ and reads them only below its bound, and Horner composition forms the
 intermediate that h multiplies i more times only below M - i.  Neither
 changes a value or a precision of the result (see ``_compose_1var``).
 
-Substitution (``compose``) is defined for substituted series without
-constant term; on such inputs truncation commutes with composition, so no
-x-adic accuracy is lost beyond min(x_prec).
+Composition is univariate: ``compose`` substitutes a series in one
+variable without constant term into another; on such inputs truncation
+commutes with composition, so no x-adic accuracy is lost beyond
+min(x_prec).  Reversion and the logarithm recurrence of ``dynamics`` are
+one degree-by-degree solve against the powers of one series
+(``_solve_by_powers``).
 """
 
 from fractions import Fraction
@@ -106,9 +109,6 @@ class PSeries:
     def linear_coeff(self) -> PadicNum:
         return self.c((1,) + (0,) * (self.nvars - 1))
 
-    def support(self):
-        return sorted(self.coeffs)
-
     def min_val_floor(self):
         """Least certified valuation lower bound over stored coefficients."""
         floors = [c.val_floor() for c in self.coeffs.values()]
@@ -179,15 +179,6 @@ class PSeries:
             self.coeff_prec,
         )
 
-    def scalar_div_int(self, k: int) -> "PSeries":
-        return PSeries(
-            self.prime,
-            self.nvars,
-            self.x_prec,
-            {e: c.div_int(k) for e, c in self.coeffs.items()},
-            self.coeff_prec,
-        )
-
     def derivative(self, var: int = 0) -> "PSeries":
         """Formal derivative in one variable; truncation order drops by 1."""
         out = {}
@@ -219,55 +210,25 @@ class PSeries:
             min(self.coeff_prec, N),
         )
 
-    def __pow__(self, k: int) -> "PSeries":
-        if k < 0:
-            raise ValueError("negative series power")
-        out = PSeries(
-            self.prime,
-            self.nvars,
-            self.x_prec,
-            {(0,) * self.nvars: PadicNum.one(self.prime, self.coeff_prec)},
-            self.coeff_prec,
-        )
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
     # -- composition ------------------------------------------------------------
 
-    def compose(self, args) -> "PSeries":
-        """Substitute one series per variable; substituted series need g(0)=0."""
-        if isinstance(args, PSeries):
-            args = (args,)
-        if len(args) != self.nvars:
-            raise ValueError("arity mismatch in composition")
-        nv = args[0].nvars
-        p = self.prime
-        for h in args:
-            if h.prime != p:
-                raise PrimeMismatch("mixed primes in composition")
-            if h.nvars != nv:
-                raise ValueError("substituted series must share a variable count")
-            const = h.c((0,) * nv)
-            if not const.is_exact_zero():
-                raise ConstantTermError("substituted series has a constant term")
-        M = min([self.x_prec] + [h.x_prec for h in args])
-        if self.nvars == 1:
-            return _compose_1var(self, args[0], M)
-        if self.nvars == 2:
-            return _compose_2var(self, args[0], args[1], M)
-        raise ValueError("composition with a 3-variable outer series is not supported")
+    def compose(self, h) -> "PSeries":
+        """g(h) for univariate g and h; h needs h(0) = 0."""
+        if self.nvars != 1 or h.nvars != 1:
+            raise ValueError("composition is univariate")
+        if h.prime != self.prime:
+            raise PrimeMismatch("mixed primes in composition")
+        if not h.s0:
+            raise ConstantTermError("substituted series has a constant term")
+        return _compose_1var(self, h, min(self.x_prec, h.x_prec))
 
     def reversion(self) -> "PSeries":
         """Compositional inverse h with h(g(x)) = x = g(h(x)) to truncation.
 
-        Solved degree by degree from rev(g(x)) = x against the powers of g;
-        each step divides by g'(0)^n, so a non-unit linear coefficient costs
-        n*v(g'(0)) digits at degree n (recorded by the scalars themselves).
+        Solved degree by degree from rev(g(x)) = x against the powers of g
+        (``_solve_by_powers`` with lam = 0); each step divides by g'(0)^n,
+        so a non-unit linear coefficient costs n*v(g'(0)) digits at degree n
+        (recorded by the scalars themselves).
         """
         if self.nvars != 1:
             raise ValueError("reversion is univariate")
@@ -276,27 +237,8 @@ class PSeries:
         a1 = self.linear_coeff()
         if a1.is_zero_like():
             raise NotInvertible("linear coefficient is zero to precision")
-        M = self.x_prec
-        p = self.prime
-        pows = [None, self]
-        for k in range(2, M):
-            pows.append(pows[-1] * self)
-        rev = {(1,): PadicNum.one(p, self.coeff_prec) / a1}
-        a1pow = a1
-        for n in range(2, M):
-            a1pow = a1pow * a1
-            s = [(INF, 0, INF)]
-            for k in range(1, n):
-                t = rev.get((k,))
-                if t is None:
-                    continue
-                f = pows[k].c((n,))
-                prod = t * f
-                s.append((prod.v, prod.u, prod.N))
-            total = reduce_terms(p, s)
-            if not total.is_exact_zero():
-                rev[(n,)] = -total / a1pow
-        return PSeries(p, 1, M, rev, self.coeff_prec)
+        one = PadicNum.one(self.prime, self.coeff_prec)
+        return _solve_by_powers(self, one / a1, PadicNum.exact_zero(self.prime))
 
     def inverse(self) -> "PSeries":
         """Multiplicative inverse of a series with unit constant term."""
@@ -374,16 +316,6 @@ class PSeries:
 
     # -- variable plumbing ------------------------------------------------------
 
-    def embed(self, nvars: int, index: int) -> "PSeries":
-        """View a univariate series as a series in variable `index` of nvars."""
-        if self.nvars != 1:
-            raise ValueError("embed expects a univariate series")
-        out = {}
-        for (e,), c in self.coeffs.items():
-            key = tuple(e if i == index else 0 for i in range(nvars))
-            out[key] = c
-        return PSeries(self.prime, nvars, self.x_prec, out, self.coeff_prec)
-
     def set_var_zero(self, index: int) -> "PSeries":
         """Substitute 0 for one variable, dropping it from the ring."""
         out = {}
@@ -437,6 +369,44 @@ class PSeries:
             nvars = max(nvars, len(exps))
             coeffs[exps] = PadicNum.from_fraction(Fraction(s), p, N)
         return cls(p, nvars, M, coeffs, N)
+
+
+def _solve_by_powers(h: PSeries, a1: PadicNum, lam: PadicNum) -> PSeries:
+    """The series sum a_n x^n with a_1 = a1 and, for 2 <= n < M,
+
+        (c^n - lam) a_n = -sum_{k<n} a_k [h^k]_n,        c = h'(0),
+
+    against the powers of a univariate h without constant term.  lam = 0
+    and a1 = 1/c give the compositional inverse of h; lam = c and a1 = 1
+    the logarithm of h.  Each degree is one ``reduce_terms`` over its
+    products, and the denominator c^n - lam (c^n one multiplication after
+    c^(n-1)) is formed after the sum; a denominator that is zero to its
+    precision raises PrecisionExhausted.
+    """
+    p = h.prime
+    M = h.x_prec
+    c = h.linear_coeff()
+    pows = [None, h]
+    for _ in range(2, M):
+        pows.append(pows[-1] * h)
+    coeffs = {(1,): a1}
+    cpow = c
+    for n in range(2, M):
+        cpow = cpow * c  # c^n
+        terms = [(INF, 0, INF)]
+        for k in range(1, n):
+            ak = coeffs.get((k,))
+            if ak is None:
+                continue
+            prod = ak * pows[k].c((n,))
+            terms.append((prod.v, prod.u, prod.N))
+        s = reduce_terms(p, terms)
+        denom = cpow - lam
+        if denom.is_zero_like():
+            raise PrecisionExhausted(f"recurrence denominator vanishes at degree {n}")
+        if not s.is_exact_zero():
+            coeffs[(n,)] = -s / denom
+    return PSeries(p, 1, M, coeffs, h.coeff_prec)
 
 
 # -- degree-graded multivariate product ---------------------------------------
@@ -620,11 +590,12 @@ def _packed_mul(p: int, a, b, M: int):
 
 
 def _compose_1var(g: PSeries, h: PSeries, M: int) -> PSeries:
-    """Horner evaluation of a univariate g at h (no constant in h).
+    """Horner evaluation of a univariate g at a univariate h (no constant
+    in h) below degree M.
 
-    A univariate h is packed once and every Horner step is one packed
-    product; since h has no constant term, slot 0 of each product is empty
-    and adding c_i is writing it there.
+    h is packed once below M and every Horner step is one packed product;
+    since h has no constant term, slot 0 of each product is empty and
+    adding c_i is writing it there.
 
     The intermediate acc_i = sum_{l>=i} c_l h^(l-i) is multiplied by h i
     more times, and h^i starts at degree i, so degrees >= M - i of acc_i
@@ -637,40 +608,22 @@ def _compose_1var(g: PSeries, h: PSeries, M: int) -> PSeries:
     """
     p = g.prime
     N = min(g.coeff_prec, h.coeff_prec)
-    h = h.truncate(M)
-    top = max((e for (e,) in g.coeffs), default=0)
-    top = min(top, M - 1)
-    if h.nvars == 1:
-        H = _pack(h, M)
-        acc = None
-        for i in range(top, 0, -1):
-            if acc is not None:
-                acc = _packed_mul(p, acc, H, M - i)
-            ci = g.coeffs.get((i,))
-            if ci is not None:
-                acc = _set_constant(acc, ci)
-        res = None if acc is None else _packed_mul(p, acc, H, M)
-        c0 = g.coeffs.get((0,))
-        if c0 is not None:
-            res = _set_constant(res, c0)
-        if res is None:
-            return PSeries.zero(p, 1, M, N)
-        return _unpack(p, res, M, N)
-    zero_e = (0,) * h.nvars
-    acc = PSeries.zero(p, h.nvars, M, N)
-    wrote = False
+    top = min(max((e for (e,) in g.coeffs), default=0), M - 1)
+    H = _pack(h, M)
+    acc = None
     for i in range(top, 0, -1):
-        if wrote:
-            acc = acc * h
+        if acc is not None:
+            acc = _packed_mul(p, acc, H, M - i)
         ci = g.coeffs.get((i,))
         if ci is not None:
-            acc = acc + PSeries(p, h.nvars, M, {zero_e: ci}, N)
-            wrote = True
-    res = acc * h if wrote else PSeries.zero(p, h.nvars, M, N)
+            acc = _set_constant(acc, ci)
+    res = None if acc is None else _packed_mul(p, acc, H, M)
     c0 = g.coeffs.get((0,))
     if c0 is not None:
-        res = res + PSeries(p, h.nvars, M, {zero_e: c0}, N)
-    return res
+        res = _set_constant(res, c0)
+    if res is None:
+        return PSeries.zero(p, 1, M, N)
+    return _unpack(p, res, M, N)
 
 
 def _set_constant(packed, c: PadicNum):
@@ -683,26 +636,3 @@ def _set_constant(packed, c: PadicNum):
     N[0] = c.N
     return packed
 
-
-def _compose_2var(g: PSeries, h1: PSeries, h2: PSeries, M: int) -> PSeries:
-    """Evaluate a 2-variable g at (h1, h2) by Horner along the second variable."""
-    p = g.prime
-    N = min(g.coeff_prec, h1.coeff_prec, h2.coeff_prec)
-    h1 = h1.truncate(M)
-    h2 = h2.truncate(M)
-    rows: dict = {}
-    for (a, b), c in g.coeffs.items():
-        rows.setdefault(b, {})[(a,)] = c
-    if not rows:
-        return PSeries.zero(p, h1.nvars, M, N)
-    top = max(rows)
-    acc = None
-    for b in range(top, -1, -1):
-        if acc is not None:
-            acc = acc * h2
-        row = rows.get(b)
-        if row is not None:
-            row_series = PSeries(p, 1, M, row, N)
-            val = _compose_1var(row_series, h1, M)
-            acc = val if acc is None else acc + val
-    return acc if acc is not None else PSeries.zero(p, h1.nvars, M, N)

@@ -569,7 +569,7 @@ def lubin_tate_lift(p: int, f: dict, fM: int, N: int, x_prec: int):
             try:
                 delta = triple_div(p, triple_add(p, lhs.get(e), neg.get(e)), denom)
             except NoDigits as ex:
-                unresolved = unresolved or ex
+                unresolved = unresolved or NoDigits(f"degree-{d} correction at {e} unresolved: {ex}")
                 continue
             if _floor(delta) < 0:
                 msg = f"no integral lift: degree-{d} correction at {e} has valuation {_floor(delta)}"

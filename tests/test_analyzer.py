@@ -141,17 +141,6 @@ def test_batch_empty():
     assert batch_run([]) == []
 
 
-def test_batch_threaded_matches_sequential(monkeypatch):
-    fixtures = [
-        {"name": "a_gm", "p": 2, "N": 8, "M": 16, "f": "2,1@1", "u": "3,3,1@1"},
-        {"name": "b_bad", "p": 2, "N": 8, "M": 16, "f": "2,1@1", "u": "1,1@1"},
-    ]
-    seq = [r.to_json() for r in batch_run(fixtures)]
-    monkeypatch.setenv("LUBINLAB_THREADS", "2")
-    par = [r.to_json() for r in batch_run(fixtures)]
-    assert seq == par
-
-
 def test_fixture_roundtrip_series_json():
     p = 3
     Nw = working(p)
@@ -223,6 +212,22 @@ def test_meaningless_sizes_refused(kwargs, message):
     p = 2
     f, u = gm_pair(p, 16, working(p))
     assert analyze(f, u, Config(N=8, M=16, n_shape=1)).data["iterate_shape"] == [{"n": 1, "ok": True}]
+
+
+def test_series_truncated_below_M_refused():
+    """A series known only below degree M' < M cannot show the logarithm
+    polygon's vertices up to M; the multiplicative group was REJECTED."""
+    f, u = gm_pair(5, 64, 40)
+    with pytest.raises(ValueError, match=r"^series f is truncated at degree 64, below M=128$"):
+        analyze(f, u, Config(M=128))
+    p = 2
+    f, u = gm_pair(p, 16, working(p))
+    with pytest.raises(ValueError, match=r"^series u is truncated at degree 12, below M=16$"):
+        analyze(f, u.truncate(12), Config(N=8, M=16))
+    entry = {"name": "short", "p": p, "N": 8, "M": 16, "f": f.to_json(), "u": u.truncate(12).to_json()}
+    (rep,) = batch_run([entry])
+    assert rep.verdict == "INCONCLUSIVE"
+    assert rep.reason == "fixture error: series u is truncated at degree 12, below M=16"
 
 
 # -- the f-iterate chain shared by the limit and the shape checks --------------

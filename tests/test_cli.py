@@ -74,6 +74,21 @@ def test_analyze_fixture_file(tmp_path, capsys):
     assert report["frobenius"]["pi_residue"] == "3"
 
 
+def test_fixture_series_truncated_below_M_refused(tmp_path, capsys):
+    """JSON series keep their own truncation; under --M 33 the pair was
+    REJECTED on a logarithm vertex its series cannot show."""
+    from lubinlab import gm_pair
+
+    f, u = gm_pair(2, 32, 80)
+    path = tmp_path / "gm_p2.json"
+    path.write_text(json.dumps([{"name": "gm_p2", "p": 2, "f": f.to_json(), "u": u.to_json()}]))
+    code, out, err = run(capsys, "analyze", "--fixture", str(path), "--M", "33")
+    assert code == 2 and out == ""
+    assert err == "error: series f is truncated at degree 32, below M=33\n"
+    code, out, _ = run(capsys, "analyze", "--fixture", str(path), "--M", "32")
+    assert code == 0 and json.loads(out)["verdict"] == "CERTIFIED"
+
+
 def test_analyze_inline_rejected_exit_1(capsys):
     code, out, _ = run(
         capsys, "analyze", "--p", "3", "--N", "10", "--M", "25",

@@ -27,7 +27,17 @@ from lubinlab import (
 )
 from conftest import one_plus_x_pow, series_from_fractions
 from lubinlab.formalgroup import _TaylorSum
-from oracles import NoDigits, NonUnique, NotIntegral, binom, horner_associative, taylor_assembly
+from oracles import (
+    NoDigits,
+    NonUnique,
+    NotIntegral,
+    _horner_1var,
+    _horner_2var,
+    binom,
+    horner_associative,
+    taylor_assembly,
+    triple_add,
+)
 from oracles import lubin_tate_lift as recomputing_lift
 
 
@@ -146,15 +156,23 @@ def test_endomorphism_identification():
 
 
 def test_bracket_scales_group_law():
-    p = 2
-    logf = gm_log(p, M=12)
+    """[a](F(x, y)) = F([a]x, [a]y), both sides composed by the triple
+    Horner oracles and compared at the lesser precision."""
+    p, M = 2, 12
+    logf = gm_log(p, M=M)
     exp_series = exp_from_log(logf)
-    G = group_from_log(logf, x_prec=12)
+    G = group_from_log(logf, x_prec=M)
     a = PadicNum.from_int(3, p, 40)
     ba = bracket(logf, a, exp_series).series
-    lhs = G.F.compose((ba.embed(2, 0), ba.embed(2, 1)))
-    rhs = ba.compose(G.F)
-    assert lhs.equal_to_precision(rhs)
+    F = {e: (c.v, c.u, c.N) for e, c in G.F.coeffs.items()}
+    b = {e: (c.v, c.u, c.N) for (e,), c in ba.coeffs.items()}
+    lhs = _horner_2var(p, F, {(e, 0): t for e, t in b.items()}, {(0, e): t for e, t in b.items()}, M)
+    rhs = _horner_1var(p, b, F, M)
+    assert len(lhs) > 3
+    for e in lhs.keys() | rhs.keys():
+        r = rhs.get(e)
+        d = triple_add(p, lhs.get(e), r if r is None or r[0] == INF else (r[0], -r[1], r[2]))
+        assert d is None or d[0] == INF, e
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -457,6 +475,16 @@ def test_certified_lift_failure_wins_over_unresolved():
     even when an unresolved correction comes first in exponent order."""
     f = PSeries(5, 1, 3, {(1,): PadicNum(5, 1, 6, 3), (2,): PadicNum(5, 0, 1, 1)}, 3)
     with pytest.raises(NonUniqueLift, match=r"degree-2 correction at \(1, 1\) has valuation -1"):
+        lubin_tate_lift(f, 4)
+
+
+def test_unresolved_lift_correction_names_its_place():
+    """A correction whose defect is known to too few digits to divide is
+    reported with its degree and monomial."""
+    coeffs = {(1,): PadicNum(5, 1, 1, 4), (2,): PadicNum(5, INF, 0, 1), (5,): PadicNum(5, 0, 1, 4)}
+    f = PSeries(5, 1, 6, coeffs, 4)
+    msg = r"^degree-2 correction at \(0, 2\) unresolved: zero known to nonpositive precision"
+    with pytest.raises(PrecisionExhausted, match=msg):
         lubin_tate_lift(f, 4)
 
 

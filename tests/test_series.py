@@ -207,14 +207,18 @@ def test_non_prime_rejected_at_the_boundary(p):
 
 
 def test_constant_only_outer_series_keeps_its_constant():
-    """g = 5 composed with anything is 5, through both Horner paths and
-    through a constant-only row of a 2-variable outer series."""
+    """g = 5 composed with anything is 5."""
     p, M, N = 3, 8, 10
     five = PSeries.from_univariate_coeffs(p, [5], M, N, shift=0)
     x = PSeries.identity(p, M, N)
     assert as_fracs(five.compose(x)) == {0: 5}
+
+
+def test_compose_refuses_a_multivariate_series():
+    p, M, N = 3, 8, 10
+    x = PSeries.identity(p, M, N)
     xy = PSeries.variable(p, 2, 0, M, N) + PSeries.variable(p, 2, 1, M, N)
-    assert {e: c.as_fraction() for e, c in five.compose(xy).coeffs.items()} == {(0, 0): 5}
-    # rows b = 0 and b = 2 of g = 5 + 2y^2 + xy hold only a constant in x
-    g = PSeries(p, 2, M, {(0, 0): 5, (0, 2): 2, (1, 1): 1}, N)
-    assert as_fracs(g.compose((x, x))) == {0: 5, 2: 3}
+    with pytest.raises(ValueError, match="univariate"):
+        x.compose(xy)
+    with pytest.raises(ValueError, match="univariate"):
+        xy.compose(x)

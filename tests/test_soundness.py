@@ -87,7 +87,8 @@ def confirm(lo, hi, truth=None, exact_zeros=True):
             assert not runs, s
     if len(runs) == 2:
         M = min(lo.x_prec, hi.x_prec)
-        keys = lo.coeffs.keys() | hi.coeffs.keys() if exact_zeros else lo.coeffs.keys() & hi.coeffs.keys()
+        both = lo.coeffs.keys() & hi.coeffs.keys()
+        keys = lo.coeffs.keys() | hi.coeffs.keys() if exact_zeros else both
         for e in keys:
             if sum(e) < M:
                 assert agree(lo.c(e), hi.c(e)), e
@@ -171,7 +172,9 @@ def test_limit_log_claims_only_confirmed_digits(case):
     confirm(lo, hi, as_truth(exact_log(coeffs, M)), exact_zeros=False)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the limit trusts one increment that is zero to its precision")
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="the limit trusts one increment that is zero to its precision"
+)
 def test_limit_log_claims_no_exact_zero_its_iterates_leave_open():
     """f = 2x + 4x^2 at p = 2 and N = 2: f/f'(0) - x is zero to its
     precision, so the limit returns f/f'(0) after one iterate, with an
@@ -181,7 +184,9 @@ def test_limit_log_claims_no_exact_zero_its_iterates_leave_open():
     assert not L.c(3).is_exact_zero()
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the Cauchy cap after a short run is not a bound")
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="the Cauchy cap after a short run is not a bound"
+)
 def test_limit_log_short_run_claims_only_true_digits():
     """f = 6x + 3x^2 + 4x^3 at p = 3 and N = 5, stopped after n_max = 2
     iterates: the last increment at degree 3 vanishes modulo 3^3, so L_3 is
@@ -209,11 +214,10 @@ def test_group_from_log_claims_only_confirmed_digits(case, integral):
 
     def group(f):
         if integral:
-            L = PSeries(f.prime, 1, f.x_prec, {**f.coeffs, (1,): PadicNum.one(f.prime, f.coeff_prec)}, f.coeff_prec)
-            logf = Logarithm(L, "recurrence", L.linear_coeff())
-        else:
-            logf = logarithm_recurrence(f)
-        return group_from_log(logf).F
+            one = {(1,): PadicNum.one(f.prime, f.coeff_prec)}
+            L = PSeries(f.prime, 1, f.x_prec, {**f.coeffs, **one}, f.coeff_prec)
+            return group_from_log(Logarithm(L, "recurrence", L.linear_coeff())).F
+        return group_from_log(logarithm_recurrence(f)).F
 
     p, M, coeffs, N, k = case
     lo, hi = at_precisions((p, min(M, 8), coeffs, N, k), univariate, group)
