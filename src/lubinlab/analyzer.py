@@ -139,6 +139,25 @@ def _suggest(cfg: Config) -> str:
     return f"retry with N>={cfg.N + 8} or M>={2 * cfg.M}"
 
 
+# The verdict of a stage's exception.  REJECTED needs a hypothesis that fails
+# at certified digits: a (stage, exception class) below, with its reason.
+REJECTIONS = {
+    ("normalization", TorsionDetected): "u fails the infinite-order hypothesis: {ex} "
+    "(caveat: torsion is only certified to the working precision)",
+    ("group_from_log", IntegralityFailure): "formal group is not integral: {ex}",
+    ("frobenius_multiplier", NoCandidate): "no Frobenius multiplier: {ex}",
+    ("frobenius_multiplier", IntegralityFailure): "Frobenius bracket not integral: {ex}",
+    ("lubin_tate_lift", NonUniqueLift): "lift of the Frobenius bracket failed: {ex}",
+    ("lubin_tate_lift", IntegralityFailure): "lift of the Frobenius bracket failed: {ex}",
+}
+# What precision or truncation cannot decide starves the stage: INCONCLUSIVE.
+# So does an IntegralityFailure with certified=False, named as below.
+PRECISION_FAILURES = (
+    PrecisionExhausted, TruncationInconclusive, NoStabilization, NotInvertible, AmbiguousAtPrecision
+)
+UNPROVEN_INTEGRALITY = {"group_from_log": "group_integrality", "frobenius_multiplier": "frobenius_integrality"}
+
+
 def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -> AnalysisReport:
     """Validate a candidate commuting pair and certify its formal group."""
     p = f.prime
@@ -166,178 +185,146 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
     }
 
     def rejected(reason):
-        report["verdict"] = REJECTED
-        report["reason"] = reason
+        report["verdict"], report["reason"] = REJECTED, reason
         return AnalysisReport(report)
 
     def inconclusive(stage, detail):
-        report["verdict"] = INCONCLUSIVE
-        report["reason"] = f"stage {stage} starved: {detail}; {_suggest(cfg)}"
+        report["verdict"], report["reason"] = INCONCLUSIVE, f"stage {stage} starved: {detail}; {_suggest(cfg)}"
         return AnalysisReport(report)
 
-    # 1. commutation
-    ok, first_bad, certified = check_commute(f, u)
-    report["hypotheses"] = {
-        "commute": {
-            "ok": ok,
-            "certified_degree": certified,
-            "first_defect_degree": first_bad,
-        }
-    }
-    if not ok:
-        return rejected(f"pair does not commute (defect at degree {first_bad})")
-
-    # 2. hypotheses on f
-    hyp = report["hypotheses"]
-    c = f.linear_coeff()
-    hyp["fprime0_valuation"] = None if c.is_zero_like() else c.v
-    if c.is_zero_like() or c.v != 1:
-        return rejected("f'(0) must have valuation exactly 1")
+    stage = "commute"
     try:
+        # 1. commutation
+        ok, first_bad, certified = check_commute(f, u)
+        commute = {"ok": ok, "certified_degree": certified, "first_defect_degree": first_bad}
+        report["hypotheses"] = hyp = {"commute": commute}
+        if not ok:
+            return rejected(f"pair does not commute (defect at degree {first_bad})")
+
+        # 2. hypotheses on f
+        c = f.linear_coeff()
+        hyp["fprime0_valuation"] = None if c.is_zero_like() else c.v
+        if c.is_zero_like() or c.v != 1:
+            return rejected("f'(0) must have valuation exactly 1")
+        stage = "weierstrass_degree"
         wdeg = f.reduce_mod_p().weierstrass_degree()
-    except PrecisionExhausted as e:
-        return inconclusive("weierstrass_degree", str(e))
-    hyp["weierstrass_degree"] = wdeg if wdeg is not None else f"none below M={cfg.M}"
-    if wdeg != p:
-        return rejected(
-            f"weierstrass degree {hyp['weierstrass_degree']} != p (root-count hypothesis)"
-        )
-    try:
+        hyp["weierstrass_degree"] = wdeg if wdeg is not None else f"none below M={cfg.M}"
+        if wdeg != p:
+            return rejected(f"weierstrass degree {hyp['weierstrass_degree']} != p (root-count hypothesis)")
+        stage = "root_count"
         roots = count_roots_open_disk(f)
-    except TruncationInconclusive as e:
-        return inconclusive("root_count", str(e))
-    hyp["root_count"] = roots
-    if roots != p:
-        return rejected(f"f has {roots} open-disk roots, expected exactly p={p}")
+        hyp["root_count"] = roots
+        if roots != p:
+            return rejected(f"f has {roots} open-disk roots, expected exactly p={p}")
 
-    # 3. hypotheses on u, normalization
-    gamma = u.linear_coeff()
-    hyp["u_invertible"] = (not gamma.is_zero_like()) and gamma.v == 0
-    if not hyp["u_invertible"]:
-        return rejected("u'(0) is not a unit")
-    pair = CommutingPair(f, u, check=False)
-    pair.commute_degree = certified
-    try:
+        # 3. hypotheses on u, normalization
+        gamma = u.linear_coeff()
+        hyp["u_invertible"] = (not gamma.is_zero_like()) and gamma.v == 0
+        if not hyp["u_invertible"]:
+            return rejected("u'(0) is not a unit")
+        pair = CommutingPair(f, u, check=False)
+        pair.commute_degree = certified
+        stage = "normalization"
         npair, e = normalize_u(pair)
-    except TorsionDetected as ex:
-        hyp["torsion"] = {
-            "detected_to_precision": True,
-            "identity_to_precision": ex.identity_to_precision,
+        hyp["torsion"] = {"detected_to_precision": False}
+        report["normalization"] = {
+            "iterate": e,
+            "gamma_valuation_of_1_minus": (npair.gamma - PadicNum.one(p, npair.gamma.N)).val_floor(),
         }
-        return rejected(
-            f"u fails the infinite-order hypothesis: {ex} "
-            "(caveat: torsion is only certified to the working precision)"
-        )
-    hyp["torsion"] = {"detected_to_precision": False}
-    report["normalization"] = {
-        "iterate": e,
-        "gamma_valuation_of_1_minus": (npair.gamma - PadicNum.one(p, npair.gamma.N)).val_floor(),
-    }
 
-    # 4. logarithm, both constructions; the limit keeps the iterates f^n
-    # that step 5 checks
-    n_top = sum(1 for n in range(1, cfg.n_shape + 1) if p**n < cfg.M)
-    try:
+        # 4. logarithm, both constructions; the limit keeps the iterates f^n
+        # that step 5 checks
+        stage = "logarithm"
+        n_top = sum(1 for n in range(1, cfg.n_shape + 1) if p**n < cfg.M)
         logf = logarithm_recurrence(f)
         loglim = logarithm_limit(f, cfg.n_max_limit, keep=n_top)
-    except (PrecisionExhausted, NoStabilization) as ex:
-        return inconclusive("logarithm", str(ex))
-    agree = logf.series.equal_to_precision(loglim.series)
-    logpoly = newton_polygon(logf.series)
-    poly_ok = logpoly.negative_vertices() == log_polygon_vertices(p, cfg.M)
-    dlog_ok = dlog_integrality(logf)
-    report["logarithm"] = {
-        "methods_agree": agree,
-        "limit_evidence": [[n, _val_str(v)] for n, v in (loglim.stabilization or [])],
-        "polygon_ok": poly_ok,
-        "polygon_vertices": [list(v) for v in logpoly.negative_vertices()],
-        "dlog_integral": dlog_ok,
-    }
-    if not agree:
-        return inconclusive("logarithm_crosscheck", "constructions disagree at certified digits")
-    if not poly_ok:
-        return rejected("logarithm polygon vertices differ from (p^k, -k)")
-    if not dlog_ok:
-        return rejected("logarithm derivative is not integral")
+        agree = logf.series.equal_to_precision(loglim.series)
+        logpoly = newton_polygon(logf.series)
+        poly_ok = logpoly.negative_vertices() == log_polygon_vertices(p, cfg.M)
+        dlog_ok = dlog_integrality(logf)
+        report["logarithm"] = {
+            "methods_agree": agree,
+            "limit_evidence": [[n, _val_str(v)] for n, v in (loglim.stabilization or [])],
+            "polygon_ok": poly_ok,
+            "polygon_vertices": [list(v) for v in logpoly.negative_vertices()],
+            "dlog_integral": dlog_ok,
+        }
+        if not agree:
+            return inconclusive("logarithm_crosscheck", "constructions disagree at certified digits")
+        if not poly_ok:
+            return rejected("logarithm polygon vertices differ from (p^k, -k)")
+        if not dlog_ok:
+            return rejected("logarithm derivative is not integral")
 
-    # 5. iterate polygon shapes, on the limit's chain of iterates (extended
-    # by the same compositions where the limit stopped early)
-    shapes = []
-    chain = list(loglim.iterates)
-    for n in range(1, n_top + 1):
-        if n > len(chain):
-            prev = chain[-1] if chain else PSeries.identity(p, f.x_prec, f.coeff_prec)
-            chain.append(f.compose(prev))
-        try:
+        # 5. iterate polygon shapes, on the limit's chain of iterates
+        # (extended by the same compositions where the limit stopped early)
+        stage = "iterate_shape"
+        shapes = []
+        chain = list(loglim.iterates)
+        for n in range(1, n_top + 1):
+            if n > len(chain):
+                prev = chain[-1] if chain else PSeries.identity(p, f.x_prec, f.coeff_prec)
+                chain.append(f.compose(prev))
             shapes.append({"n": n, "ok": verify_iterate_shape(f, n, chain[n - 1])})
-        except TruncationInconclusive as ex:
-            return inconclusive("iterate_shape", str(ex))
-    report["iterate_shape"] = shapes
-    if not all(s["ok"] for s in shapes):
-        return rejected("iterate polygon shape differs from (p^k, n-k)")
+        report["iterate_shape"] = shapes
+        if not all(s["ok"] for s in shapes):
+            return rejected("iterate polygon shape differs from (p^k, n-k)")
 
-    # 6. formal group from the logarithm
-    try:
+        # 6. formal group from the logarithm
+        stage = "group_from_log"
         exp_series = exp_from_log(logf)
         G = group_from_log(logf)
-    except IntegralityFailure as ex:
-        if ex.certified:
-            return rejected(f"formal group is not integral: {ex}")
-        return inconclusive("group_integrality", str(ex))
-    except (PrecisionExhausted, NotInvertible) as ex:
-        return inconclusive("group_from_log", str(ex))
-    law_ok = G.certify(cfg.m2)
-    fg = {
-        "min_coeff_valuation": _val_str(G.min_coeff_valuation()),
-        "truncation": cfg.M,
-        "identity": G.certificates["identity"]["ok"],
-        "commutative": G.certificates["commutative"]["ok"],
-        "associative": G.certificates["associative"]["ok"],
-        "associativity_degree": cfg.m2,
-    }
-    report["formal_group"] = fg
-    if not law_ok:
-        return rejected("group-law certificate failed (identity/commutativity/associativity)")
+        law_ok = G.certify(cfg.m2)
+        fg = {
+            "min_coeff_valuation": _val_str(G.min_coeff_valuation()),
+            "truncation": cfg.M,
+            "identity": G.certificates["identity"]["ok"],
+            "commutative": G.certificates["commutative"]["ok"],
+            "associative": G.certificates["associative"]["ok"],
+            "associativity_degree": cfg.m2,
+        }
+        report["formal_group"] = fg
+        if not law_ok:
+            return rejected("group-law certificate failed (identity/commutativity/associativity)")
 
-    # 7. endomorphism identification
-    bf = bracket(logf, c, exp_series)
-    bu = bracket(logf, gamma, exp_series)
-    fg["endo_f"] = bf.series.equal_to_precision(f)
-    fg["endo_u"] = bu.series.equal_to_precision(u)
-    if not (fg["endo_f"] and fg["endo_u"]):
-        return rejected("f or u is not the bracket of its derivative")
+        # 7. endomorphism identification
+        stage = "endomorphisms"
+        bf = bracket(logf, c, exp_series)
+        bu = bracket(logf, gamma, exp_series)
+        fg["endo_f"] = bf.series.equal_to_precision(f)
+        fg["endo_u"] = bu.series.equal_to_precision(u)
+        if not (fg["endo_f"] and fg["endo_u"]):
+            return rejected("f or u is not the bracket of its derivative")
 
-    # 8. Frobenius multiplier
-    try:
+        # 8. Frobenius multiplier
+        stage = "frobenius_multiplier"
         pi, bk = frobenius_multiplier(logf, f, exp_series)
-    except (NoCandidate,) as ex:
-        return rejected(f"no Frobenius multiplier: {ex}")
-    except (AmbiguousAtPrecision, PrecisionExhausted) as ex:
-        return inconclusive("frobenius_multiplier", str(ex))
-    except IntegralityFailure as ex:
-        if ex.certified:
-            return rejected(f"Frobenius bracket not integral: {ex}")
-        return inconclusive("frobenius_integrality", str(ex))
-    report["frobenius"] = {
-        "pi": pi.to_json(),
-        "pi_residue": str(pi.as_fraction()),
-        "pi_over_p_is_unit": pi.v == 1,
-        "congruent_xp_mod_p": True,
-        "bracket_integral": True,
-    }
+        report["frobenius"] = {
+            "pi": pi.to_json(),
+            "pi_residue": str(pi.as_fraction()),
+            "pi_over_p_is_unit": pi.v == 1,
+            "congruent_xp_mod_p": True,
+            "bracket_integral": True,
+        }
 
-    # 9. independent lift cross-check
-    try:
+        # 9. independent lift cross-check
+        stage = "lubin_tate_lift"
         GL = lubin_tate_lift(bk.series, cfg.m2)
-    except (NonUniqueLift, IntegralityFailure) as ex:
-        return rejected(f"lift of the Frobenius bracket failed: {ex}")
-    except PrecisionExhausted as ex:
-        return inconclusive("lubin_tate_lift", str(ex))
-    lift_agrees = GL.F.equal_to_precision(G.F.truncate(cfg.m2))
-    report["frobenius"]["lift_agrees"] = lift_agrees
-    report["frobenius"]["lift_degree"] = cfg.m2
-    if not lift_agrees:
-        return rejected("independent group-law lift disagrees with the logarithm construction")
+        lift_agrees = GL.F.equal_to_precision(G.F.truncate(cfg.m2))
+        report["frobenius"]["lift_agrees"] = lift_agrees
+        report["frobenius"]["lift_degree"] = cfg.m2
+        if not lift_agrees:
+            return rejected("independent group-law lift disagrees with the logarithm construction")
+    except LubinlabError as ex:
+        proven = getattr(ex, "certified", True)
+        reason = REJECTIONS.get((stage, type(ex))) if proven else None
+        if reason is not None:
+            if isinstance(ex, TorsionDetected):
+                hyp["torsion"] = {"detected_to_precision": True, "identity_to_precision": ex.identity_to_precision}
+            return rejected(reason.format(ex=ex))
+        if proven and not isinstance(ex, PRECISION_FAILURES):
+            raise
+        return inconclusive(stage if proven else UNPROVEN_INTEGRALITY.get(stage, stage), ex)
 
     # 10. precision budget (informational: every certificate above already
     # passed at its own declared precision; starvation shows up as a stage

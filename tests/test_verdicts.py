@@ -7,9 +7,22 @@ at certified digits is REJECTED, a precision failure is INCONCLUSIVE, and
 any other error escapes.
 """
 
+import json
+
 import pytest
 
-from lubinlab import CERTIFIED, INCONCLUSIVE, REJECTED, Config, PSeries, analyze, analyzer, gm_pair
+from lubinlab import (
+    CERTIFIED,
+    INCONCLUSIVE,
+    REJECTED,
+    Config,
+    PSeries,
+    analyze,
+    analyzer,
+    batch_run,
+    gm_pair,
+)
+from lubinlab.cli import main
 from lubinlab.errors import (
     AmbiguousAtPrecision,
     ConstantTermError,
@@ -138,7 +151,7 @@ CASES = [
         analyzer,
         "lubin_tate_lift",
         IntegralityFailure("boom", certified=False),
-        (REJECTED, "lift of the Frobenius bracket failed: boom"),
+        starved("lubin_tate_lift"),
         "frobenius",
     ),
     (analyzer, "lubin_tate_lift", PrecisionExhausted("boom"), starved("lubin_tate_lift"), "frobenius"),
@@ -225,3 +238,55 @@ def test_u_with_constant_term_raises():
 
 def test_unpatched_pair_certifies():
     assert analyze(*pair(), CFG).verdict == CERTIFIED
+
+
+# -- precision failures outside the old per-stage handlers ---------------------
+
+
+def test_precision_failure_in_a_stage_without_its_own_handler_is_reported(monkeypatch):
+    """check_commute, normalize_u and bracket raised PrecisionExhausted
+    straight out of analyze."""
+    for attr, stage, last in [
+        ("check_commute", "commute", None),
+        ("normalize_u", "normalization", "hypotheses"),
+        ("bracket", "endomorphisms", "formal_group"),
+    ]:
+        with monkeypatch.context() as m:
+            raising(m, analyzer, attr, PrecisionExhausted("boom"))
+            report = analyze(*pair(), CFG)
+        assert (report.verdict, report.reason) == starved(stage)
+        assert sorted(report.data) == (sections_through(last) if last else BASE)
+
+
+STARVED_DLOG = (
+    "stage logarithm starved: zero known to nonpositive precision carries no digits; "
+    "retry with N>=12 or M>=8"
+)
+
+
+def starved_dlog_entry():
+    """A three-digit pair whose logarithm derivative reads a coefficient
+    times 2 at one digit: the product has no digits to claim."""
+    f = PSeries.from_univariate_coeffs(2, [2, 5, 6], 4, 3)
+    u = PSeries.from_univariate_coeffs(2, [3, 7, 1], 4, 3)
+    return {"name": "starved_dlog", "p": 2, "N": 4, "M": 4, "f": f.to_json(), "u": u.to_json()}
+
+
+def test_starved_logarithm_derivative_is_inconclusive(tmp_path, capsys):
+    entry = starved_dlog_entry()
+    f, u = PSeries.from_json(entry["f"]), PSeries.from_json(entry["u"])
+    report = analyze(f, u, Config(N=4, M=4))
+    assert (report.verdict, report.reason) == (INCONCLUSIVE, STARVED_DLOG)
+    assert sorted(report.data) == sections_through("normalization")
+
+    path = tmp_path / "starved.json"
+    path.write_text(json.dumps([entry]))
+    assert main(["analyze", "--fixture", str(path)]) == 2
+    cli_report = json.loads(capsys.readouterr().out)
+    assert cli_report["verdict"] == INCONCLUSIVE and cli_report["reason"] == STARVED_DLOG
+
+    assert main(["batch", "--fixture", str(path), "--format", "json"]) == 2
+    (batch_report,) = json.loads(capsys.readouterr().out)
+    assert batch_report == cli_report
+    (run,) = batch_run([entry])
+    assert run.data == cli_report
