@@ -281,7 +281,7 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
             "identity": G.certificates["identity"]["ok"],
             "commutative": G.certificates["commutative"]["ok"],
             "associative": G.certificates["associative"]["ok"],
-            "associativity_degree": cfg.m2,
+            "associativity_degree": G.certificates["associative"]["degree"],
         }
         report["formal_group"] = fg
         if not law_ok:
@@ -312,7 +312,7 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         GL = lubin_tate_lift(bk.series, cfg.m2)
         lift_agrees = GL.F.equal_to_precision(G.F.truncate(cfg.m2))
         report["frobenius"]["lift_agrees"] = lift_agrees
-        report["frobenius"]["lift_degree"] = cfg.m2
+        report["frobenius"]["lift_degree"] = GL.F.x_prec
         if not lift_agrees:
             return rejected("independent group-law lift disagrees with the logarithm construction")
     except LubinlabError as ex:

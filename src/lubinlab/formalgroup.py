@@ -76,7 +76,8 @@ class FormalGroupLaw:
         return ok
 
     def check_associative(self, m2: int) -> bool:
-        """F(F(x,y),z) = F(x,F(y,z)) in the 3-variable ring below degree m2.
+        """F(F(x,y),z) = F(x,F(y,z)) in the 3-variable ring below degree
+        D = min(m2, F.x_prec), the degree the certificate records.
 
         With F = sum c_ab x^a y^b, both sides are linear combinations of the
         powers of F:
@@ -98,7 +99,7 @@ class FormalGroupLaw:
             power = power * F
             pows.append(power.coeffs)
         ok = _substitute(F, pows, D, True).equal_to_precision(_substitute(F, pows, D, False))
-        self.certificates["associative"] = {"ok": ok, "degree": m2}
+        self.certificates["associative"] = {"ok": ok, "degree": D}
         return ok
 
     def certify(self, m2: int) -> bool:

@@ -214,6 +214,16 @@ def test_meaningless_sizes_refused(kwargs, message):
     assert analyze(f, u, Config(N=8, M=16, n_shape=1)).data["iterate_shape"] == [{"n": 1, "ok": True}]
 
 
+def test_reported_degrees_are_the_degrees_checked():
+    """F is only known below M, so M2 > M checks below M; the report said M2."""
+    p = 2
+    f, u = gm_pair(p, 16, working(p))
+    data = analyze(f, u, Config(N=8, M=16, m2=20)).data
+    assert data["verdict"] == CERTIFIED
+    assert data["formal_group"]["associativity_degree"] == 16
+    assert data["frobenius"]["lift_degree"] == 16
+
+
 def test_series_truncated_below_M_refused():
     """A series known only below degree M' < M cannot show the logarithm
     polygon's vertices up to M; the multiplicative group was REJECTED."""
