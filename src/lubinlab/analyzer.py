@@ -40,6 +40,7 @@ from .polygon import count_roots_open_disk, newton_polygon, verify_iterate_shape
 from .dynamics import (
     CommutingPair,
     check_commute,
+    default_n_max,
     dlog_integrality,
     log_polygon_vertices,
     logarithm_limit,
@@ -135,7 +136,10 @@ SUMMARY_HEADER = (
 )
 
 
-def _suggest(cfg: Config) -> str:
+def _suggest(cfg: Config, p: int, limit_starved: bool) -> str:
+    n_max = default_n_max(p, cfg.M)
+    if limit_starved and cfg.n_max_limit is not None and cfg.n_max_limit < n_max:
+        return f"retry with n_max_limit>={n_max}"
     return f"retry with N>={cfg.N + 8} or M>={2 * cfg.M}"
 
 
@@ -189,7 +193,11 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         return AnalysisReport(report)
 
     def inconclusive(stage, detail):
-        report["verdict"], report["reason"] = INCONCLUSIVE, f"stage {stage} starved: {detail}; {_suggest(cfg)}"
+        limit_starved = stage == "logarithm_crosscheck" or (
+            stage == "logarithm" and isinstance(detail, NoStabilization)
+        )
+        suggestion = _suggest(cfg, p, limit_starved)
+        report["verdict"], report["reason"] = INCONCLUSIVE, f"stage {stage} starved: {detail}; {suggestion}"
         return AnalysisReport(report)
 
     stage = "commute"

@@ -121,6 +121,11 @@ def logarithm_recurrence(f: PSeries) -> Logarithm:
     return Logarithm(series, "recurrence", c)
 
 
+def default_n_max(p: int, M: int) -> int:
+    """The iterate count ``logarithm_limit`` runs to by default below degree M."""
+    return 2 * ceil_log(M, p) + 4
+
+
 def logarithm_limit(f: PSeries, n_max: int = None, keep: int = 0) -> Logarithm:
     """Limit of the normalized iterates f^n / f'(0)^n.
 
@@ -135,7 +140,7 @@ def logarithm_limit(f: PSeries, n_max: int = None, keep: int = 0) -> Logarithm:
     M = f.x_prec
     c = f.linear_coeff()
     if n_max is None:
-        n_max = 2 * ceil_log(M, p) + 4
+        n_max = default_n_max(p, M)
     ident = PSeries.identity(p, M, f.coeff_prec)
     if n_max == 0:
         return Logarithm(ident, "iterate-limit", c, stabilization=[])

@@ -302,3 +302,15 @@ def test_shapes_extend_a_chain_the_limit_stopped_short(monkeypatch):
     assert got.to_json() == want.to_json()
     assert len(want.data["iterate_shape"]) == 4
     assert extended == links + 3
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 4])
+def test_starved_iterate_limit_names_its_knob(k):
+    """A limit cut short starved the logarithm or its cross-check, and the
+    message asked for more digits or a larger M, which do not help."""
+    p = 2
+    f, u = gm_w1(p, Config(N=10, M=32))
+    rep = analyze(f, u, Config(N=10, M=32, n_max_limit=k))
+    assert rep.verdict == "INCONCLUSIVE"
+    assert rep.reason.endswith("; retry with n_max_limit>=14"), rep.reason
+    assert analyze(f, u, Config(N=10, M=32, n_max_limit=14)).verdict == CERTIFIED

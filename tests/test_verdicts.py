@@ -208,7 +208,8 @@ def test_no_limit_iterates_starve_the_crosscheck():
     report = analyze(*pair(), Config(N=8, M=16, n_max_limit=0), name="pinned")
     assert report.verdict == INCONCLUSIVE
     assert report.reason == (
-        f"stage logarithm_crosscheck starved: constructions disagree at certified digits; {RETRY}"
+        "stage logarithm_crosscheck starved: constructions disagree at certified digits; "
+        "retry with n_max_limit>=12"
     )
     assert sorted(report.data) == sections_through("logarithm")
 
