@@ -171,6 +171,8 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
     for label, s in (("f", f), ("u", u)):
         if s.x_prec < cfg.M:
             raise ValueError(f"series {label} is truncated at degree {s.x_prec}, below M={cfg.M}")
+        if not s.s0:
+            raise ValueError(f"series {label} has a constant term")
     Nw = cfg.working_prec()
     f = f.truncate(cfg.M).cap_coeff_prec(Nw)
     u = u.truncate(cfg.M).cap_coeff_prec(Nw)

@@ -15,7 +15,6 @@ from .analyzer import (
     Config,
     INCONCLUSIVE,
     REJECTED,
-    analyze,
     analyze_fixture,
     batch_run,
     load_fixtures,
@@ -214,11 +213,8 @@ def cmd_analyze(args) -> int:
     else:
         if not (args.p and args.f_inline and args.u_inline):
             raise LubinlabError("need --fixture, or --p with --f and --u")
-        resolved = cfg.resolve(args.p)
-        Nw = resolved.working_prec()
-        f = parse_series_arg(args.f_inline, args.p, cfg.M, Nw)
-        u = parse_series_arg(args.u_inline, args.p, cfg.M, Nw)
-        report = analyze(f, u, cfg, name="inline")
+        entry = {"name": "inline", "p": args.p, "f": args.f_inline, "u": args.u_inline}
+        report = analyze_fixture(entry, cfg)
     if args.format == "text":
         _emit(summary_table([report]), args.out)
     else:

@@ -230,11 +230,24 @@ def test_other_errors_escape(monkeypatch, owner, attr, ex):
         analyze(*pair(), CFG)
 
 
-def test_u_with_constant_term_raises():
-    f, _ = pair()
-    u = PSeries.from_univariate_coeffs(2, [1, 3, 3, 1], CFG.M, NW, shift=0)
-    with pytest.raises(ConstantTermError):
-        analyze(f, u, CFG)
+def test_series_with_constant_term_refused(tmp_path, capsys):
+    """The refusal names the series; the composition inside the commutation
+    check raised "substituted series has a constant term"."""
+    f, u = pair()
+    shifted = PSeries.from_univariate_coeffs(2, [1, 3, 3, 1], CFG.M, NW, shift=0)
+    with pytest.raises(ValueError, match="^series u has a constant term$"):
+        analyze(f, shifted, CFG)
+    with pytest.raises(ValueError, match="^series f has a constant term$"):
+        analyze(shifted, u, CFG)
+
+    argv = ["analyze", "--p", "3", "--N", "10", "--M", "25", "--f", "3,3,1@1", "--u", "1,4,6,4,1@0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: series u has a constant term\n"
+
+    entry = {"name": "constant", "p": 3, "N": 10, "M": 25, "f": "3,3,1@1", "u": "1,4,6,4,1@0"}
+    (report,) = batch_run([entry])
+    assert (report.verdict, report.reason) == (INCONCLUSIVE, "fixture error: series u has a constant term")
 
 
 def test_unpatched_pair_certifies():
