@@ -6,7 +6,7 @@ on f and u, normalization of u, both logarithm constructions with a
 cross-check, integrality of the logarithm derivative, iterate polygon
 shapes, the formal group law with its certificates, endomorphism
 identification, Frobenius-multiplier recovery, and the independent
-degree-by-degree lift.  Every failure lands in the report verdict:
+degree-by-degree lift.  One handler turns a stage's exception into the verdict:
 
 * REJECTED     - a hypothesis provably fails at certified digits;
 * INCONCLUSIVE - the working precision or truncation starves a stage
@@ -136,8 +136,11 @@ SUMMARY_HEADER = (
 )
 
 
-def _suggest(cfg: Config, p: int, limit_starved: bool) -> str:
+def _suggest(cfg: Config, p: int, stage: str, detail) -> str:
+    # an iterate limit cut short (NoStabilization comes only from it) starves
+    # the logarithm or its cross-check, whatever N and M are
     n_max = default_n_max(p, cfg.M)
+    limit_starved = stage == "logarithm_crosscheck" or isinstance(detail, NoStabilization)
     if limit_starved and cfg.n_max_limit is not None and cfg.n_max_limit < n_max:
         return f"retry with n_max_limit>={n_max}"
     return f"retry with N>={cfg.N + 8} or M>={2 * cfg.M}"
@@ -195,11 +198,8 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         return AnalysisReport(report)
 
     def inconclusive(stage, detail):
-        limit_starved = stage == "logarithm_crosscheck" or (
-            stage == "logarithm" and isinstance(detail, NoStabilization)
-        )
-        suggestion = _suggest(cfg, p, limit_starved)
-        report["verdict"], report["reason"] = INCONCLUSIVE, f"stage {stage} starved: {detail}; {suggestion}"
+        reason = f"stage {stage} starved: {detail}; {_suggest(cfg, p, stage, detail)}"
+        report["verdict"], report["reason"] = INCONCLUSIVE, reason
         return AnalysisReport(report)
 
     stage = "commute"
@@ -455,25 +455,16 @@ def batch_run(fixtures, config: Config = None):
     """
 
     def run_one(entry):
-        name = entry.get("name", "fixture")
         try:
             return analyze_fixture(entry, config)
-        except LubinlabError as ex:
+        except (LubinlabError, ValueError, KeyError) as ex:
+            kind = type(ex).__name__ if isinstance(ex, LubinlabError) else "fixture error"
             return AnalysisReport(
                 {
-                    "name": name,
+                    "name": entry.get("name", "fixture"),
                     "prime": entry.get("p"),
                     "verdict": INCONCLUSIVE,
-                    "reason": f"{type(ex).__name__}: {ex}",
-                }
-            )
-        except (ValueError, KeyError) as ex:
-            return AnalysisReport(
-                {
-                    "name": name,
-                    "prime": entry.get("p"),
-                    "verdict": INCONCLUSIVE,
-                    "reason": f"fixture error: {ex}",
+                    "reason": f"{kind}: {ex}",
                 }
             )
 

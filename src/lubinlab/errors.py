@@ -2,8 +2,9 @@
 
 Two families matter to callers: *mathematical* failures (the input provably
 violates a hypothesis) and *precision* failures (the working precision or
-truncation order cannot resolve the question).  The analyzer maps the first
-family to REJECTED verdicts and the second to INCONCLUSIVE.
+truncation order cannot resolve the question).  ``analyzer.REJECTIONS`` maps
+the first to REJECTED, and ``analyzer.PRECISION_FAILURES`` the second to
+INCONCLUSIVE.
 """
 
 
