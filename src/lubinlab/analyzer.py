@@ -143,7 +143,8 @@ def _suggest(cfg: Config, p: int, stage: str, detail) -> str:
     limit_starved = stage == "logarithm_crosscheck" or isinstance(detail, NoStabilization)
     if limit_starved and cfg.n_max_limit is not None and cfg.n_max_limit < n_max:
         return f"retry with n_max_limit>={n_max}"
-    return f"retry with N>={cfg.N + 8} or M>={2 * cfg.M}"
+    # a larger M does not reach the linear coefficients of the hypotheses
+    return f"retry with N>={cfg.N + 8}" + ("" if stage == "hypotheses" else f" or M>={2 * cfg.M}")
 
 
 # The verdict of a stage's exception.  REJECTED needs a hypothesis that fails
@@ -211,9 +212,12 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         if not ok:
             return rejected(f"pair does not commute (defect at degree {first_bad})")
 
-        # 2. hypotheses on f
+        # 2. hypotheses on f (zero to one digit, f'(0) may have valuation 1)
+        stage = "hypotheses"
         c = f.linear_coeff()
         hyp["fprime0_valuation"] = None if c.is_zero_like() else c.v
+        if c.is_zero_like() and c.N <= 1:
+            raise PrecisionExhausted(f"f'(0) is zero to precision O({p}^{c.N})")
         if c.is_zero_like() or c.v != 1:
             return rejected("f'(0) must have valuation exactly 1")
         stage = "weierstrass_degree"
@@ -227,8 +231,11 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         if roots != p:
             return rejected(f"f has {roots} open-disk roots, expected exactly p={p}")
 
-        # 3. hypotheses on u, normalization
+        # 3. hypotheses on u (zero to no digits, u'(0) may be a unit), normalization
+        stage = "hypotheses"
         gamma = u.linear_coeff()
+        if gamma.is_zero_like() and gamma.N <= 0:
+            raise PrecisionExhausted(f"u'(0) is zero to precision O({p}^{gamma.N})")
         hyp["u_invertible"] = (not gamma.is_zero_like()) and gamma.v == 0
         if not hyp["u_invertible"]:
             return rejected("u'(0) is not a unit")
@@ -274,12 +281,13 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         for n in range(1, n_top + 1):
             if n > len(chain):
                 prev = chain[-1] if chain else PSeries.identity(p, f.x_prec, f.coeff_prec)
-                chain.append(f.compose(prev))
+                chain.append(prev.compose(f))
             shapes.append({"n": n, "ok": verify_iterate_shape(f, n, chain[n - 1])})
         report["iterate_shape"] = shapes
         if not all(s["ok"] for s in shapes):
             return rejected("iterate polygon shape differs from (p^k, n-k)")
 
+        f._powers = u._powers = None  # no composition reads their powers again
         # 6. formal group from the logarithm
         stage = "group_from_log"
         exp_series = exp_from_log(logf)
@@ -439,6 +447,8 @@ def load_fixtures(path: str):
 
 
 def analyze_fixture(entry: dict, config: Config = None) -> AnalysisReport:
+    if not isinstance(entry, dict):
+        raise ValueError(f"fixture entry must be a JSON object, got {json.dumps(entry)}")
     p = int(entry["p"])
     cfg = config or Config()
     cfg = replace(cfg, N=int(entry.get("N", cfg.N)), M=int(entry.get("M", cfg.M)))
@@ -459,10 +469,11 @@ def batch_run(fixtures, config: Config = None):
             return analyze_fixture(entry, config)
         except (LubinlabError, ValueError, KeyError) as ex:
             kind = type(ex).__name__ if isinstance(ex, LubinlabError) else "fixture error"
+            named = entry if isinstance(entry, dict) else {}
             return AnalysisReport(
                 {
-                    "name": entry.get("name", "fixture"),
-                    "prime": entry.get("p"),
+                    "name": named.get("name", "fixture"),
+                    "prime": named.get("p"),
                     "verdict": INCONCLUSIVE,
                     "reason": f"{kind}: {ex}",
                 }

@@ -204,7 +204,7 @@ def cmd_analyze(args) -> int:
     if args.fixture:
         entries = load_fixtures(args.fixture)
         if args.name is not None:
-            entries = [e for e in entries if e.get("name") == args.name]
+            entries = [e for e in entries if isinstance(e, dict) and e.get("name") == args.name]
             if not entries:
                 raise LubinlabError(f"no fixture named {args.name!r}")
         if len(entries) != 1:

@@ -133,8 +133,8 @@ def logarithm_limit(f: PSeries, n_max: int = None, keep: int = 0) -> Logarithm:
     their stored precision or n_max is reached.  Each returned coefficient
     is capped at the valuation of its last observed increment (Cauchy
     estimate), so downstream comparisons happen at certified digits only.
-    The iterates f^1 .. f^keep that the run formed (each f.compose of the
-    one before, as ``polygon.iterate`` forms them) are kept in ``iterates``.
+    The iterates f^1 .. f^keep that the run formed (f^(n+1) = f^n ∘ f, as
+    ``polygon.iterate`` forms them) are kept in ``iterates``.
     """
     p = f.prime
     M = f.x_prec
@@ -150,7 +150,7 @@ def logarithm_limit(f: PSeries, n_max: int = None, keep: int = 0) -> Logarithm:
     last_incr = None
     fn = ident
     for n in range(1, n_max + 1):
-        fn = f.compose(fn)
+        fn = fn.compose(f)
         if n <= keep:
             kept.append(fn)
         cn = c**n
@@ -243,7 +243,7 @@ def zp_iterate(pair: CommutingPair, logf: Logarithm, a, exp_series: PSeries = No
     gamma_a = padic_pow(pair.gamma, a)
     if exp_series is None:
         exp_series = logf.series.reversion()
-    return exp_series.compose(logf.series.scalar_mul(gamma_a))
+    return exp_series.compose(logf.series, gamma_a)
 
 
 def ramification_index(omega: PSeries, n_max: int):
@@ -277,9 +277,6 @@ def ramification_index(omega: PSeries, n_max: int):
         i_n = min(support)
         estimates.append(Fraction((p - 1) * i_n, p ** (n + 1)))
         if n < n_max:
-            nxt = current
-            for _ in range(p - 1):
-                nxt = current.compose(nxt)
-            current = nxt
+            current = iterate(current, p)
     stabilized = len(estimates) >= 2 and estimates[-1] == estimates[-2]
     return estimates, stabilized

@@ -381,7 +381,7 @@ def bracket(logf: Logarithm, a: PadicNum, exp_series: PSeries = None) -> Bracket
     """The endomorphism [a] = E(a * L(x)) with derivative a."""
     if exp_series is None:
         exp_series = exp_from_log(logf)
-    series = exp_series.compose(logf.series.scalar_mul(a))
+    series = exp_series.compose(logf.series, a)
     return Bracket(a, series)
 
 
@@ -414,9 +414,7 @@ def frobenius_multiplier(logf: Logarithm, f: PSeries, exp_series: PSeries = None
     L = logf.series
 
     def candidate_bracket(unit_digits: int, D: int) -> PSeries:
-        pi = PadicNum(p, 1, unit_digits, N)
-        arg = L.truncate(D).scalar_mul(pi)
-        return exp_series.truncate(D).compose(arg)
+        return exp_series.compose(L, PadicNum(p, 1, unit_digits, N), D)
 
     unit = 0
     ndigits = 0

@@ -197,10 +197,10 @@ def count_roots_open_disk(g: PSeries) -> int:
 
 
 def iterate(f: PSeries, n: int) -> PSeries:
-    """n-fold self-composition of a univariate series."""
+    """n-fold self-composition of a univariate series, f^(k+1) = f^k ∘ f."""
     out = PSeries.identity(f.prime, f.x_prec, f.coeff_prec)
     for _ in range(n):
-        out = f.compose(out)
+        out = out.compose(f)
     return out
 
 

@@ -6,26 +6,26 @@ coefficient that merely vanished to its working precision stays stored, so
 the truncation-honesty machinery downstream (Newton polygons) can see the
 difference.  ``coeff_prec`` is the ambient p-adic precision used when
 coercing plain integers or rationals into coefficients.  Univariate
-products and compositions run on a packed list form (see ``_packed_mul``);
-products in two or three variables are formed one total degree at a time
-(see ``_graded_mul``).
+products run on a packed list form (see ``_packed_mul``), which drops the
+leading exact zeros (the x-adic order) of its operands; products in two or
+three variables are formed one total degree at a time (see
+``_graded_mul``).
 
-The univariate kernels skip work that cannot reach a result digit: a
-product drops the leading exact zeros (the x-adic order) of its operands
-and reads them only below its bound, and Horner composition forms the
-intermediate that h multiplies i more times only below M - i.  Neither
-changes a value or a precision of the result (see ``_compose_1var``).
-
-Composition is univariate: ``compose`` substitutes a series in one
-variable without constant term into another; on such inputs truncation
-commutes with composition, so no x-adic accuracy is lost beyond
-min(x_prec).  Reversion and the logarithm recurrence of ``dynamics`` are
-one degree-by-degree solve against the powers of one series
-(``_solve_by_powers``).
+Composition is univariate and costs no series products of its own: the
+first series substituted into another gets a power table (``_PowerTable``),
+the powers h^1, h^2, ... kept as per-degree columns and grown only to the
+highest power a composition reads.  g(h) is then, at each degree d, the
+sum of c_k [h^k]_d under the ledger rule of ``reduce_terms``; so are a
+multiple g(a h) and a truncation, which is how the iterate chain, the
+brackets and the Frobenius search share the tables of f and of the
+logarithm.  On inner series without constant term truncation commutes with
+composition, so no x-adic accuracy is lost beyond min(x_prec).  Reversion
+and the logarithm recurrence of ``dynamics`` are one degree-by-degree solve
+against the same table (``_solve_by_powers``).
 """
 
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 from .errors import (
     ConstantTermError,
@@ -43,7 +43,7 @@ def _deg(exps) -> int:
 class PSeries:
     """Dense truncated power series over PadicNum coefficients."""
 
-    __slots__ = ("prime", "nvars", "x_prec", "coeffs", "coeff_prec")
+    __slots__ = ("prime", "nvars", "x_prec", "coeffs", "coeff_prec", "_powers")
 
     def __init__(self, prime, nvars, x_prec, coeffs, coeff_prec):
         if not 1 <= nvars <= 3:
@@ -66,6 +66,7 @@ class PSeries:
             if not c.is_exact_zero():
                 clean[exps] = c
         self.coeffs = clean
+        self._powers = None  # the power table, once the series is substituted
 
     # -- constructors ----------------------------------------------------
 
@@ -161,7 +162,7 @@ class PSeries:
         p = self.prime
         N = min(self.coeff_prec, other.coeff_prec)
         if self.nvars == 1:
-            return _unpack(p, _packed_mul(p, _pack(self, M), _pack(other, M), M), M, N)
+            return _unpack(p, _packed_mul(p, _pack(self.coeffs, M), _pack(other.coeffs, M), M), M, N)
         A, B = _graded(self, M), _graded(other, M)
         out = {}
         for e in range(M):
@@ -212,15 +213,23 @@ class PSeries:
 
     # -- composition ------------------------------------------------------------
 
-    def compose(self, h) -> "PSeries":
-        """g(h) for univariate g and h; h needs h(0) = 0."""
+    def compose(self, h, a: PadicNum = None, D: int = None) -> "PSeries":
+        """g(a h) below degree min(D, x_prec of g and h) for univariate g
+        and h with h(0) = 0: at degree d, the sum of c_k a^k [h^k]_d over
+        the power table of h.  a defaults to 1."""
         if self.nvars != 1 or h.nvars != 1:
             raise ValueError("composition is univariate")
         if h.prime != self.prime:
             raise PrimeMismatch("mixed primes in composition")
         if not h.s0:
             raise ConstantTermError("substituted series has a constant term")
-        return _compose_1var(self, h, min(self.x_prec, h.x_prec))
+        M = min(self.x_prec, h.x_prec, self.x_prec if D is None else D)
+        coeffs = self.coeffs if a is None else {e: c * a ** e[0] if e[0] else c for e, c in self.coeffs.items()}
+        g = _pack(coeffs, M)
+        h._powers = h._powers or _PowerTable(h)
+        V, U, N = h._powers.sum(g, 1, M)
+        head = [x[:1] for x in g] if g[0] else ([_ABSENT], [0], [_ABSENT])
+        return _unpack(self.prime, (head[0] + V, head[1] + U, head[2] + N), M, min(self.coeff_prec, h.coeff_prec))
 
     def reversion(self) -> "PSeries":
         """Compositional inverse h with h(g(x)) = x = g(h(x)) to truncation.
@@ -376,37 +385,25 @@ def _solve_by_powers(h: PSeries, a1: PadicNum, lam: PadicNum) -> PSeries:
 
         (c^n - lam) a_n = -sum_{k<n} a_k [h^k]_n,        c = h'(0),
 
-    against the powers of a univariate h without constant term.  lam = 0
-    and a1 = 1/c give the compositional inverse of h; lam = c and a1 = 1
-    the logarithm of h.  Each degree is one ``reduce_terms`` over its
-    products, and the denominator c^n - lam (c^n one multiplication after
+    against the power table of a univariate h without constant term.  lam
+    = 0 and a1 = 1/c give the compositional inverse of h; lam = c and a1 = 1
+    the logarithm of h.  Each degree is one tabled sum over the a_k found so
+    far, and the denominator c^n - lam (c^n one multiplication after
     c^(n-1)) is formed after the sum; a denominator that is zero to its
     precision raises PrecisionExhausted.
     """
-    p = h.prime
-    M = h.x_prec
-    c = h.linear_coeff()
-    pows = [None, h]
-    for _ in range(2, M):
-        pows.append(pows[-1] * h)
+    table = h._powers = h._powers or _PowerTable(h)
     coeffs = {(1,): a1}
-    cpow = c
-    for n in range(2, M):
+    cpow = c = h.linear_coeff()
+    for n in range(2, h.x_prec):
         cpow = cpow * c  # c^n
-        terms = [(INF, 0, INF)]
-        for k in range(1, n):
-            ak = coeffs.get((k,))
-            if ak is None:
-                continue
-            prod = ak * pows[k].c((n,))
-            terms.append((prod.v, prod.u, prod.N))
-        s = reduce_terms(p, terms)
+        (v,), (u,), (K,) = table.sum(_pack(coeffs, n), n, n + 1)
         denom = cpow - lam
         if denom.is_zero_like():
             raise PrecisionExhausted(f"recurrence denominator vanishes at degree {n}")
-        if not s.is_exact_zero():
-            coeffs[(n,)] = -s / denom
-    return PSeries(p, 1, M, coeffs, h.coeff_prec)
+        if K != _ABSENT:
+            coeffs[(n,)] = -PadicNum(h.prime, INF if v == _ABSENT else v, u, K) / denom
+    return PSeries(h.prime, 1, h.x_prec, coeffs, h.coeff_prec)
 
 
 # -- degree-graded multivariate product ---------------------------------------
@@ -469,13 +466,13 @@ _ABSENT = 1 << 62
 _HALF = _ABSENT >> 1  # sums at or above this involve an absent coefficient
 
 
-def _pack(s: PSeries, M: int):
-    """(V, U, N) lists of a univariate series below degree M."""
-    top = max((e for (e,) in s.coeffs if e < M), default=-1)
+def _pack(coeffs: dict, M: int):
+    """(V, U, N) lists of univariate coefficients below degree M."""
+    top = max((e for (e,) in coeffs if e < M), default=-1)
     V = [_ABSENT] * (top + 1)
     U = [0] * (top + 1)
     N = [_ABSENT] * (top + 1)
-    for (e,), c in s.coeffs.items():
+    for (e,), c in coeffs.items():
         if e < M:
             if c.v != INF:
                 V[e] = c.v
@@ -507,7 +504,7 @@ def _order(N) -> int:
     return next((i for i, n in enumerate(N) if n < _HALF), len(N))
 
 
-def _packed_mul(p: int, a, b, M: int):
+def _packed_mul(p: int, a, b, M: int, raises: bool = True):
     """Product of two packed series below degree M.
 
     Values come from one big-integer product (Kronecker substitution): each
@@ -521,7 +518,7 @@ def _packed_mul(p: int, a, b, M: int):
     is the rule ``reduce_terms`` applies to the term triples of the dict
     product.  Each output coefficient is then normalised as
     ``reduce_terms`` would normalise its terms, raising PrecisionExhausted
-    in the same cases.
+    in the same cases (or, without ``raises``, keeping them zero-like).
 
     Leading absent slots (the x-adic order ta of a and tb of b) add nothing
     to a value, to the ledger or to the raise path, and every degree below
@@ -577,7 +574,7 @@ def _packed_mul(p: int, a, b, M: int):
                     r //= p
                     v += 1
                 u = r
-            elif K <= 0:
+            elif K <= 0 and raises:
                 # no digits survive; reduce_terms raises, naming the case
                 # from the least valuation among the terms
                 i0 = max(0, k - Lb + 1)
@@ -589,50 +586,66 @@ def _packed_mul(p: int, a, b, M: int):
     return V, U, N
 
 
-def _compose_1var(g: PSeries, h: PSeries, M: int) -> PSeries:
-    """Horner evaluation of a univariate g at a univariate h (no constant
-    in h) below degree M.
+class _PowerTable:
+    """The powers h^1 .. h^top of a univariate h without constant term below
+    its truncation M, grown one packed product at a time (from the last
+    power, the only one kept packed) as sums read higher powers.
 
-    h is packed once below M and every Horner step is one packed product;
-    since h has no constant term, slot 0 of each product is empty and
-    adding c_i is writing it there.
-
-    The intermediate acc_i = sum_{l>=i} c_l h^(l-i) is multiplied by h i
-    more times, and h^i starts at degree i, so degrees >= M - i of acc_i
-    never reach the result: step i forms acc_{i+1} h below M - i (and
-    ``_packed_mul`` reads its operands only below that bound).  Output
-    degree k of a product reads only input degrees <= k, so every value and
-    ledger entry of the result is that of the full-length Horner loop; only
-    a PrecisionExhausted that loop raised for a dropped intermediate
-    coefficient is no longer raised.
+    Column d lists [h^k]_d for k = 1 .. min(d, top) as X, the value over
+    p^s_k (s_k the least valuation in h^k), N and F, the valuation floor v'
+    (v, or N if zero-like); absent is X = 0, N = F = _ABSENT.  An entry
+    without digits stays zero-like at K <= 0: only a sum that reads it
+    decides whether to raise.
     """
-    p = g.prime
-    N = min(g.coeff_prec, h.coeff_prec)
-    top = min(max((e for (e,) in g.coeffs), default=0), M - 1)
-    H = _pack(h, M)
-    acc = None
-    for i in range(top, 0, -1):
-        if acc is not None:
-            acc = _packed_mul(p, acc, H, M - i)
-        ci = g.coeffs.get((i,))
-        if ci is not None:
-            acc = _set_constant(acc, ci)
-    res = None if acc is None else _packed_mul(p, acc, H, M)
-    c0 = g.coeffs.get((0,))
-    if c0 is not None:
-        res = _set_constant(res, c0)
-    if res is None:
-        return PSeries.zero(p, 1, M, N)
-    return _unpack(p, res, M, N)
 
+    __slots__ = ("p", "M", "H", "last", "shift", "X", "N", "F")
 
-def _set_constant(packed, c: PadicNum):
-    """Write c into slot 0 of a packed series whose slot 0 is empty."""
-    if packed is None or not packed[0]:
-        packed = ([_ABSENT], [0], [_ABSENT])
-    V, U, N = packed
-    V[0] = _ABSENT if c.v == INF else c.v
-    U[0] = c.u
-    N[0] = c.N
-    return packed
+    def __init__(self, h: PSeries):
+        self.p, self.M = h.prime, h.x_prec
+        self.H = self.last = _pack(h.coeffs, self.M)
+        self.shift, self.X, self.N, self.F = [], *([[] for _ in range(self.M)] for _ in range(3))
 
+    def grow(self, top: int):
+        p, M = self.p, self.M
+        while len(self.shift) < top:
+            k = len(self.shift) + 1
+            if k > 1:
+                self.last = _packed_mul(p, self.last, self.H, M, raises=False)
+            V, U, N = (x + [pad] * (M - len(x)) for x, pad in zip(self.last, (_ABSENT, 0, _ABSENT)))
+            s, X = _kronecker(p, V, U)
+            self.shift.append(s)
+            for d in range(k, M):
+                self.X[d].append(X[d] if X else 0)
+                self.N[d].append(N[d])
+                self.F[d].append(N[d] if V[d] == _ABSENT else V[d])
+
+    def sum(self, c, lo: int, D: int):
+        """Packed sum_k c_k [h^k]_d for lo <= d < D from packed c_k (slot 0
+        unread): the ``reduce_terms`` rule K_d = min_k min(N_c_k + v'[h^k]_d,
+        v'_c_k + N[h^k]_d), and one integer sum of the c_k, scaled to the
+        least valuation t of c_k p^s_k, against column d.  Only a degree
+        without digits at K_d <= 0 raises, as ``reduce_terms`` does."""
+        p = self.p
+        top = min(len(c[0]), D) - 1
+        self.grow(top)
+        Vc, Uc, Nc = (x[1 : top + 1] for x in c)
+        Fc = [n if v == _ABSENT else v for v, n in zip(Vc, Nc)]
+        t = min((v + s for v, s in zip(Vc, self.shift) if v != _ABSENT), default=0)
+        C = [0 if v == _ABSENT else u * p ** (v + s - t) for v, u, s in zip(Vc, Uc, self.shift)]
+        V, U, N = [_ABSENT] * (D - lo), [0] * (D - lo), [_ABSENT] * (D - lo)
+        for d in range(lo, D):
+            X, Nd, Fd = self.X[d], self.N[d], self.F[d]
+            K = min(min(map(add, Nc, Fd), default=_ABSENT), min(map(add, Fc, Nd), default=_ABSENT))
+            v, r = _ABSENT, 0
+            if K >= _HALF:
+                K = _ABSENT
+            elif K > t and (r := sum(map(mul, C, X)) % p ** (K - t)):
+                v = t
+                while r % p == 0:
+                    r //= p
+                    v += 1
+            elif K <= 0:  # raise as reduce_terms does, from the least term valuation
+                m = min((a + b for a, b, x in zip(Vc, Fd, X) if a != _ABSENT and x), default=INF)
+                reduce_terms(p, [(m, 0, K)])
+            V[d - lo], U[d - lo], N[d - lo] = v, r, K
+        return V, U, N

@@ -218,51 +218,54 @@ def reduce_triples(p: int, terms):
     return (INF, 0, K)
 
 
-def triple_mul(p: int, a: dict, b: dict, M: int) -> dict:
+def triple_product(a, b):
+    """The term triple of one product of coefficients, as the kernels form it."""
+    (va, ua, na), (vb, ub, nb) = a, b
+    if va == INF or vb == INF:
+        return (INF, 0, (va if va != INF else na) + (vb if vb != INF else nb))
+    return (va + vb, ua * ub, min(na + vb, va + nb))
+
+
+def triple_mul(p: int, a: dict, b: dict, M: int, keep: bool = False) -> dict:
     """Product of two triple series below total degree M; keys are degrees
     or, for several variables, exponent tuples.  The result is in graded
     order: by total degree, then by exponents.
 
     Raises NoDigits with the message of the first key in that order that
-    has none.
+    has none; with ``keep`` such a key is kept as (INF, 0, K) instead.
     """
     acc = {}
-    for i, (va, ua, na) in a.items():
-        for j, (vb, ub, nb) in b.items():
+    for i, ca in a.items():
+        for j, cb in b.items():
             e = i + j if isinstance(i, int) else tuple(x + y for x, y in zip(i, j))
             if (e if isinstance(e, int) else sum(e)) >= M:
                 continue
-            if va == INF or vb == INF:
-                fa = va if va != INF else na
-                fb = vb if vb != INF else nb
-                triple = (INF, 0, fa + fb)
-            else:
-                triple = (va + vb, ua * ub, min(na + vb, va + nb))
-            acc.setdefault(e, []).append(triple)
+            acc.setdefault(e, []).append(triple_product(ca, cb))
     out = {}
     for k in sorted(acc, key=lambda e: (e if isinstance(e, int) else sum(e), e)):
         c = reduce_triples(p, acc[k])
         if isinstance(c, NoDigits):
-            raise c
+            if not keep:
+                raise c
+            c = (INF, 0, min(n for _, _, n in acc[k]))
         if c is not None:
             out[k] = c
     return out
 
 
-def triple_compose(p: int, g: dict, h: dict, M: int, truncate: bool = True) -> dict:
-    """Horner evaluation of g at h (h without constant term) below degree M.
+def triple_compose(p: int, g: dict, h: dict, M: int) -> dict:
+    """Horner evaluation of g at h (h without constant term) below degree M,
+    the composition lubinlab ran before its power tables.
 
     The intermediate acc_i = sum_{l>=i} g_l h^(l-i) is multiplied by h i
-    more times, so with ``truncate`` it is formed below M - i only.  Without
-    it every intermediate is formed below M, as lubinlab did before, which
-    may raise NoDigits for a coefficient no digit of the result reads.
+    more times, so it is formed below M - i only.
     """
     assert 0 not in h
     top = min(max(g, default=0), M - 1)
     acc = None
     for i in range(top, 0, -1):
         if acc is not None:
-            acc = triple_mul(p, acc, h, M - i if truncate else M)
+            acc = triple_mul(p, acc, h, M - i)
         if i in g:
             acc = dict(acc or {})
             acc[0] = g[i]
@@ -270,6 +273,29 @@ def triple_compose(p: int, g: dict, h: dict, M: int, truncate: bool = True) -> d
     if 0 in g:
         res[0] = g[0]
     return res
+
+
+def table_compose(p: int, g: dict, h: dict, M: int) -> dict:
+    """g(h) below degree M as a sum over the powers of h (h without
+    constant term): degree d is one ``reduce_triples`` over the products
+    g_k [h^k]_d.  The powers are formed by ``triple_mul`` with ``keep``, so
+    a power entry without digits only bounds the degrees that read it.
+    Raises NoDigits for the first degree that has none.
+    """
+    assert 0 not in h
+    top = min(max(g, default=0), M - 1)
+    powers = [None, {d: c for d, c in h.items() if d < M}]
+    for _ in range(2, top + 1):
+        powers.append(triple_mul(p, powers[-1], h, M, keep=True))
+    out = {0: g[0]} if 0 in g else {}
+    for d in range(1, M):
+        terms = [triple_product(g[k], powers[k][d]) for k in range(1, top + 1) if k in g and d in powers[k]]
+        c = reduce_triples(p, terms) if terms else None
+        if isinstance(c, NoDigits):
+            raise c
+        if c is not None:
+            out[d] = c
+    return out
 
 
 # -- formal-group references over triples --------------------------------------

@@ -251,19 +251,19 @@ def gm_w1(p, cfg):
 
 def analyze_counting_chain(monkeypatch, f, u, cfg):
     """analyze's report and the number of links of the f-iterate chain: the
-    calls f.compose(x) with x the identity or an earlier link, where f is
+    calls x.compose(f) with x the identity or an earlier link, where f is
     the series analyze works on (truncated and capped)."""
     p = f.prime
     Nw = cfg.resolve(p).working_prec()
-    outer = f.truncate(cfg.M).cap_coeff_prec(Nw).to_json()
+    inner = f.truncate(cfg.M).cap_coeff_prec(Nw).to_json()
     start = PSeries.identity(p, cfg.M, Nw).to_json()
     links = []
     compose = PSeries.compose
 
-    def spy(self, args):
-        out = compose(self, args)
-        if self.to_json() == outer and isinstance(args, PSeries):
-            if any(args is x for x in links) or args.to_json() == start:
+    def spy(self, h, *args):
+        out = compose(self, h, *args)
+        if not args and h.to_json() == inner:
+            if any(self is x for x in links) or self.to_json() == start:
                 links.append(out)
         return out
 

@@ -214,3 +214,22 @@ def test_batch_bad_fixture_entries_keep_their_rows(tmp_path, capsys):
     rows = out.splitlines()[2:]
     assert rows[0].startswith("bad_N") and "fixture error: N must be at least 4" in rows[0]
     assert rows[1].startswith("bad_p") and "fixture error: p must be a prime, got 4" in rows[1]
+
+
+def test_batch_non_object_entry_is_a_fixture_error(tmp_path, capsys):
+    """An entry that is not a JSON object raised TypeError out of
+    analyze_fixture, and ``lubinlab batch`` printed a traceback."""
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps([[1, 2]]))
+    code, out, err = run(capsys, "batch", "--fixture", str(path), "--format", "json")
+    assert code == 2 and err == ""
+    (report,) = json.loads(out)
+    assert report == {
+        "name": "fixture",
+        "prime": None,
+        "verdict": "INCONCLUSIVE",
+        "reason": "fixture error: fixture entry must be a JSON object, got [1, 2]",
+    }
+    code, out, err = run(capsys, "analyze", "--fixture", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: fixture entry must be a JSON object, got [1, 2]\n"

@@ -2,22 +2,24 @@
 
 Random series mix per-coefficient precisions, zero-like and absent
 coefficients and negative valuations (as in logarithm coefficients), with
-unequal truncation orders.  Univariate products and compositions (the packed
-kernel) and two- and three-variable products (the degree-graded kernel) must
-agree with ``oracles.triple_mul`` / ``oracles.triple_compose`` triple for
-triple and in the same order, and raise PrecisionExhausted exactly when the
-oracle finds a coefficient with no digits.  Composition is also held against
-the Horner loop that formed every intermediate below M, and the product and
-composition of integer series at precision N against N + k and the exact
-result.
+unequal truncation orders.  Univariate products (the packed kernel),
+compositions (the power table) and two- and three-variable products (the
+degree-graded kernel) must agree with ``oracles.triple_mul`` /
+``oracles.table_compose`` triple for triple and in the same order, and
+raise PrecisionExhausted exactly when the oracle finds a coefficient with no
+digits.  Composition is also held against Horner's rule
+(``oracles.triple_compose``), which it replaced: the same values at a
+precision never lower.  The product and composition of integer series at
+precision N are held against N + k and the exact result, and one analysis
+against a count of the products its power tables form.
 """
 
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from lubinlab import INF, PadicNum, PrecisionExhausted, PSeries
-from oracles import NoDigits, poly_compose, poly_mul, triple_compose, triple_mul
+from lubinlab import INF, PadicNum, PrecisionExhausted, PSeries, analyzer, series
+from oracles import NoDigits, poly_compose, poly_mul, table_compose, triple_compose, triple_mul
 
 SETTINGS = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -158,7 +160,7 @@ def test_compose_matches_triple_oracle(case):
     p, (Mg, tg), (Mh, th) = case
     g, h = to_series(p, Mg, tg), to_series(p, Mh, th)
     M = min(Mg, Mh)
-    check(lambda: g.compose(h), lambda: triple_compose(p, below(tg, Mg), below(th, Mh), M))
+    check(lambda: g.compose(h), lambda: table_compose(p, below(tg, Mg), below(th, Mh), M))
 
 
 def test_compose_with_zero_inner_series():
@@ -167,43 +169,105 @@ def test_compose_with_zero_inner_series():
     g = to_series(p, M, {0: (0, 1, 4), 1: (0, 2, 4), 3: (1, 1, 4)})
     zero = PSeries.zero(p, 1, M, 30)
     got = g.compose(zero)
-    assert as_triples(got) == {0: (0, 1, 4)} == triple_compose(p, below(as_triples(g), M), {}, M)
+    assert as_triples(got) == {0: (0, 1, 4)} == table_compose(p, below(as_triples(g), M), {}, M)
     assert got.x_prec == M
+
+
+def no_lower(p, table, horner) -> bool:
+    """The table's coefficient has Horner's value, to at least its digits."""
+    (vt, ut, nt), (vh, uh, nh) = table, horner
+    if nt < nh:
+        return False
+    if vh == INF:
+        return vt == INF or vt >= nh
+    return vt == vh and (ut - uh) % p ** (nh - vh) == 0
 
 
 @SETTINGS
 @given(compositions)
-@example(
-    (
-        2,
-        (8, {0: (0, 1, 1), 1: (0, 1, 1), 2: (0, 1, 1), 7: (-1, 1, 0), 8: (INF, 0, 1), 9: (0, 1, 1), 10: (0, 1, 1)}),
-        (8, {1: (0, 1, 1), 2: (0, 1, 1)}),
-    )
-)
-def test_compose_drops_only_dead_work(case):
-    """Against the Horner loop that formed every intermediate below M: where
-    it returns, the same triples in the same order; where it raises for a
-    coefficient no result digit reads, composition may return, and then
-    matches the truncated reference.  (In the example, the full-length loop
-    finds no digits in acc_5 at degree 3 = M - 5, which h^5 lifts to degree
-    8 or more.)"""
+@example((2, (6, {1: (0, 3, 4), 2: (INF, 0, 5)}), (6, {1: (-1, 3, 1), 4: (-3, 29, 2)})))
+def test_compose_against_horner(case):
+    """Against Horner's rule: where it returns, composition returns the same
+    coefficients with the same values, each at a precision no lower; where
+    composition raises, Horner raises too.  (In the example Horner gives
+    degree 5 as (inf, 0, 1) and the table as (inf, 0, 2): Horner's
+    intermediate g_1 + g_2 h meets the imprecise h_1 once more.)"""
     p, (Mg, tg), (Mh, th) = case
     g, h = to_series(p, Mg, tg), to_series(p, Mh, th)
-    M = min(Mg, Mh)
-    tg, th = below(tg, Mg), below(th, Mh)
     try:
-        want = triple_compose(p, tg, th, M, truncate=False)
+        want = triple_compose(p, below(tg, Mg), below(th, Mh), min(Mg, Mh))
     except NoDigits:
-        try:
-            got = g.compose(h)
-        except PrecisionExhausted:
-            return
-        event("untruncated Horner raised; composition returned")
-        assert as_triples(got) == triple_compose(p, tg, th, M)
+        event("Horner raised")
         return
     got = as_triples(g.compose(h))
-    assert got == want
-    assert list(got) == sorted(want)
+    assert got.keys() == want.keys()
+    assert all(no_lower(p, got[d], want[d]) for d in want), (got, want)
+
+
+def strict_powers(p, h, top, M):
+    """h^1 .. h^top below degree M by products that raise NoDigits."""
+    powers = [h]
+    for _ in range(1, top):
+        powers.append(triple_mul(p, powers[-1], h, M))
+    return powers
+
+
+# h = (x + x^2)/2 known to p^0 at p = 2: [h^2]_3 = 2 (1/4) has no digits (K = -1)
+DEAD_H = {1: (-1, 1, 0), 2: (-1, 1, 0)}
+
+
+@pytest.mark.parametrize(
+    "g, M, want",
+    [
+        # degree 3 is not read below M = 3
+        ({2: (0, 1, 5)}, 3, {2: (-2, 1, -1)}),
+        # read at degree 3, where the term g_2 [h^2]_3 bounds it by K = 1
+        ({2: (2, 1, 5)}, 4, {2: (0, 1, 1), 3: (INF, 0, 1)}),
+        # read at degree 3 with K = -1 <= 0: that result degree has no digits
+        ({2: (0, 1, 5)}, 4, "sum has no significant digits"),
+    ],
+)
+def test_power_entry_without_digits_is_kept(g, M, want):
+    """A power entry without digits is stored in the ledger, not raised; a
+    composition raises only for a result degree without digits, with the
+    message of ``reduce_terms``."""
+    p = 2
+    with pytest.raises(NoDigits):
+        strict_powers(p, DEAD_H, 2, 4)
+    gs, h = to_series(p, M, g), to_series(p, 4, DEAD_H)
+    if isinstance(want, str):
+        with pytest.raises(PrecisionExhausted, match=want):
+            gs.compose(h)
+        with pytest.raises(NoDigits, match=want):
+            table_compose(p, g, DEAD_H, M)
+    else:
+        assert as_triples(gs.compose(h)) == want == table_compose(p, g, DEAD_H, M)
+
+
+@st.composite
+def one_digit_series(draw, p):
+    """(x_prec, {degree: triple}) without constant term, each coefficient
+    known to one digit at valuation -1: the powers of such a series often
+    have entries without digits."""
+    M = draw(st.integers(4, 10))
+    degrees = draw(st.sets(st.integers(1, 4), min_size=2))
+    return M, {d: (-1, draw(st.integers(1, p - 1)), 0) for d in sorted(degrees)}
+
+
+@SETTINGS
+@given(st.sampled_from((2, 3, 5)).flatmap(lambda p: st.tuples(st.just(p), triple_series(p), one_digit_series(p))))
+def test_compose_drops_only_dead_work(case):
+    """Where forming the powers of h with raising products fails, the table
+    keeps the entry, and composition still matches ``table_compose``."""
+    p, (Mg, tg), (Mh, th) = case
+    tg, th = below(tg, Mg), below(th, Mh)
+    M = min(Mg, Mh)
+    try:
+        strict_powers(p, th, max(tg, default=1), Mh)
+    except NoDigits:
+        event("a power entry has no digits")
+    g, h = to_series(p, Mg, tg), to_series(p, Mh, th)
+    check(lambda: g.compose(h), lambda: table_compose(p, tg, th, M))
 
 
 # -- N versus N + k -------------------------------------------------------------
@@ -262,3 +326,42 @@ def test_mul_claims_only_digits_a_more_precise_run_confirms(case):
 @given(integer_pair())
 def test_compose_claims_only_digits_a_more_precise_run_confirms(case):
     check_claims(case, lambda g, h: g.compose(h), poly_compose)
+
+
+# -- work count ------------------------------------------------------------------
+
+
+def test_analysis_forms_each_power_once(monkeypatch):
+    """One analysis of a twisted M = 32 pair with ``_packed_mul`` counted.
+    No inner series gets a second power table, and the products outside
+    univariate series multiplication, which the tables form, are at most
+    sum(top - 1) over the distinct inner series (h^1 is h itself): a
+    composition that multiplies series of its own fails here."""
+    p, M = 2, 32
+    cfg = analyzer.Config(M=M)
+    w = PSeries.from_univariate_coeffs(p, [1, 2, 1, 3], M, cfg.resolve(p).working_prec())
+    f, u = analyzer.make_twist_fixture("gm", w)
+    tables, counts = [], {"packed": 0, "series": 0}
+    init, packed_mul, mul = series._PowerTable.__init__, series._packed_mul, PSeries.__mul__
+
+    def record(table, h):
+        init(table, h)
+        key = (h.x_prec, tuple(sorted((e, c.v, c.u, c.N) for e, c in h.coeffs.items())))
+        tables.append((key, table))
+
+    def counted(*args, **kwargs):
+        counts["packed"] += 1
+        return packed_mul(*args, **kwargs)
+
+    def series_mul(a, b):
+        counts["series"] += a.nvars == 1
+        return mul(a, b)
+
+    monkeypatch.setattr(series._PowerTable, "__init__", record)
+    monkeypatch.setattr(series, "_packed_mul", counted)
+    monkeypatch.setattr(PSeries, "__mul__", series_mul)
+    assert analyzer.analyze(f, u, cfg).verdict == analyzer.CERTIFIED
+    keys = [key for key, _ in tables]
+    assert len(keys) == len(set(keys)) and len(keys) >= 2
+    table_products = counts["packed"] - counts["series"]
+    assert 0 < table_products <= sum(max(len(t.shift) - 1, 0) for _, t in tables)

@@ -1,8 +1,10 @@
 """Every digit claimed at precision N is confirmed by a run at N + k.
 
 The reversion, the series inverse, both logarithm constructions, the
-exponential and the group law from a logarithm are run on integer inputs at
-coefficient precision N and at N + k.  Wherever both runs return, each
+exponential, the group law from a logarithm and the composition g(a h)
+below a degree D, which the brackets and the Frobenius search read from the
+power table of h, are run on integer inputs at coefficient precision N and
+at N + k.  Wherever both runs return, each
 coefficient agrees at the lesser of its two precisions, absent coefficients
 (exact zeros, which claim every digit) included; where an exact Fraction
 result is at hand, every claimed digit also agrees with it.  A run that
@@ -31,7 +33,7 @@ from lubinlab import (
     logarithm_recurrence,
 )
 from lubinlab.dynamics import Logarithm
-from oracles import frac_val, lagrange_inversion, poly_inverse, poly_mul
+from oracles import frac_val, lagrange_inversion, poly_compose, poly_inverse, poly_mul
 
 SETTINGS = settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -222,3 +224,27 @@ def test_group_from_log_claims_only_confirmed_digits(case, integral):
     p, M, coeffs, N, k = case
     lo, hi = at_precisions((p, min(M, 8), coeffs, N, k), univariate, group)
     confirm(lo, hi)
+
+
+@st.composite
+def scaled_composition(draw):
+    """p, M, integer g from degree 0 and h from degree 1, a scalar a of
+    valuation 0 or 1, a bound D <= M, N and k."""
+    p, M, g, N, k = draw(integer_series(lo=0))
+    h = [draw(st.integers(-(p**3), p**3)) * p ** draw(st.integers(0, 3)) for _ in range(M - 1)]
+    a = draw(st.integers(1, p**3).filter(lambda x: x % p)) * p ** draw(st.integers(0, 1))
+    return p, M, g, h, a, draw(st.integers(1, M)), N, k
+
+
+@SETTINGS
+@given(scaled_composition())
+def test_scaled_composition_claims_only_confirmed_digits(case):
+    p, M, g, h, a, D, N, k = case
+
+    def op(n):
+        gs, hs = univariate(p, M, g, n, lo=0), univariate(p, M, h, n)
+        return gs.compose(hs, PadicNum.from_int(a, p, n), D)
+
+    lo, hi = run(op, N), run(op, N + k)
+    ah = {i + 1: Fraction(a * c) for i, c in enumerate(h) if c}
+    confirm(lo, hi, as_truth(poly_compose(dict(enumerate(map(Fraction, g))), ah, D)))

@@ -14,8 +14,10 @@ import pytest
 from lubinlab import (
     CERTIFIED,
     INCONCLUSIVE,
+    INF,
     REJECTED,
     Config,
+    PadicNum,
     PSeries,
     analyze,
     analyzer,
@@ -304,3 +306,45 @@ def test_starved_logarithm_derivative_is_inconclusive(tmp_path, capsys):
     assert batch_report == cli_report
     (run,) = batch_run([entry])
     assert run.data == cli_report
+
+
+# -- linear coefficients zero to their precision -------------------------------
+
+
+def linear(p, coeffs, N, M=16):
+    return PSeries.from_univariate_coeffs(p, coeffs, M, N)
+
+
+def test_f_derivative_zero_to_one_digit_is_inconclusive():
+    """f'(0) = 2 known to one digit may still have valuation 1; this was
+    REJECTED "f'(0) must have valuation exactly 1"."""
+    report = analyze(linear(2, [2, 1], 1), linear(2, [3, 3, 1], 1), Config(N=4, M=16))
+    assert (report.verdict, report.reason) == (
+        INCONCLUSIVE,
+        "stage hypotheses starved: f'(0) is zero to precision O(2^1); retry with N>=12",
+    )
+    assert report.data["hypotheses"]["fprime0_valuation"] is None
+
+
+@pytest.mark.parametrize("coeffs, N", [([4, 1], 2), ([0, 1], 4), ([4, 1], 4), ([1, 1], 4)])
+def test_f_derivative_certified_wrong_valuation_is_rejected(coeffs, N):
+    """Zero to two digits, an exact zero, valuation 2 and a unit: each
+    certifies a valuation other than 1 (u = x commutes with any f)."""
+    report = analyze(linear(2, coeffs, N), linear(2, [1], N), Config(N=4, M=16))
+    assert (report.verdict, report.reason) == (REJECTED, "f'(0) must have valuation exactly 1")
+
+
+def test_u_derivative_without_digits_is_inconclusive(monkeypatch):
+    """u'(0) zero to precision p^0 may still be a unit.  (A u'(0) zero to one
+    digit or more is a certified non-unit, and stays REJECTED.)"""
+    f, u = pair()
+    coeffs = dict(u.coeffs)
+    monkeypatch.setattr(analyzer, "check_commute", lambda f, u: (True, None, CFG.M - 1))
+    for N, want in [
+        (0, (INCONCLUSIVE, "stage hypotheses starved: u'(0) is zero to precision O(2^0); retry with N>=16")),
+        (1, (REJECTED, "u'(0) is not a unit")),
+    ]:
+        coeffs[(1,)] = PadicNum(2, INF, 0, N)
+        report = analyze(f, PSeries(2, 1, CFG.M, coeffs, NW), CFG)
+        assert (report.verdict, report.reason) == want
+        assert ("u_invertible" in report.data["hypotheses"]) == (want[0] == REJECTED)
