@@ -287,7 +287,10 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         if not all(s["ok"] for s in shapes):
             return rejected("iterate polygon shape differs from (p^k, n-k)")
 
-        f._powers = u._powers = None  # no composition reads their powers again
+        # no later composition reads the powers of f or u: keeping their
+        # tables beside the logarithm's raises the group law's peak memory
+        f.release_powers()
+        u.release_powers()
         # 6. formal group from the logarithm
         stage = "group_from_log"
         exp_series = exp_from_log(logf)

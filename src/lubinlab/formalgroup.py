@@ -414,7 +414,7 @@ def frobenius_multiplier(logf: Logarithm, f: PSeries, exp_series: PSeries = None
     L = logf.series
 
     def candidate_bracket(unit_digits: int, D: int) -> PSeries:
-        return exp_series.compose(L, PadicNum(p, 1, unit_digits, N), D)
+        return exp_series.truncate(D).compose(L, PadicNum(p, 1, unit_digits, N))
 
     unit = 0
     ndigits = 0

@@ -213,23 +213,30 @@ class PSeries:
 
     # -- composition ------------------------------------------------------------
 
-    def compose(self, h, a: PadicNum = None, D: int = None) -> "PSeries":
-        """g(a h) below degree min(D, x_prec of g and h) for univariate g
-        and h with h(0) = 0: at degree d, the sum of c_k a^k [h^k]_d over
-        the power table of h.  a defaults to 1."""
+    def compose(self, h, a: PadicNum = None) -> "PSeries":
+        """g(a h) below the lesser x_prec of g and h for univariate g and h
+        with h(0) = 0: at degree d, the sum of c_k a^k [h^k]_d over the
+        power table of h.  a defaults to 1."""
         if self.nvars != 1 or h.nvars != 1:
             raise ValueError("composition is univariate")
         if h.prime != self.prime:
             raise PrimeMismatch("mixed primes in composition")
         if not h.s0:
             raise ConstantTermError("substituted series has a constant term")
-        M = min(self.x_prec, h.x_prec, self.x_prec if D is None else D)
-        coeffs = self.coeffs if a is None else {e: c * a ** e[0] if e[0] else c for e, c in self.coeffs.items()}
+        M = min(self.x_prec, h.x_prec)
+        coeffs = self.truncate(M).coeffs
+        if a is not None:
+            coeffs = {(k,): c * a**k if k else c for (k,), c in coeffs.items()}
         g = _pack(coeffs, M)
         h._powers = h._powers or _PowerTable(h)
         V, U, N = h._powers.sum(g, 1, M)
-        head = [x[:1] for x in g] if g[0] else ([_ABSENT], [0], [_ABSENT])
-        return _unpack(self.prime, (head[0] + V, head[1] + U, head[2] + N), M, min(self.coeff_prec, h.coeff_prec))
+        packed = g[0][:1] + V, g[1][:1] + U, g[2][:1] + N
+        return _unpack(self.prime, packed, M, min(self.coeff_prec, h.coeff_prec))
+
+    def release_powers(self):
+        """Free the power table of this series; a later composition into it
+        builds the table again."""
+        self._powers = None
 
     def reversion(self) -> "PSeries":
         """Compositional inverse h with h(g(x)) = x = g(h(x)) to truncation.
@@ -467,8 +474,9 @@ _HALF = _ABSENT >> 1  # sums at or above this involve an absent coefficient
 
 
 def _pack(coeffs: dict, M: int):
-    """(V, U, N) lists of univariate coefficients below degree M."""
-    top = max((e for (e,) in coeffs if e < M), default=-1)
+    """(V, U, N) lists of univariate coefficients below degree M, at least
+    one slot long (slot 0 absent when there is no coefficient)."""
+    top = max((e for (e,) in coeffs if e < M), default=0)
     V = [_ABSENT] * (top + 1)
     U = [0] * (top + 1)
     N = [_ABSENT] * (top + 1)
@@ -530,8 +538,6 @@ def _packed_mul(p: int, a, b, M: int, raises: bool = True):
     Va, Ua, Na = a
     Vb, Ub, Nb = b
     La, Lb = len(Va), len(Vb)
-    if not La or not Lb:
-        return [], [], []
     nout = min(M, La + Lb - 1)
     ta, tb = _order(Na), _order(Nb)
     t = ta + tb
@@ -603,7 +609,10 @@ class _PowerTable:
     def __init__(self, h: PSeries):
         self.p, self.M = h.prime, h.x_prec
         self.H = self.last = _pack(h.coeffs, self.M)
-        self.shift, self.X, self.N, self.F = [], *([[] for _ in range(self.M)] for _ in range(3))
+        self.shift = []
+        self.X = [[] for _ in range(self.M)]
+        self.N = [[] for _ in range(self.M)]
+        self.F = [[] for _ in range(self.M)]
 
     def grow(self, top: int):
         p, M = self.p, self.M
@@ -611,7 +620,9 @@ class _PowerTable:
             k = len(self.shift) + 1
             if k > 1:
                 self.last = _packed_mul(p, self.last, self.H, M, raises=False)
-            V, U, N = (x + [pad] * (M - len(x)) for x, pad in zip(self.last, (_ABSENT, 0, _ABSENT)))
+            V, U, N = self.last
+            pad = M - len(V)
+            V, U, N = V + [_ABSENT] * pad, U + [0] * pad, N + [_ABSENT] * pad
             s, X = _kronecker(p, V, U)
             self.shift.append(s)
             for d in range(k, M):
@@ -635,7 +646,8 @@ class _PowerTable:
         V, U, N = [_ABSENT] * (D - lo), [0] * (D - lo), [_ABSENT] * (D - lo)
         for d in range(lo, D):
             X, Nd, Fd = self.X[d], self.N[d], self.F[d]
-            K = min(min(map(add, Nc, Fd), default=_ABSENT), min(map(add, Fc, Nd), default=_ABSENT))
+            K1 = min(map(add, Nc, Fd), default=_ABSENT)
+            K = min(K1, min(map(add, Fc, Nd), default=_ABSENT))
             v, r = _ABSENT, 0
             if K >= _HALF:
                 K = _ABSENT

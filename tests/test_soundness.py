@@ -243,7 +243,7 @@ def test_scaled_composition_claims_only_confirmed_digits(case):
 
     def op(n):
         gs, hs = univariate(p, M, g, n, lo=0), univariate(p, M, h, n)
-        return gs.compose(hs, PadicNum.from_int(a, p, n), D)
+        return gs.truncate(D).compose(hs, PadicNum.from_int(a, p, n))
 
     lo, hi = run(op, N), run(op, N + k)
     ah = {i + 1: Fraction(a * c) for i, c in enumerate(h) if c}
