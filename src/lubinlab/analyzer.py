@@ -127,7 +127,7 @@ class AnalysisReport:
         pi = d.get("frobenius", {}).get("pi_residue", "-")
         mv = d.get("formal_group", {}).get("min_coeff_valuation", "-")
         reason = d["reason"] or "-"
-        return f"{d['name']:<24} {d['prime']:<3} {d['verdict']:<13} {str(pi):<8} {str(mv):<7} {reason}"
+        return f"{str(d['name']):<24} {str(d['prime']):<3} {d['verdict']:<13} {str(pi):<8} {str(mv):<7} {reason}"
 
 
 SUMMARY_HEADER = (
@@ -452,9 +452,12 @@ def load_fixtures(path: str):
 def analyze_fixture(entry: dict, config: Config = None) -> AnalysisReport:
     if not isinstance(entry, dict):
         raise ValueError(f"fixture entry must be a JSON object, got {json.dumps(entry)}")
-    p = int(entry["p"])
     cfg = config or Config()
-    cfg = replace(cfg, N=int(entry.get("N", cfg.N)), M=int(entry.get("M", cfg.M)))
+    for key, default in (("p", None), ("N", cfg.N), ("M", cfg.M)):
+        if type(entry.get(key, default)) is not int:  # not isinstance: true is no integer
+            raise ValueError(f"fixture field {key!r} must be an integer, got {json.dumps(entry.get(key))}")
+    p = entry["p"]
+    cfg = replace(cfg, N=entry.get("N", cfg.N), M=entry.get("M", cfg.M))
     resolved = cfg.resolve(p)
     Nw = resolved.working_prec()
     f = parse_series_arg(entry["f"], p, cfg.M, Nw)

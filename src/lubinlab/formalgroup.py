@@ -2,14 +2,12 @@
 
 Two independent constructions are implemented and cross-checked.
 
-``group_from_log`` builds F(x, y) = E(L(x) + L(y)) where L is the logarithm
-and E its compositional inverse, but never forms a two-variable composition:
-writing A_j = E^(j)(L(x)), the chain rule gives A_0 = x and
-A_{j+1} = A_j' / L'(x), so F = sum_j A_j(x) L(y)^j / j! costs one univariate
-multiplication per Taylor order.  Each order is added into running integer
-sums as soon as it is formed (``_TaylorSum``): L(y)^j is divided by j! once,
-every monomial keeps its least precision and valuation and one raw sum,
-and each coefficient of F is normalised once at the end.
+``group_from_log`` builds F(x, y) = E(L(x) + L(y)), L the logarithm and E
+its compositional inverse, without a two-variable composition: the Taylor
+orders A_j = E^(j)(L(x)) satisfy A_0 = x and A_{j+1} = A_j' / L'(x), so
+F = sum_a x^a g_a(L(y)) with g_a(t) = sum_j [A_j]_a t^j / j!.  The orders
+stay packed, one product each, and each row g_a is one tabled sum against
+the power table of L that ``exp_from_log`` built.
 
 ``FormalGroupLaw.check_associative`` expands both sides of
 F(F(x,y),z) = F(x,F(y,z)) as linear combinations of the powers of F, which
@@ -38,7 +36,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .padic import INF, PadicNum, reduce_terms, vp_int
-from .series import _ABSENT, PSeries, _graded, _graded_mul
+from .series import _ABSENT, _HALF, PSeries, _graded, _graded_mul, _pack, _packed_derivative, _packed_mul
 from .dynamics import Logarithm
 
 
@@ -148,7 +146,17 @@ def exp_from_log(logf: Logarithm) -> PSeries:
 
 
 def group_from_log(logf: Logarithm, x_prec=None) -> FormalGroupLaw:
-    """F(x,y) = E(L(x) + L(y)) via Taylor orders A_j = E^(j)(L(x)).
+    """F(x,y) = E(L(x) + L(y)) = sum_a x^a g_a(L(y)), g_a(t) = sum_j [A_j]_a t^j / j!.
+
+    The orders A_0 = x, A_{j+1} = A_j' / L' (below degree M - j - 1) stay
+    packed: one integer derivative (``series._times_int``) and one packed
+    product with 1/L' each.  Division by j! is exact: the valuation drops
+    by v_p(j!) and the unit is multiplied by the inverse of j!'s unit part.
+    Row g_a is one tabled sum over degrees 1 <= b < M - a against the power
+    table of L, grown at most to the last order; F_a0 is [A_0]_a.  The
+    monomials come in the order (j, a, b) that first reaches them.  A
+    coefficient without digits at precision <= 0 raises PrecisionExhausted,
+    as ``reduce_terms`` does.
 
     Raises IntegralityFailure when a coefficient certifies negative
     valuation; a merely unresolved coefficient raises with certified=False.
@@ -158,113 +166,47 @@ def group_from_log(logf: Logarithm, x_prec=None) -> FormalGroupLaw:
     M = L.x_prec if x_prec is None else min(x_prec, L.x_prec)
     N = L.coeff_prec
     L = L.truncate(M)
-    dlog = L.derivative()
-    inv_dlog = dlog.inverse()
-    acc = _TaylorSum(p, M)
-    # Taylor orders in x: A_0 = x, A_{j+1} = A_j' / L'
-    A = PSeries.identity(p, M, N)
-    Ly_pow = PSeries(p, 1, M, {(0,): PadicNum.one(p, N)}, N)  # L(y)^j
+    inv_dlog = _pack(L.derivative().inverse().coeffs, M - 1)
+    orders = [_pack({(1,): PadicNum.one(p, N)}, M)]
+    while len(orders) < M:
+        j = len(orders) - 1
+        A = _packed_mul(p, _packed_derivative(p, orders[j]), inv_dlog, M - j - 1)
+        if all(n >= _HALF for n in A[2]):
+            break
+        orders.append(A)
+    J = len(orders) - 1
+    table = L.power_table()
+    table.grow(J)
+    # row a holds [A_j]_a / j! at slot j
+    rows = [([_ABSENT] * (J + 1), [0] * (J + 1), [_ABSENT] * (J + 1)) for _ in range(M)]
     factorial = 1
-    for j in range(0, M):
-        if j > 0:
-            factorial *= j
-        acc.add_order(A, Ly_pow, factorial, j > 0)
-        if j + 1 >= M:
-            break
-        A = A.derivative() * inv_dlog
-        if not A.coeffs:
-            break
-        Ly_pow = Ly_pow * L
-        if not Ly_pow.coeffs:
-            break
-    F = PSeries(p, 2, M, acc.coefficients(), N)
+    for j, (V, U, K) in enumerate(orders):
+        factorial *= max(j, 1)
+        w = vp_int(factorial, p)
+        mod = p ** max((n - v for v, n in zip(V, K) if v != _ABSENT), default=1)
+        inv = pow(factorial // p**w, -1, mod)
+        for a, (v, u, n) in enumerate(zip(V, U, K)):
+            if n < _HALF:
+                Vr, Ur, Nr = rows[a]
+                Vr[j], Ur[j], Nr[j] = _ABSENT if v == _ABSENT else v - w, u * inv % mod, n - w
+    del orders
+    # F's monomials by the order j that first reaches them, each in (a, b)
+    # order; the orders present in a row and the powers present at a degree
+    # are bit masks
+    reached = [[((1, 0), PadicNum.one(p, N))]] + [[] for _ in range(J)]
+    columns = [table.present(b) for b in range(M)]
+    for a in range(M - 1):
+        V, U, K = table.sum(rows[a], 1, M - a)
+        mask = sum(1 << j for j, n in enumerate(rows[a][2]) if n < _HALF)
+        for b, (v, u, n) in enumerate(zip(V, U, K), 1):
+            if n != _ABSENT:
+                both = mask & columns[b]
+                c = PadicNum(p, INF if v == _ABSENT else v, u, n)
+                reached[(both & -both).bit_length() - 1].append(((a, b), c))
+    del rows
+    F = PSeries(p, 2, M, {e: c for level in reached for e, c in level}, N)
     _raise_if_not_integral(F, "group law from logarithm")
     return FormalGroupLaw(F, "from-log")
-
-
-class _TaylorSum:
-    """Running sums F_ab = sum_j A_j[a] * L(y)^j[b] / j! for a + b < M.
-
-    Each monomial keeps its least term precision K, its least finite term
-    valuation m and the raw integer sum R of its finite terms in units of
-    p^m; ``coefficients`` normalises each once.  A term's ledger is the
-    product rule min(N_a + v'_b, v'_a + N_b), with v' = N for a zero-like
-    factor, less v_p(j!).  The result is what adding the terms one by one as
-    PadicNum values gives, exceptions included: a zero-like term without
-    digits raises, and so does a partial sum once its precision reaches
-    K <= 0 with no digit below it.  Monomials come out in the order they
-    were first reached.
-    """
-
-    __slots__ = ("p", "M", "K", "m", "R", "order")
-
-    def __init__(self, p: int, M: int):
-        self.p = p
-        self.M = M
-        self.K = [_ABSENT] * (M * M)
-        self.m = [_ABSENT] * (M * M)
-        self.R = [0] * (M * M)
-        self.order = []
-
-    def add_order(self, A: PSeries, Ly_pow: PSeries, factorial: int, skip_constant: bool):
-        """Add A(x) * Ly_pow(y) / factorial below total degree M."""
-        p, M = self.p, self.M
-        K, m, R, order = self.K, self.m, self.R, self.order
-        w = vp_int(factorial, p)
-        rel = max((c.N - c.v for c in Ly_pow.coeffs.values() if c.v != INF), default=1)
-        inv = pow(factorial // p**w, -1, p**rel)
-        # Ly_pow / j! as (b, v, unit, N, v') in ascending b, the order the
-        # packed kernel stores degrees in
-        row = []
-        for (b,), c in Ly_pow.coeffs.items():
-            if b == 0 and skip_constant:
-                continue
-            if c.v == INF:
-                row.append((b, _ABSENT, 0, c.N - w, c.N - w))
-            else:
-                row.append((b, c.v - w, c.u * inv, c.N - w, c.v - w))
-        for (a,), ca in A.coeffs.items():
-            za = ca.v == INF
-            va, ua, na = ca.v, ca.u, ca.N
-            fa = na if za else va
-            base = a * M
-            for b, vb, ub, nb, fb in row:
-                if a + b >= M:
-                    break
-                if za or vb == _ABSENT:
-                    v, r, n = _ABSENT, 0, fa + fb
-                    if n <= 0:
-                        PadicNum.zero_to_prec(p, n)  # raises, as the product would
-                else:
-                    v, r = va + vb, ua * ub
-                    n = na + vb if na + vb < va + nb else va + nb
-                i = base + b
-                k = K[i]
-                if k == _ABSENT:
-                    K[i], m[i], R[i] = n, v, r
-                    order.append(i)
-                    continue
-                if n <= 0 or k <= 0:
-                    # the pairwise sum raises here if no digit survives
-                    self.value(i) + PadicNum(p, INF if v == _ABSENT else v, r, n)
-                if n < k:
-                    K[i] = n
-                if v != _ABSENT:
-                    mi = m[i]
-                    if mi == _ABSENT:
-                        m[i], R[i] = v, r
-                    elif v >= mi:
-                        R[i] += r * p ** (v - mi)
-                    else:
-                        m[i], R[i] = v, R[i] * p ** (mi - v) + r
-
-    def value(self, i: int) -> PadicNum:
-        """The normalised sum of monomial i so far."""
-        k = self.K[i]
-        return PadicNum._from_scaled(self.p, min(self.m[i], k), self.R[i], k)
-
-    def coefficients(self) -> dict:
-        return {divmod(i, self.M): self.value(i) for i in self.order}
 
 
 def _raise_if_not_integral(F: PSeries, what: str):

@@ -370,6 +370,20 @@ def reduce_terms(p: int, terms) -> PadicNum:
     return PadicNum._from_scaled(p, m, r % mod, K)
 
 
+def congruent_triples(p: int, a, b, prec=None) -> bool:
+    """``PadicNum.congruent`` on (v, u, N) triples, (INF, 0, INF) the exact
+    zero: whether a = b modulo p^P, P = min(N_a, N_b[, prec]).  Forming the
+    difference or capping it raises only at P <= 0, so there the PadicNum
+    comparison decides, raises included."""
+    (va, ua, na), (vb, ub, nb) = a, b
+    P = min(na, nb) if prec is None else min(na, nb, prec)
+    if P <= 0:
+        return PadicNum(p, *a).congruent(PadicNum(p, *b), prec)
+    if va >= P or vb >= P:
+        return va >= P and vb >= P
+    return va == vb and (ua - ub) % p ** (P - va) == 0
+
+
 # -- analytic functions ------------------------------------------------------
 
 

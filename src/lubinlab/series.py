@@ -21,7 +21,8 @@ brackets and the Frobenius search share the tables of f and of the
 logarithm.  On inner series without constant term truncation commutes with
 composition, so no x-adic accuracy is lost beyond min(x_prec).  Reversion
 and the logarithm recurrence of ``dynamics`` are one degree-by-degree solve
-against the same table (``_solve_by_powers``).
+against the same table (``_solve_by_powers``), and each row of the group
+law of ``formalgroup`` is one sum against the table of the logarithm.
 """
 
 from fractions import Fraction
@@ -33,7 +34,7 @@ from .errors import (
     PrecisionExhausted,
     PrimeMismatch,
 )
-from .padic import INF, PadicNum, reduce_terms, require_prime
+from .padic import INF, PadicNum, congruent_triples, reduce_terms, require_prime
 
 
 def _deg(exps) -> int:
@@ -180,16 +181,13 @@ class PSeries:
             self.coeff_prec,
         )
 
-    def derivative(self, var: int = 0) -> "PSeries":
-        """Formal derivative in one variable; truncation order drops by 1."""
-        out = {}
-        for e, c in self.coeffs.items():
-            k = e[var]
-            if k == 0:
-                continue
-            e2 = tuple(x - 1 if i == var else x for i, x in enumerate(e))
-            out[e2] = c * k
-        return PSeries(self.prime, self.nvars, self.x_prec - 1, out, self.coeff_prec)
+    def derivative(self) -> "PSeries":
+        """Formal derivative of a univariate series; truncation order drops by
+        1.  Each c_k x^k becomes ``_times_int(c_k, k)`` x^(k-1)."""
+        if self.nvars != 1:
+            raise ValueError("derivative is univariate")
+        packed = _packed_derivative(self.prime, _pack(self.coeffs, self.x_prec))
+        return _unpack(self.prime, packed, self.x_prec - 1, self.coeff_prec)
 
     def truncate(self, M: int) -> "PSeries":
         if M >= self.x_prec:
@@ -228,10 +226,15 @@ class PSeries:
         if a is not None:
             coeffs = {(k,): c * a**k if k else c for (k,), c in coeffs.items()}
         g = _pack(coeffs, M)
-        h._powers = h._powers or _PowerTable(h)
-        V, U, N = h._powers.sum(g, 1, M)
+        V, U, N = h.power_table().sum(g, 1, M)
         packed = g[0][:1] + V, g[1][:1] + U, g[2][:1] + N
         return _unpack(self.prime, packed, M, min(self.coeff_prec, h.coeff_prec))
+
+    def power_table(self) -> "_PowerTable":
+        """The power table of this univariate series without constant term,
+        built on first use."""
+        self._powers = self._powers or _PowerTable(self)
+        return self._powers
 
     def release_powers(self):
         """Free the power table of this series; a later composition into it
@@ -354,10 +357,12 @@ class PSeries:
         """Coefficient-wise congruence at the lesser declared precision."""
         other = self._align(other)
         M = min(self.x_prec, other.x_prec)
+        zero = PadicNum.exact_zero(self.prime)
         for e in self.coeffs.keys() | other.coeffs.keys():
             if _deg(e) >= M:
                 continue
-            if not self.c(e).congruent(other.c(e), prec):
+            a, b = self.coeffs.get(e, zero), other.coeffs.get(e, zero)
+            if not congruent_triples(self.prime, (a.v, a.u, a.N), (b.v, b.u, b.N), prec):
                 return False
         return True
 
@@ -399,7 +404,7 @@ def _solve_by_powers(h: PSeries, a1: PadicNum, lam: PadicNum) -> PSeries:
     c^(n-1)) is formed after the sum; a denominator that is zero to its
     precision raises PrecisionExhausted.
     """
-    table = h._powers = h._powers or _PowerTable(h)
+    table = h.power_table()
     coeffs = {(1,): a1}
     cpow = c = h.linear_coeff()
     for n in range(2, h.x_prec):
@@ -497,6 +502,36 @@ def _unpack(p: int, packed, M: int, coeff_prec) -> PSeries:
         if n < _HALF
     }
     return PSeries(p, 1, M, coeffs, coeff_prec)
+
+
+def _times_int(p: int, v: int, u: int, n: int, k: int):
+    """(v, u, n) of c * k for a packed coefficient c (v = _ABSENT if
+    zero-like) and an integer k >= 1, as ``PadicNum.__mul__`` forms it:
+    k is coerced at c's own precision n, so it is known modulo p^n only, and
+    zero-like when p^n divides it.  Raises PrecisionExhausted where that
+    product does: when n <= 0, and when a zero-like product has floor <= 0.
+    """
+    if n <= 0:
+        PadicNum.from_int(k, p, n)  # raises, as coercing k does
+    r, w = k % p**n, 0
+    while r and r % p == 0:
+        r //= p
+        w += 1
+    if v == _ABSENT or r == 0:
+        floor = (n if v == _ABSENT else v) + (w if r else n)
+        return _ABSENT, 0, PadicNum.zero_to_prec(p, floor).N  # raises if floor <= 0
+    rel = n - max(v, w)
+    return v + w, u * r % p**rel, v + w + rel
+
+
+def _packed_derivative(p: int, c):
+    """The derivative of a packed series: slot k - 1 is c_k * k (``_times_int``)."""
+    V, U, N = c
+    terms = [
+        _times_int(p, V[k], U[k], N[k], k) if N[k] < _HALF else (_ABSENT, 0, _ABSENT)
+        for k in range(1, len(V))
+    ]
+    return tuple(map(list, zip(*terms))) or ([], [], [])
 
 
 def _kronecker(p: int, V, U):
@@ -661,3 +696,7 @@ class _PowerTable:
                 reduce_terms(p, [(m, 0, K)])
             V[d - lo], U[d - lo], N[d - lo] = v, r, K
         return V, U, N
+
+    def present(self, d: int) -> int:
+        """The powers present at degree d, bit k set for [h^k]_d."""
+        return sum(1 << k for k, n in enumerate(self.N[d], 1) if n < _HALF)

@@ -18,6 +18,14 @@ def one_plus_x_pow(p, exponent, M, N):
     )
 
 
+def outcome(f):
+    """A call's result, or the class and message of what it raised."""
+    try:
+        return f()
+    except Exception as ex:
+        return type(ex), str(ex)
+
+
 def random_s0(rnd: random.Random, p, M, N, unit_linear=False, terms=None):
     """Random integral series without constant term."""
     coeffs = {}

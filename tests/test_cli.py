@@ -230,6 +230,26 @@ def test_batch_non_object_entry_is_a_fixture_error(tmp_path, capsys):
         "verdict": "INCONCLUSIVE",
         "reason": "fixture error: fixture entry must be a JSON object, got [1, 2]",
     }
+    code, out, err = run(capsys, "batch", "--fixture", str(path))
+    assert code == 2 and err == ""
+    row = "fixture                  None INCONCLUSIVE  -        -       fixture error: "
+    assert out.splitlines()[2] == row + "fixture entry must be a JSON object, got [1, 2]"
     code, out, err = run(capsys, "analyze", "--fixture", str(path))
     assert (code, out) == (2, "")
     assert err == "error: fixture entry must be a JSON object, got [1, 2]\n"
+
+
+@pytest.mark.parametrize("field, value", [("p", [2]), ("p", 2.7), ("p", True), ("N", "20"), ("M", 16.0), ("p", None)])
+def test_wrong_typed_fixture_field_refused(tmp_path, capsys, field, value):
+    """p, N and M must be JSON integers: a list raised TypeError out of
+    ``int()``, which ``lubinlab batch`` printed as a traceback, and 2.7 or
+    true were truncated to 2 or 1 and analysed."""
+    entry = {"name": "x", "p": 2, "N": 8, "M": 16, "f": "2,1@1", "u": "3,3,1@1", field: value}
+    path = tmp_path / "fx.json"
+    path.write_text(json.dumps([entry]))
+    message = f"fixture field {field!r} must be an integer, got {json.dumps(value)}"
+    code, out, err = run(capsys, "batch", "--fixture", str(path))
+    assert code == 2 and err == ""
+    assert out.splitlines()[2].endswith(f"INCONCLUSIVE  -        -       fixture error: {message}")
+    code, out, err = run(capsys, "analyze", "--fixture", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")

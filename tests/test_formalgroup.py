@@ -26,7 +26,7 @@ from lubinlab import (
     lubin_tate_lift,
 )
 from conftest import one_plus_x_pow, series_from_fractions
-from lubinlab.formalgroup import _TaylorSum
+from lubinlab import formalgroup, series
 from oracles import (
     NoDigits,
     NonUnique,
@@ -224,24 +224,29 @@ def test_frobenius_window_too_small():
         frobenius_multiplier(logf, f)
 
 
-# -- the streamed Taylor assembly against the per-pair loop ---------------------
+# -- the tabled group law against the per-pair loop ------------------------------
 
 
 def _triples(s):
     return {e if len(e) > 1 else e[0]: (c.v, c.u, c.N) for e, c in s.coeffs.items()}
 
 
+def _scalar_derivative(s):
+    """d/dx of a univariate series, one PadicNum product c * k per coefficient."""
+    return PSeries(s.prime, 1, s.x_prec - 1, {(k - 1,): c * k for (k,), c in s.coeffs.items() if k}, s.coeff_prec)
+
+
 def _taylor_orders(L, M, N):
-    """(A_j, L(y)^j) for j = 0, 1, ... in the order group_from_log forms them."""
+    """(A_j, L(y)^j) for j = 0, 1, ... in the order the per-pair loop forms them."""
     p = L.prime
-    inv_dlog = L.derivative().inverse()
+    inv_dlog = _scalar_derivative(L).inverse()
     A = PSeries.identity(p, M, N)
     Ly = PSeries(p, 1, M, {(0,): PadicNum.one(p, N)}, N)
     for j in range(M):
         yield _triples(A), _triples(Ly)
         if j + 1 >= M:
             return
-        A = A.derivative() * inv_dlog
+        A = _scalar_derivative(A) * inv_dlog
         if not A.coeffs:
             return
         Ly = Ly * L
@@ -275,8 +280,14 @@ def log_series(draw):
 @example((3, 12, 8, {(1,): (0, 1, 8)}))
 @example((3, 4, 8, {(1,): (0, 1, 8), (2,): (-1, 1, 7)}))
 @example((3, 6, 6, {(1,): (0, 1, 6), (2,): (-1, 481, 5), (3,): (INF, 0, 4)}))
+# the loop raises at the zero-like term O(3^0) of (0, 3) at j = 3 ("zero known
+# to nonpositive precision"), the tabled sum at its total ("sum has no
+# significant digits")
+@example((3, 4, 4, {(1,): (0, 1, 4), (3,): (0, 2, 1)}))
 def test_group_from_log_matches_pairwise_loop(case):
-    """Triple for triple, in the same order, and exception for exception."""
+    """Triple for triple, in the same order, and exception class for
+    exception class.  Where the loop raises, the tabled sums decide each
+    coefficient once and may say why in other words."""
     p, M, N, coeffs = case
     L = PSeries(p, 1, M, {e: PadicNum(p, *t) for e, t in coeffs.items()}, N)
     logf = Logarithm(L, "recurrence", PadicNum.from_int(p, p, N))
@@ -284,9 +295,8 @@ def test_group_from_log_matches_pairwise_loop(case):
         want = taylor_assembly(p, M, _taylor_orders(L, M, N))
     except (NoDigits, LubinlabError) as ex:
         kind = PrecisionExhausted if isinstance(ex, NoDigits) else type(ex)
-        with pytest.raises(kind) as got:
+        with pytest.raises(kind):
             group_from_log(logf)
-        assert str(got.value) == str(ex)
         return
     floors = [(e, v if v != INF else n) for e, (v, _, n) in want.items()]
     bad = [(e, floor) for e, floor in floors if floor < 0]
@@ -300,58 +310,34 @@ def test_group_from_log_matches_pairwise_loop(case):
     assert list(_triples(got).items()) == list(want.items())
 
 
-@st.composite
-def taylor_orders(draw):
-    """Arbitrary orders (A_j, L(y)^j) as {degree: triple}, precisions <= 0
-    included, to drive the running sums through every pairwise-sum case."""
-    p = draw(st.sampled_from((2, 3, 5)))
-    M = draw(st.integers(2, 8))
+def test_group_law_reads_the_table_exp_from_log_built(monkeypatch):
+    """After ``exp_from_log``, ``group_from_log`` multiplies no series: its
+    products are the Taylor orders, at most M - 1, and at most one more
+    power of L in the table both share."""
+    M = 32
+    logf = gm_log(3, M=M)
+    exp_from_log(logf)
+    table = logf.series.power_table()
+    grown = len(table.shift)
+    counts = {"packed": 0, "series": 0}
+    packed_mul, mul = series._packed_mul, PSeries.__mul__
 
-    def coefficient():
-        if draw(st.booleans()) and draw(st.booleans()):
-            return (INF, 0, draw(st.integers(1, 4)))
-        v = draw(st.integers(-3, 2))
-        rel = draw(st.integers(1, 4))
-        return (v, p * draw(st.integers(0, p ** (rel - 1) - 1)) + draw(st.integers(1, p - 1)), v + rel)
+    def counted(*args, **kwargs):
+        counts["packed"] += 1
+        return packed_mul(*args, **kwargs)
 
-    orders = []
-    for j in range(draw(st.integers(1, M))):
-        A = {a: coefficient() for a in sorted(draw(st.sets(st.integers(0, M - 1), max_size=3)))}
-        Ly = {b: coefficient() for b in sorted(draw(st.sets(st.integers(0, M - 1), max_size=3)))}
-        orders.append((A, Ly))
-    return p, M, orders
+    def series_mul(a, b):
+        counts["series"] += 1
+        return mul(a, b)
 
-
-@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(taylor_orders())
-@example(
-    # the j = 2 term cancels every digit below precision 0 and the j = 3
-    # term would bring one back: the pairwise sums raise at j = 2
-    (5, 4, [({}, {}), ({1: (-2, 1, 0)}, {1: (0, 1, 9)}), ({1: (-2, 23, 1)}, {1: (0, 1, 9)}),
-            ({1: (-1, 6, 1)}, {1: (0, 1, 9)})])
-)
-def test_taylor_sum_matches_pairwise_sums(case):
-    p, M, orders = case
-
-    def series(triples):
-        return PSeries(p, 1, M, {(d,): PadicNum(p, *t) for d, t in triples.items()}, 9)
-
-    def run():
-        acc = _TaylorSum(p, M)
-        factorial = 1
-        for j, (A, Ly) in enumerate(orders):
-            factorial *= max(j, 1)
-            acc.add_order(series(A), series(Ly), factorial, j > 0)
-        return {e: (c.v, c.u, c.N) for e, c in acc.coefficients().items()}
-
-    try:
-        want = taylor_assembly(p, M, orders)
-    except NoDigits as ex:
-        with pytest.raises(PrecisionExhausted) as got:
-            run()
-        assert str(got.value) == str(ex)
-        return
-    assert list(run().items()) == list(want.items())
+    monkeypatch.setattr(series, "_packed_mul", counted)
+    monkeypatch.setattr(formalgroup, "_packed_mul", counted)
+    monkeypatch.setattr(PSeries, "__mul__", series_mul)
+    G = group_from_log(logf)
+    assert counts["series"] == 0
+    assert len(table.shift) <= grown + 1
+    assert counts["packed"] <= (M - 1) + (len(table.shift) - grown)
+    assert G.certify(12)
 
 
 # -- the associativity certificate ------------------------------------------------

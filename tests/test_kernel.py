@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from lubinlab import INF, PadicNum, PrecisionExhausted, PSeries, analyzer, series
+from conftest import outcome
 from oracles import NoDigits, poly_compose, poly_mul, table_compose, triple_compose, triple_mul
 
 SETTINGS = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -268,6 +269,46 @@ def test_compose_drops_only_dead_work(case):
         event("a power entry has no digits")
     g, h = to_series(p, Mg, tg), to_series(p, Mh, th)
     check(lambda: g.compose(h), lambda: table_compose(p, tg, th, M))
+
+
+# -- the integer derivative ------------------------------------------------------
+
+
+@st.composite
+def coefficient_and_exponent(draw):
+    """A coefficient (v, u, N), zero-like or of any valuation below N, at a
+    precision N that may be <= 0, and an exponent k, often a multiple of p^N."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    N = draw(st.integers(-2, 8))
+    if draw(st.booleans()):
+        v, u = INF, 0
+    else:
+        v = draw(st.integers(N - 4, N - 1))
+        u = p * draw(st.integers(0, p ** (N - v - 1) - 1)) + draw(st.integers(1, p - 1))
+    k = draw(st.integers(1, 60) | st.integers(1, 4).map(lambda m: m * p ** max(N, 0)))
+    return p, (v, u, N), k
+
+
+@settings(max_examples=400, deadline=None)
+@given(coefficient_and_exponent())
+@example((2, (0, 1, 1), 2))  # k = 0 mod p^N: the product is zero-like
+@example((3, (-2, 1, 1), 9))  # ... and has no digits
+@example((5, (INF, 0, 2), 5))  # zero-like coefficient
+@example((3, (-3, 2, -1), 4))  # N <= 0: coercing k raises
+def test_times_int_matches_padic_product(case):
+    """The derivative's c * k on integers against PadicNum ``c * k``, which
+    coerces k at c's own precision."""
+    p, (v, u, N), k = case
+
+    def scalar():
+        c = PadicNum(p, v, u, N) * k
+        return c.v, c.u, c.N
+
+    def packed():
+        vk, uk, nk = series._times_int(p, series._ABSENT if v == INF else v, u, N, k)
+        return INF if vk == series._ABSENT else vk, uk, nk
+
+    assert outcome(packed) == outcome(scalar)
 
 
 # -- N versus N + k -------------------------------------------------------------

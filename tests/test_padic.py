@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lubinlab import (
+    INF,
     DivisionByZeroToPrecision,
     DomainError,
     PadicNum,
@@ -13,6 +16,8 @@ from lubinlab import (
     padic_log,
     padic_pow,
 )
+from lubinlab.padic import congruent_triples
+from conftest import outcome
 from oracles import exp_partial_mod, frac_mod, frac_val, log_partial_mod
 
 
@@ -174,3 +179,41 @@ def test_scalar_json_roundtrip():
     x = PadicNum.from_fraction(Fraction(7, 9), 3, 6)
     again = PadicNum.from_json(x.to_json(), 3)
     assert again.congruent(x) and again.v == x.v and again.N == x.N
+
+
+@st.composite
+def triple_pair(draw):
+    """Two (v, u, N) triples -- exact zeros, zero-like, negative valuations
+    and precisions <= 0 included -- the second often the first plus a
+    multiple of p^t, and a comparison precision, None or possibly <= 0."""
+    p = draw(st.sampled_from((2, 3, 5)))
+
+    def triple():
+        kind = draw(st.sampled_from(("finite", "finite", "zero-like", "exact")))
+        if kind == "exact":
+            return (INF, 0, INF)
+        N = draw(st.integers(-3, 8))
+        if kind == "zero-like":
+            return (INF, 0, N)
+        v = draw(st.integers(N - 5, N - 1))
+        return (v, p * draw(st.integers(0, p ** (N - v - 1) - 1)) + draw(st.integers(1, p - 1)), N)
+
+    a = triple()
+    b = triple()
+    if a[0] != INF and draw(st.booleans()):
+        nb = draw(st.integers(a[0] + 1, a[0] + 9))
+        b = (a[0], (a[1] + p ** draw(st.integers(1, 9)) * draw(st.integers(0, 9))) % p ** (nb - a[0]), nb)
+    return p, a, b, draw(st.none() | st.integers(-3, 10))
+
+
+@settings(max_examples=500, deadline=None)
+@given(triple_pair())
+@example((3, (-1, 1, 0), (-1, 4, 1), None))  # K <= 0: forming the difference raises
+@example((2, (-2, 1, 3), (-2, 5, 4), -1))  # prec <= 0: capping the difference raises
+@example((5, (1, 7, 4), (1, 2, 3), 2))  # equal below prec, different at N
+def test_congruent_triples_matches_congruent(case):
+    """The integer congruence of ``PSeries.equal_to_precision`` against
+    ``PadicNum.congruent``: results and raises."""
+    p, a, b, prec = case
+    want = outcome(lambda: PadicNum(p, *a).congruent(PadicNum(p, *b), prec))
+    assert outcome(lambda: congruent_triples(p, a, b, prec)) == want
