@@ -35,8 +35,8 @@ from .errors import (
     NonUniqueLift,
     PrecisionExhausted,
 )
-from .padic import INF, PadicNum, reduce_terms, vp_int
-from .series import _ABSENT, _HALF, PSeries, _graded, _graded_mul, _pack, _packed_derivative, _packed_mul
+from .padic import INF, PadicNum, reduce_terms
+from .series import PSeries, _graded, _graded_mul, _pack, _packed_derivative, _packed_div_int, _packed_mul
 from .dynamics import Logarithm
 
 
@@ -149,14 +149,13 @@ def group_from_log(logf: Logarithm, x_prec=None) -> FormalGroupLaw:
     """F(x,y) = E(L(x) + L(y)) = sum_a x^a g_a(L(y)), g_a(t) = sum_j [A_j]_a t^j / j!.
 
     The orders A_0 = x, A_{j+1} = A_j' / L' (below degree M - j - 1) stay
-    packed: one integer derivative (``series._times_int``) and one packed
-    product with 1/L' each.  Division by j! is exact: the valuation drops
-    by v_p(j!) and the unit is multiplied by the inverse of j!'s unit part.
-    Row g_a is one tabled sum over degrees 1 <= b < M - a against the power
-    table of L, grown at most to the last order; F_a0 is [A_0]_a.  The
-    monomials come in the order (j, a, b) that first reaches them.  A
-    coefficient without digits at precision <= 0 raises PrecisionExhausted,
-    as ``reduce_terms`` does.
+    packed, one derivative and one product with 1/L' each, and are divided
+    by j! exactly (``series._packed_div_int``).  Each row g_a is one tabled
+    sum over degrees 1 <= b < M - a against the power table of L
+    (``_PowerTable.sum_orders``), grown at most to the last order; F_10 = 1
+    is the j = 0 term.  The monomials come in the order (j, a, b) that
+    first reaches them.  A coefficient without digits at precision <= 0
+    raises PrecisionExhausted, as ``reduce_terms`` does.
 
     Raises IntegralityFailure when a coefficient certifies negative
     valuation; a merely unresolved coefficient raises with certified=False.
@@ -167,44 +166,16 @@ def group_from_log(logf: Logarithm, x_prec=None) -> FormalGroupLaw:
     N = L.coeff_prec
     L = L.truncate(M)
     inv_dlog = _pack(L.derivative().inverse().coeffs, M - 1)
-    orders = [_pack({(1,): PadicNum.one(p, N)}, M)]
-    while len(orders) < M:
-        j = len(orders) - 1
-        A = _packed_mul(p, _packed_derivative(p, orders[j]), inv_dlog, M - j - 1)
-        if all(n >= _HALF for n in A[2]):
-            break
-        orders.append(A)
-    J = len(orders) - 1
-    table = L.power_table()
-    table.grow(J)
-    # row a holds [A_j]_a / j! at slot j
-    rows = [([_ABSENT] * (J + 1), [0] * (J + 1), [_ABSENT] * (J + 1)) for _ in range(M)]
+    A = _pack({(1,): PadicNum.one(p, N)}, M)
+    orders = [A]  # A_j / j!
     factorial = 1
-    for j, (V, U, K) in enumerate(orders):
-        factorial *= max(j, 1)
-        w = vp_int(factorial, p)
-        mod = p ** max((n - v for v, n in zip(V, K) if v != _ABSENT), default=1)
-        inv = pow(factorial // p**w, -1, mod)
-        for a, (v, u, n) in enumerate(zip(V, U, K)):
-            if n < _HALF:
-                Vr, Ur, Nr = rows[a]
-                Vr[j], Ur[j], Nr[j] = _ABSENT if v == _ABSENT else v - w, u * inv % mod, n - w
-    del orders
-    # F's monomials by the order j that first reaches them, each in (a, b)
-    # order; the orders present in a row and the powers present at a degree
-    # are bit masks
-    reached = [[((1, 0), PadicNum.one(p, N))]] + [[] for _ in range(J)]
-    columns = [table.present(b) for b in range(M)]
-    for a in range(M - 1):
-        V, U, K = table.sum(rows[a], 1, M - a)
-        mask = sum(1 << j for j, n in enumerate(rows[a][2]) if n < _HALF)
-        for b, (v, u, n) in enumerate(zip(V, U, K), 1):
-            if n != _ABSENT:
-                both = mask & columns[b]
-                c = PadicNum(p, INF if v == _ABSENT else v, u, n)
-                reached[(both & -both).bit_length() - 1].append(((a, b), c))
-    del rows
-    F = PSeries(p, 2, M, {e: c for level in reached for e, c in level}, N)
+    for j in range(1, M):
+        A = _packed_mul(p, _packed_derivative(p, A), inv_dlog, M - j)
+        factorial *= j
+        orders.append(_packed_div_int(p, A, factorial))
+    coeffs = L.power_table().sum_orders(orders)
+    del orders, A
+    F = PSeries(p, 2, M, {(1, 0): PadicNum.one(p, N), **coeffs}, N)
     _raise_if_not_integral(F, "group law from logarithm")
     return FormalGroupLaw(F, "from-log")
 

@@ -311,8 +311,17 @@ class PadicNum:
     # -- comparisons -------------------------------------------------------
 
     def congruent(self, other, prec=None) -> bool:
-        """Equality of residues modulo p^min(precisions[, prec])."""
+        """Equality of residues modulo p^P, P = min(precisions[, prec]).
+
+        For finite P > 0 this is decided on the integers (v, u, N); the
+        difference is formed only where P <= 0, which raises, or P = INF.
+        """
         other = self._check(other)
+        P = min(self.N, other.N) if prec is None else min(self.N, other.N, prec)
+        if 0 < P < INF:
+            if self.v >= P or other.v >= P:
+                return self.v >= P and other.v >= P
+            return self.v == other.v and (self.u - other.u) % self.p ** (P - self.v) == 0
         d = self - other
         if prec is not None:
             d = d.cap_prec(min(prec, d.N if d.N != INF else prec))
@@ -368,20 +377,6 @@ def reduce_terms(p: int, terms) -> PadicNum:
         if v != INF and v - m < K - m:
             r += u * p ** (v - m)
     return PadicNum._from_scaled(p, m, r % mod, K)
-
-
-def congruent_triples(p: int, a, b, prec=None) -> bool:
-    """``PadicNum.congruent`` on (v, u, N) triples, (INF, 0, INF) the exact
-    zero: whether a = b modulo p^P, P = min(N_a, N_b[, prec]).  Forming the
-    difference or capping it raises only at P <= 0, so there the PadicNum
-    comparison decides, raises included."""
-    (va, ua, na), (vb, ub, nb) = a, b
-    P = min(na, nb) if prec is None else min(na, nb, prec)
-    if P <= 0:
-        return PadicNum(p, *a).congruent(PadicNum(p, *b), prec)
-    if va >= P or vb >= P:
-        return va >= P and vb >= P
-    return va == vb and (ua - ub) % p ** (P - va) == 0
 
 
 # -- analytic functions ------------------------------------------------------

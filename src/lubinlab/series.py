@@ -34,7 +34,7 @@ from .errors import (
     PrecisionExhausted,
     PrimeMismatch,
 )
-from .padic import INF, PadicNum, congruent_triples, reduce_terms, require_prime
+from .padic import INF, PadicNum, reduce_terms, require_prime, vp_int
 
 
 def _deg(exps) -> int:
@@ -183,7 +183,8 @@ class PSeries:
 
     def derivative(self) -> "PSeries":
         """Formal derivative of a univariate series; truncation order drops by
-        1.  Each c_k x^k becomes ``_times_int(c_k, k)`` x^(k-1)."""
+        1 (``_packed_derivative``, which the Taylor orders of ``formalgroup``
+        share)."""
         if self.nvars != 1:
             raise ValueError("derivative is univariate")
         packed = _packed_derivative(self.prime, _pack(self.coeffs, self.x_prec))
@@ -357,12 +358,10 @@ class PSeries:
         """Coefficient-wise congruence at the lesser declared precision."""
         other = self._align(other)
         M = min(self.x_prec, other.x_prec)
-        zero = PadicNum.exact_zero(self.prime)
         for e in self.coeffs.keys() | other.coeffs.keys():
             if _deg(e) >= M:
                 continue
-            a, b = self.coeffs.get(e, zero), other.coeffs.get(e, zero)
-            if not congruent_triples(self.prime, (a.v, a.u, a.N), (b.v, b.u, b.N), prec):
+            if not self.c(e).congruent(other.c(e), prec):
                 return False
         return True
 
@@ -504,34 +503,30 @@ def _unpack(p: int, packed, M: int, coeff_prec) -> PSeries:
     return PSeries(p, 1, M, coeffs, coeff_prec)
 
 
-def _times_int(p: int, v: int, u: int, n: int, k: int):
-    """(v, u, n) of c * k for a packed coefficient c (v = _ABSENT if
-    zero-like) and an integer k >= 1, as ``PadicNum.__mul__`` forms it:
-    k is coerced at c's own precision n, so it is known modulo p^n only, and
-    zero-like when p^n divides it.  Raises PrecisionExhausted where that
-    product does: when n <= 0, and when a zero-like product has floor <= 0.
-    """
-    if n <= 0:
-        PadicNum.from_int(k, p, n)  # raises, as coercing k does
-    r, w = k % p**n, 0
-    while r and r % p == 0:
-        r //= p
-        w += 1
-    if v == _ABSENT or r == 0:
-        floor = (n if v == _ABSENT else v) + (w if r else n)
-        return _ABSENT, 0, PadicNum.zero_to_prec(p, floor).N  # raises if floor <= 0
-    rel = n - max(v, w)
-    return v + w, u * r % p**rel, v + w + rel
-
-
 def _packed_derivative(p: int, c):
-    """The derivative of a packed series: slot k - 1 is c_k * k (``_times_int``)."""
+    """The derivative of a packed series: slot k - 1 is ``PadicNum`` c_k * k."""
     V, U, N = c
-    terms = [
-        _times_int(p, V[k], U[k], N[k], k) if N[k] < _HALF else (_ABSENT, 0, _ABSENT)
+    d = {
+        (k - 1,): PadicNum(p, INF if V[k] == _ABSENT else V[k], U[k], N[k]) * k
         for k in range(1, len(V))
-    ]
-    return tuple(map(list, zip(*terms))) or ([], [], [])
+        if N[k] < _HALF
+    }
+    return _pack(d, len(V) - 1)
+
+
+def _packed_div_int(p: int, c, q: int):
+    """A packed series divided exactly by an integer q >= 1: valuations and
+    precisions drop by v_p(q), units are multiplied by the inverse of q's
+    unit part."""
+    V, U, N = c
+    w = vp_int(q, p)
+    mod = p ** max((n - v for v, n in zip(V, N) if v != _ABSENT), default=1)
+    inv = pow(q // p**w, -1, mod)
+    return (
+        [v if v == _ABSENT else v - w for v in V],
+        [u * inv % mod for u in U],
+        [n if n >= _HALF else n - w for n in N],
+    )
 
 
 def _kronecker(p: int, V, U):
@@ -697,6 +692,30 @@ class _PowerTable:
             V[d - lo], U[d - lo], N[d - lo] = v, r, K
         return V, U, N
 
-    def present(self, d: int) -> int:
-        """The powers present at degree d, bit k set for [h^k]_d."""
-        return sum(1 << k for k, n in enumerate(self.N[d], 1) if n < _HALF)
+    def sum_orders(self, orders) -> dict:
+        """The coefficients of y^b x^a, 1 <= b < M - a, of sum_j A_j(x) h(y)^j
+        for packed A_0 .. A_J: row a, the x^a coefficients of the A_j, is one
+        ``sum``.  The monomials come in the order (j, a, b) that first
+        reaches them, j the least order with [A_j]_a and [h^j]_b present."""
+        p, M = self.p, self.M
+        J = max((j for j, (_, _, N) in enumerate(orders) if _order(N) < len(N)), default=0)
+        self.grow(J)
+        rows = [([_ABSENT] * (J + 1), [0] * (J + 1), [_ABSENT] * (J + 1)) for _ in range(M)]
+        for j, A in enumerate(orders[: J + 1]):
+            for a, (v, u, n) in enumerate(zip(*A)):
+                if n < _HALF:
+                    rows[a][0][j], rows[a][1][j], rows[a][2][j] = v, u, n
+        # the orders present in a row and the powers present at a degree
+        # are bit masks; the lowest common bit is the order reaching (a, b)
+        columns = [sum(1 << k for k, n in enumerate(self.N[b], 1) if n < _HALF) for b in range(M)]
+        reached = [[] for _ in range(J + 1)]
+        for a in range(M - 1):
+            mask = sum(1 << j for j, n in enumerate(rows[a][2]) if n < _HALF)
+            V, U, N = self.sum(rows[a], 1, M - a)
+            rows[a] = None
+            for b, (v, u, n) in enumerate(zip(V, U, N), 1):
+                if n != _ABSENT:
+                    both = mask & columns[b]
+                    c = PadicNum(p, INF if v == _ABSENT else v, u, n)
+                    reached[(both & -both).bit_length() - 1].append(((a, b), c))
+        return {e: c for level in reached for e, c in level}

@@ -271,7 +271,7 @@ def test_compose_drops_only_dead_work(case):
     check(lambda: g.compose(h), lambda: table_compose(p, tg, th, M))
 
 
-# -- the integer derivative ------------------------------------------------------
+# -- the packed derivative -------------------------------------------------------
 
 
 @st.composite
@@ -295,18 +295,19 @@ def coefficient_and_exponent(draw):
 @example((3, (-2, 1, 1), 9))  # ... and has no digits
 @example((5, (INF, 0, 2), 5))  # zero-like coefficient
 @example((3, (-3, 2, -1), 4))  # N <= 0: coercing k raises
-def test_times_int_matches_padic_product(case):
-    """The derivative's c * k on integers against PadicNum ``c * k``, which
-    coerces k at c's own precision."""
+def test_packed_derivative_matches_padic_product(case):
+    """The packed derivative of c x^k, read back at degree k - 1, against
+    PadicNum ``c * k``, which coerces k at c's own precision."""
     p, (v, u, N), k = case
+    c = PadicNum(p, v, u, N)
 
     def scalar():
-        c = PadicNum(p, v, u, N) * k
-        return c.v, c.u, c.N
+        d = c * k
+        return d.v, d.u, d.N
 
     def packed():
-        vk, uk, nk = series._times_int(p, series._ABSENT if v == INF else v, u, N, k)
-        return INF if vk == series._ABSENT else vk, uk, nk
+        d = series._unpack(p, series._packed_derivative(p, series._pack({(k,): c}, k + 1)), k, N).c(k - 1)
+        return d.v, d.u, d.N
 
     assert outcome(packed) == outcome(scalar)
 

@@ -16,7 +16,6 @@ from lubinlab import (
     padic_log,
     padic_pow,
 )
-from lubinlab.padic import congruent_triples
 from conftest import outcome
 from oracles import exp_partial_mod, frac_mod, frac_val, log_partial_mod
 
@@ -211,9 +210,17 @@ def triple_pair(draw):
 @example((3, (-1, 1, 0), (-1, 4, 1), None))  # K <= 0: forming the difference raises
 @example((2, (-2, 1, 3), (-2, 5, 4), -1))  # prec <= 0: capping the difference raises
 @example((5, (1, 7, 4), (1, 2, 3), 2))  # equal below prec, different at N
-def test_congruent_triples_matches_congruent(case):
-    """The integer congruence of ``PSeries.equal_to_precision`` against
-    ``PadicNum.congruent``: results and raises."""
+def test_congruent_matches_difference(case):
+    """``PadicNum.congruent``, decided on the integers (v, u, N), against its
+    definition: the difference, capped at prec, is zero-like.  Results and
+    raises."""
     p, a, b, prec = case
-    want = outcome(lambda: PadicNum(p, *a).congruent(PadicNum(p, *b), prec))
-    assert outcome(lambda: congruent_triples(p, a, b, prec)) == want
+    x, y = PadicNum(p, *a), PadicNum(p, *b)
+
+    def by_difference():
+        d = x - y
+        if prec is not None:
+            d = d.cap_prec(min(prec, d.N if d.N != INF else prec))
+        return d.is_zero_like()
+
+    assert outcome(lambda: x.congruent(y, prec)) == outcome(by_difference)
