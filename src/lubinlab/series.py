@@ -100,7 +100,8 @@ class PSeries:
         """Coefficient at an exponent tuple (exact zero when absent)."""
         if isinstance(exps, int):
             exps = (exps,)
-        return self.coeffs.get(exps, PadicNum.exact_zero(self.prime))
+        c = self.coeffs.get(exps)
+        return PadicNum.exact_zero(self.prime) if c is None else c
 
     @property
     def s0(self) -> bool:
