@@ -435,10 +435,15 @@ def parse_series_arg(text, p: int, M: int, N: int) -> PSeries:
         return s.truncate(M)
     if isinstance(text, str):
         body, _, shift = text.partition("@")
-        shift = int(shift) if shift else 1
-        coeffs = [Fraction(t.strip()) for t in body.split(",") if t.strip()]
+        try:
+            shift = int(shift) if shift else 1
+            coeffs = [Fraction(t.strip()) for t in body.split(",") if t.strip()]
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"inline series {text!r} is not c1,c2,...@k with rational c_i and integer k") from None
+        if shift < 0:
+            raise ValueError(f"inline series shift must be at least 0, got {shift}")
         return PSeries.from_univariate_coeffs(p, coeffs, M, N, shift=shift)
-    raise ValueError("series must be a JSON object or an inline coefficient string")
+    raise ValueError(f"series must be a JSON object or an inline coefficient string, got {json.dumps(text)}")
 
 
 def load_fixtures(path: str):
@@ -460,9 +465,13 @@ def analyze_fixture(entry: dict, config: Config = None) -> AnalysisReport:
     cfg = replace(cfg, N=entry.get("N", cfg.N), M=entry.get("M", cfg.M))
     resolved = cfg.resolve(p)
     Nw = resolved.working_prec()
-    f = parse_series_arg(entry["f"], p, cfg.M, Nw)
-    u = parse_series_arg(entry["u"], p, cfg.M, Nw)
-    return analyze(f, u, cfg, name=entry.get("name", "fixture"))
+    pair = []
+    for key in ("f", "u"):
+        try:
+            pair.append(parse_series_arg(entry.get(key), p, cfg.M, Nw))
+        except ValueError as ex:
+            raise ValueError(f"fixture field {key!r}: {ex}") from None
+    return analyze(*pair, cfg, name=entry.get("name", "fixture"))
 
 
 def batch_run(fixtures, config: Config = None):
@@ -473,7 +482,7 @@ def batch_run(fixtures, config: Config = None):
     def run_one(entry):
         try:
             return analyze_fixture(entry, config)
-        except (LubinlabError, ValueError, KeyError) as ex:
+        except (LubinlabError, ValueError) as ex:
             kind = type(ex).__name__ if isinstance(ex, LubinlabError) else "fixture error"
             named = entry if isinstance(entry, dict) else {}
             return AnalysisReport(

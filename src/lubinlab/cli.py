@@ -195,10 +195,6 @@ def cmd_frobenius(args) -> int:
     return 0
 
 
-def _verdict_exit(verdict: str) -> int:
-    return {CERTIFIED: 0, REJECTED: 1, INCONCLUSIVE: 2}[verdict]
-
-
 def cmd_analyze(args) -> int:
     cfg = _config(args)
     if args.fixture:
@@ -219,7 +215,7 @@ def cmd_analyze(args) -> int:
         _emit(summary_table([report]), args.out)
     else:
         _emit(report.to_json(), args.out)
-    return _verdict_exit(report.verdict)
+    return {CERTIFIED: 0, REJECTED: 1, INCONCLUSIVE: 2}[report.verdict]
 
 
 def cmd_batch(args) -> int:

@@ -19,8 +19,10 @@ mod p with f'(0) of valuation 1 the solution is integral and unique, which
 is what makes it an independent oracle for the first construction.  Stage d
 forms only the degree-d parts of both sides: the Horner intermediates of
 f(F) are kept by degree across stages and extended with the degree-graded
-product of ``series``, and F(f(x), f(y)) is restricted to the monomials of
-degree d.
+product of ``series``, and F(f(x), f(y)) = sum_b G_b(f(x)) f(y)^b, G_b the
+column of y^b in F, is read from the power table of f: each column is one
+tabled sum, and each x^i y^(d-i) coefficient one more, at degree d - i
+(``_PowerTable.sum_pair``).
 
 ``frobenius_multiplier`` recovers the scalar pi with v(pi) = 1 whose
 bracket endomorphism exp(pi * L) reduces to x^p mod p, one base-p digit at
@@ -145,7 +147,7 @@ def exp_from_log(logf: Logarithm) -> PSeries:
     return logf.series.reversion()
 
 
-def group_from_log(logf: Logarithm, x_prec=None) -> FormalGroupLaw:
+def group_from_log(logf: Logarithm) -> FormalGroupLaw:
     """F(x,y) = E(L(x) + L(y)) = sum_a x^a g_a(L(y)), g_a(t) = sum_j [A_j]_a t^j / j!.
 
     The orders A_0 = x, A_{j+1} = A_j' / L' (below degree M - j - 1) stay
@@ -161,10 +163,7 @@ def group_from_log(logf: Logarithm, x_prec=None) -> FormalGroupLaw:
     valuation; a merely unresolved coefficient raises with certified=False.
     """
     L = logf.series
-    p = L.prime
-    M = L.x_prec if x_prec is None else min(x_prec, L.x_prec)
-    N = L.coeff_prec
-    L = L.truncate(M)
+    p, M, N = L.prime, L.x_prec, L.coeff_prec
     inv_dlog = _pack(L.derivative().inverse().coeffs, M - 1)
     A = _pack({(1,): PadicNum.one(p, N)}, M)
     orders = [A]  # A_j / j!
@@ -203,7 +202,10 @@ def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
     intermediates acc_i = sum_{k>=i} c_k F^(k-i) of f(F) by degree: the
     degree-e part of acc_i reads F below degree e+1 and acc_{i+1} below
     degree e, which earlier stages fixed, so stage d adds the degree-(d-i)
-    part of each acc_i and takes [acc_1 F]_d.  The corrections of a stage
+    part of each acc_i and takes [acc_1 F]_d.  The right side is the
+    degree-d part of F(f(x), f(y)) as tabled sums against the power table of
+    f (``_PowerTable.sum_pair``), so the lift forms no univariate product
+    beyond the powers of f that table grows.  The corrections of a stage
     are checked in exponent order.  A certified failure anywhere in the
     stage decides the lift: the first one raises NonUniqueLift, and a stage
     raises PrecisionExhausted (its first unresolved correction) only when
@@ -218,21 +220,15 @@ def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
     F = PSeries(p, 2, D, {(1, 0): one, (0, 1): one}, N)
     Fparts = _graded(F, 2)
     # acc[i][e]: the degree-e part of acc_i; its degree-0 part is c_i
-    acc = [None]
-    for i in range(1, D):
-        ci = f.coeffs.get((i,))
-        acc.append([[((0, 0), ci)] if ci is not None else []])
-    # univariate powers of f, reused for F(f(x), f(y)) at every stage
-    fpow = [PSeries(p, 1, D, {(0,): one}, N), f]
-    for _ in range(2, D - 1):
-        fpow.append(fpow[-1] * f)
+    acc = [None] + [[[((0, 0), f.coeffs[(i,)])] if (i,) in f.coeffs else []] for i in range(1, D)]
+    powers = f.power_table()
     cpow = c
     for d in range(2, D):
         cpow = cpow * c  # c^d
         for i in range(d - 1, 0, -1):
             acc[i].append(list(_graded_mul(p, acc[i + 1], Fparts, d - i).items()))
         lhs = _graded_mul(p, acc[1], Fparts, d)
-        rhs = _compose_pair(F, fpow, d)
+        rhs = powers.sum_pair(F.coeffs, d)
         denom = cpow - c
         corr = {}
         unresolved = None
@@ -262,32 +258,6 @@ def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
             F = F + PSeries(p, 2, D, corr, N)
     _raise_if_not_integral(F, "group law lift")
     return FormalGroupLaw(F, "lubin-tate-lift")
-
-
-def _compose_pair(F: PSeries, fpow, d: int) -> dict:
-    """Degree-d part of F(f(x), f(y)) from cached univariate powers of f.
-
-    For each power y^b of F, the inner sum over a of c_ab [f^a]_i comes
-    first, then one product with [f^b]_(d-i) per monomial (i, d-i).
-    """
-    rows: dict = {}
-    for (a, b), c in F.coeffs.items():
-        rows.setdefault(b, {})[a] = c
-    acc: dict = {}
-    for b, row in rows.items():
-        fy = fpow[b].coeffs
-        inner: dict = {}
-        for a, c in row.items():
-            for (i,), ci in fpow[a].coeffs.items():
-                if (d - i,) in fy:
-                    t = ci * c
-                    prev = inner.get(i)
-                    inner[i] = t if prev is None else prev + t
-        for i, ci in inner.items():
-            t = ci * fy[(d - i,)]
-            prev = acc.get((i, d - i))
-            acc[(i, d - i)] = t if prev is None else prev + t
-    return acc
 
 
 def bracket(logf: Logarithm, a: PadicNum, exp_series: PSeries = None) -> Bracket:

@@ -22,9 +22,11 @@ logarithm.  On inner series without constant term truncation commutes with
 composition, so no x-adic accuracy is lost beyond min(x_prec).  Reversion
 and the logarithm recurrence of ``dynamics`` are one degree-by-degree solve
 against the same table (``_solve_by_powers``), and each row of the group
-law of ``formalgroup`` is one sum against the table of the logarithm.
+law of ``formalgroup`` is one sum against the table of the logarithm, as
+is the Lubin-Tate lift's F(f(x), f(y)) against the table of f.
 """
 
+import json
 from fractions import Fraction
 from operator import add, mul
 
@@ -72,18 +74,9 @@ class PSeries:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, p, nvars, M, N):
-        return cls(p, nvars, M, {}, N)
-
-    @classmethod
     def identity(cls, p, M, N):
         """The series x in one variable."""
         return cls(p, 1, M, {(1,): PadicNum.one(p, N)}, N)
-
-    @classmethod
-    def variable(cls, p, nvars, index, M, N):
-        e = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(p, nvars, M, {e: PadicNum.one(p, N)}, N)
 
     @classmethod
     def from_univariate_coeffs(cls, p, coeffs, M, N, shift=1):
@@ -221,8 +214,6 @@ class PSeries:
             raise ValueError("composition is univariate")
         if h.prime != self.prime:
             raise PrimeMismatch("mixed primes in composition")
-        if not h.s0:
-            raise ConstantTermError("substituted series has a constant term")
         M = min(self.x_prec, h.x_prec)
         coeffs = self.truncate(M).coeffs
         if a is not None:
@@ -233,8 +224,10 @@ class PSeries:
         return _unpack(self.prime, packed, M, min(self.coeff_prec, h.coeff_prec))
 
     def power_table(self) -> "_PowerTable":
-        """The power table of this univariate series without constant term,
-        built on first use."""
+        """The power table of this univariate series, built on first use;
+        a series with a constant term has none (ConstantTermError)."""
+        if not self.s0:
+            raise ConstantTermError("substituted series has a constant term")
         self._powers = self._powers or _PowerTable(self)
         return self._powers
 
@@ -253,8 +246,6 @@ class PSeries:
         """
         if self.nvars != 1:
             raise ValueError("reversion is univariate")
-        if not self.s0:
-            raise ConstantTermError("reversion requires zero constant term")
         a1 = self.linear_coeff()
         if a1.is_zero_like():
             raise NotInvertible("linear coefficient is zero to precision")
@@ -380,16 +371,27 @@ class PSeries:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PSeries":
-        p = int(obj["p"])
-        M = int(obj["M"])
-        N = int(obj["N"])
+        """The series of ``to_json``.  A malformed object raises ValueError
+        naming its field: p, M and N are JSON integers, and each entry of
+        coeffs is [exponents, value], nonnegative integer exponents and an
+        integer or "a/b" value."""
+        for key in ("p", "M", "N"):
+            if type(obj.get(key)) is not int:  # not isinstance: true is no integer
+                raise ValueError(f"series field {key!r} must be an integer, got {json.dumps(obj.get(key))}")
+        if not isinstance(obj.get("coeffs"), list):
+            raise ValueError(f"series field 'coeffs' must be a list, got {json.dumps(obj.get('coeffs'))}")
+        p, N = require_prime(obj["p"]), obj["N"]
         coeffs = {}
-        nvars = 1
-        for exps, s in obj["coeffs"]:
-            exps = tuple(int(e) for e in exps)
-            nvars = max(nvars, len(exps))
-            coeffs[exps] = PadicNum.from_fraction(Fraction(s), p, N)
-        return cls(p, nvars, M, coeffs, N)
+        for item in obj["coeffs"]:
+            try:
+                exps, value = item
+                if type(value) not in (int, str) or any(type(e) is not int or e < 0 for e in exps):
+                    raise ValueError
+                coeffs[tuple(exps)] = PadicNum.from_fraction(Fraction(value), p, N)
+            except (TypeError, ValueError, ZeroDivisionError):
+                msg = f"series field 'coeffs' needs [[exponents >= 0], value] entries, got {json.dumps(item)}"
+                raise ValueError(msg) from None
+        return cls(p, max(map(len, coeffs), default=1), obj["M"], coeffs, N)
 
 
 def _solve_by_powers(h: PSeries, a1: PadicNum, lam: PadicNum) -> PSeries:
@@ -693,11 +695,12 @@ class _PowerTable:
             V[d - lo], U[d - lo], N[d - lo] = v, r, K
         return V, U, N
 
-    def sum_orders(self, orders) -> dict:
+    def sum_orders(self, orders, d: int = None) -> dict:
         """The coefficients of y^b x^a, 1 <= b < M - a, of sum_j A_j(x) h(y)^j
-        for packed A_0 .. A_J: row a, the x^a coefficients of the A_j, is one
-        ``sum``.  The monomials come in the order (j, a, b) that first
-        reaches them, j the least order with [A_j]_a and [h^j]_b present."""
+        for packed A_0 .. A_J (A_0 enters no sum), or with d only those of
+        total degree d: row a, the x^a coefficients of the A_j, is one ``sum``.
+        The monomials come in the order (j, a, b) that first reaches them, j
+        the least order with [A_j]_a and [h^j]_b present."""
         p, M = self.p, self.M
         J = max((j for j, (_, _, N) in enumerate(orders) if _order(N) < len(N)), default=0)
         self.grow(J)
@@ -710,13 +713,33 @@ class _PowerTable:
         # are bit masks; the lowest common bit is the order reaching (a, b)
         columns = [sum(1 << k for k, n in enumerate(self.N[b], 1) if n < _HALF) for b in range(M)]
         reached = [[] for _ in range(J + 1)]
-        for a in range(M - 1):
+        for a in range(M - 1 if d is None else d):
             mask = sum(1 << j for j, n in enumerate(rows[a][2]) if n < _HALF)
-            V, U, N = self.sum(rows[a], 1, M - a)
+            lo, D = (1, M - a) if d is None else (d - a, d - a + 1)
+            V, U, N = self.sum(rows[a], lo, D)
             rows[a] = None
-            for b, (v, u, n) in enumerate(zip(V, U, N), 1):
+            for b, (v, u, n) in enumerate(zip(V, U, N), lo):
                 if n != _ABSENT:
                     both = mask & columns[b]
                     c = PadicNum(p, INF if v == _ABSENT else v, u, n)
                     reached[(both & -both).bit_length() - 1].append(((a, b), c))
         return {e: c for level in reached for e, c in level}
+
+    def sum_pair(self, coeffs: dict, d: int) -> dict:
+        """The degree-d part of G(h(x), h(y)) = sum_b G_b(h(x)) h(y)^b for G
+        of total degree below d given as {(a, b): c}, G_b the column of y^b:
+        the x^d coefficient is [G_0(h)]_d, each G_b(h), b >= 1, is one
+        ``sum`` at degrees 1 <= i <= d - b (degree 0 is c_0b), and the other
+        coefficients are ``sum_orders`` of the G_b(h) at total degree d."""
+        columns = [{} for _ in range(d)]
+        for (a, b), c in coeffs.items():
+            columns[b][(a,)] = c
+        g = _pack(columns[0], d + 1)
+        (v,), (u,), (n,) = self.sum(g, d, d + 1)
+        out = {} if n == _ABSENT else {(d, 0): PadicNum(self.p, INF if v == _ABSENT else v, u, n)}
+        orders = [g]  # A_0 enters no sum of sum_orders
+        for b in range(1, d):
+            g = _pack(columns[b], d + 1)
+            V, U, N = self.sum(g, 1, d - b + 1)
+            orders.append((g[0][:1] + V, g[1][:1] + U, g[2][:1] + N))
+        return {**out, **self.sum_orders(orders, d)}

@@ -253,3 +253,46 @@ def test_wrong_typed_fixture_field_refused(tmp_path, capsys, field, value):
     assert out.splitlines()[2].endswith(f"INCONCLUSIVE  -        -       fixture error: {message}")
     code, out, err = run(capsys, "analyze", "--fixture", str(path))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+MALFORMED = [
+    pytest.param({"f": None}, "fixture field 'f': series must be a JSON object or an inline coefficient string, got null", id="no-f"),
+    pytest.param({"f": {"p": 2, "M": 16, "N": 8}}, "fixture field 'f': series field 'coeffs' must be a list, got null", id="no-coeffs"),
+    pytest.param({"u": {"p": 2, "M": 16, "N": 8, "coeffs": [[1, "2"]]}}, "fixture field 'u': series field 'coeffs' needs", id="non-pair-entry"),
+    pytest.param({"f": {"p": 2, "M": 16, "N": 8, "coeffs": [[[-1], "1"]]}}, "fixture field 'f': series field 'coeffs' needs", id="negative-exponent"),
+    pytest.param({"f": {"p": 2, "M": 16, "N": 8, "coeffs": [[[1.0], "2"]]}}, "fixture field 'f': series field 'coeffs' needs", id="float-exponent"),
+    pytest.param({"f": {"p": 2, "M": 16.0, "N": 8, "coeffs": [[[1], "2"]]}}, "fixture field 'f': series field 'M' must be an integer, got 16.0", id="float-M"),
+    pytest.param({"f": {"p": 2, "M": 16, "N": 8, "coeffs": [[[1], "1/0"]]}}, "fixture field 'f': series field 'coeffs' needs", id="zero-denominator"),
+    pytest.param({"f": {"p": 1, "M": 16, "N": 8, "coeffs": [[[1], "2"]]}}, "fixture field 'f': p must be a prime, got 1", id="p-1"),
+    pytest.param({"f": "2,1@-1"}, "fixture field 'f': inline series shift must be at least 0, got -1", id="negative-shift"),
+    pytest.param({"u": "3,3,1@1.5"}, "fixture field 'u': inline series '3,3,1@1.5' is not", id="float-shift"),
+]
+
+
+@pytest.mark.parametrize("change, message", MALFORMED)
+def test_malformed_series_refused(tmp_path, capsys, change, message):
+    """A missing series or coeffs list and a non-pair coeffs entry raised
+    KeyError or TypeError out of ``analyze --fixture``; a negative exponent
+    was REJECTED at "weierstrass degree -1"; a float exponent or M was
+    truncated by ``int()``; a series with p = 1 looped forever in
+    ``vp_int``; a negative inline shift was analysed."""
+    entry = {"name": "x", "p": 2, "N": 8, "M": 16, "f": "2,1@1", "u": "3,3,1@1", **change}
+    if entry["f"] is None:
+        del entry["f"]
+    path = tmp_path / "fx.json"
+    path.write_text(json.dumps([entry]))
+    code, out, err = run(capsys, "analyze", "--fixture", str(path))
+    assert (code, out) == (2, "") and err.startswith(f"error: {message}")
+    code, out, err = run(capsys, "batch", "--fixture", str(path), "--format", "json")
+    assert code == 2 and err == ""
+    (report,) = json.loads(out)
+    assert report["verdict"] == "INCONCLUSIVE" and report["reason"].startswith(f"fixture error: {message}")
+
+
+@pytest.mark.parametrize("command, series", [("log", "3,2,1@0"), ("frobenius", "4,2,1@0")])
+def test_series_with_constant_term_has_no_logarithm(capsys, command, series):
+    """The logarithm recurrence built a power table of a series with a
+    constant term: ``log`` printed a logarithm with "polygon ok: True" and
+    ``frobenius`` a multiplier, both exiting 0."""
+    code, out, err = run(capsys, command, "--p", "2", "--series", series, "--M", "8")
+    assert (code, out, err) == (2, "", "error: substituted series has a constant term\n")

@@ -6,6 +6,7 @@ import pytest
 
 from lubinlab import (
     CommutingPair,
+    ConstantTermError,
     PadicNum,
     PSeries,
     TorsionDetected,
@@ -214,3 +215,11 @@ def test_ramification_rejects_identity():
     x = PSeries.identity(3, 16, 1)
     with pytest.raises(Exception):
         ramification_index(x, 1)
+
+
+def test_logarithm_of_series_with_constant_term_refused():
+    """The recurrence solves against the power table of f, which a series
+    with a constant term does not have."""
+    f = series_from_fractions(2, [3, 2, 1], 8, 12, shift=0)
+    with pytest.raises(ConstantTermError, match="^substituted series has a constant term$"):
+        logarithm_recurrence(f)

@@ -161,7 +161,7 @@ def test_bracket_scales_group_law():
     p, M = 2, 12
     logf = gm_log(p, M=M)
     exp_series = exp_from_log(logf)
-    G = group_from_log(logf, x_prec=M)
+    G = group_from_log(logf)
     a = PadicNum.from_int(3, p, 40)
     ba = bracket(logf, a, exp_series).series
     F = {e: (c.v, c.u, c.N) for e, c in G.F.coeffs.items()}
@@ -472,6 +472,20 @@ def test_unresolved_lift_correction_names_its_place():
     msg = r"^degree-2 correction at \(0, 2\) unresolved: zero known to nonpositive precision"
     with pytest.raises(PrecisionExhausted, match=msg):
         lubin_tate_lift(f, 4)
+
+
+def test_lift_multiplies_no_series(monkeypatch):
+    """F(f(x), f(y)) reads the power table of f, grown to f^(D-2) at most:
+    the lift forms no ``PSeries`` product (the powers of f were D - 3)."""
+    D = 12
+    f = one_plus_x_pow(3, 3, D, 20)
+    calls = []
+    mul = PSeries.__mul__
+    monkeypatch.setattr(PSeries, "__mul__", lambda a, b: calls.append(a.nvars) or mul(a, b))
+    GL = lubin_tate_lift(f, D)
+    assert calls == []
+    assert len(f.power_table().shift) <= D - 2
+    assert GL.F.equal_to_precision(group_from_log(logarithm_recurrence(f)).F)
 
 
 @st.composite

@@ -168,7 +168,7 @@ def test_compose_with_zero_inner_series():
     """g(0) keeps only the constant term of g (none of its higher terms)."""
     p, M = 3, 8
     g = to_series(p, M, {0: (0, 1, 4), 1: (0, 2, 4), 3: (1, 1, 4)})
-    zero = PSeries.zero(p, 1, M, 30)
+    zero = PSeries(p, 1, M, {}, 30)
     got = g.compose(zero)
     assert as_triples(got) == {0: (0, 1, 4)} == table_compose(p, below(as_triples(g), M), {}, M)
     assert got.x_prec == M

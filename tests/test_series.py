@@ -187,8 +187,8 @@ def test_series_json_roundtrip():
 
 def test_multivariate_basics():
     p, M, N = 2, 8, 10
-    x = PSeries.variable(p, 2, 0, M, N)
-    y = PSeries.variable(p, 2, 1, M, N)
+    x = PSeries(p, 2, M, {(1, 0): 1}, N)
+    y = PSeries(p, 2, M, {(0, 1): 1}, N)
     F = x + y + x * y
     assert F.set_var_zero(1).equal_to_precision(PSeries.identity(p, M, N))
     assert F.swap_vars(0, 1).equal_to_precision(F)
@@ -217,7 +217,7 @@ def test_constant_only_outer_series_keeps_its_constant():
 def test_compose_refuses_a_multivariate_series():
     p, M, N = 3, 8, 10
     x = PSeries.identity(p, M, N)
-    xy = PSeries.variable(p, 2, 0, M, N) + PSeries.variable(p, 2, 1, M, N)
+    xy = PSeries(p, 2, M, {(1, 0): 1, (0, 1): 1}, N)
     with pytest.raises(ValueError, match="univariate"):
         x.compose(xy)
     with pytest.raises(ValueError, match="univariate"):
