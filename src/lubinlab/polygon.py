@@ -7,11 +7,15 @@ contributes an unknown at height >= its precision bound, and any unknown
 that could dip below the computed hull poisons the answers that depend on
 that region.  Slopes are exact rationals throughout, never floats.
 
-Factorization walks the hull: a Weierstrass preparation (fixed-point
-division by the first-unit-coefficient block) peels off the distinguished
-polynomial carrying every open-disk root, and two-factor Hensel iterations
-seeded at interior vertices slice that polynomial into one monic factor per
-slope.
+Factorization walks the hull.  A Weierstrass preparation (the division of
+x^W by the series, a fixed point on the quotient) peels off the
+distinguished polynomial carrying every open-disk root.  Two-factor Hensel
+splits seeded at the hull vertices then cut that polynomial into one monic
+factor per slope.  A split solves no linear system: each Newton step is a
+few polynomial products and exact divisions by a monic factor
+(``_poly_divide_monic``), driven by a cofactor t ~ B^-1 mod A that the same
+steps refine.  A slope's cofactor is the unit series times the factors
+split off beside it.
 """
 
 from fractions import Fraction
@@ -231,162 +235,115 @@ def verify_iterate_shape(f: PSeries, n: int, fn: PSeries = None) -> bool:
 # -- Weierstrass machinery -----------------------------------------------------
 
 
-def weierstrass_divide(h: PSeries, g: PSeries, W: int, max_iter=None):
-    """Division h = q*g + r with deg r < W, for g integral with first unit
-    coefficient at index W.
-
-    Fixed-point iteration on q: the sub-W block of g is divisible by p, so
-    each pass gains at least one p-adic digit.
-    """
-    p = g.prime
-    M = min(g.x_prec, h.x_prec)
-    g_low = PSeries(p, 1, M, {e: c for e, c in g.coeffs.items() if e[0] < W}, g.coeff_prec)
-    g_hi = PSeries(
-        p, 1, M, {(e[0] - W,): c for e, c in g.coeffs.items() if e[0] >= W}, g.coeff_prec
-    )
-    inv_hi = g_hi.inverse()
-    if max_iter is None:
-        max_iter = int(g.coeff_prec) + 8
-
-    def shift_w(s):
-        return PSeries(
-            p, 1, M, {(e[0] - W,): c for e, c in s.coeffs.items() if e[0] >= W}, s.coeff_prec
-        )
-
-    q = shift_w(h) * inv_hi
-    for _ in range(max_iter):
-        q_next = shift_w(h - q.truncate(M) * g_low) * inv_hi
-        if q_next.equal_to_precision(q):
-            q = q_next
-            break
-        q = q_next
-    else:
-        raise PrecisionExhausted("weierstrass division did not stabilize")
-    r = h - q * g
-    r_low = PSeries(p, 1, M, {e: c for e, c in r.coeffs.items() if e[0] < W}, r.coeff_prec)
-    return q, r_low
-
-
 def weierstrass_preparation(g: PSeries):
     """Factor an integral series with unit coefficient below the truncation
     as (distinguished monic polynomial) * (unit series).
 
     Requires g(0) not zero-like (peel x-powers first).  Returns (P, U) with
     g = P * U, P monic of degree W = weierstrass_degree(g), P distinguished.
+    P = x^W - r and U = 1/q come from the division x^W = q*g + r, deg r < W,
+    a fixed point on q: the sub-W block of g is divisible by p, so each pass
+    gains at least one p-adic digit.
     """
     W = g.weierstrass_degree()
     if W is None:
         raise TruncationInconclusive("no unit coefficient below the truncation order")
     p = g.prime
     M = g.x_prec
+    N = g.coeff_prec
     if g.min_val_floor() < 0:
         raise ValueError("preparation requires an integral series")
     if W == 0:
-        return (
-            PSeries(p, 1, M, {(0,): PadicNum.one(p, g.coeff_prec)}, g.coeff_prec),
-            g,
-        )
-    xw = PSeries(p, 1, M, {(W,): PadicNum.one(p, g.coeff_prec)}, g.coeff_prec)
-    q, r = weierstrass_divide(xw, g, W)
-    P = xw - r
-    U = q.inverse()
-    return P, U
+        return PSeries(p, 1, M, {(0,): PadicNum.one(p, N)}, N), g
+
+    def shift_w(s):
+        return PSeries(p, 1, M, {(e[0] - W,): c for e, c in s.coeffs.items() if e[0] >= W}, N)
+
+    xw = PSeries(p, 1, M, {(W,): PadicNum.one(p, N)}, N)
+    g_low = PSeries(p, 1, M, {e: c for e, c in g.coeffs.items() if e[0] < W}, N)
+    inv_hi = shift_w(g).inverse()
+    q = PSeries(p, 1, M, {}, N)
+    for _ in range(int(N) + 9):  # the first pass, from q = 0, forms 1/g_hi
+        q, last = shift_w(xw - q * g_low) * inv_hi, q
+        if q.equal_to_precision(last):
+            break
+    else:
+        raise PrecisionExhausted("weierstrass division did not stabilize")
+    r = xw - q * g
+    P = xw - PSeries(p, 1, M, {e: c for e, c in r.coeffs.items() if e[0] < W}, N)
+    return P, q.inverse()
 
 
-def _solve_linear(p, rows, rhs):
-    """Gaussian elimination over Q_p with min-valuation pivoting.
-
-    rows: list of lists of PadicNum; rhs: list of PadicNum.  Mutates copies.
-    """
-    n = len(rows)
-    A = [row[:] for row in rows]
-    b = rhs[:]
-    perm = list(range(n))
-    for col in range(n):
-        piv, best = None, None
-        for r in range(col, n):
-            c = A[r][col]
-            if c.is_zero_like():
-                continue
-            if best is None or c.v < best:
-                piv, best = r, c.v
-        if piv is None:
-            raise PrecisionExhausted("singular system at working precision")
-        A[col], A[piv] = A[piv], A[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv = PadicNum.one(p, A[col][col].N) / A[col][col]
-        for r in range(col + 1, n):
-            c = A[r][col]
-            if c.is_zero_like():
-                continue
-            factor = c * inv
-            for k in range(col, n):
-                A[r][k] = A[r][k] - factor * A[col][k]
-            b[r] = b[r] - factor * b[col]
-    x = [None] * n
-    for i in range(n - 1, -1, -1):
-        acc = b[i]
-        for k in range(i + 1, n):
-            acc = acc - A[i][k] * x[k]
-        x[i] = acc / A[i][i]
-    return x
+_SPLIT_STEPS = 40  # Newton steps before a split gives up
+_SPLIT_PATIENCE = 3  # steps in a row without a gain in the residual's floor
 
 
-def vertex_split(P: PSeries, degree: int, istar: int, max_iter: int = 40):
+def vertex_split(P: PSeries, degree: int, istar: int):
     """Two-factor Hensel split of a monic polynomial at an interior vertex.
 
     Returns monic (A, B) with P = A*B to precision, deg A = istar carrying
-    the polygon left of the vertex (the higher-valuation roots).  The
-    initial factors are read off the hull; the Newton step solves the
-    Sylvester system exactly at working precision, so convergence is
-    quadratic in the gauge valuation.
+    the polygon left of the vertex (the higher-valuation roots).  The start
+    is read off the hull: with c = P_istar the vertex coefficient,
+    A = x^istar + sum_(i<istar) (P_i / c) x^i, B = sum_(i>=istar) P_i
+    x^(i-istar), and t = 1/c approximates B^-1 mod A, because B is
+    dominated by its constant term on the disk that holds A's roots.  Each
+    Newton step (von zur Gathen & Gerhard, *Modern Computer Algebra*,
+    Alg. 15.10) takes the residual R = P - A*B to
+
+        dA = (R mod A) * t mod A,    dB = (R - dA*B) div A  (below x^degree),
+
+    so B's monic lead keeps its digits, and then refines the cofactor,
+    t += t * (1 - t*(B mod A) mod A) mod A, on the new A and B.  R and B
+    are reduced mod A before they meet t, so no product passes x^degree;
+    every mod and div is ``_poly_divide_monic``.  The step on a residual
+    that is zero to its precision is taken too and ends the iteration: its
+    zero-like corrections cap each claimed digit at what the residual
+    leaves open.  t is only a multiplier, so an update that runs out of
+    digits keeps the old t, which still contracts the residual, only more
+    slowly.  A split whose residual floor does not grow for
+    ``_SPLIT_PATIENCE`` steps in a row cannot separate its digits and
+    raises PrecisionExhausted.
     """
-    p = P.prime
-    M = P.x_prec
-    N = P.coeff_prec
+    p, M, N = P.prime, P.x_prec, P.coeff_prec
+
+    def poly(coeffs):
+        return PSeries(p, 1, M, coeffs, N)
+
+    def mod_a(s, sdeg):  # by A as it stands
+        return _poly_divide_monic(s, sdeg, A, istar)[1]
+
     cstar = P.c((istar,))
     if cstar.is_zero_like():
         raise PrecisionExhausted("vertex coefficient unresolved")
-    A = {(i,): P.c((i,)) / cstar for i in range(istar) if not P.c((i,)).is_zero_like()}
+    A = {(i,): P.c((i,)) / cstar for i in range(istar)}
     A[(istar,)] = PadicNum.one(p, max(int(N - cstar.v), 1))
-    A = PSeries(p, 1, M, A, N)
-    B = {
-        (i - istar,): P.c((i,))
-        for i in range(istar, degree + 1)
-        if not P.c((i,)).is_zero_like()
-    }
-    B = PSeries(p, 1, M, B, N)
-    degB = degree - istar
-    last_gap = None
-    for _ in range(max_iter):
+    A = poly(A)
+    B = poly({(i - istar,): P.c((i,)) for i in range(istar, degree + 1)})
+    one = poly({(0,): PadicNum.one(p, N)})
+    t = poly({(0,): one.c((0,)) / cstar})
+    last_gap, stalls = -INF, 0
+    for _ in range(_SPLIT_STEPS):
         R = P - A * B
-        floors = [c.val_floor() for c in R.coeffs.values() if not c.is_exact_zero()]
-        if not floors or all(c.is_zero_like() for c in R.coeffs.values()):
+        dA = mod_a(mod_a(R, degree) * t, 2 * istar - 2)
+        dB = _poly_divide_monic(R - dA * B, degree - 1, A, istar)[0]
+        A, B = A + dA, B + dB
+        if all(c.is_zero_like() for c in R.coeffs.values()):
             return A, B
-        gap = min(floors)
-        if last_gap is not None and gap <= last_gap:
+        gap = min(c.val_floor() for c in R.coeffs.values())
+        stalls = stalls + 1 if gap <= last_gap else 0
+        if stalls == _SPLIT_PATIENCE:
             raise PrecisionExhausted("vertex split stalled; digits cannot be separated")
         last_gap = gap
-        # columns: delta-A coefficients 0..istar-1, delta-B coefficients 0..degB-1
-        rows = []
-        for row_deg in range(degree):
-            row = []
-            for j in range(istar):
-                row.append(B.c((row_deg - j,)) if 0 <= row_deg - j <= degB else PadicNum.exact_zero(p))
-            for j in range(degB):
-                row.append(A.c((row_deg - j,)) if 0 <= row_deg - j <= istar else PadicNum.exact_zero(p))
-            rows.append(row)
-        rhs = [R.c((d,)) for d in range(degree)]
-        sol = _solve_linear(p, rows, rhs)
-        dA = PSeries(p, 1, M, {(j,): sol[j] for j in range(istar)}, N)
-        dB = PSeries(p, 1, M, {(j,): sol[istar + j] for j in range(degB)}, N)
-        A = A + dA
-        B = B + dB
+        try:
+            t = t + mod_a(t * (one - mod_a(t * mod_a(B, degree - istar), 2 * istar - 2)), 2 * istar - 2)
+        except PrecisionExhausted:
+            pass  # keep the old multiplier
     raise PrecisionExhausted("vertex split did not converge")
 
 
 def _poly_divide_monic(P: PSeries, degree: int, D: PSeries, ddeg: int):
-    """Exact long division of polynomials with monic divisor D."""
+    """Exact long division (q, r) of P, read up to x^degree, by the monic D
+    of degree ddeg."""
     p = P.prime
     rem = {(i,): P.c((i,)) for i in range(degree + 1)}
     qdeg = degree - ddeg
@@ -443,17 +400,13 @@ def weierstrass_factor(g: PSeries, slope, target_prec=None):
     P, U = weierstrass_preparation(shifted)
     wdeg = shifted.weierstrass_degree()
     jl, jr = seg.start[0] - i0, seg.end[0] - i0
-    target = P
-    tdeg = wdeg
+    factor, cof = P, U
     if jr < wdeg:
-        target, _hi = vertex_split(target, tdeg, jr)
-        tdeg = jr
+        factor, hi = vertex_split(factor, wdeg, jr)
+        cof = cof * hi
     if jl > 0:
-        _lo, target = vertex_split(target, tdeg, jl)
-        tdeg = tdeg - jl
-    factor = target
-    q, rem = _poly_divide_monic(P, wdeg, factor, tdeg)
-    cof = q * U
+        lo, factor = vertex_split(factor, jr, jl)
+        cof = cof * lo
     cofactor = PSeries(
         p,
         1,

@@ -371,27 +371,29 @@ class PSeries:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PSeries":
-        """The series of ``to_json``.  A malformed object raises ValueError
-        naming its field: p, M and N are JSON integers, and each entry of
-        coeffs is [exponents, value], nonnegative integer exponents and an
-        integer or "a/b" value."""
+        """The univariate series of ``to_json``.  A malformed object raises
+        ValueError naming its field: p, M and N are JSON integers, N >= 1,
+        and each entry of coeffs is [[exponent], value], one nonnegative
+        integer exponent and an integer or "a/b" value."""
         for key in ("p", "M", "N"):
             if type(obj.get(key)) is not int:  # not isinstance: true is no integer
                 raise ValueError(f"series field {key!r} must be an integer, got {json.dumps(obj.get(key))}")
+        if obj["N"] < 1:
+            raise ValueError(f"series field 'N' must be at least 1, got {obj['N']}")
         if not isinstance(obj.get("coeffs"), list):
             raise ValueError(f"series field 'coeffs' must be a list, got {json.dumps(obj.get('coeffs'))}")
         p, N = require_prime(obj["p"]), obj["N"]
         coeffs = {}
         for item in obj["coeffs"]:
             try:
-                exps, value = item
-                if type(value) not in (int, str) or any(type(e) is not int or e < 0 for e in exps):
+                (e,), value = item
+                if type(value) not in (int, str) or type(e) is not int or e < 0:
                     raise ValueError
-                coeffs[tuple(exps)] = PadicNum.from_fraction(Fraction(value), p, N)
+                coeffs[(e,)] = PadicNum.from_fraction(Fraction(value), p, N)
             except (TypeError, ValueError, ZeroDivisionError):
-                msg = f"series field 'coeffs' needs [[exponents >= 0], value] entries, got {json.dumps(item)}"
+                msg = f"series field 'coeffs' needs univariate [[exponent >= 0], value] entries, got {json.dumps(item)}"
                 raise ValueError(msg) from None
-        return cls(p, max(map(len, coeffs), default=1), obj["M"], coeffs, N)
+        return cls(p, 1, obj["M"], coeffs, N)
 
 
 def _solve_by_powers(h: PSeries, a1: PadicNum, lam: PadicNum) -> PSeries:

@@ -264,6 +264,12 @@ MALFORMED = [
     pytest.param({"f": {"p": 2, "M": 16.0, "N": 8, "coeffs": [[[1], "2"]]}}, "fixture field 'f': series field 'M' must be an integer, got 16.0", id="float-M"),
     pytest.param({"f": {"p": 2, "M": 16, "N": 8, "coeffs": [[[1], "1/0"]]}}, "fixture field 'f': series field 'coeffs' needs", id="zero-denominator"),
     pytest.param({"f": {"p": 1, "M": 16, "N": 8, "coeffs": [[[1], "2"]]}}, "fixture field 'f': p must be a prime, got 1", id="p-1"),
+    pytest.param(
+        {"f": {"p": 2, "M": 16, "N": 8, "coeffs": [[[1, 0], "2"], [[0, 1], "1"]]}},
+        "fixture field 'f': series field 'coeffs' needs univariate [[exponent >= 0], value] entries, got [[1, 0], \"2\"]",
+        id="two-variables",
+    ),
+    pytest.param({"f": {"p": 2, "M": 16, "N": 0, "coeffs": [[[1], "2"]]}}, "fixture field 'f': series field 'N' must be at least 1, got 0", id="N-0"),
     pytest.param({"f": "2,1@-1"}, "fixture field 'f': inline series shift must be at least 0, got -1", id="negative-shift"),
     pytest.param({"u": "3,3,1@1.5"}, "fixture field 'u': inline series '3,3,1@1.5' is not", id="float-shift"),
 ]
@@ -275,7 +281,10 @@ def test_malformed_series_refused(tmp_path, capsys, change, message):
     KeyError or TypeError out of ``analyze --fixture``; a negative exponent
     was REJECTED at "weierstrass degree -1"; a float exponent or M was
     truncated by ``int()``; a series with p = 1 looped forever in
-    ``vp_int``; a negative inline shift was analysed."""
+    ``vp_int``; a negative inline shift was analysed; a series in two
+    variables or with N = 0 was refused inside ``analyze`` by "composition
+    is univariate" or "zero known to nonpositive precision carries no
+    digits"."""
     entry = {"name": "x", "p": 2, "N": 8, "M": 16, "f": "2,1@1", "u": "3,3,1@1", **change}
     if entry["f"] is None:
         del entry["f"]

@@ -16,8 +16,9 @@ from lubinlab import (
     weierstrass_factor,
     weierstrass_preparation,
 )
+from lubinlab.polygon import vertex_split
 from conftest import one_plus_x_pow, random_s0, series_from_fractions
-from oracles import is_lower_hull
+from oracles import is_lower_hull, poly_mul
 
 
 def test_hull_of_second_iterate():
@@ -175,6 +176,37 @@ def test_factor_polygon_is_single_segment():
     sub = newton_polygon(fac)
     assert [(s.slope, s.width) for s in sub.segments] == [(Fraction(-1, 2), 2)]
     assert (fac * cof).equal_to_precision(g)
+
+
+def polynomial(p, coeffs, N):
+    """sum coeffs[i] x^i at coefficient precision N, truncated well above its degree."""
+    return PSeries(p, 1, 2 * len(coeffs), {(i,): c for i, c in enumerate(coeffs)}, N)
+
+
+def test_vertex_split_separates_eisenstein_factors():
+    """(x^3 + 4x^2 + 10x + 6)(x^4 + 2x^3 + 6x^2 + 14x + 6) at p = 2 and
+    N = 16, split at the vertex (3, 1): solving the Sylvester system at each
+    step stalled ("digits cannot be separated")."""
+    a, b = [6, 10, 4, 1], [6, 14, 6, 2, 1]
+    P = poly_mul(dict(enumerate(a)), dict(enumerate(b)), 8)
+    A, B = vertex_split(polynomial(2, [P[i] for i in range(8)], 16), 7, 3)
+    for S, exact in ((A, a), (B, b)):
+        assert min(c.N for c in S.coeffs.values()) >= 15
+        assert all(S.c((i,)).congruent(c) for i, c in enumerate(exact))
+
+
+def test_vertex_split_claims_no_digit_the_residual_leaves_open():
+    """x^9 + 1864x^8 + ... + 248x + 128 at p = 2 and N = 6, split at the
+    vertex (1, 3).  The split stopped as soon as P - A*B was zero to its
+    precision and kept the hull's start where a coefficient was zero-like:
+    it claimed A = x exactly and B_7 = 8 + O(2^6), where the factors read
+    at N = 40 have A_0 of valuation 4 and B_7 = 24 mod 2^6."""
+    P = [128, 248, 1280, 40, 3616, 1664, 1248, 1216, 1864, 1]
+    low, high = vertex_split(polynomial(2, P, 6), 9, 1), vertex_split(polynomial(2, P, 40), 9, 1)
+    assert high[0].c((0,)).v == 4 and high[1].c((7,)).congruent(24, 6)
+    for S, T in zip(low, high):
+        for e in S.coeffs.keys() | T.coeffs.keys():
+            assert S.c(e).congruent(T.c(e)), e
 
 
 def test_eisenstein_results():
