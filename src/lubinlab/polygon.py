@@ -15,14 +15,17 @@ factor per slope.  A split solves no linear system: each Newton step is a
 few polynomial products and exact divisions by a monic factor
 (``_poly_divide_monic``), driven by a cofactor t ~ B^-1 mod A that the same
 steps refine.  A slope's cofactor is the unit series times the factors
-split off beside it.
+split off beside it.  The layer has one recurrence, ``series._packed_solve``:
+it forms the preparation's inverses 1/g_hi and 1/q, and a monic division
+is the same solve on the reversed polynomials, rev(D) rev(q) = rev(P).  The
+preparation's fixed point runs on the packed lists of ``series``.
 """
 
 from fractions import Fraction
 
 from .errors import PrecisionExhausted, TruncationInconclusive
 from .padic import INF, PadicNum
-from .series import PSeries
+from .series import _ABSENT, _HALF, PSeries, _factor, _fold, _pack, _packed_mul, _packed_solve, _unpack
 
 
 class Segment:
@@ -242,8 +245,13 @@ def weierstrass_preparation(g: PSeries):
     Requires g(0) not zero-like (peel x-powers first).  Returns (P, U) with
     g = P * U, P monic of degree W = weierstrass_degree(g), P distinguished.
     P = x^W - r and U = 1/q come from the division x^W = q*g + r, deg r < W,
-    a fixed point on q: the sub-W block of g is divisible by p, so each pass
-    gains at least one p-adic digit.
+    as the fixed point q <- shift_W(x^W - q*g_low) * (1/g_hi), g_low the
+    sub-W block of g, g_hi = shift_W(g) and shift_W the division by x^W that
+    drops the lower terms.  g_low is divisible by p, so each pass gains at
+    least one p-adic digit.  The passes run on packed lists: products are
+    ``_packed_mul``, 1/g_hi and 1/q one ``_packed_solve`` each, and the stop
+    test (q repeats at the lesser precision of each coefficient) decides on
+    the integers, as ``PadicNum.congruent`` does.
     """
     W = g.weierstrass_degree()
     if W is None:
@@ -253,25 +261,46 @@ def weierstrass_preparation(g: PSeries):
     N = g.coeff_prec
     if g.min_val_floor() < 0:
         raise ValueError("preparation requires an integral series")
+    one = PadicNum.one(p, N)
     if W == 0:
-        return PSeries(p, 1, M, {(0,): PadicNum.one(p, N)}, N), g
-
-    def shift_w(s):
-        return PSeries(p, 1, M, {(e[0] - W,): c for e, c in s.coeffs.items() if e[0] >= W}, N)
-
-    xw = PSeries(p, 1, M, {(W,): PadicNum.one(p, N)}, N)
-    g_low = PSeries(p, 1, M, {e: c for e, c in g.coeffs.items() if e[0] < W}, N)
-    inv_hi = shift_w(g).inverse()
-    q = PSeries(p, 1, M, {}, N)
+        return PSeries(p, 1, M, {(0,): one}, N), g
+    G = _pack(g.coeffs, M)
+    low = tuple(x[:W] for x in G)
+    inv_hi = _packed_solve(p, tuple(x[W:] for x in G), _pack({(0,): one}, 1), M, g.c((W,)))
+    q = [_ABSENT] * M, [0] * M, [_ABSENT] * M
     for _ in range(int(N) + 9):  # the first pass, from q = 0, forms 1/g_hi
-        q, last = shift_w(xw - q * g_low) * inv_hi, q
-        if q.equal_to_precision(last):
+        V, U, K = _packed_mul(p, q, low, M)
+        # shift_W(x^W - q*g_low): 1 - [q*g_low]_W, then the negated higher slots
+        head = one
+        if len(K) > W and K[W] != _ABSENT:
+            head = one - PadicNum(p, INF if V[W] == _ABSENT else V[W], U[W], K[W])
+        s = (
+            [_ABSENT if head.v == INF else head.v] + V[W + 1 :],
+            [head.u] + [u if v == _ABSENT else -u % p ** (n - v) for v, u, n in zip(V[W + 1 :], U[W + 1 :], K[W + 1 :])],
+            [head.N] + K[W + 1 :],
+        )
+        q, last = _packed_mul(p, s, inv_hi, M), q
+        if _repeats(p, q, last):
             break
     else:
         raise PrecisionExhausted("weierstrass division did not stabilize")
-    r = xw - q * g
-    P = xw - PSeries(p, 1, M, {e: c for e, c in r.coeffs.items() if e[0] < W}, N)
-    return P, q.inverse()
+    # x^W - r is 1 at x^W and [q*g]_e below it
+    P = _unpack(p, _packed_mul(p, q, G, W), M, N)
+    P.coeffs[(W,)] = one
+    return P, _unpack(p, q, M, N).inverse()
+
+
+def _repeats(p: int, a, b) -> bool:
+    """Each coefficient of packed a congruent to b's (of the same length) at
+    the lesser precision P of the two: both zero-like at P, or one valuation
+    and units equal modulo p^(P - v).  (Every P here is positive: the
+    preparation's series are integral, and a coefficient without digits has
+    raised.)"""
+    for va, ua, na, vb, ub, nb in zip(*a, *b):
+        P = min(na, nb)
+        if P < _HALF and ((va >= P) != (vb >= P) or va < P and (va != vb or (ua - ub) % p ** (P - va))):
+            return False
+    return True
 
 
 _SPLIT_STEPS = 40  # Newton steps before a split gives up
@@ -342,28 +371,36 @@ def vertex_split(P: PSeries, degree: int, istar: int):
 
 
 def _poly_divide_monic(P: PSeries, degree: int, D: PSeries, ddeg: int):
-    """Exact long division (q, r) of P, read up to x^degree, by the monic D
-    of degree ddeg."""
-    p = P.prime
-    rem = {(i,): P.c((i,)) for i in range(degree + 1)}
+    """(q, r) with P = q*D + r, deg r < ddeg, for P read up to x^degree and
+    D monic of degree ddeg.  The reversed polynomials satisfy rev(D) rev(q)
+    = rev(P) below degree qdeg + 1, a power-series division (von zur Gathen
+    & Gerhard, *Modern Computer Algebra*, §9.1), so rev(q) is one
+    ``_packed_solve`` with no a0: the division never divides by D's lead 1,
+    whatever its precision.  r_e = P_e - sum_k q_k D_(e-k), e < ddeg, is one
+    ``_fold`` each.  Each coefficient is formed as one sum, so it is the
+    schoolbook long division's wherever that keeps digits at every
+    subtraction; it raises where the whole sum keeps none, and, as the long
+    division does, where q_k less q_k times D's lead keeps none.
+    """
+    p, N = P.prime, P.coeff_prec
     qdeg = degree - ddeg
-    quot = {}
-    for k in range(qdeg, -1, -1):
-        lead = rem.get((k + ddeg,), PadicNum.exact_zero(p))
-        if lead.is_exact_zero():
-            continue
-        quot[(k,)] = lead
-        for j in range(ddeg + 1):
-            c = D.c((j,))
-            if c.is_exact_zero():
-                continue
-            key = (k + j,)
-            rem[key] = rem.get(key, PadicNum.exact_zero(p)) - lead * c
-    q = PSeries(p, 1, P.x_prec, quot, P.coeff_prec)
-    r = PSeries(
-        p, 1, P.x_prec, {e: c for e, c in rem.items() if e[0] < ddeg}, P.coeff_prec
-    )
-    return q, r
+    rP = _pack({(degree - e,): c for (e,), c in P.coeffs.items() if e <= degree}, degree + 1)
+    rD = _pack({(ddeg - e,): c for (e,), c in D.coeffs.items() if e <= ddeg}, ddeg + 1)
+    rq = _packed_solve(p, rD, rP, qdeg + 1)
+    quot = {(qdeg - i,): c for (i,), c in _unpack(p, rq, qdeg + 1, N).coeffs.items()}  # q_qdeg first
+    lead = D.coeffs.get((ddeg,))
+    for b in quot.values() if lead is not None else ():
+        if min(b.N, b.N + lead.val_floor(), b.val_floor() + lead.N) <= 0:
+            b - b * lead  # raises where it keeps no digits
+    # r_e pairs D_(e-k), from rD's slots 1.. (D_(ddeg-1) .. D_0), with q_k
+    sd, Dlow = _factor(p, *(x[1:] for x in rD))
+    sq, Q = _factor(p, *(x[::-1] for x in rq))
+    rem = {}
+    for e in range(min(ddeg, degree + 1)):
+        r = _fold(p, P.coeffs.get((e,)), [x[ddeg - 1 - e :] for x in Dlow], Q, sd + sq)
+        if r is not None:
+            rem[(e,)] = r
+    return PSeries(p, 1, P.x_prec, quot, N), PSeries(p, 1, P.x_prec, rem, N)
 
 
 def weierstrass_factor(g: PSeries, slope, target_prec=None):

@@ -9,7 +9,10 @@ coercing plain integers or rationals into coefficients.  Univariate
 products run on a packed list form (see ``_packed_mul``), which drops the
 leading exact zeros (the x-adic order) of its operands; products in two or
 three variables are formed one total degree at a time (see
-``_graded_mul``).
+``_graded_mul``).  Inverses and the quotients of monic divisions are one
+recurrence on the same lists (``_packed_solve``): each coefficient is one
+sum against the coefficients already found (``_fold``), with the ledger
+and the raise rule of ``_packed_mul``.
 
 Composition is univariate and costs no series products of its own: the
 first series substituted into another gets a power table (``_PowerTable``),
@@ -253,28 +256,18 @@ class PSeries:
         return _solve_by_powers(self, one / a1, PadicNum.exact_zero(self.prime))
 
     def inverse(self) -> "PSeries":
-        """Multiplicative inverse of a series with unit constant term."""
+        """Multiplicative inverse of a series with unit constant term a_0:
+        b_0 = 1/a_0 and b_n = -(sum_(k=1..n) a_k b_(n-k)) / a_0, one packed
+        solve (``_packed_solve``) whose sums follow the ledger rule of
+        ``reduce_terms``."""
         if self.nvars != 1:
             raise ValueError("series inverse is univariate")
         a0 = self.c((0,))
         if a0.is_zero_like() or a0.v != 0:
             raise NotInvertible("constant term is not a unit")
-        M = self.x_prec
-        p = self.prime
-        inv = {(0,): PadicNum.one(p, self.coeff_prec) / a0}
-        for n in range(1, M):
-            s = [(INF, 0, INF)]
-            for k in range(1, n + 1):
-                ak = self.coeffs.get((k,))
-                bk = inv.get((n - k,))
-                if ak is None or bk is None:
-                    continue
-                prod = ak * bk
-                s.append((prod.v, prod.u, prod.N))
-            total = reduce_terms(p, s)
-            if not total.is_exact_zero():
-                inv[(n,)] = -total / a0
-        return PSeries(p, 1, M, inv, self.coeff_prec)
+        M, p = self.x_prec, self.prime
+        one = _pack({(0,): PadicNum.one(p, self.coeff_prec)}, 1)
+        return _unpack(p, _packed_solve(p, _pack(self.coeffs, M), one, M, a0), M, self.coeff_prec)
 
     # -- reduction and shape mod p -------------------------------------------
 
@@ -627,6 +620,80 @@ def _packed_mul(p: int, a, b, M: int, raises: bool = True):
     return V, U, N
 
 
+def _factor(p: int, V, U, N):
+    """A packed series as a factor of ``_fold``: its least valuation s and
+    the lists (V, F, N, X) of valuations, valuation floors v' (N where
+    zero-like), precisions and units over p^s."""
+    s, X = _kronecker(p, V, U)
+    return s, (V, [n if v == _ABSENT else v for v, n in zip(V, N)], N, X or [0] * len(V))
+
+
+def _fold(p: int, c, a, b, s: int):
+    """c - sum_k a_k b_k for a ``PadicNum`` c (or None) and the aligned
+    factors a and b of ``_factor``, s the sum of their shifts, as one
+    ``reduce_terms``: the ledger K is the least of c's precision and the
+    rule of ``_packed_mul``, min(N_a + v'_b, v'_a + N_b) over k, two
+    min(map(add)), and the value one integer sum.  At K <= 0 it raises where
+    the per-pair products and ``reduce_terms`` do: first where a zero-like
+    factor's product keeps no digits (as ``PadicNum.__mul__``), then from
+    the least term valuation.  Without terms it is c itself (None for an
+    exact zero)."""
+    (Va, Fa, Na, Xa), (Vb, Fb, Nb, Xb) = a, b
+    K = min(min(map(add, Na, Fb), default=_ABSENT), min(map(add, Fa, Nb), default=_ABSENT))
+    if K >= _HALF:
+        return c
+    t, S = s, -sum(map(mul, Xa, Xb))
+    if c is not None:
+        K = min(K, c.N)
+        if c.v != INF:
+            t = min(s, c.v)
+            S = c.u * p ** (c.v - t) + S * p ** (s - t)
+    if K > 0:
+        return reduce_terms(p, [(t, S, K)])
+    if any(f + g <= 0 for x, y, f, g in zip(Va, Vb, Fa, Fb) if _ABSENT in (x, y)):
+        PadicNum.zero_to_prec(p, 0)  # raises, as the zero-like product does
+    m = min(map(add, Va, Vb), default=_ABSENT)
+    if c is not None and c.v != INF:
+        m = min(m, c.v)
+    return reduce_terms(p, [(m, S // p ** (m - t), K)] if m < _HALF else [(INF, 0, K)])
+
+
+def _packed_solve(p: int, a, c, M: int, a0: PadicNum = None):
+    """The packed b below degree M with
+
+        b_n = (c_n - sum_(k=1..n) a_k b_(n-k)) / a0
+
+    for packed a (slot 0 unread) and c, without the division when a0 is
+    None: 1/a is c = 1, a0 = a_0, and the reversed quotient of a monic
+    division is a = rev(D), c = rev(P).  Each numerator is one ``_fold`` of
+    a_n .. a_1 against the b found so far, whose integers are rescaled when
+    a lower valuation appears, so the shift is the least valuation of a
+    plus that of b.  a0 enters through ``PadicNum``, one division each.
+    """
+    sa, A = _factor(p, *(x[1:M][::-1] for x in a))  # a_L .. a_1
+    L = len(A[0])
+    Vc, Uc, Nc = c
+    V, U, N, F, X = [], [], [], [], []
+    sb = 0
+    for n in range(M):
+        lo = max(0, n - L)  # b_lo .. b_(n-1) meet a_(n-lo) .. a_1
+        cn = PadicNum(p, INF if Vc[n] == _ABSENT else Vc[n], Uc[n], Nc[n]) if n < len(Nc) and Nc[n] < _HALF else None
+        b = _fold(p, cn, [x[L - n + lo :] for x in A], (V[lo:], F[lo:], N[lo:], X[lo:]), sa + sb)
+        v, u, k = _ABSENT, 0, _ABSENT
+        if b is not None:
+            b = b if a0 is None else b / a0
+            v, u, k = _ABSENT if b.v == INF else b.v, b.u, b.N
+            if v < sb:
+                X = [x * p ** (sb - v) for x in X]
+                sb = v
+        V.append(v)
+        U.append(u)
+        N.append(k)
+        F.append(k if v == _ABSENT else v)
+        X.append(0 if v == _ABSENT else u * p ** (v - sb))
+    return V, U, N
+
+
 class _PowerTable:
     """The powers h^1 .. h^top of a univariate h without constant term below
     its truncation M, grown one packed product at a time (from the last
@@ -717,6 +784,8 @@ class _PowerTable:
         reached = [[] for _ in range(J + 1)]
         for a in range(M - 1 if d is None else d):
             mask = sum(1 << j for j, n in enumerate(rows[a][2]) if n < _HALF)
+            if d is not None and not mask & columns[d - a]:
+                continue  # no order of row a meets a power present at d - a
             lo, D = (1, M - a) if d is None else (d - a, d - a + 1)
             V, U, N = self.sum(rows[a], lo, D)
             rows[a] = None

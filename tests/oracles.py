@@ -612,3 +612,115 @@ def lubin_tate_lift(p: int, f: dict, fM: int, N: int, x_prec: int):
         if _floor(t) < 0:
             raise NotIntegral(f"group law lift: coefficient at {e} has valuation floor {_floor(t)}")
     return D, F
+
+
+# -- the Weierstrass layer as it ran before its packed solve ----------------------
+#
+# ``PSeries.inverse`` and ``polygon._poly_divide_monic`` as per-pair loops of
+# ``PadicNum`` products and sums, emulated on triples, and the preparation's
+# fixed point on whole triple series.  Dicts map degrees to triples (None or
+# an absent key is an exact zero) and keep the order the loops produced.
+
+
+def triple_inverse(p: int, a: dict, M: int, N: int) -> dict:
+    """1/a below degree M for a with unit constant term a_0: b_0 = 1/a_0
+    with the 1 known to p^N, b_n = -(sum_k a_k b_(n-k)) / a_0, each product
+    as ``PadicNum.__mul__`` and each sum one ``reduce_triples``."""
+    inv = {0: triple_div(p, (0, 1, N), a[0])}
+    for n in range(1, M):
+        terms = [triple_times(p, a[k], inv[n - k]) for k in range(1, n + 1) if k in a and n - k in inv]
+        if terms:
+            total = reduce_triples(p, terms)
+            if isinstance(total, NoDigits):
+                raise total
+            inv[n] = triple_div(p, triple_neg(p, total), a[0])
+    return inv
+
+
+def triple_divide_monic(p: int, P: dict, degree: int, D: dict, ddeg: int, keep: bool = False):
+    """The long division (q, r) of P, read up to x^degree, by D, monic of
+    degree ddeg.  For k = degree - ddeg .. 0 the quotient coefficient q_k is
+    the running sum at x^(k + ddeg), and q_k D_j is subtracted at x^(k + j)
+    for every D_j, the lead's included: one product and one subtraction
+    each.  q comes in that order, r by ascending degree.
+
+    With ``keep``, a running sum that keeps no digits is kept as (INF, 0, K),
+    its value modulo p^K, and the division goes on.  Products and the lead's
+    subtraction still raise, and so does a coefficient of q or r formed by
+    subtractions that keeps no digits once all are in: that is where a
+    division summing each coefficient once raises.
+    """
+    rem = {i: P.get(i) for i in range(degree + 1)}
+    summed = set()
+    quot = {}
+
+    def subtract(e, t, strict):
+        try:
+            rem[e] = triple_add(p, rem[e], triple_neg(p, t))
+        except NoDigits:
+            if strict or not keep:
+                raise
+            rem[e] = (INF, 0, min(rem[e][2], t[2]))
+        summed.add(e)
+
+    def check(e):
+        c = rem[e]
+        if keep and e in summed and c is not None and c[0] == INF and c[2] <= 0:
+            raise NoDigits("sum has no significant digits")
+
+    for k in range(degree - ddeg, -1, -1):
+        lead = rem[k + ddeg]
+        if lead is None:
+            continue
+        check(k + ddeg)
+        quot[k] = lead
+        for j in range(ddeg + 1):
+            if j in D:
+                subtract(k + j, triple_times(p, lead, D[j]), j == ddeg)
+    for e in range(min(ddeg, degree + 1)):
+        check(e)
+    return quot, {e: c for e, c in rem.items() if e < ddeg and c is not None}
+
+
+def triple_congruent(p: int, a, b) -> bool:
+    """``PadicNum.congruent`` at the lesser precision, which is positive or
+    infinite here (None is an exact zero)."""
+    a, b = a or (INF, 0, INF), b or (INF, 0, INF)
+    P = min(a[2], b[2])
+    if P == INF:
+        return True
+    if a[0] >= P or b[0] >= P:
+        return a[0] >= P and b[0] >= P
+    return a[0] == b[0] and (a[1] - b[1]) % p ** (P - a[0]) == 0
+
+
+def triple_preparation(p: int, g: dict, M: int, N: int):
+    """(P, U) with g = P U for integral g below degree M whose least unit
+    coefficient is at W >= 1: the fixed point q <- shift_W(x^W - q g_low)
+    (1/g_hi) on whole series, ``triple_mul`` products and ``triple_inverse``,
+    until q repeats at the lesser precision (at most N + 9 passes, else
+    NoDigits), then P = x^W - (x^W - q g below x^W) and U = 1/q."""
+    W = min(i for i, (v, _, _) in g.items() if v == 0)
+    one = (0, 1, N)
+
+    def shift(s):
+        return {e - W: c for e, c in s.items() if e >= W}
+
+    def xw_minus(s):
+        out = {e: triple_neg(p, c) for e, c in s.items()}
+        out[W] = triple_add(p, one, out.get(W))
+        return out
+
+    low = {e: c for e, c in g.items() if e < W}
+    inv_hi = triple_inverse(p, shift(g), M, N)
+    q = {}
+    for _ in range(N + 9):
+        q, last = triple_mul(p, shift(xw_minus(triple_mul(p, q, low, M))), inv_hi, M), q
+        if all(triple_congruent(p, q.get(e), last.get(e)) for e in q.keys() | last.keys()):
+            break
+    else:
+        raise NoDigits("weierstrass division did not stabilize")
+    r = xw_minus(triple_mul(p, q, g, M))
+    P = {e: triple_neg(p, c) for e, c in r.items() if e < W}
+    P[W] = one
+    return P, triple_inverse(p, q, M, N)

@@ -353,6 +353,74 @@ def test_non_associative_law_rejected(p):
     assert G.certificates["associative"] == {"ok": False, "degree": 12}
 
 
+# -- the commutativity certificate -------------------------------------------------
+
+
+@st.composite
+def near_symmetric_laws(draw):
+    """A two-variable series below degree M built symmetric (c_ab = c_ba)
+    from finite coefficients, negative valuations included, and zero-like
+    ones, then perturbed at random mirrored places: a dropped mirror, a
+    changed unit or precision, a zero-like mirror."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    M = draw(st.integers(1, 9))
+
+    def coefficient():
+        if draw(st.integers(0, 3)) == 0:
+            return (INF, 0, draw(st.integers(1, 8)))
+        v = draw(st.integers(-3, 4))
+        rel = draw(st.integers(max(1, 1 - v), 6))  # N >= 1 (see the test below for N <= 0)
+        return (v, draw(st.integers(1, p**rel - 1).filter(lambda u: u % p)), v + rel)
+
+    coeffs = {}
+    for a, b in draw(st.lists(st.tuples(st.integers(0, M - 1), st.integers(0, M - 1)), max_size=12)):
+        if a + b < M:
+            coeffs[(a, b)] = coeffs[(b, a)] = coefficient()
+    for a, b in draw(st.lists(st.sampled_from(sorted(coeffs)), max_size=3, unique=True)) if coeffs else ():
+        v, u, n = coeffs[(a, b)]
+        kind = draw(st.sampled_from(("drop", "unit", "precision", "zero-like")))
+        if kind == "drop":
+            del coeffs[(a, b)]
+        elif kind == "unit" and v != INF:
+            coeffs[(a, b)] = (v, u + p ** draw(st.integers(1, n - v)), n)
+        elif kind == "precision":
+            coeffs[(a, b)] = (v, u, draw(st.integers(max(v + 1, 1) if v != INF else 1, 10)))
+        else:
+            coeffs[(a, b)] = (INF, 0, draw(st.integers(1, 8)))
+    return p, M, coeffs
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(near_symmetric_laws())
+@example((3, 6, {(1, 2): (0, 1, 4), (2, 1): (0, 4, 4)}))  # units differ mod 3
+@example((3, 6, {(1, 2): (0, 1, 4), (2, 1): (0, 10, 4)}))  # ... but agree mod 3^2
+@example((2, 6, {(1, 3): (INF, 0, 3)}))  # zero-like, mirror absent
+@example((2, 6, {(1, 3): (2, 1, 3), (3, 1): (INF, 0, 2)}))  # agree at the lesser precision
+def test_commutativity_matches_swapped_copy(case):
+    """The one-walk certificate against comparing F with its swapped copy,
+    which it replaced: the same answer on every law."""
+    p, M, coeffs = case
+    F = PSeries(p, 2, M, {e: PadicNum(p, *t) for e, t in coeffs.items()}, 20)
+    G = FormalGroupLaw(F, "test")
+    assert G.check_commutative() == F.swap_vars(0, 1).equal_to_precision(F)
+    assert G.certificates["commutative"]["degree"] == M
+
+
+@pytest.mark.parametrize("place", [(2, 2), (1, 2)])
+def test_commutativity_raises_on_a_coefficient_without_digits(place):
+    """A coefficient known to no digit (N <= 0) raises in both, on the
+    diagonal and in a mirrored pair."""
+    p, (a, b) = 2, place
+    coeffs = {(1, 0): PadicNum.one(p, 8), (0, 1): PadicNum.one(p, 8)}
+    coeffs[(a, b)] = coeffs[(b, a)] = PadicNum(p, -2, 1, 0)
+    F = PSeries(p, 2, 8, coeffs, 8)
+    with pytest.raises(PrecisionExhausted) as new:
+        FormalGroupLaw(F, "test").check_commutative()
+    with pytest.raises(PrecisionExhausted) as old:
+        F.swap_vars(0, 1).equal_to_precision(F)
+    assert str(new.value) == str(old.value)
+
+
 @st.composite
 def group_laws(draw):
     """F from a log L = g(x) + (s/p) L(x^p) with g integral and g'(0) = 1,

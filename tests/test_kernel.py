@@ -11,7 +11,11 @@ digits.  Composition is also held against Horner's rule
 (``oracles.triple_compose``), which it replaced: the same values at a
 precision never lower.  The product and composition of integer series at
 precision N are held against N + k and the exact result, and one analysis
-against a count of the products its power tables form.
+against a count of the products its power tables form.  The packed solve
+of the Weierstrass layer (``PSeries.inverse``, the monic division and the
+preparation) is held against the per-pair loops it replaced
+(``oracles.triple_inverse``, ``triple_divide_monic``,
+``triple_preparation``).
 """
 
 import pytest
@@ -20,7 +24,18 @@ from hypothesis import strategies as st
 
 from lubinlab import INF, PadicNum, PrecisionExhausted, PSeries, analyzer, series
 from conftest import outcome
-from oracles import NoDigits, poly_compose, poly_mul, table_compose, triple_compose, triple_mul
+from lubinlab.polygon import _poly_divide_monic, weierstrass_preparation
+from oracles import (
+    NoDigits,
+    poly_compose,
+    poly_mul,
+    table_compose,
+    triple_compose,
+    triple_divide_monic,
+    triple_inverse,
+    triple_mul,
+    triple_preparation,
+)
 
 SETTINGS = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -310,6 +325,131 @@ def test_packed_derivative_matches_padic_product(case):
         return d.v, d.u, d.N
 
     assert outcome(packed) == outcome(scalar)
+
+
+# -- the Weierstrass layer's packed solve ----------------------------------------
+
+
+@st.composite
+def unit_series(draw, p):
+    """(x_prec, {degree: triple}) with a unit constant term of finite
+    precision; the other coefficients are drawn as ``coefficient`` draws
+    them, finite ones sometimes without digits (N <= 0)."""
+    M = draw(st.integers(1, 14))
+    rel = draw(st.integers(1, 8))
+    triples = {0: (0, draw(st.integers(1, p**rel - 1).filter(lambda u: u % p)), rel)}
+    for d in sorted(draw(st.sets(st.integers(1, 14), max_size=10))):
+        triples[d] = draw(coefficient(p))
+    return M, triples
+
+
+@SETTINGS
+@given(st.sampled_from((2, 3, 5)).flatmap(lambda p: st.tuples(st.just(p), unit_series(p), st.integers(1, 10))))
+# a_2 is zero-like to p^1 and b_1 has valuation -2: [a_2 b_1] keeps no digit
+@example((2, (5, {0: (0, 1, 4), 1: (-2, 1, 2), 2: (INF, 0, 1)}), 4))
+@example((3, (6, {0: (0, 2, 1), 2: (-1, 1, 1)}), 5))  # b_4 known to p^-1
+@example((2, (5, {0: (0, 1, 3), 1: (0, 1, 1), 3: (-1, 3, 1)}), 3))  # raises, every a_k finite
+@example((5, (8, {0: (0, 7, 2), 3: (2, 1, 9)}), 9))  # the 1's precision caps b_0
+def test_inverse_matches_per_pair_loop(case):
+    """``PSeries.inverse`` (one packed solve) against the per-pair loop it
+    replaced: the same triples in the same order, or the same exception and
+    message, including products of a zero-like factor that keep no digit."""
+    p, (M, triples), N = case
+    s = PSeries(p, 1, M, {(d,): PadicNum(p, *t) for d, t in triples.items()}, N)
+    check(s.inverse, lambda: triple_inverse(p, below(triples, M), M, N))
+
+
+@st.composite
+def monic_divisions(draw):
+    """p, degree, P, ddeg and D monic of degree ddeg, its lead 1 known to a
+    finite precision; coefficients as ``coefficient`` draws them."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    ddeg = draw(st.integers(0, 6))
+    degree = draw(st.integers(max(ddeg - 2, 0), ddeg + 8))
+    P = {d: draw(coefficient(p)) for d in sorted(draw(st.sets(st.integers(0, degree + 2), max_size=12)))}
+    D = {d: draw(coefficient(p)) for d in sorted(draw(st.sets(st.integers(0, max(ddeg - 1, 0)), max_size=6))) if d < ddeg}
+    D[ddeg] = (0, 1, draw(st.integers(1, 9)))
+    return p, degree, P, ddeg, D
+
+
+@SETTINGS
+@given(monic_divisions())
+@example((3, 4, {4: (-2, 1, 3), 2: (0, 1, 5)}, 2, {0: (1, 1, 4), 2: (0, 1, 1)}))  # q_2 D_2 keeps no digit at x^4
+@example((2, 5, {5: (1, 1, 6), 3: (0, 1, 2)}, 3, {1: (INF, 0, 1), 3: (0, 1, 2)}))
+@example((5, 3, {3: (-1, 2, 1), 1: (INF, 0, 2)}, 1, {0: (INF, 0, 1), 1: (0, 1, 3)}))  # [q_1 D_0] keeps no digit
+# the long division raises at a running sum; the sums, each formed once, keep digits
+@example((3, 4, {3: (-1, 8, 2), 0: (2, 2, 4), 1: (-2, 13, 1)}, 2, {0: (-1, 2, 0), 1: (-1, 23, 2), 2: (0, 1, 3)}))
+def test_divide_monic_matches_long_division(case):
+    """``_poly_divide_monic`` (a reversed packed solve and one sum per
+    remainder coefficient) against the long division it replaced.  Where
+    the long division returns, the same q and r, triple for triple and in
+    its order.  Where it raises, the new division raises too, unless the
+    long division raised only at a running sum without digits: then it
+    returns what the long division gives with such sums kept (``keep``).
+    Both raise PrecisionExhausted; the message follows the first sum
+    without digits, which the two meet in different orders."""
+    p, degree, tP, ddeg, tD = case
+    M = degree + 3
+    P, D = to_series(p, M, tP), to_series(p, M, tD)
+
+    def run():
+        return [list(as_triples(s).items()) for s in _poly_divide_monic(P, degree, D, ddeg)]
+
+    try:
+        want = triple_divide_monic(p, below(tP, M), degree, tD, ddeg)
+    except NoDigits as ex:
+        try:
+            want = triple_divide_monic(p, below(tP, M), degree, tD, ddeg, keep=True)
+            event("only a running sum kept no digits")
+        except NoDigits:
+            with pytest.raises(PrecisionExhausted) as got:
+                run()
+            event("same message" if str(got.value) == str(ex) else "other message")
+            return
+    assert run() == [list(x.items()) for x in want]
+
+
+@st.composite
+def preparation_inputs(draw):
+    """p, M, N and an integral series with its least unit coefficient at W
+    >= 1: coefficients below W divisible by p, zero-like ones included (to
+    precision 0 too, which no product survives)."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    M = draw(st.integers(2, 14))
+    N = draw(st.integers(1, 10))
+    W = draw(st.integers(1, M - 1))
+
+    def integral(lo):
+        if draw(st.integers(0, 5)) == 0:
+            return (INF, 0, draw(st.integers(0, N + 2)))
+        n = draw(st.integers(lo + 1, N + 2))
+        v = draw(st.integers(lo, n - 1))
+        return (v, draw(st.integers(1, p ** (n - v) - 1).filter(lambda u: u % p)), n)
+
+    g = {d: integral(1 if d < W else 0) for d in sorted(draw(st.sets(st.integers(0, M - 1), max_size=M))) if d != W}
+    g[W] = (0, draw(st.integers(1, p**N - 1).filter(lambda u: u % p)), N)
+    return p, M, N, g
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(preparation_inputs())
+@example((3, 6, 4, {0: (1, 1, 4), 2: (0, 1, 4)}))
+@example((2, 8, 6, {0: (INF, 0, 0), 1: (0, 1, 6)}))  # a coefficient known to no digit
+def test_preparation_matches_fixed_point(case):
+    """``weierstrass_preparation`` on packed lists against its fixed point on
+    whole series: the same P and U triple for triple, or the same
+    exception.  (P's keys came in a set's order before; compared as dicts.)"""
+    p, M, N, triples = case
+    g = PSeries(p, 1, M, {(d,): PadicNum(p, *t) for d, t in triples.items()}, N)
+    try:
+        want_P, want_U = triple_preparation(p, triples, M, N)
+    except NoDigits as ex:
+        with pytest.raises(PrecisionExhausted, match=str(ex)):
+            weierstrass_preparation(g)
+        return
+    P, U = weierstrass_preparation(g)
+    assert as_triples(P) == want_P
+    assert list(as_triples(U).items()) == list(want_U.items())
 
 
 # -- N versus N + k -------------------------------------------------------------
