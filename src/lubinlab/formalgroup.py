@@ -11,17 +11,16 @@ the power table of L that ``exp_from_log`` built.
 
 ``FormalGroupLaw.check_associative`` expands both sides of
 F(F(x,y),z) = F(x,F(y,z)) as linear combinations of the powers of F, which
-are formed once as two-variable products.
+are formed once as part lists (homogeneous parts, see ``series``).
 
 ``lubin_tate_lift`` solves f(F(x,y)) = F(f(x), f(y)) degree by degree with
 F = x + y mod degree 2, below the truncation of f; for f congruent to x^p
 mod p with f'(0) of valuation 1 the solution is integral and unique, which
 is what makes it an independent oracle for the first construction.  Stage d
 forms only the degree-d parts of both sides: the Horner intermediates of
-f(F) are kept by degree across stages and extended with the degree-graded
-product of ``series``, and F(f(x), f(y)) = sum_b G_b(f(x)) f(y)^b, G_b the
-column of y^b in F, is read from the power table of f: each column is one
-tabled sum, and each x^i y^(d-i) coefficient one more, at degree d - i
+f(F) are part lists that gain one part per stage, and F(f(x), f(y)) =
+sum_b G_b(f(x)) f(y)^b, G_b the column of y^b in F, is read from the power
+table of f, each column G_b(f) carried from stage to stage
 (``_PowerTable.sum_pair``).
 
 ``frobenius_multiplier`` recovers the scalar pi with v(pi) = 1 whose
@@ -37,8 +36,8 @@ from .errors import (
     NonUniqueLift,
     PrecisionExhausted,
 )
-from .padic import INF, PadicNum, reduce_terms
-from .series import PSeries, _graded, _graded_mul, _pack, _packed_derivative, _packed_div_int, _packed_mul
+from .padic import INF, PadicNum
+from .series import _ABSENT, PSeries, _pack, _packed_derivative, _packed_div_int, _packed_mul, _part, _part_mul, _part_sum, _parts
 from .dynamics import Logarithm
 
 
@@ -62,11 +61,8 @@ class FormalGroupLaw:
         return self.F.min_val_floor()
 
     def check_identity(self) -> bool:
-        p = self.F.prime
-        x = PSeries.identity(p, self.F.x_prec, self.F.coeff_prec)
-        ok = self.F.set_var_zero(1).equal_to_precision(x) and self.F.set_var_zero(
-            0
-        ).equal_to_precision(x)
+        x = PSeries.identity(self.F.prime, self.F.x_prec, self.F.coeff_prec)
+        ok = self.F.set_var_zero(1).equal_to_precision(x) and self.F.set_var_zero(0).equal_to_precision(x)
         self.certificates["identity"] = {"ok": ok, "degree": self.F.x_prec}
         return ok
 
@@ -86,28 +82,15 @@ class FormalGroupLaw:
 
     def check_associative(self, m2: int) -> bool:
         """F(F(x,y),z) = F(x,F(y,z)) in the 3-variable ring below degree
-        D = min(m2, F.x_prec), the degree the certificate records.
-
-        With F = sum c_ab x^a y^b, both sides are linear combinations of the
-        powers of F:
-
-            F(F(x,y), z) = sum c_ab F(x,y)^a z^b,
-            F(x, F(y,z)) = sum c_ab x^a F(y,z)^b,
-
-        so the powers F^k are formed once, as two-variable products, and
-        each coefficient of each side is one ledgered sum (``reduce_terms``)
-        of the products c_ab * [F^k]_e.  Both expansions claim only digits
-        their ledgers support, so agreement at the lesser precision of each
-        coefficient certifies associativity at those digits.
-        """
+        D = min(m2, F.x_prec), the degree the certificate records, compared
+        coefficient by coefficient at the lesser precision (``_sides``).
+        Both expansions claim only digits their ledgers support, so
+        agreement certifies associativity at those digits."""
         F = self.F.truncate(m2)
         D = F.x_prec
-        pows = [{(0, 0): None}, F.coeffs]  # coefficients of F^k; None is the exact 1
-        power = F
-        for _ in range(2, D):
-            power = power * F
-            pows.append(power.coeffs)
-        ok = _substitute(F, pows, D, True).equal_to_precision(_substitute(F, pows, D, False))
+        left, right = _sides(F, D)
+        zero = PadicNum.exact_zero(F.prime)
+        ok = all(left.get(e, zero).congruent(right.get(e, zero)) for e in left.keys() | right.keys())
         self.certificates["associative"] = {"ok": ok, "degree": D}
         return ok
 
@@ -115,25 +98,37 @@ class FormalGroupLaw:
         return self.check_identity() and self.check_commutative() and self.check_associative(m2)
 
 
-def _substitute(F: PSeries, pows, D: int, left: bool) -> PSeries:
-    """F(F(x,y), z) (left) or F(x, F(y,z)) below total degree D, from the
-    coefficient dicts pows[k] of F^k."""
-    p = F.prime
-    terms: dict = {}
-    for (a, b), c in F.coeffs.items():
-        k, free = (a, b) if left else (b, a)
-        for (i, j), d in pows[k].items():
-            if i + j + free >= D:
-                continue
-            e = (i, j, free) if left else (free, i, j)
-            if d is None:
-                t = (c.v, c.u, c.N)
-            elif c.v == INF or d.v == INF:
-                t = (INF, 0, c.val_floor() + d.val_floor())
-            else:
-                t = (c.v + d.v, c.u * d.u, min(c.N + d.v, c.v + d.N))
-            terms.setdefault(e, []).append(t)
-    return PSeries(p, 3, D, {e: reduce_terms(p, t) for e, t in terms.items()}, F.coeff_prec)
+def _sides(F: PSeries, D: int) -> list:
+    """F(F(x,y), z) = sum c_ab z^b F(x,y)^a and F(x, F(y,z)) = sum c_ab x^a
+    F(y,z)^b below total degree D, {(x, y, z) exponents: coefficient}: the
+    powers F^k = F^(k-1) F are part lists, and the degree-e part of a side
+    is one ``_part_sum`` over the pairs of c_ab and a part of F^k.  If a
+    coefficient has no digits (which raises) or N <= 0 (its comparison may
+    raise or fail), order matters: the sides then come in the order in
+    which c_ab, in F's order, and the monomials of F^k (F in its order, the
+    other powers graded) first reach a monomial, and raise in that order."""
+    p, parts = F.prime, _parts(F, D)
+    powers = [[(0, [(0, 1, _ABSENT, 0)])] + [(0, [])] * (D - 1), parts]  # F^0 is the exact 1
+    for _ in range(2, D):
+        powers.append([_part(p, _part_mul(p, powers[-1], parts, e, e + 1)) for e in range(D)])
+    # left: x^i y^j z^l at key i D + j; right: x^a y^i z^j at key a D + i
+    lpow = [[(s, [(i * D + k - i, *t) for i, *t in P]) for k, (s, P) in enumerate(pw)] for pw in powers]
+    sides = [{}, {}]
+    for side, left in zip(sides, (True, False)):
+        cs = [(a, b, _part(p, [(0 if left else a * D, c)])) for (a, b), c in F.coeffs.items()]
+        for e in range(D):
+            pairs = [(c, lpow[a][e - b] if left else powers[b][e - a]) for a, b, c in cs if (b if left else a) <= e]
+            for key, c in _part_sum(p, pairs, e * D + 1, raises=False):
+                side[key // D, key % D, e - key // D - key % D] = c
+    if any(isinstance(c, Exception) or c.N <= 0 for side in sides for c in side.values()):
+        mons = [F.coeffs if k == 1 else [(i, e - i) for e, (_, P) in enumerate(pw) for i, *_ in P] for k, pw in enumerate(powers)]
+        order = ((x, y, b) for a, b in F.coeffs for x, y in mons[a] if x + y + b < D)
+        sides[0] = {m: sides[0][m] for m in order}
+        order = ((a, x, y) for a, b in F.coeffs for x, y in mons[b] if x + y + a < D)
+        sides[1] = {m: sides[1][m] for m in order}
+        if error := next((c for side in sides for c in side.values() if isinstance(c, Exception)), None):
+            raise error
+    return sides
 
 
 class Bracket:
@@ -191,11 +186,8 @@ def group_from_log(logf: Logarithm) -> FormalGroupLaw:
 def _raise_if_not_integral(F: PSeries, what: str):
     for e, c in F.coeffs.items():
         if c.val_floor() < 0:
-            raise IntegralityFailure(
-                f"{what}: coefficient at {e} has valuation floor {c.val_floor()}",
-                exponents=e,
-                certified=c.v != INF,
-            )
+            msg = f"{what}: coefficient at {e} has valuation floor {c.val_floor()}"
+            raise IntegralityFailure(msg, exponents=e, certified=c.v != INF)
 
 
 def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
@@ -207,40 +199,32 @@ def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
     preconditions fail and raise NonUniqueLift (certified) or
     PrecisionExhausted (unresolved).
 
-    Stage d forms only degree-d parts.  The left side keeps the Horner
-    intermediates acc_i = sum_{k>=i} c_k F^(k-i) of f(F) by degree: the
-    degree-e part of acc_i reads F below degree e+1 and acc_{i+1} below
-    degree e, which earlier stages fixed, so stage d adds the degree-(d-i)
-    part of each acc_i and takes [acc_1 F]_d.  The right side is the
-    degree-d part of F(f(x), f(y)) as tabled sums against the power table of
-    f (``_PowerTable.sum_pair``), so the lift forms no univariate product
-    beyond the powers of f that table grows.  The corrections of a stage
-    are checked in exponent order.  A certified failure anywhere in the
-    stage decides the lift: the first one raises NonUniqueLift, and a stage
-    raises PrecisionExhausted (its first unresolved correction) only when
-    it has no certified failure.
+    Stage d forms only degree-d parts, on part lists.  The Horner
+    intermediates acc_i = sum_{k>=i} c_k F^(k-i) of f(F) gain their
+    degree-(d-i) part, [acc_(i+1) F]_(d-i), which reads only parts earlier
+    stages fixed, and the left side is [acc_1 F]_d.  The right side is the
+    degree-d part of F(f(x), f(y)) from the power table of f
+    (``_PowerTable.sum_pair``), and F gains the corrections as its part d.
+    The corrections of a stage are checked in exponent order.  A certified
+    failure anywhere in the stage decides the lift: the first one raises
+    NonUniqueLift, and a stage raises PrecisionExhausted (its first
+    unresolved correction) only when it has no certified failure.
     """
-    p = f.prime
-    N = f.coeff_prec
-    c = f.linear_coeff()
+    p, N, c = f.prime, f.coeff_prec, f.linear_coeff()
     D = min(x_prec, f.x_prec)
     f = f.truncate(D)
-    one = PadicNum.one(p, N)
-    F = PSeries(p, 2, D, {(1, 0): one, (0, 1): one}, N)
-    Fparts = _graded(F, 2)
+    part = [(1, PadicNum.one(p, N)), (0, PadicNum.one(p, N))]  # F's degree-1 part, x^a y^(1-a) at key a
+    F, Fparts = {(a, 1 - a): x for a, x in part}, [_part(p, []), _part(p, part)]
     # acc[i][e]: the degree-e part of acc_i; its degree-0 part is c_i
-    acc = [None] + [[[((0, 0), f.coeffs[(i,)])] if (i,) in f.coeffs else []] for i in range(1, D)]
-    powers = f.power_table()
-    cpow = c
+    acc = [None] + [[_part(p, [(0, f.coeffs[(i,)])] if (i,) in f.coeffs else [])] for i in range(1, D)]
+    powers, columns, cpow = f.power_table(), [], c
     for d in range(2, D):
         cpow = cpow * c  # c^d
         for i in range(d - 1, 0, -1):
-            acc[i].append(list(_graded_mul(p, acc[i + 1], Fparts, d - i).items()))
-        lhs = _graded_mul(p, acc[1], Fparts, d)
-        rhs = powers.sum_pair(F.coeffs, d)
-        denom = cpow - c
-        corr = {}
-        unresolved = None
+            acc[i].append(_part(p, _part_mul(p, acc[i + 1], Fparts, d - i, d - i + 1)))
+        lhs = {(a, d - a): x for a, x in _part_mul(p, acc[1], Fparts, d, d + 1)}
+        rhs = powers.sum_pair(columns, part, d)
+        denom, corr, unresolved = cpow - c, {}, None
         for e in sorted(lhs.keys() | rhs.keys()):
             left, right = lhs.get(e), rhs.get(e)
             try:
@@ -249,22 +233,20 @@ def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
                 # (rather than leaving an exact zero) keeps F's precision honest
                 delta = coeff / denom
             except PrecisionExhausted as ex:
-                unresolved = unresolved or PrecisionExhausted(
-                    f"degree-{d} correction at {e} unresolved: {ex}"
-                )
+                unresolved = unresolved or PrecisionExhausted(f"degree-{d} correction at {e} unresolved: {ex}")
                 continue
             # a zero-like quotient keeps a positive precision, so a negative
             # floor is a certified valuation
             if delta.val_floor() < 0:
-                raise NonUniqueLift(
-                    f"no integral lift: degree-{d} correction at {e} has valuation {delta.val_floor()}"
-                )
+                raise NonUniqueLift(f"no integral lift: degree-{d} correction at {e} has valuation {delta.val_floor()}")
             corr[e] = delta
         if unresolved is not None:
             raise unresolved
-        Fparts.append(list(corr.items()))
-        if corr:
-            F = F + PSeries(p, 2, D, corr, N)
+        part = [(a, delta) for (a, _), delta in corr.items()]
+        Fparts.append(_part(p, part))
+        if corr:  # keys in the order of the set union, as the series sum F + corr orders them
+            F = {e: F[e] if e in F else corr[e] for e in F.keys() | corr.keys()}
+    F = PSeries(p, 2, D, F, N)
     _raise_if_not_integral(F, "group law lift")
     return FormalGroupLaw(F, "lubin-tate-lift")
 

@@ -7,12 +7,15 @@ the truncation-honesty machinery downstream (Newton polygons) can see the
 difference.  ``coeff_prec`` is the ambient p-adic precision used when
 coercing plain integers or rationals into coefficients.  Univariate
 products run on a packed list form (see ``_packed_mul``), which drops the
-leading exact zeros (the x-adic order) of its operands; products in two or
-three variables are formed one total degree at a time (see
-``_graded_mul``).  Inverses and the quotients of monic divisions are one
-recurrence on the same lists (``_packed_solve``): each coefficient is one
-sum against the coefficients already found (``_fold``), with the ledger
-and the raise rule of ``_packed_mul``.
+leading exact zeros (the x-adic order) of its operands.  Inverses and the
+quotients of monic divisions are one recurrence on the same lists
+(``_packed_solve``): each coefficient is one sum against the coefficients
+already found (``_fold``), with the ledger and the raise rule of
+``_packed_mul``.  In two or three variables a series is held as its
+homogeneous parts: part k keys the coefficients of total degree k by a for
+x^a y^(k-a), a M + b for x^a y^b z^(k-a-b), and a part of a product is one
+pass over the pairs of entries (``_part_sum``), the kernel of the lift's
+Horner intermediates and of the associativity certificate.
 
 Composition is univariate and costs no series products of its own: the
 first series substituted into another gets a power table (``_PowerTable``),
@@ -42,10 +45,6 @@ from .errors import (
 from .padic import INF, PadicNum, reduce_terms, require_prime, vp_int
 
 
-def _deg(exps) -> int:
-    return sum(exps)
-
-
 class PSeries:
     """Dense truncated power series over PadicNum coefficients."""
 
@@ -62,11 +61,13 @@ class PSeries:
         for exps, c in coeffs.items():
             if len(exps) != nvars:
                 raise ValueError("exponent tuple arity mismatch")
-            if _deg(exps) >= x_prec:
+            if sum(exps) >= x_prec:
                 continue
             if isinstance(c, PadicNum):
                 if c.p != prime:
                     raise PrimeMismatch("coefficient prime differs from series prime")
+                if c.N == INF and c.v != INF:  # the kernels read N = INF as an absent slot
+                    raise ValueError(f"coefficient at {exps} has finite valuation and infinite precision")
             else:
                 c = PadicNum.from_fraction(Fraction(c), prime, coeff_prec)
             if not c.is_exact_zero():
@@ -86,7 +87,7 @@ class PSeries:
         """Series sum_i coeffs[i] * x^(shift+i) from ints/Fractions."""
         d = {}
         for i, c in enumerate(coeffs):
-            if _deg((shift + i,)) < M:
+            if shift + i < M:
                 d[(shift + i,)] = PadicNum.from_fraction(Fraction(c), p, N)
         return cls(p, 1, M, d, N)
 
@@ -147,7 +148,7 @@ class PSeries:
         M = min(self.x_prec, other.x_prec)
         out = {}
         for e in self.coeffs.keys() | other.coeffs.keys():
-            if _deg(e) < M:
+            if sum(e) < M:
                 out[e] = self.c(e) + other.c(e)
         return PSeries(self.prime, self.nvars, M, out, min(self.coeff_prec, other.coeff_prec))
 
@@ -161,10 +162,11 @@ class PSeries:
         N = min(self.coeff_prec, other.coeff_prec)
         if self.nvars == 1:
             return _unpack(p, _packed_mul(p, _pack(self.coeffs, M), _pack(other.coeffs, M), M), M, N)
-        A, B = _graded(self, M), _graded(other, M)
+        A, B = _parts(self, M), _parts(other, M)
         out = {}
         for e in range(M):
-            out.update(_graded_mul(p, A, B, e))
+            for key, c in _part_mul(p, A, B, e, e * M ** (self.nvars - 2) + 1):
+                out[(key, e - key) if self.nvars == 2 else (key // M, key % M, e - key // M - key % M)] = c
         return PSeries(p, self.nvars, M, out, N)
 
     def scalar_mul(self, s) -> "PSeries":
@@ -194,7 +196,7 @@ class PSeries:
             self.prime,
             self.nvars,
             M,
-            {e: c for e, c in self.coeffs.items() if _deg(e) < M},
+            {e: c for e, c in self.coeffs.items() if sum(e) < M},
             self.coeff_prec,
         )
 
@@ -331,20 +333,12 @@ class PSeries:
             out[key] = c
         return PSeries(self.prime, self.nvars - 1, self.x_prec, out, self.coeff_prec)
 
-    def swap_vars(self, i: int, j: int) -> "PSeries":
-        out = {}
-        for e, c in self.coeffs.items():
-            le = list(e)
-            le[i], le[j] = le[j], le[i]
-            out[tuple(le)] = c
-        return PSeries(self.prime, self.nvars, self.x_prec, out, self.coeff_prec)
-
     def equal_to_precision(self, other, prec=None) -> bool:
         """Coefficient-wise congruence at the lesser declared precision."""
         other = self._align(other)
         M = min(self.x_prec, other.x_prec)
         for e in self.coeffs.keys() | other.coeffs.keys():
-            if _deg(e) >= M:
+            if sum(e) >= M:
                 continue
             if not self.c(e).congruent(other.c(e), prec):
                 return False
@@ -415,52 +409,69 @@ def _solve_by_powers(h: PSeries, a1: PadicNum, lam: PadicNum) -> PSeries:
     return PSeries(h.prime, 1, h.x_prec, coeffs, h.coeff_prec)
 
 
-# -- degree-graded multivariate product ---------------------------------------
-#
-# A series in two or three variables is held as its homogeneous parts:
-# parts[k] lists the (exponents, coefficient) items of total degree k.  The
-# degree-e part of a product reads only the parts of degree <= e, so a caller
-# that grows its operands degree by degree (the Lubin-Tate lift) forms each
-# part of the product once.
+# -- homogeneous parts: the kernel in two and three variables -----------------
 
 
-def _graded(s: PSeries, M: int) -> list:
-    """Homogeneous parts of s below total degree M, each in dict order."""
+def _part(p: int, items) -> tuple:
+    """(key, coefficient) items as a factor of ``_part_sum``: (s, [(key, X, N,
+    F)]), s the least valuation, X the value over p^s, F the valuation floor."""
+    s = min((c.v for _, c in items if c.v != INF), default=0)
+    return s, [(a, 0 if c.v == INF else c.u * p ** (c.v - s), c.N, c.val_floor()) for a, c in items]
+
+
+def _parts(s: PSeries, M: int) -> list:
+    """The homogeneous parts of s below total degree M as factors."""
     parts = [[] for _ in range(M)]
     for e, c in s.coeffs.items():
-        k = _deg(e)
-        if k < M:
-            parts[k].append((e, c))
-    return parts
+        if sum(e) < M:
+            parts[sum(e)].append((e[0] if s.nvars == 2 else e[0] * M + e[1], c))
+    return [_part(s.prime, items) for items in parts]
 
 
-def _graded_mul(p: int, A, B, e: int) -> dict:
-    """Degree-e part of the product of the graded series A and B.
+def _part_mul(p: int, A, B, e: int, size: int) -> list:
+    """Degree-e part of the product of the part lists A and B."""
+    return _part_sum(p, [(A[k], B[e - k]) for k in range(max(0, e - len(B) + 1), min(e + 1, len(A)))], size)
 
-    Every pair of parts of degrees k + (e - k) contributes one term triple
-    per pair of coefficients: (v_a + v_b, u_a u_b, min(N_a + v_b, v_a + N_b)),
-    or only the precision bound v'_a + v'_b when a factor is zero-like.  Each
-    monomial is one ``reduce_terms`` over its triples, taken in exponent
-    order.
-    """
-    terms: dict = {}
-    for k in range(max(0, e - len(B) + 1), min(e + 1, len(A))):
-        row = [(eb, cb.v, cb.u, cb.N, cb.val_floor()) for eb, cb in B[e - k]]
-        for ea, ca in A[k]:
-            va, ua, na = ca.v, ca.u, ca.N
-            fa = ca.val_floor()
-            for eb, vb, ub, nb, fb in row:
-                if va == INF or vb == INF:
-                    t = (INF, 0, fa + fb)
-                else:
-                    n, m = na + vb, va + nb
-                    t = (va + vb, ua * ub, n if n < m else m)
-                key = tuple(map(add, ea, eb))
-                if key in terms:
-                    terms[key].append(t)
-                else:
-                    terms[key] = [t]
-    return {key: reduce_terms(p, terms[key]) for key in sorted(terms)}
+
+def _part_sum(p: int, pairs, size: int, raises: bool = True) -> list:
+    """sum P_a P_b over the pairs of factors (P_a, P_b), keys below size, as
+    (key, coefficient) items in key order: one pass over the pairs of
+    entries keeps per key the ledger K = min(N_a + F_b, F_a + N_b) of
+    ``reduce_terms`` and the integer sum of the X_a X_b at the least shift,
+    then normalises it as ``reduce_terms`` would.  The first key without
+    digits raises, or without ``raises`` has the error as its value."""
+    pairs = [(A, B) for A, B in pairs if A[1] and B[1]]
+    t = min((sa + sb for (sa, _), (sb, _) in pairs), default=0)
+    S, K = [0] * size, [_ABSENT] * size
+    for (sa, Pa), (sb, Pb) in pairs:
+        scale = p ** (sa + sb - t)
+        for ka, xa, na, fa in Pa:
+            xa *= scale
+            for kb, xb, nb, fb in Pb:
+                n, m = na + fb, fa + nb
+                key = ka + kb
+                S[key] += xa * xb
+                if m < n:
+                    n = m
+                if n < K[key]:
+                    K[key] = n
+    out = []
+    for key, n in enumerate(K):
+        if n == _ABSENT:
+            continue
+        r = S[key] % p ** (n - t) if n > t else 0
+        if r:
+            w = vp_int(r, p)
+            out.append((key, PadicNum(p, t + w, r // p**w, n)))
+            continue
+        m = INF if n > 0 else min((fa + fb for (_, Pa), (_, Pb) in pairs for ka, xa, _, fa in Pa for kb, xb, _, fb in Pb if ka + kb == key and xa and xb), default=INF)
+        try:  # zero to its precision, or without digits the error of reduce_terms for least term valuation m
+            out.append((key, PadicNum.zero_to_prec(p, n) if n > 0 or m < n else reduce_terms(p, [(m, 0, n)])))
+        except PrecisionExhausted as ex:
+            if raises:
+                raise
+            out.append((key, ex))
+    return out
 
 
 # -- packed univariate kernel ------------------------------------------------
@@ -796,21 +807,28 @@ class _PowerTable:
                     reached[(both & -both).bit_length() - 1].append(((a, b), c))
         return {e: c for level in reached for e, c in level}
 
-    def sum_pair(self, coeffs: dict, d: int) -> dict:
-        """The degree-d part of G(h(x), h(y)) = sum_b G_b(h(x)) h(y)^b for G
-        of total degree below d given as {(a, b): c}, G_b the column of y^b:
-        the x^d coefficient is [G_0(h)]_d, each G_b(h), b >= 1, is one
-        ``sum`` at degrees 1 <= i <= d - b (degree 0 is c_0b), and the other
-        coefficients are ``sum_orders`` of the G_b(h) at total degree d."""
-        columns = [{} for _ in range(d)]
-        for (a, b), c in coeffs.items():
-            columns[b][(a,)] = c
-        g = _pack(columns[0], d + 1)
-        (v,), (u,), (n,) = self.sum(g, d, d + 1)
+    def sum_pair(self, columns: list, part, d: int) -> dict:
+        """The degree-d part of G(h(x), h(y)) = sum_b G_b(h(x)) h(y)^b, G_b
+        the column of y^b, at stage d = 2, 3, ... of a caller that keeps
+        ``columns`` and passes G's degree-(d-1) part as (a, coefficient of
+        x^a y^(d-1-a)) items.  columns[b] carries G_b and G_b(h) packed; the
+        new c_(d-1-b)b moves only degrees d-b-1 and d-b of G_b(h), b >= 1,
+        one ``sum``.  The x^d coefficient is [G_0(h)]_d, the others
+        ``sum_orders`` of the G_b(h) at total degree d."""
+        columns += [[[_ABSENT], [0], [_ABSENT], [_ABSENT], [0], [_ABSENT]] for _ in range(len(columns), d)]
+        for a, c in part:
+            col = columns[d - 1 - a]
+            for x, y, fill in zip(col, (_ABSENT if c.v == INF else c.v, c.u, c.N), (_ABSENT, 0, _ABSENT)):
+                x += [fill] * (a + 1 - len(x))
+                x[a] = y
+            if a == 0:  # a new column: degree 0 of G_b(h) is c_0b
+                col[3:] = [x[:1] for x in col[:3]]
+        (v,), (u,), (n,) = self.sum(columns[0][:3], d, d + 1)
         out = {} if n == _ABSENT else {(d, 0): PadicNum(self.p, INF if v == _ABSENT else v, u, n)}
-        orders = [g]  # A_0 enters no sum of sum_orders
+        orders = [columns[0][:3]]  # A_0 enters no sum of sum_orders
         for b in range(1, d):
-            g = _pack(columns[b], d + 1)
-            V, U, N = self.sum(g, 1, d - b + 1)
-            orders.append((g[0][:1] + V, g[1][:1] + U, g[2][:1] + N))
+            col, lo = columns[b], max(1, d - b - 1)
+            for x, y in zip(col[3:], self.sum(col[:3], lo, d - b + 1)):
+                x[lo:] = y
+            orders.append(col[3:])
         return {**out, **self.sum_orders(orders, d)}

@@ -437,6 +437,41 @@ def horner_associative(p: int, F: dict, M: int, N: int) -> bool:
     return True
 
 
+def triple_substitute(p: int, F: dict, pows: list, D: int, left: bool) -> dict:
+    """F(F(x,y), z) (left) or F(x, F(y,z)) below total degree D, the
+    associativity sides as lubinlab formed them before its part lists: one
+    term triple per pair of c_ab (in F's order) and a coefficient of F^k,
+    k = a (left) or b, from the dicts pows[k] of {(i, j): triple} (pows[0]
+    is {(0, 0): None}, the exact 1).  Returns {(x, y, z) exponents: triple}
+    in the order the pairs first reach them, each reduced in that order;
+    raises NoDigits at the first without digits."""
+    terms = {}
+    for (a, b), c in F.items():
+        k, free = (a, b) if left else (b, a)
+        for (i, j), d in pows[k].items():
+            if i + j + free < D:
+                e = (i, j, free) if left else (free, i, j)
+                terms.setdefault(e, []).append(c if d is None else triple_product(c, d))
+    out = {}
+    for e, t in terms.items():
+        c = reduce_triples(p, t)
+        if isinstance(c, NoDigits):
+            raise c
+        out[e] = c
+    return out
+
+
+def swap_vars(F, i: int, j: int):
+    """A series with variables i and j exchanged: the reference for the
+    symmetry of a two-variable law (a series of F's own class)."""
+    out = {}
+    for e, c in F.coeffs.items():
+        le = list(e)
+        le[i], le[j] = le[j], le[i]
+        out[tuple(le)] = c
+    return type(F)(F.prime, F.nvars, F.x_prec, out, F.coeff_prec)
+
+
 # -- the Lubin-Tate lift as it ran before the degree-incremental stages ----------
 #
 # At every degree d this recomputes f(F) by a full Horner composition with the

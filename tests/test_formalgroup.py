@@ -25,7 +25,7 @@ from lubinlab import (
     logarithm_recurrence,
     lubin_tate_lift,
 )
-from conftest import one_plus_x_pow, series_from_fractions
+from conftest import one_plus_x_pow, outcome, series_from_fractions
 from lubinlab import formalgroup, series
 from oracles import (
     NoDigits,
@@ -35,8 +35,11 @@ from oracles import (
     _horner_2var,
     binom,
     horner_associative,
+    swap_vars,
     taylor_assembly,
     triple_add,
+    triple_mul,
+    triple_substitute,
 )
 from oracles import lubin_tate_lift as recomputing_lift
 
@@ -402,7 +405,7 @@ def test_commutativity_matches_swapped_copy(case):
     p, M, coeffs = case
     F = PSeries(p, 2, M, {e: PadicNum(p, *t) for e, t in coeffs.items()}, 20)
     G = FormalGroupLaw(F, "test")
-    assert G.check_commutative() == F.swap_vars(0, 1).equal_to_precision(F)
+    assert G.check_commutative() == swap_vars(F, 0, 1).equal_to_precision(F)
     assert G.certificates["commutative"]["degree"] == M
 
 
@@ -417,7 +420,7 @@ def test_commutativity_raises_on_a_coefficient_without_digits(place):
     with pytest.raises(PrecisionExhausted) as new:
         FormalGroupLaw(F, "test").check_commutative()
     with pytest.raises(PrecisionExhausted) as old:
-        F.swap_vars(0, 1).equal_to_precision(F)
+        swap_vars(F, 0, 1).equal_to_precision(F)
     assert str(new.value) == str(old.value)
 
 
@@ -454,6 +457,135 @@ def test_associativity_matches_horner_certificate(case):
     F2 = F.truncate(m2)
     want = horner_associative(F.prime, _triples(F2), F2.x_prec, F.coeff_prec)
     assert FormalGroupLaw(F, "test").check_associative(m2) == want
+
+
+# -- the bivariate layer on part lists against the per-pair loops ----------------
+
+
+@st.composite
+def rough_laws(draw):
+    """x + y and random coefficients below degree M in a random order, some
+    mirrored: finite ones with negative valuations, zero-like ones and ones
+    known to no digit (N <= 0), with the certificate's m2."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    M = draw(st.integers(3, 8))
+
+    def coefficient():
+        kind = draw(st.sampled_from(("finite", "finite", "zero-like", "no digits")))
+        if kind == "zero-like":
+            return (INF, 0, draw(st.integers(-1, 6)))
+        N = draw(st.integers(-2, 0)) if kind == "no digits" else draw(st.integers(-2, 6))
+        v = draw(st.integers(N - 4, N - 1))
+        return (v, p * draw(st.integers(0, p ** (N - v - 1) - 1)) + draw(st.integers(1, p - 1)), N)
+
+    coeffs = {(1, 0): (0, 1, 20), (0, 1): (0, 1, 20)}
+    monomials = st.integers(2, M - 1).flatmap(lambda k: st.integers(0, k).map(lambda a: (a, k - a)))
+    for a, b in draw(st.lists(monomials, min_size=1, max_size=10)):
+        coeffs[(a, b)] = coefficient()
+        if draw(st.booleans()):
+            coeffs[(b, a)] = coeffs[(a, b)]
+    order = draw(st.permutations(sorted(coeffs)))
+    F = PSeries(p, 2, M, {e: PadicNum(p, *coeffs[e]) for e in order}, 20)
+    return F, draw(st.integers(3, M + 1))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(group_laws(), rough_laws(), rough_laws()))
+@example((PSeries(2, 2, 4, {(1, 0): 1, (0, 1): 1, (1, 1): PadicNum(2, -3, 1, -1)}, 20), 4))
+def test_associativity_sides_match_per_pair_substitution(case):
+    """The sides on part lists against the per-pair loop they replaced
+    (``oracles.triple_substitute`` over ``triple_mul`` powers): triple for
+    triple, and exception for exception.  Where a coefficient has N <= 0,
+    order decides what raises and what comparing the sides does, so there
+    they come in the loop's order too, and the certificate decides as
+    comparing the 3-variable series of the loop's sides did."""
+    F, m2 = case
+    F2 = F.truncate(m2)
+    p, D = F.prime, F2.x_prec
+    try:
+        pows = [{(0, 0): None}, _triples(F2)]
+        for _ in range(2, D):
+            pows.append(triple_mul(p, pows[-1], pows[1], D))
+        want = [triple_substitute(p, pows[1], pows, D, left) for left in (True, False)]
+    except NoDigits as ex:
+        event("a side or a power has a coefficient without digits")
+        for run in (lambda: formalgroup._sides(F2, D), lambda: FormalGroupLaw(F, "test").check_associative(m2)):
+            assert outcome(run) == (PrecisionExhausted, str(ex))
+        return
+    got = [{e: (c.v, c.u, c.N) for e, c in side.items()} for side in formalgroup._sides(F2, D)]
+    assert got == want
+    if any(t[2] <= 0 for side in want for t in side.values()):
+        event("a coefficient with N <= 0")
+        assert [list(side) for side in got] == [list(side) for side in want]
+    left, right = (PSeries(p, 3, D, {e: PadicNum(p, *t) for e, t in side.items()}, 20) for side in want)
+    G = FormalGroupLaw(F, "test")
+    assert outcome(lambda: G.check_associative(m2)) == outcome(lambda: left.equal_to_precision(right))
+
+
+def test_bivariate_layer_multiplies_no_series(monkeypatch):
+    """``certify`` and ``lubin_tate_lift`` run on part lists: they make no
+    ``PSeries`` product and build no 3-variable ``PSeries``."""
+    f = one_plus_x_pow(3, 3, 12, 20)
+    G = group_from_log(logarithm_recurrence(f))
+    calls, built = [], []
+    mul, init = PSeries.__mul__, PSeries.__init__
+    monkeypatch.setattr(PSeries, "__mul__", lambda a, b: calls.append(a.nvars) or mul(a, b))
+    monkeypatch.setattr(PSeries, "__init__", lambda s, p, nvars, *rest: built.append(nvars) or init(s, p, nvars, *rest))
+    assert G.certify(12)
+    assert G.certificates["associative"] == {"ok": True, "degree": 12}
+    assert lubin_tate_lift(f, 12).F.equal_to_precision(G.F)
+    assert calls == []
+    assert 2 in built and 3 not in built
+
+
+@st.composite
+def pair_stages(draw):
+    """h without constant term and the coefficients {(a, b): triple} of a
+    G below degree D (zero-like ones, and ones with N <= 0, included)."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    D = draw(st.integers(3, 9))
+
+    def coefficient(least):
+        if draw(st.integers(0, 4)) == 0:
+            return (INF, 0, draw(st.integers(min(least, 1), 8)))
+        v, rel = draw(st.integers(least, 3)), draw(st.integers(1, 6))
+        return (v, p * draw(st.integers(0, p ** (rel - 1) - 1)) + draw(st.integers(1, p - 1)), v + rel)
+
+    h = {d: coefficient(0) for d in draw(st.sets(st.integers(1, D - 1), min_size=1))}
+    monomials = st.integers(1, D - 2).flatmap(lambda k: st.integers(0, k).map(lambda a: (a, k - a)))
+    return p, D, h, {e: coefficient(-2) for e in draw(st.lists(monomials, unique=True, max_size=20))}
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pair_stages())
+def test_carried_pair_columns_match_fresh_sums(case):
+    """Stage by stage, the columns G_b(h) that ``_PowerTable.sum_pair``
+    carries equal the column sums formed afresh from G's coefficients below
+    degree d, triple for triple, and so does the degree-d part it returns,
+    in order; where the fresh sums raise, the stage raises the same."""
+    p, D, h, G = case
+    table = PSeries(p, 1, D, {(d,): PadicNum(p, *t) for d, t in h.items()}, 20).power_table()
+    coeff = {e: PadicNum(p, *t) for e, t in G.items()}
+    columns = []
+
+    def fresh(d):
+        cols = [series._pack({(a,): c for (a, b2), c in coeff.items() if b2 == b and a + b < d}, d + 1) for b in range(d)]
+        (v,), (u,), (n,) = table.sum(cols[0], d, d + 1)
+        sums = [cols[0]] + [[x[:1] + y for x, y in zip(g, table.sum(g, 1, d - b + 1))] for b, g in enumerate(cols) if b]
+        top = {} if n == series._ABSENT else {(d, 0): (INF if v == series._ABSENT else v, u, n)}
+        return sums, {**top, **{e: (c.v, c.u, c.N) for e, c in table.sum_orders(sums, d).items()}}
+
+    for d in range(2, D):
+        part = [(a, coeff[(a, d - 1 - a)]) for a in range(d) if (a, d - 1 - a) in coeff]
+        want = outcome(lambda: fresh(d))
+        got = outcome(lambda: table.sum_pair(columns, part, d))
+        if isinstance(want[0], type):
+            event("a stage raises")
+            assert got == want
+            return
+        sums, rhs = want
+        assert [list(col[3:]) for col in columns[1:]] == sums[1:]
+        assert list({e: (c.v, c.u, c.N) for e, c in got.items()}.items()) == list(rhs.items())
 
 
 # -- the degree-incremental lift against the recomputing reference ---------------

@@ -4,7 +4,7 @@ Random series mix per-coefficient precisions, zero-like and absent
 coefficients and negative valuations (as in logarithm coefficients), with
 unequal truncation orders.  Univariate products (the packed kernel),
 compositions (the power table) and two- and three-variable products (the
-degree-graded kernel) must agree with ``oracles.triple_mul`` /
+part-list kernel) must agree with ``oracles.triple_mul`` /
 ``oracles.table_compose`` triple for triple and in the same order, and
 raise PrecisionExhausted exactly when the oracle finds a coefficient with no
 digits.  Composition is also held against Horner's rule

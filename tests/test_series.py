@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from lubinlab import ConstantTermError, NotInvertible, PadicNum, PSeries, PrimeMismatch
+from lubinlab import INF, ConstantTermError, NotInvertible, PadicNum, PSeries, PrimeMismatch
 from conftest import random_s0, series_from_fractions
-from oracles import lagrange_inversion, poly_compose, poly_mul
+from oracles import lagrange_inversion, poly_compose, poly_mul, swap_vars
 
 
 def as_fracs(s):
@@ -191,7 +191,7 @@ def test_multivariate_basics():
     y = PSeries(p, 2, M, {(0, 1): 1}, N)
     F = x + y + x * y
     assert F.set_var_zero(1).equal_to_precision(PSeries.identity(p, M, N))
-    assert F.swap_vars(0, 1).equal_to_precision(F)
+    assert swap_vars(F, 0, 1).equal_to_precision(F)
     with pytest.raises(ValueError, match="univariate"):
         F.derivative()
 
@@ -222,3 +222,24 @@ def test_compose_refuses_a_multivariate_series():
         x.compose(xy)
     with pytest.raises(ValueError, match="univariate"):
         xy.compose(x)
+
+
+@pytest.mark.parametrize(
+    "nvars, series",
+    [
+        (1, lambda a: PSeries(3, 1, 4, {(1,): a}, INF)),  # its square read as {}
+        (2, lambda a: PSeries(3, 2, 4, {(1, 0): a}, INF) + PSeries(3, 2, 4, {(0, 1): a}, INF)),  # so did x a + y a
+    ],
+)
+def test_exact_nonzero_coefficient_is_refused(nvars, series):
+    """A coefficient with a finite valuation and infinite precision claims an
+    exact nonzero value; the kernels read N = INF as an absent slot, so the
+    squares above came out as the zero series.  The series refuses it and
+    names the exponent; exact zeros and zero-like coefficients stay allowed."""
+    a = PadicNum(3, 0, 2, INF)
+    exps = r"\(1,\)" if nvars == 1 else r"\(1, 0\)"
+    with pytest.raises(ValueError, match=rf"coefficient at {exps} has finite valuation and infinite precision"):
+        series(a)
+    zero, zero_like = PadicNum.exact_zero(3), PadicNum.zero_to_prec(3, 5)
+    s = PSeries(3, nvars, 4, {(1,) * nvars: zero, (2,) * nvars if nvars == 1 else (1, 1): zero_like}, INF)
+    assert list(s.coeffs.values()) == [zero_like]
