@@ -34,7 +34,7 @@ from .errors import (
     TorsionDetected,
     TruncationInconclusive,
 )
-from .padic import PadicNum, floor_log, require_prime
+from .padic import INF, PadicNum, floor_log, require_prime
 from .series import PSeries
 from .polygon import count_roots_open_disk, newton_polygon, verify_iterate_shape
 from .dynamics import (
@@ -136,15 +136,24 @@ SUMMARY_HEADER = (
 )
 
 
-def _suggest(cfg: Config, p: int, stage: str, detail) -> str:
+def _suggest(cfg: Config, p: int, stage: str, detail, digits, x_prec) -> str:
+    """The knob to turn; digits is the fewest an input coefficient below M
+    carries and x_prec the inputs' truncation, both before ``analyze`` caps."""
     # an iterate limit cut short (NoStabilization comes only from it) starves
     # the logarithm or its cross-check, whatever N and M are
     n_max = default_n_max(p, cfg.M)
     limit_starved = stage == "logarithm_crosscheck" or isinstance(detail, NoStabilization)
     if limit_starved and cfg.n_max_limit is not None and cfg.n_max_limit < n_max:
         return f"retry with n_max_limit>={n_max}"
+    Nw = cfg.working_prec()
+    if digits < Nw:  # a larger N asks the inputs for digits they do not have
+        return f"the inputs are the limit: they carry {digits} digits, the working precision is {Nw}; " \
+            f"rebuild f and u with {Nw} digits"
     # a larger M does not reach the linear coefficients of the hypotheses
-    return f"retry with N>={cfg.N + 8}" + ("" if stage == "hypotheses" else f" or M>={2 * cfg.M}")
+    if stage == "hypotheses":
+        return f"retry with N>={cfg.N + 8}"
+    M = 2 * cfg.M
+    return f"retry with N>={cfg.N + 8} or M>={M}" + ("" if M <= x_prec else f" with f and u known below degree {M}")
 
 
 # The verdict of a stage's exception.  REJECTED needs a hypothesis that fails
@@ -178,6 +187,8 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         if not s.s0:
             raise ValueError(f"series {label} has a constant term")
     Nw = cfg.working_prec()
+    digits = min((c.N for s in (f, u) for e, c in s.coeffs.items() if sum(e) < cfg.M), default=INF)
+    x_prec = min(f.x_prec, u.x_prec)
     f = f.truncate(cfg.M).cap_coeff_prec(Nw)
     u = u.truncate(cfg.M).cap_coeff_prec(Nw)
     report = {
@@ -199,7 +210,7 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         return AnalysisReport(report)
 
     def inconclusive(stage, detail):
-        reason = f"stage {stage} starved: {detail}; {_suggest(cfg, p, stage, detail)}"
+        reason = f"stage {stage} starved: {detail}; {_suggest(cfg, p, stage, detail, digits, x_prec)}"
         report["verdict"], report["reason"] = INCONCLUSIVE, reason
         return AnalysisReport(report)
 

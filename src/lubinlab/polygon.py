@@ -18,7 +18,9 @@ steps refine.  A slope's cofactor is the unit series times the factors
 split off beside it.  The layer has one recurrence, ``series._packed_solve``:
 it forms the preparation's inverses 1/g_hi and 1/q, and a monic division
 is the same solve on the reversed polynomials, rev(D) rev(q) = rev(P).  The
-preparation's fixed point runs on the packed lists of ``series``.
+preparation's fixed point runs on the packed lists of ``series``.  A
+series is prepared once per ``target_prec``, and P split once per vertex,
+for all its slopes: ``weierstrass_factor`` keeps that work on the series.
 """
 
 from fractions import Fraction
@@ -408,10 +410,20 @@ def weierstrass_factor(g: PSeries, slope, target_prec=None):
 
     Returns (poly, cofactor) with g = poly * cofactor to combined precision,
     deg(poly) = segment width, and poly's roots the roots of g of valuation
-    -slope.  g must be integral to precision.  ``target_prec`` caps the
-    p-adic precision of the factorization (the division iteration gains one
-    digit per pass, so capping is the honest way to trade digits for time).
+    -slope.  g must be integral to precision.  ``target_prec``, None or an
+    int >= 1, caps the p-adic precision of the factorization (the division
+    iteration gains one digit per pass, so capping is the honest way to
+    trade digits for time).
+
+    The preparation (P, U) and each split of P are kept on g, per
+    ``target_prec``, and read back by the calls for the other slopes; they
+    live and die with g.  An exception is not kept, so a call that failed
+    raises again.  Returned series may be shared between calls: treat them
+    as values.
     """
+    if target_prec is not None and (type(target_prec) is not int or target_prec < 1):  # bool too
+        raise ValueError(f"target_prec must be None or an int >= 1, got {target_prec!r}")
+    memo = g._factoring = g._factoring or {}
     if target_prec is not None:
         g = g.cap_coeff_prec(target_prec)
     slope = Fraction(slope)
@@ -427,31 +439,29 @@ def weierstrass_factor(g: PSeries, slope, target_prec=None):
     i0 = poly.points[0][0]
     if any(i < i0 for i, _ in poly.unknowns):
         raise TruncationInconclusive("x-adic valuation depends on unresolved coefficients")
-    shifted = PSeries(
-        p,
-        1,
-        g.x_prec - i0,
-        {(e[0] - i0,): c for e, c in g.coeffs.items() if e[0] >= i0},
-        g.coeff_prec,
-    )
-    P, U = weierstrass_preparation(shifted)
-    wdeg = shifted.weierstrass_degree()
+    if target_prec not in memo:
+        coeffs = {(e[0] - i0,): c for e, c in g.coeffs.items() if e[0] >= i0}
+        shifted = PSeries(p, 1, g.x_prec - i0, coeffs, g.coeff_prec)
+        memo[target_prec] = weierstrass_preparation(shifted) + (shifted.weierstrass_degree(), {})
+    P, U, wdeg, splits = memo[target_prec]
+
+    def split(A, degree, istar):  # a split of P (degree wdeg) is kept by istar, one of its factors is not
+        if A is not P:
+            return vertex_split(A, degree, istar)
+        if istar not in splits:
+            splits[istar] = vertex_split(P, degree, istar)
+        return splits[istar]
+
     jl, jr = seg.start[0] - i0, seg.end[0] - i0
     factor, cof = P, U
     if jr < wdeg:
-        factor, hi = vertex_split(factor, wdeg, jr)
+        factor, hi = split(factor, wdeg, jr)
         cof = cof * hi
     if jl > 0:
-        lo, factor = vertex_split(factor, jr, jl)
+        lo, factor = split(factor, jr, jl)
         cof = cof * lo
-    cofactor = PSeries(
-        p,
-        1,
-        g.x_prec,
-        {(e[0] + i0,): c for e, c in cof.coeffs.items() if e[0] + i0 < g.x_prec},
-        g.coeff_prec,
-    )
-    return factor, cofactor
+    cofactor = {(e[0] + i0,): c for e, c in cof.coeffs.items() if e[0] + i0 < g.x_prec}
+    return factor, PSeries(p, 1, g.x_prec, cofactor, g.coeff_prec)
 
 
 def is_eisenstein(poly: PSeries, degree=None) -> bool:

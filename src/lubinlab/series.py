@@ -48,7 +48,7 @@ from .padic import INF, PadicNum, reduce_terms, require_prime, vp_int
 class PSeries:
     """Dense truncated power series over PadicNum coefficients."""
 
-    __slots__ = ("prime", "nvars", "x_prec", "coeffs", "coeff_prec", "_powers")
+    __slots__ = ("prime", "nvars", "x_prec", "coeffs", "coeff_prec", "_powers", "_factoring")
 
     def __init__(self, prime, nvars, x_prec, coeffs, coeff_prec):
         if not 1 <= nvars <= 3:
@@ -74,6 +74,7 @@ class PSeries:
                 clean[exps] = c
         self.coeffs = clean
         self._powers = None  # the power table, once the series is substituted
+        self._factoring = None  # the Weierstrass work of ``polygon.weierstrass_factor``, once factored
 
     # -- constructors ----------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Hull construction, root counting, iterate shapes, Weierstrass factors."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,11 +12,14 @@ from lubinlab import (
     count_roots_open_disk,
     is_eisenstein,
     iterate,
+    make_twist_fixture,
     newton_polygon,
+    polygon,
     verify_iterate_shape,
     weierstrass_factor,
     weierstrass_preparation,
 )
+from lubinlab.errors import PrecisionExhausted
 from lubinlab.polygon import vertex_split
 from conftest import one_plus_x_pow, random_s0, series_from_fractions
 from oracles import is_lower_hull, poly_mul
@@ -223,6 +227,77 @@ def test_all_iterate_factors_eisenstein():
             fac, cof = weierstrass_factor(fn, seg.slope, target_prec=12)
             assert is_eisenstein(fac)
             assert (fac * cof).equal_to_precision(fn)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, "4", 0, -3, True])
+def test_weierstrass_factor_refuses_a_bad_target_prec(bad):
+    """2.5 and "4" raised a TypeError from deep in the preparation, 0 and -3
+    PrecisionExhausted, and 2.0 capped the coefficients to a float N."""
+    g = series_from_fractions(2, [2, 1], 16, 24)
+    with pytest.raises(ValueError, match=f"^target_prec must be None or an int >= 1, got {bad!r}$"):
+        weierstrass_factor(g, -1, target_prec=bad)
+
+
+def triples(s):
+    return s.x_prec, s.coeff_prec, {e: (c.v, c.u, c.N) for e, c in s.coeffs.items()}
+
+
+def twisted_iterates():
+    """Iterates f^n, p^n < 32, of gm twisted by x + x^2 + 2x^3 at p = 2, 3, 5."""
+    for p in (2, 3, 5):
+        f, _ = make_twist_fixture("gm", PSeries.from_univariate_coeffs(p, [1, 1, 2], 32, 24))
+        for n in range(1, 4):
+            if p**n < 32:
+                yield iterate(f, n)
+
+
+def test_weierstrass_factor_shares_the_preparation_and_the_splits(monkeypatch):
+    """Every slope of a twisted iterate, at two target_prec values in turn:
+    one preparation per (series, target_prec), one split of each P per
+    (degree, istar), and each (factor, cofactor) the one a fresh copy of the
+    series gives, on which nothing is shared."""
+    preps, splits, prepared = [], Counter(), {}  # prepared keeps each P alive, so no id is reused
+
+    def counting_preparation(g):
+        P, U = weierstrass_preparation(g)
+        preps.append(g)
+        prepared[id(P)] = P
+        return P, U
+
+    def counting_split(P, degree, istar):
+        if id(P) in prepared:
+            splits[id(P), degree, istar] += 1
+        return vertex_split(P, degree, istar)
+
+    monkeypatch.setattr(polygon, "weierstrass_preparation", counting_preparation)
+    monkeypatch.setattr(polygon, "vertex_split", counting_split)
+    factored = 0
+    for fn in twisted_iterates():
+        segments, before = newton_polygon(fn).negative_segments(), len(preps)
+        for seg in segments:
+            for tp in (12, 8):
+                fresh = PSeries(fn.prime, 1, fn.x_prec, dict(fn.coeffs), fn.coeff_prec)
+                kept, once = weierstrass_factor(fn, seg.slope, tp), weierstrass_factor(fresh, seg.slope, tp)
+                assert [triples(s) for s in kept] == [triples(s) for s in once]
+        # fn is prepared once per target_prec, each fresh copy once
+        assert len(preps) - before == 2 + 2 * len(segments)
+        assert sorted(fn._factoring) == [8, 12]
+        assert fn._factoring[8][0].coeff_prec == 8 and fn._factoring[12][0].coeff_prec == 12
+        factored += 1
+    assert factored == 8
+    assert splits and max(splits.values()) == 1
+
+
+def test_a_failing_split_raises_again():
+    """At N = 7 the split of P at istar = 4, the vertex (5, 2) both slopes
+    share, stalls; it is not kept, so each call raises the same error."""
+    g = PSeries.from_univariate_coeffs(2, [32, 32, 96, 48, 4, 8, 6, 1, 2, 3, 1], 16, 7)
+    for _ in range(2):
+        for slope in (Fraction(-3, 4), Fraction(-2, 3)):
+            with pytest.raises(PrecisionExhausted, match="^vertex split stalled; digits cannot be separated$"):
+                weierstrass_factor(g, slope)
+    (P, U, wdeg, splits), = g._factoring.values()
+    assert wdeg == 7 and splits == {}
 
 
 def test_preparation_splits_unit():

@@ -23,6 +23,7 @@ from lubinlab import (
     analyzer,
     batch_run,
     gm_pair,
+    make_twist_fixture,
 )
 from lubinlab.cli import main
 from lubinlab.errors import (
@@ -44,7 +45,7 @@ from conftest import one_plus_x_pow
 
 CFG = Config(N=8, M=16)
 NW = CFG.resolve(2).working_prec()
-RETRY = "retry with N>=16 or M>=32"
+RETRY = "retry with N>=16 or M>=32 with f and u known below degree 32"
 BASE = ["config", "name", "prime", "reason", "verdict"]
 # the report sections in the order the stages write them
 SECTIONS = ["hypotheses", "normalization", "logarithm", "iterate_shape", "formal_group", "frobenius"]
@@ -276,7 +277,7 @@ def test_precision_failure_in_a_stage_without_its_own_handler_is_reported(monkey
 
 STARVED_DLOG = (
     "stage logarithm starved: zero known to nonpositive precision carries no digits; "
-    "retry with N>=12 or M>=8"
+    "the inputs are the limit: they carry 3 digits, the working precision is 12; rebuild f and u with 12 digits"
 )
 
 
@@ -308,6 +309,35 @@ def test_starved_logarithm_derivative_is_inconclusive(tmp_path, capsys):
     assert run.data == cli_report
 
 
+
+# -- suggestions that can be followed -------------------------------------------
+
+
+def test_inputs_short_of_the_working_precision_are_named_as_the_limit():
+    """The gm twist by w = x + 2x^2 + x^3 + 3x^4 at p = 2, built with 40
+    digits, asked for "N>=24 or M>=128": N = 24 starved the same way and
+    asked for N>=32, and M = 128 is refused, as the inputs stop at degree
+    64.  Rebuilt with the 84 digits of the working precision, it certifies."""
+
+    def twist(N):
+        return make_twist_fixture("gm", PSeries.from_univariate_coeffs(2, [1, 2, 1, 3], 64, N))
+
+    report = analyze(*twist(40))
+    assert (report.verdict, report.reason) == (
+        INCONCLUSIVE,
+        "stage group_from_log starved: zero known to nonpositive precision carries no digits; "
+        "the inputs are the limit: they carry 40 digits, the working precision is 84; rebuild f and u with 84 digits",
+    )
+    assert analyze(*twist(84)).verdict == CERTIFIED
+
+
+def test_larger_m_within_the_input_truncation_is_suggested_plainly(monkeypatch):
+    """RETRY's pair stops at degree M, so its M>=2M names the degree f and u
+    must be known below; a pair known to degree 2M needs no such note."""
+    raising(monkeypatch, analyzer, "logarithm_recurrence", PrecisionExhausted("boom"))
+    report = analyze(*gm_pair(2, 2 * CFG.M, NW), CFG)
+    assert report.reason == "stage logarithm starved: boom; retry with N>=16 or M>=32"
+
 # -- linear coefficients zero to their precision -------------------------------
 
 
@@ -321,7 +351,8 @@ def test_f_derivative_zero_to_one_digit_is_inconclusive():
     report = analyze(linear(2, [2, 1], 1), linear(2, [3, 3, 1], 1), Config(N=4, M=16))
     assert (report.verdict, report.reason) == (
         INCONCLUSIVE,
-        "stage hypotheses starved: f'(0) is zero to precision O(2^1); retry with N>=12",
+        "stage hypotheses starved: f'(0) is zero to precision O(2^1); "
+        "the inputs are the limit: they carry 1 digits, the working precision is 24; rebuild f and u with 24 digits",
     )
     assert report.data["hypotheses"]["fprime0_valuation"] is None
 
@@ -341,7 +372,8 @@ def test_u_derivative_without_digits_is_inconclusive(monkeypatch):
     coeffs = dict(u.coeffs)
     monkeypatch.setattr(analyzer, "check_commute", lambda f, u: (True, None, CFG.M - 1))
     for N, want in [
-        (0, (INCONCLUSIVE, "stage hypotheses starved: u'(0) is zero to precision O(2^0); retry with N>=16")),
+        (0, (INCONCLUSIVE, "stage hypotheses starved: u'(0) is zero to precision O(2^0); the inputs are the limit: "
+             "they carry 0 digits, the working precision is 28; rebuild f and u with 28 digits")),
         (1, (REJECTED, "u'(0) is not a unit")),
     ]:
         coeffs[(1,)] = PadicNum(2, INF, 0, N)
