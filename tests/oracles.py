@@ -759,3 +759,102 @@ def triple_preparation(p: int, g: dict, M: int, N: int):
     P = {e: triple_neg(p, c) for e, c in r.items() if e < W}
     P[W] = one
     return P, triple_inverse(p, q, M, N)
+
+
+# -- the vertex split as it ran on whole series ---------------------------------
+#
+# ``polygon.vertex_split`` as it ran before its packed lists: every Newton
+# step through whole series, each sum one ``triple_add`` per key in the order
+# of ``PSeries.__add__`` (the set union of the keys), each product
+# ``triple_mul`` and each monic division the reversed solve of
+# ``polygon._poly_divide_monic``.  Series are dicts keyed by 1-tuples (d,),
+# in the insertion order the series would have had, so the unions walk the
+# same sets.
+
+
+def _fold_triples(p: int, c, pairs):
+    """c - sum a b over the pairs (a, b) of triples or None, as
+    ``series._fold``: c itself without a pair of present factors, else one
+    ``reduce_triples`` of c and the negated products, raising first where a
+    zero-like product keeps no digit (``triple_times``)."""
+    present = [(a, b) for a, b in pairs if a is not None and b is not None]
+    if not present:
+        return c
+    terms = [triple_neg(p, triple_times(p, a, b)) for a, b in present]
+    total = reduce_triples(p, ([c] if c is not None else []) + terms)
+    if isinstance(total, NoDigits):
+        raise total
+    return total
+
+
+def triple_poly_divide_monic(p: int, P: dict, degree: int, D: dict, ddeg: int):
+    """(q, r) of ``polygon._poly_divide_monic`` on 1-tuple dicts: rev(q) solved
+    degree by degree, rev(q)_n = rev(P)_n - sum_(k=1..n) rev(D)_k rev(q)_(n-k),
+    q in that order (q_qdeg first); then q_k less q_k times D's lead wherever
+    that keeps no digit; then r_e = P_e - sum_k q_k D_(e-k), e < ddeg, by
+    ascending e."""
+    qdeg = degree - ddeg
+    rP = {degree - e: c for (e,), c in P.items() if e <= degree}
+    rD = {ddeg - e: c for (e,), c in D.items() if e <= ddeg}
+    rq = {}
+    for n in range(qdeg + 1):
+        b = _fold_triples(p, rP.get(n), [(rD.get(k), rq.get(n - k)) for k in range(1, n + 1)])
+        if b is not None:
+            rq[n] = b
+    quot = {(qdeg - n,): b for n, b in rq.items()}
+    lead = D.get((ddeg,))
+    for b in quot.values() if lead is not None else ():
+        if min(b[2], b[2] + _floor(lead), _floor(b) + lead[2]) <= 0:
+            triple_add(p, b, triple_neg(p, triple_times(p, b, lead)))  # raises where it keeps no digit
+    rem = {}
+    for e in range(min(ddeg, degree + 1)):
+        r = _fold_triples(p, P.get((e,)), [(D.get((e - k,)), quot.get((k,))) for k in range(e + 1)])
+        if r is not None:
+            rem[(e,)] = r
+    return quot, rem
+
+
+def triple_vertex_split(p: int, P: dict, M: int, N: int, degree: int, istar: int):
+    """(A, B) of ``polygon.vertex_split`` for the series P (1-tuple keys,
+    below degree M, coefficient precision N), or NoDigits with its message:
+    the same start, Newton steps, cofactor updates, stall and step limits."""
+
+    def mul(a, b):
+        return triple_mul(p, a, b, M)
+
+    def neg(a):
+        return {e: triple_neg(p, c) for e, c in a.items()}
+
+    def add(a, b):
+        return _dict_add(p, a, b, M)
+
+    def mod_a(s, sdeg):
+        return triple_poly_divide_monic(p, s, sdeg, A, istar)[1]
+
+    cstar = P.get((istar,))
+    if cstar is None or cstar[0] == INF:
+        raise NoDigits("vertex coefficient unresolved")
+    A = {(i,): triple_div(p, P[(i,)], cstar) for i in range(istar) if (i,) in P}
+    A[(istar,)] = (0, 1, max(int(N - cstar[0]), 1))
+    B = {(i - istar,): P[(i,)] for i in range(istar, degree + 1) if (i,) in P}
+    one = {(0,): (0, 1, N)}
+    t = {(0,): triple_div(p, (0, 1, N), cstar)}
+    last_gap, stalls = -INF, 0
+    for _ in range(40):
+        R = add(P, neg(mul(A, B)))
+        dA = mod_a(mul(mod_a(R, degree), t), 2 * istar - 2)
+        dB = triple_poly_divide_monic(p, add(R, neg(mul(dA, B))), degree - 1, A, istar)[0]
+        A, B = add(A, dA), add(B, dB)
+        if all(c[0] == INF for c in R.values()):
+            return A, B
+        gap = min(_floor(c) for c in R.values())
+        stalls = stalls + 1 if gap <= last_gap else 0
+        if stalls == 3:
+            raise NoDigits("vertex split stalled; digits cannot be separated")
+        last_gap = gap
+        try:
+            inner = mod_a(mul(t, mod_a(B, degree - istar)), 2 * istar - 2)
+            t = add(t, mod_a(mul(t, add(one, neg(inner))), 2 * istar - 2))
+        except NoDigits:
+            pass  # keep the old multiplier
+    raise NoDigits("vertex split did not converge")

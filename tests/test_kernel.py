@@ -15,7 +15,8 @@ against a count of the products its power tables form.  The packed solve
 of the Weierstrass layer (``PSeries.inverse``, the monic division and the
 preparation) is held against the per-pair loops it replaced
 (``oracles.triple_inverse``, ``triple_divide_monic``,
-``triple_preparation``).
+``triple_preparation``), and ``vertex_split`` against its Newton steps on
+whole triple series (``oracles.triple_vertex_split``).
 """
 
 import pytest
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 from lubinlab import INF, PadicNum, PrecisionExhausted, PSeries, analyzer, series
 from conftest import outcome
-from lubinlab.polygon import _poly_divide_monic, weierstrass_preparation
+from lubinlab.polygon import _poly_divide_monic, vertex_split, weierstrass_preparation
 from oracles import (
     NoDigits,
     poly_compose,
@@ -35,6 +36,7 @@ from oracles import (
     triple_inverse,
     triple_mul,
     triple_preparation,
+    triple_vertex_split,
 )
 
 SETTINGS = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -450,6 +452,67 @@ def test_preparation_matches_fixed_point(case):
     P, U = weierstrass_preparation(g)
     assert as_triples(P) == want_P
     assert list(as_triples(U).items()) == list(want_U.items())
+
+
+@st.composite
+def split_inputs(draw):
+    """p, M, N, degree, istar and the triples of P below degree M.  Mostly
+    P = a*b, a monic of degree istar with coefficients divisible by p, and
+    b with a unit constant term or Eisenstein (then a's constant term
+    sometimes gains a factor p), its coefficients read to random
+    precisions, some zero-like; else any triples, as ``coefficient`` draws
+    them."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    N = draw(st.integers(1, 12))
+    if draw(st.integers(0, 7)) != 5:
+        da, db = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+        a = [p * draw(st.integers(-(p**3), p**3)) for _ in range(da)] + [1]
+        b0 = draw(st.integers(1, p**3).map(lambda x: x if x % p else x + 1))
+        kind = draw(st.sampled_from(("unit", "eisenstein", "steeper")))
+        if kind == "unit":
+            b = [b0] + [draw(st.integers(-(p**3), p**3)) for _ in range(db)]
+        else:
+            a[0] *= p if kind == "steeper" else 1
+            b = [p * b0] + [p * draw(st.integers(-(p**3), p**3)) for _ in range(db - 1)] + [1]
+        exact = poly_mul(dict(enumerate(a)), dict(enumerate(b)), da + db + 1)
+        triples = {}
+        for d in sorted(exact):
+            n = max(N - draw(st.integers(0, 2)), 1)
+            c = PadicNum(p, INF, 0, n) if draw(st.integers(0, 9)) == 5 else PadicNum.from_fraction(exact[d], p, n)
+            if not c.is_exact_zero():
+                triples[d] = (c.v, c.u, c.N)
+        degree, istar = da + db, da
+    else:
+        degree = draw(st.integers(1, 8))
+        istar = draw(st.integers(1, degree))
+        triples = {d: draw(coefficient(p)) for d in sorted(draw(st.sets(st.integers(0, degree), max_size=degree + 1)))}
+    return p, degree + draw(st.integers(1, 3)), N, degree, istar, triples
+
+
+@SETTINGS
+@given(split_inputs())
+# (x^3 + 4x^2 + 10x + 6)(x^4 + 2x^3 + 6x^2 + 14x + 6) at the vertex (3, 1)
+@example((2, 8, 16, 7, 3, {0: (2, 9, 16), 1: (4, 9, 16), 2: (3, 25, 16), 3: (1, 67, 16), 4: (6, 1, 16), 5: (3, 3, 16), 6: (1, 3, 16), 7: (0, 1, 16)}))
+@example((5, 7, 4, 6, 3, {0: (INF, 0, 4), 1: (2, 3, 3), 2: (2, 24, 4), 3: (1, 121, 4), 4: (INF, 0, 4), 5: (1, 109, 4), 6: (0, 1, 4)}))  # keeps t
+@example((2, 7, 11, 6, 4, {0: (3, 55, 9), 1: (5, 3, 11), 2: (2, 3, 10), 3: (3, 249, 11), 4: (1, 13, 10), 5: (3, 127, 10), 6: (0, 1, 11)}))  # stalls
+@example((3, 5, 10, 3, 2, {0: (3, 704, 9), 1: (2, 644, 8), 2: (1, 19672, 10), 3: (0, 1, 8)}))  # does not converge
+@example((2, 6, 11, 5, 4, {0: (2, 251, 10), 1: (1, 509, 10), 2: (1, 253, 9), 3: (2, 503, 11), 4: (1, 1017, 11), 5: (0, 1, 10)}))
+@example((5, 6, 4, 5, 4, {0: (INF, 0, 4), 1: (1, 109, 4), 2: (1, 14, 3), 3: (INF, 0, 2), 4: (1, 11, 3), 5: (0, 1, 4)}))
+@example((2, 6, 10, 4, 1, {0: (1, 477, 10), 1: (INF, 0, 9), 2: (6, 7, 9), 3: (INF, 0, 8), 4: (2, 1, 8)}))  # unresolved vertex
+def test_vertex_split_matches_whole_series_steps(case):
+    """``vertex_split`` against its Newton steps on whole triple series
+    (``oracles.triple_vertex_split``): the same A and B, triple for
+    triple, or the same exception class and message."""
+    p, M, N, degree, istar, triples = case
+    P = PSeries(p, 1, M, {(d,): PadicNum(p, *t) for d, t in triples.items()}, N)
+    try:
+        want = triple_vertex_split(p, {(d,): t for d, t in triples.items()}, M, N, degree, istar)
+    except NoDigits as ex:
+        event(str(ex))
+        assert outcome(lambda: vertex_split(P, degree, istar)) == (PrecisionExhausted, str(ex))
+        return
+    event("split")
+    assert [as_triples(S) for S in vertex_split(P, degree, istar)] == [{e: c for (e,), c in S.items()} for S in want]
 
 
 # -- N versus N + k -------------------------------------------------------------
