@@ -26,6 +26,7 @@ from .errors import (
 )
 
 INF = math.inf
+_ZERO_NO_DIGITS = "zero known to nonpositive precision carries no digits"
 
 
 def vp_int(n: int, p: int) -> int:
@@ -88,7 +89,7 @@ class PadicNum:
     def zero_to_prec(cls, p: int, N: int) -> "PadicNum":
         """The class of values divisible by p^N (valuation bounded below by N)."""
         if N <= 0:
-            raise PrecisionExhausted("zero known to nonpositive precision carries no digits")
+            raise PrecisionExhausted(_ZERO_NO_DIGITS)
         return cls(p, INF, 0, N)
 
     @classmethod
@@ -120,16 +121,7 @@ class PadicNum:
     @classmethod
     def _from_scaled(cls, p: int, m, r: int, K) -> "PadicNum":
         """Value p^m * r where the integer r is known modulo p^(K - m)."""
-        if K - m <= 0:
-            if K <= 0:
-                raise PrecisionExhausted("result has no significant digits")
-            return cls.zero_to_prec(p, K)
-        mod = p ** (K - m)
-        r %= mod
-        if r == 0:
-            return cls.zero_to_prec(p, K)
-        w = vp_int(r, p)
-        return cls(p, m + w, r // p**w, K)
+        return cls(p, *_scaled(p, m, r, K))
 
     # -- predicates ----------------------------------------------------
 
@@ -198,8 +190,7 @@ class PadicNum:
     def __neg__(self):
         if self.is_zero_like():
             return self
-        mod = self.p ** (self.N - self.v)
-        return PadicNum(self.p, self.v, (-self.u) % mod, self.N)
+        return PadicNum(self.p, self.v, neg_unit(self.p, self.v, self.u, self.N), self.N)
 
     def __add__(self, other):
         other = self._check(other)
@@ -210,17 +201,7 @@ class PadicNum:
             return b
         if b.is_exact_zero():
             return a
-        K = min(a.N, b.N)
-        vals = [x.v for x in (a, b) if x.v != INF]
-        if not vals:
-            return PadicNum.zero_to_prec(a.p, K)
-        m = min(min(vals), K)
-        r = 0
-        if a.v != INF:
-            r += a.u * a.p ** (a.v - m)
-        if b.v != INF:
-            r += b.u * b.p ** (b.v - m)
-        return PadicNum._from_scaled(a.p, m, r, K)
+        return PadicNum(a.p, *add_triples(a.p, a.v, a.u, a.N, b.v, b.u, b.N))
 
     __radd__ = __add__
 
@@ -349,6 +330,37 @@ class PadicNum:
         v = INF if obj["val"] == "inf" else int(obj["val"])
         N = INF if obj["prec"] == "inf" else int(obj["prec"])
         return cls(p, v, int(obj["unit"]), N)
+
+
+def _scaled(p: int, m, r: int, K) -> tuple:
+    """(v, u, K) of the value p^m * r, the integer r known modulo p^(K - m)
+    (m INF: no value at all), v INF where it is zero to precision K; raises
+    where no digit survives."""
+    if m < K:
+        r %= p ** (K - m)
+        if r:
+            w = vp_int(r, p)
+            return m + w, r // p**w, K
+    elif m != INF and K <= 0:
+        raise PrecisionExhausted("result has no significant digits")
+    if K <= 0:
+        raise PrecisionExhausted(_ZERO_NO_DIGITS)
+    return INF, 0, K
+
+
+def add_triples(p: int, va, ua, na, vb, ub, nb) -> tuple:
+    """The rule of ``PadicNum.__add__`` on two values p^v u known modulo
+    p^n, neither an exact zero (v INF where zero-like), as a (v, u, N)
+    triple: N = min(n) and the units summed at the least valuation, then
+    ``_scaled``.  The packed sums of ``polygon`` call it slot by slot."""
+    m = min(va, vb)
+    r = (ua * p ** (va - m) if va != INF else 0) + (ub * p ** (vb - m) if vb != INF else 0)
+    return _scaled(p, m, r, min(na, nb))
+
+
+def neg_unit(p: int, v, u, N) -> int:
+    """The unit of -p^v u known modulo p^N (v finite), as ``PadicNum.__neg__``."""
+    return -u % p ** (N - v)
 
 
 def reduce_terms(p: int, terms) -> PadicNum:

@@ -18,16 +18,20 @@ steps refine.  A slope's cofactor is the unit series times the factors
 split off beside it.  The layer has one recurrence, ``series._packed_solve``:
 it forms the preparation's inverses 1/g_hi and 1/q, and a monic division
 is the same solve on the reversed polynomials, rev(D) rev(q) = rev(P).  The
-preparation's fixed point runs on the packed lists of ``series``.  A
-series is prepared once per ``target_prec``, and P split once per vertex,
-for all its slopes: ``weierstrass_factor`` keeps that work on the series.
+preparation and the splits run on the packed lists of ``series``: products
+are ``_packed_mul``, and sums and differences go slot by slot under the
+rule of ``PadicNum.__add__`` (``_packed_add``).  A preparation keeps the
+precision ledgers of its products by their operands' precision lists, which
+settle after a few passes, so most passes compute none.  A series is
+prepared once per ``target_prec``, and P split once per vertex, for all
+its slopes: ``weierstrass_factor`` keeps that work on the series.
 """
 
 from fractions import Fraction
 
 from .errors import PrecisionExhausted, TruncationInconclusive
-from .padic import INF, PadicNum
-from .series import _ABSENT, _HALF, PSeries, _factor, _fold, _pack, _packed_mul, _packed_solve, _unpack
+from .padic import INF, PadicNum, add_triples, neg_unit
+from .series import _ABSENT, _HALF, PSeries, _coeff, _factor, _fold, _pack, _packed_mul, _packed_solve, _unpack
 
 
 class Segment:
@@ -253,7 +257,11 @@ def weierstrass_preparation(g: PSeries):
     least one p-adic digit.  The passes run on packed lists: products are
     ``_packed_mul``, 1/g_hi and 1/q one ``_packed_solve`` each, and the stop
     test (q repeats at the lesser precision of each coefficient) decides on
-    the integers, as ``PadicNum.congruent`` does.
+    the integers, as ``PadicNum.congruent`` does.  Each pass multiplies a
+    fixed operand (g_low or 1/g_hi) by q or by the shifted remainder, whose
+    (N, v') lists soon repeat: the products share one dict of ledgers (the
+    ``ledgers`` of ``_packed_mul``), so a ledger is computed once per
+    distinct pair of lists.
     """
     W = g.weierstrass_degree()
     if W is None:
@@ -268,20 +276,14 @@ def weierstrass_preparation(g: PSeries):
         return PSeries(p, 1, M, {(0,): one}, N), g
     G = _pack(g.coeffs, M)
     low = tuple(x[:W] for x in G)
-    inv_hi = _packed_solve(p, tuple(x[W:] for x in G), _pack({(0,): one}, 1), M, g.c((W,)))
+    unit = _pack({(0,): one}, 1)
+    inv_hi = _packed_solve(p, tuple(x[W:] for x in G), unit, M, g.c((W,)))
     q = [_ABSENT] * M, [0] * M, [_ABSENT] * M
+    ledgers = {}  # the ledgers of the passes' products, by their operands' (N, v') lists
     for _ in range(int(N) + 9):  # the first pass, from q = 0, forms 1/g_hi
-        V, U, K = _packed_mul(p, q, low, M)
-        # shift_W(x^W - q*g_low): 1 - [q*g_low]_W, then the negated higher slots
-        head = one
-        if len(K) > W and K[W] != _ABSENT:
-            head = one - PadicNum(p, INF if V[W] == _ABSENT else V[W], U[W], K[W])
-        s = (
-            [_ABSENT if head.v == INF else head.v] + V[W + 1 :],
-            [head.u] + [u if v == _ABSENT else -u % p ** (n - v) for v, u, n in zip(V[W + 1 :], U[W + 1 :], K[W + 1 :])],
-            [head.N] + K[W + 1 :],
-        )
-        q, last = _packed_mul(p, s, inv_hi, M), q
+        # shift_W(x^W - q*g_low): 1 less the slots of q*g_low from x^W on
+        s = _packed_add(p, unit, tuple(x[W:] for x in _packed_mul(p, q, low, M, ledgers=ledgers)), negate=True)
+        q, last = _packed_mul(p, s, inv_hi, M, ledgers=ledgers), q
         if _repeats(p, q, last):
             break
     else:
@@ -334,75 +336,108 @@ def vertex_split(P: PSeries, degree: int, istar: int):
     slowly.  A split whose residual floor does not grow for
     ``_SPLIT_PATIENCE`` steps in a row cannot separate its digits and
     raises PrecisionExhausted.
+
+    P is packed once and the steps run on packed lists, with no series
+    between them; A and B are unpacked on return.  A sum or difference
+    walks its slots by degree (``_packed_add``), so where two slots keep no
+    digit the lower degree's error is raised.
     """
     p, M, N = P.prime, P.x_prec, P.coeff_prec
 
-    def poly(coeffs):
-        return PSeries(p, 1, M, coeffs, N)
+    def mul(a, b):
+        return _packed_mul(p, a, b, M)
 
     def mod_a(s, sdeg):  # by A as it stands
-        return _poly_divide_monic(s, sdeg, A, istar)[1]
+        return _poly_divide_monic(p, s, sdeg, A, istar)[1]
 
     cstar = P.c((istar,))
     if cstar.is_zero_like():
         raise PrecisionExhausted("vertex coefficient unresolved")
-    A = {(i,): P.c((i,)) / cstar for i in range(istar)}
+    A = {(i,): P.coeffs[(i,)] / cstar for i in range(istar) if (i,) in P.coeffs}
     A[(istar,)] = PadicNum.one(p, max(int(N - cstar.v), 1))
-    A = poly(A)
-    B = poly({(i - istar,): P.c((i,)) for i in range(istar, degree + 1)})
-    one = poly({(0,): PadicNum.one(p, N)})
-    t = poly({(0,): one.c((0,)) / cstar})
+    A = _pack(A, M)
+    B = _pack({(i - istar,): c for (i,), c in P.coeffs.items() if istar <= i <= degree}, M)
+    one = PadicNum.one(p, N)
+    t = _pack({(0,): one / cstar}, 1)
+    one = _pack({(0,): one}, 1)
+    P = _pack(P.coeffs, M)
     last_gap, stalls = -INF, 0
     for _ in range(_SPLIT_STEPS):
-        R = P - A * B
-        dA = mod_a(mod_a(R, degree) * t, 2 * istar - 2)
-        dB = _poly_divide_monic(R - dA * B, degree - 1, A, istar)[0]
-        A, B = A + dA, B + dB
-        if all(c.is_zero_like() for c in R.coeffs.values()):
-            return A, B
-        gap = min(c.val_floor() for c in R.coeffs.values())
+        R = _packed_add(p, P, mul(A, B), negate=True)
+        dA = mod_a(mul(mod_a(R, degree), t), 2 * istar - 2)
+        dB = _poly_divide_monic(p, _packed_add(p, R, mul(dA, B), negate=True), degree - 1, A, istar)[0]
+        A, B = _packed_add(p, A, dA), _packed_add(p, B, dB)
+        if all(v == _ABSENT for v in R[0]):
+            return _unpack(p, A, M, N), _unpack(p, B, M, N)
+        gap = min(n if v == _ABSENT else v for v, n in zip(R[0], R[2]) if n != _ABSENT)
         stalls = stalls + 1 if gap <= last_gap else 0
         if stalls == _SPLIT_PATIENCE:
             raise PrecisionExhausted("vertex split stalled; digits cannot be separated")
         last_gap = gap
         try:
-            t = t + mod_a(t * (one - mod_a(t * mod_a(B, degree - istar), 2 * istar - 2)), 2 * istar - 2)
+            tb = _packed_add(p, one, mod_a(mul(t, mod_a(B, degree - istar)), 2 * istar - 2), negate=True)
+            t = _packed_add(p, t, mod_a(mul(t, tb), 2 * istar - 2))
         except PrecisionExhausted:
             pass  # keep the old multiplier
     raise PrecisionExhausted("vertex split did not converge")
 
 
-def _poly_divide_monic(P: PSeries, degree: int, D: PSeries, ddeg: int):
-    """(q, r) with P = q*D + r, deg r < ddeg, for P read up to x^degree and
-    D monic of degree ddeg.  The reversed polynomials satisfy rev(D) rev(q)
-    = rev(P) below degree qdeg + 1, a power-series division (von zur Gathen
-    & Gerhard, *Modern Computer Algebra*, §9.1), so rev(q) is one
-    ``_packed_solve`` with no a0: the division never divides by D's lead 1,
-    whatever its precision.  r_e = P_e - sum_k q_k D_(e-k), e < ddeg, is one
-    ``_fold`` each.  Each coefficient is formed as one sum, so it is the
-    schoolbook long division's wherever that keeps digits at every
-    subtraction; it raises where the whole sum keeps none, and, as the long
-    division does, where q_k less q_k times D's lead keeps none.
+def _packed_add(p: int, a, b, negate: bool = False):
+    """a + b, or a - b with ``negate``, of packed lists slot by slot: a slot
+    absent on one side is the other's (b's negated as ``PadicNum.__neg__``
+    negates), and two present slots meet under ``padic.add_triples``, the
+    rule of ``PadicNum.__add__``, which raises at the first slot, by
+    degree, that keeps no digit."""
+    L = max(len(a[0]), len(b[0]))
+    V, U, N = (x + [fill] * (L - len(x)) for x, fill in zip(a, (_ABSENT, 0, _ABSENT)))
+    for k, (vb, ub, nb) in enumerate(zip(*b)):
+        if nb == _ABSENT:
+            continue
+        if negate and vb != _ABSENT:
+            ub = neg_unit(p, vb, ub, nb)
+        if N[k] != _ABSENT:
+            vb, ub, nb = add_triples(p, INF if V[k] == _ABSENT else V[k], U[k], N[k], INF if vb == _ABSENT else vb, ub, nb)
+            vb = _ABSENT if vb == INF else vb
+        V[k], U[k], N[k] = vb, ub, nb
+    return V, U, N
+
+
+def _reverse(a, d: int):
+    """Packed a read up to x^d and reversed: slot j holds a_(d - j)."""
+    return tuple((x[: d + 1] + [fill] * (d + 1 - len(x)))[::-1] for x, fill in zip(a, (_ABSENT, 0, _ABSENT)))
+
+
+def _poly_divide_monic(p: int, P, degree: int, D, ddeg: int):
+    """Packed (q, r) with P = q*D + r, deg r < ddeg, for packed P read up to
+    x^degree and packed D monic of degree ddeg; q has degree - ddeg + 1
+    slots and r min(ddeg, degree + 1).  The reversed polynomials satisfy
+    rev(D) rev(q) = rev(P) below degree qdeg + 1, a power-series division
+    (von zur Gathen & Gerhard, *Modern Computer Algebra*, §9.1), so rev(q)
+    is one ``_packed_solve`` with no a0: the division never divides by D's
+    lead 1, whatever its precision.  r_e = P_e - sum_k q_k D_(e-k), e <
+    ddeg, is one ``_fold`` each.  Each coefficient is formed as one sum, so
+    it is the schoolbook long division's wherever that keeps digits at
+    every subtraction; it raises where the whole sum keeps none, and, as
+    the long division does, where q_k less q_k times D's lead keeps none.
     """
-    p, N = P.prime, P.coeff_prec
     qdeg = degree - ddeg
-    rP = _pack({(degree - e,): c for (e,), c in P.coeffs.items() if e <= degree}, degree + 1)
-    rD = _pack({(ddeg - e,): c for (e,), c in D.coeffs.items() if e <= ddeg}, ddeg + 1)
-    rq = _packed_solve(p, rD, rP, qdeg + 1)
-    quot = {(qdeg - i,): c for (i,), c in _unpack(p, rq, qdeg + 1, N).coeffs.items()}  # q_qdeg first
-    lead = D.coeffs.get((ddeg,))
-    for b in quot.values() if lead is not None else ():
-        if min(b.N, b.N + lead.val_floor(), b.val_floor() + lead.N) <= 0:
+    rD = _reverse(D, ddeg)
+    rq = _packed_solve(p, rD, _reverse(P, degree), qdeg + 1)
+    lead = _coeff(p, rD, 0)
+    for i, (v, n) in enumerate(zip(rq[0], rq[2]) if lead is not None else ()):
+        if n != _ABSENT and min(n, n + lead.val_floor(), (n if v == _ABSENT else v) + lead.N) <= 0:
+            b = _coeff(p, rq, i)
             b - b * lead  # raises where it keeps no digits
     # r_e pairs D_(e-k), from rD's slots 1.. (D_(ddeg-1) .. D_0), with q_k
     sd, Dlow = _factor(p, *(x[1:] for x in rD))
-    sq, Q = _factor(p, *(x[::-1] for x in rq))
+    q = tuple(x[::-1] for x in rq)
+    sq, Q = _factor(p, *q)
     rem = {}
     for e in range(min(ddeg, degree + 1)):
-        r = _fold(p, P.coeffs.get((e,)), [x[ddeg - 1 - e :] for x in Dlow], Q, sd + sq)
+        r = _fold(p, _coeff(p, P, e), [x[ddeg - 1 - e :] for x in Dlow], Q, sd + sq)
         if r is not None:
             rem[(e,)] = r
-    return PSeries(p, 1, P.x_prec, quot, N), PSeries(p, 1, P.x_prec, rem, N)
+    return q, _pack(rem, ddeg)
 
 
 def weierstrass_factor(g: PSeries, slope, target_prec=None):

@@ -513,6 +513,14 @@ def _unpack(p: int, packed, M: int, coeff_prec) -> PSeries:
     return PSeries(p, 1, M, coeffs, coeff_prec)
 
 
+def _coeff(p: int, packed, k: int):
+    """Slot k of a packed series as a ``PadicNum``, None where it is absent."""
+    V, U, N = packed
+    if k >= len(N) or N[k] >= _HALF:
+        return None
+    return PadicNum(p, INF if V[k] >= _HALF else V[k], U[k], N[k])
+
+
 def _packed_derivative(p: int, c):
     """The derivative of a packed series: slot k - 1 is ``PadicNum`` c_k * k."""
     V, U, N = c
@@ -552,7 +560,7 @@ def _order(N) -> int:
     return next((i for i, n in enumerate(N) if n < _HALF), len(N))
 
 
-def _packed_mul(p: int, a, b, M: int, raises: bool = True):
+def _packed_mul(p: int, a, b, M: int, raises: bool = True, ledgers: dict = None):
     """Product of two packed series below degree M.
 
     Values come from one big-integer product (Kronecker substitution): each
@@ -574,6 +582,13 @@ def _packed_mul(p: int, a, b, M: int, raises: bool = True):
     operands with those slots dropped, as offsets, and below M - (ta + tb);
     its first ta + tb slots are absent.  A power f^k, which starts at
     degree k, costs a product of length M - k.
+
+    The ledger (``_ledger``) depends only on the (N, v') lists of the
+    operands so stripped and on the product's length.  A caller that
+    multiplies operands whose lists repeat, as the passes of the
+    Weierstrass preparation do, passes a dict ``ledgers`` that it owns: the
+    ledger is then looked up there by those lists and computed only on a
+    miss.  The raise path reads the current valuations either way.
     """
     Va, Ua, Na = a
     Vb, Ub, Nb = b
@@ -599,20 +614,19 @@ def _packed_mul(p: int, a, b, M: int, raises: bool = True):
         raw = (ia * ib).to_bytes((La + Lb - 1) * w, "little")
         C = [int.from_bytes(raw[k * w : (k + 1) * w], "little") for k in range(nin)]
     s = sa + sb
-    # One list of sums covers both halves of the ledger: a's (N, v') pairs
-    # against b's reversed (v', N) pairs.
     A2 = [x for v, n in zip(Va, Na) for x in (n, n if v >= _HALF else v)]
     B2 = [x for v, n in zip(Vb[::-1], Nb[::-1]) for x in (n if v >= _HALF else v, n)]
+    if ledgers is None:
+        ledger = _ledger(A2, B2, nin)
+    else:
+        key = (nin, tuple(A2), tuple(B2))
+        ledger = ledgers.get(key)
+        if ledger is None:
+            ledger = ledgers[key] = _ledger(A2, B2, nin)
     V, U, N = [_ABSENT] * t, [0] * t, [_ABSENT] * t
-    for k in range(nin):
-        if k < Lb:
-            K = min(map(add, A2, B2[2 * (Lb - 1 - k) :]))
-        else:
-            K = min(map(add, A2[2 * (k - Lb + 1) :], B2))
+    for k, K in enumerate(ledger):
         v, u = _ABSENT, 0
-        if K >= _HALF:
-            K = _ABSENT
-        else:
+        if K != _ABSENT:
             r = C[k] % p ** (K - s) if K > s else 0
             if r:
                 v = s
@@ -630,6 +644,22 @@ def _packed_mul(p: int, a, b, M: int, raises: bool = True):
         U.append(u)
         N.append(K)
     return V, U, N
+
+
+def _ledger(A2, B2, nin: int) -> list:
+    """The precisions K_0 .. K_(nin-1) of ``_packed_mul``'s product from a's
+    interleaved (N, v') pairs A2 and b's reversed (v', N) pairs B2: one list
+    of sums covers both halves of the min-plus convolution.  A slot no pair
+    reaches is _ABSENT."""
+    Lb = len(B2) // 2
+    K = []
+    for k in range(nin):
+        if k < Lb:
+            m = min(map(add, A2, B2[2 * (Lb - 1 - k) :]))
+        else:
+            m = min(map(add, A2[2 * (k - Lb + 1) :], B2))
+        K.append(_ABSENT if m >= _HALF else m)
+    return K
 
 
 def _factor(p: int, V, U, N):
@@ -684,13 +714,11 @@ def _packed_solve(p: int, a, c, M: int, a0: PadicNum = None):
     """
     sa, A = _factor(p, *(x[1:M][::-1] for x in a))  # a_L .. a_1
     L = len(A[0])
-    Vc, Uc, Nc = c
     V, U, N, F, X = [], [], [], [], []
     sb = 0
     for n in range(M):
         lo = max(0, n - L)  # b_lo .. b_(n-1) meet a_(n-lo) .. a_1
-        cn = PadicNum(p, INF if Vc[n] == _ABSENT else Vc[n], Uc[n], Nc[n]) if n < len(Nc) and Nc[n] < _HALF else None
-        b = _fold(p, cn, [x[L - n + lo :] for x in A], (V[lo:], F[lo:], N[lo:], X[lo:]), sa + sb)
+        b = _fold(p, _coeff(p, c, n), [x[L - n + lo :] for x in A], (V[lo:], F[lo:], N[lo:], X[lo:]), sa + sb)
         v, u, k = _ABSENT, 0, _ABSENT
         if b is not None:
             b = b if a0 is None else b / a0

@@ -138,6 +138,36 @@ def test_mul_with_leading_absent_slots(case):
     check(lambda: b * a, lambda: triple_mul(p, below(tb, Mb), below(ta, Ma), M))
 
 
+@SETTINGS
+@given(pairs, st.integers(2, 10**6))
+@example((2, (6, {0: (-3, 1, -1)}), (6, {0: (INF, 0, 1)})), 3)  # raises, K <= 0
+@example((3, (6, {1: (-2, 1, 1), 2: (0, 1, 2)}), (6, {1: (0, 2, 1)})), 5)
+def test_mul_with_a_kept_ledger_matches_the_plain_call(case, k):
+    """``_packed_mul`` with a ledger dict filled by a product whose operands
+    have the same (N, v') lists, and other units (u k^(d+1) at degree d, k
+    made prime to p), reads the ledger from the dict and gives what the
+    plain call gives: the same triples, or the same exception and message,
+    with ``raises`` True and False."""
+    p, (Ma, ta), (Mb, tb) = case
+    M = min(Ma, Mb)
+    k += k % p == 0
+
+    def other_units(triples):
+        return {d: t if t[0] == INF else (t[0], t[1] * k ** (d + 1) % p ** (t[2] - t[0]), t[2]) for d, t in triples.items()}
+
+    def packed(triples):
+        return series._pack(to_series(p, M, below(triples, M)).coeffs, M)
+
+    a, b, a2, b2 = packed(ta), packed(tb), packed(other_units(ta)), packed(other_units(tb))
+    for raises in (True, False):
+        ledgers = {}
+        outcome(lambda: series._packed_mul(p, a, b, M, raises, ledgers))
+        kept = outcome(lambda: series._packed_mul(p, a2, b2, M, raises, ledgers))
+        event(kept[1] if isinstance(kept[0], type) else "product")
+        assert kept == outcome(lambda: series._packed_mul(p, a2, b2, M, raises))
+        assert len(ledgers) <= 1
+
+
 @st.composite
 def multivariate_series(draw, p, nvars):
     """(x_prec, {exponents: triple}) in a random insertion order."""
@@ -389,13 +419,19 @@ def test_divide_monic_matches_long_division(case):
     long division raised only at a running sum without digits: then it
     returns what the long division gives with such sums kept (``keep``).
     Both raise PrecisionExhausted; the message follows the first sum
-    without digits, which the two meet in different orders."""
+    without digits, which the two meet in different orders.  The division
+    takes and returns packed lists; q is read from its top slot down, the
+    long division's order."""
     p, degree, tP, ddeg, tD = case
     M = degree + 3
-    P, D = to_series(p, M, tP), to_series(p, M, tD)
+    P, D = (series._pack(to_series(p, M, t).coeffs, M) for t in (tP, tD))
+
+    def items(packed):
+        return list(as_triples(series._unpack(p, packed, M, 30)).items())
 
     def run():
-        return [list(as_triples(s).items()) for s in _poly_divide_monic(P, degree, D, ddeg)]
+        q, r = _poly_divide_monic(p, P, degree, D, ddeg)
+        return [items(q)[::-1], items(r)]
 
     try:
         want = triple_divide_monic(p, below(tP, M), degree, tD, ddeg)
