@@ -532,13 +532,18 @@ def split_inputs(draw):
 @example((5, 7, 4, 6, 3, {0: (INF, 0, 4), 1: (2, 3, 3), 2: (2, 24, 4), 3: (1, 121, 4), 4: (INF, 0, 4), 5: (1, 109, 4), 6: (0, 1, 4)}))  # keeps t
 @example((2, 7, 11, 6, 4, {0: (3, 55, 9), 1: (5, 3, 11), 2: (2, 3, 10), 3: (3, 249, 11), 4: (1, 13, 10), 5: (3, 127, 10), 6: (0, 1, 11)}))  # stalls
 @example((3, 5, 10, 3, 2, {0: (3, 704, 9), 1: (2, 644, 8), 2: (1, 19672, 10), 3: (0, 1, 8)}))  # does not converge
-@example((2, 6, 11, 5, 4, {0: (2, 251, 10), 1: (1, 509, 10), 2: (1, 253, 9), 3: (2, 503, 11), 4: (1, 1017, 11), 5: (0, 1, 10)}))
-@example((5, 6, 4, 5, 4, {0: (INF, 0, 4), 1: (1, 109, 4), 2: (1, 14, 3), 3: (INF, 0, 2), 4: (1, 11, 3), 5: (0, 1, 4)}))
+@example((2, 6, 11, 5, 4, {0: (2, 251, 10), 1: (1, 509, 10), 2: (1, 253, 9), 3: (2, 503, 11), 4: (1, 1017, 11), 5: (0, 1, 10)}))  # zero, no digits
+@example((5, 6, 4, 5, 4, {0: (INF, 0, 4), 1: (1, 109, 4), 2: (1, 14, 3), 3: (INF, 0, 2), 4: (1, 11, 3), 5: (0, 1, 4)}))  # a sum, no digits
 @example((2, 6, 10, 4, 1, {0: (1, 477, 10), 1: (INF, 0, 9), 2: (6, 7, 9), 3: (INF, 0, 8), 4: (2, 1, 8)}))  # unresolved vertex
 def test_vertex_split_matches_whole_series_steps(case):
     """``vertex_split`` against its Newton steps on whole triple series
     (``oracles.triple_vertex_split``): the same A and B, triple for
-    triple, or the same exception class and message."""
+    triple, or the same exception class and message.  The split's sums
+    walk slots by degree, the oracle's the set order of ``PSeries.__add__``;
+    the two can raise different messages only where two slots of one sum
+    fail and one holds a zero-like coefficient of P known to no digit,
+    which these inputs never hold (their zero-like coefficients have
+    N >= 1)."""
     p, M, N, degree, istar, triples = case
     P = PSeries(p, 1, M, {(d,): PadicNum(p, *t) for d, t in triples.items()}, N)
     try:
