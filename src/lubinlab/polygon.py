@@ -410,7 +410,7 @@ def _reverse(a, d: int):
 def _poly_divide_monic(p: int, P, degree: int, D, ddeg: int):
     """Packed (q, r) with P = q*D + r, deg r < ddeg, for packed P read up to
     x^degree and packed D monic of degree ddeg; q has degree - ddeg + 1
-    slots and r min(ddeg, degree + 1).  The reversed polynomials satisfy
+    slots, and r has none from x^ddeg on.  The reversed polynomials satisfy
     rev(D) rev(q) = rev(P) below degree qdeg + 1, a power-series division
     (von zur Gathen & Gerhard, *Modern Computer Algebra*, §9.1), so rev(q)
     is one ``_packed_solve`` with no a0: the division never divides by D's
