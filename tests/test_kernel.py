@@ -49,7 +49,7 @@ def coefficient(draw, p):
         return (INF, 0, draw(st.integers(1, 8)))
     v = draw(st.integers(-4, 5))
     rel = draw(st.integers(1, 8))
-    u = draw(st.integers(1, p**rel - 1).filter(lambda x: x % p))
+    u = draw(st.integers(1, p**rel - 1).map(lambda x: x if x % p else x + 1))
     return (v, u, v + rel)
 
 
@@ -369,7 +369,7 @@ def unit_series(draw, p):
     them, finite ones sometimes without digits (N <= 0)."""
     M = draw(st.integers(1, 14))
     rel = draw(st.integers(1, 8))
-    triples = {0: (0, draw(st.integers(1, p**rel - 1).filter(lambda u: u % p)), rel)}
+    triples = {0: (0, draw(st.integers(1, p**rel - 1).map(lambda x: x if x % p else x + 1)), rel)}
     for d in sorted(draw(st.sets(st.integers(1, 14), max_size=10))):
         triples[d] = draw(coefficient(p))
     return M, triples
@@ -462,10 +462,10 @@ def preparation_inputs(draw):
             return (INF, 0, draw(st.integers(0, N + 2)))
         n = draw(st.integers(lo + 1, N + 2))
         v = draw(st.integers(lo, n - 1))
-        return (v, draw(st.integers(1, p ** (n - v) - 1).filter(lambda u: u % p)), n)
+        return (v, draw(st.integers(1, p ** (n - v) - 1).map(lambda x: x if x % p else x + 1)), n)
 
     g = {d: integral(1 if d < W else 0) for d in sorted(draw(st.sets(st.integers(0, M - 1), max_size=M))) if d != W}
-    g[W] = (0, draw(st.integers(1, p**N - 1).filter(lambda u: u % p)), N)
+    g[W] = (0, draw(st.integers(1, p**N - 1).map(lambda x: x if x % p else x + 1)), N)
     return p, M, N, g
 
 
