@@ -24,7 +24,7 @@ from .errors import (
     TruncationInconclusive,
 )
 from .padic import INF, PadicNum, ceil_log, is_root_of_unity, padic_pow
-from .series import PSeries, _solve_by_powers
+from .series import PSeries, _solve_by_powers, first_disagreement
 from .polygon import iterate
 
 
@@ -65,18 +65,15 @@ class CommutingPair:
 
 
 def check_commute(f: PSeries, u: PSeries):
-    """Compare f∘u with u∘f coefficient-wise at the working precision.
+    """Compare f∘u with u∘f degree by degree at the working precision, by
+    ``first_disagreement``.
 
     Returns (ok, first_defect_degree, max_degree_certified).
     """
     fu = f.compose(u)
     uf = u.compose(f)
     M = min(fu.x_prec, uf.x_prec)
-    first_bad = None
-    for i in range(1, M):
-        if not fu.c((i,)).congruent(uf.c((i,))):
-            first_bad = i
-            break
+    first_bad = first_disagreement((i, fu.c((i,)), uf.c((i,))) for i in range(1, M))
     if first_bad is None:
         return True, None, M - 1
     return False, first_bad, first_bad - 1

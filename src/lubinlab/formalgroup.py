@@ -37,7 +37,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .padic import INF, PadicNum
-from .series import _ABSENT, PSeries, _pack, _packed_derivative, _packed_div_int, _packed_mul, _part, _part_mul, _part_sum, _parts
+from .series import _ABSENT, PSeries, _pack, _packed_derivative, _packed_div_int, _packed_mul, _part, _part_mul, _part_sum, _parts, first_disagreement
 from .dynamics import Logarithm
 
 
@@ -67,30 +67,28 @@ class FormalGroupLaw:
         return ok
 
     def check_commutative(self) -> bool:
-        """F(x, y) = F(y, x) at the lesser precision of each pair, in one
-        walk over the coefficients: c_ab against c_ba for a <= b, and
-        against the exact zero where the mirror is absent.  (A diagonal
-        coefficient meets itself, which only one without digits fails, by
-        raising.)"""
+        """F(x, y) = F(y, x) by ``first_disagreement`` over the pairs c_ab
+        and c_ba, a <= b, and c_ab against the exact zero where the mirror
+        is absent.  (A diagonal coefficient meets itself, which only one
+        without digits leaves undecided.)"""
         coeffs = self.F.coeffs
         zero = PadicNum.exact_zero(self.F.prime)
-        ok = all(
-            c.congruent(coeffs.get((b, a), zero)) for (a, b), c in coeffs.items() if a <= b or (b, a) not in coeffs
-        )
+        pairs = (((a, b), c, coeffs.get((b, a), zero)) for (a, b), c in coeffs.items() if a <= b or (b, a) not in coeffs)
+        ok = first_disagreement(pairs) is None
         self.certificates["commutative"] = {"ok": ok, "degree": self.F.x_prec}
         return ok
 
     def check_associative(self, m2: int) -> bool:
         """F(F(x,y),z) = F(x,F(y,z)) in the 3-variable ring below degree
         D = min(m2, F.x_prec), the degree the certificate records, compared
-        coefficient by coefficient at the lesser precision (``_sides``).
+        coefficient by coefficient by ``first_disagreement`` (``_sides``).
         Both expansions claim only digits their ledgers support, so
         agreement certifies associativity at those digits."""
         F = self.F.truncate(m2)
         D = F.x_prec
         left, right = _sides(F, D)
         zero = PadicNum.exact_zero(F.prime)
-        ok = all(left.get(e, zero).congruent(right.get(e, zero)) for e in left.keys() | right.keys())
+        ok = first_disagreement((e, left.get(e, zero), right.get(e, zero)) for e in left.keys() | right.keys()) is None
         self.certificates["associative"] = {"ok": ok, "degree": D}
         return ok
 
@@ -102,15 +100,14 @@ def _sides(F: PSeries, D: int) -> list:
     """F(F(x,y), z) = sum c_ab z^b F(x,y)^a and F(x, F(y,z)) = sum c_ab x^a
     F(y,z)^b below total degree D, {(x, y, z) exponents: coefficient}: the
     powers F^k = F^(k-1) F are part lists, and the degree-e part of a side
-    is one ``_part_sum`` over the pairs of c_ab and a part of F^k.  If a
-    coefficient has no digits (which raises) or N <= 0 (its comparison may
-    raise or fail), order matters: the sides then come in the order in
-    which c_ab, in F's order, and the monomials of F^k (F in its order, the
-    other powers graded) first reach a monomial, and raise in that order."""
+    is one ``_part_sum`` over the pairs of c_ab and a part of F^k.  A
+    coefficient of a power without digits raises, at the first in graded
+    order; one of a side is kept, zero-like at its precision K <= 0, for the
+    comparison to decide."""
     p, parts = F.prime, _parts(F, D)
     powers = [[(0, [(0, 1, _ABSENT, 0)])] + [(0, [])] * (D - 1), parts]  # F^0 is the exact 1
     for _ in range(2, D):
-        powers.append([_part(p, _part_mul(p, powers[-1], parts, e, e + 1)) for e in range(D)])
+        powers.append([_part(p, _part_mul(p, powers[-1], parts, e)) for e in range(D)])
     # left: x^i y^j z^l at key i D + j; right: x^a y^i z^j at key a D + i
     lpow = [[(s, [(i * D + k - i, *t) for i, *t in P]) for k, (s, P) in enumerate(pw)] for pw in powers]
     sides = [{}, {}]
@@ -120,14 +117,6 @@ def _sides(F: PSeries, D: int) -> list:
             pairs = [(c, lpow[a][e - b] if left else powers[b][e - a]) for a, b, c in cs if (b if left else a) <= e]
             for key, c in _part_sum(p, pairs, e * D + 1, raises=False):
                 side[key // D, key % D, e - key // D - key % D] = c
-    if any(isinstance(c, Exception) or c.N <= 0 for side in sides for c in side.values()):
-        mons = [F.coeffs if k == 1 else [(i, e - i) for e, (_, P) in enumerate(pw) for i, *_ in P] for k, pw in enumerate(powers)]
-        order = ((x, y, b) for a, b in F.coeffs for x, y in mons[a] if x + y + b < D)
-        sides[0] = {m: sides[0][m] for m in order}
-        order = ((a, x, y) for a, b in F.coeffs for x, y in mons[b] if x + y + a < D)
-        sides[1] = {m: sides[1][m] for m in order}
-        if error := next((c for side in sides for c in side.values() if isinstance(c, Exception)), None):
-            raise error
     return sides
 
 
@@ -159,12 +148,10 @@ def group_from_log(logf: Logarithm) -> FormalGroupLaw:
     by j! exactly (``series._packed_div_int``).  Each row g_a is one tabled
     sum over degrees 1 <= b < M - a against the power table of L
     (``_PowerTable.sum_orders``), grown at most to the last order; F_10 = 1
-    is the j = 0 term.  The monomials come in the order (j, a, b) that
-    first reaches them.  A coefficient without digits at precision <= 0
+    is the j = 0 term.  A coefficient without digits at precision <= 0
     raises PrecisionExhausted, as ``reduce_terms`` does.
 
-    Raises IntegralityFailure when a coefficient certifies negative
-    valuation; a merely unresolved coefficient raises with certified=False.
+    Raises IntegralityFailure as ``_raise_if_not_integral`` does.
     """
     L = logf.series
     p, M, N = L.prime, L.x_prec, L.coeff_prec
@@ -184,10 +171,14 @@ def group_from_log(logf: Logarithm) -> FormalGroupLaw:
 
 
 def _raise_if_not_integral(F: PSeries, what: str):
-    for e, c in F.coeffs.items():
-        if c.val_floor() < 0:
-            msg = f"{what}: coefficient at {e} has valuation floor {c.val_floor()}"
-            raise IntegralityFailure(msg, exponents=e, certified=c.v != INF)
+    """Raise IntegralityFailure at the least exponent whose coefficient
+    certifies a negative valuation, or else, with certified=False, at the
+    least whose valuation floor is merely unresolved below 0."""
+    bad = {e: c for e, c in F.coeffs.items() if c.val_floor() < 0}
+    if bad:
+        e = min(bad, key=lambda e: (bad[e].v == INF, e))
+        msg = f"{what}: coefficient at {e} has valuation floor {bad[e].val_floor()}"
+        raise IntegralityFailure(msg, exponents=e, certified=bad[e].v != INF)
 
 
 def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
@@ -221,8 +212,8 @@ def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
     for d in range(2, D):
         cpow = cpow * c  # c^d
         for i in range(d - 1, 0, -1):
-            acc[i].append(_part(p, _part_mul(p, acc[i + 1], Fparts, d - i, d - i + 1)))
-        lhs = {(a, d - a): x for a, x in _part_mul(p, acc[1], Fparts, d, d + 1)}
+            acc[i].append(_part(p, _part_mul(p, acc[i + 1], Fparts, d - i)))
+        lhs = {(a, d - a): x for a, x in _part_mul(p, acc[1], Fparts, d)}
         rhs = powers.sum_pair(columns, part, d)
         denom, corr, unresolved = cpow - c, {}, None
         for e in sorted(lhs.keys() | rhs.keys()):
@@ -244,8 +235,7 @@ def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
             raise unresolved
         part = [(a, delta) for (a, _), delta in corr.items()]
         Fparts.append(_part(p, part))
-        if corr:  # keys in the order of the set union, as the series sum F + corr orders them
-            F = {e: F[e] if e in F else corr[e] for e in F.keys() | corr.keys()}
+        F.update(corr)
     F = PSeries(p, 2, D, F, N)
     _raise_if_not_integral(F, "group law lift")
     return FormalGroupLaw(F, "lubin-tate-lift")

@@ -1,4 +1,4 @@
-"""Truncated power series over p-adic scalars in one to three variables.
+"""Truncated power series over p-adic scalars in one or two variables.
 
 A series keeps the coefficients of all monomials of total degree < x_prec
 in a dict keyed by exponent tuples.  An absent key is an exact zero; a
@@ -11,11 +11,16 @@ leading exact zeros (the x-adic order) of its operands.  Inverses and the
 quotients of monic divisions are one recurrence on the same lists
 (``_packed_solve``): each coefficient is one sum against the coefficients
 already found (``_fold``), with the ledger and the raise rule of
-``_packed_mul``.  In two or three variables a series is held as its
-homogeneous parts: part k keys the coefficients of total degree k by a for
-x^a y^(k-a), a M + b for x^a y^b z^(k-a-b), and a part of a product is one
-pass over the pairs of entries (``_part_sum``), the kernel of the lift's
-Horner intermediates and of the associativity certificate.
+``_packed_mul``.  The bivariate kernel holds a series as its homogeneous
+parts: part k keys the coefficients of total degree k by a for x^a y^(k-a),
+and a part of a product is one pass over the pairs of entries
+(``_part_sum``), the kernel of the lift's Horner intermediates and of the
+associativity certificate.
+
+Series and certificates compare by one rule (``first_disagreement``): a
+pair of coefficients disagrees only at digits both claim, and a pair with no
+such digit leaves the comparison undecided unless another pair disagrees,
+whatever order the pairs come in.
 
 Composition is univariate and costs no series products of its own: the
 first series substituted into another gets a power table (``_PowerTable``),
@@ -51,8 +56,8 @@ class PSeries:
     __slots__ = ("prime", "nvars", "x_prec", "coeffs", "coeff_prec", "_powers", "_factoring")
 
     def __init__(self, prime, nvars, x_prec, coeffs, coeff_prec):
-        if not 1 <= nvars <= 3:
-            raise ValueError("1 to 3 variables supported")
+        if nvars not in (1, 2):
+            raise ValueError("1 or 2 variables supported")
         self.prime = require_prime(prime)
         self.nvars = nvars
         self.x_prec = x_prec
@@ -148,7 +153,7 @@ class PSeries:
         other = self._align(other)
         M = min(self.x_prec, other.x_prec)
         out = {}
-        for e in self.coeffs.keys() | other.coeffs.keys():
+        for e in sorted(self.coeffs.keys() | other.coeffs.keys()):
             if sum(e) < M:
                 out[e] = self.c(e) + other.c(e)
         return PSeries(self.prime, self.nvars, M, out, min(self.coeff_prec, other.coeff_prec))
@@ -157,29 +162,13 @@ class PSeries:
         return self + (-other)
 
     def __mul__(self, other):
+        """Product of two univariate series (``_packed_mul``)."""
         other = self._align(other)
-        M = min(self.x_prec, other.x_prec)
-        p = self.prime
+        if self.nvars != 1:
+            raise ValueError("series product is univariate")
+        M, p = min(self.x_prec, other.x_prec), self.prime
         N = min(self.coeff_prec, other.coeff_prec)
-        if self.nvars == 1:
-            return _unpack(p, _packed_mul(p, _pack(self.coeffs, M), _pack(other.coeffs, M), M), M, N)
-        A, B = _parts(self, M), _parts(other, M)
-        out = {}
-        for e in range(M):
-            for key, c in _part_mul(p, A, B, e, e * M ** (self.nvars - 2) + 1):
-                out[(key, e - key) if self.nvars == 2 else (key // M, key % M, e - key // M - key % M)] = c
-        return PSeries(p, self.nvars, M, out, N)
-
-    def scalar_mul(self, s) -> "PSeries":
-        if not isinstance(s, PadicNum):
-            s = PadicNum.from_fraction(Fraction(s), self.prime, self.coeff_prec)
-        return PSeries(
-            self.prime,
-            self.nvars,
-            self.x_prec,
-            {e: c * s for e, c in self.coeffs.items()},
-            self.coeff_prec,
-        )
+        return _unpack(p, _packed_mul(p, _pack(self.coeffs, M), _pack(other.coeffs, M), M), M, N)
 
     def derivative(self) -> "PSeries":
         """Formal derivative of a univariate series; truncation order drops by
@@ -295,33 +284,6 @@ class PSeries:
                 best = i
         return best
 
-    def mod_p_form(self):
-        """Write a nonzero mod-p series as a(x^(p^h)) with h maximal.
-
-        Returns (a, h, invertible) where invertible reports a'(0) != 0.
-        """
-        if self.nvars != 1:
-            raise ValueError("mod-p form is univariate")
-        exps = [e for (e,), c in self.coeffs.items() if not c.is_zero_like()]
-        if not exps:
-            raise ValueError("zero series has no mod-p form")
-        if 0 in exps:
-            raise ValueError("mod-p form requires zero constant term")
-        p = self.prime
-        h = 0
-        while all(e % p ** (h + 1) == 0 for e in exps):
-            h += 1
-        q = p**h
-        a = PSeries(
-            p,
-            1,
-            (self.x_prec - 1) // q + 1,
-            {(e // q,): c for (e,), c in self.coeffs.items()},
-            self.coeff_prec,
-        )
-        invertible = not a.c((1,)).is_zero_like()
-        return a, h, invertible
-
     # -- variable plumbing ------------------------------------------------------
 
     def set_var_zero(self, index: int) -> "PSeries":
@@ -335,15 +297,12 @@ class PSeries:
         return PSeries(self.prime, self.nvars - 1, self.x_prec, out, self.coeff_prec)
 
     def equal_to_precision(self, other, prec=None) -> bool:
-        """Coefficient-wise congruence at the lesser declared precision."""
+        """Coefficient-wise congruence at the lesser declared precision, by
+        ``first_disagreement``."""
         other = self._align(other)
         M = min(self.x_prec, other.x_prec)
-        for e in self.coeffs.keys() | other.coeffs.keys():
-            if sum(e) >= M:
-                continue
-            if not self.c(e).congruent(other.c(e), prec):
-                return False
-        return True
+        keys = [e for e in self.coeffs.keys() | other.coeffs.keys() if sum(e) < M]
+        return first_disagreement(((e, self.c(e), other.c(e)) for e in keys), prec) is None
 
     # -- serialization ------------------------------------------------------------
 
@@ -384,6 +343,26 @@ class PSeries:
         return cls(p, 1, obj["M"], coeffs, N)
 
 
+def first_disagreement(pairs, prec=None):
+    """The key of the first (key, a, b) in ``pairs`` whose scalars a and b
+    are not congruent at P = min(a.N, b.N[, prec]), or None when no pair
+    disagrees.  A pair with P <= 0 has no digits and neither agrees nor
+    disagrees: when no pair disagrees and one has no digits, the comparison
+    is undecided and raises PrecisionExhausted, naming the least such key.
+    So the outcome does not depend on the order of the pairs; only which
+    disagreement is named does."""
+    unresolved = []
+    for key, a, b in pairs:
+        P = min(a.N, b.N) if prec is None else min(a.N, b.N, prec)
+        if P <= 0:
+            unresolved.append(key)
+        elif not a.congruent(b, prec):
+            return key
+    if unresolved:
+        raise PrecisionExhausted(f"compared coefficients at {min(unresolved)} carry no digits")
+    return None
+
+
 def _solve_by_powers(h: PSeries, a1: PadicNum, lam: PadicNum) -> PSeries:
     """The series sum a_n x^n with a_1 = a1 and, for 2 <= n < M,
 
@@ -410,7 +389,7 @@ def _solve_by_powers(h: PSeries, a1: PadicNum, lam: PadicNum) -> PSeries:
     return PSeries(h.prime, 1, h.x_prec, coeffs, h.coeff_prec)
 
 
-# -- homogeneous parts: the kernel in two and three variables -----------------
+# -- homogeneous parts: the bivariate kernel ----------------------------------
 
 
 def _part(p: int, items) -> tuple:
@@ -421,17 +400,17 @@ def _part(p: int, items) -> tuple:
 
 
 def _parts(s: PSeries, M: int) -> list:
-    """The homogeneous parts of s below total degree M as factors."""
+    """The homogeneous parts of a bivariate s below total degree M as factors."""
     parts = [[] for _ in range(M)]
-    for e, c in s.coeffs.items():
-        if sum(e) < M:
-            parts[sum(e)].append((e[0] if s.nvars == 2 else e[0] * M + e[1], c))
+    for (a, b), c in s.coeffs.items():
+        if a + b < M:
+            parts[a + b].append((a, c))
     return [_part(s.prime, items) for items in parts]
 
 
-def _part_mul(p: int, A, B, e: int, size: int) -> list:
+def _part_mul(p: int, A, B, e: int) -> list:
     """Degree-e part of the product of the part lists A and B."""
-    return _part_sum(p, [(A[k], B[e - k]) for k in range(max(0, e - len(B) + 1), min(e + 1, len(A)))], size)
+    return _part_sum(p, [(A[k], B[e - k]) for k in range(max(0, e - len(B) + 1), min(e + 1, len(A)))], e + 1)
 
 
 def _part_sum(p: int, pairs, size: int, raises: bool = True) -> list:
@@ -440,7 +419,8 @@ def _part_sum(p: int, pairs, size: int, raises: bool = True) -> list:
     entries keeps per key the ledger K = min(N_a + F_b, F_a + N_b) of
     ``reduce_terms`` and the integer sum of the X_a X_b at the least shift,
     then normalises it as ``reduce_terms`` would.  The first key without
-    digits raises, or without ``raises`` has the error as its value."""
+    digits raises, or without ``raises`` is kept zero-like at its precision
+    K <= 0."""
     pairs = [(A, B) for A, B in pairs if A[1] and B[1]]
     t = min((sa + sb for (sa, _), (sb, _) in pairs), default=0)
     S, K = [0] * size, [_ABSENT] * size
@@ -464,14 +444,11 @@ def _part_sum(p: int, pairs, size: int, raises: bool = True) -> list:
         if r:
             w = vp_int(r, p)
             out.append((key, PadicNum(p, t + w, r // p**w, n)))
-            continue
-        m = INF if n > 0 else min((fa + fb for (_, Pa), (_, Pb) in pairs for ka, xa, _, fa in Pa for kb, xb, _, fb in Pb if ka + kb == key and xa and xb), default=INF)
-        try:  # zero to its precision, or without digits the error of reduce_terms for least term valuation m
-            out.append((key, PadicNum.zero_to_prec(p, n) if n > 0 or m < n else reduce_terms(p, [(m, 0, n)])))
-        except PrecisionExhausted as ex:
-            if raises:
-                raise
-            out.append((key, ex))
+        elif n > 0 or not raises:  # zero to its precision
+            out.append((key, PadicNum(p, INF, 0, n)))
+        else:  # no digits: the error of reduce_terms for the least term valuation m
+            m = min((fa + fb for (_, Pa), (_, Pb) in pairs for ka, xa, _, fa in Pa for kb, xb, _, fb in Pb if ka + kb == key and xa and xb), default=INF)
+            reduce_terms(p, [(m, 0, n)])
     return out
 
 
@@ -807,9 +784,7 @@ class _PowerTable:
     def sum_orders(self, orders, d: int = None) -> dict:
         """The coefficients of y^b x^a, 1 <= b < M - a, of sum_j A_j(x) h(y)^j
         for packed A_0 .. A_J (A_0 enters no sum), or with d only those of
-        total degree d: row a, the x^a coefficients of the A_j, is one ``sum``.
-        The monomials come in the order (j, a, b) that first reaches them, j
-        the least order with [A_j]_a and [h^j]_b present."""
+        total degree d: row a, the x^a coefficients of the A_j, is one ``sum``."""
         p, M = self.p, self.M
         J = max((j for j, (_, _, N) in enumerate(orders) if _order(N) < len(N)), default=0)
         self.grow(J)
@@ -818,23 +793,22 @@ class _PowerTable:
             for a, (v, u, n) in enumerate(zip(*A)):
                 if n < _HALF:
                     rows[a][0][j], rows[a][1][j], rows[a][2][j] = v, u, n
-        # the orders present in a row and the powers present at a degree
-        # are bit masks; the lowest common bit is the order reaching (a, b)
-        columns = [sum(1 << k for k, n in enumerate(self.N[b], 1) if n < _HALF) for b in range(M)]
-        reached = [[] for _ in range(J + 1)]
+        out = {}
         for a in range(M - 1 if d is None else d):
-            mask = sum(1 << j for j, n in enumerate(rows[a][2]) if n < _HALF)
-            if d is not None and not mask & columns[d - a]:
-                continue  # no order of row a meets a power present at d - a
+            if d is not None:
+                # the orders present in row a and the powers present at
+                # degree d - a as bit masks: with no common bit, every term
+                # of the sum is absent
+                mask = sum(1 << j for j, n in enumerate(rows[a][2]) if n < _HALF)
+                if not mask & sum(1 << k for k, n in enumerate(self.N[d - a], 1) if n < _HALF):
+                    continue
             lo, D = (1, M - a) if d is None else (d - a, d - a + 1)
             V, U, N = self.sum(rows[a], lo, D)
             rows[a] = None
             for b, (v, u, n) in enumerate(zip(V, U, N), lo):
                 if n != _ABSENT:
-                    both = mask & columns[b]
-                    c = PadicNum(p, INF if v == _ABSENT else v, u, n)
-                    reached[(both & -both).bit_length() - 1].append(((a, b), c))
-        return {e: c for level in reached for e, c in level}
+                    out[a, b] = PadicNum(p, INF if v == _ABSENT else v, u, n)
+        return out
 
     def sum_pair(self, columns: list, part, d: int) -> dict:
         """The degree-d part of G(h(x), h(y)) = sum_b G_b(h(x)) h(y)^b, G_b

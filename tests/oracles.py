@@ -437,14 +437,15 @@ def horner_associative(p: int, F: dict, M: int, N: int) -> bool:
     return True
 
 
-def triple_substitute(p: int, F: dict, pows: list, D: int, left: bool) -> dict:
+def triple_substitute(p: int, F: dict, pows: list, D: int, left: bool, keep: bool = False) -> dict:
     """F(F(x,y), z) (left) or F(x, F(y,z)) below total degree D, the
     associativity sides as lubinlab formed them before its part lists: one
     term triple per pair of c_ab (in F's order) and a coefficient of F^k,
     k = a (left) or b, from the dicts pows[k] of {(i, j): triple} (pows[0]
     is {(0, 0): None}, the exact 1).  Returns {(x, y, z) exponents: triple}
     in the order the pairs first reach them, each reduced in that order;
-    raises NoDigits at the first without digits."""
+    raises NoDigits at the first without digits, or with ``keep`` keeps
+    such a key as (INF, 0, K), as ``triple_mul`` does."""
     terms = {}
     for (a, b), c in F.items():
         k, free = (a, b) if left else (b, a)
@@ -456,7 +457,9 @@ def triple_substitute(p: int, F: dict, pows: list, D: int, left: bool) -> dict:
     for e, t in terms.items():
         c = reduce_triples(p, t)
         if isinstance(c, NoDigits):
-            raise c
+            if not keep:
+                raise c
+            c = (INF, 0, min(n for _, _, n in t))
         out[e] = c
     return out
 

@@ -27,6 +27,7 @@ from lubinlab import (
 )
 from conftest import one_plus_x_pow, outcome, series_from_fractions
 from lubinlab import formalgroup, series
+from lubinlab.series import first_disagreement
 from oracles import (
     NoDigits,
     NonUnique,
@@ -288,9 +289,10 @@ def log_series(draw):
 # significant digits")
 @example((3, 4, 4, {(1,): (0, 1, 4), (3,): (0, 2, 1)}))
 def test_group_from_log_matches_pairwise_loop(case):
-    """Triple for triple, in the same order, and exception class for
-    exception class.  Where the loop raises, the tabled sums decide each
-    coefficient once and may say why in other words."""
+    """Triple for triple, and exception class for exception class.  Where
+    the loop raises, the tabled sums decide each coefficient once and may
+    say why in other words.  A law with negative floors fails at a certified
+    one first, then at the least exponent."""
     p, M, N, coeffs = case
     L = PSeries(p, 1, M, {e: PadicNum(p, *t) for e, t in coeffs.items()}, N)
     logf = Logarithm(L, "recurrence", PadicNum.from_int(p, p, N))
@@ -301,16 +303,16 @@ def test_group_from_log_matches_pairwise_loop(case):
         with pytest.raises(kind):
             group_from_log(logf)
         return
-    floors = [(e, v if v != INF else n) for e, (v, _, n) in want.items()]
-    bad = [(e, floor) for e, floor in floors if floor < 0]
+    floors = [(v == INF, e, v if v != INF else n) for e, (v, _, n) in want.items()]
+    bad = sorted(t for t in floors if t[2] < 0)
     if bad:
-        e, floor = bad[0]
+        _, e, floor = bad[0]
         with pytest.raises(IntegralityFailure) as got:
             group_from_log(logf)
         assert str(got.value) == f"group law from logarithm: coefficient at {e} has valuation floor {floor}"
         return
     got = group_from_log(logf).F
-    assert list(_triples(got).items()) == list(want.items())
+    assert _triples(got) == want
 
 
 def test_group_law_reads_the_table_exp_from_log_built(monkeypatch):
@@ -360,19 +362,19 @@ def test_non_associative_law_rejected(p):
 
 
 @st.composite
-def near_symmetric_laws(draw):
+def near_symmetric_laws(draw, least=1):
     """A two-variable series below degree M built symmetric (c_ab = c_ba)
     from finite coefficients, negative valuations included, and zero-like
-    ones, then perturbed at random mirrored places: a dropped mirror, a
-    changed unit or precision, a zero-like mirror."""
+    ones, each with N >= least, then perturbed at random mirrored places: a
+    dropped mirror, a changed unit or precision, a zero-like mirror."""
     p = draw(st.sampled_from((2, 3, 5)))
     M = draw(st.integers(1, 9))
 
     def coefficient():
         if draw(st.integers(0, 3)) == 0:
-            return (INF, 0, draw(st.integers(1, 8)))
+            return (INF, 0, draw(st.integers(least, 8)))
         v = draw(st.integers(-3, 4))
-        rel = draw(st.integers(max(1, 1 - v), 6))  # N >= 1 (see the test below for N <= 0)
+        rel = draw(st.integers(max(1, least - v), 6))
         return (v, draw(st.integers(1, p**rel - 1).filter(lambda u: u % p)), v + rel)
 
     coeffs = {}
@@ -387,9 +389,9 @@ def near_symmetric_laws(draw):
         elif kind == "unit" and v != INF:
             coeffs[(a, b)] = (v, u + p ** draw(st.integers(1, n - v)), n)
         elif kind == "precision":
-            coeffs[(a, b)] = (v, u, draw(st.integers(max(v + 1, 1) if v != INF else 1, 10)))
+            coeffs[(a, b)] = (v, u, draw(st.integers(max(v + 1, least) if v != INF else least, 10)))
         else:
-            coeffs[(a, b)] = (INF, 0, draw(st.integers(1, 8)))
+            coeffs[(a, b)] = (INF, 0, draw(st.integers(least, 8)))
     return p, M, coeffs
 
 
@@ -401,7 +403,7 @@ def near_symmetric_laws(draw):
 @example((2, 6, {(1, 3): (2, 1, 3), (3, 1): (INF, 0, 2)}))  # agree at the lesser precision
 def test_commutativity_matches_swapped_copy(case):
     """The one-walk certificate against comparing F with its swapped copy,
-    which it replaced: the same answer on every law."""
+    which it replaced: the same answer on every law with N >= 1."""
     p, M, coeffs = case
     F = PSeries(p, 2, M, {e: PadicNum(p, *t) for e, t in coeffs.items()}, 20)
     G = FormalGroupLaw(F, "test")
@@ -495,10 +497,10 @@ def rough_laws(draw):
 def test_associativity_sides_match_per_pair_substitution(case):
     """The sides on part lists against the per-pair loop they replaced
     (``oracles.triple_substitute`` over ``triple_mul`` powers): triple for
-    triple, and exception for exception.  Where a coefficient has N <= 0,
-    order decides what raises and what comparing the sides does, so there
-    they come in the loop's order too, and the certificate decides as
-    comparing the 3-variable series of the loop's sides did."""
+    triple, a side coefficient without digits kept as (INF, 0, K), and
+    exception for exception where a power has a coefficient without digits.
+    The certificate decides as comparing the loop's sides by
+    ``first_disagreement`` does."""
     F, m2 = case
     F2 = F.truncate(m2)
     p, D = F.prime, F2.x_prec
@@ -506,20 +508,21 @@ def test_associativity_sides_match_per_pair_substitution(case):
         pows = [{(0, 0): None}, _triples(F2)]
         for _ in range(2, D):
             pows.append(triple_mul(p, pows[-1], pows[1], D))
-        want = [triple_substitute(p, pows[1], pows, D, left) for left in (True, False)]
     except NoDigits as ex:
-        event("a side or a power has a coefficient without digits")
+        event("a power has a coefficient without digits")
         for run in (lambda: formalgroup._sides(F2, D), lambda: FormalGroupLaw(F, "test").check_associative(m2)):
             assert outcome(run) == (PrecisionExhausted, str(ex))
         return
+    want = [triple_substitute(p, pows[1], pows, D, left, keep=True) for left in (True, False)]
     got = [{e: (c.v, c.u, c.N) for e, c in side.items()} for side in formalgroup._sides(F2, D)]
     assert got == want
     if any(t[2] <= 0 for side in want for t in side.values()):
-        event("a coefficient with N <= 0")
-        assert [list(side) for side in got] == [list(side) for side in want]
-    left, right = (PSeries(p, 3, D, {e: PadicNum(p, *t) for e, t in side.items()}, 20) for side in want)
+        event("a side coefficient with N <= 0")
+    left, right = ({e: PadicNum(p, *t) for e, t in side.items()} for side in want)
+    zero = PadicNum.exact_zero(p)
+    pairs = [(e, left.get(e, zero), right.get(e, zero)) for e in left.keys() | right.keys()]
     G = FormalGroupLaw(F, "test")
-    assert outcome(lambda: G.check_associative(m2)) == outcome(lambda: left.equal_to_precision(right))
+    assert outcome(lambda: G.check_associative(m2)) == outcome(lambda: first_disagreement(pairs) is None)
 
 
 def test_bivariate_layer_multiplies_no_series(monkeypatch):
@@ -536,6 +539,108 @@ def test_bivariate_layer_multiplies_no_series(monkeypatch):
     assert lubin_tate_lift(f, 12).F.equal_to_precision(G.F)
     assert calls == []
     assert 2 in built and 3 not in built
+
+
+# -- one comparison rule, whatever the dict order ---------------------------------
+
+
+def test_a_disagreement_beside_a_pair_without_digits_decides():
+    """A pair known to no digit (P <= 0) beside a certified disagreement:
+    the comparison reads False in either order, and names the disagreement."""
+    p = 2
+    blind = ((2, 2), PadicNum(p, -2, 1, 0), PadicNum(p, -2, 3, 0))
+    differ = ((1, 2), PadicNum.one(p, 4), PadicNum.from_int(3, p, 4))
+    assert first_disagreement([blind, differ]) == first_disagreement([differ, blind]) == (1, 2)
+    F = PSeries(p, 2, 8, {(2, 2): blind[1], (1, 2): differ[1]}, 8)
+    G = PSeries(p, 2, 8, {(1, 2): differ[2], (2, 2): blind[2]}, 8)
+    assert not F.equal_to_precision(G) and not G.equal_to_precision(F)
+
+
+def test_a_pair_without_digits_alone_raises_even_when_its_units_differ():
+    """p^-2 and 3 p^-2 known to p^0 claim no digit, so they neither agree
+    nor disagree: alone, the comparison is undecided."""
+    p = 2
+    a, b = PadicNum(p, -2, 1, 0), PadicNum(p, -2, 3, 0)
+    msg = r"^compared coefficients at \(2, 2\) carry no digits$"
+    with pytest.raises(PrecisionExhausted, match=msg):
+        first_disagreement([((2, 2), a, b), ((1, 0), PadicNum.one(p, 4), PadicNum.one(p, 4))])
+    with pytest.raises(PrecisionExhausted, match=msg):
+        PSeries(p, 2, 8, {(2, 2): a}, 8).equal_to_precision(PSeries(p, 2, 8, {(2, 2): b}, 8))
+    with pytest.raises(PrecisionExhausted, match="at 1 carry"):
+        first_disagreement([(1, PadicNum.one(p, 4), PadicNum.one(p, 4))], prec=0)
+
+
+@st.composite
+def reordered_laws(draw):
+    """A rough law, or a near-symmetric one with coefficients known to no
+    digit (N <= 0), the same law with its coefficients inserted in another
+    order, and the certificate's m2."""
+    F, m2 = draw(st.one_of(rough_laws(), near_symmetric_laws(least=-2).map(lambda law: (law_series(*law), 12))))
+    order = draw(st.permutations(list(F.coeffs)))
+    return F, PSeries(F.prime, 2, F.x_prec, {e: F.coeffs[e] for e in order}, F.coeff_prec), m2
+
+
+def law_series(p, M, coeffs):
+    return PSeries(p, 2, M, {e: PadicNum(p, *t) for e, t in coeffs.items()}, 20)
+
+
+def reordered(p, M, coeffs, order, m2):
+    """A case of ``reordered_laws``: the law of ``coeffs`` in their order and in ``order``."""
+    return law_series(p, M, coeffs), law_series(p, M, {e: coeffs[e] for e in order}), m2
+
+
+def integrality(F):
+    try:
+        formalgroup._raise_if_not_integral(F, "law")
+    except IntegralityFailure as ex:
+        return str(ex), ex.exponents, ex.certified
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(reordered_laws())
+# the walks of the parent read False in one order and raised in the other:
+# check_commutative here, ...
+@example(reordered(3, 3, {(1, 0): (0, 1, 20), (0, 1): (0, 1, 20), (1, 1): (-5, 7, -2), (2, 0): (-4, 7, -1)}, [(2, 0), (1, 1), (1, 0), (0, 1)], 4))
+# ... equal_to_precision here, ...
+@example(reordered(5, 5, {(1, 0): (0, 1, 20), (0, 1): (0, 1, 20), (1, 3): (-4, 106, -1), (2, 0): (-1, 4, 0), (0, 2): (-1, 4, 0)}, [(0, 2), (2, 0), (0, 1), (1, 0), (1, 3)], 6))
+# ... and check_associative raised with two messages here
+@example(reordered(2, 3, {(1, 0): (0, 1, 20), (0, 1): (0, 1, 20), (1, 1): (INF, 0, 0), (2, 0): (-2, 1, -1)}, [(1, 1), (2, 0), (1, 0), (0, 1)], 3))
+def test_certificates_do_not_depend_on_the_dict_order(case):
+    """The comparisons and the integrality check give the same outcome,
+    exception class and message for a law whatever order its coefficients
+    were inserted in."""
+    F, G, m2 = case
+
+    def outcomes(F):
+        law = FormalGroupLaw(F, "test")
+        return [
+            outcome(lambda: F.equal_to_precision(swap_vars(F, 0, 1))),
+            outcome(law.check_commutative),
+            outcome(lambda: law.check_associative(m2)),
+            integrality(F),
+        ]
+
+    assert outcomes(F) == outcomes(G)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(reordered_laws())
+def test_certificates_decide_as_the_walks_where_every_pair_has_digits(case):
+    """Where every compared pair claims a digit, the certificates decide as
+    the walks they replaced, all(congruent) over the pairs; where one does
+    not, they read False on a certified disagreement and raise otherwise."""
+    F, _, m2 = case
+    law, zero = FormalGroupLaw(F, "test"), PadicNum.exact_zero(F.prime)
+    checks = [(law.check_commutative, [(c, F.c((b, a))) for (a, b), c in F.coeffs.items()])]
+    sides = outcome(lambda: formalgroup._sides(F.truncate(m2), min(m2, F.x_prec)))
+    if isinstance(sides, list):
+        left, right = sides
+        checks.append((lambda: law.check_associative(m2), [(left.get(e, zero), right.get(e, zero)) for e in left.keys() | right.keys()]))
+    for check, pairs in checks:
+        blind = [min(a.N, b.N) <= 0 for a, b in pairs]
+        agree = all(a.congruent(b) for (a, b), no_digits in zip(pairs, blind) if not no_digits)
+        got = outcome(check)
+        assert (got[0] if isinstance(got, tuple) else got) == (PrecisionExhausted if agree and any(blind) else agree)
 
 
 @st.composite
@@ -561,8 +666,8 @@ def pair_stages(draw):
 def test_carried_pair_columns_match_fresh_sums(case):
     """Stage by stage, the columns G_b(h) that ``_PowerTable.sum_pair``
     carries equal the column sums formed afresh from G's coefficients below
-    degree d, triple for triple, and so does the degree-d part it returns,
-    in order; where the fresh sums raise, the stage raises the same."""
+    degree d, triple for triple, and so does the degree-d part it returns;
+    where the fresh sums raise, the stage raises the same."""
     p, D, h, G = case
     table = PSeries(p, 1, D, {(d,): PadicNum(p, *t) for d, t in h.items()}, 20).power_table()
     coeff = {e: PadicNum(p, *t) for e, t in G.items()}
@@ -585,7 +690,7 @@ def test_carried_pair_columns_match_fresh_sums(case):
             return
         sums, rhs = want
         assert [list(col[3:]) for col in columns[1:]] == sums[1:]
-        assert list({e: (c.v, c.u, c.N) for e, c in got.items()}.items()) == list(rhs.items())
+        assert {e: (c.v, c.u, c.N) for e, c in got.items()} == rhs
 
 
 # -- the degree-incremental lift against the recomputing reference ---------------
@@ -632,8 +737,8 @@ def lift_inputs(draw):
 # PrecisionExhausted at (0, 2)
 @example((5, 3, 3, {2: (0, 1, 1), 1: (1, 6, 3)}, 4))
 def test_lift_matches_recomputing_reference(case):
-    """Triple for triple, in the same order, and exception for exception
-    with the lift that recomputed f(F) and F(f(x), f(y)) at every degree."""
+    """Triple for triple, and exception for exception with the lift that
+    recomputed f(F) and F(f(x), f(y)) at every degree."""
     p, N, fM, coeffs, x_prec = case
     f = PSeries(p, 1, fM, {(d,): PadicNum(p, *t) for d, t in coeffs.items()}, N)
     try:
@@ -653,7 +758,7 @@ def test_lift_matches_recomputing_reference(case):
         return
     F = lubin_tate_lift(f, x_prec).F
     assert F.x_prec == min(x_prec, fM)
-    assert list(_triples(F).items()) == list(want.items())
+    assert _triples(F) == want
 
 
 def test_certified_lift_failure_wins_over_unresolved():

@@ -2,9 +2,8 @@
 
 Random series mix per-coefficient precisions, zero-like and absent
 coefficients and negative valuations (as in logarithm coefficients), with
-unequal truncation orders.  Univariate products (the packed kernel),
-compositions (the power table) and two- and three-variable products (the
-part-list kernel) must agree with ``oracles.triple_mul`` /
+unequal truncation orders.  Univariate products (the packed kernel) and
+compositions (the power table) must agree with ``oracles.triple_mul`` /
 ``oracles.table_compose`` triple for triple and in the same order, and
 raise PrecisionExhausted exactly when the oracle finds a coefficient with no
 digits.  Composition is also held against Horner's rule
@@ -62,22 +61,16 @@ def triple_series(draw, p, constant=True):
     return M, {d: draw(coefficient(p)) for d in sorted(degrees)}
 
 
-def to_series(p, M, triples, nvars=1):
-    coeffs = {(d,) if nvars == 1 else d: PadicNum(p, v, u, n) for d, (v, u, n) in triples.items()}
-    return PSeries(p, nvars, M, coeffs, 30)
+def to_series(p, M, triples):
+    return PSeries(p, 1, M, {(d,): PadicNum(p, v, u, n) for d, (v, u, n) in triples.items()}, 30)
 
 
 def as_triples(s):
-    return {e[0] if s.nvars == 1 else e: (c.v, c.u, c.N) for e, c in s.coeffs.items()}
+    return {e: (c.v, c.u, c.N) for (e,), c in s.coeffs.items()}
 
 
 def below(triples, M):
-    return {d: c for d, c in triples.items() if (d if isinstance(d, int) else sum(d)) < M}
-
-
-def graded(e):
-    """Sort key of the kernels' output order: total degree, then exponents."""
-    return (e if isinstance(e, int) else sum(e), e)
+    return {d: c for d, c in triples.items() if d < M}
 
 
 def check(run, oracle):
@@ -90,7 +83,7 @@ def check(run, oracle):
         return
     got = as_triples(run())
     assert got == want
-    assert list(got) == sorted(want, key=graded)
+    assert list(got) == sorted(want)
 
 
 pairs = st.sampled_from((2, 3, 5)).flatmap(
@@ -166,32 +159,6 @@ def test_mul_with_a_kept_ledger_matches_the_plain_call(case, k):
         event(kept[1] if isinstance(kept[0], type) else "product")
         assert kept == outcome(lambda: series._packed_mul(p, a2, b2, M, raises))
         assert len(ledgers) <= 1
-
-
-@st.composite
-def multivariate_series(draw, p, nvars):
-    """(x_prec, {exponents: triple}) in a random insertion order."""
-    M = draw(st.integers(1, 8))
-    exps = draw(st.lists(st.tuples(*[st.integers(0, 6)] * nvars), unique=True, max_size=12))
-    return M, {e: draw(coefficient(p)) for e in exps}
-
-
-multivariate_pairs = st.tuples(st.sampled_from((2, 3, 5)), st.sampled_from((2, 3))).flatmap(
-    lambda pn: st.tuples(
-        st.just(pn), multivariate_series(pn[0], pn[1]), multivariate_series(pn[0], pn[1])
-    )
-)
-
-
-@SETTINGS
-@given(multivariate_pairs)
-@example(((2, 2), (4, {(0, 1): (-3, 1, -1), (1, 0): (0, 1, 4)}), (4, {(1, 0): (INF, 0, 1), (0, 1): (0, 1, 4)})))
-def test_multivariate_mul_matches_triple_oracle(case):
-    (p, nvars), (Ma, ta), (Mb, tb) = case
-    a, b = to_series(p, Ma, ta, nvars), to_series(p, Mb, tb, nvars)
-    M = min(Ma, Mb)
-    check(lambda: a * b, lambda: triple_mul(p, below(ta, Ma), below(tb, Mb), M))
-    check(lambda: b * a, lambda: triple_mul(p, below(tb, Mb), below(ta, Ma), M))
 
 
 compositions = st.sampled_from((2, 3, 5)).flatmap(
