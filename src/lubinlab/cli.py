@@ -31,7 +31,7 @@ def _add_config_flags(sp):
     sp.add_argument("--p", type=int, help="prime of the coefficient ring")
     sp.add_argument("--N", type=int, default=16, help="target p-adic digits (>= 4)")
     sp.add_argument("--M", type=int, default=64, help="x-adic truncation order (>= p^2)")
-    sp.add_argument("--M2", type=int, default=12, help="truncation for 2/3-variable certificates")
+    sp.add_argument("--M2", type=int, default=12, help="truncation for the associativity certificate and the lift")
     sp.add_argument("--guard", type=int, default=None, help="extra digits carried through exp/reversion (>= ceil(M/(p-1)))")
     sp.add_argument("--n-shape", type=int, default=None, help="iterate polygon checks up to this n")
     sp.add_argument("--out", default=None, help="write the report here instead of stdout")

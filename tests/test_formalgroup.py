@@ -598,8 +598,8 @@ def integrality(F):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(reordered_laws())
-# the walks of the parent read False in one order and raised in the other:
-# check_commutative here, ...
+# the walks this rule replaced read False in one insertion order and raised
+# in the other: check_commutative here, ...
 @example(reordered(3, 3, {(1, 0): (0, 1, 20), (0, 1): (0, 1, 20), (1, 1): (-5, 7, -2), (2, 0): (-4, 7, -1)}, [(2, 0), (1, 1), (1, 0), (0, 1)], 4))
 # ... equal_to_precision here, ...
 @example(reordered(5, 5, {(1, 0): (0, 1, 20), (0, 1): (0, 1, 20), (1, 3): (-4, 106, -1), (2, 0): (-1, 4, 0), (0, 2): (-1, 4, 0)}, [(0, 2), (2, 0), (0, 1), (1, 0), (1, 3)], 6))
