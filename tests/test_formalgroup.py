@@ -375,7 +375,7 @@ def near_symmetric_laws(draw, least=1):
             return (INF, 0, draw(st.integers(least, 8)))
         v = draw(st.integers(-3, 4))
         rel = draw(st.integers(max(1, least - v), 6))
-        return (v, draw(st.integers(1, p**rel - 1).filter(lambda u: u % p)), v + rel)
+        return (v, draw(st.integers(1, p**rel - 1).map(lambda x: x if x % p else x + 1)), v + rel)
 
     coeffs = {}
     for a, b in draw(st.lists(st.tuples(st.integers(0, M - 1), st.integers(0, M - 1)), max_size=12)):

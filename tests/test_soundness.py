@@ -60,7 +60,7 @@ def integer_series(draw, lead=None, lo=1):
 
     coeffs = [scaled() for _ in range(M - lo)]
     if lead is not None:
-        unit = draw(st.integers(1, p**3).filter(lambda x: x % p))
+        unit = draw(st.integers(1, p**3).map(lambda x: x if x % p else x + 1))
         coeffs[0] = unit * p ** draw(lead)
     return p, M, coeffs, draw(st.integers(2, 8)), draw(st.integers(1, 6))
 
@@ -238,7 +238,7 @@ def scaled_composition(draw):
     valuation 0 or 1, a bound D <= M, N and k."""
     p, M, g, N, k = draw(integer_series(lo=0))
     h = [draw(st.integers(-(p**3), p**3)) * p ** draw(st.integers(0, 3)) for _ in range(M - 1)]
-    a = draw(st.integers(1, p**3).filter(lambda x: x % p)) * p ** draw(st.integers(0, 1))
+    a = draw(st.integers(1, p**3).map(lambda x: x if x % p else x + 1)) * p ** draw(st.integers(0, 1))
     return p, M, g, h, a, draw(st.integers(1, M)), N, k
 
 
@@ -267,7 +267,7 @@ def twisted_iterate(draw):
     unit) at M = 16, an iterate count n with p^n < M, N and k."""
     p = draw(st.sampled_from((2, 3, 5)))
     n = draw(st.integers(1, {2: 3, 3: 2, 5: 1}[p]))
-    w = [draw(st.integers(1, p**2).filter(lambda x: x % p))]
+    w = [draw(st.integers(1, p**2).map(lambda x: x if x % p else x + 1))]
     w += [draw(st.integers(-(p**2), p**2)) for _ in range(draw(st.integers(1, 3)))]
     return p, draw(st.sampled_from(("gm", "lt"))), w, n, draw(st.integers(4, 12)), draw(st.integers(1, 6))
 
@@ -295,7 +295,7 @@ def eisenstein_product(draw):
     db = draw(st.integers(da + 1, 10 - da))
 
     def eisenstein(d):
-        unit = draw(st.integers(1, p**3).filter(lambda x: x % p))
+        unit = draw(st.integers(1, p**3).map(lambda x: x if x % p else x + 1))
         return [p * unit] + [p * draw(st.integers(-(p**3), p**3)) for _ in range(d - 1)] + [1]
 
     return p, eisenstein(da), eisenstein(db), draw(st.integers(4, 16)), draw(st.integers(1, 6))
