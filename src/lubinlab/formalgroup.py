@@ -314,6 +314,6 @@ def frobenius_multiplier(logf: Logarithm, f: PSeries, exp_series: PSeries = None
     _raise_if_not_integral(series, "Frobenius bracket")
     pi_report = PadicNum(p, 1, unit, 1 + ndigits)
     pi_full = PadicNum(p, 1, unit, N)
-    if not series.c((1,)).congruent(pi_full):
+    if first_disagreement([(1, series.c((1,)), pi_full)]) is not None:
         raise NoCandidate("bracket derivative does not match the recovered scalar")
     return pi_report, Bracket(pi_full, series)

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .errors import PrecisionExhausted, TruncationInconclusive
 from .padic import INF, PadicNum, add_triples, neg_unit
-from .series import _ABSENT, _HALF, PSeries, _coeff, _factor, _fold, _pack, _packed_mul, _packed_solve, _unpack
+from .series import _ABSENT, _HALF, PSeries, _coeff, _factor, _fold, _pack, _packed_mul, _packed_solve, _unpack, first_disagreement
 
 
 class Segment:
@@ -504,7 +504,8 @@ def is_eisenstein(poly: PSeries, degree=None) -> bool:
 
     True iff every non-leading coefficient has valuation >= 1 and the
     constant term has valuation exactly 1.  Raises PrecisionExhausted when
-    the constant term's valuation is unresolved at the working precision.
+    the lead carries no digits or the constant term's valuation is
+    unresolved at the working precision.
     """
     if degree is None:
         finite = [e[0] for e, c in poly.coeffs.items() if not c.is_zero_like()]
@@ -512,7 +513,8 @@ def is_eisenstein(poly: PSeries, degree=None) -> bool:
             raise ValueError("zero polynomial")
         degree = max(finite)
     lead = poly.c((degree,))
-    if not lead.congruent(PadicNum.one(poly.prime, lead.N if lead.N != INF else 1)):
+    one = PadicNum.one(poly.prime, lead.N if lead.N != INF else 1)
+    if first_disagreement([(degree, lead, one)]) is not None:
         raise ValueError("polynomial is not monic to precision")
     const = poly.c((0,))
     if const.is_zero_like():

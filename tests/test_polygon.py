@@ -219,6 +219,14 @@ def test_eisenstein_results():
     assert not is_eisenstein(series_from_fractions(3, [9, 3, 1], 8, 10, shift=0))
 
 
+def test_eisenstein_lead_without_digits_is_undecided():
+    """The lead 2^-2 + O(2^0) carries no digits; it was read as not 1 and
+    the polynomial refused as not monic."""
+    poly = PSeries(2, 1, 3, {(0,): PadicNum.from_int(2, 2, 8), (1,): PadicNum(2, -2, 1, 0)}, 8)
+    with pytest.raises(PrecisionExhausted, match=r"^compared coefficients at 1 carry no digits$"):
+        is_eisenstein(poly)
+
+
 def test_all_iterate_factors_eisenstein():
     f = one_plus_x_pow(2, 2, 32, 28)
     for n in (1, 2, 3):
