@@ -10,7 +10,6 @@ from .errors import (
     LubinlabError,
     NoCandidate,
     NonUniqueLift,
-    NoStabilization,
     NotInvertible,
     PrecisionExhausted,
     PrimeMismatch,

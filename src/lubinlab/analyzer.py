@@ -28,7 +28,6 @@ from .errors import (
     LubinlabError,
     NoCandidate,
     NonUniqueLift,
-    NoStabilization,
     NotInvertible,
     PrecisionExhausted,
     TorsionDetected,
@@ -40,7 +39,6 @@ from .polygon import count_roots_open_disk, newton_polygon, verify_iterate_shape
 from .dynamics import (
     CommutingPair,
     check_commute,
-    default_n_max,
     dlog_integrality,
     log_polygon_vertices,
     logarithm_limit,
@@ -65,7 +63,6 @@ class Config:
     m2: int = 12
     guard: int | None = None
     n_shape: int | None = None
-    n_max_limit: int | None = None
 
     def __post_init__(self):
         # below degree 3 the associativity and lift certificates check
@@ -76,8 +73,6 @@ class Config:
         # meaningless request rather than a vacuous pass or a crash
         if self.n_shape is not None and self.n_shape < 1:
             raise ValueError(f"n_shape must be at least 1, got {self.n_shape}")
-        if self.n_max_limit is not None and self.n_max_limit < 0:
-            raise ValueError(f"n_max_limit must be at least 0, got {self.n_max_limit}")
 
     def resolve(self, p: int) -> "Config":
         require_prime(p)
@@ -136,15 +131,9 @@ SUMMARY_HEADER = (
 )
 
 
-def _suggest(cfg: Config, p: int, stage: str, detail, digits, x_prec) -> str:
+def _suggest(cfg: Config, stage: str, digits, x_prec) -> str:
     """The knob to turn; digits is the fewest an input coefficient below M
     carries and x_prec the inputs' truncation, both before ``analyze`` caps."""
-    # an iterate limit cut short (NoStabilization comes only from it) starves
-    # the logarithm or its cross-check, whatever N and M are
-    n_max = default_n_max(p, cfg.M)
-    limit_starved = stage == "logarithm_crosscheck" or isinstance(detail, NoStabilization)
-    if limit_starved and cfg.n_max_limit is not None and cfg.n_max_limit < n_max:
-        return f"retry with n_max_limit>={n_max}"
     Nw = cfg.working_prec()
     if digits < Nw:  # a larger N asks the inputs for digits they do not have
         return f"the inputs are the limit: they carry {digits} digits, the working precision is {Nw}; " \
@@ -170,7 +159,7 @@ REJECTIONS = {
 # What precision or truncation cannot decide starves the stage: INCONCLUSIVE.
 # So does an IntegralityFailure with certified=False, named as below.
 PRECISION_FAILURES = (
-    PrecisionExhausted, TruncationInconclusive, NoStabilization, NotInvertible, AmbiguousAtPrecision
+    PrecisionExhausted, TruncationInconclusive, NotInvertible, AmbiguousAtPrecision
 )
 UNPROVEN_INTEGRALITY = {"group_from_log": "group_integrality", "frobenius_multiplier": "frobenius_integrality"}
 
@@ -210,7 +199,7 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         return AnalysisReport(report)
 
     def inconclusive(stage, detail):
-        reason = f"stage {stage} starved: {detail}; {_suggest(cfg, p, stage, detail, digits, x_prec)}"
+        reason = f"stage {stage} starved: {detail}; {_suggest(cfg, stage, digits, x_prec)}"
         report["verdict"], report["reason"] = INCONCLUSIVE, reason
         return AnalysisReport(report)
 
@@ -265,7 +254,7 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         stage = "logarithm"
         n_top = sum(1 for n in range(1, cfg.n_shape + 1) if p**n < cfg.M)
         logf = logarithm_recurrence(f)
-        loglim = logarithm_limit(f, cfg.n_max_limit, keep=n_top)
+        loglim = logarithm_limit(f, keep=n_top)
         agree = logf.series.equal_to_precision(loglim.series)
         logpoly = newton_polygon(logf.series)
         poly_ok = logpoly.negative_vertices() == log_polygon_vertices(p, cfg.M)
@@ -284,16 +273,11 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         if not dlog_ok:
             return rejected("logarithm derivative is not integral")
 
-        # 5. iterate polygon shapes, on the limit's chain of iterates
-        # (extended by the same compositions where the limit stopped early)
+        # 5. iterate polygon shapes, on the limit's chain of iterates: the
+        # limit forms default_n_max = 2 ceil(log_p M) + 4 of them, more than
+        # the n_top <= ceil(log_p M) - 1 shapes read
         stage = "iterate_shape"
-        shapes = []
-        chain = list(loglim.iterates)
-        for n in range(1, n_top + 1):
-            if n > len(chain):
-                prev = chain[-1] if chain else PSeries.identity(p, f.x_prec, f.coeff_prec)
-                chain.append(prev.compose(f))
-            shapes.append({"n": n, "ok": verify_iterate_shape(f, n, chain[n - 1])})
+        shapes = [{"n": n, "ok": verify_iterate_shape(f, n, fn)} for n, fn in enumerate(loglim.iterates, 1)]
         report["iterate_shape"] = shapes
         if not all(s["ok"] for s in shapes):
             return rejected("iterate polygon shape differs from (p^k, n-k)")

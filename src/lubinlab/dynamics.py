@@ -10,16 +10,18 @@ whole centralizer, which is what makes Z_p-iterates of u computable.
 Two constructions of the logarithm are provided.  The functional-equation
 recurrence is the workhorse (deterministic per-coefficient precision
 ledger); the normalized-iterate limit f^n / f'(0)^n is retained purely as
-an independent cross-check oracle, with its certified precision taken from
-the ultrametric Cauchy estimate on the last observed increments.
+an independent cross-check oracle.  It always forms a fixed number of
+iterates, and its only claim is the ultrametric Cauchy cap at the last
+increment; a run that leaves a coefficient no digits raises
+PrecisionExhausted.
 """
 
 from fractions import Fraction
 
 from .errors import (
     DomainError,
-    NoStabilization,
     NotInvertible,
+    PrecisionExhausted,
     TorsionDetected,
     TruncationInconclusive,
 )
@@ -126,12 +128,13 @@ def default_n_max(p: int, M: int) -> int:
 def logarithm_limit(f: PSeries, n_max: int = None, keep: int = 0) -> Logarithm:
     """Limit of the normalized iterates f^n / f'(0)^n.
 
-    Runs until consecutive normalized iterates are indistinguishable at
-    their stored precision or n_max is reached.  Each returned coefficient
-    is capped at the valuation of its last observed increment (Cauchy
-    estimate), so downstream comparisons happen at certified digits only.
-    The iterates f^1 .. f^keep that the run formed (f^(n+1) = f^n ∘ f, as
-    ``polygon.iterate`` forms them) are kept in ``iterates``.
+    Always forms exactly n_max iterates (``default_n_max`` by default).  Each
+    returned coefficient is capped at the valuation of its last increment
+    (Cauchy estimate); that cap is the limit's only claim, so downstream
+    comparisons happen at capped digits only.  A run whose last increment is
+    no smaller than its first, or whose cap leaves a coefficient no digits,
+    raises PrecisionExhausted.  The iterates f^1 .. f^keep (f^(n+1) =
+    f^n ∘ f, as ``polygon.iterate`` forms them) are kept in ``iterates``.
     """
     p = f.prime
     M = f.x_prec
@@ -144,7 +147,6 @@ def logarithm_limit(f: PSeries, n_max: int = None, keep: int = 0) -> Logarithm:
     prev_norm = ident
     evidence = []
     kept = []
-    last_incr = None
     fn = ident
     for n in range(1, n_max + 1):
         fn = fn.compose(f)
@@ -154,17 +156,12 @@ def logarithm_limit(f: PSeries, n_max: int = None, keep: int = 0) -> Logarithm:
         norm = PSeries(
             p, 1, M, {e: coeff / cn for e, coeff in fn.coeffs.items()}, f.coeff_prec
         )
-        diff = norm - prev_norm
-        floors = [x.val_floor() for x in diff.coeffs.values()]
-        incr = min(floors) if floors else INF
-        evidence.append((n, incr))
-        stable = all(x.is_zero_like() for x in diff.coeffs.values())
+        last_incr = norm - prev_norm
+        floors = [x.val_floor() for x in last_incr.coeffs.values()]
+        evidence.append((n, min(floors) if floors else INF))
         prev_norm = norm
-        last_incr = diff
-        if stable:
-            return Logarithm(norm, "iterate-limit", c, evidence, kept)
     if len(evidence) >= 2 and evidence[-1][1] <= evidence[0][1]:
-        raise NoStabilization(f"no stabilization after {n_max} iterates")
+        raise PrecisionExhausted(f"no stabilization after {n_max} iterates")
     capped = {}
     for e, coeff in prev_norm.coeffs.items():
         d = last_incr.c(e)
@@ -172,7 +169,7 @@ def logarithm_limit(f: PSeries, n_max: int = None, keep: int = 0) -> Logarithm:
         if cap == INF:
             capped[e] = coeff
         elif cap <= 0:
-            raise NoStabilization(
+            raise PrecisionExhausted(
                 f"coefficient {e} certifies no digits after {n_max} iterates"
             )
         else:

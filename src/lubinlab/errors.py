@@ -53,10 +53,6 @@ class TorsionDetected(LubinlabError):
         self.identity_to_precision = identity_to_precision
 
 
-class NoStabilization(LubinlabError):
-    """The iterate limit did not stabilize within n_max steps."""
-
-
 class IntegralityFailure(LubinlabError):
     """A coefficient that must lie in Z_p certifies negative valuation.
 

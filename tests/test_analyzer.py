@@ -11,7 +11,6 @@ from lubinlab import (
     PSeries,
     REJECTED,
     analyze,
-    analyzer,
     analyze_fixture,
     batch_run,
     gm_pair,
@@ -19,6 +18,7 @@ from lubinlab import (
     make_twist_fixture,
     summary_table,
 )
+from lubinlab.dynamics import default_n_max
 from conftest import one_plus_x_pow, series_from_fractions
 
 SMALL = Config(N=10, M=25)
@@ -201,12 +201,10 @@ def test_vacuous_m2_refused(m2):
     [
         ({"n_shape": 0}, "n_shape must be at least 1, got 0"),
         ({"n_shape": -1}, "n_shape must be at least 1, got -1"),
-        ({"n_max_limit": -1}, "n_max_limit must be at least 0, got -1"),
     ],
 )
 def test_meaningless_sizes_refused(kwargs, message):
-    """No iterate shape to check passed vacuously, and a negative limit
-    count crashed analyze with an AttributeError."""
+    """No iterate shape to check passed vacuously."""
     with pytest.raises(ValueError, match=message):
         Config(N=8, M=16, **kwargs)
     p = 2
@@ -281,36 +279,15 @@ def test_limit_and_shapes_share_one_chain(monkeypatch):
     iterations = len(report.data["logarithm"]["limit_evidence"])
     shapes = report.data["iterate_shape"]
     assert [s["n"] for s in shapes] == [1, 2, 3] and all(s["ok"] for s in shapes)
-    assert links == max(iterations, len(shapes)) == iterations
+    assert links == iterations
 
 
-def test_shapes_extend_a_chain_the_limit_stopped_short(monkeypatch):
-    """Where the limit kept fewer iterates than the shapes need, the chain
-    is extended by the same compositions and the report does not change."""
-    cfg = Config(N=10, M=32, n_shape=4)
-    f, u = gm_w1(2, cfg)
-    want, links = analyze_counting_chain(monkeypatch, f, u, cfg)
-    limit = analyzer.logarithm_limit
-
-    def short(f, n_max=None, keep=0):
-        log = limit(f, n_max, keep)
-        log.iterates = log.iterates[:1]
-        return log
-
-    monkeypatch.setattr(analyzer, "logarithm_limit", short)
-    got, extended = analyze_counting_chain(monkeypatch, f, u, cfg)
-    assert got.to_json() == want.to_json()
-    assert len(want.data["iterate_shape"]) == 4
-    assert extended == links + 3
-
-
-@pytest.mark.parametrize("k", [0, 1, 2, 4])
-def test_starved_iterate_limit_names_its_knob(k):
-    """A limit cut short starved the logarithm or its cross-check, and the
-    message asked for more digits or a larger M, which do not help."""
-    p = 2
-    f, u = gm_w1(p, Config(N=10, M=32))
-    rep = analyze(f, u, Config(N=10, M=32, n_max_limit=k))
-    assert rep.verdict == "INCONCLUSIVE"
-    assert rep.reason.endswith("; retry with n_max_limit>=14"), rep.reason
-    assert analyze(f, u, Config(N=10, M=32, n_max_limit=14)).verdict == CERTIFIED
+def test_limit_runs_its_full_count():
+    """The limit stopped after 8 of its 10 iterates, where one increment was
+    zero to its precision, and returned that iterate uncapped."""
+    cfg = Config(N=9, M=30)
+    report = analyze(*lt_pair(5, cfg.M, working(5, cfg)), cfg)
+    assert report.verdict == CERTIFIED, report.reason
+    evidence = report.data["logarithm"]["limit_evidence"]
+    assert [n for n, _ in evidence] == list(range(1, default_n_max(5, cfg.M) + 1))
+    assert len(evidence) == 10

@@ -1,11 +1,13 @@
 """CLI surface: flags, formats, exit codes, golden summary format."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from lubinlab.cli import build_parser, main
+from lubinlab import Config
+from lubinlab.cli import _config, build_parser, main
 
 
 def run(capsys, *argv):
@@ -150,6 +152,15 @@ def test_help_documents_every_flag():
     for name, sp in subparsers.choices.items():
         flags = {s for a in sp._actions for s in a.option_strings}
         assert {"--p", "--N", "--M", "--guard", "--out"} <= flags, name
+
+
+def test_every_config_field_is_set_by_the_cli():
+    """A Config field that the CLI leaves at its default is a knob no user
+    can reach."""
+    argv = ["analyze", "--N", "20", "--M", "32", "--M2", "5", "--guard", "40", "--n-shape", "2"]
+    cfg, default = _config(build_parser().parse_args(argv)), Config()
+    unset = [f.name for f in dataclasses.fields(Config) if getattr(cfg, f.name) == getattr(default, f.name)]
+    assert unset == []
 
 
 def test_unknown_flag_rejected(capsys):

@@ -17,13 +17,12 @@ digits must still be right.  This is the check of Caruso, Roe & Vaccon,
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lubinlab import (
     DomainError,
     IntegralityFailure,
-    NoStabilization,
     NotInvertible,
     PadicNum,
     PrecisionExhausted,
@@ -44,7 +43,7 @@ from oracles import frac_val, lagrange_inversion, poly_compose, poly_inverse, po
 SETTINGS = settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 # raised when a run has too few digits to decide; such a run claims nothing
-STARVED = (PrecisionExhausted, NotInvertible, NoStabilization)
+STARVED = (PrecisionExhausted, NotInvertible)
 
 
 @st.composite
@@ -81,12 +80,11 @@ def agree(a: PadicNum, b: PadicNum) -> bool:
     return d == 0 or frac_val(d, a.p) >= min(a.N, b.N)
 
 
-def confirm(lo, hi, truth=None, exact_zeros=True):
+def confirm(lo, hi, truth=None):
     """lo and hi are the runs at N and N + k.  Where both return, every
     coefficient agrees at the lesser precision; every coefficient of a
     returned run agrees with the exact value ``truth`` (exponents to
-    Fractions), and claims an exact zero only where the truth is zero.
-    Without ``exact_zeros`` absent coefficients are not taken as claims.  A
+    Fractions), and claims an exact zero only where the truth is zero.  A
     certified IntegralityFailure claims a negative valuation, so the other
     run must not return a series."""
     runs = [s for s in (lo, hi) if isinstance(s, PSeries)]
@@ -95,15 +93,13 @@ def confirm(lo, hi, truth=None, exact_zeros=True):
             assert not runs, s
     if len(runs) == 2:
         M = min(lo.x_prec, hi.x_prec)
-        both = lo.coeffs.keys() & hi.coeffs.keys()
-        keys = lo.coeffs.keys() | hi.coeffs.keys() if exact_zeros else both
-        for e in keys:
+        for e in lo.coeffs.keys() | hi.coeffs.keys():
             if sum(e) < M:
                 assert agree(lo.c(e), hi.c(e)), e
     if truth is None:
         return
     for s in runs:
-        for e in s.coeffs.keys() | truth.keys() if exact_zeros else s.coeffs.keys():
+        for e in s.coeffs.keys() | truth.keys():
             if sum(e) >= s.x_prec:
                 continue
             want = PadicNum.from_fraction(truth.get(e, 0), s.prime, 200)
@@ -171,25 +167,24 @@ def test_recurrence_log_claims_only_confirmed_digits(case):
 
 @SETTINGS
 @given(integer_series(lead=st.just(1)))
+@example((2, 4, [2, 4, 0], 2, 1))  # the case below, at N = 2 and 3
 def test_limit_log_claims_only_confirmed_digits(case):
-    """At the default n_max.  Exact zeros are not taken as claims here: the
-    limit's may be wrong, and so may its digits after a short run (both
-    pinned below)."""
+    """At the default n_max, exact zeros included; its digits after a short
+    run may be wrong (pinned below)."""
     p, M, coeffs, N, k = case
     lo, hi = at_precisions(case, univariate, lambda f: logarithm_limit(f).series)
-    confirm(lo, hi, as_truth(exact_log(coeffs, M)), exact_zeros=False)
+    confirm(lo, hi, as_truth(exact_log(coeffs, M)))
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError, reason="the limit trusts one increment that is zero to its precision"
-)
 def test_limit_log_claims_no_exact_zero_its_iterates_leave_open():
     """f = 2x + 4x^2 at p = 2 and N = 2: f/f'(0) - x is zero to its
-    precision, so the limit returns f/f'(0) after one iterate, with an
-    exact zero at degree 3.  The logarithm has L_3 = 16/3."""
-    L = logarithm_limit(univariate(2, 4, [2, 4, 0], 2)).series
+    precision, and a limit that stopped at that increment returned
+    f/f'(0), with an exact zero at degree 3.  The logarithm has
+    L_3 = 16/3.  The full n_max = 8 iterates starve, and a starved run
+    claims nothing."""
+    L = run(lambda f: logarithm_limit(f).series, univariate(2, 4, [2, 4, 0], 2))
     assert exact_log([2, 4, 0], 4)[3] == Fraction(16, 3)
-    assert not L.c(3).is_exact_zero()
+    assert not isinstance(L, PSeries) or not L.c(3).is_exact_zero()
 
 
 @pytest.mark.xfail(

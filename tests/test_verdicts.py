@@ -34,7 +34,6 @@ from lubinlab.errors import (
     IntegralityFailure,
     NoCandidate,
     NonUniqueLift,
-    NoStabilization,
     NotInvertible,
     PrecisionExhausted,
     PrimeMismatch,
@@ -76,7 +75,6 @@ CASES = [
     (analyzer, "count_roots_open_disk", TruncationInconclusive("boom"), starved("root_count"), "hypotheses"),
     (analyzer, "logarithm_recurrence", PrecisionExhausted("boom"), starved("logarithm"), "normalization"),
     (analyzer, "logarithm_limit", PrecisionExhausted("boom"), starved("logarithm"), "normalization"),
-    (analyzer, "logarithm_limit", NoStabilization("boom"), starved("logarithm"), "normalization"),
     (analyzer, "verify_iterate_shape", TruncationInconclusive("boom"), starved("iterate_shape"), "logarithm"),
     (
         analyzer,
@@ -205,16 +203,6 @@ def test_torsion_control_rejected():
         "identity_to_precision": True,
     }
     assert sorted(report.data) == sections_through("hypotheses")
-
-
-def test_no_limit_iterates_starve_the_crosscheck():
-    report = analyze(*pair(), Config(N=8, M=16, n_max_limit=0), name="pinned")
-    assert report.verdict == INCONCLUSIVE
-    assert report.reason == (
-        "stage logarithm_crosscheck starved: constructions disagree at certified digits; "
-        "retry with n_max_limit>=12"
-    )
-    assert sorted(report.data) == sections_through("logarithm")
 
 
 @pytest.mark.parametrize(
