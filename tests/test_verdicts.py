@@ -205,6 +205,22 @@ def test_torsion_control_rejected():
     assert sorted(report.data) == sections_through("hypotheses")
 
 
+def test_disagreeing_constructions_starve_the_crosscheck(monkeypatch):
+    """The limit's series replaced by x disagrees with the recurrence."""
+    limit = analyzer.logarithm_limit
+
+    def identity(*args, **kwargs):
+        log = limit(*args, **kwargs)
+        log.series = PSeries.identity(2, CFG.M, NW)
+        return log
+
+    monkeypatch.setattr(analyzer, "logarithm_limit", identity)
+    report = analyze(*pair(), CFG, name="pinned")
+    assert report.verdict == INCONCLUSIVE
+    assert report.reason == f"stage logarithm_crosscheck starved: constructions disagree at certified digits; {RETRY}"
+    assert sorted(report.data) == sections_through("logarithm")
+
+
 @pytest.mark.parametrize(
     "owner, attr, ex",
     [
