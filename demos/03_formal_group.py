@@ -36,9 +36,9 @@ print()
 # the bracket of f'(0), and integer brackets are iterated additions.
 # ----------------------------------------------------------------------
 bf = bracket(logf, f.linear_coeff(), exp_series)
-print("[f'(0)] recovers f:", bf.series.equal_to_precision(f))
+print("[f'(0)] recovers f:", bf.equal_to_precision(f))
 b2 = bracket(logf, PadicNum.from_int(2, p, N), exp_series)
-print("[2] has derivative 2:", b2.series.c((1,)).congruent(2))
+print("[2] has derivative 2:", b2.c((1,)).congruent(2))
 print()
 
 # ----------------------------------------------------------------------
@@ -49,6 +49,6 @@ print()
 # ----------------------------------------------------------------------
 pi, bk = frobenius_multiplier(logf, f, exp_series)
 print("pi =", repr(pi))
-lift = lubin_tate_lift(bk.series, 12)
+lift = lubin_tate_lift(bk, 12)
 print("independent lift agrees with F:",
       lift.F.equal_to_precision(G.F.truncate(12)))

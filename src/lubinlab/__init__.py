@@ -29,7 +29,6 @@ from .polygon import (
     weierstrass_preparation,
 )
 from .dynamics import (
-    CommutingPair,
     Logarithm,
     check_commute,
     dlog_integrality,
@@ -40,7 +39,6 @@ from .dynamics import (
     zp_iterate,
 )
 from .formalgroup import (
-    Bracket,
     FormalGroupLaw,
     bracket,
     exp_from_log,

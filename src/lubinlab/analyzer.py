@@ -1,7 +1,8 @@
 """End-to-end certification of a commuting pair against the integral
 formal-group hypotheses.
 
-``analyze`` runs the whole pipeline: commutation check, hypothesis checks
+``analyze`` runs the whole pipeline, and is the one place the hypotheses
+are decided: commutation check, integrality and the other hypothesis checks
 on f and u, normalization of u, both logarithm constructions with a
 cross-check, integrality of the logarithm derivative, iterate polygon
 shapes, the formal group law with its certificates, endomorphism
@@ -34,10 +35,9 @@ from .errors import (
     TruncationInconclusive,
 )
 from .padic import INF, PadicNum, floor_log, require_prime
-from .series import PSeries
+from .series import PSeries, raise_if_not_integral
 from .polygon import count_roots_open_disk, newton_polygon, verify_iterate_shape
 from .dynamics import (
-    CommutingPair,
     check_commute,
     dlog_integrality,
     log_polygon_vertices,
@@ -148,6 +148,7 @@ def _suggest(cfg: Config, stage: str, digits, x_prec) -> str:
 # The verdict of a stage's exception.  REJECTED needs a hypothesis that fails
 # at certified digits: a (stage, exception class) below, with its reason.
 REJECTIONS = {
+    ("hypotheses", IntegralityFailure): "f and u must have integral coefficients: {ex}",
     ("normalization", TorsionDetected): "u fails the infinite-order hypothesis: {ex} "
     "(caveat: torsion is only certified to the working precision)",
     ("group_from_log", IntegralityFailure): "formal group is not integral: {ex}",
@@ -212,8 +213,11 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         if not ok:
             return rejected(f"pair does not commute (defect at degree {first_bad})")
 
-        # 2. hypotheses on f (zero to one digit, f'(0) may have valuation 1)
+        # 2. both series integral; hypotheses on f (zero to one digit, f'(0)
+        # may have valuation 1)
         stage = "hypotheses"
+        raise_if_not_integral(f, "f")
+        raise_if_not_integral(u, "u")
         c = f.linear_coeff()
         hyp["fprime0_valuation"] = None if c.is_zero_like() else c.v
         if c.is_zero_like() and c.N <= 1:
@@ -239,14 +243,13 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         hyp["u_invertible"] = (not gamma.is_zero_like()) and gamma.v == 0
         if not hyp["u_invertible"]:
             return rejected("u'(0) is not a unit")
-        pair = CommutingPair(f, u, check=False)
-        pair.commute_degree = certified
         stage = "normalization"
-        npair, e = normalize_u(pair)
+        ue, e = normalize_u(u)
+        gamma_e = ue.linear_coeff()
         hyp["torsion"] = {"detected_to_precision": False}
         report["normalization"] = {
             "iterate": e,
-            "gamma_valuation_of_1_minus": (npair.gamma - PadicNum.one(p, npair.gamma.N)).val_floor(),
+            "gamma_valuation_of_1_minus": (gamma_e - PadicNum.one(p, gamma_e.N)).val_floor(),
         }
 
         # 4. logarithm, both constructions; the limit keeps the iterates f^n
@@ -307,8 +310,8 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         stage = "endomorphisms"
         bf = bracket(logf, c, exp_series)
         bu = bracket(logf, gamma, exp_series)
-        fg["endo_f"] = bf.series.equal_to_precision(f)
-        fg["endo_u"] = bu.series.equal_to_precision(u)
+        fg["endo_f"] = bf.equal_to_precision(f)
+        fg["endo_u"] = bu.equal_to_precision(u)
         if not (fg["endo_f"] and fg["endo_u"]):
             return rejected("f or u is not the bracket of its derivative")
 
@@ -325,7 +328,7 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
 
         # 9. independent lift cross-check
         stage = "lubin_tate_lift"
-        GL = lubin_tate_lift(bk.series, cfg.m2)
+        GL = lubin_tate_lift(bk, cfg.m2)
         lift_agrees = GL.F.equal_to_precision(G.F.truncate(cfg.m2))
         report["frobenius"]["lift_agrees"] = lift_agrees
         report["frobenius"]["lift_degree"] = GL.F.x_prec
@@ -348,7 +351,7 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
     min_prec = min(
         min((co.N for co in logf.series.coeffs.values()), default=Nw),
         min((co.N for co in G.F.coeffs.values()), default=Nw),
-        min((co.N for co in bk.series.coeffs.values()), default=Nw),
+        min((co.N for co in bk.coeffs.values()), default=Nw),
     )
     report["precision"] = {
         "working": Nw,
@@ -389,7 +392,7 @@ def lt_pair(p: int, M: int, N: int):
     coeffs[p - 1] = 1
     f = PSeries.from_univariate_coeffs(p, coeffs, M, n_int)
     logf = logarithm_recurrence(f)
-    u = bracket(logf, PadicNum.from_int(1 + p, p, n_int)).series
+    u = bracket(logf, PadicNum.from_int(1 + p, p, n_int))
     return f.cap_coeff_prec(N), u.cap_coeff_prec(N)
 
 

@@ -183,7 +183,7 @@ def cmd_frobenius(args) -> int:
         "pi_residue": str(pi.as_fraction()),
         "unit_digits": digits,
         "congruent_xp_mod_p": True,
-        "bracket": _scalar_table(bk.series),
+        "bracket": _scalar_table(bk),
     }
     if args.format == "text":
         _emit(

@@ -6,6 +6,8 @@ commuting with f.  The central object is the logarithm of f: the unique
 series L with L'(0) = 1 and L(f(x)) = f'(0) L(x).  Every series commuting
 with f shares the same logarithm, and conjugation by it linearizes the
 whole centralizer, which is what makes Z_p-iterates of u computable.
+The functions here take f and u as plain series and assume these
+hypotheses; ``analyzer.analyze`` is the one place that decides them.
 
 Two constructions of the logarithm are provided.  The functional-equation
 recurrence is the workhorse (deterministic per-coefficient precision
@@ -30,42 +32,6 @@ from .series import PSeries, _solve_by_powers, first_disagreement
 from .polygon import iterate
 
 
-class CommutingPair:
-    """A certified pair: f noninvertible, u invertible, f∘u = u∘f.
-
-    Construction re-derives and checks the hypotheses; failures raise
-    (ValueError for structural problems, TorsionDetected for torsion u).
-    """
-
-    __slots__ = ("f", "u", "gamma", "fprime0", "commute_degree")
-
-    def __init__(self, f: PSeries, u: PSeries, check: bool = True):
-        self.f = f
-        self.u = u
-        self.fprime0 = f.linear_coeff()
-        self.gamma = u.linear_coeff()
-        self.commute_degree = None
-        if not check:
-            return
-        if f.min_val_floor() < 0 or u.min_val_floor() < 0:
-            raise ValueError("pair must be integral to precision")
-        if not f.s0 or not u.s0:
-            raise ValueError("pair must have zero constant terms")
-        if self.fprime0.val_floor() != 1:
-            raise ValueError("f'(0) must have valuation exactly 1")
-        if self.gamma.is_zero_like() or self.gamma.v != 0:
-            raise NotInvertible("u'(0) must be a unit")
-        wdeg = f.reduce_mod_p().weierstrass_degree()
-        if wdeg != f.prime:
-            raise ValueError(
-                f"first unit coefficient of f sits at {wdeg}, expected p={f.prime}"
-            )
-        ok, first_bad, certified = check_commute(f, u)
-        if not ok:
-            raise ValueError(f"pair does not commute (first defect at degree {first_bad})")
-        self.commute_degree = certified
-
-
 def check_commute(f: PSeries, u: PSeries):
     """Compare f∘u with u∘f degree by degree at the working precision, by
     ``first_disagreement``.
@@ -82,21 +48,19 @@ def check_commute(f: PSeries, u: PSeries):
 
 
 class Logarithm:
-    """The logarithm of f with construction metadata.
+    """The logarithm of f with what its limit construction observed.
 
     ``series`` has linear coefficient 1 and satisfies series∘f = f'(0)·series
-    to precision.  ``stabilization`` (limit method only) records, per
+    to precision.  ``stabilization`` (limit construction only) records, per
     iteration, the least valuation of the increment between consecutive
     normalized iterates, and ``iterates`` the leading iterates f^1, f^2, ...
     it was asked to keep.
     """
 
-    __slots__ = ("series", "method", "fprime0", "stabilization", "iterates")
+    __slots__ = ("series", "stabilization", "iterates")
 
-    def __init__(self, series, method, fprime0, stabilization=None, iterates=()):
+    def __init__(self, series, stabilization=None, iterates=()):
         self.series = series
-        self.method = method
-        self.fprime0 = fprime0
         self.stabilization = stabilization
         self.iterates = iterates
 
@@ -117,7 +81,7 @@ def logarithm_recurrence(f: PSeries) -> Logarithm:
         if torsion:
             raise DomainError("f'(0) must not be a root of unity")
     series = _solve_by_powers(f, PadicNum.one(f.prime, f.coeff_prec), c)
-    return Logarithm(series, "recurrence", c)
+    return Logarithm(series)
 
 
 def default_n_max(p: int, M: int) -> int:
@@ -143,7 +107,7 @@ def logarithm_limit(f: PSeries, n_max: int = None, keep: int = 0) -> Logarithm:
         n_max = default_n_max(p, M)
     ident = PSeries.identity(p, M, f.coeff_prec)
     if n_max == 0:
-        return Logarithm(ident, "iterate-limit", c, stabilization=[])
+        return Logarithm(ident, stabilization=[])
     prev_norm = ident
     evidence = []
     kept = []
@@ -175,7 +139,7 @@ def logarithm_limit(f: PSeries, n_max: int = None, keep: int = 0) -> Logarithm:
         else:
             capped[e] = coeff.cap_prec(cap)
     series = PSeries(p, 1, M, capped, f.coeff_prec)
-    return Logarithm(series, "iterate-limit", c, evidence, kept)
+    return Logarithm(series, evidence, kept)
 
 
 def log_polygon_vertices(p: int, M: int) -> list:
@@ -190,22 +154,22 @@ def dlog_integrality(logf: Logarithm) -> bool:
     return all(c.val_floor() >= 0 for c in d.coeffs.values())
 
 
-def normalize_u(pair: CommutingPair):
-    """Replace u by the minimal iterate with u'(0) = 1 mod p (mod 4 if p=2).
+def normalize_u(u: PSeries):
+    """The minimal iterate of u with u'(0) = 1 mod p (mod 4 if p=2).
 
-    Returns (normalized_pair, e) with e the iterate taken: the order of
-    u'(0) in (Z/p)^x, doubled when p = 2 and u'(0) = 3 mod 4.  After this,
-    v_p((1-u'(0))^m) = v_p(1-u'(0)) + v_p(m) for all m, which is exactly
-    what the Z_p-iteration needs.  Raises TorsionDetected when u'(0) is a
-    root of unity to precision; the flag on the exception records whether
-    the matching iterate of u is itself the identity to precision.
+    Returns (iterate, e) with e the iterate taken: the order of u'(0) in
+    (Z/p)^x, doubled when p = 2 and u'(0) = 3 mod 4 (u itself when e = 1).
+    After this, v_p((1-u'(0))^m) = v_p(1-u'(0)) + v_p(m) for all m, which is
+    exactly what the Z_p-iteration needs.  Raises TorsionDetected when u'(0)
+    is a root of unity to precision; the flag on the exception records
+    whether the matching iterate of u is itself the identity to precision.
     """
-    p = pair.f.prime
-    gamma = pair.gamma
+    p = u.prime
+    gamma = u.linear_coeff()
     torsion, order = is_root_of_unity(gamma)
     if torsion:
-        ue = iterate(pair.u, order)
-        ident = PSeries.identity(p, pair.u.x_prec, pair.u.coeff_prec)
+        ue = iterate(u, order)
+        ident = PSeries.identity(p, u.x_prec, u.coeff_prec)
         is_id = ue.equal_to_precision(ident)
         raise TorsionDetected(
             f"u'(0) is a root of unity of order {order} to precision "
@@ -221,20 +185,17 @@ def normalize_u(pair: CommutingPair):
             acc = acc * (gamma.u % p) % p
             e += 1
     if e == 1:
-        return pair, 1
-    ue = iterate(pair.u, e)
-    new = CommutingPair(pair.f, ue, check=False)
-    new.commute_degree = pair.commute_degree
-    return new, e
+        return u, 1
+    return iterate(u, e), e
 
 
-def zp_iterate(pair: CommutingPair, logf: Logarithm, a, exp_series: PSeries = None) -> PSeries:
+def zp_iterate(u: PSeries, logf: Logarithm, a, exp_series: PSeries = None) -> PSeries:
     """The Z_p-iterate of u with derivative u'(0)^a: rev(L)(u'(0)^a · L(x)).
 
-    a may be an integer or a scalar in Z_p; for p-adic a the pair must be
-    normalized so that u'(0) is a 1-unit.
+    a may be an integer or a scalar in Z_p; for p-adic a, u must be
+    normalized (``normalize_u``) so that u'(0) is a 1-unit.
     """
-    gamma_a = padic_pow(pair.gamma, a)
+    gamma_a = padic_pow(u.linear_coeff(), a)
     if exp_series is None:
         exp_series = logf.series.reversion()
     return exp_series.compose(logf.series, gamma_a)

@@ -26,18 +26,18 @@ table of f, each column G_b(f) carried from stage to stage
 ``frobenius_multiplier`` recovers the scalar pi with v(pi) = 1 whose
 bracket endomorphism exp(pi * L) reduces to x^p mod p, one base-p digit at
 a time: the digit at p^k first influences the mod-p coefficients at degree
-p^(k+1), so testing the congruence below min(M, p^(k+1)+1) pins it.
+p^(k+1), so testing the congruence below min(M, p^(k+1)+1) pins it.  It
+returns pi with the series [pi], as ``bracket`` returns the series [a].
 """
 
 from .errors import (
     AmbiguousAtPrecision,
-    IntegralityFailure,
     NoCandidate,
     NonUniqueLift,
     PrecisionExhausted,
 )
-from .padic import INF, PadicNum
-from .series import _ABSENT, PSeries, _pack, _packed_derivative, _packed_div_int, _packed_mul, _part, _part_mul, _part_sum, _parts, first_disagreement
+from .padic import PadicNum
+from .series import _ABSENT, PSeries, _pack, _packed_derivative, _packed_div_int, _packed_mul, _part, _part_mul, _part_sum, _parts, first_disagreement, raise_if_not_integral
 from .dynamics import Logarithm
 
 
@@ -120,16 +120,6 @@ def _sides(F: PSeries, D: int) -> list:
     return sides
 
 
-class Bracket:
-    """An endomorphism exp(a * L) with derivative a at the origin."""
-
-    __slots__ = ("a", "series")
-
-    def __init__(self, a: PadicNum, series: PSeries):
-        self.a = a
-        self.series = series
-
-
 def exp_from_log(logf: Logarithm) -> PSeries:
     """The exponential E, the compositional inverse of the logarithm.
 
@@ -151,7 +141,7 @@ def group_from_log(logf: Logarithm) -> FormalGroupLaw:
     is the j = 0 term.  A coefficient without digits at precision <= 0
     raises PrecisionExhausted, as ``reduce_terms`` does.
 
-    Raises IntegralityFailure as ``_raise_if_not_integral`` does.
+    Raises IntegralityFailure as ``series.raise_if_not_integral`` does.
     """
     L = logf.series
     p, M, N = L.prime, L.x_prec, L.coeff_prec
@@ -166,19 +156,8 @@ def group_from_log(logf: Logarithm) -> FormalGroupLaw:
     coeffs = L.power_table().sum_orders(orders)
     del orders, A
     F = PSeries(p, 2, M, {(1, 0): PadicNum.one(p, N), **coeffs}, N)
-    _raise_if_not_integral(F, "group law from logarithm")
+    raise_if_not_integral(F, "group law from logarithm")
     return FormalGroupLaw(F, "from-log")
-
-
-def _raise_if_not_integral(F: PSeries, what: str):
-    """Raise IntegralityFailure at the least exponent whose coefficient
-    certifies a negative valuation, or else, with certified=False, at the
-    least whose valuation floor is merely unresolved below 0."""
-    bad = {e: c for e, c in F.coeffs.items() if c.val_floor() < 0}
-    if bad:
-        e = min(bad, key=lambda e: (bad[e].v == INF, e))
-        msg = f"{what}: coefficient at {e} has valuation floor {bad[e].val_floor()}"
-        raise IntegralityFailure(msg, exponents=e, certified=bad[e].v != INF)
 
 
 def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
@@ -237,16 +216,15 @@ def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
         Fparts.append(_part(p, part))
         F.update(corr)
     F = PSeries(p, 2, D, F, N)
-    _raise_if_not_integral(F, "group law lift")
+    raise_if_not_integral(F, "group law lift")
     return FormalGroupLaw(F, "lubin-tate-lift")
 
 
-def bracket(logf: Logarithm, a: PadicNum, exp_series: PSeries = None) -> Bracket:
+def bracket(logf: Logarithm, a: PadicNum, exp_series: PSeries = None) -> PSeries:
     """The endomorphism [a] = E(a * L(x)) with derivative a."""
     if exp_series is None:
         exp_series = exp_from_log(logf)
-    series = exp_series.compose(logf.series, a)
-    return Bracket(a, series)
+    return exp_series.compose(logf.series, a)
 
 
 def _is_xp_mod_p(series: PSeries, D: int) -> bool:
@@ -311,9 +289,9 @@ def frobenius_multiplier(logf: Logarithm, f: PSeries, exp_series: PSeries = None
     series = candidate_bracket(unit, M)
     if not _is_xp_mod_p(series, M):
         raise NoCandidate("recovered scalar fails the congruence at full truncation")
-    _raise_if_not_integral(series, "Frobenius bracket")
+    raise_if_not_integral(series, "Frobenius bracket")
     pi_report = PadicNum(p, 1, unit, 1 + ndigits)
     pi_full = PadicNum(p, 1, unit, N)
     if first_disagreement([(1, series.c((1,)), pi_full)]) is not None:
         raise NoCandidate("bracket derivative does not match the recovered scalar")
-    return pi_report, Bracket(pi_full, series)
+    return pi_report, series

@@ -116,6 +116,9 @@ class PadicNum:
 
     @classmethod
     def one(cls, p: int, N: int) -> "PadicNum":
+        """1 known modulo p^N; at N <= 0 it would carry no digit, and raises."""
+        if N <= 0:
+            raise PrecisionExhausted(f"one known to precision {N} carries no digits")
         return cls(p, 0, 1, N)
 
     @classmethod

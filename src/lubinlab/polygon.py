@@ -513,7 +513,7 @@ def is_eisenstein(poly: PSeries, degree=None) -> bool:
             raise ValueError("zero polynomial")
         degree = max(finite)
     lead = poly.c((degree,))
-    one = PadicNum.one(poly.prime, lead.N if lead.N != INF else 1)
+    one = PadicNum.one(poly.prime, max(lead.N, 1) if lead.N != INF else 1)
     if first_disagreement([(degree, lead, one)]) is not None:
         raise ValueError("polynomial is not monic to precision")
     const = poly.c((0,))

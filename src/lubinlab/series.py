@@ -43,6 +43,7 @@ from operator import add, mul
 
 from .errors import (
     ConstantTermError,
+    IntegralityFailure,
     NotInvertible,
     PrecisionExhausted,
     PrimeMismatch,
@@ -264,10 +265,14 @@ class PSeries:
     # -- reduction and shape mod p -------------------------------------------
 
     def reduce_mod_p(self) -> "PSeries":
-        """Image in F_p[[x]]: every coefficient reduced modulo p (precision 1)."""
+        """Image in F_p[[x]]: every coefficient reduced modulo p (precision 1).
+        A coefficient of certified negative valuation has no image and
+        raises IntegralityFailure."""
         p = self.prime
         out = {}
         for e, c in self.coeffs.items():
+            if c.v < 0:
+                raise IntegralityFailure(f"coefficient at {e} has valuation {c.v}, no image modulo p", exponents=e)
             if c.val_floor() < 1 and c.v == INF:
                 raise PrecisionExhausted("coefficient unresolved modulo p")
             if c.v == 0:
@@ -361,6 +366,17 @@ def first_disagreement(pairs, prec=None):
     if unresolved:
         raise PrecisionExhausted(f"compared coefficients at {min(unresolved)} carry no digits")
     return None
+
+
+def raise_if_not_integral(F: PSeries, what: str):
+    """Raise IntegralityFailure at the least exponent whose coefficient
+    certifies a negative valuation, or else, with certified=False, at the
+    least whose valuation floor is merely unresolved below 0."""
+    bad = {e: c for e, c in F.coeffs.items() if c.val_floor() < 0}
+    if bad:
+        e = min(bad, key=lambda e: (bad[e].v == INF, e))
+        msg = f"{what}: coefficient at {e} has valuation floor {bad[e].val_floor()}"
+        raise IntegralityFailure(msg, exponents=e, certified=bad[e].v != INF)
 
 
 def _solve_by_powers(h: PSeries, a1: PadicNum, lam: PadicNum) -> PSeries:

@@ -1,6 +1,7 @@
 """Pipeline verdicts, twist covariance, determinism, report contents."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -56,6 +57,18 @@ def test_additive_pair_rejected():
     rep = analyze(f, u, SMALL, name="additive")
     assert rep.verdict == REJECTED
     assert "root-count" in rep.reason
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_non_integral_twist_rejected_as_non_integral(p):
+    """A gm pair twisted by w = x + x^2/p has non-integral coefficients; it
+    was rejected on its Weierstrass degree, read from a reduction mod p
+    that dropped them."""
+    cfg = Config(N=8, M=16)
+    w = series_from_fractions(p, [1, Fraction(1, p)], cfg.M, working(p, cfg))
+    rep = analyze(*make_twist_fixture("gm", w), cfg, name="nonintegral")
+    assert rep.verdict == REJECTED
+    assert rep.reason.startswith("f and u must have integral coefficients: f: coefficient at ("), rep.reason
 
 
 def test_torsion_pair_rejected_with_caveat():

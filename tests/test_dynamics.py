@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from lubinlab import (
-    CommutingPair,
     ConstantTermError,
     PadicNum,
     PSeries,
@@ -104,39 +103,27 @@ def test_dlog_integrality():
     assert not dlog_integrality(fake)
 
 
-def test_pair_construction_checks():
-    p = 3
-    f = one_plus_x_pow(p, p, 32, 20)
-    u = one_plus_x_pow(p, p + 1, 32, 20)
-    pair = CommutingPair(f, u)
-    assert pair.commute_degree == 31
-    with pytest.raises(ValueError):
-        CommutingPair(series_from_fractions(p, [p], 32, 20), u)  # wdeg fails
-
-
 @pytest.mark.parametrize(
     "p,gamma,expected_e",
     [(5, 2, 4), (5, 6, 1), (2, 3, 2), (3, 4, 1), (3, 2, 2)],
 )
 def test_normalize_iterate_count(p, gamma, expected_e):
     M, N = 32, 24
-    f = one_plus_x_pow(p, p, M, N)
     u = one_plus_x_pow(p, gamma, M, N)
-    pair = CommutingPair(f, u, check=False)
-    npair, e = normalize_u(pair)
+    ue, e = normalize_u(u)
     assert e == expected_e
-    one = PadicNum.one(p, npair.gamma.N)
-    diff = npair.gamma - one
+    gamma = ue.linear_coeff()
+    one = PadicNum.one(p, gamma.N)
+    diff = gamma - one
     need = 2 if p == 2 else 1
     assert diff.val_floor() >= need
 
 
 def test_normalize_torsion_raises():
     p = 3
-    f = one_plus_x_pow(p, p, 32, 20)
     u = one_plus_x_pow(p, -1, 32, 20)
     with pytest.raises(TorsionDetected) as exc:
-        normalize_u(CommutingPair(f, u, check=False))
+        normalize_u(u)
     assert exc.value.identity_to_precision
 
 
@@ -145,10 +132,10 @@ def test_zp_iterate_integer_matches_composition():
     M, Nw = 32, 46
     f = one_plus_x_pow(p, p, M, Nw)
     u = one_plus_x_pow(p, p + 1, M, Nw)
-    pair, _ = normalize_u(CommutingPair(f, u))
+    u, _ = normalize_u(u)
     logf = logarithm_recurrence(f)
-    assert zp_iterate(pair, logf, 1).equal_to_precision(pair.u)
-    assert zp_iterate(pair, logf, 2).equal_to_precision(pair.u.compose(pair.u))
+    assert zp_iterate(u, logf, 1).equal_to_precision(u)
+    assert zp_iterate(u, logf, 2).equal_to_precision(u.compose(u))
 
 
 def test_zp_iterate_padic_root():
@@ -157,16 +144,16 @@ def test_zp_iterate_padic_root():
     M, Nw = 16, 40
     f = one_plus_x_pow(p, p, M, Nw)
     u = one_plus_x_pow(p, p + 1, M, Nw)
-    pair, _ = normalize_u(CommutingPair(f, u))
+    u, _ = normalize_u(u)
     logf = logarithm_recurrence(f)
     a = PadicNum.from_fraction(Fraction(1, 1 + p), p, Nw)
-    v = zp_iterate(pair, logf, a)
+    v = zp_iterate(u, logf, a)
     gamma_a = v.linear_coeff()
-    assert (gamma_a ** (1 + p)).congruent(pair.gamma)
+    assert (gamma_a ** (1 + p)).congruent(u.linear_coeff())
     w = v
     for _ in range(p):
         w = v.compose(w)
-    assert w.equal_to_precision(pair.u)
+    assert w.equal_to_precision(u)
 
 
 def test_zp_iterate_additivity(rnd):
@@ -174,16 +161,16 @@ def test_zp_iterate_additivity(rnd):
     M, Nw = 16, 40
     f = one_plus_x_pow(p, p, M, Nw)
     u = one_plus_x_pow(p, p + 1, M, Nw)
-    pair, _ = normalize_u(CommutingPair(f, u))
+    u, _ = normalize_u(u)
     logf = logarithm_recurrence(f)
     exp_series = logf.series.reversion()
     for _ in range(5):
         a = PadicNum.from_int(rnd.randrange(0, p**6), p, Nw)
         b = PadicNum.from_int(rnd.randrange(0, p**6), p, Nw)
-        lhs = zp_iterate(pair, logf, a, exp_series).compose(
-            zp_iterate(pair, logf, b, exp_series)
+        lhs = zp_iterate(u, logf, a, exp_series).compose(
+            zp_iterate(u, logf, b, exp_series)
         )
-        rhs = zp_iterate(pair, logf, a + b, exp_series)
+        rhs = zp_iterate(u, logf, a + b, exp_series)
         assert lhs.equal_to_precision(rhs)
 
 
@@ -192,10 +179,10 @@ def test_iterates_commute_with_f():
     M, Nw = 16, 40
     f = one_plus_x_pow(p, p, M, Nw)
     u = one_plus_x_pow(p, p + 1, M, Nw)
-    pair, _ = normalize_u(CommutingPair(f, u))
+    u, _ = normalize_u(u)
     logf = logarithm_recurrence(f)
     a = PadicNum.from_fraction(Fraction(1, 1 + p), p, Nw)
-    v = zp_iterate(pair, logf, a)
+    v = zp_iterate(u, logf, a)
     assert check_commute(f, v)[0]
 
 

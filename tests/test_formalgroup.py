@@ -69,7 +69,7 @@ def test_additive_degenerate_log():
     from lubinlab.dynamics import Logarithm
 
     x = PSeries.identity(p, 16, 20)
-    G = group_from_log(Logarithm(x, "recurrence", PadicNum.from_int(p, p, 20)))
+    G = group_from_log(Logarithm(x))
     assert G.F.c((1, 0)).congruent(1) and G.F.c((0, 1)).congruent(1)
     for e, c in G.F.coeffs.items():
         if e not in ((1, 0), (0, 1)):
@@ -126,12 +126,12 @@ def test_bracket_closed_forms():
     exp_series = exp_from_log(logf)
     b = bracket(logf, PadicNum.from_int(-1, p, 40), exp_series)
     for n in range(1, 32):
-        assert b.series.c((n,)).congruent((-1) ** n)
+        assert b.c((n,)).congruent((-1) ** n)
     bid = bracket(logf, PadicNum.one(p, 40), exp_series)
-    assert bid.series.equal_to_precision(PSeries.identity(p, 32, 40))
+    assert bid.equal_to_precision(PSeries.identity(p, 32, 40))
     bp = bracket(logf, PadicNum.from_int(p, p, 40), exp_series)
     for n in range(1, 32):
-        assert bp.series.c((n,)).congruent(binom(p, n))
+        assert bp.c((n,)).congruent(binom(p, n))
 
 
 def test_bracket_monoid_map(rnd):
@@ -141,10 +141,10 @@ def test_bracket_monoid_map(rnd):
     for _ in range(5):
         a = PadicNum.from_int(rnd.randrange(1, p**5), p, 40)
         b = PadicNum.from_int(rnd.randrange(1, p**5), p, 40)
-        lhs = bracket(logf, a, exp_series).series.compose(
-            bracket(logf, b, exp_series).series
+        lhs = bracket(logf, a, exp_series).compose(
+            bracket(logf, b, exp_series)
         )
-        rhs = bracket(logf, a * b, exp_series).series
+        rhs = bracket(logf, a * b, exp_series)
         assert lhs.equal_to_precision(rhs)
 
 
@@ -155,8 +155,8 @@ def test_endomorphism_identification():
     u = one_plus_x_pow(p, p + 1, M, Nw)
     logf = logarithm_recurrence(f)
     exp_series = exp_from_log(logf)
-    assert bracket(logf, f.linear_coeff(), exp_series).series.equal_to_precision(f)
-    assert bracket(logf, u.linear_coeff(), exp_series).series.equal_to_precision(u)
+    assert bracket(logf, f.linear_coeff(), exp_series).equal_to_precision(f)
+    assert bracket(logf, u.linear_coeff(), exp_series).equal_to_precision(u)
 
 
 def test_bracket_scales_group_law():
@@ -167,7 +167,7 @@ def test_bracket_scales_group_law():
     exp_series = exp_from_log(logf)
     G = group_from_log(logf)
     a = PadicNum.from_int(3, p, 40)
-    ba = bracket(logf, a, exp_series).series
+    ba = bracket(logf, a, exp_series)
     F = {e: (c.v, c.u, c.N) for e, c in G.F.coeffs.items()}
     b = {e: (c.v, c.u, c.N) for (e,), c in ba.coeffs.items()}
     lhs = _horner_2var(p, F, {(e, 0): t for e, t in b.items()}, {(0, e): t for e, t in b.items()}, M)
@@ -185,7 +185,7 @@ def test_frobenius_gm(p):
     logf = logarithm_recurrence(f)
     pi, bk = frobenius_multiplier(logf, f)
     assert pi.v == 1 and pi.u == 1  # pi = p at the recovered digits
-    assert bk.series.equal_to_precision(f)
+    assert bk.equal_to_precision(f)
 
 
 def test_frobenius_special_uniformizer():
@@ -195,7 +195,7 @@ def test_frobenius_special_uniformizer():
     logf = logarithm_recurrence(f)
     pi, bk = frobenius_multiplier(logf, f)
     assert pi.v == 1 and pi.u == 1
-    assert bk.series.equal_to_precision(f)  # f itself is the Frobenius bracket
+    assert bk.equal_to_precision(f)  # f itself is the Frobenius bracket
 
 
 def test_frobenius_differs_from_fprime0():
@@ -295,7 +295,7 @@ def test_group_from_log_matches_pairwise_loop(case):
     one first, then at the least exponent."""
     p, M, N, coeffs = case
     L = PSeries(p, 1, M, {e: PadicNum(p, *t) for e, t in coeffs.items()}, N)
-    logf = Logarithm(L, "recurrence", PadicNum.from_int(p, p, N))
+    logf = Logarithm(L)
     try:
         want = taylor_assembly(p, M, _taylor_orders(L, M, N))
     except (NoDigits, LubinlabError) as ex:
@@ -440,7 +440,7 @@ def group_laws(draw):
         g = draw(st.integers(-(p**2), p**2))
         L.append(g + (Fraction(s, p) * L[n // p] if n % p == 0 else 0))
     # a guard of M + 4 digits, above the analyzer's ceil(M/(p-1)) + 4
-    logf = Logarithm(PSeries.from_univariate_coeffs(p, L[1:], M, N + M + 4), "recurrence", None)
+    logf = Logarithm(PSeries.from_univariate_coeffs(p, L[1:], M, N + M + 4))
     F = group_from_log(logf).F
     m2 = draw(st.integers(3, M + 2))
     if draw(st.booleans()):
@@ -591,7 +591,7 @@ def reordered(p, M, coeffs, order, m2):
 
 def integrality(F):
     try:
-        formalgroup._raise_if_not_integral(F, "law")
+        series.raise_if_not_integral(F, "law")
     except IntegralityFailure as ex:
         return str(ex), ex.exponents, ex.certified
 

@@ -59,6 +59,15 @@ def test_no_significant_digits_raises():
         z / PadicNum.from_int(5**4, 5, 8)
 
 
+@pytest.mark.parametrize("N", [0, -1])
+def test_one_without_digits_raises(N):
+    """One known to precision N <= 0 carries no digit, as zero_to_prec refuses."""
+    from lubinlab import PrecisionExhausted
+
+    with pytest.raises(PrecisionExhausted):
+        PadicNum.one(2, N)
+
+
 def test_negative_integer_power():
     x = PadicNum.from_int(6, 5, 8)
     assert ((x**-2) * x * x).congruent(1)

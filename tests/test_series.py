@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lubinlab import INF, ConstantTermError, NotInvertible, PadicNum, PSeries, PrimeMismatch
+from lubinlab import INF, ConstantTermError, IntegralityFailure, NotInvertible, PadicNum, PSeries, PrimeMismatch
 from conftest import random_s0, series_from_fractions
 from oracles import lagrange_inversion, poly_compose, poly_mul, swap_vars
 
@@ -143,6 +143,15 @@ def test_reduce_mod_p_and_weierstrass_degree():
     assert fbar.weierstrass_degree() == 3
     g = series_from_fractions(2, [2, 4], 16, 10)
     assert g.reduce_mod_p().weierstrass_degree() is None
+
+
+def test_reduce_mod_p_refuses_negative_valuation():
+    """2x + x^2 + x^3/2 at p = 2 has no image mod 2; dropping x^3/2 read
+    it as x^2, of Weierstrass degree 2."""
+    f = series_from_fractions(2, [2, 1, Fraction(1, 2)], 16, 10)
+    with pytest.raises(IntegralityFailure, match=r"coefficient at \(3,\) has valuation -1") as ex:
+        f.reduce_mod_p()
+    assert ex.value.exponents == (3,)
 
 
 def test_binomial_reduction_is_xp():

@@ -219,7 +219,7 @@ def test_group_from_log_claims_only_confirmed_digits(case, integral):
         if integral:
             one = {(1,): PadicNum.one(f.prime, f.coeff_prec)}
             L = PSeries(f.prime, 1, f.x_prec, {**f.coeffs, **one}, f.coeff_prec)
-            return group_from_log(Logarithm(L, "recurrence", L.linear_coeff())).F
+            return group_from_log(Logarithm(L)).F
         return group_from_log(logarithm_recurrence(f)).F
 
     p, M, coeffs, N, k = case
