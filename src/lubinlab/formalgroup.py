@@ -37,7 +37,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .padic import PadicNum
-from .series import _ABSENT, PSeries, _pack, _packed_derivative, _packed_div_int, _packed_mul, _part, _part_mul, _part_sum, _parts, first_disagreement, raise_if_not_integral
+from .series import _ABSENT, PSeries, _operand, _pack, _packed_derivative, _packed_div_int, _part, _part_mul, _part_sum, _parts, _product, first_disagreement, raise_if_not_integral
 from .dynamics import Logarithm
 
 
@@ -134,7 +134,8 @@ def group_from_log(logf: Logarithm) -> FormalGroupLaw:
     """F(x,y) = E(L(x) + L(y)) = sum_a x^a g_a(L(y)), g_a(t) = sum_j [A_j]_a t^j / j!.
 
     The orders A_0 = x, A_{j+1} = A_j' / L' (below degree M - j - 1) stay
-    packed, one derivative and one product with 1/L' each, and are divided
+    packed, one derivative and one product with 1/L' each (1/L' laid out
+    once as an operand of ``series._product``), and are divided
     by j! exactly (``series._packed_div_int``).  Each row g_a is one tabled
     sum over degrees 1 <= b < M - a against the power table of L
     (``_PowerTable.sum_orders``), grown at most to the last order; F_10 = 1
@@ -145,12 +146,12 @@ def group_from_log(logf: Logarithm) -> FormalGroupLaw:
     """
     L = logf.series
     p, M, N = L.prime, L.x_prec, L.coeff_prec
-    inv_dlog = _pack(L.derivative().inverse().coeffs, M - 1)
+    inv_dlog = _operand(p, _pack(L.derivative().inverse().coeffs, M - 1))
     A = _pack({(1,): PadicNum.one(p, N)}, M)
     orders = [A]  # A_j / j!
     factorial = 1
     for j in range(1, M):
-        A = _packed_mul(p, _packed_derivative(p, A), inv_dlog, M - j)
+        A = _product(p, _operand(p, _packed_derivative(p, A)), inv_dlog, M - j)[0]
         factorial *= j
         orders.append(_packed_div_int(p, A, factorial))
     coeffs = L.power_table().sum_orders(orders)

@@ -29,15 +29,37 @@ INF = math.inf
 _ZERO_NO_DIGITS = "zero known to nonpositive precision carries no digits"
 
 
+_PRIME_POWERS = {}  # p -> [1, p, p^2, ...], grown on demand
+
+
+def prime_powers(p: int, top: int) -> list:
+    """The list [1, p, p^2, ...] of p's powers, at least to p^top: one list
+    per prime, grown on demand, which the packed kernels of ``series`` and
+    the normalisation of every scalar read instead of forming p ** e."""
+    P = _PRIME_POWERS.get(p)
+    if P is None:
+        P = _PRIME_POWERS[p] = [1]
+    while len(P) <= top:
+        P.append(P[-1] * p)
+    return P
+
+
 def vp_int(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
+    """p-adic valuation of a nonzero integer: the low zero bits at p = 2,
+    and at odd p blocks of p^8 stripped before single factors of p."""
     if n == 0:
         raise ValueError("vp_int of 0")
-    n = abs(n)
+    if p == 2:
+        return (n & -n).bit_length() - 1
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    if n % p == 0:
+        q = p**8
+        while n % q == 0:
+            n //= q
+            v += 8
+        while n % p == 0:
+            n //= p
+            v += 1
     return v
 
 
@@ -280,8 +302,12 @@ class PadicNum:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        if k < 0:
-            return (PadicNum.one(self.p, self.N) / self) ** (-k)
+        if k < 0:  # 1/x = p^-v u^-1, with x's N - v relative digits
+            if self.v == INF:
+                raise DivisionByZeroToPrecision(f"divisor is zero to precision O({self.p}^{self.N})")
+            rel = self.N - self.v
+            inverse = PadicNum(self.p, -self.v, pow(self.u, -1, self.p**rel), rel - self.v)
+            return inverse ** (-k)
         if k == 0:
             rel = self.N - self.v if self.v != INF else self.N
             return PadicNum.one(self.p, max(int(rel), 1))
@@ -340,10 +366,11 @@ def _scaled(p: int, m, r: int, K) -> tuple:
     (m INF: no value at all), v INF where it is zero to precision K; raises
     where no digit survives."""
     if m < K:
-        r %= p ** (K - m)
+        P = prime_powers(p, K - m)
+        r %= P[K - m]
         if r:
             w = vp_int(r, p)
-            return m + w, r // p**w, K
+            return m + w, r // P[w], K
     elif m != INF and K <= 0:
         raise PrecisionExhausted("result has no significant digits")
     if K <= 0:
@@ -386,12 +413,12 @@ def reduce_terms(p: int, terms) -> PadicNum:
         if K <= 0:
             raise PrecisionExhausted("sum has no significant digits")
         return PadicNum.zero_to_prec(p, K)
-    mod = p ** (K - m)
+    P = prime_powers(p, K - m)
     r = 0
     for v, u, _ in terms:
         if v != INF and v - m < K - m:
-            r += u * p ** (v - m)
-    return PadicNum._from_scaled(p, m, r % mod, K)
+            r += u * P[v - m]
+    return PadicNum._from_scaled(p, m, r % P[K - m], K)
 
 
 # -- analytic functions ------------------------------------------------------

@@ -19,8 +19,9 @@ split off beside it.  The layer has one recurrence, ``series._packed_solve``:
 it forms the preparation's inverses 1/g_hi and 1/q, and a monic division
 is the same solve on the reversed polynomials, rev(D) rev(q) = rev(P).  The
 preparation and the splits run on the packed lists of ``series``: products
-are ``_packed_mul``, and sums and differences go slot by slot under the
-rule of ``PadicNum.__add__`` (``_packed_add``).  A preparation keeps the
+are ``_product`` and ``_packed_mul``, and sums and differences go slot by
+slot under the rule of ``PadicNum.__add__`` (``_packed_add``).  A
+preparation lays out its fixed operands once and keeps the
 precision ledgers of its products by their operands' precision lists, which
 settle after a few passes, so most passes compute none.  A series is
 prepared once per ``target_prec``, and P split once per vertex, for all
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 from .errors import PrecisionExhausted, TruncationInconclusive
 from .padic import INF, PadicNum, add_triples, neg_unit
-from .series import _ABSENT, _HALF, PSeries, _coeff, _factor, _fold, _pack, _packed_mul, _packed_solve, _unpack, first_disagreement
+from .series import _ABSENT, _HALF, PSeries, _coeff, _factor, _fold, _operand, _pack, _packed_mul, _packed_solve, _product, _unpack, first_disagreement
 
 
 class Segment:
@@ -255,13 +256,14 @@ def weierstrass_preparation(g: PSeries):
     sub-W block of g, g_hi = shift_W(g) and shift_W the division by x^W that
     drops the lower terms.  g_low is divisible by p, so each pass gains at
     least one p-adic digit.  The passes run on packed lists: products are
-    ``_packed_mul``, 1/g_hi and 1/q one ``_packed_solve`` each, and the stop
-    test (q repeats at the lesser precision of each coefficient) decides on
-    the integers, as ``PadicNum.congruent`` does.  Each pass multiplies a
-    fixed operand (g_low or 1/g_hi) by q or by the shifted remainder, whose
-    (N, v') lists soon repeat: the products share one dict of ledgers (the
-    ``ledgers`` of ``_packed_mul``), so a ledger is computed once per
-    distinct pair of lists.
+    ``series._product``, 1/g_hi and 1/q one ``_packed_solve`` each, and the
+    stop test (q repeats at the lesser precision of each coefficient)
+    decides on the integers, as ``PadicNum.congruent`` does.  Each pass
+    multiplies a fixed operand (g_low or 1/g_hi, laid out once by
+    ``series._operand``, as is g) by q, the operand of the last pass's
+    product, or by the shifted remainder, whose (N, v') pairs soon repeat:
+    the products share one dict of ledgers, so a ledger is computed once
+    per distinct pair of lists.
     """
     W = g.weierstrass_degree()
     if W is None:
@@ -275,21 +277,22 @@ def weierstrass_preparation(g: PSeries):
     if W == 0:
         return PSeries(p, 1, M, {(0,): one}, N), g
     G = _pack(g.coeffs, M)
-    low = tuple(x[:W] for x in G)
+    low = _operand(p, tuple(x[:W] for x in G))
     unit = _pack({(0,): one}, 1)
-    inv_hi = _packed_solve(p, tuple(x[W:] for x in G), unit, M, g.c((W,)))
+    inv_hi = _operand(p, _packed_solve(p, tuple(x[W:] for x in G), unit, M, g.c((W,))))
     q = [_ABSENT] * M, [0] * M, [_ABSENT] * M
-    ledgers = {}  # the ledgers of the passes' products, by their operands' (N, v') lists
+    qop = _operand(p, q)
+    ledgers = {}  # the ledgers of the passes' products, by their operands' (N, v') pairs
     for _ in range(int(N) + 9):  # the first pass, from q = 0, forms 1/g_hi
         # shift_W(x^W - q*g_low): 1 less the slots of q*g_low from x^W on
-        s = _packed_add(p, unit, tuple(x[W:] for x in _packed_mul(p, q, low, M, ledgers=ledgers)), negate=True)
-        q, last = _packed_mul(p, s, inv_hi, M, ledgers=ledgers), q
+        s = _packed_add(p, unit, tuple(x[W:] for x in _product(p, qop, low, M, ledgers=ledgers)[0]), negate=True)
+        last, (q, qop) = q, _product(p, _operand(p, s), inv_hi, M, ledgers=ledgers)
         if _repeats(p, q, last):
             break
     else:
         raise PrecisionExhausted("weierstrass division did not stabilize")
     # x^W - r is 1 at x^W and [q*g]_e below it
-    P = _unpack(p, _packed_mul(p, q, G, W), M, N)
+    P = _unpack(p, _product(p, qop, _operand(p, G), W)[0], M, N)
     P.coeffs[(W,)] = one
     return P, _unpack(p, q, M, N).inverse()
 

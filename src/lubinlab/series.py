@@ -6,12 +6,17 @@ coefficient that merely vanished to its working precision stays stored, so
 the truncation-honesty machinery downstream (Newton polygons) can see the
 difference.  ``coeff_prec`` is the ambient p-adic precision used when
 coercing plain integers or rationals into coefficients.  Univariate
-products run on a packed list form (see ``_packed_mul``), which drops the
-leading exact zeros (the x-adic order) of its operands.  Inverses and the
-quotients of monic divisions are one recurrence on the same lists
-(``_packed_solve``): each coefficient is one sum against the coefficients
-already found (``_fold``), with the ledger and the raise rule of
-``_packed_mul``.  The bivariate kernel holds a series as its homogeneous
+products run on a packed list form in two stages: an operand stage
+(``_operand``) drops a series' leading exact zeros (its x-adic order) and
+lays out its values and precision pairs once, and a product stage
+(``_product``) multiplies two operands and returns the result both packed
+and as an operand; ``_packed_mul`` is the two in a row.  The packed
+kernels normalise with the powers of p of ``padic.prime_powers`` and the
+valuations of ``padic.vp_int``.  Inverses and the quotients of monic
+divisions are one recurrence on the same lists (``_packed_solve``): each
+coefficient is one sum against the coefficients already found
+(``_fold``), with the ledger and the raise rule of ``_product``.  The
+bivariate kernel holds a series as its homogeneous
 parts: part k keys the coefficients of total degree k by a for x^a y^(k-a),
 and a part of a product is one pass over the pairs of entries
 (``_part_sum``), the kernel of the lift's Horner intermediates and of the
@@ -25,8 +30,9 @@ whatever order the pairs come in.
 Composition is univariate and costs no series products of its own: the
 first series substituted into another gets a power table (``_PowerTable``),
 the powers h^1, h^2, ... kept as per-degree columns and grown only to the
-highest power a composition reads.  g(h) is then, at each degree d, the
-sum of c_k [h^k]_d under the ledger rule of ``reduce_terms``; so are a
+highest power a composition reads, each one product of h's operand and
+the last power's.  g(h) is then, at each degree d, the sum of c_k
+[h^k]_d under the ledger rule of ``reduce_terms``; so are a
 multiple g(a h) and a truncation, which is how the iterate chain, the
 brackets and the Frobenius search share the tables of f and of the
 logarithm.  On inner series without constant term truncation commutes with
@@ -48,7 +54,7 @@ from .errors import (
     PrecisionExhausted,
     PrimeMismatch,
 )
-from .padic import INF, PadicNum, reduce_terms, require_prime, vp_int
+from .padic import INF, PadicNum, prime_powers, reduce_terms, require_prime, vp_int
 
 
 class PSeries:
@@ -213,7 +219,10 @@ class PSeries:
         M = min(self.x_prec, h.x_prec)
         coeffs = self.truncate(M).coeffs
         if a is not None:
-            coeffs = {(k,): c * a**k if k else c for (k,), c in coeffs.items()}
+            apow = [None, a]  # a^k = a^(k-1) a
+            for _ in range(2, max((k for (k,) in coeffs), default=0) + 1):
+                apow.append(apow[-1] * a)
+            coeffs = {(k,): c * apow[k] if k else c for (k,), c in coeffs.items()}
         g = _pack(coeffs, M)
         V, U, N = h.power_table().sum(g, 1, M)
         packed = g[0][:1] + V, g[1][:1] + U, g[2][:1] + N
@@ -439,9 +448,10 @@ def _part_sum(p: int, pairs, size: int, raises: bool = True) -> list:
     K <= 0."""
     pairs = [(A, B) for A, B in pairs if A[1] and B[1]]
     t = min((sa + sb for (sa, _), (sb, _) in pairs), default=0)
+    P = prime_powers(p, max((sa + sb for (sa, _), (sb, _) in pairs), default=t) - t)
     S, K = [0] * size, [_ABSENT] * size
     for (sa, Pa), (sb, Pb) in pairs:
-        scale = p ** (sa + sb - t)
+        scale = P[sa + sb - t]
         for ka, xa, na, fa in Pa:
             xa *= scale
             for kb, xb, nb, fb in Pb:
@@ -453,13 +463,14 @@ def _part_sum(p: int, pairs, size: int, raises: bool = True) -> list:
                 if n < K[key]:
                     K[key] = n
     out = []
+    P = prime_powers(p, max(filter(_HALF.__gt__, K), default=t) - t)
     for key, n in enumerate(K):
         if n == _ABSENT:
             continue
-        r = S[key] % p ** (n - t) if n > t else 0
+        r = S[key] % P[n - t] if n > t else 0
         if r:
             w = vp_int(r, p)
-            out.append((key, PadicNum(p, t + w, r // p**w, n)))
+            out.append((key, PadicNum(p, t + w, r // P[w], n)))
         elif n > 0 or not raises:  # zero to its precision
             out.append((key, PadicNum(p, INF, 0, n)))
         else:  # no digits: the error of reduce_terms for the least term valuation m
@@ -545,7 +556,8 @@ def _kronecker(p: int, V, U):
     s = min(V, default=_ABSENT)
     if s >= _HALF:
         return 0, None
-    return s, [u * p ** (v - s) if v < _HALF else 0 for v, u in zip(V, U)]
+    P = prime_powers(p, max(filter(_HALF.__gt__, V)) - s)
+    return s, [u * P[v - s] if v < _HALF else 0 for v, u in zip(V, U)]
 
 
 def _order(N) -> int:
@@ -553,13 +565,57 @@ def _order(N) -> int:
     return next((i for i, n in enumerate(N) if n < _HALF), len(N))
 
 
+class _Operand:
+    """A packed series as a factor of ``_product``: its x-adic order t (the
+    leading absent slots, dropped here) and, of the slots from t on, the
+    valuations V, the precisions N, the least finite valuation s and the
+    values X over p^s (None when no slot has a finite valuation).  The
+    interleaved (N, v') ledger pairs and the byte layout of X, at the slot
+    width last asked for (a table's products mostly repeat the width), are
+    made on first use."""
+
+    __slots__ = ("t", "V", "N", "s", "X", "bits", "_pairs", "width", "laid")
+
+    def __init__(self, t: int, V, N, s: int, X):
+        self.t, self.V, self.N, self.s, self.X = t, V, N, s, X
+        self.bits = max(X).bit_length() if X else 0
+        self._pairs = self.width = self.laid = None
+
+    def pairs(self) -> list:
+        """[N_0, v'_0, N_1, v'_1, ...], v' the valuation floor."""
+        if self._pairs is None:
+            self._pairs = [x for v, n in zip(self.V, self.N) for x in (n, n if v >= _HALF else v)]
+        return self._pairs
+
+    def layout(self, w: int, n: int) -> int:
+        """The first n values of X as one integer of w-byte slots."""
+        if w != self.width:
+            self.width, self.laid = w, int.from_bytes(b"".join(y.to_bytes(w, "little") for y in self.X), "little")
+        return self.laid if n >= len(self.X) else self.laid & ((1 << 8 * w * n) - 1)
+
+
+def _operand(p: int, packed) -> _Operand:
+    """The operand stage: a packed series as a factor of ``_product``."""
+    V, U, N = packed
+    t = _order(N)
+    V, U, N = V[t:], U[t:], N[t:]
+    return _Operand(t, V, N, *_kronecker(p, V, U))
+
+
 def _packed_mul(p: int, a, b, M: int, raises: bool = True, ledgers: dict = None):
-    """Product of two packed series below degree M.
+    """Product of two packed series below degree M: the ``_product`` of
+    their operands, packed."""
+    return _product(p, _operand(p, a), _operand(p, b), M, raises, ledgers)[0]
+
+
+def _product(p: int, a: _Operand, b: _Operand, M: int, raises: bool = True, ledgers: dict = None):
+    """The product stage: the product of two operands below degree M, as
+    (packed series, operand).
 
     Values come from one big-integer product (Kronecker substitution): each
-    operand, shifted to its least finite valuation, is laid out in byte slots
-    wide enough that no slot of the product overflows.  The precision of
-    degree k is the min-plus convolution
+    operand's X is laid out in byte slots wide enough that no slot of the
+    product overflows.  The precision of degree k is the min-plus
+    convolution
 
         K_k = min over i+j=k of min(N_a[i] + v'_b[j], v'_a[i] + N_b[j])
 
@@ -569,46 +625,35 @@ def _packed_mul(p: int, a, b, M: int, raises: bool = True, ledgers: dict = None)
     ``reduce_terms`` would normalise its terms, raising PrecisionExhausted
     in the same cases (or, without ``raises``, keeping them zero-like).
 
-    Leading absent slots (the x-adic order ta of a and tb of b) add nothing
-    to a value, to the ledger or to the raise path, and every degree below
+    Leading absent slots (the x-adic orders ta and tb) add nothing to a
+    value, to the ledger or to the raise path, and every degree below
     ta + tb of the product is absent.  So the product is formed on the
-    operands with those slots dropped, as offsets, and below M - (ta + tb);
-    its first ta + tb slots are absent.  A power f^k, which starts at
-    degree k, costs a product of length M - k.
+    operands' slots from their orders on, below M - (ta + tb), and is
+    min(M, La + Lb - 1) slots long for packed lengths La and Lb; its first
+    ta + tb slots are absent.  A power f^k, which starts at degree k,
+    costs a product of length M - k.
 
-    The ledger (``_ledger``) depends only on the (N, v') lists of the
-    operands so stripped and on the product's length.  A caller that
-    multiplies operands whose lists repeat, as the passes of the
-    Weierstrass preparation do, passes a dict ``ledgers`` that it owns: the
-    ledger is then looked up there by those lists and computed only on a
-    miss.  The raise path reads the current valuations either way.
+    The ledger (``_ledger``) depends only on the operands' (N, v') pairs so
+    cut and on the product's length.  A caller that multiplies operands
+    whose pairs repeat, as the passes of the Weierstrass preparation do,
+    passes a dict ``ledgers`` that it owns: the ledger is then looked up
+    there by those pairs and computed only on a miss.  The raise path reads
+    the current valuations either way.
     """
-    Va, Ua, Na = a
-    Vb, Ub, Nb = b
-    La, Lb = len(Va), len(Vb)
-    nout = min(M, La + Lb - 1)
-    ta, tb = _order(Na), _order(Nb)
-    t = ta + tb
-    if ta == La or tb == Lb or t >= nout:
-        return [_ABSENT] * nout, [0] * nout, [_ABSENT] * nout
+    La, Lb, t = len(a.V), len(b.V), a.t + b.t
+    nout = min(M, t + La + Lb - 1)
+    if not La or not Lb or t >= nout:
+        return ([_ABSENT] * nout, [0] * nout, [_ABSENT] * nout), _Operand(nout, [], [], 0, None)
     nin = nout - t
-    Va, Ua, Na = Va[ta : ta + nin], Ua[ta : ta + nin], Na[ta : ta + nin]
-    Vb, Ub, Nb = Vb[tb : tb + nin], Ub[tb : tb + nin], Nb[tb : tb + nin]
-    La, Lb = len(Va), len(Vb)
-    sa, A = _kronecker(p, Va, Ua)
-    sb, B = _kronecker(p, Vb, Ub)
-    if A is None or B is None:
+    La, Lb = min(La, nin), min(Lb, nin)
+    if a.X is None or b.X is None:
         C = [0] * nin
     else:
-        bits = max(A).bit_length() + max(B).bit_length() + min(La, Lb).bit_length() + 1
-        w = (bits + 7) // 8
-        ia = int.from_bytes(b"".join(x.to_bytes(w, "little") for x in A), "little")
-        ib = int.from_bytes(b"".join(x.to_bytes(w, "little") for x in B), "little")
-        raw = (ia * ib).to_bytes((La + Lb - 1) * w, "little")
+        w = (a.bits + b.bits + min(La, Lb).bit_length() + 8) // 8
+        raw = (a.layout(w, La) * b.layout(w, Lb)).to_bytes((La + Lb - 1) * w, "little")
         C = [int.from_bytes(raw[k * w : (k + 1) * w], "little") for k in range(nin)]
-    s = sa + sb
-    A2 = [x for v, n in zip(Va, Na) for x in (n, n if v >= _HALF else v)]
-    B2 = [x for v, n in zip(Vb[::-1], Nb[::-1]) for x in (n if v >= _HALF else v, n)]
+    s = a.s + b.s
+    A2, B2 = a.pairs()[: 2 * La], b.pairs()[2 * Lb - 1 :: -1]  # b's pairs reversed, (v', N)
     if ledgers is None:
         ledger = _ledger(A2, B2, nin)
     else:
@@ -616,31 +661,33 @@ def _packed_mul(p: int, a, b, M: int, raises: bool = True, ledgers: dict = None)
         ledger = ledgers.get(key)
         if ledger is None:
             ledger = ledgers[key] = _ledger(A2, B2, nin)
-    V, U, N = [_ABSENT] * t, [0] * t, [_ABSENT] * t
+    P = prime_powers(p, max(filter(_HALF.__gt__, ledger), default=s) - s)
+    V, U, R = [], [], []  # R: the values over p^s
     for k, K in enumerate(ledger):
-        v, u = _ABSENT, 0
+        v, u, r = _ABSENT, 0, 0
         if K != _ABSENT:
-            r = C[k] % p ** (K - s) if K > s else 0
-            if r:
-                v = s
-                while r % p == 0:
-                    r //= p
-                    v += 1
-                u = r
+            if K > s and (r := C[k] % P[K - s]):
+                w = vp_int(r, p)
+                v, u = s + w, r // P[w]
             elif K <= 0 and raises:
                 # no digits survive; reduce_terms raises, naming the case
                 # from the least valuation among the terms
                 i0 = max(0, k - Lb + 1)
-                m = min(map(add, Va[i0:], Vb[k - i0 :: -1]))
+                m = min(map(add, a.V[i0:], b.V[k - i0 :: -1]))
                 reduce_terms(p, [(INF if m >= _HALF else m, 0, K)])
         V.append(v)
         U.append(u)
-        N.append(K)
-    return V, U, N
+        R.append(r)
+    least = min(V)
+    if least >= _HALF:
+        op = _Operand(t, V, ledger, 0, None)
+    else:
+        op = _Operand(t, V, ledger, least, R if least == s else [r // P[least - s] for r in R])
+    return ([_ABSENT] * t + V, [0] * t + U, [_ABSENT] * t + ledger), op
 
 
 def _ledger(A2, B2, nin: int) -> list:
-    """The precisions K_0 .. K_(nin-1) of ``_packed_mul``'s product from a's
+    """The precisions K_0 .. K_(nin-1) of ``_product``'s product from a's
     interleaved (N, v') pairs A2 and b's reversed (v', N) pairs B2: one list
     of sums covers both halves of the min-plus convolution.  A slot no pair
     reaches is _ABSENT."""
@@ -667,7 +714,7 @@ def _fold(p: int, c, a, b, s: int):
     """c - sum_k a_k b_k for a ``PadicNum`` c (or None) and the aligned
     factors a and b of ``_factor``, s the sum of their shifts, as one
     ``reduce_terms``: the ledger K is the least of c's precision and the
-    rule of ``_packed_mul``, min(N_a + v'_b, v'_a + N_b) over k, two
+    rule of ``_product``, min(N_a + v'_b, v'_a + N_b) over k, two
     min(map(add)), and the value one integer sum.  At K <= 0 it raises where
     the per-pair products and ``reduce_terms`` do: first where a zero-like
     factor's product keeps no digits (as ``PadicNum.__mul__``), then from
@@ -729,8 +776,10 @@ def _packed_solve(p: int, a, c, M: int, a0: PadicNum = None):
 
 class _PowerTable:
     """The powers h^1 .. h^top of a univariate h without constant term below
-    its truncation M, grown one packed product at a time (from the last
-    power, the only one kept packed) as sums read higher powers.
+    its truncation M, grown as sums read higher powers: h is laid out once
+    as an operand (``_operand``), and each new power is one ``_product`` of
+    the last power's operand, the only one kept, and h's, whose result
+    operand fills the columns and is the next product's factor.
 
     Column d lists [h^k]_d for k = 1 .. min(d, top) as X, the value over
     p^s_k (s_k the least valuation in h^k), N and F, the valuation floor v'
@@ -743,7 +792,7 @@ class _PowerTable:
 
     def __init__(self, h: PSeries):
         self.p, self.M = h.prime, h.x_prec
-        self.H = self.last = _pack(h.coeffs, self.M)
+        self.H = self.last = _operand(self.p, _pack(h.coeffs, self.M))
         self.shift = []
         self.X = [[] for _ in range(self.M)]
         self.N = [[] for _ in range(self.M)]
@@ -754,16 +803,17 @@ class _PowerTable:
         while len(self.shift) < top:
             k = len(self.shift) + 1
             if k > 1:
-                self.last = _packed_mul(p, self.last, self.H, M, raises=False)
-            V, U, N = self.last
-            pad = M - len(V)
-            V, U, N = V + [_ABSENT] * pad, U + [0] * pad, N + [_ABSENT] * pad
-            s, X = _kronecker(p, V, U)
-            self.shift.append(s)
+                self.last = _product(p, self.last, self.H, M, raises=False)[1]
+            op = self.last
+            self.shift.append(op.s)
+            t, n = op.t, len(op.V)
+            X = [0] * t + (op.X or [0] * n) + [0] * (M - t - n)
+            N = [_ABSENT] * t + op.N + [_ABSENT] * (M - t - n)
+            F = [_ABSENT] * t + op.pairs()[1::2] + [_ABSENT] * (M - t - n)
             for d in range(k, M):
-                self.X[d].append(X[d] if X else 0)
+                self.X[d].append(X[d])
                 self.N[d].append(N[d])
-                self.F[d].append(N[d] if V[d] == _ABSENT else V[d])
+                self.F[d].append(F[d])
 
     def sum(self, c, lo: int, D: int):
         """Packed sum_k c_k [h^k]_d for lo <= d < D from packed c_k (slot 0
@@ -776,8 +826,10 @@ class _PowerTable:
         self.grow(top)
         Vc, Uc, Nc = (x[1 : top + 1] for x in c)
         Fc = [n if v == _ABSENT else v for v, n in zip(Vc, Nc)]
-        t = min((v + s for v, s in zip(Vc, self.shift) if v != _ABSENT), default=0)
-        C = [0 if v == _ABSENT else u * p ** (v + s - t) for v, u, s in zip(Vc, Uc, self.shift)]
+        scaled = [v + s for v, s in zip(Vc, self.shift) if v != _ABSENT]
+        t = min(scaled, default=0)
+        P = prime_powers(p, max(scaled, default=t) - t)
+        C = [0 if v == _ABSENT else u * P[v + s - t] for v, u, s in zip(Vc, Uc, self.shift)]
         V, U, N = [_ABSENT] * (D - lo), [0] * (D - lo), [_ABSENT] * (D - lo)
         for d in range(lo, D):
             X, Nd, Fd = self.X[d], self.N[d], self.F[d]
@@ -786,12 +838,13 @@ class _PowerTable:
             v, r = _ABSENT, 0
             if K >= _HALF:
                 K = _ABSENT
-            elif K > t and (r := sum(map(mul, C, X)) % p ** (K - t)):
-                v = t
-                while r % p == 0:
-                    r //= p
-                    v += 1
-            elif K <= 0:  # raise as reduce_terms does, from the least term valuation
+            elif K > t:
+                if K - t >= len(P):
+                    P = prime_powers(p, K - t)
+                if r := sum(map(mul, C, X)) % P[K - t]:
+                    w = vp_int(r, p)
+                    v, r = t + w, r // P[w]
+            if K <= 0 and r == 0:  # raise as reduce_terms does, from the least term valuation
                 m = min((a + b for a, b, x in zip(Vc, Fd, X) if a != _ABSENT and x), default=INF)
                 reduce_terms(p, [(m, 0, K)])
             V[d - lo], U[d - lo], N[d - lo] = v, r, K

@@ -178,6 +178,23 @@ def test_compose_matches_triple_oracle(case):
     check(lambda: g.compose(h), lambda: table_compose(p, below(tg, Mg), below(th, Mh), M))
 
 
+@SETTINGS
+@given(compositions.flatmap(lambda case: st.tuples(st.just(case), coefficient(case[0]))))
+@example(((2, (8, {1: (0, 1, 4), 3: (0, 3, 4)}), (8, {1: (0, 1, 6)})), (INF, 0, 2)))  # zero-like a
+@example(((3, (8, {2: (1, 1, 5), 5: (0, 2, 4)}), (8, {1: (0, 1, 6), 2: (1, 1, 3)})), (-2, 4, 1)))  # v(a) < 0
+def test_compose_multiple_matches_powers_of_a(case):
+    """g(a h) scales c_k by a running power a^k = a^(k-1) a; it gives what
+    scaling c_k by ``a**k`` gives, results and raises."""
+    (p, (Mg, tg), (Mh, th)), a = case
+    g, h, a = to_series(p, Mg, tg), to_series(p, Mh, th), PadicNum(p, *a)
+
+    def by_pow():
+        scaled = {(k,): c * a**k if k else c for (k,), c in g.truncate(min(Mg, Mh)).coeffs.items()}
+        return as_triples(PSeries(p, 1, Mg, scaled, g.coeff_prec).compose(h))
+
+    assert outcome(lambda: as_triples(g.compose(h, a))) == outcome(by_pow)
+
+
 def test_compose_with_zero_inner_series():
     """g(0) keeps only the constant term of g (none of its higher terms)."""
     p, M = 3, 8
@@ -217,6 +234,65 @@ def test_compose_against_horner(case):
     got = as_triples(g.compose(h))
     assert got.keys() == want.keys()
     assert all(no_lower(p, got[d], want[d]) for d in want), (got, want)
+
+
+def generic_table(p, h: PSeries):
+    """The shifts and the X, N and F columns of h's power table up to h^(M-1),
+    grown as before the table kept its operands: each power one generic
+    ``_packed_mul`` of the last power and h, padded to M, shifted by
+    ``_kronecker``."""
+    M = h.x_prec
+    H = last = series._pack(h.coeffs, M)
+    shift, X, N, F = [], [[] for _ in range(M)], [[] for _ in range(M)], [[] for _ in range(M)]
+    for k in range(1, M):
+        if k > 1:
+            last = series._packed_mul(p, last, H, M, raises=False)
+        V, U, Nk = (x + [fill] * (M - len(x)) for x, fill in zip(last, (series._ABSENT, 0, series._ABSENT)))
+        s, Xk = series._kronecker(p, V, U)
+        shift.append(s)
+        for d in range(k, M):
+            X[d].append(Xk[d] if Xk else 0)
+            N[d].append(Nk[d])
+            F[d].append(Nk[d] if V[d] == series._ABSENT else V[d])
+    return shift, X, N, F
+
+
+@SETTINGS
+@given(st.sampled_from((2, 3, 5)).flatmap(lambda p: st.tuples(st.just(p), triple_series(p, constant=False))))
+@example((2, (12, {1: (-2, 3, 1), 2: (0, 1, 6)})))  # h shorter than M, negative valuation
+@example((3, (9, {1: (INF, 0, 2), 3: (INF, 0, 1)})))  # only zero-like coefficients
+@example((5, (8, {2: (INF, 0, 3), 4: (1, 2, 4)})))  # order 2, a zero-like lead
+@example((2, (6, {1: (-1, 1, 0), 2: (-1, 1, 0)})))  # entries without digits
+def test_power_table_matches_generic_products(case):
+    """A table grown from kept operands, each power's product result being
+    the next product's factor, has the shifts and the X, N and F columns of
+    repeated generic products."""
+    p, (M, th) = case
+    h = to_series(p, M, th)
+    table = h.power_table()
+    table.grow(M - 1)
+    assert (table.shift, table.X, table.N, table.F) == generic_table(p, h)
+
+
+def operand_fields(op):
+    return op.t, op.V, op.N, op.s, op.X, op.bits, op.pairs()
+
+
+@SETTINGS
+@given(ordered_pairs, st.booleans())
+@example((2, (6, {1: (INF, 0, 2)}), (6, {1: (0, 1, 3)})), False)  # all zero-like: shift 0, no values
+@example((3, (8, {1: (0, 1, 2), 2: (0, 2, 3)}), (8, {1: (0, 1, 2)})), False)  # a value vanishes
+def test_product_operand_is_the_operand_of_its_result(case, raises):
+    """The operand ``_product`` returns beside its packed result is the one
+    the operand stage makes of that result."""
+    p, (Ma, ta), (Mb, tb) = case
+    M = min(Ma, Mb)
+    a, b = (series._operand(p, series._pack(to_series(p, M, below(t, M)).coeffs, M)) for t in (ta, tb))
+    try:
+        packed, op = series._product(p, a, b, M, raises)
+    except PrecisionExhausted:
+        return
+    assert operand_fields(op) == operand_fields(series._operand(p, packed))
 
 
 def strict_powers(p, h, top, M):
@@ -585,17 +661,18 @@ def test_compose_claims_only_digits_a_more_precise_run_confirms(case):
 
 
 def test_analysis_forms_each_power_once(monkeypatch):
-    """One analysis of a twisted M = 32 pair with ``_packed_mul`` counted.
-    No inner series gets a second power table, and the products outside
-    univariate series multiplication, which the tables form, are at most
-    sum(top - 1) over the distinct inner series (h^1 is h itself): a
-    composition that multiplies series of its own fails here."""
+    """One analysis of a twisted M = 32 pair with the product stage
+    (``series._product``) counted in ``series``.  No inner series gets a
+    second power table, and the products outside univariate series
+    multiplication, which the tables form, are at most sum(top - 1) over
+    the distinct inner series (h^1 is h itself): a composition that
+    multiplies series of its own fails here."""
     p, M = 2, 32
     cfg = analyzer.Config(M=M)
     w = PSeries.from_univariate_coeffs(p, [1, 2, 1, 3], M, cfg.resolve(p).working_prec())
     f, u = analyzer.make_twist_fixture("gm", w)
-    tables, counts = [], {"packed": 0, "series": 0}
-    init, packed_mul, mul = series._PowerTable.__init__, series._packed_mul, PSeries.__mul__
+    tables, counts = [], {"product": 0, "series": 0}
+    init, product, mul = series._PowerTable.__init__, series._product, PSeries.__mul__
 
     def record(table, h):
         init(table, h)
@@ -603,18 +680,18 @@ def test_analysis_forms_each_power_once(monkeypatch):
         tables.append((key, table))
 
     def counted(*args, **kwargs):
-        counts["packed"] += 1
-        return packed_mul(*args, **kwargs)
+        counts["product"] += 1
+        return product(*args, **kwargs)
 
     def series_mul(a, b):
         counts["series"] += a.nvars == 1
         return mul(a, b)
 
     monkeypatch.setattr(series._PowerTable, "__init__", record)
-    monkeypatch.setattr(series, "_packed_mul", counted)
+    monkeypatch.setattr(series, "_product", counted)
     monkeypatch.setattr(PSeries, "__mul__", series_mul)
     assert analyzer.analyze(f, u, cfg).verdict == analyzer.CERTIFIED
     keys = [key for key, _ in tables]
     assert len(keys) == len(set(keys)) and len(keys) >= 2
-    table_products = counts["packed"] - counts["series"]
+    table_products = counts["product"] - counts["series"]
     assert 0 < table_products <= sum(max(len(t.shift) - 1, 0) for _, t in tables)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lubinlab import (
     INF,
     DivisionByZeroToPrecision,
+    PrecisionExhausted,
     DomainError,
     PadicNum,
     is_root_of_unity,
@@ -16,6 +17,7 @@ from lubinlab import (
     padic_log,
     padic_pow,
 )
+from lubinlab.padic import prime_powers, vp_int
 from conftest import outcome
 from oracles import exp_partial_mod, frac_mod, frac_val, log_partial_mod
 
@@ -71,6 +73,65 @@ def test_one_without_digits_raises(N):
 def test_negative_integer_power():
     x = PadicNum.from_int(6, 5, 8)
     assert ((x**-2) * x * x).congruent(1)
+
+
+@pytest.mark.parametrize(
+    "x, want",
+    [
+        ((-3, 1, 1), (3, 1, 7)),  # 1/(2^-3 + O(2)) = 8 + O(2^7), not O(2^4)
+        ((-3, 1, -1), (3, 1, 5)),  # two relative digits, though x.N <= 0
+    ],
+)
+def test_inverse_of_negative_valuation_keeps_its_relative_digits(x, want):
+    y = PadicNum(2, *x) ** -1
+    assert (y.v, y.u, y.N) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3, 5)).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(-6, 6), st.integers(1, 8), st.integers(1, 10**6), st.integers(1, 4))
+))
+def test_negative_power_inverts_with_all_relative_digits(case):
+    """x^-k is (1/x)^k, 1/x the division of a 1 known to p^(N - v) (so as
+    not to cap x's relative digits) by x."""
+    p, v, rel, u, k = case
+    x = PadicNum(p, v, (u if u % p else u + 1) % p**rel or 1, v + rel)
+    inverse = PadicNum.one(p, max(x.N, rel)) / x
+    want = inverse**k
+    got = x**-k
+    assert (got.v, got.u, got.N) == (want.v, want.u, want.N)
+
+
+def test_inverse_of_zero_like_raises():
+    with pytest.raises(DivisionByZeroToPrecision):
+        PadicNum.zero_to_prec(3, 4) ** -1
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(0, 40), st.integers(-(10**30), 10**30).filter(bool))
+@example(3, 8, 1)  # one block of p^8
+@example(5, 17, -2)  # two blocks and one factor, negative n
+def test_vp_int_matches_the_naive_loop(p, e, m):
+    n = m * p**e
+    v, r = 0, abs(n)
+    while r % p == 0:
+        r //= p
+        v += 1
+    assert vp_int(n, p) == v
+
+
+def test_vp_int_of_zero_raises():
+    with pytest.raises(ValueError):
+        vp_int(0, 3)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_prime_powers_grow_past_their_end(p):
+    end = len(prime_powers(p, 0))
+    P = prime_powers(p, end + 40)
+    assert len(P) > end + 40
+    assert P == [p**k for k in range(len(P))]
+    assert prime_powers(p, 3) is P
 
 
 def test_precision_loss_through_division():

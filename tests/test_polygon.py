@@ -312,28 +312,29 @@ def test_a_failing_split_raises_again():
 def test_preparation_reuses_its_ledgers(monkeypatch):
     """One preparation of the second iterate of gm twisted by x + x^2 + 2x^3
     at p = 3, M = 64, capped at 16 digits: its passes multiply operands
-    whose (N, v') lists repeat, so it computes 8 ledgers for 33 products,
-    and P and U are those of a preparation that computes every ledger (32:
-    the first pass multiplies q = 0, which needs none)."""
+    whose (N, v') lists repeat, so it computes 8 ledgers for 33 products
+    (``series._product``), and P and U are those of a preparation that
+    computes every ledger (32: the first pass multiplies q = 0, which needs
+    none)."""
     f, _ = make_twist_fixture("gm", PSeries.from_univariate_coeffs(3, [1, 1, 2], 64, 24))
     fn = iterate(f, 2).cap_coeff_prec(16)
     g = PSeries(3, 1, 63, {(e - 1,): c for (e,), c in fn.coeffs.items()}, 16)
     counts = Counter()
-    packed_mul, ledger = polygon._packed_mul, series._ledger
+    product, ledger = polygon._product, series._ledger
 
-    def counted_mul(*args, **kwargs):
+    def counted_product(*args, **kwargs):
         counts["products"] += 1
-        return packed_mul(*args, **kwargs)
+        return product(*args, **kwargs)
 
     def counted_ledger(*args):
         counts["ledgers"] += 1
         return ledger(*args)
 
-    monkeypatch.setattr(polygon, "_packed_mul", counted_mul)
+    monkeypatch.setattr(polygon, "_product", counted_product)
     monkeypatch.setattr(series, "_ledger", counted_ledger)
     kept = weierstrass_preparation(g)
     assert counts == {"products": 33, "ledgers": 8}
-    monkeypatch.setattr(polygon, "_packed_mul", lambda *args, ledgers=None, **kwargs: packed_mul(*args, **kwargs))
+    monkeypatch.setattr(polygon, "_product", lambda *args, ledgers=None, **kwargs: product(*args, **kwargs))
     assert [triples(s) for s in weierstrass_preparation(g)] == [triples(s) for s in kept]
     assert counts["ledgers"] == 8 + 32
 
