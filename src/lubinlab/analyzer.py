@@ -444,11 +444,13 @@ def parse_series_arg(text, p: int, M: int, N: int) -> PSeries:
     raise ValueError(f"series must be a JSON object or an inline coefficient string, got {json.dumps(text)}")
 
 
-def load_fixtures(path: str):
+def load_fixtures(path: str) -> list:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if isinstance(data, dict):
         data = [data]
+    if not isinstance(data, list):
+        raise ValueError(f"fixture file must hold a JSON object or array, got {json.dumps(data)}")
     return data
 
 

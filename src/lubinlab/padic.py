@@ -29,13 +29,32 @@ INF = math.inf
 _ZERO_NO_DIGITS = "zero known to nonpositive precision carries no digits"
 
 
-_PRIME_POWERS = {}  # p -> [1, p, p^2, ...], grown on demand
+_PRIME_POWERS = {}  # p -> [1, p, p^2, ...], grown on demand to p^_POWERS_KEPT at most
+_POWERS_KEPT = 512  # so a list holds at most 512^2 log2(p) / 2 bits
 
 
-def prime_powers(p: int, top: int) -> list:
+class _Powers:
+    """p's powers to p^top past the kept list, each formed when read."""
+
+    __slots__ = ("p", "top")
+
+    def __init__(self, p: int, top: int):
+        self.p, self.top = p, top
+
+    def __len__(self):
+        return self.top + 1
+
+    def __getitem__(self, e: int) -> int:
+        return self.p**e
+
+
+def prime_powers(p: int, top: int):
     """The list [1, p, p^2, ...] of p's powers, at least to p^top: one list
     per prime, grown on demand, which the packed kernels of ``series`` and
-    the normalisation of every scalar read instead of forming p ** e."""
+    the normalisation of every scalar read instead of forming p ** e.  Past
+    p^_POWERS_KEPT a ``_Powers`` forms them on each read instead."""
+    if top > _POWERS_KEPT:
+        return _Powers(p, top)
     P = _PRIME_POWERS.get(p)
     if P is None:
         P = _PRIME_POWERS[p] = [1]
@@ -382,7 +401,7 @@ def add_triples(p: int, va, ua, na, vb, ub, nb) -> tuple:
     """The rule of ``PadicNum.__add__`` on two values p^v u known modulo
     p^n, neither an exact zero (v INF where zero-like), as a (v, u, N)
     triple: N = min(n) and the units summed at the least valuation, then
-    ``_scaled``.  The packed sums of ``polygon`` call it slot by slot."""
+    ``_scaled``.  The packed sums of ``series`` call it slot by slot."""
     m = min(va, vb)
     r = (ua * p ** (va - m) if va != INF else 0) + (ub * p ** (vb - m) if vb != INF else 0)
     return _scaled(p, m, r, min(na, nb))

@@ -19,20 +19,20 @@ split off beside it.  The layer has one recurrence, ``series._packed_solve``:
 it forms the preparation's inverses 1/g_hi and 1/q, and a monic division
 is the same solve on the reversed polynomials, rev(D) rev(q) = rev(P).  The
 preparation and the splits run on the packed lists of ``series``: products
-are ``_product`` and ``_packed_mul``, and sums and differences go slot by
-slot under the rule of ``PadicNum.__add__`` (``_packed_add``).  A
-preparation lays out its fixed operands once and keeps the
-precision ledgers of its products by their operands' precision lists, which
-settle after a few passes, so most passes compute none.  A series is
-prepared once per ``target_prec``, and P split once per vertex, for all
-its slopes: ``weierstrass_factor`` keeps that work on the series.
+are ``_product`` and ``_packed_mul``, and sums and differences
+``_packed_add``, the addition of ``PSeries`` too.  A preparation lays out
+its fixed operands once and keeps the precision ledgers of its products
+by their operands' precision lists, which settle after a few passes, so
+most passes compute none.  A series is prepared once per ``target_prec``,
+and P split once per vertex, for all its slopes: ``weierstrass_factor``
+keeps that work on the series.
 """
 
 from fractions import Fraction
 
 from .errors import PrecisionExhausted, TruncationInconclusive
-from .padic import INF, PadicNum, add_triples, neg_unit
-from .series import _ABSENT, _HALF, PSeries, _coeff, _factor, _fold, _operand, _pack, _packed_mul, _packed_solve, _product, _unpack, first_disagreement
+from .padic import INF, PadicNum
+from .series import _ABSENT, _HALF, PSeries, _coeff, _factor, _fold, _operand, _pack, _packed_add, _packed_mul, _packed_solve, _product, _unpack, first_disagreement
 
 
 class Segment:
@@ -342,8 +342,8 @@ def vertex_split(P: PSeries, degree: int, istar: int):
 
     P is packed once and the steps run on packed lists, with no series
     between them; A and B are unpacked on return.  A sum or difference
-    walks its slots by degree (``_packed_add``), so where two slots keep no
-    digit the lower degree's error is raised.
+    walks its slots by degree (``series._packed_add``), so where two slots
+    keep no digit the lower degree's error is raised.
     """
     p, M, N = P.prime, P.x_prec, P.coeff_prec
 
@@ -383,26 +383,6 @@ def vertex_split(P: PSeries, degree: int, istar: int):
         except PrecisionExhausted:
             pass  # keep the old multiplier
     raise PrecisionExhausted("vertex split did not converge")
-
-
-def _packed_add(p: int, a, b, negate: bool = False):
-    """a + b, or a - b with ``negate``, of packed lists slot by slot: a slot
-    absent on one side is the other's (b's negated as ``PadicNum.__neg__``
-    negates), and two present slots meet under ``padic.add_triples``, the
-    rule of ``PadicNum.__add__``, which raises at the first slot, by
-    degree, that keeps no digit."""
-    L = max(len(a[0]), len(b[0]))
-    V, U, N = (x + [fill] * (L - len(x)) for x, fill in zip(a, (_ABSENT, 0, _ABSENT)))
-    for k, (vb, ub, nb) in enumerate(zip(*b)):
-        if nb == _ABSENT:
-            continue
-        if negate and vb != _ABSENT:
-            ub = neg_unit(p, vb, ub, nb)
-        if N[k] != _ABSENT:
-            vb, ub, nb = add_triples(p, INF if V[k] == _ABSENT else V[k], U[k], N[k], INF if vb == _ABSENT else vb, ub, nb)
-            vb = _ABSENT if vb == INF else vb
-        V[k], U[k], N[k] = vb, ub, nb
-    return V, U, N
 
 
 def _reverse(a, d: int):

@@ -5,22 +5,22 @@ in a dict keyed by exponent tuples.  An absent key is an exact zero; a
 coefficient that merely vanished to its working precision stays stored, so
 the truncation-honesty machinery downstream (Newton polygons) can see the
 difference.  ``coeff_prec`` is the ambient p-adic precision used when
-coercing plain integers or rationals into coefficients.  Univariate
-products run on a packed list form in two stages: an operand stage
-(``_operand``) drops a series' leading exact zeros (its x-adic order) and
-lays out its values and precision pairs once, and a product stage
-(``_product``) multiplies two operands and returns the result both packed
-and as an operand; ``_packed_mul`` is the two in a row.  The packed
-kernels normalise with the powers of p of ``padic.prime_powers`` and the
-valuations of ``padic.vp_int``.  Inverses and the quotients of monic
+coercing plain integers or rationals into coefficients.  Series sums and
+products are univariate and run on a packed list form: a sum slot by slot
+under the rule of ``PadicNum.__add__`` (``_packed_add``), a product in two
+stages: an operand stage (``_operand``) drops a series' leading exact zeros
+(its x-adic order) and lays out its values and precision pairs once, and a
+product stage (``_product``) multiplies two operands and returns the result
+both packed and as an operand; ``_packed_mul`` is the two in a row.  The
+packed kernels normalise with the powers of p of ``padic.prime_powers`` and
+the valuations of ``padic.vp_int``.  Inverses and the quotients of monic
 divisions are one recurrence on the same lists (``_packed_solve``): each
-coefficient is one sum against the coefficients already found
-(``_fold``), with the ledger and the raise rule of ``_product``.  The
-bivariate kernel holds a series as its homogeneous
-parts: part k keys the coefficients of total degree k by a for x^a y^(k-a),
-and a part of a product is one pass over the pairs of entries
-(``_part_sum``), the kernel of the lift's Horner intermediates and of the
-associativity certificate.
+coefficient is one sum against the coefficients already found (``_fold``),
+with the ledger and the raise rule of ``_product``.  The bivariate kernel
+holds a series as its homogeneous parts: part k keys the coefficients of
+total degree k by a for x^a y^(k-a), and a part of a product is one pass
+over the pairs of entries (``_part_sum``), the kernel of the lift's Horner
+intermediates and of the associativity certificate.
 
 Series and certificates compare by one rule (``first_disagreement``): a
 pair of coefficients disagrees only at digits both claim, and a pair with no
@@ -54,7 +54,7 @@ from .errors import (
     PrecisionExhausted,
     PrimeMismatch,
 )
-from .padic import INF, PadicNum, prime_powers, reduce_terms, require_prime, vp_int
+from .padic import INF, PadicNum, add_triples, neg_unit, prime_powers, reduce_terms, require_prime, vp_int
 
 
 class PSeries:
@@ -147,26 +147,17 @@ class PSeries:
 
     # -- ring operations -----------------------------------------------------
 
-    def __neg__(self):
-        return PSeries(
-            self.prime,
-            self.nvars,
-            self.x_prec,
-            {e: -c for e, c in self.coeffs.items()},
-            self.coeff_prec,
-        )
-
-    def __add__(self, other):
+    def __add__(self, other, negate=False):
+        """Sum (with ``negate`` difference) of univariate series: ``_packed_add``."""
         other = self._align(other)
-        M = min(self.x_prec, other.x_prec)
-        out = {}
-        for e in sorted(self.coeffs.keys() | other.coeffs.keys()):
-            if sum(e) < M:
-                out[e] = self.c(e) + other.c(e)
-        return PSeries(self.prime, self.nvars, M, out, min(self.coeff_prec, other.coeff_prec))
+        if self.nvars != 1:
+            raise ValueError("series sum is univariate")
+        M, p = min(self.x_prec, other.x_prec), self.prime
+        N = min(self.coeff_prec, other.coeff_prec)
+        return _unpack(p, _packed_add(p, _pack(self.coeffs, M), _pack(other.coeffs, M), negate), M, N)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, negate=True)
 
     def __mul__(self, other):
         """Product of two univariate series (``_packed_mul``)."""
@@ -400,18 +391,22 @@ def _solve_by_powers(h: PSeries, a1: PadicNum, lam: PadicNum) -> PSeries:
     c^(n-1)) is formed after the sum; a denominator that is zero to its
     precision raises PrecisionExhausted.
     """
-    table = h.power_table()
-    coeffs = {(1,): a1}
+    p, table = h.prime, h.power_table()
+    V, U, N = [_ABSENT, _ABSENT if a1.v == INF else a1.v], [0, a1.u], [_ABSENT, a1.N]  # packed a_0, a_1
     cpow = c = h.linear_coeff()
     for n in range(2, h.x_prec):
         cpow = cpow * c  # c^n
-        (v,), (u,), (K,) = table.sum(_pack(coeffs, n), n, n + 1)
+        (v,), (u,), (K,) = table.sum((V, U, N), n, n + 1)
         denom = cpow - lam
         if denom.is_zero_like():
             raise PrecisionExhausted(f"recurrence denominator vanishes at degree {n}")
         if K != _ABSENT:
-            coeffs[(n,)] = -PadicNum(h.prime, INF if v == _ABSENT else v, u, K) / denom
-    return PSeries(h.prime, 1, h.x_prec, coeffs, h.coeff_prec)
+            a = -PadicNum(p, INF if v == _ABSENT else v, u, K) / denom
+            v, u, K = _ABSENT if a.v == INF else a.v, a.u, a.N
+        V.append(v)
+        U.append(u)
+        N.append(K)
+    return _unpack(p, (V, U, N), h.x_prec, h.coeff_prec)
 
 
 # -- homogeneous parts: the bivariate kernel ----------------------------------
@@ -509,12 +504,33 @@ def _pack(coeffs: dict, M: int):
 
 def _unpack(p: int, packed, M: int, coeff_prec) -> PSeries:
     V, U, N = packed
+    # a slot at precision INF (an exact nonzero) reaches the constructor, which refuses it
     coeffs = {
         (e,): PadicNum(p, INF if v >= _HALF else v, u, n)
         for e, (v, u, n) in enumerate(zip(V, U, N))
-        if n < _HALF
+        if n != _ABSENT
     }
     return PSeries(p, 1, M, coeffs, coeff_prec)
+
+
+def _packed_add(p: int, a, b, negate: bool = False):
+    """a + b, or a - b with ``negate``, of packed lists slot by slot: a slot
+    absent on one side is the other's (b's negated as ``PadicNum.__neg__``
+    negates), and two present slots meet under ``padic.add_triples``, the
+    rule of ``PadicNum.__add__``, which raises at the first slot, by
+    degree, that keeps no digit."""
+    L = max(len(a[0]), len(b[0]))
+    V, U, N = (x + [fill] * (L - len(x)) for x, fill in zip(a, (_ABSENT, 0, _ABSENT)))
+    for k, (vb, ub, nb) in enumerate(zip(*b)):
+        if nb == _ABSENT:
+            continue
+        if negate and vb != _ABSENT:
+            ub = neg_unit(p, vb, ub, nb)
+        if N[k] != _ABSENT:
+            vb, ub, nb = add_triples(p, INF if V[k] == _ABSENT else V[k], U[k], N[k], INF if vb == _ABSENT else vb, ub, nb)
+            vb = _ABSENT if vb == INF else vb
+        V[k], U[k], N[k] = vb, ub, nb
+    return V, U, N
 
 
 def _coeff(p: int, packed, k: int):

@@ -520,7 +520,9 @@ def _floor(t):
 
 
 def _dict_add(p: int, a: dict, b: dict, M: int) -> dict:
-    """``PSeries.__add__`` on exponent-tuple dicts below total degree M."""
+    """``triple_add`` per exponent tuple below total degree M, in one or
+    two variables: the rule of the univariate ``PSeries.__add__`` (and of
+    ``series._packed_add``), which the two-variable oracles apply too."""
     out = {}
     for e in a.keys() | b.keys():
         if sum(e) < M:

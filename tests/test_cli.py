@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -248,6 +252,42 @@ def test_batch_non_object_entry_is_a_fixture_error(tmp_path, capsys):
     code, out, err = run(capsys, "analyze", "--fixture", str(path))
     assert (code, out) == (2, "")
     assert err == "error: fixture entry must be a JSON object, got [1, 2]\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "batch"])
+@pytest.mark.parametrize("body", ["5", "null", "true", '"text"'])
+def test_fixture_file_of_a_scalar_refused(tmp_path, capsys, command, body):
+    """A fixture file holding a number, null or true made ``batch`` and
+    ``analyze --fixture`` raise TypeError with a traceback, and a string was
+    split into its characters."""
+    path = tmp_path / "fx.json"
+    path.write_text(body)
+    code, out, err = run(capsys, command, "--fixture", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: fixture file must hold a JSON object or array, got {body}\n"
+
+
+def test_high_precision_analyze_runs_in_bounded_memory():
+    """At N = 60000 the cached powers of p held p^0 .. p^60000, about 550 MB,
+    and under a 300 MB address-space limit ``analyze`` died in a MemoryError
+    traceback instead of printing its REJECTED row."""
+    limit = 300 << 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    argv = ["analyze", "--p", "5", "--f", "5,0,0,0,1", "--u", "-1", "--M", "25", "--N", "60000", "--format", "text"]
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from lubinlab.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=cap,
+    )
+    assert done.returncode == 1 and "Traceback" not in done.stderr, done.stderr
+    row = done.stdout.splitlines()[2]
+    assert row.startswith("inline") and row.split()[2] == "REJECTED"
 
 
 @pytest.mark.parametrize("field, value", [("p", [2]), ("p", 2.7), ("p", True), ("N", "20"), ("M", 16.0), ("p", None)])

@@ -447,8 +447,9 @@ def group_laws(draw):
         # a monomial below the certificate's degree min(m2, M)
         i = draw(st.integers(1, min(m2, M) - 2))
         j = draw(st.integers(1, min(m2, M) - 1 - i))
-        c = draw(st.integers(1, p**N))
-        F = F + PSeries(p, 2, M, {(i, j): c, (j, i): c}, F.coeff_prec)
+        c = PadicNum.from_fraction(Fraction(draw(st.integers(1, p**N))), p, F.coeff_prec)
+        coeffs = {**F.coeffs, **{e: F.c(e) + c for e in ((i, j), (j, i))}}
+        F = PSeries(p, 2, M, dict(sorted(coeffs.items())), F.coeff_prec)
     return F, m2
 
 

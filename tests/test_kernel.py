@@ -2,11 +2,11 @@
 
 Random series mix per-coefficient precisions, zero-like and absent
 coefficients and negative valuations (as in logarithm coefficients), with
-unequal truncation orders.  Univariate products (the packed kernel) and
-compositions (the power table) must agree with ``oracles.triple_mul`` /
-``oracles.table_compose`` triple for triple and in the same order, and
-raise PrecisionExhausted exactly when the oracle finds a coefficient with no
-digits.  Composition is also held against Horner's rule
+unequal truncation orders.  Univariate sums and products (the packed
+kernel) and compositions (the power table) must agree with
+``oracles.triple_add`` / ``triple_mul`` / ``oracles.table_compose`` triple
+for triple and in the same order, and raise PrecisionExhausted exactly
+when the oracle finds a coefficient with no digits.  Composition is also held against Horner's rule
 (``oracles.triple_compose``), which it replaced: the same values at a
 precision never lower.  The product and composition of integer series at
 precision N are held against N + k and the exact result, and one analysis
@@ -30,10 +30,12 @@ from oracles import (
     poly_compose,
     poly_mul,
     table_compose,
+    triple_add,
     triple_compose,
     triple_divide_monic,
     triple_inverse,
     triple_mul,
+    triple_neg,
     triple_preparation,
     triple_vertex_split,
 )
@@ -101,6 +103,26 @@ def test_mul_matches_triple_oracle(case):
     M = min(Ma, Mb)
     check(lambda: a * b, lambda: triple_mul(p, below(ta, Ma), below(tb, Mb), M))
     check(lambda: b * a, lambda: triple_mul(p, below(tb, Mb), below(ta, Ma), M))
+
+
+@SETTINGS
+@given(pairs)
+@example((2, (6, {0: (-3, 1, -1)}), (6, {0: (INF, 0, 1)})))  # no digits at degree 0
+@example((3, (6, {1: (0, 1, 2), 2: (INF, 0, 0)}), (6, {1: (0, 2, 2), 2: (INF, 0, 0)})))  # 1 + 2 loses a digit, degree 2 has none
+def test_sum_matches_triple_oracle(case):
+    """a + b, b + a and a - b (``_packed_add``) degree by degree against
+    ``triple_add`` and ``triple_neg``: the least degree without digits
+    raises."""
+    p, (Ma, ta), (Mb, tb) = case
+    a, b = to_series(p, Ma, ta), to_series(p, Mb, tb)
+    ta, tb, M = below(ta, Ma), below(tb, Mb), min(Ma, Mb)
+
+    def oracle(x, y):
+        return lambda: {d: triple_add(p, x.get(d), y.get(d)) for d in sorted(x.keys() | y.keys()) if d < M}
+
+    check(lambda: a + b, oracle(ta, tb))
+    check(lambda: b + a, oracle(tb, ta))
+    check(lambda: a - b, oracle(ta, {d: triple_neg(p, c) for d, c in tb.items()}))
 
 
 @st.composite
@@ -695,3 +717,17 @@ def test_analysis_forms_each_power_once(monkeypatch):
     assert len(keys) == len(set(keys)) and len(keys) >= 2
     table_products = counts["product"] - counts["series"]
     assert 0 < table_products <= sum(max(len(t.shift) - 1, 0) for _, t in tables)
+
+
+@pytest.mark.parametrize("built", [False, True])
+def test_solve_by_powers_packs_at_most_once(monkeypatch, built):
+    """Reversion and the logarithm recurrence keep their solution packed: the
+    one ``series._pack`` is the power table's of h, and none when h has its
+    table already.  The solve packed its growing solution at every degree."""
+    h = PSeries.from_univariate_coeffs(3, [3, 1, 2, 1], 16, 20)
+    if built:
+        h.power_table()
+    calls, pack = [], series._pack
+    monkeypatch.setattr(series, "_pack", lambda *args: calls.append(1) or pack(*args))
+    h.reversion()
+    assert len(calls) == (0 if built else 1)

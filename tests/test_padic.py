@@ -14,6 +14,7 @@ from lubinlab import (
     PadicNum,
     is_root_of_unity,
     padic_exp,
+    padic,
     padic_log,
     padic_pow,
 )
@@ -132,6 +133,17 @@ def test_prime_powers_grow_past_their_end(p):
     assert len(P) > end + 40
     assert P == [p**k for k in range(len(P))]
     assert prime_powers(p, 3) is P
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_prime_powers_past_the_kept_list_are_formed_on_read(p):
+    """The kept list grew to the largest exponent ever asked for, so a
+    precision of 60000 at p = 5 held about 550 MB of powers."""
+    top = padic._POWERS_KEPT + 1000
+    P = prime_powers(p, top)
+    assert len(P) == top + 1
+    assert [P[e] for e in (0, 1, top // 2, top)] == [1, p, p ** (top // 2), p**top]
+    assert len(prime_powers(p, 0)) <= padic._POWERS_KEPT + 1
 
 
 def test_precision_loss_through_division():

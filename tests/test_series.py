@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lubinlab import INF, ConstantTermError, IntegralityFailure, NotInvertible, PadicNum, PSeries, PrimeMismatch
+from lubinlab import INF, ConstantTermError, IntegralityFailure, NotInvertible, PadicNum, PSeries, PrimeMismatch, logarithm_recurrence
 from conftest import random_s0, series_from_fractions
 from oracles import lagrange_inversion, poly_compose, poly_mul, swap_vars
 
@@ -187,6 +187,8 @@ def test_multivariate_basics():
     assert swap_vars(F, 0, 1).equal_to_precision(F)
     with pytest.raises(ValueError, match="univariate"):
         F.derivative()
+    with pytest.raises(ValueError, match="series sum is univariate"):
+        F + F
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, -3, 9])
@@ -221,7 +223,7 @@ def test_compose_refuses_a_multivariate_series():
     "nvars, series",
     [
         (1, lambda a: PSeries(3, 1, 4, {(1,): a}, INF)),  # its square read as {}
-        (2, lambda a: PSeries(3, 2, 4, {(1, 0): a}, INF) + PSeries(3, 2, 4, {(0, 1): a}, INF)),  # so did x a + y a
+        (2, lambda a: PSeries(3, 2, 4, {(1, 0): a, (0, 1): a}, INF)),  # so did x a + y a
     ],
 )
 def test_exact_nonzero_coefficient_is_refused(nvars, series):
@@ -236,3 +238,12 @@ def test_exact_nonzero_coefficient_is_refused(nvars, series):
     zero, zero_like = PadicNum.exact_zero(3), PadicNum.zero_to_prec(3, 5)
     s = PSeries(3, nvars, 4, {(1,) * nvars: zero, (2,) * nvars if nvars == 1 else (1, 1): zero_like}, INF)
     assert list(s.coeffs.values()) == [zero_like]
+
+
+def test_solve_from_an_exact_nonzero_is_refused():
+    """The logarithm's packed solve starts from L'(0) = 1 at the series'
+    precision, here INF: an exact nonzero, which the kernels read as an
+    absent slot.  Its result refuses it, as the constructor does."""
+    f = PSeries(3, 1, 4, {(1,): PadicNum(3, 1, 1, 5)}, INF)
+    with pytest.raises(ValueError, match=r"coefficient at \(1,\) has finite valuation and infinite precision"):
+        logarithm_recurrence(f)
