@@ -15,7 +15,9 @@ ledger); the normalized-iterate limit f^n / f'(0)^n is retained purely as
 an independent cross-check oracle.  It always forms a fixed number of
 iterates, and its only claim is the ultrametric Cauchy cap at the last
 increment; a run that leaves a coefficient no digits raises
-PrecisionExhausted.
+PrecisionExhausted.  It runs on the packed lists of ``series``: each
+iterate is one tabled sum on the power table of f, divided by f'(0)^n slot
+by slot, and only the iterates it keeps and its result become series.
 """
 
 from fractions import Fraction
@@ -28,7 +30,7 @@ from .errors import (
     TruncationInconclusive,
 )
 from .padic import INF, PadicNum, ceil_log, is_root_of_unity, padic_pow
-from .series import PSeries, _solve_by_powers, first_disagreement
+from .series import _ABSENT, PSeries, _pack, _packed_add, _packed_div, _solve_by_powers, _unpack, first_disagreement
 from .polygon import iterate
 
 
@@ -73,6 +75,8 @@ def logarithm_recurrence(f: PSeries) -> Logarithm:
     the scalars records the cumulative loss.  This is the solve of
     ``series.reversion`` with lam = f'(0) (``_solve_by_powers``).
     """
+    if f.coeff_prec == INF:
+        raise ValueError("logarithm_recurrence needs a finite coeff_prec: its solve starts from 1 known to coeff_prec")
     c = f.linear_coeff()
     if c.is_zero_like():
         raise NotInvertible("f'(0) is zero to precision")
@@ -99,6 +103,8 @@ def logarithm_limit(f: PSeries, n_max: int = None, keep: int = 0) -> Logarithm:
     no smaller than its first, or whose cap leaves a coefficient no digits,
     raises PrecisionExhausted.  The iterates f^1 .. f^keep (f^(n+1) =
     f^n ∘ f, as ``polygon.iterate`` forms them) are kept in ``iterates``.
+    The division by f'(0)^n is ``series._packed_div`` and each increment
+    ``series._packed_add``.
     """
     p = f.prime
     M = f.x_prec
@@ -108,38 +114,30 @@ def logarithm_limit(f: PSeries, n_max: int = None, keep: int = 0) -> Logarithm:
     ident = PSeries.identity(p, M, f.coeff_prec)
     if n_max == 0:
         return Logarithm(ident, stabilization=[])
-    prev_norm = ident
+    table = f.power_table()
+    fn = norm = _pack(ident.coeffs, M)
     evidence = []
     kept = []
-    fn = ident
     for n in range(1, n_max + 1):
-        fn = fn.compose(f)
+        V, U, N = table.sum(fn, 1, M)
+        fn = [_ABSENT] + V, [0] + U, [_ABSENT] + N
         if n <= keep:
-            kept.append(fn)
-        cn = c**n
-        norm = PSeries(
-            p, 1, M, {e: coeff / cn for e, coeff in fn.coeffs.items()}, f.coeff_prec
-        )
-        last_incr = norm - prev_norm
-        floors = [x.val_floor() for x in last_incr.coeffs.values()]
-        evidence.append((n, min(floors) if floors else INF))
-        prev_norm = norm
+            kept.append(_unpack(p, fn, M, f.coeff_prec))
+        prev, norm = norm, _packed_div(p, fn, c**n)
+        dV, _, dN = incr = _packed_add(p, norm, prev, negate=True)
+        evidence.append((n, min((k if v == _ABSENT else v for v, k in zip(dV, dN) if k != _ABSENT), default=INF)))
     if len(evidence) >= 2 and evidence[-1][1] <= evidence[0][1]:
         raise PrecisionExhausted(f"no stabilization after {n_max} iterates")
-    capped = {}
-    for e, coeff in prev_norm.coeffs.items():
-        d = last_incr.c(e)
-        cap = d.val_floor()
-        if cap == INF:
-            capped[e] = coeff
-        elif cap <= 0:
-            raise PrecisionExhausted(
-                f"coefficient {e} certifies no digits after {n_max} iterates"
-            )
-        else:
-            capped[e] = coeff.cap_prec(cap)
-    series = PSeries(p, 1, M, capped, f.coeff_prec)
-    return Logarithm(series, evidence, kept)
+    V, U, N = norm
+    for k, (v, n) in enumerate(zip(V, N)):
+        if n == _ABSENT:
+            continue
+        cap = dN[k] if dV[k] == _ABSENT else dV[k]  # the increment's floor; norm's slot is in it
+        if cap <= 0:
+            raise PrecisionExhausted(f"coefficient {(k,)} certifies no digits after {n_max} iterates")
+        if cap < n:  # cap_prec
+            V[k], U[k], N[k] = (_ABSENT, 0, cap) if v == _ABSENT or v >= cap else (v, U[k] % p ** (cap - v), cap)
+    return Logarithm(_unpack(p, norm, M, f.coeff_prec), evidence, kept)
 
 
 def log_polygon_vertices(p: int, M: int) -> list:

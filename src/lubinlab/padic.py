@@ -220,13 +220,15 @@ class PadicNum:
     # -- ring operations -------------------------------------------------
 
     def _check(self, other) -> "PadicNum":
+        """other as a ``PadicNum``: an int or a Fraction is coerced at this
+        value's precision, which must be finite (ValueError)."""
         if not isinstance(other, PadicNum):
-            if isinstance(other, int):
-                other = PadicNum.from_int(other, self.p, self.N if self.N != INF else 64)
-            elif isinstance(other, Fraction):
-                other = PadicNum.from_fraction(other, self.p, self.N if self.N != INF else 64)
-            else:
+            if not isinstance(other, (int, Fraction)):
                 return NotImplemented
+            if self.N == INF:
+                raise ValueError(f"no finite precision to coerce {other!r} at")
+            coerce = PadicNum.from_int if isinstance(other, int) else PadicNum.from_fraction
+            other = coerce(other, self.p, self.N)
         if other.p != self.p:
             raise PrimeMismatch(f"primes differ: {self.p} vs {other.p}")
         return other
@@ -262,6 +264,10 @@ class PadicNum:
         return other + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, int):  # k is exact: ``scale_int``
+            if other == 0 or self.is_exact_zero():
+                return PadicNum.exact_zero(self.p)
+            return PadicNum(self.p, *scale_int(self.p, self.v, self.u, self.N, other))
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
@@ -405,6 +411,21 @@ def add_triples(p: int, va, ua, na, vb, ub, nb) -> tuple:
     m = min(va, vb)
     r = (ua * p ** (va - m) if va != INF else 0) + (ub * p ** (vb - m) if vb != INF else 0)
     return _scaled(p, m, r, min(na, nb))
+
+
+def scale_int(p: int, v, u, N, k: int) -> tuple:
+    """The rule of ``PadicNum`` times a nonzero int k, which is exact
+    (Caruso, Roe and Vaccon, "Tracking p-adic precision", 2014): with
+    k = p^w k', the value p^v u known modulo p^N becomes
+    (v + w, u k' mod p^(N - v), N + w), and a zero-like one (v INF) is
+    known to N + w.  ``series._packed_derivative`` applies it slot by slot."""
+    w = vp_int(k, p)
+    if v == INF:
+        return INF, 0, N + w
+    u *= k // p**w
+    if N != INF:  # an exact nonzero, such as PadicNum.one(p, INF), keeps its unit whole
+        u %= prime_powers(p, N - v)[N - v]
+    return v + w, u, N + w
 
 
 def neg_unit(p: int, v, u, N) -> int:

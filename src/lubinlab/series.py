@@ -13,7 +13,10 @@ stages: an operand stage (``_operand``) drops a series' leading exact zeros
 product stage (``_product``) multiplies two operands and returns the result
 both packed and as an operand; ``_packed_mul`` is the two in a row.  The
 packed kernels normalise with the powers of p of ``padic.prime_powers`` and
-the valuations of ``padic.vp_int``.  Inverses and the quotients of monic
+the valuations of ``padic.vp_int``.  A derivative multiplies slot k by the
+exact integer k (``_packed_derivative`` under ``padic.scale_int``) and a
+division by a scalar runs slot by slot (``_packed_div``), both on the
+packed integers.  Inverses and the quotients of monic
 divisions are one recurrence on the same lists (``_packed_solve``): each
 coefficient is one sum against the coefficients already found (``_fold``),
 with the ledger and the raise rule of ``_product``.  The bivariate kernel
@@ -49,12 +52,13 @@ from operator import add, mul
 
 from .errors import (
     ConstantTermError,
+    DivisionByZeroToPrecision,
     IntegralityFailure,
     NotInvertible,
     PrecisionExhausted,
     PrimeMismatch,
 )
-from .padic import INF, PadicNum, add_triples, neg_unit, prime_powers, reduce_terms, require_prime, vp_int
+from .padic import INF, PadicNum, add_triples, neg_unit, prime_powers, reduce_terms, require_prime, scale_int, vp_int
 
 
 class PSeries:
@@ -542,14 +546,42 @@ def _coeff(p: int, packed, k: int):
 
 
 def _packed_derivative(p: int, c):
-    """The derivative of a packed series: slot k - 1 is ``PadicNum`` c_k * k."""
+    """The derivative of a packed series: slot k - 1 is c_k times the exact
+    integer k (``padic.scale_int``, the rule of ``PadicNum`` times an int).
+    The lists end at the highest present slot, as ``_pack`` lays them out."""
     V, U, N = c
-    d = {
-        (k - 1,): PadicNum(p, INF if V[k] == _ABSENT else V[k], U[k], N[k]) * k
-        for k in range(1, len(V))
-        if N[k] < _HALF
-    }
-    return _pack(d, len(V) - 1)
+    top = max((k for k, n in enumerate(N) if k and n < _HALF), default=1)
+    dV, dU, dN = [_ABSENT] * top, [0] * top, [_ABSENT] * top
+    for k in range(1, len(N)):
+        if N[k] < _HALF:
+            v, u, n = scale_int(p, INF if V[k] == _ABSENT else V[k], U[k], N[k], k)
+            dV[k - 1], dU[k - 1], dN[k - 1] = _ABSENT if v == INF else v, u, n
+    return dV, dU, dN
+
+
+def _packed_div(p: int, c, d: PadicNum):
+    """c / d slot by slot under the rule of ``PadicNum.__truediv__``, raises
+    included, in degree order: a zero-like d raises
+    DivisionByZeroToPrecision if any slot is present, a zero-like slot is
+    known to N - v(d) and raises where that is <= 0, and a finite slot keeps
+    min(N - v, N(d) - v(d)) relative digits.  (``_packed_div_int`` divides
+    by an exact integer and keeps a zero-like slot without digits.)"""
+    V, U, N = c
+    if d.v == INF and min(N, default=_ABSENT) != _ABSENT:
+        raise DivisionByZeroToPrecision(f"divisor is zero to precision O({p}^{d.N})")
+    qV, qU, qN = [_ABSENT] * len(V), [0] * len(V), [_ABSENT] * len(V)
+    top = max((min(n - v, d.N - d.v) for v, n in zip(V, N) if v != _ABSENT), default=0)
+    P = prime_powers(p, top)
+    inv = pow(d.u, -1, P[top]) if top else 0  # to the most relative digits a slot keeps
+    for k, (v, u, n) in enumerate(zip(V, U, N)):
+        if n == _ABSENT:
+            continue
+        if v == _ABSENT:  # zero_to_prec raises where no digit is left
+            qN[k] = PadicNum.zero_to_prec(p, n - d.v).N
+        else:
+            rel = min(n - v, d.N - d.v)
+            qV[k], qU[k], qN[k] = v - d.v, u * inv % P[rel], v - d.v + rel
+    return qV, qU, qN
 
 
 def _packed_div_int(p: int, c, q: int):

@@ -863,3 +863,57 @@ def triple_vertex_split(p: int, P: dict, M: int, N: int, degree: int, istar: int
         except NoDigits:
             pass  # keep the old multiplier
     raise NoDigits("vertex split did not converge")
+
+
+# -- the iterate limit of the logarithm as it ran on dicts -----------------------
+#
+# ``dynamics.logarithm_limit`` before its packed lists: each iterate one
+# composition, each coefficient divided by c^n as ``PadicNum.__truediv__``
+# divides, and each increment a difference of whole series.
+
+
+class ZeroDivisor(Exception):
+    """A divisor zero to its precision (DivisionByZeroToPrecision)."""
+
+
+def triple_limit(p: int, f: dict, M: int, N: int, n_max: int, keep: int = 0):
+    """(series, evidence, kept iterates) of the normalized iterates
+    f^n / c^n, c = f_1, for f without constant term below degree M.  f^1 ..
+    f^n_max are ``table_compose`` of the last on f from the identity x known
+    to p^N; evidence lists (n, least valuation floor of the increment), INF
+    for an increment without coefficients.  The result is the last
+    normalized iterate, each coefficient capped at the floor of its last
+    increment.  Raises NoDigits ("no stabilization") when n_max >= 2 and the
+    last floor is no greater than the first, or where a cap is <= 0."""
+    x = {1: (0, 1, N)}
+    if n_max == 0:
+        return x, [], []
+    fn, norm, evidence, kept = x, x, [], []
+    for n in range(1, n_max + 1):
+        fn = table_compose(p, fn, f, M)
+        if n <= keep:
+            kept.append(fn)
+        v, u, m = f.get(1, (INF, 0, INF))  # c^n keeps c's relative digits
+        if fn and v == INF:
+            raise ZeroDivisor(f"divisor is zero to precision O({p}^{n * m})")
+        cn = (n * v, pow(u, n, p ** (m - v)), n * v + m - v) if v != INF else None
+        prev, norm = norm, {d: triple_div(p, a, cn) for d, a in sorted(fn.items())}
+        incr = {}
+        for d in sorted(norm.keys() | prev.keys()):
+            b = prev.get(d)
+            incr[d] = triple_add(p, norm.get(d), None if b is None else triple_neg(p, b))
+        evidence.append((n, min(map(_floor, incr.values()), default=INF)))
+    if len(evidence) >= 2 and evidence[-1][1] <= evidence[0][1]:
+        raise NoDigits(f"no stabilization after {n_max} iterates")
+    capped = {}
+    for d, (v, u, n) in sorted(norm.items()):
+        cap = _floor(incr[d])
+        if cap <= 0:
+            raise NoDigits(f"coefficient {(d,)} certifies no digits after {n_max} iterates")
+        if cap >= n:
+            capped[d] = (v, u, n)
+        elif v == INF or v >= cap:
+            capped[d] = (INF, 0, cap)
+        else:
+            capped[d] = (v, u % p ** (cap - v), cap)
+    return capped, evidence, kept

@@ -17,6 +17,7 @@ from lubinlab import (
     gm_pair,
     lt_pair,
     make_twist_fixture,
+    series,
     summary_table,
 )
 from lubinlab.dynamics import default_n_max
@@ -262,26 +263,40 @@ def gm_w1(p, cfg):
 
 def analyze_counting_chain(monkeypatch, f, u, cfg):
     """analyze's report and the number of links of the f-iterate chain: the
-    calls x.compose(f) with x the identity or an earlier link, where f is
-    the series analyze works on (truncated and capped)."""
+    tabled sums over the power table of f, the series analyze works on
+    (truncated and capped), whose packed input is the identity or an earlier
+    link, as the limit and ``polygon.iterate`` (through ``compose``) both
+    form them."""
     p = f.prime
     Nw = cfg.resolve(p).working_prec()
     inner = f.truncate(cfg.M).cap_coeff_prec(Nw).to_json()
-    start = PSeries.identity(p, cfg.M, Nw).to_json()
-    links = []
-    compose = PSeries.compose
 
-    def spy(self, h, *args):
-        out = compose(self, h, *args)
-        if not args and h.to_json() == inner:
-            if any(self is x for x in links) or self.to_json() == start:
-                links.append(out)
+    def body(c):  # slots 1 .. of a packed series, trailing absent slots cut
+        n = max((k for k, x in enumerate(c[2]) if k and x != series._ABSENT), default=0)
+        return tuple(tuple(x[1 : n + 1]) for x in c)
+
+    links = [body(series._pack(PSeries.identity(p, cfg.M, Nw).coeffs, cfg.M))]  # the start
+    tables = []
+    power_table, tabled_sum = PSeries.power_table, series._PowerTable.sum
+
+    def table_spy(self):
+        table = power_table(self)
+        if self.to_json() == inner and not any(table is t for t in tables):
+            tables.append(table)
+        return table
+
+    def sum_spy(self, c, lo, D):
+        out = tabled_sum(self, c, lo, D)
+        if lo == 1 and any(self is t for t in tables) and body(c) in links:
+            links.append(body(([series._ABSENT] + out[0], [0] + out[1], [series._ABSENT] + out[2])))
         return out
 
-    monkeypatch.setattr(PSeries, "compose", spy)
+    monkeypatch.setattr(PSeries, "power_table", table_spy)
+    monkeypatch.setattr(series._PowerTable, "sum", sum_spy)
     report = analyze(f, u, cfg, name="gm_w1")
-    monkeypatch.setattr(PSeries, "compose", compose)
-    return report, len(links)
+    monkeypatch.setattr(PSeries, "power_table", power_table)
+    monkeypatch.setattr(series._PowerTable, "sum", tabled_sum)
+    return report, len(links) - 1
 
 
 def test_limit_and_shapes_share_one_chain(monkeypatch):

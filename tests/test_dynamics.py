@@ -3,9 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from lubinlab import (
+    INF,
     ConstantTermError,
+    DivisionByZeroToPrecision,
+    PrecisionExhausted,
     PadicNum,
     PSeries,
     TorsionDetected,
@@ -18,7 +23,10 @@ from lubinlab import (
     ramification_index,
     zp_iterate,
 )
+from lubinlab import dynamics, series
+from lubinlab.dynamics import default_n_max
 from conftest import one_plus_x_pow, series_from_fractions
+from oracles import NoDigits, ZeroDivisor, triple_limit
 
 
 def test_check_commute_gm():
@@ -69,6 +77,80 @@ def test_limit_zero_iterations_is_identity():
     f = series_from_fractions(3, [3, 0, 1], 16, 20)
     lim = logarithm_limit(f, 0)
     assert lim.series.equal_to_precision(PSeries.identity(3, 16, 20))
+
+
+@st.composite
+def limit_case(draw):
+    """(p, M, N, {degree: triple}, n_max, keep): f without constant term,
+    its linear coefficient of valuation 0 to 2, zero-like or absent, the
+    others finite (negative valuations included), zero-like or absent, some
+    at or past the truncation M; n_max None for the default."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    M = draw(st.integers(2, 10))
+
+    def finite(lo, hi):
+        v, rel = draw(st.integers(lo, hi)), draw(st.integers(1, 6))
+        return (v, draw(st.integers(1, p**rel - 1).map(lambda x: x if x % p else x + 1)), v + rel)
+
+    coeffs = {}
+    linear = draw(st.sampled_from(("finite", "finite", "finite", "zero-like", "absent")))
+    if linear != "absent":
+        coeffs[1] = (INF, 0, draw(st.integers(1, 6))) if linear == "zero-like" else finite(0, 2)
+    for d in range(2, M + 2):
+        kind = draw(st.sampled_from(("absent", "finite", "finite", "zero-like")))
+        if kind != "absent":
+            coeffs[d] = (INF, 0, draw(st.integers(1, 6))) if kind == "zero-like" else finite(-2, 4)
+    n_max = draw(st.none() | st.integers(0, 6))
+    return p, M, draw(st.integers(1, 10)), coeffs, n_max, draw(st.integers(0, 4))
+
+
+def triples(s):
+    return {e: (c.v, c.u, c.N) for (e,), c in s.coeffs.items()}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(limit_case())
+@example((2, 2, 5, {1: (1, 5, 4)}, 2, 0))  # no stabilization
+@example((3, 3, 1, {1: (2, 4, 4), 2: (0, 7, 2)}, 1, 0))  # the cap of (2,) is <= 0
+@example((3, 3, 6, {1: (2, 4, 4), 2: (INF, 0, 2)}, 1, 0))  # O(3^2) / c: N - v(c) = 0
+@example((2, 3, 10, {1: (INF, 0, 5), 2: (0, 1, 4)}, 6, 1))  # c zero-like
+@example((3, 12, 8, {1: (1, 1, 8), 3: (0, 1, 8)}, None, 3))  # f = 3x + x^3, three kept
+def test_packed_limit_matches_dict_limit(case):
+    """``logarithm_limit`` on packed lists against the dict limit it
+    replaced (``oracles.triple_limit``): the series, the evidence and the
+    kept iterates triple for triple, or the same exception class and
+    message."""
+    p, M, N, coeffs, n_max, keep = case
+    f = PSeries(p, 1, M, {(d,): PadicNum(p, *t) for d, t in coeffs.items()}, N)
+    try:
+        want = triple_limit(p, triples(f), M, N, default_n_max(p, M) if n_max is None else n_max, keep)
+    except (NoDigits, ZeroDivisor) as ex:
+        kind = PrecisionExhausted if isinstance(ex, NoDigits) else DivisionByZeroToPrecision
+        with pytest.raises(kind) as got:
+            logarithm_limit(f, n_max, keep)
+        assert str(got.value) == str(ex)
+        return
+    lim = logarithm_limit(f, n_max, keep)
+    assert (triples(lim.series), lim.stabilization, [triples(s) for s in lim.iterates]) == want
+
+
+@pytest.mark.parametrize("keep", [0, 1, 3])
+def test_limit_unpacks_only_the_kept_iterates_and_the_result(monkeypatch, keep):
+    """The limit runs on packed lists: of its iterates only the kept ones
+    become series, and so does the result."""
+    f = one_plus_x_pow(3, 3, 32, 20)
+    calls = []
+    unpack = series._unpack
+
+    def counted(*args):
+        calls.append(1)
+        return unpack(*args)
+
+    monkeypatch.setattr(series, "_unpack", counted)
+    monkeypatch.setattr(dynamics, "_unpack", counted)
+    lim = logarithm_limit(f, keep=keep)
+    assert len(lim.iterates) == keep and len(lim.stabilization) == default_n_max(3, 32)
+    assert len(calls) == keep + 1
 
 
 def test_functional_equations():

@@ -284,9 +284,10 @@ def log_series(draw):
 @example((3, 12, 8, {(1,): (0, 1, 8)}))
 @example((3, 4, 8, {(1,): (0, 1, 8), (2,): (-1, 1, 7)}))
 @example((3, 6, 6, {(1,): (0, 1, 6), (2,): (-1, 481, 5), (3,): (INF, 0, 4)}))
-# the loop raises at the zero-like term O(3^0) of (0, 3) at j = 3 ("zero known
-# to nonpositive precision"), the tabled sum at its total ("sum has no
-# significant digits")
+# with c * k taking k exact, A_3 = 2·3 + O(3^2) keeps its digit and both sides
+# return the law; when k was coerced at c's precision, A_3 was O(3^1), and the
+# loop raised at the zero-like term O(3^0) of (0, 3) at j = 3, the tabled sum
+# at its total
 @example((3, 4, 4, {(1,): (0, 1, 4), (3,): (0, 2, 1)}))
 def test_group_from_log_matches_pairwise_loop(case):
     """Triple for triple, and exception class for exception class.  Where

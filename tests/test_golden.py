@@ -9,7 +9,12 @@ Three corpora are frozen under ``tests/golden/``:
 
 Each file is a JSON list of report dicts, serialized like ``lubinlab batch
 --format json``.  A kernel rewrite must leave every report unchanged, so
-any difference is a failure.  To refreeze after a deliberate report change:
+any difference is a failure.  To list every report field that moved, one
+line of (corpus, report name, field path, old, new) each, writing nothing:
+
+    PYTHONPATH=src python tests/test_golden.py --diff
+
+To refreeze after a deliberate report change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -80,10 +85,38 @@ def test_reports_match_golden(corpus):
     assert got == want, corpus
 
 
+def moved_fields(old, new, path=""):
+    """(path, old, new) for every leaf where two JSON values differ; a key
+    or list entry on one side only is a leaf whose other side is None."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from moved_fields(old.get(key), new.get(key), f"{path}.{key}" if path else key)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from moved_fields(a, b, f"{path}[{i}]")
+    elif old != new:
+        yield path, old, new
+
+
+def print_moved_fields():
+    """Print each report field that moved against the frozen corpora."""
+    for corpus, build in CORPORA.items():
+        frozen = json.loads((GOLDEN / f"{corpus}.json").read_text(encoding="utf-8"))
+        reports = [r.data for r in build()]
+        if len(frozen) != len(reports):
+            print(corpus, "-", "len", len(frozen), len(reports), sep="\t")
+        for i, (old, new) in enumerate(zip(frozen, reports)):
+            for path, a, b in moved_fields(old, json.loads(json.dumps(new))):
+                print(corpus, f"{old.get('name')}[{i}]", path, json.dumps(a), json.dumps(b), sep="\t")
+
+
 if __name__ == "__main__":
     import sys
 
     sys.path.insert(0, str(Path(__file__).resolve().parent))
+    if sys.argv[1:] == ["--diff"]:
+        print_moved_fields()
+        sys.exit(0)
     GOLDEN.mkdir(exist_ok=True)
     for name, build in CORPORA.items():
         (GOLDEN / f"{name}.json").write_text(dump(build()), encoding="utf-8")

@@ -15,7 +15,9 @@ of the Weierstrass layer (``PSeries.inverse``, the monic division and the
 preparation) is held against the per-pair loops it replaced
 (``oracles.triple_inverse``, ``triple_divide_monic``,
 ``triple_preparation``), and ``vertex_split`` against its Newton steps on
-whole triple series (``oracles.triple_vertex_split``).
+whole triple series (``oracles.triple_vertex_split``).  The packed
+derivative and division are held against ``PadicNum`` times an int and
+``PadicNum`` division, slot by slot.
 """
 
 import pytest
@@ -383,7 +385,7 @@ def test_compose_drops_only_dead_work(case):
     check(lambda: g.compose(h), lambda: table_compose(p, tg, th, M))
 
 
-# -- the packed derivative -------------------------------------------------------
+# -- the packed derivative and division ------------------------------------------
 
 
 @st.composite
@@ -403,13 +405,13 @@ def coefficient_and_exponent(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(coefficient_and_exponent())
-@example((2, (0, 1, 1), 2))  # k = 0 mod p^N: the product is zero-like
-@example((3, (-2, 1, 1), 9))  # ... and has no digits
-@example((5, (INF, 0, 2), 5))  # zero-like coefficient
-@example((3, (-3, 2, -1), 4))  # N <= 0: coercing k raises
+@example((2, (0, 1, 1), 2))  # k = 0 mod p^N: the product keeps c's digit, to p^(N + 1)
+@example((3, (-2, 1, 1), 9))  # ... and moves a negative valuation to 0
+@example((5, (INF, 0, 2), 5))  # zero-like coefficient, known to p^(N + 1)
+@example((3, (-3, 2, -1), 4))  # N <= 0: k is exact, so nothing raises
 def test_packed_derivative_matches_padic_product(case):
     """The packed derivative of c x^k, read back at degree k - 1, against
-    PadicNum ``c * k``, which coerces k at c's own precision."""
+    PadicNum ``c * k``, which takes k exact: known to N + v_p(k)."""
     p, (v, u, N), k = case
     c = PadicNum(p, v, u, N)
 
@@ -420,6 +422,26 @@ def test_packed_derivative_matches_padic_product(case):
     def packed():
         d = series._unpack(p, series._packed_derivative(p, series._pack({(k,): c}, k + 1)), k, N).c(k - 1)
         return d.v, d.u, d.N
+
+    assert outcome(packed) == outcome(scalar)
+
+
+@SETTINGS
+@given(st.sampled_from((2, 3, 5)).flatmap(lambda p: st.tuples(st.just(p), triple_series(p), coefficient(p))))
+@example((3, (4, {1: (0, 1, 8), 2: (INF, 0, 1)}), (1, 1, 3)))  # O(3) / 3 keeps no digit
+@example((2, (4, {1: (0, 1, 8)}), (INF, 0, 2)))  # zero-like divisor
+@example((5, (4, {1: (0, 1, 8), 2: (-1, 3, 6)}), (0, 2, 2)))  # the divisor's two digits bound both quotients
+def test_packed_div_matches_padic_division(case):
+    """``_packed_div`` against ``PadicNum`` division slot by slot in degree
+    order: the same triples, or the class and message of the first raise."""
+    p, (M, triples), (v, u, n) = case
+    a, d = to_series(p, M, triples), PadicNum(p, v, u, n)
+
+    def scalar():
+        return {e: (q.v, q.u, q.N) for e, q in ((e, c / d) for (e,), c in sorted(a.coeffs.items()))}
+
+    def packed():
+        return as_triples(series._unpack(p, series._packed_div(p, series._pack(a.coeffs, M), d), M, 30))
 
     assert outcome(packed) == outcome(scalar)
 

@@ -306,3 +306,55 @@ def test_congruent_matches_difference(case):
         return d.is_zero_like()
 
     assert outcome(lambda: x.congruent(y, prec)) == outcome(by_difference)
+
+
+@st.composite
+def value_and_int(draw):
+    """(p, (v, u, N), k): c zero-like (v INF) or of any valuation, negative
+    ones included, and a nonzero k of either sign, often divisible by p^N."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    N = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        c = (INF, 0, N)
+    else:
+        v = draw(st.integers(N - 6, N - 1))
+        c = (v, draw(st.integers(1, p ** (N - v) - 1).map(lambda x: x if x % p else x + 1)), N)
+    k = draw(st.integers(1, 10**6) | st.integers(1, 4).map(lambda m: m * p ** (N + draw(st.integers(0, 3)))))
+    return p, c, k * draw(st.sampled_from((1, -1)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(value_and_int())
+@example((2, (0, 1, 1), 8))  # k divisible by p^N: the digit of c moves up to p^3
+@example((3, (-2, 2, 1), -9))  # negative v, moved to 0 by k
+@example((5, (INF, 0, 2), 25))  # zero-like c: O(5^2) * 25 = O(5^4)
+def test_int_product_is_exact(case):
+    """c * k and k * c against the Fraction p^v u k: known to N + v_p(k),
+    right at every digit claimed, and with a canonical unit.  An exact zero
+    or k = 0 gives the exact zero."""
+    p, (v, u, N), k = case
+    c = PadicNum(p, v, u, N)
+    w = frac_val(k, p)
+    for got in (c * k, k * c):
+        assert got.N == N + w
+        if v == INF:
+            assert got.is_zero_like()
+            continue
+        assert got.v == v + w and got.u % p and 0 < got.u < p ** (got.N - got.v)
+        error = got.as_fraction() - c.as_fraction() * k
+        assert error == 0 or frac_val(error, p) >= got.N
+    assert (c * 0).is_exact_zero() and (0 * c).is_exact_zero()
+    assert (PadicNum.exact_zero(p) * k).is_exact_zero()
+
+
+def test_int_added_to_an_exact_zero_is_refused():
+    """An exact zero has no finite precision to coerce an int at."""
+    with pytest.raises(ValueError, match="no finite precision to coerce 3 at"):
+        PadicNum.exact_zero(5) + 3
+
+
+def test_exact_nonzero_times_an_int_stays_exact():
+    """PadicNum.one(p, INF), an exact 1, times -18 at p = 3 is -18 exactly,
+    with an integer unit."""
+    got = PadicNum.one(3, INF) * -18
+    assert (got.v, got.u, got.N) == (2, -2, INF) and type(got.u) is int

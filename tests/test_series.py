@@ -243,7 +243,8 @@ def test_exact_nonzero_coefficient_is_refused(nvars, series):
 def test_solve_from_an_exact_nonzero_is_refused():
     """The logarithm's packed solve starts from L'(0) = 1 at the series'
     precision, here INF: an exact nonzero, which the kernels read as an
-    absent slot.  Its result refuses it, as the constructor does."""
+    absent slot.  The recurrence refuses it up front, naming coeff_prec, not
+    a coefficient the caller never gave."""
     f = PSeries(3, 1, 4, {(1,): PadicNum(3, 1, 1, 5)}, INF)
-    with pytest.raises(ValueError, match=r"coefficient at \(1,\) has finite valuation and infinite precision"):
+    with pytest.raises(ValueError, match=r"needs a finite coeff_prec"):
         logarithm_recurrence(f)

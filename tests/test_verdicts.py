@@ -281,22 +281,27 @@ def test_precision_failure_in_a_stage_without_its_own_handler_is_reported(monkey
 
 STARVED_DLOG = (
     "stage logarithm starved: zero known to nonpositive precision carries no digits; "
-    "the inputs are the limit: they carry 3 digits, the working precision is 12; rebuild f and u with 12 digits"
+    "the inputs are the limit: they carry 3 digits, the working precision is 16; rebuild f and u with 16 digits"
 )
 
 
 def starved_dlog_entry():
-    """A three-digit pair whose logarithm derivative reads a coefficient
-    times 2 at one digit: the product has no digits to claim."""
-    f = PSeries.from_univariate_coeffs(2, [2, 5, 6], 4, 3)
-    u = PSeries.from_univariate_coeffs(2, [3, 7, 1], 4, 3)
-    return {"name": "starved_dlog", "p": 2, "N": 4, "M": 4, "f": f.to_json(), "u": u.to_json()}
+    """A three-digit pair whose logarithm stage has no digits to claim.
+    The derivative of the logarithm cannot starve any more, since c_k * k
+    takes k exact (c_k known to one digit, times 2 at p = 2, keeps its
+    digit), and the earlier case f = 2x + 5x^2 + 6x^3 at M = 4 now starves
+    at group_from_log.  Here f = 2x + 3x^2 starves in the recurrence: a
+    numerator zero to precision 1 divided by f'(0)^n - f'(0), of valuation
+    1, keeps no digit."""
+    f = PSeries.from_univariate_coeffs(2, [2, 3, 0], 8, 3)
+    u = PSeries.from_univariate_coeffs(2, [3, 1, 1], 8, 3)
+    return {"name": "starved_dlog", "p": 2, "N": 4, "M": 8, "f": f.to_json(), "u": u.to_json()}
 
 
 def test_starved_logarithm_derivative_is_inconclusive(tmp_path, capsys):
     entry = starved_dlog_entry()
     f, u = PSeries.from_json(entry["f"]), PSeries.from_json(entry["u"])
-    report = analyze(f, u, Config(N=4, M=4))
+    report = analyze(f, u, Config(N=entry["N"], M=entry["M"]))
     assert (report.verdict, report.reason) == (INCONCLUSIVE, STARVED_DLOG)
     assert sorted(report.data) == sections_through("normalization")
 
