@@ -29,8 +29,8 @@ from .errors import (
     TorsionDetected,
     TruncationInconclusive,
 )
-from .padic import INF, PadicNum, ceil_log, is_root_of_unity, padic_pow
-from .series import _ABSENT, PSeries, _pack, _packed_add, _packed_div, _solve_by_powers, _unpack, first_disagreement
+from .padic import _ABSENT, INF, PadicNum, ceil_log, is_root_of_unity, padic_pow
+from .series import PSeries, _iterates, _pack, _packed_add, _packed_div, _solve_by_powers, _unpack, first_disagreement
 from .polygon import iterate
 
 
@@ -106,6 +106,8 @@ def logarithm_limit(f: PSeries, n_max: int = None, keep: int = 0) -> Logarithm:
     The division by f'(0)^n is ``series._packed_div`` and each increment
     ``series._packed_add``.
     """
+    if f.coeff_prec == INF:
+        raise ValueError("logarithm_limit needs a finite coeff_prec: its iterates are normalised from the identity known to coeff_prec")
     p = f.prime
     M = f.x_prec
     c = f.linear_coeff()
@@ -114,13 +116,10 @@ def logarithm_limit(f: PSeries, n_max: int = None, keep: int = 0) -> Logarithm:
     ident = PSeries.identity(p, M, f.coeff_prec)
     if n_max == 0:
         return Logarithm(ident, stabilization=[])
-    table = f.power_table()
-    fn = norm = _pack(ident.coeffs, M)
+    norm = _pack(ident.coeffs, M)
     evidence = []
     kept = []
-    for n in range(1, n_max + 1):
-        V, U, N = table.sum(fn, 1, M)
-        fn = [_ABSENT] + V, [0] + U, [_ABSENT] + N
+    for n, fn in zip(range(1, n_max + 1), _iterates(f)):
         if n <= keep:
             kept.append(_unpack(p, fn, M, f.coeff_prec))
         prev, norm = norm, _packed_div(p, fn, c**n)

@@ -36,8 +36,8 @@ from .errors import (
     NonUniqueLift,
     PrecisionExhausted,
 )
-from .padic import PadicNum
-from .series import _ABSENT, PSeries, _operand, _pack, _packed_derivative, _packed_div_int, _part, _part_mul, _part_sum, _parts, _product, first_disagreement, raise_if_not_integral
+from .padic import _ABSENT, PadicNum
+from .series import PSeries, _operand, _pack, _packed_derivative, _packed_div_int, _part, _part_mul, _part_sum, _parts, _product, first_disagreement, raise_if_not_integral
 from .dynamics import Logarithm
 
 

@@ -12,6 +12,12 @@ precision both infinite).  ``zero_to_prec(N)`` records only that the value
 is divisible by ``p^N``: its true valuation is some unknown quantity >= N.
 Nonzero values never carry infinite precision: a generic unit has an
 infinite p-adic expansion, so exactness is reserved for zero.
+
+The packed kernels of ``series`` apply the same rules to bare triples:
+``_scaled`` normalises one value, ``add_triples``, ``mul_triples`` and
+``scale_int`` are ``PadicNum``'s sum, product and product by an int, and
+``reduce_terms`` normalises whole lists of slot sums, raising where one
+keeps no digit.
 """
 
 import math
@@ -27,6 +33,13 @@ from .errors import (
 
 INF = math.inf
 _ZERO_NO_DIGITS = "zero known to nonpositive precision carries no digits"
+
+# The packed lists of ``series`` keep every entry an int: _ABSENT stands for
+# INF as a valuation (a zero-like or absent coefficient) and as a precision
+# (an absent coefficient, an exact zero), and a sum at or above _HALF
+# involves an absent entry.
+_ABSENT = 1 << 62
+_HALF = _ABSENT >> 1
 
 
 _PRIME_POWERS = {}  # p -> [1, p, p^2, ...], grown on demand to p^_POWERS_KEPT at most
@@ -137,7 +150,7 @@ class PadicNum:
     def from_int(cls, c: int, p: int, N: int) -> "PadicNum":
         if c == 0:
             return cls.exact_zero(p)
-        return cls._from_scaled(p, 0, c, N)
+        return cls(p, *_scaled(p, 0, c, N))
 
     @classmethod
     def from_fraction(cls, q, p: int, N: int) -> "PadicNum":
@@ -161,11 +174,6 @@ class PadicNum:
         if N <= 0:
             raise PrecisionExhausted(f"one known to precision {N} carries no digits")
         return cls(p, 0, 1, N)
-
-    @classmethod
-    def _from_scaled(cls, p: int, m, r: int, K) -> "PadicNum":
-        """Value p^m * r where the integer r is known modulo p^(K - m)."""
-        return cls(p, *_scaled(p, m, r, K))
 
     # -- predicates ----------------------------------------------------
 
@@ -274,12 +282,7 @@ class PadicNum:
         a, b = self, other
         if a.is_exact_zero() or b.is_exact_zero():
             return PadicNum.exact_zero(a.p)
-        if a.v == INF or b.v == INF:
-            # v(ab) >= bound(a) + floor(b)
-            return PadicNum.zero_to_prec(a.p, a.val_floor() + b.val_floor())
-        rel = min(a.N - a.v, b.N - b.v)
-        u = a.u * b.u % a.p**rel
-        return PadicNum(a.p, a.v + b.v, u, a.v + b.v + rel)
+        return PadicNum(a.p, *mul_triples(a.p, a.v, a.u, a.N, b.v, b.u, b.N))
 
     __rmul__ = __mul__
 
@@ -413,6 +416,17 @@ def add_triples(p: int, va, ua, na, vb, ub, nb) -> tuple:
     return _scaled(p, m, r, min(na, nb))
 
 
+def mul_triples(p: int, va, ua, na, vb, ub, nb) -> tuple:
+    """The rule of ``PadicNum.__mul__`` on two values, neither an exact
+    zero, as a (v, u, N) triple: a zero-like factor gives a zero known to
+    the sum of the valuation floors, which raises where that is <= 0, and
+    two finite ones keep the lesser relative precision."""
+    if va == INF or vb == INF:  # v(ab) >= bound(a) + floor(b)
+        return _scaled(p, INF, 0, (na if va == INF else va) + (nb if vb == INF else vb))
+    rel = min(na - va, nb - vb)
+    return va + vb, ua * ub % p**rel, va + vb + rel
+
+
 def scale_int(p: int, v, u, N, k: int) -> tuple:
     """The rule of ``PadicNum`` times a nonzero int k, which is exact
     (Caruso, Roe and Vaccon, "Tracking p-adic precision", 2014): with
@@ -433,32 +447,31 @@ def neg_unit(p: int, v, u, N) -> int:
     return -u % p ** (N - v)
 
 
-def reduce_terms(p: int, terms) -> PadicNum:
-    """Sum a list of (valuation, unit, abs_prec) triples in one pass.
-
-    Triples with valuation INF contribute only their precision bound.  This
-    is the accumulation kernel behind series multiplication: it avoids one
-    normalization per addition.
-    """
-    K = INF
-    m = INF
-    for v, _, n in terms:
-        if n < K:
-            K = n
-        if v < m:
-            m = v
-    if K == INF:
-        return PadicNum.exact_zero(p)
-    if m == INF or m >= K:
-        if K <= 0:
-            raise PrecisionExhausted("sum has no significant digits")
-        return PadicNum.zero_to_prec(p, K)
-    P = prime_powers(p, K - m)
-    r = 0
-    for v, u, _ in terms:
-        if v != INF and v - m < K - m:
-            r += u * P[v - m]
-    return PadicNum._from_scaled(p, m, r % P[K - m], K)
+def reduce_terms(p: int, t: int, S, K, least=None) -> tuple:
+    """The one normalise-and-raise rule of the packed kernels of ``series``:
+    slot k is the integer sum S[k] of its terms at the shift t, known
+    modulo p^K[k] (absent where K[k] >= _HALF), K the caller's ledger
+    (Caruso, Roe and Vaccon, "Tracking p-adic precision", 2014).  Returns
+    the lists (V, U, R) with R[k] = S[k] mod p^(K[k] - t): where R[k] != 0
+    the slot has valuation t + v_p(R[k]) and the unit left after stripping
+    p, else it is zero-like (V[k] = _ABSENT, U[k] = 0).  A zero-like slot at
+    K <= 0 keeps no digit: given ``least``, from k to the least valuation m
+    among slot k's terms, the first such slot raises PrecisionExhausted
+    ("sum has no significant digits" where m >= K, else that of a zero
+    without digits); without ``least`` it is kept."""
+    P = prime_powers(p, 0)  # grown as the slots need
+    V, U, R = [_ABSENT] * len(K), [0] * len(K), [0] * len(K)
+    for k, n in enumerate(K):
+        if n >= _HALF:
+            continue
+        if n - t >= len(P):
+            P = prime_powers(p, n - t)
+        if n > t and (r := S[k] % P[n - t]):
+            w = vp_int(r, p)
+            V[k], U[k], R[k] = t + w, r // P[w], r
+        elif n <= 0 and least is not None:
+            raise PrecisionExhausted("sum has no significant digits" if least(k) >= n else _ZERO_NO_DIGITS)
+    return V, U, R
 
 
 # -- analytic functions ------------------------------------------------------

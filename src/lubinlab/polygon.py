@@ -17,10 +17,12 @@ few polynomial products and exact divisions by a monic factor
 steps refine.  A slope's cofactor is the unit series times the factors
 split off beside it.  The layer has one recurrence, ``series._packed_solve``:
 it forms the preparation's inverses 1/g_hi and 1/q, and a monic division
-is the same solve on the reversed polynomials, rev(D) rev(q) = rev(P).  The
-preparation and the splits run on the packed lists of ``series``: products
-are ``_product`` and ``_packed_mul``, and sums and differences
-``_packed_add``, the addition of ``PSeries`` too.  A preparation lays out
+is the same solve on the reversed polynomials, rev(D) rev(q) = rev(P),
+with no scalar per coefficient.  The preparation and the splits run on
+the packed lists of ``series``: products are ``_product`` and
+``_packed_mul``, sums and differences ``_packed_add``, the addition of
+``PSeries`` too, and a division's quotient and remainder stay packed, as
+does the chain of iterates (``iterate``).  A preparation lays out
 its fixed operands once and keeps the precision ledgers of its products
 by their operands' precision lists, which settle after a few passes, so
 most passes compute none.  A series is prepared once per ``target_prec``,
@@ -29,10 +31,11 @@ keeps that work on the series.
 """
 
 from fractions import Fraction
+from itertools import islice
 
 from .errors import PrecisionExhausted, TruncationInconclusive
-from .padic import INF, PadicNum
-from .series import _ABSENT, _HALF, PSeries, _coeff, _factor, _fold, _operand, _pack, _packed_add, _packed_mul, _packed_solve, _product, _unpack, first_disagreement
+from .padic import _ABSENT, _HALF, INF, PadicNum, add_triples, mul_triples, neg_unit
+from .series import PSeries, _factor, _fold, _iterates, _operand, _pack, _packed_add, _packed_mul, _packed_solve, _padded, _product, _unpack, first_disagreement
 
 
 class Segment:
@@ -211,11 +214,11 @@ def count_roots_open_disk(g: PSeries) -> int:
 
 
 def iterate(f: PSeries, n: int) -> PSeries:
-    """n-fold self-composition of a univariate series, f^(k+1) = f^k ∘ f."""
-    out = PSeries.identity(f.prime, f.x_prec, f.coeff_prec)
-    for _ in range(n):
-        out = out.compose(f)
-    return out
+    """n-fold self-composition of a univariate series, f^(k+1) = f^k ∘ f,
+    on packed lists: the chain of tabled sums of ``series._iterates``."""
+    if n <= 0:
+        return PSeries.identity(f.prime, f.x_prec, f.coeff_prec)
+    return _unpack(f.prime, next(islice(_iterates(f), n - 1, None)), f.x_prec, f.coeff_prec)
 
 
 def verify_iterate_shape(f: PSeries, n: int, fn: PSeries = None) -> bool:
@@ -387,7 +390,7 @@ def vertex_split(P: PSeries, degree: int, istar: int):
 
 def _reverse(a, d: int):
     """Packed a read up to x^d and reversed: slot j holds a_(d - j)."""
-    return tuple((x[: d + 1] + [fill] * (d + 1 - len(x)))[::-1] for x, fill in zip(a, (_ABSENT, 0, _ABSENT)))
+    return tuple(x[::-1] for x in _padded(a, d + 1))
 
 
 def _poly_divide_monic(p: int, P, degree: int, D, ddeg: int):
@@ -401,26 +404,28 @@ def _poly_divide_monic(p: int, P, degree: int, D, ddeg: int):
     ddeg, is one ``_fold`` each.  Each coefficient is formed as one sum, so
     it is the schoolbook long division's wherever that keeps digits at
     every subtraction; it raises where the whole sum keeps none, and, as
-    the long division does, where q_k less q_k times D's lead keeps none.
+    the long division does, where q_k less q_k times D's lead keeps none
+    (by ``padic.mul_triples`` and ``add_triples``).
     """
     qdeg = degree - ddeg
     rD = _reverse(D, ddeg)
     rq = _packed_solve(p, rD, _reverse(P, degree), qdeg + 1)
-    lead = _coeff(p, rD, 0)
-    for i, (v, n) in enumerate(zip(rq[0], rq[2]) if lead is not None else ()):
-        if n != _ABSENT and min(n, n + lead.val_floor(), (n if v == _ABSENT else v) + lead.N) <= 0:
-            b = _coeff(p, rq, i)
-            b - b * lead  # raises where it keeps no digits
+    lv, lu, ln = (x[0] for x in rD)  # D's lead
+    c = min(0, lv, ln)  # q_k less q_k times the lead can lose every digit only where n + c <= 0 or v + ln <= 0
+    for v, u, n in zip(*rq) if ln != _ABSENT else ():
+        if n != _ABSENT and (n + c <= 0 or v + ln <= 0):
+            b, lead = (INF if v == _ABSENT else v, u, n), (INF if lv == _ABSENT else lv, lu, ln)
+            pv, pu, pn = mul_triples(p, *b, *lead)
+            add_triples(p, *b, pv, pu if pv == INF else neg_unit(p, pv, pu, pn), pn)  # raises where it keeps no digits
     # r_e pairs D_(e-k), from rD's slots 1.. (D_(ddeg-1) .. D_0), with q_k
     sd, Dlow = _factor(p, *(x[1:] for x in rD))
     q = tuple(x[::-1] for x in rq)
     sq, Q = _factor(p, *q)
-    rem = {}
-    for e in range(min(ddeg, degree + 1)):
-        r = _fold(p, _coeff(p, P, e), [x[ddeg - 1 - e :] for x in Dlow], Q, sd + sq)
-        if r is not None:
-            rem[(e,)] = r
-    return q, _pack(rem, ddeg)
+    R = [], [], []
+    for e, c in enumerate(zip(*_padded(P, min(ddeg, degree + 1)))):
+        for r, y in zip(R, _fold(p, c, [x[ddeg - 1 - e :] for x in Dlow], Q, sd + sq)):
+            r.append(y)
+    return q, _padded(R, max((e for e, n in enumerate(R[2]) if n != _ABSENT), default=0) + 1)
 
 
 def weierstrass_factor(g: PSeries, slope, target_prec=None):

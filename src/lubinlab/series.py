@@ -11,19 +11,20 @@ under the rule of ``PadicNum.__add__`` (``_packed_add``), a product in two
 stages: an operand stage (``_operand``) drops a series' leading exact zeros
 (its x-adic order) and lays out its values and precision pairs once, and a
 product stage (``_product``) multiplies two operands and returns the result
-both packed and as an operand; ``_packed_mul`` is the two in a row.  The
-packed kernels normalise with the powers of p of ``padic.prime_powers`` and
-the valuations of ``padic.vp_int``.  A derivative multiplies slot k by the
-exact integer k (``_packed_derivative`` under ``padic.scale_int``) and a
-division by a scalar runs slot by slot (``_packed_div``), both on the
-packed integers.  Inverses and the quotients of monic
-divisions are one recurrence on the same lists (``_packed_solve``): each
-coefficient is one sum against the coefficients already found (``_fold``),
-with the ledger and the raise rule of ``_product``.  The bivariate kernel
-holds a series as its homogeneous parts: part k keys the coefficients of
-total degree k by a for x^a y^(k-a), and a part of a product is one pass
-over the pairs of entries (``_part_sum``), the kernel of the lift's Horner
-intermediates and of the associativity certificate.
+both packed and as an operand; ``_packed_mul`` is the two in a row.  Each
+product, tabled sum and part sum normalises its slots with one
+``padic.reduce_terms``, the one normalise-and-raise rule of the kernels.
+A derivative multiplies slot k by the exact integer k
+(``_packed_derivative`` under ``padic.scale_int``) and a division by a
+scalar runs slot by slot (``_packed_div``).  Inverses and the quotients of
+monic divisions are one recurrence on the same lists (``_packed_solve``):
+each coefficient is one sum against those already found (``_fold``),
+normalised by ``padic._scaled``, the rule of a scalar, with no
+``PadicNum`` per coefficient.  The bivariate kernel holds a series as its
+homogeneous parts: part k keys the coefficients of total degree k by a
+for x^a y^(k-a), and a part of a product is one pass over the pairs of
+entries (``_part_sum``), the kernel of the lift's Horner intermediates
+and of the associativity certificate.
 
 Series and certificates compare by one rule (``first_disagreement``): a
 pair of coefficients disagrees only at digits both claim, and a pair with no
@@ -35,10 +36,10 @@ first series substituted into another gets a power table (``_PowerTable``),
 the powers h^1, h^2, ... kept as per-degree columns and grown only to the
 highest power a composition reads, each one product of h's operand and
 the last power's.  g(h) is then, at each degree d, the sum of c_k
-[h^k]_d under the ledger rule of ``reduce_terms``; so are a
-multiple g(a h) and a truncation, which is how the iterate chain, the
-brackets and the Frobenius search share the tables of f and of the
-logarithm.  On inner series without constant term truncation commutes with
+[h^k]_d (``_PowerTable.sum``); so are a multiple g(a h) and a
+truncation, which is how the iterate chain (``_iterates``), the brackets
+and the Frobenius search share the tables of f and of the logarithm.  On
+inner series without constant term truncation commutes with
 composition, so no x-adic accuracy is lost beyond min(x_prec).  Reversion
 and the logarithm recurrence of ``dynamics`` are one degree-by-degree solve
 against the same table (``_solve_by_powers``), and each row of the group
@@ -58,7 +59,7 @@ from .errors import (
     PrecisionExhausted,
     PrimeMismatch,
 )
-from .padic import INF, PadicNum, add_triples, neg_unit, prime_powers, reduce_terms, require_prime, scale_int, vp_int
+from .padic import _ABSENT, _HALF, INF, PadicNum, _scaled, add_triples, neg_unit, prime_powers, reduce_terms, require_prime, scale_int, vp_int
 
 
 class PSeries:
@@ -413,6 +414,18 @@ def _solve_by_powers(h: PSeries, a1: PadicNum, lam: PadicNum) -> PSeries:
     return _unpack(p, (V, U, N), h.x_prec, h.coeff_prec)
 
 
+def _iterates(f: PSeries):
+    """The packed iterates f^1, f^2, ... of a univariate f without constant
+    term below its truncation, f^(n+1) = f^n ∘ f as ``compose`` forms it:
+    each one tabled sum, on the power table of f, of the last."""
+    M = f.x_prec
+    fn, table = _pack(PSeries.identity(f.prime, M, f.coeff_prec).coeffs, M), f.power_table()
+    while True:
+        V, U, N = table.sum(fn, 1, M)
+        fn = [_ABSENT] + V, [0] + U, [_ABSENT] + N
+        yield fn
+
+
 # -- homogeneous parts: the bivariate kernel ----------------------------------
 
 
@@ -440,11 +453,10 @@ def _part_mul(p: int, A, B, e: int) -> list:
 def _part_sum(p: int, pairs, size: int, raises: bool = True) -> list:
     """sum P_a P_b over the pairs of factors (P_a, P_b), keys below size, as
     (key, coefficient) items in key order: one pass over the pairs of
-    entries keeps per key the ledger K = min(N_a + F_b, F_a + N_b) of
-    ``reduce_terms`` and the integer sum of the X_a X_b at the least shift,
-    then normalises it as ``reduce_terms`` would.  The first key without
-    digits raises, or without ``raises`` is kept zero-like at its precision
-    K <= 0."""
+    entries keeps per key the ledger K = min(N_a + F_b, F_a + N_b) and the
+    integer sum of the X_a X_b at the least shift, then one
+    ``reduce_terms`` normalises every key.  The first key without digits
+    raises, or without ``raises`` is kept zero-like at its precision K <= 0."""
     pairs = [(A, B) for A, B in pairs if A[1] and B[1]]
     t = min((sa + sb for (sa, _), (sb, _) in pairs), default=0)
     P = prime_powers(p, max((sa + sb for (sa, _), (sb, _) in pairs), default=t) - t)
@@ -461,33 +473,21 @@ def _part_sum(p: int, pairs, size: int, raises: bool = True) -> list:
                     n = m
                 if n < K[key]:
                     K[key] = n
-    out = []
-    P = prime_powers(p, max(filter(_HALF.__gt__, K), default=t) - t)
-    for key, n in enumerate(K):
-        if n == _ABSENT:
-            continue
-        r = S[key] % P[n - t] if n > t else 0
-        if r:
-            w = vp_int(r, p)
-            out.append((key, PadicNum(p, t + w, r // P[w], n)))
-        elif n > 0 or not raises:  # zero to its precision
-            out.append((key, PadicNum(p, INF, 0, n)))
-        else:  # no digits: the error of reduce_terms for the least term valuation m
-            m = min((fa + fb for (_, Pa), (_, Pb) in pairs for ka, xa, _, fa in Pa for kb, xb, _, fb in Pb if ka + kb == key and xa and xb), default=INF)
-            reduce_terms(p, [(m, 0, n)])
-    return out
+
+    def least(key):  # the least valuation among the terms of the key
+        return min((fa + fb for (_, Pa), (_, Pb) in pairs for ka, xa, _, fa in Pa for kb, xb, _, fb in Pb if ka + kb == key and xa and xb), default=INF)
+
+    V, U, _ = reduce_terms(p, t, S, K, least if raises else None)
+    return [(key, PadicNum(p, INF if V[key] == _ABSENT else V[key], U[key], n)) for key, n in enumerate(K) if n < _HALF]
 
 
 # -- packed univariate kernel ------------------------------------------------
 #
 # A univariate series below degree M is packed as three lists indexed by
 # degree: V (valuation), U (unit residue) and N (absolute precision).  The
-# int _ABSENT stands for INF in V (coefficient zero-like or absent) and in N
-# (coefficient absent, i.e. an exact zero); keeping every entry an int keeps
-# the min-plus ledger in integer arithmetic.
-
-_ABSENT = 1 << 62
-_HALF = _ABSENT >> 1  # sums at or above this involve an absent coefficient
+# int ``padic._ABSENT`` stands for INF in V (coefficient zero-like or absent)
+# and in N (coefficient absent, i.e. an exact zero); keeping every entry an
+# int keeps the min-plus ledger in integer arithmetic.
 
 
 def _pack(coeffs: dict, M: int):
@@ -523,8 +523,7 @@ def _packed_add(p: int, a, b, negate: bool = False):
     negates), and two present slots meet under ``padic.add_triples``, the
     rule of ``PadicNum.__add__``, which raises at the first slot, by
     degree, that keeps no digit."""
-    L = max(len(a[0]), len(b[0]))
-    V, U, N = (x + [fill] * (L - len(x)) for x, fill in zip(a, (_ABSENT, 0, _ABSENT)))
+    V, U, N = _padded(a, max(len(a[0]), len(b[0])))
     for k, (vb, ub, nb) in enumerate(zip(*b)):
         if nb == _ABSENT:
             continue
@@ -537,12 +536,9 @@ def _packed_add(p: int, a, b, negate: bool = False):
     return V, U, N
 
 
-def _coeff(p: int, packed, k: int):
-    """Slot k of a packed series as a ``PadicNum``, None where it is absent."""
-    V, U, N = packed
-    if k >= len(N) or N[k] >= _HALF:
-        return None
-    return PadicNum(p, INF if V[k] >= _HALF else V[k], U[k], N[k])
+def _padded(a, L: int):
+    """Packed a cut, or padded with absent slots, to max(L, 0) slots (new lists)."""
+    return tuple(x[: max(L, 0)] + [fill] * (L - len(x)) for x, fill in zip(a, (_ABSENT, 0, _ABSENT)))
 
 
 def _packed_derivative(p: int, c):
@@ -569,32 +565,38 @@ def _packed_div(p: int, c, d: PadicNum):
     V, U, N = c
     if d.v == INF and min(N, default=_ABSENT) != _ABSENT:
         raise DivisionByZeroToPrecision(f"divisor is zero to precision O({p}^{d.N})")
-    qV, qU, qN = [_ABSENT] * len(V), [0] * len(V), [_ABSENT] * len(V)
     top = max((min(n - v, d.N - d.v) for v, n in zip(V, N) if v != _ABSENT), default=0)
-    P = prime_powers(p, top)
-    inv = pow(d.u, -1, P[top]) if top else 0  # to the most relative digits a slot keeps
+    inv = pow(d.u, -1, p**top) if top else 0  # to the most relative digits a slot keeps
+    q = [_ABSENT] * len(V), [0] * len(V), [_ABSENT] * len(V)
     for k, (v, u, n) in enumerate(zip(V, U, N)):
-        if n == _ABSENT:
-            continue
-        if v == _ABSENT:  # zero_to_prec raises where no digit is left
-            qN[k] = PadicNum.zero_to_prec(p, n - d.v).N
-        else:
-            rel = min(n - v, d.N - d.v)
-            qV[k], qU[k], qN[k] = v - d.v, u * inv % P[rel], v - d.v + rel
-    return qV, qU, qN
+        if n != _ABSENT:
+            q[0][k], q[1][k], q[2][k] = _div_slot(p, v, u, n, d, inv)
+    return q
+
+
+def _div_slot(p: int, v, u, n, d: PadicNum, inv: int) -> tuple:
+    """A present slot (v, u, n) over d by the rule of ``_packed_div``, inv
+    the inverse of d's unit to at least the slot's relative digits."""
+    if v == _ABSENT:
+        return _ABSENT, 0, PadicNum.zero_to_prec(p, n - d.v).N
+    rel = min(n - v, d.N - d.v)
+    return v - d.v, u * inv % prime_powers(p, rel)[rel], v - d.v + rel
 
 
 def _packed_div_int(p: int, c, q: int):
-    """A packed series divided exactly by an integer q >= 1: valuations and
-    precisions drop by v_p(q), units are multiplied by the inverse of q's
-    unit part."""
+    """A packed series divided exactly by an integer q >= 1, slot by slot as
+    ``PadicNum.div_int`` divides: valuations and precisions drop by v_p(q),
+    and each unit is multiplied by the inverse of q's unit part modulo its
+    own slot's p^(N - v).  A zero-like slot whose N - v_p(q) is <= 0 is
+    kept at that precision, where ``div_int`` raises."""
     V, U, N = c
     w = vp_int(q, p)
-    mod = p ** max((n - v for v, n in zip(V, N) if v != _ABSENT), default=1)
-    inv = pow(q // p**w, -1, mod)
+    top = max((n - v for v, n in zip(V, N) if v != _ABSENT), default=1)
+    P = prime_powers(p, top)
+    inv = pow(q // p**w, -1, P[top])
     return (
         [v if v == _ABSENT else v - w for v in V],
-        [u * inv % mod for u in U],
+        [u if v == _ABSENT else u * inv % P[n - v] for v, u, n in zip(V, U, N)],
         [n if n >= _HALF else n - w for n in N],
     )
 
@@ -667,11 +669,10 @@ def _product(p: int, a: _Operand, b: _Operand, M: int, raises: bool = True, ledg
 
         K_k = min over i+j=k of min(N_a[i] + v'_b[j], v'_a[i] + N_b[j])
 
-    with v' the valuation floor (v, or N for a zero-like coefficient), which
-    is the rule ``reduce_terms`` applies to the term triples of the dict
-    product.  Each output coefficient is then normalised as
-    ``reduce_terms`` would normalise its terms, raising PrecisionExhausted
-    in the same cases (or, without ``raises``, keeping them zero-like).
+    with v' the valuation floor (v, or N for a zero-like coefficient), the
+    ledger of the dict product's term triples.  One ``reduce_terms`` then
+    normalises every output coefficient, raising PrecisionExhausted where
+    one keeps no digit (or, without ``raises``, keeping it zero-like).
 
     Leading absent slots (the x-adic orders ta and tb) add nothing to a
     value, to the ledger or to the raise path, and every degree below
@@ -709,28 +710,18 @@ def _product(p: int, a: _Operand, b: _Operand, M: int, raises: bool = True, ledg
         ledger = ledgers.get(key)
         if ledger is None:
             ledger = ledgers[key] = _ledger(A2, B2, nin)
-    P = prime_powers(p, max(filter(_HALF.__gt__, ledger), default=s) - s)
-    V, U, R = [], [], []  # R: the values over p^s
-    for k, K in enumerate(ledger):
-        v, u, r = _ABSENT, 0, 0
-        if K != _ABSENT:
-            if K > s and (r := C[k] % P[K - s]):
-                w = vp_int(r, p)
-                v, u = s + w, r // P[w]
-            elif K <= 0 and raises:
-                # no digits survive; reduce_terms raises, naming the case
-                # from the least valuation among the terms
-                i0 = max(0, k - Lb + 1)
-                m = min(map(add, a.V[i0:], b.V[k - i0 :: -1]))
-                reduce_terms(p, [(INF if m >= _HALF else m, 0, K)])
-        V.append(v)
-        U.append(u)
-        R.append(r)
+
+    def least(k):  # the least valuation among the terms of degree k
+        i0 = max(0, k - Lb + 1)
+        return min(map(add, a.V[i0:], b.V[k - i0 :: -1]))
+
+    V, U, R = reduce_terms(p, s, C, ledger, least if raises else None)  # R: the values over p^s
     least = min(V)
     if least >= _HALF:
         op = _Operand(t, V, ledger, 0, None)
     else:
-        op = _Operand(t, V, ledger, least, R if least == s else [r // P[least - s] for r in R])
+        q = p ** (least - s)
+        op = _Operand(t, V, ledger, least, R if q == 1 else [r // q for r in R])
     return ([_ABSENT] * t + V, [0] * t + U, [_ABSENT] * t + ledger), op
 
 
@@ -759,33 +750,31 @@ def _factor(p: int, V, U, N):
 
 
 def _fold(p: int, c, a, b, s: int):
-    """c - sum_k a_k b_k for a ``PadicNum`` c (or None) and the aligned
-    factors a and b of ``_factor``, s the sum of their shifts, as one
-    ``reduce_terms``: the ledger K is the least of c's precision and the
-    rule of ``_product``, min(N_a + v'_b, v'_a + N_b) over k, two
-    min(map(add)), and the value one integer sum.  At K <= 0 it raises where
-    the per-pair products and ``reduce_terms`` do: first where a zero-like
-    factor's product keeps no digits (as ``PadicNum.__mul__``), then from
-    the least term valuation.  Without terms it is c itself (None for an
-    exact zero)."""
+    """c - sum_k a_k b_k for a packed slot c = (v, u, N) and the aligned
+    factors a and b of ``_factor``, s the sum of their shifts, as a packed
+    slot: the ledger K is the least of c's precision and the rule of
+    ``_product``, min(N_a + v'_b, v'_a + N_b) over k, two min(map(add)), and
+    the value one integer sum, normalised by ``padic._scaled``, the rule of
+    a scalar.  At K <= 0 it raises where the per-pair products and a sum of
+    terms do: first where a zero-like factor's product keeps no digits (as
+    ``PadicNum.__mul__``), then as ``reduce_terms`` does from the least term
+    valuation.  Without terms it is c itself."""
     (Va, Fa, Na, Xa), (Vb, Fb, Nb, Xb) = a, b
     K = min(min(map(add, Na, Fb), default=_ABSENT), min(map(add, Fa, Nb), default=_ABSENT))
     if K >= _HALF:
         return c
-    t, S = s, -sum(map(mul, Xa, Xb))
-    if c is not None:
-        K = min(K, c.N)
-        if c.v != INF:
-            t = min(s, c.v)
-            S = c.u * p ** (c.v - t) + S * p ** (s - t)
+    cv, cu, cn = c
+    t, S, K = s, -sum(map(mul, Xa, Xb)), min(K, cn)
+    if cv < _HALF:
+        t = min(s, cv)
+        S = cu * p ** (cv - t) + S * p ** (s - t)
     if K > 0:
-        return reduce_terms(p, [(t, S, K)])
+        v, u, K = _scaled(p, t, S, K)
+        return _ABSENT if v == INF else v, u, K
     if any(f + g <= 0 for x, y, f, g in zip(Va, Vb, Fa, Fb) if _ABSENT in (x, y)):
         PadicNum.zero_to_prec(p, 0)  # raises, as the zero-like product does
-    m = min(map(add, Va, Vb), default=_ABSENT)
-    if c is not None and c.v != INF:
-        m = min(m, c.v)
-    return reduce_terms(p, [(m, S // p ** (m - t), K)] if m < _HALF else [(INF, 0, K)])
+    (v,), (u,), _ = reduce_terms(p, t, [S], [K], lambda _: min(min(map(add, Va, Vb), default=_ABSENT), cv))
+    return v, u, K
 
 
 def _packed_solve(p: int, a, c, M: int, a0: PadicNum = None):
@@ -796,30 +785,29 @@ def _packed_solve(p: int, a, c, M: int, a0: PadicNum = None):
     for packed a (slot 0 unread) and c, without the division when a0 is
     None: 1/a is c = 1, a0 = a_0, and the reversed quotient of a monic
     division is a = rev(D), c = rev(P).  Each numerator is one ``_fold`` of
-    a_n .. a_1 against the b found so far, whose integers are rescaled when
-    a lower valuation appears, so the shift is the least valuation of a
-    plus that of b.  a0 enters through ``PadicNum``, one division each.
+    c_n and a_1 .. a_n against the b found so far, newest first, whose
+    integers are rescaled when a lower valuation appears, so the shift is
+    the least valuation of a plus that of b.  The division by a0, of finite
+    valuation and precision, is ``_packed_div``'s rule for a slot.
     """
-    sa, A = _factor(p, *(x[1:M][::-1] for x in a))  # a_L .. a_1
-    L = len(A[0])
-    V, U, N, F, X = [], [], [], [], []
+    sa, A = _factor(p, *(x[1:M] for x in a))  # a_1 .. a_L
+    inv = None if a0 is None else pow(a0.u, -1, p ** (a0.N - a0.v))
+    V, U, N, F, X = [], [], [], [], []  # V, N, F and X hold b_(n-1) .. b_0: b_(n-k) meets a_k
     sb = 0
-    for n in range(M):
-        lo = max(0, n - L)  # b_lo .. b_(n-1) meet a_(n-lo) .. a_1
-        b = _fold(p, _coeff(p, c, n), [x[L - n + lo :] for x in A], (V[lo:], F[lo:], N[lo:], X[lo:]), sa + sb)
-        v, u, k = _ABSENT, 0, _ABSENT
-        if b is not None:
-            b = b if a0 is None else b / a0
-            v, u, k = _ABSENT if b.v == INF else b.v, b.u, b.N
+    for cn in zip(*_padded(c, M)):
+        v, u, k = _fold(p, cn, A, (V, F, N, X), sa + sb)
+        if k != _ABSENT:
+            if a0 is not None:
+                v, u, k = _div_slot(p, v, u, k, a0, inv)
             if v < sb:
                 X = [x * p ** (sb - v) for x in X]
                 sb = v
-        V.append(v)
+        V.insert(0, v)
         U.append(u)
-        N.append(k)
-        F.append(k if v == _ABSENT else v)
-        X.append(0 if v == _ABSENT else u * p ** (v - sb))
-    return V, U, N
+        N.insert(0, k)
+        F.insert(0, k if v == _ABSENT else v)
+        X.insert(0, 0 if v == _ABSENT else u * p ** (v - sb))
+    return V[::-1], U, N[::-1]
 
 
 class _PowerTable:
@@ -865,10 +853,10 @@ class _PowerTable:
 
     def sum(self, c, lo: int, D: int):
         """Packed sum_k c_k [h^k]_d for lo <= d < D from packed c_k (slot 0
-        unread): the ``reduce_terms`` rule K_d = min_k min(N_c_k + v'[h^k]_d,
-        v'_c_k + N[h^k]_d), and one integer sum of the c_k, scaled to the
-        least valuation t of c_k p^s_k, against column d.  Only a degree
-        without digits at K_d <= 0 raises, as ``reduce_terms`` does."""
+        unread): the ledger K_d = min_k min(N_c_k + v'[h^k]_d, v'_c_k +
+        N[h^k]_d), and one integer sum of the c_k, scaled to the least
+        valuation t of c_k p^s_k, against column d; one ``reduce_terms``
+        normalises the degrees, and one without digits at K_d <= 0 raises."""
         p = self.p
         top = min(len(c[0]), D) - 1
         self.grow(top)
@@ -878,24 +866,18 @@ class _PowerTable:
         t = min(scaled, default=0)
         P = prime_powers(p, max(scaled, default=t) - t)
         C = [0 if v == _ABSENT else u * P[v + s - t] for v, u, s in zip(Vc, Uc, self.shift)]
-        V, U, N = [_ABSENT] * (D - lo), [0] * (D - lo), [_ABSENT] * (D - lo)
+        S, N = [0] * (D - lo), [_ABSENT] * (D - lo)
         for d in range(lo, D):
-            X, Nd, Fd = self.X[d], self.N[d], self.F[d]
-            K1 = min(map(add, Nc, Fd), default=_ABSENT)
-            K = min(K1, min(map(add, Fc, Nd), default=_ABSENT))
-            v, r = _ABSENT, 0
-            if K >= _HALF:
-                K = _ABSENT
-            elif K > t:
-                if K - t >= len(P):
-                    P = prime_powers(p, K - t)
-                if r := sum(map(mul, C, X)) % P[K - t]:
-                    w = vp_int(r, p)
-                    v, r = t + w, r // P[w]
-            if K <= 0 and r == 0:  # raise as reduce_terms does, from the least term valuation
-                m = min((a + b for a, b, x in zip(Vc, Fd, X) if a != _ABSENT and x), default=INF)
-                reduce_terms(p, [(m, 0, K)])
-            V[d - lo], U[d - lo], N[d - lo] = v, r, K
+            K = min(min(map(add, Nc, self.F[d]), default=_ABSENT), min(map(add, Fc, self.N[d]), default=_ABSENT))
+            if K < _HALF:
+                N[d - lo] = K
+                if K > t:
+                    S[d - lo] = sum(map(mul, C, self.X[d]))
+
+        def least(i):  # the least valuation among the terms of degree lo + i
+            return min((a + b for a, b, x in zip(Vc, self.F[lo + i], self.X[lo + i]) if a != _ABSENT and x), default=INF)
+
+        V, U, _ = reduce_terms(p, t, S, N, least)
         return V, U, N
 
     def sum_orders(self, orders, d: int = None) -> dict:

@@ -16,8 +16,10 @@ preparation) is held against the per-pair loops it replaced
 (``oracles.triple_inverse``, ``triple_divide_monic``,
 ``triple_preparation``), and ``vertex_split`` against its Newton steps on
 whole triple series (``oracles.triple_vertex_split``).  The packed
-derivative and division are held against ``PadicNum`` times an int and
-``PadicNum`` division, slot by slot.
+derivative and divisions are held against ``PadicNum`` times an int,
+``PadicNum`` division and ``PadicNum.div_int``, slot by slot, and the
+kernels' calls of ``padic.reduce_terms``, their one normalise-and-raise
+rule, are counted.
 """
 
 import pytest
@@ -25,6 +27,7 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from lubinlab import INF, PadicNum, PrecisionExhausted, PSeries, analyzer, series
+from lubinlab.padic import vp_int
 from conftest import outcome
 from lubinlab.polygon import _poly_divide_monic, vertex_split, weierstrass_preparation
 from oracles import (
@@ -444,6 +447,57 @@ def test_packed_div_matches_padic_division(case):
         return as_triples(series._unpack(p, series._packed_div(p, series._pack(a.coeffs, M), d), M, 30))
 
     assert outcome(packed) == outcome(scalar)
+
+
+@SETTINGS
+@given(st.sampled_from((2, 3, 5)).flatmap(lambda p: st.tuples(st.just(p), triple_series(p), st.integers(1, 3000))))
+@example((3, (4, {0: (0, 5, 4), 1: (1, 2, 10)}), 2))  # (5 + O(3^4)) / 2 has the unit 43, not 9844
+@example((2, (4, {1: (INF, 0, 2)}), 8))  # O(2^2) / 8 is kept at precision -1, where div_int raises
+def test_packed_div_int_matches_div_int(case):
+    """``_packed_div_int`` against ``PadicNum.div_int`` slot by slot: the
+    same triples, each unit reduced modulo its own slot's p^(N - v).  Where
+    ``div_int`` raises, for a zero-like slot known to N - v_p(q) <= 0, the
+    slot is kept zero-like at that precision."""
+    p, (M, triples), q = case
+    a = to_series(p, M, triples)
+    V, U, N = series._packed_div_int(p, series._pack(a.coeffs, M), q)
+    for (d,), c in a.coeffs.items():
+        got = (INF if V[d] == series._ABSENT else V[d], U[d], N[d])
+        try:
+            want = c.div_int(q)
+        except PrecisionExhausted:
+            assert c.v == INF and got == (INF, 0, c.N - vp_int(q, p)) and got[2] <= 0
+            continue
+        assert got == (want.v, want.u, want.N)
+
+
+def test_kernels_call_reduce_terms_once_or_not_at_all(monkeypatch):
+    """Counted through its binding in ``series``: a product, a tabled sum
+    and a part sum each normalise with exactly one ``padic.reduce_terms``.
+    The packed solve and the monic division, whose sums here all keep
+    digits, make none: they normalise each value by ``padic._scaled``."""
+    p, M, calls = 3, 10, []
+    reduce_terms = series.reduce_terms
+    monkeypatch.setattr(series, "reduce_terms", lambda *args: calls.append(args) or reduce_terms(*args))
+
+    def count(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    a = PSeries.from_univariate_coeffs(p, [1, 3, 2, 5, 7], M, 12, shift=0)
+    h = PSeries.from_univariate_coeffs(p, [3, 1, 4, 1, 5], M, 12)
+    A, H = (series._pack(s.coeffs, M) for s in (a, h))
+    table = h.power_table()
+    table.grow(M - 1)
+    F = PSeries(p, 2, 6, {(1, 0): 1, (0, 1): 1, (1, 1): 3, (2, 1): 2}, 12)
+    parts = series._parts(F, 6)
+    D = series._pack({(0,): PadicNum(p, 1, 1, 12), (1,): PadicNum(p, 0, 2, 12), (2,): PadicNum.one(p, 12)}, 3)
+    assert count(lambda: series._product(p, series._operand(p, A), series._operand(p, H), M)) == 1
+    assert count(lambda: table.sum(A, 1, M)) == 1
+    assert count(lambda: series._part_mul(p, parts, parts, 3)) == 1
+    assert count(lambda: series._packed_solve(p, A, series._pack({(0,): PadicNum.one(p, 12)}, 1), M, a.c(0))) == 0
+    assert count(lambda: _poly_divide_monic(p, A, 4, D, 2)) == 0
 
 
 # -- the Weierstrass layer's packed solve ----------------------------------------

@@ -4,8 +4,11 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from lubinlab import (
+    INF,
     PadicNum,
     PSeries,
     TruncationInconclusive,
@@ -22,7 +25,7 @@ from lubinlab import (
 )
 from lubinlab.errors import PrecisionExhausted
 from lubinlab.polygon import vertex_split
-from conftest import one_plus_x_pow, random_s0, series_from_fractions
+from conftest import one_plus_x_pow, outcome, random_s0, series_from_fractions
 from oracles import is_lower_hull, poly_mul
 
 
@@ -149,6 +152,46 @@ def test_iterate_shape_alone_or_on_a_given_iterate(coeffs, want):
         else:
             assert verify_iterate_shape(f, n) is w
             assert verify_iterate_shape(f, n, iterate(f, n)) is w
+
+
+@st.composite
+def chain_inputs(draw):
+    """p, n and a univariate f whose coefficients mix finite values (of
+    negative valuation too), zero-like ones and an occasional constant
+    term, at a finite or infinite coeff_prec."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    coeffs = {}
+    for d in sorted(draw(st.sets(st.integers(0 if draw(st.integers(0, 9)) == 0 else 1, 10), max_size=8))):
+        N = draw(st.integers(1, 12))
+        if draw(st.integers(0, 4)) == 0:
+            coeffs[(d,)] = PadicNum(p, INF, 0, N)
+        else:
+            v = draw(st.integers(-2, N - 1))
+            coeffs[(d,)] = PadicNum(p, v, draw(st.integers(1, p ** (N - v) - 1).map(lambda x: x if x % p else x + 1)), N)
+    M, N = draw(st.integers(1, 12)), draw(st.integers(1, 20) | st.just(INF))
+    return p, draw(st.integers(0, 4)), PSeries(p, 1, M, coeffs, N)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(chain_inputs())
+@example((2, 3, PSeries(2, 1, 8, {(1,): PadicNum(2, 1, 1, 6), (2,): PadicNum(2, -1, 1, 1)}, 10)))  # f^2 forms, f^3 raises
+@example((3, 1, PSeries(3, 1, 6, {(0,): PadicNum(3, 0, 1, 4), (1,): PadicNum(3, 1, 1, 4)}, INF)))  # both refusals apply
+def test_iterate_matches_the_compose_chain(case):
+    """``iterate(f, n)``, tabled sums on packed lists, against the n-fold
+    ``PSeries.compose`` chain it replaced: triple for triple, or the same
+    exception class and message."""
+    p, n, f = case
+
+    def chain():
+        out = PSeries.identity(p, f.x_prec, f.coeff_prec)
+        for _ in range(n):
+            out = out.compose(f)
+        return out
+
+    def triples(run):
+        return outcome(lambda: sorted((e, c.v, c.u, c.N) for e, c in run().coeffs.items()))
+
+    assert triples(lambda: iterate(f, n)) == triples(chain)
 
 
 def test_weierstrass_factor_exact():

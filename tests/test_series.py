@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lubinlab import INF, ConstantTermError, IntegralityFailure, NotInvertible, PadicNum, PSeries, PrimeMismatch, logarithm_recurrence
+from lubinlab import INF, ConstantTermError, IntegralityFailure, NotInvertible, PadicNum, PSeries, PrimeMismatch, logarithm_limit, logarithm_recurrence
 from conftest import random_s0, series_from_fractions
 from oracles import lagrange_inversion, poly_compose, poly_mul, swap_vars
 
@@ -248,3 +248,13 @@ def test_solve_from_an_exact_nonzero_is_refused():
     f = PSeries(3, 1, 4, {(1,): PadicNum(3, 1, 1, 5)}, INF)
     with pytest.raises(ValueError, match=r"needs a finite coeff_prec"):
         logarithm_recurrence(f)
+
+
+def test_limit_from_an_exact_nonzero_is_refused():
+    """The iterate limit normalises its iterates from the identity at the
+    series' precision, here INF.  It refuses that up front, naming itself
+    and coeff_prec, where it raised from ``PSeries.identity`` about a
+    coefficient at (1,) the caller never gave."""
+    f = PSeries(3, 1, 6, {(1,): PadicNum(3, 1, 1, 20), (2,): PadicNum(3, 0, 1, 20)}, INF)
+    with pytest.raises(ValueError, match=r"^logarithm_limit needs a finite coeff_prec"):
+        logarithm_limit(f)
