@@ -411,9 +411,9 @@ def _poly_divide_monic(p: int, P, degree: int, D, ddeg: int):
     rD = _reverse(D, ddeg)
     rq = _packed_solve(p, rD, _reverse(P, degree), qdeg + 1)
     lv, lu, ln = (x[0] for x in rD)  # D's lead
-    c = min(0, lv, ln)  # q_k less q_k times the lead can lose every digit only where n + c <= 0 or v + ln <= 0
+    m = min(0, lv, ln)  # q_k less q_k times the lead loses every digit only if n + m <= 0 or v + ln <= 0
     for v, u, n in zip(*rq) if ln != _ABSENT else ():
-        if n != _ABSENT and (n + c <= 0 or v + ln <= 0):
+        if n != _ABSENT and (n + m <= 0 or v + ln <= 0):
             b, lead = (INF if v == _ABSENT else v, u, n), (INF if lv == _ABSENT else lv, lu, ln)
             pv, pu, pn = mul_triples(p, *b, *lead)
             add_triples(p, *b, pv, pu if pv == INF else neg_unit(p, pv, pu, pn), pn)  # raises where it keeps no digits

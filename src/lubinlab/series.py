@@ -474,10 +474,10 @@ def _part_sum(p: int, pairs, size: int, raises: bool = True) -> list:
                 if n < K[key]:
                     K[key] = n
 
-    def least(key):  # the least valuation among the terms of the key
+    def least_term(key):  # the least valuation among the terms of the key
         return min((fa + fb for (_, Pa), (_, Pb) in pairs for ka, xa, _, fa in Pa for kb, xb, _, fb in Pb if ka + kb == key and xa and xb), default=INF)
 
-    V, U, _ = reduce_terms(p, t, S, K, least if raises else None)
+    V, U, _ = reduce_terms(p, t, S, K, least_term if raises else None)
     return [(key, PadicNum(p, INF if V[key] == _ABSENT else V[key], U[key], n)) for key, n in enumerate(K) if n < _HALF]
 
 
@@ -711,11 +711,11 @@ def _product(p: int, a: _Operand, b: _Operand, M: int, raises: bool = True, ledg
         if ledger is None:
             ledger = ledgers[key] = _ledger(A2, B2, nin)
 
-    def least(k):  # the least valuation among the terms of degree k
+    def least_term(k):  # the least valuation among the terms of degree k
         i0 = max(0, k - Lb + 1)
         return min(map(add, a.V[i0:], b.V[k - i0 :: -1]))
 
-    V, U, R = reduce_terms(p, s, C, ledger, least if raises else None)  # R: the values over p^s
+    V, U, R = reduce_terms(p, s, C, ledger, least_term if raises else None)  # R: the values over p^s
     least = min(V)
     if least >= _HALF:
         op = _Operand(t, V, ledger, 0, None)
@@ -874,10 +874,10 @@ class _PowerTable:
                 if K > t:
                     S[d - lo] = sum(map(mul, C, self.X[d]))
 
-        def least(i):  # the least valuation among the terms of degree lo + i
+        def least_term(i):  # the least valuation among the terms of degree lo + i
             return min((a + b for a, b, x in zip(Vc, self.F[lo + i], self.X[lo + i]) if a != _ABSENT and x), default=INF)
 
-        V, U, _ = reduce_terms(p, t, S, N, least)
+        V, U, _ = reduce_terms(p, t, S, N, least_term)
         return V, U, N
 
     def sum_orders(self, orders, d: int = None) -> dict:
