@@ -449,16 +449,16 @@ def neg_unit(p: int, v, u, N) -> int:
 
 def reduce_terms(p: int, t: int, S, K, least=None) -> tuple:
     """The one normalise-and-raise rule of the packed kernels of ``series``:
-    slot k is the integer sum S[k] of its terms at the shift t, known
-    modulo p^K[k] (absent where K[k] >= _HALF), K the caller's ledger
-    (Caruso, Roe and Vaccon, "Tracking p-adic precision", 2014).  Returns
-    the lists (V, U, R) with R[k] = S[k] mod p^(K[k] - t): where R[k] != 0
-    the slot has valuation t + v_p(R[k]) and the unit left after stripping
-    p, else it is zero-like (V[k] = _ABSENT, U[k] = 0).  A zero-like slot at
-    K <= 0 keeps no digit: given ``least``, from k to the least valuation m
-    among slot k's terms, the first such slot raises PrecisionExhausted
-    ("sum has no significant digits" where m >= K, else that of a zero
-    without digits); without ``least`` it is kept."""
+    slot k is the integer sum S[k] of its terms at the shift t, known modulo
+    p^K[k] (absent where K[k] >= _HALF), K the caller's ledger (Caruso, Roe
+    and Vaccon, "Tracking p-adic precision", 2014).  Returns the lists (V,
+    U, R), R[k] = S[k] mod p^(K[k] - t): where R[k] != 0 the slot has
+    valuation t + v_p(R[k]) and the unit left after stripping p, else it is
+    zero-like (V[k] = _ABSENT, U[k] = 0).  A zero-like slot at K <= 0 keeps
+    no digit; without ``least`` it is kept, and given ``least``, from k to
+    the least valuation m among slot k's terms, the first raises
+    PrecisionExhausted ("sum has no significant digits" where m >= K, else
+    that of a zero without digits)."""
     P = prime_powers(p, 0)  # grown as the slots need
     V, U, R = [_ABSENT] * len(K), [0] * len(K), [0] * len(K)
     for k, n in enumerate(K):

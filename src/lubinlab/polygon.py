@@ -21,13 +21,12 @@ is the same solve on the reversed polynomials, rev(D) rev(q) = rev(P),
 with no scalar per coefficient.  The preparation and the splits run on
 the packed lists of ``series``: products are ``_product`` and
 ``_packed_mul``, sums and differences ``_packed_add``, the addition of
-``PSeries`` too, and a division's quotient and remainder stay packed, as
-does the chain of iterates (``iterate``).  A preparation lays out
-its fixed operands once and keeps the precision ledgers of its products
-by their operands' precision lists, which settle after a few passes, so
-most passes compute none.  A series is prepared once per ``target_prec``,
-and P split once per vertex, for all its slopes: ``weierstrass_factor``
-keeps that work on the series.
+``PSeries`` too, and a division's quotient and remainder stay packed.  A
+preparation lays out its fixed operands once and keeps the precision
+ledgers of its products by their operands' precision lists, which settle
+after a few passes, so most passes compute none.  A series is prepared
+once per ``target_prec``, and P split once per vertex, for all its
+slopes: ``weierstrass_factor`` keeps that work on the series.
 """
 
 from fractions import Fraction

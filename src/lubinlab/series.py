@@ -416,13 +416,14 @@ def _solve_by_powers(h: PSeries, a1: PadicNum, lam: PadicNum) -> PSeries:
 
 def _iterates(f: PSeries):
     """The packed iterates f^1, f^2, ... of a univariate f without constant
-    term below its truncation, f^(n+1) = f^n ∘ f as ``compose`` forms it:
-    each one tabled sum, on the power table of f, of the last."""
+    term, f^(n+1) = f^n ∘ f: each one tabled sum on the power table of f of
+    the last, cut at its highest present slot as ``compose`` packs it."""
     M = f.x_prec
     fn, table = _pack(PSeries.identity(f.prime, M, f.coeff_prec).coeffs, M), f.power_table()
     while True:
         V, U, N = table.sum(fn, 1, M)
-        fn = [_ABSENT] + V, [0] + U, [_ABSENT] + N
+        top = max((d for d, n in enumerate(N, 1) if n != _ABSENT), default=0)
+        fn = [_ABSENT] + V[:top], [0] + U[:top], [_ABSENT] + N[:top]
         yield fn
 
 
