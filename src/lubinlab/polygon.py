@@ -13,20 +13,25 @@ distinguished polynomial carrying every open-disk root.  Two-factor Hensel
 splits seeded at the hull vertices then cut that polynomial into one monic
 factor per slope.  A split solves no linear system: each Newton step is a
 few polynomial products and exact divisions by a monic factor
-(``_poly_divide_monic``), driven by a cofactor t ~ B^-1 mod A that the same
-steps refine.  A slope's cofactor is the unit series times the factors
-split off beside it.  The layer has one recurrence, ``series._packed_solve``:
-it forms the preparation's inverses 1/g_hi and 1/q, and a monic division
-is the same solve on the reversed polynomials, rev(D) rev(q) = rev(P),
-with no scalar per coefficient.  The preparation and the splits run on
-the packed lists of ``series``: products are ``_product`` and
-``_packed_mul``, sums and differences ``_packed_add``, the addition of
-``PSeries`` too, and a division's quotient and remainder stay packed.  A
-preparation lays out its fixed operands once and keeps the precision
+(``_poly_divide_monic``, its divisor laid out once by ``_divisor``, as
+``series._operand`` lays out a factor of a product), driven by a cofactor
+t ~ B^-1 mod A that the same steps refine.  A slope's cofactor is the
+unit series times the factors split off beside it.  The layer has one
+recurrence, ``series._packed_solve``: it forms the preparation's inverses
+1/g_hi and 1/q, and a monic division is the same solve on the reversed
+polynomials, rev(D) rev(q) = rev(P), with no scalar per coefficient.  The
+preparation and the splits run on the packed lists of ``series``:
+products are ``_product``, sums and differences ``_packed_add``, the
+addition of ``PSeries`` too, and a division's quotient and remainder stay
+packed.  A preparation lays out its fixed operands once and keeps the precision
 ledgers of its products by their operands' precision lists, which settle
 after a few passes, so most passes compute none.  A series is prepared
 once per ``target_prec``, and P split once per vertex, for all its
-slopes: ``weierstrass_factor`` keeps that work on the series.
+slopes: ``weierstrass_factor`` keeps that work on the series, with the
+capped series and its polygon.  The iterate shape test reads an integral
+f's iterate f^n first up to x^(p^n) only, the chain of tabled sums of
+``series._iterates`` cut there, and forms the whole iterate only when
+that head's polygon is not certified.
 """
 
 from fractions import Fraction
@@ -34,7 +39,7 @@ from itertools import islice
 
 from .errors import PrecisionExhausted, TruncationInconclusive
 from .padic import _ABSENT, _HALF, INF, PadicNum, add_triples, mul_triples, neg_unit
-from .series import PSeries, _factor, _fold, _iterates, _operand, _pack, _packed_add, _packed_mul, _packed_solve, _padded, _product, _unpack, first_disagreement
+from .series import PSeries, _factor, _fold, _iterates, _operand, _pack, _packed_add, _packed_solve, _padded, _product, _unpack, first_disagreement
 
 
 class Segment:
@@ -226,6 +231,14 @@ def verify_iterate_shape(f: PSeries, n: int, fn: PSeries = None) -> bool:
 
     fn, when given, is the iterate f^n as ``iterate(f, n)`` forms it, so a
     caller that already holds the chain of iterates skips recomputing it.
+    Without fn, an integral f (every valuation floor >= 0) is first read
+    only up to x^(p^n): the head of f^n, the same chain of tabled sums
+    below x^(p^n + 1), holds exactly the iterate's coefficients there.
+    Past x^(p^n) an integral iterate has only valuations >= 0 and zero-like
+    bounds >= 1, which cannot move the negative part of the hull, its zero
+    vertex or the unknowns left of it; so a head whose polygon is
+    ``negative_certified`` answers for the whole iterate, and any other
+    head falls back to the whole iterate.
     """
     p = f.prime
     if n == 0:
@@ -235,9 +248,12 @@ def verify_iterate_shape(f: PSeries, n: int, fn: PSeries = None) -> bool:
         raise TruncationInconclusive(
             f"iterate degree p^{n} exceeds truncation order {f.x_prec}"
         )
-    if fn is None:
-        fn = iterate(f, n)
-    poly = newton_polygon(fn)
+    poly = None
+    if fn is None and f.min_val_floor() >= 0:
+        head = next(islice(_iterates(f, p**n + 1), n - 1, None))
+        poly = newton_polygon(_unpack(p, head, p**n + 1, f.coeff_prec))
+    if poly is None or not poly.negative_certified:
+        poly = newton_polygon(iterate(f, n) if fn is None else fn)
     if not poly.negative_certified:
         raise TruncationInconclusive("iterate polygon not certified")
     expected = sorted((p**k, n - k) for k in range(0, n + 1))
@@ -281,7 +297,7 @@ def weierstrass_preparation(g: PSeries):
     G = _pack(g.coeffs, M)
     low = _operand(p, tuple(x[:W] for x in G))
     unit = _pack({(0,): one}, 1)
-    inv_hi = _operand(p, _packed_solve(p, tuple(x[W:] for x in G), unit, M, g.c((W,))))
+    inv_hi = _operand(p, _packed_solve(p, _factor(p, *(x[W + 1 :] for x in G)), unit, M, g.c((W,))))
     q = [_ABSENT] * M, [0] * M, [_ABSENT] * M
     qop = _operand(p, q)
     ledgers = {}  # the ledgers of the passes' products, by their operands' (N, v') pairs
@@ -343,17 +359,23 @@ def vertex_split(P: PSeries, degree: int, istar: int):
     raises PrecisionExhausted.
 
     P is packed once and the steps run on packed lists, with no series
-    between them; A and B are unpacked on return.  A sum or difference
+    between them; A and B are unpacked on return.  A is laid out as a
+    divisor (``_divisor``) once per update, for the six divisions by it
+    that follow, and B and t as operands of ``_product`` once per update,
+    for the two or three products that read each.  A sum or difference
     walks its slots by degree (``series._packed_add``), so where two slots
     keep no digit the lower degree's error is raised.
     """
     p, M, N = P.prime, P.x_prec, P.coeff_prec
 
-    def mul(a, b):
-        return _packed_mul(p, a, b, M)
+    def op(a):
+        return _operand(p, a)
 
-    def mod_a(s, sdeg):  # by A as it stands
-        return _poly_divide_monic(p, s, sdeg, A, istar)[1]
+    def mul(a, b):  # of two operands
+        return _product(p, a, b, M)[0]
+
+    def mod_a(s, sdeg):  # by A as last laid out
+        return _poly_divide_monic(p, s, sdeg, divisor)[1]
 
     cstar = P.c((istar,))
     if cstar.is_zero_like():
@@ -366,11 +388,12 @@ def vertex_split(P: PSeries, degree: int, istar: int):
     t = _pack({(0,): one / cstar}, 1)
     one = _pack({(0,): one}, 1)
     P = _pack(P.coeffs, M)
+    divisor, bop, top = _divisor(p, A, istar), op(B), op(t)
     last_gap, stalls = -INF, 0
     for _ in range(_SPLIT_STEPS):
-        R = _packed_add(p, P, mul(A, B), negate=True)
-        dA = mod_a(mul(mod_a(R, degree), t), 2 * istar - 2)
-        dB = _poly_divide_monic(p, _packed_add(p, R, mul(dA, B), negate=True), degree - 1, A, istar)[0]
+        R = _packed_add(p, P, mul(op(A), bop), negate=True)
+        dA = mod_a(mul(op(mod_a(R, degree)), top), 2 * istar - 2)
+        dB = _poly_divide_monic(p, _packed_add(p, R, mul(op(dA), bop), negate=True), degree - 1, divisor)[0]
         A, B = _packed_add(p, A, dA), _packed_add(p, B, dB)
         if all(v == _ABSENT for v in R[0]):
             return _unpack(p, A, M, N), _unpack(p, B, M, N)
@@ -379,9 +402,11 @@ def vertex_split(P: PSeries, degree: int, istar: int):
         if stalls == _SPLIT_PATIENCE:
             raise PrecisionExhausted("vertex split stalled; digits cannot be separated")
         last_gap = gap
+        divisor, bop = _divisor(p, A, istar), op(B)
         try:
-            tb = _packed_add(p, one, mod_a(mul(t, mod_a(B, degree - istar)), 2 * istar - 2), negate=True)
-            t = _packed_add(p, t, mod_a(mul(t, tb), 2 * istar - 2))
+            tb = _packed_add(p, one, mod_a(mul(top, op(mod_a(B, degree - istar))), 2 * istar - 2), negate=True)
+            t = _packed_add(p, t, mod_a(mul(top, op(tb)), 2 * istar - 2))
+            top = op(t)
         except PrecisionExhausted:
             pass  # keep the old multiplier
     raise PrecisionExhausted("vertex split did not converge")
@@ -392,24 +417,37 @@ def _reverse(a, d: int):
     return tuple(x[::-1] for x in _padded(a, d + 1))
 
 
-def _poly_divide_monic(p: int, P, degree: int, D, ddeg: int):
-    """Packed (q, r) with P = q*D + r, deg r < ddeg, for packed P read up to
-    x^degree and packed D monic of degree ddeg; q has degree - ddeg + 1
-    slots, and r has none from x^ddeg on.  The reversed polynomials satisfy
-    rev(D) rev(q) = rev(P) below degree qdeg + 1, a power-series division
-    (von zur Gathen & Gerhard, *Modern Computer Algebra*, §9.1), so rev(q)
-    is one ``_packed_solve`` with no a0: the division never divides by D's
-    lead 1, whatever its precision.  r_e = P_e - sum_k q_k D_(e-k), e <
-    ddeg, is one ``_fold`` each.  Each coefficient is formed as one sum, so
-    it is the schoolbook long division's wherever that keeps digits at
-    every subtraction; it raises where the whole sum keeps none, and, as
-    the long division does, where q_k less q_k times D's lead keeps none
-    (by ``padic.mul_triples`` and ``add_triples``).
-    """
-    qdeg = degree - ddeg
+def _divisor(p: int, D, ddeg: int):
+    """The divisor stage of ``_poly_divide_monic``: packed D, monic of
+    degree ddeg, laid out once for any number of divisions by it, as
+    ``series._operand`` lays out a factor of ``_product``.  D is reversed
+    once; its lower slots D_(ddeg-1) .. D_0, rev(D)'s slots from 1 on, are
+    one ``series._factor``, which the reversed solve and the remainder's
+    folds both read, and its lead is kept as a packed slot."""
     rD = _reverse(D, ddeg)
-    rq = _packed_solve(p, rD, _reverse(P, degree), qdeg + 1)
-    lv, lu, ln = (x[0] for x in rD)  # D's lead
+    return ddeg, tuple(x[0] for x in rD), _factor(p, *(x[1:] for x in rD))
+
+
+def _poly_divide_monic(p: int, P, degree: int, divisor):
+    """Packed (q, r) with P = q*D + r, deg r < ddeg, for packed P read up to
+    x^degree and D monic of degree ddeg as ``_divisor`` lays it out; q has
+    degree - ddeg + 1 slots, and r has none from x^ddeg on.  Where degree <
+    ddeg, q is empty and r is P, with no solve.  The reversed polynomials
+    satisfy rev(D) rev(q) = rev(P) below degree degree - ddeg + 1, a
+    power-series division (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, §9.1), so rev(q) is one ``_packed_solve`` with no a0: the
+    division never divides by D's lead 1, whatever its precision.  r_e =
+    P_e - sum_k q_k D_(e-k), e < ddeg, is one ``_fold`` each.  Each
+    coefficient is formed as one sum, so it is the schoolbook long
+    division's wherever that keeps digits at every subtraction; it raises
+    where the whole sum keeps none, and, as the long division does, where
+    q_k less q_k times D's lead keeps none (by ``padic.mul_triples`` and
+    ``add_triples``).
+    """
+    ddeg, (lv, lu, ln), (sd, Dlow) = divisor  # ln: the lead's precision
+    if degree < ddeg:
+        return ([], [], []), _cut(_padded(P, degree + 1))
+    rq = _packed_solve(p, (sd, Dlow), _reverse(P, degree), degree - ddeg + 1)
     m = min(0, lv, ln)  # q_k less q_k times the lead loses every digit only if n + m <= 0 or v + ln <= 0
     for v, u, n in zip(*rq) if ln != _ABSENT else ():
         if n != _ABSENT and (n + m <= 0 or v + ln <= 0):
@@ -417,14 +455,18 @@ def _poly_divide_monic(p: int, P, degree: int, D, ddeg: int):
             pv, pu, pn = mul_triples(p, *b, *lead)
             add_triples(p, *b, pv, pu if pv == INF else neg_unit(p, pv, pu, pn), pn)  # raises where it keeps no digits
     # r_e pairs D_(e-k), from rD's slots 1.. (D_(ddeg-1) .. D_0), with q_k
-    sd, Dlow = _factor(p, *(x[1:] for x in rD))
     q = tuple(x[::-1] for x in rq)
     sq, Q = _factor(p, *q)
     R = [], [], []
     for e, c in enumerate(zip(*_padded(P, min(ddeg, degree + 1)))):
         for r, y in zip(R, _fold(p, c, [x[ddeg - 1 - e :] for x in Dlow], Q, sd + sq)):
             r.append(y)
-    return q, _padded(R, max((e for e, n in enumerate(R[2]) if n != _ABSENT), default=0) + 1)
+    return q, _cut(R)
+
+
+def _cut(a):
+    """Packed a cut after its highest present slot, one slot at least."""
+    return _padded(a, max((e for e, n in enumerate(a[2]) if n != _ABSENT), default=0) + 1)
 
 
 def weierstrass_factor(g: PSeries, slope, target_prec=None):
@@ -437,21 +479,24 @@ def weierstrass_factor(g: PSeries, slope, target_prec=None):
     iteration gains one digit per pass, so capping is the honest way to
     trade digits for time).
 
-    The preparation (P, U) and each split of P are kept on g, per
-    ``target_prec``, and read back by the calls for the other slopes; they
-    live and die with g.  An exception is not kept, so a call that failed
-    raises again.  Returned series may be shared between calls: treat them
-    as values.
+    The preparation (P, U), each split of P, and g capped at ``target_prec``
+    with its Newton polygon are kept on g, per ``target_prec``, and read
+    back by the calls for the other slopes, which check the kept polygon as
+    the first call checked it; they live and die with g.  An exception is
+    not kept, so a call that failed raises again.  Returned series may be
+    shared between calls: treat them as values.
     """
     if target_prec is not None and (type(target_prec) is not int or target_prec < 1):  # bool too
         raise ValueError(f"target_prec must be None or an int >= 1, got {target_prec!r}")
-    memo = g._factoring = g._factoring or {}
-    if target_prec is not None:
-        g = g.cap_coeff_prec(target_prec)
+    memo = g._factoring = g._factoring or {}  # target_prec -> (P, U, wdeg, splits, capped g, its polygon)
     slope = Fraction(slope)
     if slope >= 0:
         raise ValueError("requested slope must be negative")
-    poly = newton_polygon(g)
+    if target_prec in memo:
+        g, poly = memo[target_prec][4:]
+    else:
+        g = g if target_prec is None else g.cap_coeff_prec(target_prec)
+        poly = newton_polygon(g)
     if not poly.negative_certified:
         raise TruncationInconclusive("hull not certified in the negative-slope region")
     seg = next((s for s in poly.negative_segments() if s.slope == slope), None)
@@ -464,8 +509,8 @@ def weierstrass_factor(g: PSeries, slope, target_prec=None):
     if target_prec not in memo:
         coeffs = {(e[0] - i0,): c for e, c in g.coeffs.items() if e[0] >= i0}
         shifted = PSeries(p, 1, g.x_prec - i0, coeffs, g.coeff_prec)
-        memo[target_prec] = weierstrass_preparation(shifted) + (shifted.weierstrass_degree(), {})
-    P, U, wdeg, splits = memo[target_prec]
+        memo[target_prec] = weierstrass_preparation(shifted) + (shifted.weierstrass_degree(), {}, g, poly)
+    P, U, wdeg, splits = memo[target_prec][:4]
 
     def split(A, degree, istar):  # a split of P (degree wdeg) is kept by istar, one of its factors is not
         if A is not P:

@@ -265,7 +265,8 @@ class PSeries:
             raise NotInvertible("constant term is not a unit")
         M, p = self.x_prec, self.prime
         one = _pack({(0,): PadicNum.one(p, self.coeff_prec)}, 1)
-        return _unpack(p, _packed_solve(p, _pack(self.coeffs, M), one, M, a0), M, self.coeff_prec)
+        a = _factor(p, *(x[1:] for x in _pack(self.coeffs, M)))  # a_1, a_2, ...
+        return _unpack(p, _packed_solve(p, a, one, M, a0), M, self.coeff_prec)
 
     # -- reduction and shape mod p -------------------------------------------
 
@@ -414,11 +415,14 @@ def _solve_by_powers(h: PSeries, a1: PadicNum, lam: PadicNum) -> PSeries:
     return _unpack(p, (V, U, N), h.x_prec, h.coeff_prec)
 
 
-def _iterates(f: PSeries):
+def _iterates(f: PSeries, M: int = None):
     """The packed iterates f^1, f^2, ... of a univariate f without constant
-    term, f^(n+1) = f^n ∘ f: each one tabled sum on the power table of f of
-    the last, cut at its highest present slot as ``compose`` packs it."""
-    M = f.x_prec
+    term, f^(n+1) = f^n ∘ f, below x^M (f's truncation by default, at most
+    that): each one tabled sum on the power table of f of the last, cut at
+    its highest present slot as ``compose`` packs it.  A degree is one sum
+    over the lower degrees of the last iterate, so the iterates below a
+    lesser M hold exactly the slots of the whole ones there."""
+    M = f.x_prec if M is None else M
     fn, table = _pack(PSeries.identity(f.prime, M, f.coeff_prec).coeffs, M), f.power_table()
     while True:
         V, U, N = table.sum(fn, 1, M)
@@ -783,15 +787,18 @@ def _packed_solve(p: int, a, c, M: int, a0: PadicNum = None):
 
         b_n = (c_n - sum_(k=1..n) a_k b_(n-k)) / a0
 
-    for packed a (slot 0 unread) and c, without the division when a0 is
-    None: 1/a is c = 1, a0 = a_0, and the reversed quotient of a monic
-    division is a = rev(D), c = rev(P).  Each numerator is one ``_fold`` of
-    c_n and a_1 .. a_n against the b found so far, newest first, whose
-    integers are rescaled when a lower valuation appears, so the shift is
-    the least valuation of a plus that of b.  The division by a0, of finite
-    valuation and precision, is ``_packed_div``'s rule for a slot.
+    for a the ``_factor`` of a_1, a_2, ... and packed c, without the
+    division when a0 is None: 1/a is c = 1, a0 = a_0, and the reversed
+    quotient of a monic division is a = rev(D), c = rev(P).  Each numerator
+    is one ``_fold`` of c_n and a_1 .. a_n against the b found so far,
+    newest first, whose integers are rescaled when a lower valuation
+    appears, so the shift is the least valuation of a plus that of b.  The
+    fold zips a to the b found so far and its value does not depend on the
+    shift, so a factor longer than M - 1 slots gives the same b.  The
+    division by a0, of finite valuation and precision, is ``_packed_div``'s
+    rule for a slot.
     """
-    sa, A = _factor(p, *(x[1:M] for x in a))  # a_1 .. a_L
+    sa, A = a
     inv = None if a0 is None else pow(a0.u, -1, p ** (a0.N - a0.v))
     V, U, N, F, X = [], [], [], [], []  # V, N, F and X hold b_(n-1) .. b_0: b_(n-k) meets a_k
     sb = 0

@@ -1,8 +1,10 @@
 """CLI surface: flags, formats, exit codes, golden summary format."""
 
+import collections
 import dataclasses
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -356,3 +358,55 @@ def test_series_with_constant_term_has_no_logarithm(capsys, command, series):
     ``frobenius`` a multiplier, both exiting 0."""
     code, out, err = run(capsys, command, "--p", "2", "--series", series, "--M", "8")
     assert (code, out, err) == (2, "", "error: substituted series has a constant term\n")
+
+
+def test_fuzzed_command_lines_exit_0_1_or_2(tmp_path, capsys):
+    """A seeded fuzz of ``main`` over its six subcommands at M <= 16:
+    malformed inline series, bad primes and sizes, and broken fixture
+    files, mixed with good ones.  Every call returns 0, 1 or 2 (argparse's
+    refusals exit 2), and none prints a traceback."""
+    rng = random.Random(20261019)
+    entry = {"name": "gm_p2", "p": 2, "N": 8, "M": 16, "f": "2,1@1", "u": "3,3,1@1"}
+    files = {
+        "good": json.dumps([entry]),
+        "empty": "",
+        "open": "[{",
+        "scalar": "5",
+        "nested": "[[1]]",
+        "string-M": json.dumps([{**entry, "M": "8"}]),
+    }
+    for name, body in files.items():
+        (tmp_path / f"{name}.json").write_text(body)
+    good_fixture, bad_fixtures = str(tmp_path / "good.json"), [str(tmp_path / f"{name}.json") for name in files if name != "good"]
+    choices = {  # (good, bad) values of each piece
+        "series": (["2,1@1", "3,3,1@1", "4,6,4,1@1", "2,0,1@1"], ["", "@", "1/0,1@1", "2,,1@1", "2,1@-1", "a,b@1"]),
+        "--p": (["2", "3", "5"], ["0", "1", "4", "-3", "x"]),
+        "--M": (["8", "9", "12", "16"], ["0", "-1", "x"]),
+        "--N": (["4", "8"], ["0", "-1", "x"]),
+        "--fixture": ([good_fixture], bad_fixtures + [str(tmp_path / "missing.json")]),
+    }
+
+    def pick(piece):
+        good, bad = choices[piece]
+        return rng.choice(good if rng.random() < 0.8 else bad)
+
+    codes = collections.Counter()
+    for _ in range(300):
+        command = rng.choice(["polygon", "log", "group", "frobenius", "analyze", "batch"])
+        argv = [command, "--M", pick("--M")]
+        if rng.random() < 0.5:
+            argv += ["--N", pick("--N")]
+        if command == "batch" or command == "analyze" and rng.random() < 0.5:
+            argv += ["--fixture", pick("--fixture")]
+        elif command == "analyze":
+            argv += ["--p", pick("--p"), "--f", pick("series"), "--u", pick("series")]
+        else:
+            argv += ["--p", pick("--p"), "--series", pick("series")]
+        try:
+            code = main(argv)
+        except SystemExit as ex:
+            code = ex.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err)
+        codes[code] += 1
+    assert codes[0] and codes[1] and codes[2]

@@ -26,10 +26,10 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from lubinlab import INF, PadicNum, PrecisionExhausted, PSeries, analyzer, series
+from lubinlab import INF, PadicNum, PrecisionExhausted, PSeries, analyzer, polygon, series
 from lubinlab.padic import vp_int
 from conftest import outcome
-from lubinlab.polygon import _poly_divide_monic, vertex_split, weierstrass_preparation
+from lubinlab.polygon import _divisor, _poly_divide_monic, vertex_split, weierstrass_preparation
 from oracles import (
     NoDigits,
     poly_compose,
@@ -496,8 +496,9 @@ def test_kernels_call_reduce_terms_once_or_not_at_all(monkeypatch):
     assert count(lambda: series._product(p, series._operand(p, A), series._operand(p, H), M)) == 1
     assert count(lambda: table.sum(A, 1, M)) == 1
     assert count(lambda: series._part_mul(p, parts, parts, 3)) == 1
-    assert count(lambda: series._packed_solve(p, A, series._pack({(0,): PadicNum.one(p, 12)}, 1), M, a.c(0))) == 0
-    assert count(lambda: _poly_divide_monic(p, A, 4, D, 2)) == 0
+    a1 = series._factor(p, *(x[1:] for x in A))
+    assert count(lambda: series._packed_solve(p, a1, series._pack({(0,): PadicNum.one(p, 12)}, 1), M, a.c(0))) == 0
+    assert count(lambda: _poly_divide_monic(p, A, 4, _divisor(p, D, 2))) == 0
 
 
 # -- the Weierstrass layer's packed solve ----------------------------------------
@@ -571,7 +572,7 @@ def test_divide_monic_matches_long_division(case):
         return list(as_triples(series._unpack(p, packed, M, 30)).items())
 
     def run():
-        q, r = _poly_divide_monic(p, P, degree, D, ddeg)
+        q, r = _poly_divide_monic(p, P, degree, _divisor(p, D, ddeg))
         return [items(q)[::-1], items(r)]
 
     try:
@@ -586,6 +587,51 @@ def test_divide_monic_matches_long_division(case):
             event("same message" if str(got.value) == str(ex) else "other message")
             return
     assert run() == [list(x.items()) for x in want]
+
+
+@st.composite
+def divisions_by_one_divisor(draw):
+    """p, ddeg and D as ``monic_divisions`` draws them, with one to four
+    dividends (degree, P) drawn as it draws P."""
+    p, degree, P, ddeg, D = draw(monic_divisions())
+    dividends = [(degree, P)]
+    for _ in range(draw(st.integers(0, 3))):
+        degree = draw(st.integers(max(ddeg - 2, 0), ddeg + 8))
+        dividends.append((degree, {d: draw(coefficient(p)) for d in sorted(draw(st.sets(st.integers(0, degree + 2), max_size=12)))}))
+    return p, ddeg, D, dividends
+
+
+@SETTINGS
+@given(divisions_by_one_divisor())
+def test_one_divisor_serves_every_division(case):
+    """One ``_divisor`` of D, read by each division in turn, against a fresh
+    layout of D per division: the same q and r, or the same exception
+    class and message; no division changes the layout it reads."""
+    p, ddeg, tD, dividends = case
+    M = max(degree for degree, _ in dividends) + 3
+    D = series._pack(to_series(p, M, tD).coeffs, M)
+    divisor = _divisor(p, D, ddeg)
+    for degree, tP in dividends:
+        P = series._pack(to_series(p, M, tP).coeffs, M)
+        got = outcome(lambda: _poly_divide_monic(p, P, degree, divisor))
+        event("raises" if type(got[0]) is type else "divides" if degree >= ddeg else "degree < ddeg")
+        assert got == outcome(lambda: _poly_divide_monic(p, P, degree, _divisor(p, D, ddeg)))
+    assert divisor == _divisor(p, D, ddeg)
+
+
+def test_division_below_the_divisor_degree_solves_nothing(monkeypatch):
+    """P of degree 2 (read up to x^3) by a monic D of degree 4: the quotient
+    is empty and the remainder is P cut after its top present slot, with no
+    ``_packed_solve``."""
+    p, M = 3, 8
+    solves, solve = [], polygon._packed_solve
+    monkeypatch.setattr(polygon, "_packed_solve", lambda *args: solves.append(args) or solve(*args))
+    P = series._pack({(0,): PadicNum(p, 1, 2, 6), (2,): PadicNum(p, INF, 0, 3)}, M)
+    D = series._pack({(0,): PadicNum(p, 1, 1, 6), (4,): PadicNum.one(p, 6)}, M)
+    q, r = _poly_divide_monic(p, P, 3, _divisor(p, D, 4))
+    assert (q, r, solves) == (([], [], []), ([1, series._ABSENT, series._ABSENT], [2, 0, 0], [6, series._ABSENT, 3]), [])
+    _poly_divide_monic(p, D, 4, _divisor(p, D, 4))
+    assert len(solves) == 1
 
 
 @st.composite

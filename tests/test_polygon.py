@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from lubinlab import (
@@ -152,6 +152,74 @@ def test_iterate_shape_alone_or_on_a_given_iterate(coeffs, want):
         else:
             assert verify_iterate_shape(f, n) is w
             assert verify_iterate_shape(f, n, iterate(f, n)) is w
+
+
+@st.composite
+def shape_inputs(draw):
+    """p, n and f with p^n below its truncation, coefficients of f drawn
+    near a Frobenius lift, p x + ... + x^p: the linear one mostly of
+    valuation 1, those of degree 2 .. p - 1 mostly divisible by p, x^p's
+    mostly a unit, so the shape is mostly right and sometimes wrong; some
+    are zero-like or absent, and a few have valuation -1 (f not integral)."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, {2: 3, 3: 2, 5: 1}[p]))
+    M = draw(st.integers(p**n + 1, p**n + 8))
+    coeffs = {}
+    for d in range(1, M):
+        kind = draw(st.integers(0, 19))
+        if kind < 3:
+            continue
+        N = draw(st.integers(1, 10))
+        if kind < 5:
+            coeffs[(d,)] = PadicNum(p, INF, 0, N)
+            continue
+        v = 1 if d < p else 0 if d == p else draw(st.integers(0, 2))
+        v = -1 if kind == 5 else v + 1 if kind == 6 else v
+        N = max(N, v + 1)
+        coeffs[(d,)] = PadicNum(p, v, draw(st.integers(1, p ** (N - v) - 1).map(lambda x: x if x % p else x + 1)), N)
+    return p, n, PSeries(p, 1, M, coeffs, INF if draw(st.integers(0, 9)) == 0 else draw(st.integers(1, 12)))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(shape_inputs())
+@example((2, 3, series_from_fractions(2, [2, 0, 0, 1], 32, 20)))  # not certified: TruncationInconclusive
+@example((2, 1, series_from_fractions(2, [2, 2, 1], 16, 20)))  # zero vertex at x^3, past x^2: the fallback
+@example((2, 1, series_from_fractions(2, [2, 1, Fraction(1, 2)], 16, 20)))  # not integral: no head
+@example((3, 2, one_plus_x_pow(3, 3, 12, 8)))
+def test_iterate_shape_on_the_head_matches_the_whole_iterate(case):
+    """``verify_iterate_shape(f, n)``, which reads an integral f's iterate
+    only up to x^(p^n) when that settles the answer, against the same check
+    on the whole iterate it is handed: the same answer, or the same
+    exception class and message."""
+    p, n, f = case
+    got = outcome(lambda: verify_iterate_shape(f, n))
+    event(f"{'integral' if f.min_val_floor() >= 0 else 'not integral'}: {got if type(got) is bool else got[0].__name__}")
+    assert got == outcome(lambda: verify_iterate_shape(f, n, iterate(f, n)))
+
+
+def reads(monkeypatch, f, n):
+    """The outcome of verify_iterate_shape(f, n), with the (lo, D) of each
+    tabled sum it makes and the number of whole iterates it forms."""
+    sums, iterates, table_sum, whole = [], [], series._PowerTable.sum, polygon.iterate
+    monkeypatch.setattr(series._PowerTable, "sum", lambda table, c, lo, D: sums.append((lo, D)) or table_sum(table, c, lo, D))
+    monkeypatch.setattr(polygon, "iterate", lambda f, n: iterates.append(n) or whole(f, n))
+    return outcome(lambda: verify_iterate_shape(f, n)), sums, len(iterates)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (3, 2), (5, 1)])
+def test_iterate_shape_reads_only_the_head_of_an_integral_iterate(monkeypatch, p, n):
+    """An integral f of the right shape: n tabled sums, each below
+    x^(p^n + 1), and no whole iterate."""
+    assert reads(monkeypatch, one_plus_x_pow(p, p, 64, 24), n) == (True, [(1, p**n + 1)] * n, 0)
+
+
+def test_iterate_shape_falls_back_where_the_head_settles_nothing(monkeypatch):
+    """2x + 2x^2 + x^3 at n = 1: its head up to x^2 has no zero vertex, so
+    the whole iterate answers (its zero vertex is (3, 0), not (2, 0)).  A
+    non-integral f forms no head at all; its polygon is never certified."""
+    assert reads(monkeypatch, series_from_fractions(2, [2, 2, 1], 16, 20), 1) == (False, [(1, 3), (1, 16)], 1)
+    f = series_from_fractions(2, [2, 1, Fraction(1, 2)], 16, 20)
+    assert reads(monkeypatch, f, 1) == ((TruncationInconclusive, "iterate polygon not certified"), [(1, 16)], 1)
 
 
 @st.composite
@@ -340,6 +408,25 @@ def test_weierstrass_factor_shares_the_preparation_and_the_splits(monkeypatch):
     assert splits and max(splits.values()) == 1
 
 
+def test_weierstrass_factor_caps_and_hulls_once_per_target_prec(monkeypatch):
+    """Every slope of the third iterate of a twisted gm at p = 2, at
+    target_prec 12, 8 and None in turn: g is capped and its polygon formed
+    once per target_prec, and a slope off the kept polygon is still refused
+    on each call."""
+    fn = next(fn for fn in twisted_iterates() if fn.prime == 2 and len(newton_polygon(fn).negative_segments()) == 3)
+    slopes = [s.slope for s in newton_polygon(fn).negative_segments()]
+    counts, cap, hull = Counter(), PSeries.cap_coeff_prec, polygon.newton_polygon
+    monkeypatch.setattr(PSeries, "cap_coeff_prec", lambda g, N: counts.update(["cap"]) or cap(g, N))
+    monkeypatch.setattr(polygon, "newton_polygon", lambda g: counts.update(["hull"]) or hull(g))
+    for tp in (12, 8, None):
+        for slope in slopes:
+            weierstrass_factor(fn, slope, tp)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^no negative segment of slope -2$"):
+                weierstrass_factor(fn, -2, tp)
+    assert counts == {"cap": 2, "hull": 3}
+
+
 def test_a_failing_split_raises_again():
     """At N = 7 the split of P at istar = 4, the vertex (5, 2) both slopes
     share, stalls; it is not kept, so each call raises the same error."""
@@ -348,7 +435,7 @@ def test_a_failing_split_raises_again():
         for slope in (Fraction(-3, 4), Fraction(-2, 3)):
             with pytest.raises(PrecisionExhausted, match="^vertex split stalled; digits cannot be separated$"):
                 weierstrass_factor(g, slope)
-    (P, U, wdeg, splits), = g._factoring.values()
+    (P, U, wdeg, splits, _, _), = g._factoring.values()
     assert wdeg == 7 and splits == {}
 
 
