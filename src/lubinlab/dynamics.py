@@ -10,14 +10,15 @@ The functions here take f and u as plain series and assume these
 hypotheses; ``analyzer.analyze`` is the one place that decides them.
 
 Two constructions of the logarithm are provided.  The functional-equation
-recurrence is the workhorse (deterministic per-coefficient precision
-ledger); the normalized-iterate limit f^n / f'(0)^n is retained purely as
-an independent cross-check oracle.  It always forms a fixed number of
-iterates, and its only claim is the ultrametric Cauchy cap at the last
-increment; a run that leaves a coefficient no digits raises
-PrecisionExhausted.  It runs on the packed lists of ``series``: each
-iterate is one tabled sum on the power table of f, divided by f'(0)^n slot
-by slot, and only the iterates it keeps and its result become series.
+recurrence, with its deterministic per-coefficient precision ledger, is
+the one ``analyze`` runs.  The normalized-iterate limit f^n / f'(0)^n is
+the paper's construction, kept as a library function that acceptance
+criterion 2 and ``demos/02_logarithm.py`` compare with the recurrence.  It
+always forms a fixed number of iterates, and its only claim is the
+ultrametric Cauchy cap at the last increment; a run that leaves a
+coefficient no digits raises PrecisionExhausted.  It runs on the packed
+lists of ``series``: each iterate is one tabled sum on the power table of
+f, divided by f'(0)^n slot by slot, and only its result becomes a series.
 """
 
 from fractions import Fraction
@@ -55,16 +56,14 @@ class Logarithm:
     ``series`` has linear coefficient 1 and satisfies series∘f = f'(0)·series
     to precision.  ``stabilization`` (limit construction only) records, per
     iteration, the least valuation of the increment between consecutive
-    normalized iterates, and ``iterates`` the leading iterates f^1, f^2, ...
-    it was asked to keep.
+    normalized iterates.
     """
 
-    __slots__ = ("series", "stabilization", "iterates")
+    __slots__ = ("series", "stabilization")
 
-    def __init__(self, series, stabilization=None, iterates=()):
+    def __init__(self, series, stabilization=None):
         self.series = series
         self.stabilization = stabilization
-        self.iterates = iterates
 
 
 def logarithm_recurrence(f: PSeries) -> Logarithm:
@@ -93,7 +92,7 @@ def default_n_max(p: int, M: int) -> int:
     return 2 * ceil_log(M, p) + 4
 
 
-def logarithm_limit(f: PSeries, n_max: int = None, keep: int = 0) -> Logarithm:
+def logarithm_limit(f: PSeries, n_max: int = None) -> Logarithm:
     """Limit of the normalized iterates f^n / f'(0)^n.
 
     Always forms exactly n_max iterates (``default_n_max`` by default).  Each
@@ -101,10 +100,9 @@ def logarithm_limit(f: PSeries, n_max: int = None, keep: int = 0) -> Logarithm:
     (Cauchy estimate); that cap is the limit's only claim, so downstream
     comparisons happen at capped digits only.  A run whose last increment is
     no smaller than its first, or whose cap leaves a coefficient no digits,
-    raises PrecisionExhausted.  The iterates f^1 .. f^keep (f^(n+1) =
-    f^n ∘ f, as ``polygon.iterate`` forms them) are kept in ``iterates``.
-    The division by f'(0)^n is ``series._packed_div`` and each increment
-    ``series._packed_add``.
+    raises PrecisionExhausted.  The iterates are ``polygon.iterate``'s chain,
+    f^(n+1) = f^n ∘ f; the division by f'(0)^n is ``series._packed_div`` and
+    each increment ``series._packed_add``.
     """
     if f.coeff_prec == INF:
         raise ValueError("logarithm_limit needs a finite coeff_prec: its iterates are normalised from the identity known to coeff_prec")
@@ -118,10 +116,7 @@ def logarithm_limit(f: PSeries, n_max: int = None, keep: int = 0) -> Logarithm:
         return Logarithm(ident, stabilization=[])
     norm = _pack(ident.coeffs, M)
     evidence = []
-    kept = []
     for n, fn in zip(range(1, n_max + 1), _iterates(f)):
-        if n <= keep:
-            kept.append(_unpack(p, fn, M, f.coeff_prec))
         prev, norm = norm, _packed_div(p, fn, c**n)
         dV, _, dN = incr = _packed_add(p, norm, prev, negate=True)
         evidence.append((n, min((k if v == _ABSENT else v for v, k in zip(dV, dN) if k != _ABSENT), default=INF)))
@@ -136,7 +131,7 @@ def logarithm_limit(f: PSeries, n_max: int = None, keep: int = 0) -> Logarithm:
             raise PrecisionExhausted(f"coefficient {(k,)} certifies no digits after {n_max} iterates")
         if cap < n:  # cap_prec
             V[k], U[k], N[k] = (_ABSENT, 0, cap) if v == _ABSENT or v >= cap else (v, U[k] % p ** (cap - v), cap)
-    return Logarithm(_unpack(p, norm, M, f.coeff_prec), evidence, kept)
+    return Logarithm(_unpack(p, norm, M, f.coeff_prec), evidence)
 
 
 def log_polygon_vertices(p: int, M: int) -> list:

@@ -393,22 +393,25 @@ def _solve_by_powers(h: PSeries, a1: PadicNum, lam: PadicNum) -> PSeries:
     against the power table of a univariate h without constant term.  lam
     = 0 and a1 = 1/c give the compositional inverse of h; lam = c and a1 = 1
     the logarithm of h.  Each degree is one tabled sum over the a_k found so
-    far, and the denominator c^n - lam (c^n one multiplication after
-    c^(n-1)) is formed after the sum; a denominator that is zero to its
-    precision raises PrecisionExhausted.
+    far, cut at the last present one, so a sparse solution reads no power
+    of h past it; the denominator c^n - lam (c^n one multiplication after
+    c^(n-1)) is formed after the sum, and one that is zero to its precision
+    raises PrecisionExhausted.
     """
     p, table = h.prime, h.power_table()
     V, U, N = [_ABSENT, _ABSENT if a1.v == INF else a1.v], [0, a1.u], [_ABSENT, a1.N]  # packed a_0, a_1
     cpow = c = h.linear_coeff()
+    top = 2  # a_0 .. a_(top-1) hold the present slots
     for n in range(2, h.x_prec):
         cpow = cpow * c  # c^n
-        (v,), (u,), (K,) = table.sum((V, U, N), n, n + 1)
+        (v,), (u,), (K,) = table.sum((V[:top], U[:top], N[:top]), n, n + 1)
         denom = cpow - lam
         if denom.is_zero_like():
             raise PrecisionExhausted(f"recurrence denominator vanishes at degree {n}")
         if K != _ABSENT:
             a = -PadicNum(p, INF if v == _ABSENT else v, u, K) / denom
             v, u, K = _ABSENT if a.v == INF else a.v, a.u, a.N
+            top = n + 1
         V.append(v)
         U.append(u)
         N.append(K)

@@ -876,8 +876,8 @@ class ZeroDivisor(Exception):
     """A divisor zero to its precision (DivisionByZeroToPrecision)."""
 
 
-def triple_limit(p: int, f: dict, M: int, N: int, n_max: int, keep: int = 0):
-    """(series, evidence, kept iterates) of the normalized iterates
+def triple_limit(p: int, f: dict, M: int, N: int, n_max: int):
+    """(series, evidence) of the normalized iterates
     f^n / c^n, c = f_1, for f without constant term below degree M.  f^1 ..
     f^n_max are ``table_compose`` of the last on f from the identity x known
     to p^N; evidence lists (n, least valuation floor of the increment), INF
@@ -887,12 +887,10 @@ def triple_limit(p: int, f: dict, M: int, N: int, n_max: int, keep: int = 0):
     last floor is no greater than the first, or where a cap is <= 0."""
     x = {1: (0, 1, N)}
     if n_max == 0:
-        return x, [], []
-    fn, norm, evidence, kept = x, x, [], []
+        return x, []
+    fn, norm, evidence = x, x, []
     for n in range(1, n_max + 1):
         fn = table_compose(p, fn, f, M)
-        if n <= keep:
-            kept.append(fn)
         v, u, m = f.get(1, (INF, 0, INF))  # c^n keeps c's relative digits
         if fn and v == INF:
             raise ZeroDivisor(f"divisor is zero to precision O({p}^{n * m})")
@@ -916,4 +914,4 @@ def triple_limit(p: int, f: dict, M: int, N: int, n_max: int, keep: int = 0):
             capped[d] = (INF, 0, cap)
         else:
             capped[d] = (v, u % p ** (cap - v), cap)
-    return capped, evidence, kept
+    return capped, evidence

@@ -13,14 +13,14 @@ from lubinlab import (
     REJECTED,
     analyze,
     analyze_fixture,
+    analyzer,
     batch_run,
+    dynamics,
     gm_pair,
     lt_pair,
     make_twist_fixture,
-    series,
     summary_table,
 )
-from lubinlab.dynamics import default_n_max
 from conftest import one_plus_x_pow, series_from_fractions
 
 SMALL = Config(N=10, M=25)
@@ -39,7 +39,6 @@ def test_gm_pair_certifies():
     assert d["frobenius"]["pi_residue"] == "3"
     assert d["formal_group"]["min_coeff_valuation"] == 0
     assert d["hypotheses"]["root_count"] == p
-    assert d["logarithm"]["methods_agree"]
     assert d["frobenius"]["lift_agrees"]
 
 
@@ -252,70 +251,44 @@ def test_series_truncated_below_M_refused():
     assert rep.reason == "fixture error: series u is truncated at degree 12, below M=16"
 
 
-# -- the f-iterate chain shared by the limit and the shape checks --------------
+# -- one logarithm construction ---------------------------------------------
 
 
-def gm_w1(p, cfg):
-    Nw = cfg.resolve(p).working_prec()
-    base = gm_pair(p, cfg.M, Nw)
-    return make_twist_fixture(base, series_from_fractions(p, [1, 1], cfg.M, Nw))
+def test_analyze_never_runs_the_limit(monkeypatch):
+    """Stage 4 builds the logarithm by its recurrence alone, and stage 5
+    reads the iterate shapes without the limit's chain of iterates."""
+    p, cfg = 2, Config()
+    Nw = working(p, cfg)
+    f, u = make_twist_fixture(gm_pair(p, cfg.M, Nw), series_from_fractions(p, [1, 1], cfg.M, Nw))
 
+    def boom(*args, **kwargs):
+        raise AssertionError("analyze called logarithm_limit")
 
-def analyze_counting_chain(monkeypatch, f, u, cfg):
-    """analyze's report and the number of links of the f-iterate chain: the
-    tabled sums over the power table of f, the series analyze works on
-    (truncated and capped), whose packed input is the identity or an earlier
-    link, as the limit and ``polygon.iterate`` (through ``compose``) both
-    form them."""
-    p = f.prime
-    Nw = cfg.resolve(p).working_prec()
-    inner = f.truncate(cfg.M).cap_coeff_prec(Nw).to_json()
-
-    def body(c):  # slots 1 .. of a packed series, trailing absent slots cut
-        n = max((k for k, x in enumerate(c[2]) if k and x != series._ABSENT), default=0)
-        return tuple(tuple(x[1 : n + 1]) for x in c)
-
-    links = [body(series._pack(PSeries.identity(p, cfg.M, Nw).coeffs, cfg.M))]  # the start
-    tables = []
-    power_table, tabled_sum = PSeries.power_table, series._PowerTable.sum
-
-    def table_spy(self):
-        table = power_table(self)
-        if self.to_json() == inner and not any(table is t for t in tables):
-            tables.append(table)
-        return table
-
-    def sum_spy(self, c, lo, D):
-        out = tabled_sum(self, c, lo, D)
-        if lo == 1 and any(self is t for t in tables) and body(c) in links:
-            links.append(body(([series._ABSENT] + out[0], [0] + out[1], [series._ABSENT] + out[2])))
-        return out
-
-    monkeypatch.setattr(PSeries, "power_table", table_spy)
-    monkeypatch.setattr(series._PowerTable, "sum", sum_spy)
+    for owner in (dynamics, analyzer):
+        monkeypatch.setattr(owner, "logarithm_limit", boom, raising=False)
     report = analyze(f, u, cfg, name="gm_w1")
-    monkeypatch.setattr(PSeries, "power_table", power_table)
-    monkeypatch.setattr(series._PowerTable, "sum", tabled_sum)
-    return report, len(links) - 1
-
-
-def test_limit_and_shapes_share_one_chain(monkeypatch):
-    cfg = Config()
-    f, u = gm_w1(2, cfg)
-    report, links = analyze_counting_chain(monkeypatch, f, u, cfg)
-    assert report.verdict == CERTIFIED
-    iterations = len(report.data["logarithm"]["limit_evidence"])
+    assert report.verdict == CERTIFIED, report.reason
     shapes = report.data["iterate_shape"]
     assert [s["n"] for s in shapes] == [1, 2, 3] and all(s["ok"] for s in shapes)
-    assert links == iterations
 
 
-def test_limit_runs_its_full_count():
-    """The limit stopped after 8 of its 10 iterates, where one increment was
-    zero to its precision, and returned that iterate uncapped."""
-    cfg = Config(N=9, M=30)
-    report = analyze(*lt_pair(5, cfg.M, working(5, cfg)), cfg)
+# the cases where the iterate limit over-claimed one coefficient of a valid
+# pair's logarithm, against a truth 300 digits deeper, while the recurrence
+# was right at every digit: (p, base, w, M, N)
+LIMIT_OVERCLAIMS = [
+    (2, "lt", [3, 1], 16, 12),
+    (2, "lt", [1, 3], 48, 14),
+    (2, "gm", [1, 3], 36, 18),
+    (3, "lt", [25, 6, 6], 72, 15),
+]
+
+
+@pytest.mark.parametrize("p, base, w, M, N", LIMIT_OVERCLAIMS)
+def test_pairs_the_limit_over_claims_on_certify(p, base, w, M, N):
+    """These valid twists were INCONCLUSIVE, "constructions disagree at
+    certified digits", while analyze compared the recurrence with the
+    iterate limit."""
+    cfg = Config(N=N, M=M)
+    w = series_from_fractions(p, w, M, working(p, cfg))
+    report = analyze(*make_twist_fixture(base, w), cfg, name="twist")
     assert report.verdict == CERTIFIED, report.reason
-    evidence = report.data["logarithm"]["limit_evidence"]
-    assert [n for n, _ in evidence] == list(range(1, default_n_max(5, cfg.M) + 1))
-    assert len(evidence) == 10

@@ -269,17 +269,13 @@ def test_fixture_file_of_a_scalar_refused(tmp_path, capsys, command, body):
     assert err == f"error: fixture file must hold a JSON object or array, got {body}\n"
 
 
-def test_high_precision_analyze_runs_in_bounded_memory():
-    """At N = 60000 the cached powers of p held p^0 .. p^60000, about 550 MB,
-    and under a 300 MB address-space limit ``analyze`` died in a MemoryError
-    traceback instead of printing its REJECTED row."""
-    limit = 300 << 20
+def run_capped(argv, limit):
+    """``lubinlab`` in a subprocess whose address space is capped at limit bytes."""
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    argv = ["analyze", "--p", "5", "--f", "5,0,0,0,1", "--u", "-1", "--M", "25", "--N", "60000", "--format", "text"]
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", "import sys; from lubinlab.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
         env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
         capture_output=True,
@@ -287,9 +283,26 @@ def test_high_precision_analyze_runs_in_bounded_memory():
         timeout=120,
         preexec_fn=cap,
     )
+
+
+def test_high_precision_analyze_runs_in_bounded_memory():
+    """At N = 60000 the cached powers of p held p^0 .. p^60000, about 550 MB,
+    and under a 300 MB address-space limit ``analyze`` died in a MemoryError
+    traceback instead of printing its REJECTED row."""
+    argv = ["analyze", "--p", "5", "--f", "5,0,0,0,1", "--u", "-1", "--M", "25", "--N", "60000", "--format", "text"]
+    done = run_capped(argv, 300 << 20)
     assert done.returncode == 1 and "Traceback" not in done.stderr, done.stderr
     row = done.stdout.splitlines()[2]
     assert row.startswith("inline") and row.split()[2] == "REJECTED"
+
+
+def test_sparse_logarithm_runs_in_bounded_memory():
+    """The logarithm of f = 2x has one coefficient, and at M = 4000 its
+    recurrence grew the power table of f to 3998 powers of 4000 columns,
+    about 220 MB, reading one absent slot per power."""
+    done = run_capped(["log", "--p", "2", "--series", "2", "--M", "4000"], 100 << 20)
+    assert done.returncode == 0 and "Traceback" not in done.stderr, done.stderr
+    assert [e for e, _ in json.loads(done.stdout)["coefficients"]] == [[1]]
 
 
 @pytest.mark.parametrize("field, value", [("p", [2]), ("p", 2.7), ("p", True), ("N", "20"), ("M", 16.0), ("p", None)])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from lubinlab import (
     INF,
+    Config,
     ConstantTermError,
     DivisionByZeroToPrecision,
     PrecisionExhausted,
@@ -18,6 +19,7 @@ from lubinlab import (
     dlog_integrality,
     logarithm_limit,
     logarithm_recurrence,
+    lt_pair,
     newton_polygon,
     normalize_u,
     ramification_index,
@@ -57,6 +59,14 @@ def test_recurrence_on_gm_is_classical_log():
         assert logf.series.c((n,)).congruent(Fraction((-1) ** (n + 1), n))
 
 
+def test_sparse_logarithm_reads_no_absent_power():
+    """The logarithm of f = 2x has one coefficient, x; its recurrence grew
+    the power table of f to 62 powers at M = 64, one per absent slot."""
+    f = series_from_fractions(2, [2], 64, 20)
+    assert logarithm_recurrence(f).series.coeffs.keys() == {(1,)}
+    assert len(f.power_table().shift) == 1
+
+
 def test_recurrence_hand_value():
     f = series_from_fractions(3, [3, 0, 1], 16, 24)
     logf = logarithm_recurrence(f)
@@ -81,7 +91,7 @@ def test_limit_zero_iterations_is_identity():
 
 @st.composite
 def limit_case(draw):
-    """(p, M, N, {degree: triple}, n_max, keep): f without constant term,
+    """(p, M, N, {degree: triple}, n_max): f without constant term,
     its linear coefficient of valuation 0 to 2, zero-like or absent, the
     others finite (negative valuations included), zero-like or absent, some
     at or past the truncation M; n_max None for the default."""
@@ -101,7 +111,7 @@ def limit_case(draw):
         if kind != "absent":
             coeffs[d] = (INF, 0, draw(st.integers(1, 6))) if kind == "zero-like" else finite(-2, 4)
     n_max = draw(st.none() | st.integers(0, 6))
-    return p, M, draw(st.integers(1, 10)), coeffs, n_max, draw(st.integers(0, 4))
+    return p, M, draw(st.integers(1, 10)), coeffs, n_max
 
 
 def triples(s):
@@ -110,34 +120,32 @@ def triples(s):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(limit_case())
-@example((2, 2, 5, {1: (1, 5, 4)}, 2, 0))  # no stabilization
-@example((3, 3, 1, {1: (2, 4, 4), 2: (0, 7, 2)}, 1, 0))  # the cap of (2,) is <= 0
-@example((3, 3, 6, {1: (2, 4, 4), 2: (INF, 0, 2)}, 1, 0))  # O(3^2) / c: N - v(c) = 0
-@example((2, 3, 10, {1: (INF, 0, 5), 2: (0, 1, 4)}, 6, 1))  # c zero-like
-@example((3, 12, 8, {1: (1, 1, 8), 3: (0, 1, 8)}, None, 3))  # f = 3x + x^3, three kept
+@example((2, 2, 5, {1: (1, 5, 4)}, 2))  # no stabilization
+@example((3, 3, 1, {1: (2, 4, 4), 2: (0, 7, 2)}, 1))  # the cap of (2,) is <= 0
+@example((3, 3, 6, {1: (2, 4, 4), 2: (INF, 0, 2)}, 1))  # O(3^2) / c: N - v(c) = 0
+@example((2, 3, 10, {1: (INF, 0, 5), 2: (0, 1, 4)}, 6))  # c zero-like
+@example((3, 12, 8, {1: (1, 1, 8), 3: (0, 1, 8)}, None))  # f = 3x + x^3
 def test_packed_limit_matches_dict_limit(case):
     """``logarithm_limit`` on packed lists against the dict limit it
-    replaced (``oracles.triple_limit``): the series, the evidence and the
-    kept iterates triple for triple, or the same exception class and
-    message."""
-    p, M, N, coeffs, n_max, keep = case
+    replaced (``oracles.triple_limit``): the series and the evidence triple
+    for triple, or the same exception class and message."""
+    p, M, N, coeffs, n_max = case
     f = PSeries(p, 1, M, {(d,): PadicNum(p, *t) for d, t in coeffs.items()}, N)
     try:
-        want = triple_limit(p, triples(f), M, N, default_n_max(p, M) if n_max is None else n_max, keep)
+        want = triple_limit(p, triples(f), M, N, default_n_max(p, M) if n_max is None else n_max)
     except (NoDigits, ZeroDivisor) as ex:
         kind = PrecisionExhausted if isinstance(ex, NoDigits) else DivisionByZeroToPrecision
         with pytest.raises(kind) as got:
-            logarithm_limit(f, n_max, keep)
+            logarithm_limit(f, n_max)
         assert str(got.value) == str(ex)
         return
-    lim = logarithm_limit(f, n_max, keep)
-    assert (triples(lim.series), lim.stabilization, [triples(s) for s in lim.iterates]) == want
+    lim = logarithm_limit(f, n_max)
+    assert (triples(lim.series), lim.stabilization) == want
 
 
-@pytest.mark.parametrize("keep", [0, 1, 3])
-def test_limit_unpacks_only_the_kept_iterates_and_the_result(monkeypatch, keep):
-    """The limit runs on packed lists: of its iterates only the kept ones
-    become series, and so does the result."""
+def test_limit_unpacks_only_the_result(monkeypatch):
+    """The limit runs on packed lists: of its iterates none becomes a
+    series, only the result does."""
     f = one_plus_x_pow(3, 3, 32, 20)
     calls = []
     unpack = series._unpack
@@ -148,9 +156,19 @@ def test_limit_unpacks_only_the_kept_iterates_and_the_result(monkeypatch, keep):
 
     monkeypatch.setattr(series, "_unpack", counted)
     monkeypatch.setattr(dynamics, "_unpack", counted)
-    lim = logarithm_limit(f, keep=keep)
-    assert len(lim.iterates) == keep and len(lim.stabilization) == default_n_max(3, 32)
-    assert len(calls) == keep + 1
+    lim = logarithm_limit(f)
+    assert len(lim.stabilization) == default_n_max(3, 32)
+    assert len(calls) == 1
+
+
+def test_limit_runs_its_full_count():
+    """The limit stopped after 8 of its 10 iterates, where one increment was
+    zero to its precision, and returned that iterate uncapped."""
+    f, _ = lt_pair(5, 30, Config(N=9, M=30).resolve(5).working_prec())
+    lim = logarithm_limit(f)
+    assert [n for n, _ in lim.stabilization] == list(range(1, default_n_max(5, 30) + 1))
+    assert len(lim.stabilization) == 10
+    assert lim.series.equal_to_precision(logarithm_recurrence(f).series)
 
 
 def test_functional_equations():

@@ -74,7 +74,6 @@ CASES = [
     (PSeries, "reduce_mod_p", PrecisionExhausted("boom"), starved("weierstrass_degree"), "hypotheses"),
     (analyzer, "count_roots_open_disk", TruncationInconclusive("boom"), starved("root_count"), "hypotheses"),
     (analyzer, "logarithm_recurrence", PrecisionExhausted("boom"), starved("logarithm"), "normalization"),
-    (analyzer, "logarithm_limit", PrecisionExhausted("boom"), starved("logarithm"), "normalization"),
     (analyzer, "verify_iterate_shape", TruncationInconclusive("boom"), starved("iterate_shape"), "logarithm"),
     (
         analyzer,
@@ -203,22 +202,6 @@ def test_torsion_control_rejected():
         "identity_to_precision": True,
     }
     assert sorted(report.data) == sections_through("hypotheses")
-
-
-def test_disagreeing_constructions_starve_the_crosscheck(monkeypatch):
-    """The limit's series replaced by x disagrees with the recurrence."""
-    limit = analyzer.logarithm_limit
-
-    def identity(*args, **kwargs):
-        log = limit(*args, **kwargs)
-        log.series = PSeries.identity(2, CFG.M, NW)
-        return log
-
-    monkeypatch.setattr(analyzer, "logarithm_limit", identity)
-    report = analyze(*pair(), CFG, name="pinned")
-    assert report.verdict == INCONCLUSIVE
-    assert report.reason == f"stage logarithm_crosscheck starved: constructions disagree at certified digits; {RETRY}"
-    assert sorted(report.data) == sections_through("logarithm")
 
 
 @pytest.mark.parametrize(
