@@ -6,7 +6,8 @@ are decided: commutation check, integrality and the other hypothesis checks
 on f and u, normalization of u, the logarithm by its recurrence,
 integrality of the logarithm derivative, iterate polygon shapes, the
 formal group law with its certificates, endomorphism identification,
-Frobenius-multiplier recovery, and the independent degree-by-degree lift.  One handler turns a stage's exception into the verdict:
+Frobenius-multiplier recovery, and the independent degree-by-degree lift.
+One handler turns a stage's exception into the verdict:
 
 * REJECTED     - a hypothesis provably fails at certified digits;
 * INCONCLUSIVE - the working precision or truncation starves a stage
@@ -271,8 +272,7 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         # 5. iterate polygon shapes for p^n < M; f is integral here, so each
         # shape reads only the head of f^n, up to x^(p^n)
         stage = "iterate_shape"
-        n_top = sum(1 for n in range(1, cfg.n_shape + 1) if p**n < cfg.M)
-        shapes = [{"n": n, "ok": verify_iterate_shape(f, n)} for n in range(1, n_top + 1)]
+        shapes = [{"n": n, "ok": verify_iterate_shape(f, n)} for n in range(1, cfg.n_shape + 1) if p**n < cfg.M]
         report["iterate_shape"] = shapes
         if not all(s["ok"] for s in shapes):
             return rejected("iterate polygon shape differs from (p^k, n-k)")

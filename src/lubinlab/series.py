@@ -401,7 +401,7 @@ def _solve_by_powers(h: PSeries, a1: PadicNum, lam: PadicNum) -> PSeries:
     p, table = h.prime, h.power_table()
     V, U, N = [_ABSENT, _ABSENT if a1.v == INF else a1.v], [0, a1.u], [_ABSENT, a1.N]  # packed a_0, a_1
     cpow = c = h.linear_coeff()
-    top = 2  # a_0 .. a_(top-1) hold the present slots
+    top = 2  # every slot from top on is absent
     for n in range(2, h.x_prec):
         cpow = cpow * c  # c^n
         (v,), (u,), (K,) = table.sum((V[:top], U[:top], N[:top]), n, n + 1)
