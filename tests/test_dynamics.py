@@ -143,10 +143,12 @@ def test_packed_limit_matches_dict_limit(case):
     assert (triples(lim.series), lim.stabilization) == want
 
 
-def test_limit_unpacks_only_the_result(monkeypatch):
-    """The limit runs on packed lists: of its iterates none becomes a
-    series, only the result does."""
-    f = one_plus_x_pow(3, 3, 32, 20)
+@pytest.mark.parametrize("n_max", [0, 1, 3])
+def test_limit_unpacks_only_the_kept_iterates_and_the_result(monkeypatch, n_max):
+    """The limit runs on packed lists and keeps none of its iterates: of the
+    n_max it forms none becomes a series, only the result does (n_max = 0
+    returns the identity and unpacks nothing)."""
+    f = series_from_fractions(3, [3, 9], 32, 20)  # 3x + 9x^2: its increments shrink from the first
     calls = []
     unpack = series._unpack
 
@@ -156,9 +158,9 @@ def test_limit_unpacks_only_the_result(monkeypatch):
 
     monkeypatch.setattr(series, "_unpack", counted)
     monkeypatch.setattr(dynamics, "_unpack", counted)
-    lim = logarithm_limit(f)
-    assert len(lim.stabilization) == default_n_max(3, 32)
-    assert len(calls) == 1
+    lim = logarithm_limit(f, n_max)
+    assert len(lim.stabilization) == n_max
+    assert len(calls) == min(n_max, 1)
 
 
 def test_limit_runs_its_full_count():
