@@ -23,20 +23,20 @@ lim = logarithm_limit(f)
 
 print("first coefficients of log_f (note the precision ledger):")
 for n in range(1, 10):
-    c = rec.series.c((n,))
+    c = rec.c((n,))
     if not c.is_zero_like():
         print(f"  x^{n}: {c!r}")
 print()
 
 print("agrees with the iterate-limit construction:",
-      rec.series.equal_to_precision(lim.series))
+      rec.equal_to_precision(lim.series))
 print("limit stabilization evidence (n, min increment valuation):",
       lim.stabilization[-4:])
 print()
 
 # The polygon of the logarithm has vertices (p^k, -k): it converges on the
 # whole open unit disk and its root set matches the iterated preimages of 0.
-poly = newton_polygon(rec.series)
+poly = newton_polygon(rec)
 print("negative vertices of N(log_f):", poly.negative_vertices())
 print()
 

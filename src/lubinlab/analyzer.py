@@ -255,10 +255,10 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         # L'(0) = 1 and L(f) = f'(0) L, so any other L fails stage 7's endo_f,
         # E(f'(0) L) = f at certified digits
         stage = "logarithm"
-        logf = logarithm_recurrence(f)
-        logpoly = newton_polygon(logf.series)
+        L = logarithm_recurrence(f)
+        logpoly = newton_polygon(L)
         poly_ok = logpoly.negative_vertices() == log_polygon_vertices(p, cfg.M)
-        dlog_ok = dlog_integrality(logf)
+        dlog_ok = dlog_integrality(L)
         report["logarithm"] = {
             "polygon_ok": poly_ok,
             "polygon_vertices": [list(v) for v in logpoly.negative_vertices()],
@@ -283,8 +283,8 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         u.release_powers()
         # 6. formal group from the logarithm
         stage = "group_from_log"
-        exp_series = exp_from_log(logf)
-        G = group_from_log(logf)
+        exp_series = exp_from_log(L)
+        G = group_from_log(L)
         law_ok = G.certify(cfg.m2)
         fg = {
             "min_coeff_valuation": _val_str(G.min_coeff_valuation()),
@@ -300,8 +300,8 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
 
         # 7. endomorphism identification
         stage = "endomorphisms"
-        bf = bracket(logf, c, exp_series)
-        bu = bracket(logf, gamma, exp_series)
+        bf = bracket(L, c, exp_series)
+        bu = bracket(L, gamma, exp_series)
         fg["endo_f"] = bf.equal_to_precision(f)
         fg["endo_u"] = bu.equal_to_precision(u)
         if not (fg["endo_f"] and fg["endo_u"]):
@@ -309,7 +309,7 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
 
         # 8. Frobenius multiplier
         stage = "frobenius_multiplier"
-        pi, bk = frobenius_multiplier(logf, f, exp_series)
+        pi, bk = frobenius_multiplier(L, f, exp_series)
         report["frobenius"] = {
             "pi": pi.to_json(),
             "pi_residue": str(pi.as_fraction()),
@@ -341,7 +341,7 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
     # passed at its own declared precision; starvation shows up as a stage
     # that cannot decide, not as a low floor here)
     min_prec = min(
-        min((co.N for co in logf.series.coeffs.values()), default=Nw),
+        min((co.N for co in L.coeffs.values()), default=Nw),
         min((co.N for co in G.F.coeffs.values()), default=Nw),
         min((co.N for co in bk.coeffs.values()), default=Nw),
     )
@@ -383,21 +383,18 @@ def lt_pair(p: int, M: int, N: int):
     coeffs[0] = p
     coeffs[p - 1] = 1
     f = PSeries.from_univariate_coeffs(p, coeffs, M, n_int)
-    logf = logarithm_recurrence(f)
-    u = bracket(logf, PadicNum.from_int(1 + p, p, n_int))
+    u = bracket(logarithm_recurrence(f), PadicNum.from_int(1 + p, p, n_int))
     return f.cap_coeff_prec(N), u.cap_coeff_prec(N)
 
 
-def make_twist_fixture(base, w: PSeries, M: int = None, N: int = None):
+def make_twist_fixture(base, w: PSeries):
     """Conjugate a base pair by an invertible integral coordinate change.
 
     base is "gm", "lt", or an explicit (f0, u0) pair; w must lie in S_0
     with unit derivative.  Returns (f, u) = (w^-1 f0 w, w^-1 u0 w), which
     commutes and satisfies the analyzer hypotheses whenever the base does.
     """
-    p = w.prime
-    M = M or w.x_prec
-    N = N or w.coeff_prec
+    p, M, N = w.prime, w.x_prec, w.coeff_prec
     if not w.s0:
         raise ValueError("twist must have zero constant term")
     w1 = w.linear_coeff()

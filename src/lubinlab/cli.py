@@ -23,7 +23,7 @@ from .analyzer import (
 )
 from .dynamics import log_polygon_vertices, logarithm_recurrence
 from .errors import LubinlabError
-from .formalgroup import exp_from_log, frobenius_multiplier, group_from_log
+from .formalgroup import frobenius_multiplier, group_from_log
 from .polygon import newton_polygon
 
 
@@ -120,18 +120,18 @@ def cmd_polygon(args) -> int:
 def cmd_log(args) -> int:
     cfg = _config(args)
     g = _series_from_args(args, cfg)
-    logf = logarithm_recurrence(g)
-    poly = newton_polygon(logf.series)
+    L = logarithm_recurrence(g)
+    poly = newton_polygon(L)
     p = g.prime
     payload = {
         "p": p,
-        "coefficients": _scalar_table(logf.series),
+        "coefficients": _scalar_table(L),
         "polygon_vertices": [list(v) for v in poly.negative_vertices()],
         "polygon_ok": poly.negative_vertices() == log_polygon_vertices(p, g.x_prec),
     }
     if args.format == "text":
         lines = [f"log coefficients (p={p}):"]
-        for (i,), c in sorted(logf.series.coeffs.items()):
+        for (i,), c in sorted(L.coeffs.items()):
             lines.append(f"  x^{i:<3} = {c!r}")
         lines.append(f"polygon vertices: {payload['polygon_vertices']}")
         lines.append(f"polygon ok: {payload['polygon_ok']}")
@@ -144,8 +144,7 @@ def cmd_log(args) -> int:
 def cmd_group(args) -> int:
     cfg = _config(args)
     g = _series_from_args(args, cfg)
-    logf = logarithm_recurrence(g)
-    G = group_from_log(logf)
+    G = group_from_log(logarithm_recurrence(g))
     G.certify(cfg.m2)
     payload = {
         "p": g.prime,
@@ -169,9 +168,7 @@ def cmd_group(args) -> int:
 def cmd_frobenius(args) -> int:
     cfg = _config(args)
     g = _series_from_args(args, cfg)
-    logf = logarithm_recurrence(g)
-    exp_series = exp_from_log(logf)
-    pi, bk = frobenius_multiplier(logf, g, exp_series)
+    pi, bk = frobenius_multiplier(logarithm_recurrence(g), g)
     digits = []
     u = pi.u
     for _ in range(pi.N - pi.v):

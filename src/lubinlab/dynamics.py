@@ -11,14 +11,16 @@ hypotheses; ``analyzer.analyze`` is the one place that decides them.
 
 Two constructions of the logarithm are provided.  The functional-equation
 recurrence, with its deterministic per-coefficient precision ledger, is
-the one ``analyze`` runs.  The normalized-iterate limit f^n / f'(0)^n is
-the paper's construction, kept as a library function that acceptance
-criterion 2 and ``demos/02_logarithm.py`` compare with the recurrence.  It
-always forms a fixed number of iterates, and its only claim is the
-ultrametric Cauchy cap at the last increment; a run that leaves a
-coefficient no digits raises PrecisionExhausted.  It runs on the packed
-lists of ``series``: each iterate is one tabled sum on the power table of
-f, divided by f'(0)^n slot by slot, and only its result becomes a series.
+the one ``analyze`` runs, and returns L as a PSeries.  The
+normalized-iterate limit f^n / f'(0)^n is the paper's construction, kept
+as a library function that acceptance criterion 2 and
+``demos/02_logarithm.py`` compare with the recurrence; its ``Logarithm``
+result carries its stabilization record too.  It always forms a fixed
+number of iterates, and its only claim is the ultrametric Cauchy cap at
+the last increment; a run that leaves a coefficient no digits raises
+PrecisionExhausted.  It runs on the packed lists of ``series``: each
+iterate is one tabled sum on the power table of f, divided by f'(0)^n
+slot by slot, and only its result becomes a series.
 """
 
 from fractions import Fraction
@@ -51,22 +53,21 @@ def check_commute(f: PSeries, u: PSeries):
 
 
 class Logarithm:
-    """The logarithm of f with what its limit construction observed.
-
-    ``series`` has linear coefficient 1 and satisfies series∘f = f'(0)·series
-    to precision.  ``stabilization`` (limit construction only) records, per
-    iteration, the least valuation of the increment between consecutive
-    normalized iterates.
+    """The result of ``logarithm_limit``: the limit ``series``, with linear
+    coefficient 1 and series∘f = f'(0)·series to precision, and its
+    ``stabilization``, per iteration the least valuation of the increment
+    between consecutive normalized iterates.  ``logarithm_recurrence``
+    returns its series bare.
     """
 
     __slots__ = ("series", "stabilization")
 
-    def __init__(self, series, stabilization=None):
+    def __init__(self, series, stabilization):
         self.series = series
         self.stabilization = stabilization
 
 
-def logarithm_recurrence(f: PSeries) -> Logarithm:
+def logarithm_recurrence(f: PSeries) -> PSeries:
     """Solve L(f(x)) = f'(0) L(x) degree by degree with L'(0) = 1.
 
     Degree n costs one division by f'(0)^n - f'(0); with v(f'(0)) = 1 that
@@ -83,8 +84,7 @@ def logarithm_recurrence(f: PSeries) -> Logarithm:
         torsion, _ = is_root_of_unity(c)
         if torsion:
             raise DomainError("f'(0) must not be a root of unity")
-    series = _solve_by_powers(f, PadicNum.one(f.prime, f.coeff_prec), c)
-    return Logarithm(series)
+    return _solve_by_powers(f, PadicNum.one(f.prime, f.coeff_prec), c)
 
 
 def default_n_max(p: int, M: int) -> int:
@@ -113,7 +113,7 @@ def logarithm_limit(f: PSeries, n_max: int = None) -> Logarithm:
         n_max = default_n_max(p, M)
     ident = PSeries.identity(p, M, f.coeff_prec)
     if n_max == 0:
-        return Logarithm(ident, stabilization=[])
+        return Logarithm(ident, [])
     norm = _pack(ident.coeffs, M)
     evidence = []
     for n, fn in zip(range(1, n_max + 1), _iterates(f)):
@@ -140,10 +140,9 @@ def log_polygon_vertices(p: int, M: int) -> list:
     return [(p**k, -k) for k in range(ceil_log(M, p))]
 
 
-def dlog_integrality(logf: Logarithm) -> bool:
-    """True iff every coefficient of log' certifies valuation >= 0."""
-    d = logf.series.derivative()
-    return all(c.val_floor() >= 0 for c in d.coeffs.values())
+def dlog_integrality(L: PSeries) -> bool:
+    """True iff every coefficient of L' certifies valuation >= 0."""
+    return L.derivative().min_val_floor() >= 0
 
 
 def normalize_u(u: PSeries):
@@ -181,7 +180,7 @@ def normalize_u(u: PSeries):
     return iterate(u, e), e
 
 
-def zp_iterate(u: PSeries, logf: Logarithm, a, exp_series: PSeries = None) -> PSeries:
+def zp_iterate(u: PSeries, L: PSeries, a, exp_series: PSeries = None) -> PSeries:
     """The Z_p-iterate of u with derivative u'(0)^a: rev(L)(u'(0)^a · L(x)).
 
     a may be an integer or a scalar in Z_p; for p-adic a, u must be
@@ -189,8 +188,8 @@ def zp_iterate(u: PSeries, logf: Logarithm, a, exp_series: PSeries = None) -> PS
     """
     gamma_a = padic_pow(u.linear_coeff(), a)
     if exp_series is None:
-        exp_series = logf.series.reversion()
-    return exp_series.compose(logf.series, gamma_a)
+        exp_series = L.reversion()
+    return exp_series.compose(L, gamma_a)
 
 
 def ramification_index(omega: PSeries, n_max: int):

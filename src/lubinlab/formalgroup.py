@@ -2,6 +2,9 @@
 
 Two independent constructions are implemented and cross-checked.
 
+The logarithm L is taken as a plain PSeries, so this module imports
+nothing from ``dynamics``.
+
 ``group_from_log`` builds F(x, y) = E(L(x) + L(y)), L the logarithm and E
 its compositional inverse, without a two-variable composition: the Taylor
 orders A_j = E^(j)(L(x)) satisfy A_0 = x and A_{j+1} = A_j' / L'(x), so
@@ -38,7 +41,6 @@ from .errors import (
 )
 from .padic import _ABSENT, PadicNum
 from .series import PSeries, _operand, _pack, _packed_derivative, _packed_div_int, _part, _part_mul, _part_sum, _parts, _product, first_disagreement, raise_if_not_integral
-from .dynamics import Logarithm
 
 
 class FormalGroupLaw:
@@ -120,17 +122,18 @@ def _sides(F: PSeries, D: int) -> list:
     return sides
 
 
-def exp_from_log(logf: Logarithm) -> PSeries:
-    """The exponential E, the compositional inverse of the logarithm.
+def exp_from_log(L: PSeries) -> PSeries:
+    """The exponential E, the compositional inverse of the logarithm
+    series L.
 
     This is the named exponential: callers form it once and pass it to
     ``bracket`` and ``frobenius_multiplier``, and ``bench/tracer.py`` times
     it as its own layer.
     """
-    return logf.series.reversion()
+    return L.reversion()
 
 
-def group_from_log(logf: Logarithm) -> FormalGroupLaw:
+def group_from_log(L: PSeries) -> FormalGroupLaw:
     """F(x,y) = E(L(x) + L(y)) = sum_a x^a g_a(L(y)), g_a(t) = sum_j [A_j]_a t^j / j!.
 
     The orders A_0 = x, A_{j+1} = A_j' / L' (below degree M - j - 1) stay
@@ -144,7 +147,6 @@ def group_from_log(logf: Logarithm) -> FormalGroupLaw:
 
     Raises IntegralityFailure as ``series.raise_if_not_integral`` does.
     """
-    L = logf.series
     p, M, N = L.prime, L.x_prec, L.coeff_prec
     inv_dlog = _operand(p, _pack(L.derivative().inverse().coeffs, M - 1))
     A = _pack({(1,): PadicNum.one(p, N)}, M)
@@ -221,11 +223,11 @@ def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
     return FormalGroupLaw(F, "lubin-tate-lift")
 
 
-def bracket(logf: Logarithm, a: PadicNum, exp_series: PSeries = None) -> PSeries:
+def bracket(L: PSeries, a: PadicNum, exp_series: PSeries = None) -> PSeries:
     """The endomorphism [a] = E(a * L(x)) with derivative a."""
     if exp_series is None:
-        exp_series = exp_from_log(logf)
-    return exp_series.compose(logf.series, a)
+        exp_series = exp_from_log(L)
+    return exp_series.compose(L, a)
 
 
 def _is_xp_mod_p(series: PSeries, D: int) -> bool:
@@ -239,7 +241,7 @@ def _is_xp_mod_p(series: PSeries, D: int) -> bool:
     return not red.c((p,)).is_zero_like() if D > p else True
 
 
-def frobenius_multiplier(logf: Logarithm, f: PSeries, exp_series: PSeries = None):
+def frobenius_multiplier(L: PSeries, f: PSeries, exp_series: PSeries = None):
     """Recover the unique pi with v(pi) = 1 and [pi] = x^p mod p.
 
     Returns (pi, bracket_series) where pi carries only the digits the
@@ -253,8 +255,7 @@ def frobenius_multiplier(logf: Logarithm, f: PSeries, exp_series: PSeries = None
     M = f.x_prec
     N = f.coeff_prec
     if exp_series is None:
-        exp_series = exp_from_log(logf)
-    L = logf.series
+        exp_series = exp_from_log(L)
 
     def candidate_bracket(unit_digits: int, D: int) -> PSeries:
         return exp_series.truncate(D).compose(L, PadicNum(p, 1, unit_digits, N))

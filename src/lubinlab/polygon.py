@@ -531,7 +531,7 @@ def weierstrass_factor(g: PSeries, slope, target_prec=None):
     return factor, PSeries(p, 1, g.x_prec, cofactor, g.coeff_prec)
 
 
-def is_eisenstein(poly: PSeries, degree=None) -> bool:
+def is_eisenstein(poly: PSeries) -> bool:
     """Eisenstein test for a monic polynomial over Z_p at working precision.
 
     True iff every non-leading coefficient has valuation >= 1 and the
@@ -539,11 +539,10 @@ def is_eisenstein(poly: PSeries, degree=None) -> bool:
     the lead carries no digits or the constant term's valuation is
     unresolved at the working precision.
     """
-    if degree is None:
-        finite = [e[0] for e, c in poly.coeffs.items() if not c.is_zero_like()]
-        if not finite:
-            raise ValueError("zero polynomial")
-        degree = max(finite)
+    finite = [e[0] for e, c in poly.coeffs.items() if not c.is_zero_like()]
+    if not finite:
+        raise ValueError("zero polynomial")
+    degree = max(finite)
     lead = poly.c((degree,))
     one = PadicNum.one(poly.prime, max(lead.N, 1) if lead.N != INF else 1)
     if first_disagreement([(degree, lead, one)]) is not None:

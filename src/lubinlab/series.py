@@ -307,13 +307,13 @@ class PSeries:
             out[key] = c
         return PSeries(self.prime, self.nvars - 1, self.x_prec, out, self.coeff_prec)
 
-    def equal_to_precision(self, other, prec=None) -> bool:
+    def equal_to_precision(self, other) -> bool:
         """Coefficient-wise congruence at the lesser declared precision, by
         ``first_disagreement``."""
         other = self._align(other)
         M = min(self.x_prec, other.x_prec)
         keys = [e for e in self.coeffs.keys() | other.coeffs.keys() if sum(e) < M]
-        return first_disagreement(((e, self.c(e), other.c(e)) for e in keys), prec) is None
+        return first_disagreement((e, self.c(e), other.c(e)) for e in keys) is None
 
     # -- serialization ------------------------------------------------------------
 
@@ -354,9 +354,9 @@ class PSeries:
         return cls(p, 1, obj["M"], coeffs, N)
 
 
-def first_disagreement(pairs, prec=None):
+def first_disagreement(pairs):
     """The key of the first (key, a, b) in ``pairs`` whose scalars a and b
-    are not congruent at P = min(a.N, b.N[, prec]), or None when no pair
+    are not congruent at P = min(a.N, b.N), or None when no pair
     disagrees.  A pair with P <= 0 has no digits and neither agrees nor
     disagrees: when no pair disagrees and one has no digits, the comparison
     is undecided and raises PrecisionExhausted, naming the least such key.
@@ -364,10 +364,9 @@ def first_disagreement(pairs, prec=None):
     disagreement is named does."""
     unresolved = []
     for key, a, b in pairs:
-        P = min(a.N, b.N) if prec is None else min(a.N, b.N, prec)
-        if P <= 0:
+        if min(a.N, b.N) <= 0:
             unresolved.append(key)
-        elif not a.congruent(b, prec):
+        elif not a.congruent(b):
             return key
     if unresolved:
         raise PrecisionExhausted(f"compared coefficients at {min(unresolved)} carry no digits")

@@ -54,24 +54,24 @@ def test_commute_with_identity():
 
 def test_recurrence_on_gm_is_classical_log():
     f = one_plus_x_pow(2, 2, 32, 40)
-    logf = logarithm_recurrence(f)
+    L = logarithm_recurrence(f)
     for n in range(1, 32):
-        assert logf.series.c((n,)).congruent(Fraction((-1) ** (n + 1), n))
+        assert L.c((n,)).congruent(Fraction((-1) ** (n + 1), n))
 
 
 def test_sparse_logarithm_reads_no_absent_power():
     """The logarithm of f = 2x has one coefficient, x; its recurrence grew
     the power table of f to 62 powers at M = 64, one per absent slot."""
     f = series_from_fractions(2, [2], 64, 20)
-    assert logarithm_recurrence(f).series.coeffs.keys() == {(1,)}
+    assert logarithm_recurrence(f).coeffs.keys() == {(1,)}
     assert len(f.power_table().shift) == 1
 
 
 def test_recurrence_hand_value():
     f = series_from_fractions(3, [3, 0, 1], 16, 24)
-    logf = logarithm_recurrence(f)
-    assert logf.series.c((1,)).congruent(1)
-    assert logf.series.c((3,)).congruent(Fraction(-1, 24))
+    L = logarithm_recurrence(f)
+    assert L.c((1,)).congruent(1)
+    assert L.c((3,)).congruent(Fraction(-1, 24))
 
 
 def test_limit_agrees_with_recurrence():
@@ -79,7 +79,7 @@ def test_limit_agrees_with_recurrence():
         f = series_from_fractions(p, coeffs, 32, 40)
         rec = logarithm_recurrence(f)
         lim = logarithm_limit(f)
-        assert rec.series.equal_to_precision(lim.series)
+        assert rec.equal_to_precision(lim.series)
         assert lim.stabilization
 
 
@@ -170,38 +170,35 @@ def test_limit_runs_its_full_count():
     lim = logarithm_limit(f)
     assert [n for n, _ in lim.stabilization] == list(range(1, default_n_max(5, 30) + 1))
     assert len(lim.stabilization) == 10
-    assert lim.series.equal_to_precision(logarithm_recurrence(f).series)
+    assert lim.series.equal_to_precision(logarithm_recurrence(f))
 
 
 def test_functional_equations():
     p = 3
     f = one_plus_x_pow(p, p, 32, 40)
     u = one_plus_x_pow(p, p + 1, 32, 40)
-    logf = logarithm_recurrence(f)
+    L = logarithm_recurrence(f)
 
     def scaled(s):
-        return PSeries(p, 1, logf.series.x_prec, {e: c * s for e, c in logf.series.coeffs.items()}, logf.series.coeff_prec)
+        return PSeries(p, 1, L.x_prec, {e: c * s for e, c in L.coeffs.items()}, L.coeff_prec)
 
-    assert logf.series.compose(f).equal_to_precision(scaled(f.linear_coeff()))
-    assert logf.series.compose(u).equal_to_precision(scaled(u.linear_coeff()))
+    assert L.compose(f).equal_to_precision(scaled(f.linear_coeff()))
+    assert L.compose(u).equal_to_precision(scaled(u.linear_coeff()))
 
 
 def test_log_polygon_vertices():
     p = 2
     f = one_plus_x_pow(p, p, 64, 84)
-    logf = logarithm_recurrence(f)
-    poly = newton_polygon(logf.series)
+    poly = newton_polygon(logarithm_recurrence(f))
     assert poly.negative_vertices() == [(1, 0), (2, -1), (4, -2), (8, -3), (16, -4), (32, -5)]
 
 
 def test_dlog_integrality():
     f = one_plus_x_pow(3, 3, 32, 30)
     assert dlog_integrality(logarithm_recurrence(f))
-    fake = logarithm_recurrence(f)
-    bad = fake.series + PSeries(
+    fake = logarithm_recurrence(f) + PSeries(
         3, 1, 32, {(2,): PadicNum.from_fraction(Fraction(1, 3), 3, 30)}, 30
     )
-    fake.series = bad
     assert not dlog_integrality(fake)
 
 
@@ -265,7 +262,7 @@ def test_zp_iterate_additivity(rnd):
     u = one_plus_x_pow(p, p + 1, M, Nw)
     u, _ = normalize_u(u)
     logf = logarithm_recurrence(f)
-    exp_series = logf.series.reversion()
+    exp_series = logf.reversion()
     for _ in range(5):
         a = PadicNum.from_int(rnd.randrange(0, p**6), p, Nw)
         b = PadicNum.from_int(rnd.randrange(0, p**6), p, Nw)

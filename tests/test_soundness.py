@@ -11,9 +11,12 @@ coefficient agrees at the lesser of its two precisions, absent coefficients
 result is at hand, every claimed digit also agrees with it.  A run that
 raises because its precision ran out claims nothing, and the other run's
 digits must still be right.  This is the check of Caruso, Roe & Vaccon,
-"Tracking p-adic precision" (LMS JCM 2014).
+"Tracking p-adic precision" (LMS JCM 2014).  The report of ``analyze`` is
+checked as a whole the same way, at (N, M) against (N + 10, 3M).
 """
 
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,12 +24,16 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lubinlab import (
+    CERTIFIED,
+    REJECTED,
+    Config,
     DomainError,
     IntegralityFailure,
     NotInvertible,
     PadicNum,
     PrecisionExhausted,
     PSeries,
+    analyze,
     exp_from_log,
     group_from_log,
     iterate,
@@ -36,7 +43,6 @@ from lubinlab import (
     newton_polygon,
     weierstrass_factor,
 )
-from lubinlab.dynamics import Logarithm
 from lubinlab.polygon import vertex_split
 from oracles import frac_val, lagrange_inversion, poly_compose, poly_inverse, poly_mul
 
@@ -159,7 +165,7 @@ def test_inverse_claims_only_confirmed_digits(case):
 def test_recurrence_log_claims_only_confirmed_digits(case):
     p, M, coeffs, N, k = case
     try:
-        lo, hi = at_precisions(case, univariate, lambda f: logarithm_recurrence(f).series)
+        lo, hi = at_precisions(case, univariate, logarithm_recurrence)
     except DomainError:
         return  # f'(0) a root of unity: no logarithm to compare
     confirm(lo, hi, as_truth(exact_log(coeffs, M)))
@@ -219,7 +225,7 @@ def test_group_from_log_claims_only_confirmed_digits(case, integral):
         if integral:
             one = {(1,): PadicNum.one(f.prime, f.coeff_prec)}
             L = PSeries(f.prime, 1, f.x_prec, {**f.coeffs, **one}, f.coeff_prec)
-            return group_from_log(Logarithm(L)).F
+            return group_from_log(L).F
         return group_from_log(logarithm_recurrence(f)).F
 
     p, M, coeffs, N, k = case
@@ -327,3 +333,42 @@ def test_weierstrass_factor_claims_no_digit_the_truncation_leaves_open():
     assert min(c.N for c in short.coeffs.values()) == 12
     for e in short.coeffs.keys() | truth.coeffs.keys():
         assert agree(short.c(e), truth.c(e)), e
+
+
+# -- the whole report at two precisions ----------------------------------------
+
+
+def twist_cases(seed, n):
+    """n valid twists (p, M, N, guard, base, w): M >= p^2, the guard at its
+    least, ceil(M/(p-1)), plus 0 to 2, and w an integer series with a unit
+    linear coefficient."""
+    rnd = random.Random(seed)
+    cases = []
+    for _ in range(n):
+        p = rnd.choice((2, 3, 5))
+        M = rnd.choice([m for m in (12, 16, 24, 32) if m >= p * p])
+        guard = -(-M // (p - 1)) + rnd.randint(0, 2)
+        unit = rnd.choice([a for a in range(1, p * p) if a % p])
+        w = [unit] + [rnd.randint(-p * p, p * p) for _ in range(rnd.randint(0, 3))]
+        cases.append((p, M, rnd.randint(4, 8), guard, rnd.choice(("gm", "lt")), w))
+    return cases
+
+
+def test_report_claims_only_what_a_deeper_run_confirms():
+    """Each twist is built below degree 3M at the working precision of
+    (N + 10, 3M) and analyzed there and at (N, M, guard).  Every twist is
+    valid, so neither run may be REJECTED, and so no verdict moves between
+    CERTIFIED and REJECTED.  Where both certify, the deeper π agrees at
+    every digit the shallower one claims.  An INCONCLUSIVE names the stage
+    that starved."""
+    for p, M, N, guard, base, w in twist_cases(27, 20):
+        hi_cfg = Config(N + 10, 3 * M)
+        f, u = make_twist_fixture(base, univariate(p, 3 * M, w, hi_cfg.resolve(p).working_prec()))
+        case = (p, M, N, guard, base, w)
+        lo, hi = analyze(f, u, Config(N, M, guard=guard)), analyze(f, u, hi_cfg)
+        for rep in (lo, hi):
+            assert rep.verdict != REJECTED, (case, rep.reason)
+            assert rep.verdict == CERTIFIED or re.match(r"^stage \w+ starved: ", rep.reason), (case, rep.reason)
+        if lo.verdict == hi.verdict == CERTIFIED:
+            shallow, deep = (PadicNum.from_json(r.data["frobenius"]["pi"], p) for r in (lo, hi))
+            assert deep.N >= shallow.N and deep.congruent(shallow), (case, shallow, deep)
