@@ -14,10 +14,13 @@ Nonzero values never carry infinite precision: a generic unit has an
 infinite p-adic expansion, so exactness is reserved for zero.
 
 The packed kernels of ``series`` apply the same rules to bare triples:
-``_scaled`` normalises one value, ``add_triples``, ``mul_triples`` and
-``scale_int`` are ``PadicNum``'s sum, product and product by an int, and
-``reduce_terms`` normalises whole lists of slot sums, raising where one
-keeps no digit.
+``_scaled`` normalises one value, ``add_triples``, ``mul_triples``,
+``div_triples`` and ``scale_int`` are ``PadicNum``'s sum, product,
+quotient and product by an int, and ``reduce_terms`` normalises whole
+lists of slot sums, raising where one keeps no digit.  Every quotient of
+scalars, and of the slots of a packed series by a scalar, is
+``div_triples``; only ``series._packed_div_int``, which divides a whole
+series by one exact integer, inverts a unit apart from it.
 """
 
 import math
@@ -158,15 +161,9 @@ class PadicNum:
         if q == 0:
             return cls.exact_zero(p)
         num, den = q.numerator, q.denominator
-        a = vp_int(num, p)
-        b = vp_int(den, p)
-        v = a - b
-        rel = N - v
-        if rel <= 0:
-            return cls.zero_to_prec(p, N)
-        mod = p ** rel
-        u = (num // p**a) * pow(den // p**b, -1, mod) % mod
-        return cls(p, v, u, N)
+        a, b = vp_int(num, p), vp_int(den, p)  # num known to N + b, over the exact den
+        top = (a, num // p**a) if a < N + b else (INF, 0)
+        return cls(p, *div_triples(p, *top, N + b, b, den // p**b, INF))
 
     @classmethod
     def one(cls, p: int, N: int) -> "PadicNum":
@@ -291,18 +288,7 @@ class PadicNum:
         if other is NotImplemented:
             return NotImplemented
         a, b = self, other
-        if b.is_zero_like():
-            raise DivisionByZeroToPrecision(
-                f"divisor is zero to precision O({b.p}^{b.N})"
-            )
-        if a.is_exact_zero():
-            return a
-        if a.v == INF:
-            return PadicNum.zero_to_prec(a.p, a.N - b.v)
-        rel = min(a.N - a.v, b.N - b.v)
-        mod = a.p**rel
-        u = a.u * pow(b.u, -1, mod) % mod
-        return PadicNum(a.p, a.v - b.v, u, a.v - b.v + rel)
+        return PadicNum(a.p, *div_triples(a.p, a.v, a.u, a.N, b.v, b.u, b.N))
 
     def __rtruediv__(self, other):
         other = self._check(other)
@@ -311,31 +297,19 @@ class PadicNum:
         return other / self
 
     def div_int(self, k: int) -> "PadicNum":
-        """Divide by a nonzero integer (handy for factorial denominators)."""
+        """Divide by a nonzero integer (handy for factorial denominators),
+        the exact divisor (v_p(k), k / p^v_p(k), INF) of ``div_triples``."""
         if k == 0:
             raise DivisionByZeroToPrecision("division by integer 0")
-        if self.is_exact_zero():
-            return self
         p = self.p
         w = vp_int(k, p)
-        kk = abs(k) // p**w
-        sign = 1 if k > 0 else -1
-        if self.v == INF:
-            return PadicNum.zero_to_prec(p, self.N - w)
-        rel = self.N - self.v
-        mod = p**rel
-        u = sign * self.u * pow(kk, -1, mod) % mod
-        return PadicNum(p, self.v - w, u, self.v - w + rel)
+        return PadicNum(p, *div_triples(p, self.v, self.u, self.N, w, k // p**w, INF))
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        if k < 0:  # 1/x = p^-v u^-1, with x's N - v relative digits
-            if self.v == INF:
-                raise DivisionByZeroToPrecision(f"divisor is zero to precision O({self.p}^{self.N})")
-            rel = self.N - self.v
-            inverse = PadicNum(self.p, -self.v, pow(self.u, -1, self.p**rel), rel - self.v)
-            return inverse ** (-k)
+        if k < 0:  # the exact 1 over x, with x's N - v relative digits
+            return PadicNum(self.p, *div_triples(self.p, 0, 1, INF, self.v, self.u, self.N)) ** (-k)
         if k == 0:
             rel = self.N - self.v if self.v != INF else self.N
             return PadicNum.one(self.p, max(int(rel), 1))
@@ -425,6 +399,22 @@ def mul_triples(p: int, va, ua, na, vb, ub, nb) -> tuple:
         return _scaled(p, INF, 0, (na if va == INF else va) + (nb if vb == INF else vb))
     rel = min(na - va, nb - vb)
     return va + vb, ua * ub % p**rel, va + vb + rel
+
+
+def div_triples(p: int, va, ua, na, vb, ub, nb) -> tuple:
+    """The rule of ``PadicNum.__truediv__`` on two values p^v u known modulo
+    p^n, as a (v, u, N) triple: a zero-like divisor raises
+    DivisionByZeroToPrecision, a zero-like dividend is known to
+    na - v(divisor) (``_scaled``, which raises where that is <= 0, and
+    keeps an exact zero exact), and two finite values keep the lesser
+    relative precision.  An exact integer divisor p^w k' is (w, k', INF)."""
+    if vb == INF:
+        raise DivisionByZeroToPrecision(f"divisor is zero to precision O({p}^{nb})")
+    if va == INF:
+        return _scaled(p, INF, 0, na - vb)
+    rel = min(na - va, nb - vb)
+    mod = prime_powers(p, rel)[rel]
+    return va - vb, ua * pow(ub, -1, mod) % mod, va - vb + rel
 
 
 def scale_int(p: int, v, u, N, k: int) -> tuple:

@@ -16,13 +16,15 @@ product, tabled sum and part sum normalises its slots with one
 ``padic.reduce_terms``, the one normalise-and-raise rule of the kernels.
 A derivative multiplies slot k by the exact integer k
 (``_packed_derivative`` under ``padic.scale_int``) and a division by a
-scalar runs slot by slot (``_packed_div``).  Inverses and the quotients of
-monic divisions are one recurrence on the same lists (``_packed_solve``):
-each coefficient is one sum against those already found (``_fold``),
-normalised by ``padic._scaled``, the rule of a scalar, with no
-``PadicNum`` per coefficient.  The bivariate kernel holds a series as its
-homogeneous parts: part k keys the coefficients of total degree k by a
-for x^a y^(k-a), and a part of a product is one pass over the pairs of
+scalar runs slot by slot (``_packed_div``), each slot by
+``padic.div_triples``, the rule of ``PadicNum.__truediv__``.  Inverses
+and the quotients of monic divisions are one recurrence on the same lists
+(``_packed_solve``): each coefficient is one sum against those already
+found (``_fold``), normalised by ``padic._scaled``, the rule of a scalar,
+and divided by the same ``div_triples``, with no ``PadicNum`` per
+coefficient.  The bivariate kernel holds a series as its homogeneous
+parts: part k keys the coefficients of total degree k by a for
+x^a y^(k-a), and a part of a product is one pass over the pairs of
 entries (``_part_sum``), the kernel of the lift's Horner intermediates
 and of the associativity certificate.
 
@@ -53,13 +55,12 @@ from operator import add, mul
 
 from .errors import (
     ConstantTermError,
-    DivisionByZeroToPrecision,
     IntegralityFailure,
     NotInvertible,
     PrecisionExhausted,
     PrimeMismatch,
 )
-from .padic import _ABSENT, _HALF, INF, PadicNum, _scaled, add_triples, neg_unit, prime_powers, reduce_terms, require_prime, scale_int, vp_int
+from .padic import _ABSENT, _HALF, INF, PadicNum, _scaled, add_triples, div_triples, neg_unit, prime_powers, reduce_terms, require_prime, scale_int, vp_int
 
 
 class PSeries:
@@ -563,31 +564,19 @@ def _packed_derivative(p: int, c):
 
 
 def _packed_div(p: int, c, d: PadicNum):
-    """c / d slot by slot under the rule of ``PadicNum.__truediv__``, raises
-    included, in degree order: a zero-like d raises
-    DivisionByZeroToPrecision if any slot is present, a zero-like slot is
-    known to N - v(d) and raises where that is <= 0, and a finite slot keeps
-    min(N - v, N(d) - v(d)) relative digits.  (``_packed_div_int`` divides
-    by an exact integer and keeps a zero-like slot without digits.)"""
-    V, U, N = c
-    if d.v == INF and min(N, default=_ABSENT) != _ABSENT:
-        raise DivisionByZeroToPrecision(f"divisor is zero to precision O({p}^{d.N})")
-    top = max((min(n - v, d.N - d.v) for v, n in zip(V, N) if v != _ABSENT), default=0)
-    inv = pow(d.u, -1, p**top) if top else 0  # to the most relative digits a slot keeps
-    q = [_ABSENT] * len(V), [0] * len(V), [_ABSENT] * len(V)
-    for k, (v, u, n) in enumerate(zip(V, U, N)):
+    """c / d slot by slot in degree order, each present slot by
+    ``padic.div_triples``, the rule of ``PadicNum.__truediv__``, raises
+    included: a zero-like d raises DivisionByZeroToPrecision at the first
+    present slot, a zero-like slot is known to N - v(d) and raises where
+    that is <= 0, and a finite slot keeps min(N - v, N(d) - v(d)) relative
+    digits.  (``_packed_div_int`` divides by an exact integer and keeps a
+    zero-like slot without digits.)"""
+    q = [_ABSENT] * len(c[0]), [0] * len(c[0]), [_ABSENT] * len(c[0])
+    for k, (v, u, n) in enumerate(zip(*c)):
         if n != _ABSENT:
-            q[0][k], q[1][k], q[2][k] = _div_slot(p, v, u, n, d, inv)
+            v, q[1][k], q[2][k] = div_triples(p, INF if v == _ABSENT else v, u, n, d.v, d.u, d.N)
+            q[0][k] = _ABSENT if v == INF else v
     return q
-
-
-def _div_slot(p: int, v, u, n, d: PadicNum, inv: int) -> tuple:
-    """A present slot (v, u, n) over d by the rule of ``_packed_div``, inv
-    the inverse of d's unit to at least the slot's relative digits."""
-    if v == _ABSENT:
-        return _ABSENT, 0, PadicNum.zero_to_prec(p, n - d.v).N
-    rel = min(n - v, d.N - d.v)
-    return v - d.v, u * inv % prime_powers(p, rel)[rel], v - d.v + rel
 
 
 def _packed_div_int(p: int, c, q: int):
@@ -797,18 +786,18 @@ def _packed_solve(p: int, a, c, M: int, a0: PadicNum = None):
     appears, so the shift is the least valuation of a plus that of b.  The
     fold zips a to the b found so far and its value does not depend on the
     shift, so a factor longer than M - 1 slots gives the same b.  The
-    division by a0, of finite valuation and precision, is ``_packed_div``'s
-    rule for a slot.
+    division by a0, of finite valuation and precision, is
+    ``padic.div_triples``, ``_packed_div``'s rule for a slot.
     """
     sa, A = a
-    inv = None if a0 is None else pow(a0.u, -1, p ** (a0.N - a0.v))
     V, U, N, F, X = [], [], [], [], []  # V, N, F and X hold b_(n-1) .. b_0: b_(n-k) meets a_k
     sb = 0
     for cn in zip(*_padded(c, M)):
         v, u, k = _fold(p, cn, A, (V, F, N, X), sa + sb)
         if k != _ABSENT:
             if a0 is not None:
-                v, u, k = _div_slot(p, v, u, k, a0, inv)
+                v, u, k = div_triples(p, INF if v == _ABSENT else v, u, k, a0.v, a0.u, a0.N)
+                v = _ABSENT if v == INF else v
             if v < sb:
                 X = [x * p ** (sb - v) for x in X]
                 sb = v

@@ -44,3 +44,40 @@ def test_every_import_goes_to_a_lower_layer():
         if RANKS[target] >= RANKS[name]
     ]
     assert upward == []
+
+
+def modular_inverses(tree, module):
+    """``module.function`` of each call ``pow(a, -1, m)`` in ``tree``, by
+    its innermost enclosing function (methods named through their class)."""
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, scope + [child.name])
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "pow"
+                and len(child.args) == 3
+                and ast.unparse(child.args[1]) == "-1"
+            ):
+                yield ".".join([module] + scope)
+            yield from visit(child, scope)
+
+    yield from visit(tree, [])
+
+
+def test_modular_inverses_live_in_the_division_rules():
+    """Every p-adic quotient is ``padic.div_triples``, so only it inverts a
+    unit.  ``series._packed_div_int`` is kept apart: it divides a whole
+    packed series by one exact integer for the Taylor orders, inverting the
+    integer's unit once per call rather than once per slot, and it keeps a
+    zero-like slot without digits where ``PadicNum.div_int`` raises."""
+    src = Path(lubinlab.__file__).parent
+    sites = [
+        site
+        for path in sorted(src.glob("*.py"))
+        for site in modular_inverses(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    ]
+    assert sorted(sites) == ["padic.div_triples", "series._packed_div_int"]

@@ -20,7 +20,7 @@ from lubinlab import (
 )
 from lubinlab.padic import prime_powers, vp_int
 from conftest import outcome
-from oracles import exp_partial_mod, frac_mod, frac_val, log_partial_mod
+from oracles import NoDigits, exp_partial_mod, frac_mod, frac_val, log_partial_mod, triple_div, triple_div_int
 
 
 def test_mul_valuation_additivity():
@@ -306,6 +306,58 @@ def test_congruent_matches_difference(case):
         return d.is_zero_like()
 
     assert outcome(lambda: x.congruent(y, prec)) == outcome(by_difference)
+
+
+@st.composite
+def dividend_and_divisor(draw):
+    """(p, a, b): a an exact zero, zero-like or of any valuation, negative
+    ones included, and b a zero-like or finite triple or, half the time, an
+    exact positive integer, often divisible by a power of p."""
+    p = draw(st.sampled_from((2, 3, 5)))
+
+    def triple(kinds):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "exact":
+            return (INF, 0, INF)
+        N = draw(st.integers(-3, 8))
+        if kind == "zero-like":
+            return (INF, 0, N)
+        v = draw(st.integers(N - 5, N - 1))
+        return (v, p * draw(st.integers(0, p ** (N - v - 1) - 1)) + draw(st.integers(1, p - 1)), N)
+
+    a = triple(("finite", "finite", "zero-like", "exact"))
+    if draw(st.booleans()):
+        return p, a, draw(st.integers(1, 3000) | st.integers(1, 4).map(lambda m: m * p ** draw(st.integers(1, 9))))
+    return p, a, triple(("finite", "finite", "zero-like"))
+
+
+@settings(max_examples=500, deadline=None)
+@given(dividend_and_divisor())
+@example((3, (INF, 0, 1), (1, 1, 3)))  # O(3) / 3 keeps no digit
+@example((2, (0, 1, 8), (INF, 0, 2)))  # zero-like divisor
+@example((5, (-1, 3, 6), (0, 2, 2)))  # the divisor's two digits bound the quotient
+@example((3, (INF, 0, INF), (-2, 1, 1)))  # an exact zero stays exact
+@example((2, (INF, 0, 2), 8))  # O(2^2) / 8 keeps no digit
+def test_div_triples_matches_the_oracle(case):
+    """``padic.div_triples`` against ``oracles.triple_div``, and against
+    ``oracles.triple_div_int`` for an exact integer k read as the divisor
+    (v_p(k), k / p^v_p(k), INF): the same triple, or PrecisionExhausted
+    with the message where the oracle finds no digit.  A zero-like divisor
+    raises DivisionByZeroToPrecision naming its precision."""
+    p, a, b = case
+    if isinstance(b, int):
+        w = frac_val(b, p)
+        got = outcome(lambda: padic.div_triples(p, *a, w, b // p**w, INF))
+        want = outcome(lambda: triple_div_int(p, a, b))
+    else:
+        got = outcome(lambda: padic.div_triples(p, *a, *b))
+        if b[0] == INF:
+            want = (DivisionByZeroToPrecision, f"divisor is zero to precision O({p}^{b[2]})")
+        else:
+            want = outcome(lambda: triple_div(p, a, b))
+    if want[0] is NoDigits:
+        want = (PrecisionExhausted, want[1])
+    assert got == want
 
 
 @st.composite
