@@ -24,7 +24,7 @@ exp_series = exp_from_log(logf)
 # ----------------------------------------------------------------------
 G = group_from_log(logf)
 print("low-degree coefficients of F:")
-for (a, b), c in sorted(G.F.coeffs.items()):
+for (a, b), c in sorted(G.coeffs.items()):
     if a + b <= 4 and not c.is_zero_like():
         print(f"  x^{a} y^{b}: {c.as_fraction()} + O({p}^{c.N})")
 print("minimum coefficient valuation:", G.min_coeff_valuation())
@@ -51,4 +51,4 @@ pi, bk = frobenius_multiplier(logf, f, exp_series)
 print("pi =", repr(pi))
 lift = lubin_tate_lift(bk, 12)
 print("independent lift agrees with F:",
-      lift.F.equal_to_precision(G.F.truncate(12)))
+      lift.equal_to_precision(G))

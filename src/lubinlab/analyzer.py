@@ -34,7 +34,7 @@ from .errors import (
     TorsionDetected,
     TruncationInconclusive,
 )
-from .padic import INF, PadicNum, floor_log, require_prime
+from .padic import INF, PadicNum, ceil_log, require_prime
 from .series import PSeries, raise_if_not_integral
 from .polygon import count_roots_open_disk, newton_polygon, verify_iterate_shape
 from .dynamics import (
@@ -87,7 +87,7 @@ class Config:
             raise ValueError(f"guard must be at least ceil(M/(p-1)) = {min_guard}")
         n_shape = self.n_shape
         if n_shape is None:
-            n_shape = min(3, floor_log(self.M, p))
+            n_shape = min(3, ceil_log(self.M + 1, p) - 1)  # the greatest k with p^k <= M
         return replace(self, guard=guard, n_shape=n_shape)
 
     def working_prec(self) -> int:
@@ -321,9 +321,9 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         # 9. independent lift cross-check
         stage = "lubin_tate_lift"
         GL = lubin_tate_lift(bk, cfg.m2)
-        lift_agrees = GL.F.equal_to_precision(G.F.truncate(cfg.m2))
+        lift_agrees = GL.equal_to_precision(G)
         report["frobenius"]["lift_agrees"] = lift_agrees
-        report["frobenius"]["lift_degree"] = GL.F.x_prec
+        report["frobenius"]["lift_degree"] = GL.x_prec
         if not lift_agrees:
             return rejected("independent group-law lift disagrees with the logarithm construction")
     except LubinlabError as ex:
@@ -342,7 +342,7 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
     # that cannot decide, not as a low floor here)
     min_prec = min(
         min((co.N for co in L.coeffs.values()), default=Nw),
-        min((co.N for co in G.F.coeffs.values()), default=Nw),
+        min((co.N for co in G.coeffs.values()), default=Nw),
         min((co.N for co in bk.coeffs.values()), default=Nw),
     )
     report["precision"] = {

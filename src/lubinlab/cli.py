@@ -99,8 +99,9 @@ def _series_from_args(args, cfg: Config):
     return parse_series_arg(args.series, args.p, cfg.M, resolved.working_prec())
 
 
-def _scalar_table(series):
-    return [[list(e), c.to_json()] for e, c in sorted(series.coeffs.items())]
+def _scalar_table(s):
+    """The coefficients of a series or a law as [exponents, scalar JSON] rows."""
+    return [[list(e), c.to_json()] for e, c in sorted(s.coeffs.items())]
 
 
 def cmd_polygon(args) -> int:
@@ -151,11 +152,11 @@ def cmd_group(args) -> int:
         "construction": G.construction,
         "min_coeff_valuation": G.min_coeff_valuation(),
         "certificates": G.certificates,
-        "coefficients": _scalar_table(G.F),
+        "coefficients": _scalar_table(G),
     }
     if args.format == "text":
         lines = [f"formal group law (p={g.prime}), min valuation {payload['min_coeff_valuation']}:"]
-        for (a, b), c in sorted(G.F.coeffs.items()):
+        for (a, b), c in sorted(G.coeffs.items()):
             if not c.is_zero_like():
                 lines.append(f"  x^{a} y^{b} = {c!r}")
         lines.append(f"certificates: {G.certificates}")

@@ -201,8 +201,6 @@ def ramification_index(omega: PSeries, n_max: int):
     minus the identity; stabilized reports whether the last two agree.
     """
     p = omega.prime
-    if omega.nvars != 1:
-        raise ValueError("ramification index is univariate")
     gamma = omega.linear_coeff()
     if gamma.is_zero_like() or gamma.v != 0:
         raise NotInvertible("series must be invertible")

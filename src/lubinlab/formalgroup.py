@@ -3,7 +3,8 @@
 Two independent constructions are implemented and cross-checked.
 
 The logarithm L is taken as a plain PSeries, so this module imports
-nothing from ``dynamics``.
+nothing from ``dynamics``.  A ``PSeries`` has one variable; the law
+F(x, y) is a ``FormalGroupLaw``, which keeps its own coefficient table.
 
 ``group_from_log`` builds F(x, y) = E(L(x) + L(y)), L the logarithm and E
 its compositional inverse, without a two-variable composition: the Taylor
@@ -39,33 +40,47 @@ from .errors import (
     NonUniqueLift,
     PrecisionExhausted,
 )
-from .padic import _ABSENT, PadicNum
-from .series import PSeries, _operand, _pack, _packed_derivative, _packed_div_int, _part, _part_mul, _part_sum, _parts, _product, first_disagreement, raise_if_not_integral
+from .padic import _ABSENT, INF, PadicNum, require_prime
+from .series import PSeries, _operand, _pack, _packed_derivative, _packed_div_int, _part, _part_mul, _part_sum, _parts, _product, coefficient_table, coefficients_agree, first_disagreement, raise_if_not_integral
 
 
 class FormalGroupLaw:
-    """Two-variable group law with certification flags.
+    """Two-variable group law with certification flags: the coefficients
+    {(a, b): PadicNum} of x^a y^b below total degree x_prec, cleaned as a
+    series' are (``series.coefficient_table``), with the prime and the
+    coefficient precision.
 
     Certificates are computed, not assumed: ``certify`` runs the identity,
     commutativity and (at a smaller truncation) associativity checks and
     records the truncation degree each was verified at.
     """
 
-    __slots__ = ("F", "construction", "certificates")
+    __slots__ = ("prime", "x_prec", "coeffs", "coeff_prec", "construction", "certificates")
 
-    def __init__(self, F: PSeries, construction: str):
-        self.F = F
+    def __init__(self, prime, x_prec, coeffs, coeff_prec, construction: str):
+        self.prime = require_prime(prime)
+        self.x_prec = x_prec
+        self.coeffs = coefficient_table(self.prime, x_prec, coeffs, coeff_prec)
+        self.coeff_prec = coeff_prec
         self.construction = construction
         self.certificates = {}
 
     def min_coeff_valuation(self):
         """Least certified valuation floor over all coefficients."""
-        return self.F.min_val_floor()
+        return min((c.val_floor() for c in self.coeffs.values()), default=INF)
+
+    def equal_to_precision(self, other: "FormalGroupLaw") -> bool:
+        """Coefficient-wise congruence below the lesser truncation, by
+        ``series.coefficients_agree``."""
+        return coefficients_agree(self.prime, self.coeffs, other.coeffs, min(self.x_prec, other.x_prec))
 
     def check_identity(self) -> bool:
-        x = PSeries.identity(self.F.prime, self.F.x_prec, self.F.coeff_prec)
-        ok = self.F.set_var_zero(1).equal_to_precision(x) and self.F.set_var_zero(0).equal_to_precision(x)
-        self.certificates["identity"] = {"ok": ok, "degree": self.F.x_prec}
+        """F(x, 0) = x and F(0, y) = y, each side keyed (a,) as a series, by
+        ``series.coefficients_agree``."""
+        p, M = self.prime, self.x_prec
+        x = {(1,): PadicNum.one(p, self.coeff_prec)}
+        ok = all(coefficients_agree(p, {(e[i],): c for e, c in self.coeffs.items() if not e[1 - i]}, x, M) for i in (0, 1))
+        self.certificates["identity"] = {"ok": ok, "degree": M}
         return ok
 
     def check_commutative(self) -> bool:
@@ -73,24 +88,21 @@ class FormalGroupLaw:
         and c_ba, a <= b, and c_ab against the exact zero where the mirror
         is absent.  (A diagonal coefficient meets itself, which only one
         without digits leaves undecided.)"""
-        coeffs = self.F.coeffs
-        zero = PadicNum.exact_zero(self.F.prime)
+        coeffs = self.coeffs
+        zero = PadicNum.exact_zero(self.prime)
         pairs = (((a, b), c, coeffs.get((b, a), zero)) for (a, b), c in coeffs.items() if a <= b or (b, a) not in coeffs)
         ok = first_disagreement(pairs) is None
-        self.certificates["commutative"] = {"ok": ok, "degree": self.F.x_prec}
+        self.certificates["commutative"] = {"ok": ok, "degree": self.x_prec}
         return ok
 
     def check_associative(self, m2: int) -> bool:
         """F(F(x,y),z) = F(x,F(y,z)) in the 3-variable ring below degree
-        D = min(m2, F.x_prec), the degree the certificate records, compared
-        coefficient by coefficient by ``first_disagreement`` (``_sides``).
-        Both expansions claim only digits their ledgers support, so
-        agreement certifies associativity at those digits."""
-        F = self.F.truncate(m2)
-        D = F.x_prec
-        left, right = _sides(F, D)
-        zero = PadicNum.exact_zero(F.prime)
-        ok = first_disagreement((e, left.get(e, zero), right.get(e, zero)) for e in left.keys() | right.keys()) is None
+        D = min(m2, x_prec), the degree the certificate records, compared
+        coefficient by coefficient by ``series.coefficients_agree``
+        (``_sides``).  Both expansions claim only digits their ledgers
+        support, so agreement certifies associativity at those digits."""
+        D = min(m2, self.x_prec)
+        ok = coefficients_agree(self.prime, *_sides(self, D))
         self.certificates["associative"] = {"ok": ok, "degree": D}
         return ok
 
@@ -98,7 +110,7 @@ class FormalGroupLaw:
         return self.check_identity() and self.check_commutative() and self.check_associative(m2)
 
 
-def _sides(F: PSeries, D: int) -> list:
+def _sides(F: FormalGroupLaw, D: int) -> list:
     """F(F(x,y), z) = sum c_ab z^b F(x,y)^a and F(x, F(y,z)) = sum c_ab x^a
     F(y,z)^b below total degree D, {(x, y, z) exponents: coefficient}: the
     powers F^k = F^(k-1) F are part lists, and the degree-e part of a side
@@ -114,7 +126,7 @@ def _sides(F: PSeries, D: int) -> list:
     lpow = [[(s, [(i * D + k - i, *t) for i, *t in P]) for k, (s, P) in enumerate(pw)] for pw in powers]
     sides = [{}, {}]
     for side, left in zip(sides, (True, False)):
-        cs = [(a, b, _part(p, [(0 if left else a * D, c)])) for (a, b), c in F.coeffs.items()]
+        cs = [(a, b, _part(p, [(0 if left else a * D, c)])) for (a, b), c in F.coeffs.items() if a + b < D]
         for e in range(D):
             pairs = [(c, lpow[a][e - b] if left else powers[b][e - a]) for a, b, c in cs if (b if left else a) <= e]
             for key, c in _part_sum(p, pairs, e * D + 1, raises=False):
@@ -158,9 +170,9 @@ def group_from_log(L: PSeries) -> FormalGroupLaw:
         orders.append(_packed_div_int(p, A, factorial))
     coeffs = L.power_table().sum_orders(orders)
     del orders, A
-    F = PSeries(p, 2, M, {(1, 0): PadicNum.one(p, N), **coeffs}, N)
-    raise_if_not_integral(F, "group law from logarithm")
-    return FormalGroupLaw(F, "from-log")
+    G = FormalGroupLaw(p, M, {(1, 0): PadicNum.one(p, N), **coeffs}, N, "from-log")
+    raise_if_not_integral(G, "group law from logarithm")
+    return G
 
 
 def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
@@ -218,9 +230,9 @@ def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
         part = [(a, delta) for (a, _), delta in corr.items()]
         Fparts.append(_part(p, part))
         F.update(corr)
-    F = PSeries(p, 2, D, F, N)
-    raise_if_not_integral(F, "group law lift")
-    return FormalGroupLaw(F, "lubin-tate-lift")
+    G = FormalGroupLaw(p, D, F, N, "lubin-tate-lift")
+    raise_if_not_integral(G, "group law lift")
+    return G
 
 
 def bracket(L: PSeries, a: PadicNum, exp_series: PSeries = None) -> PSeries:

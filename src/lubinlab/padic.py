@@ -10,8 +10,11 @@ absolute precision and the loss is recorded per value, not globally.
 Zero comes in two flavors.  ``exact_zero`` is the true zero (valuation and
 precision both infinite).  ``zero_to_prec(N)`` records only that the value
 is divisible by ``p^N``: its true valuation is some unknown quantity >= N.
-Nonzero values never carry infinite precision: a generic unit has an
-infinite p-adic expansion, so exactness is reserved for zero.
+An exact nonzero value (N INF, such as ``one(p, INF)``) is known whole:
+sums, differences and products of exact values are exact, and so is a
+quotient by +-p^w; any other quotient of two exact values has no finite
+expansion and raises ValueError naming the divisor.  Series refuse exact
+nonzero coefficients, which their kernels would read as absent.
 
 The packed kernels of ``series`` apply the same rules to bare triples:
 ``_scaled`` normalises one value, ``add_triples``, ``mul_triples``,
@@ -111,15 +114,6 @@ def ceil_log(n: int, p: int) -> int:
     """Least k with p^k >= n, for n >= 1 (an upper bound on v_p(n))."""
     k, q = 0, 1
     while q < n:
-        q *= p
-        k += 1
-    return k
-
-
-def floor_log(n: int, p: int) -> int:
-    """Greatest k with p^k <= n, for n >= 1."""
-    k, q = 0, p
-    while q <= n:
         q *= p
         k += 1
     return k
@@ -312,7 +306,7 @@ class PadicNum:
             return PadicNum(self.p, *div_triples(self.p, 0, 1, INF, self.v, self.u, self.N)) ** (-k)
         if k == 0:
             rel = self.N - self.v if self.v != INF else self.N
-            return PadicNum.one(self.p, max(int(rel), 1))
+            return PadicNum.one(self.p, max(rel, 1))
         result = self
         for bit in bin(k)[3:]:
             result = result * result
@@ -366,8 +360,11 @@ class PadicNum:
 def _scaled(p: int, m, r: int, K) -> tuple:
     """(v, u, K) of the value p^m * r, the integer r known modulo p^(K - m)
     (m INF: no value at all), v INF where it is zero to precision K; raises
-    where no digit survives."""
+    where no digit survives.  At K INF the value is exact, r kept whole."""
     if m < K:
+        if K == INF:
+            w = vp_int(r, p) if r else INF
+            return (m + w, r // p**w, K) if r else (INF, 0, K)
         P = prime_powers(p, K - m)
         r %= P[K - m]
         if r:
@@ -394,10 +391,13 @@ def mul_triples(p: int, va, ua, na, vb, ub, nb) -> tuple:
     """The rule of ``PadicNum.__mul__`` on two values, neither an exact
     zero, as a (v, u, N) triple: a zero-like factor gives a zero known to
     the sum of the valuation floors, which raises where that is <= 0, and
-    two finite ones keep the lesser relative precision."""
+    two finite ones keep the lesser relative precision (two exact ones
+    multiply exactly)."""
     if va == INF or vb == INF:  # v(ab) >= bound(a) + floor(b)
         return _scaled(p, INF, 0, (na if va == INF else va) + (nb if vb == INF else vb))
     rel = min(na - va, nb - vb)
+    if rel == INF:
+        return va + vb, ua * ub, INF
     return va + vb, ua * ub % p**rel, va + vb + rel
 
 
@@ -407,12 +407,18 @@ def div_triples(p: int, va, ua, na, vb, ub, nb) -> tuple:
     DivisionByZeroToPrecision, a zero-like dividend is known to
     na - v(divisor) (``_scaled``, which raises where that is <= 0, and
     keeps an exact zero exact), and two finite values keep the lesser
-    relative precision.  An exact integer divisor p^w k' is (w, k', INF)."""
+    relative precision.  An exact integer divisor p^w k' is (w, k', INF).
+    Two exact values give an exact quotient by +-p^w and raise ValueError,
+    naming the divisor, by any other."""
     if vb == INF:
         raise DivisionByZeroToPrecision(f"divisor is zero to precision O({p}^{nb})")
     if va == INF:
         return _scaled(p, INF, 0, na - vb)
     rel = min(na - va, nb - vb)
+    if rel == INF:
+        if ub not in (1, -1):
+            raise ValueError(f"the quotient of an exact value by the exact {Fraction(ub) * Fraction(p) ** vb} has no finite {p}-adic expansion")
+        return va - vb, ua * ub, INF
     mod = prime_powers(p, rel)[rel]
     return va - vb, ua * pow(ub, -1, mod) % mod, va - vb + rel
 
@@ -433,8 +439,9 @@ def scale_int(p: int, v, u, N, k: int) -> tuple:
 
 
 def neg_unit(p: int, v, u, N) -> int:
-    """The unit of -p^v u known modulo p^N (v finite), as ``PadicNum.__neg__``."""
-    return -u % p ** (N - v)
+    """The unit of -p^v u known modulo p^N (v finite), as ``PadicNum.__neg__``;
+    an exact value (N INF) negates whole."""
+    return -u if N == INF else -u % p ** (N - v)
 
 
 def reduce_terms(p: int, t: int, S, K, least=None) -> tuple:

@@ -187,8 +187,6 @@ def _lower_hull(points):
 
 def newton_polygon(g: PSeries) -> NewtonPolygon:
     """Polygon of a univariate series from its certified coefficient valuations."""
-    if g.nvars != 1:
-        raise ValueError("newton polygon is univariate")
     points = []
     unknowns = []
     for (i,), c in g.coeffs.items():
@@ -293,7 +291,7 @@ def weierstrass_preparation(g: PSeries):
         raise ValueError("preparation requires an integral series")
     one = PadicNum.one(p, N)
     if W == 0:
-        return PSeries(p, 1, M, {(0,): one}, N), g
+        return PSeries(p, M, {(0,): one}, N), g
     G = _pack(g.coeffs, M)
     low = _operand(p, tuple(x[:W] for x in G))
     unit = _pack({(0,): one}, 1)
@@ -508,7 +506,7 @@ def weierstrass_factor(g: PSeries, slope, target_prec=None):
         raise TruncationInconclusive("x-adic valuation depends on unresolved coefficients")
     if target_prec not in memo:
         coeffs = {(e[0] - i0,): c for e, c in g.coeffs.items() if e[0] >= i0}
-        shifted = PSeries(p, 1, g.x_prec - i0, coeffs, g.coeff_prec)
+        shifted = PSeries(p, g.x_prec - i0, coeffs, g.coeff_prec)
         memo[target_prec] = weierstrass_preparation(shifted) + (shifted.weierstrass_degree(), {}, g, poly)
     P, U, wdeg, splits = memo[target_prec][:4]
 
@@ -528,7 +526,7 @@ def weierstrass_factor(g: PSeries, slope, target_prec=None):
         lo, factor = split(factor, jr, jl)
         cof = cof * lo
     cofactor = {(e[0] + i0,): c for e, c in cof.coeffs.items() if e[0] + i0 < g.x_prec}
-    return factor, PSeries(p, 1, g.x_prec, cofactor, g.coeff_prec)
+    return factor, PSeries(p, g.x_prec, cofactor, g.coeff_prec)
 
 
 def is_eisenstein(poly: PSeries) -> bool:

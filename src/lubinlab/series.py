@@ -1,19 +1,21 @@
-"""Truncated power series over p-adic scalars in one or two variables.
+"""Truncated power series in one variable over p-adic scalars.
 
-A series keeps the coefficients of all monomials of total degree < x_prec
-in a dict keyed by exponent tuples.  An absent key is an exact zero; a
-coefficient that merely vanished to its working precision stays stored, so
-the truncation-honesty machinery downstream (Newton polygons) can see the
+A series keeps its coefficients below x^x_prec in a dict keyed by
+exponent tuples (e,).  An absent key is an exact zero; a coefficient that
+merely vanished to its working precision stays stored, so the
+truncation-honesty machinery downstream (Newton polygons) can see the
 difference.  ``coeff_prec`` is the ambient p-adic precision used when
-coercing plain integers or rationals into coefficients.  Series sums and
-products are univariate and run on a packed list form: a sum slot by slot
-under the rule of ``PadicNum.__add__`` (``_packed_add``), a product in two
-stages: an operand stage (``_operand``) drops a series' leading exact zeros
-(its x-adic order) and lays out its values and precision pairs once, and a
-product stage (``_product``) multiplies two operands and returns the result
-both packed and as an operand; ``_packed_mul`` is the two in a row.  Each
-product, tabled sum and part sum normalises its slots with one
-``padic.reduce_terms``, the one normalise-and-raise rule of the kernels.
+coercing plain integers or rationals into coefficients
+(``coefficient_table``, which also cleans the coefficients of the law of
+``formalgroup``).  Series sums and products run on a packed list form: a sum
+slot by slot under the rule of ``PadicNum.__add__`` (``_packed_add``), a
+product in two stages: an operand stage (``_operand``) drops a series'
+leading exact zeros (its x-adic order) and lays out its values and
+precision pairs once, and a product stage (``_product``) multiplies two
+operands and returns the result both packed and as an operand;
+``_packed_mul`` is the two in a row.  Each product, tabled sum and part sum
+normalises its slots with one ``padic.reduce_terms``, the one
+normalise-and-raise rule of the kernels.
 A derivative multiplies slot k by the exact integer k
 (``_packed_derivative`` under ``padic.scale_int``) and a division by a
 scalar runs slot by slot (``_packed_div``), each slot by
@@ -22,19 +24,20 @@ and the quotients of monic divisions are one recurrence on the same lists
 (``_packed_solve``): each coefficient is one sum against those already
 found (``_fold``), normalised by ``padic._scaled``, the rule of a scalar,
 and divided by the same ``div_triples``, with no ``PadicNum`` per
-coefficient.  The bivariate kernel holds a series as its homogeneous
-parts: part k keys the coefficients of total degree k by a for
-x^a y^(k-a), and a part of a product is one pass over the pairs of
+coefficient.  The bivariate kernel holds a law's coefficients as its
+homogeneous parts: part k keys the coefficients of total degree k by a
+for x^a y^(k-a), and a part of a product is one pass over the pairs of
 entries (``_part_sum``), the kernel of the lift's Horner intermediates
 and of the associativity certificate.
 
-Series and certificates compare by one rule (``first_disagreement``): a
-pair of coefficients disagrees only at digits both claim, and a pair with no
-such digit leaves the comparison undecided unless another pair disagrees,
-whatever order the pairs come in.
+Series and certificates compare by one rule (``first_disagreement``, over
+two coefficient tables ``coefficients_agree``): a pair of coefficients
+disagrees only at digits both claim, and a pair with no such digit leaves
+the comparison undecided unless another pair disagrees, whatever order
+the pairs come in.
 
-Composition is univariate and costs no series products of its own: the
-first series substituted into another gets a power table (``_PowerTable``),
+Composition costs no series products of its own: the first series
+substituted into another gets a power table (``_PowerTable``),
 the powers h^1, h^2, ... kept as per-degree columns and grown only to the
 highest power a composition reads, each one product of h's operand and
 the last power's.  g(h) is then, at each degree d, the sum of c_k
@@ -64,33 +67,17 @@ from .padic import _ABSENT, _HALF, INF, PadicNum, _scaled, add_triples, div_trip
 
 
 class PSeries:
-    """Dense truncated power series over PadicNum coefficients."""
+    """Dense truncated power series in one variable over PadicNum
+    coefficients, keyed by exponent tuples (e,)."""
 
-    __slots__ = ("prime", "nvars", "x_prec", "coeffs", "coeff_prec", "_powers", "_factoring")
+    __slots__ = ("prime", "x_prec", "coeffs", "coeff_prec", "_powers", "_factoring")
+    nvars = 1  # the benchmark's tracer names series spans by it
 
-    def __init__(self, prime, nvars, x_prec, coeffs, coeff_prec):
-        if nvars not in (1, 2):
-            raise ValueError("1 or 2 variables supported")
+    def __init__(self, prime, x_prec, coeffs, coeff_prec):
         self.prime = require_prime(prime)
-        self.nvars = nvars
         self.x_prec = x_prec
         self.coeff_prec = coeff_prec
-        clean = {}
-        for exps, c in coeffs.items():
-            if len(exps) != nvars:
-                raise ValueError("exponent tuple arity mismatch")
-            if sum(exps) >= x_prec:
-                continue
-            if isinstance(c, PadicNum):
-                if c.p != prime:
-                    raise PrimeMismatch("coefficient prime differs from series prime")
-                if c.N == INF and c.v != INF:  # the kernels read N = INF as an absent slot
-                    raise ValueError(f"coefficient at {exps} has finite valuation and infinite precision")
-            else:
-                c = PadicNum.from_fraction(Fraction(c), prime, coeff_prec)
-            if not c.is_exact_zero():
-                clean[exps] = c
-        self.coeffs = clean
+        self.coeffs = coefficient_table(self.prime, x_prec, coeffs, coeff_prec)
         self._powers = None  # the power table, once the series is substituted
         self._factoring = None  # the Weierstrass work of ``polygon.weierstrass_factor``, once factored
 
@@ -99,7 +86,7 @@ class PSeries:
     @classmethod
     def identity(cls, p, M, N):
         """The series x in one variable."""
-        return cls(p, 1, M, {(1,): PadicNum.one(p, N)}, N)
+        return cls(p, M, {(1,): PadicNum.one(p, N)}, N)
 
     @classmethod
     def from_univariate_coeffs(cls, p, coeffs, M, N, shift=1):
@@ -108,7 +95,7 @@ class PSeries:
         for i, c in enumerate(coeffs):
             if shift + i < M:
                 d[(shift + i,)] = PadicNum.from_fraction(Fraction(c), p, N)
-        return cls(p, 1, M, d, N)
+        return cls(p, M, d, N)
 
     # -- basic access ------------------------------------------------------
 
@@ -122,11 +109,10 @@ class PSeries:
     @property
     def s0(self) -> bool:
         """True when the constant term is exactly zero."""
-        zero = (0,) * self.nvars
-        return zero not in self.coeffs
+        return (0,) not in self.coeffs
 
     def linear_coeff(self) -> PadicNum:
-        return self.c((1,) + (0,) * (self.nvars - 1))
+        return self.c((1,))
 
     def min_val_floor(self):
         """Least certified valuation lower bound over stored coefficients."""
@@ -147,17 +133,13 @@ class PSeries:
             raise TypeError("expected PSeries")
         if other.prime != self.prime:
             raise PrimeMismatch("mixed primes in series operation")
-        if other.nvars != self.nvars:
-            raise ValueError("mixed variable counts")
         return other
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other, negate=False):
-        """Sum (with ``negate`` difference) of univariate series: ``_packed_add``."""
+        """Sum (with ``negate`` difference) of two series: ``_packed_add``."""
         other = self._align(other)
-        if self.nvars != 1:
-            raise ValueError("series sum is univariate")
         M, p = min(self.x_prec, other.x_prec), self.prime
         N = min(self.coeff_prec, other.coeff_prec)
         return _unpack(p, _packed_add(p, _pack(self.coeffs, M), _pack(other.coeffs, M), negate), M, N)
@@ -166,51 +148,33 @@ class PSeries:
         return self.__add__(other, negate=True)
 
     def __mul__(self, other):
-        """Product of two univariate series (``_packed_mul``)."""
+        """Product of two series (``_packed_mul``)."""
         other = self._align(other)
-        if self.nvars != 1:
-            raise ValueError("series product is univariate")
         M, p = min(self.x_prec, other.x_prec), self.prime
         N = min(self.coeff_prec, other.coeff_prec)
         return _unpack(p, _packed_mul(p, _pack(self.coeffs, M), _pack(other.coeffs, M), M), M, N)
 
     def derivative(self) -> "PSeries":
-        """Formal derivative of a univariate series; truncation order drops by
-        1 (``_packed_derivative``, which the Taylor orders of ``formalgroup``
+        """Formal derivative; the truncation order drops by 1
+        (``_packed_derivative``, which the Taylor orders of ``formalgroup``
         share)."""
-        if self.nvars != 1:
-            raise ValueError("derivative is univariate")
         packed = _packed_derivative(self.prime, _pack(self.coeffs, self.x_prec))
         return _unpack(self.prime, packed, self.x_prec - 1, self.coeff_prec)
 
     def truncate(self, M: int) -> "PSeries":
         if M >= self.x_prec:
             return self
-        return PSeries(
-            self.prime,
-            self.nvars,
-            M,
-            {e: c for e, c in self.coeffs.items() if sum(e) < M},
-            self.coeff_prec,
-        )
+        return PSeries(self.prime, M, {e: c for e, c in self.coeffs.items() if e[0] < M}, self.coeff_prec)
 
     def cap_coeff_prec(self, N) -> "PSeries":
-        return PSeries(
-            self.prime,
-            self.nvars,
-            self.x_prec,
-            {e: c.cap_prec(N) for e, c in self.coeffs.items()},
-            min(self.coeff_prec, N),
-        )
+        return PSeries(self.prime, self.x_prec, {e: c.cap_prec(N) for e, c in self.coeffs.items()}, min(self.coeff_prec, N))
 
     # -- composition ------------------------------------------------------------
 
     def compose(self, h, a: PadicNum = None) -> "PSeries":
-        """g(a h) below the lesser x_prec of g and h for univariate g and h
-        with h(0) = 0: at degree d, the sum of c_k a^k [h^k]_d over the
-        power table of h.  a defaults to 1."""
-        if self.nvars != 1 or h.nvars != 1:
-            raise ValueError("composition is univariate")
+        """g(a h) below the lesser x_prec of g and h, for h(0) = 0: at
+        degree d, the sum of c_k a^k [h^k]_d over the power table of h.  a
+        defaults to 1."""
         if h.prime != self.prime:
             raise PrimeMismatch("mixed primes in composition")
         M = min(self.x_prec, h.x_prec)
@@ -226,7 +190,7 @@ class PSeries:
         return _unpack(self.prime, packed, M, min(self.coeff_prec, h.coeff_prec))
 
     def power_table(self) -> "_PowerTable":
-        """The power table of this univariate series, built on first use;
+        """The power table of this series, built on first use;
         a series with a constant term has none (ConstantTermError)."""
         if not self.s0:
             raise ConstantTermError("substituted series has a constant term")
@@ -246,8 +210,6 @@ class PSeries:
         so a non-unit linear coefficient costs n*v(g'(0)) digits at degree n
         (recorded by the scalars themselves).
         """
-        if self.nvars != 1:
-            raise ValueError("reversion is univariate")
         a1 = self.linear_coeff()
         if a1.is_zero_like():
             raise NotInvertible("linear coefficient is zero to precision")
@@ -259,8 +221,6 @@ class PSeries:
         b_0 = 1/a_0 and b_n = -(sum_(k=1..n) a_k b_(n-k)) / a_0, one packed
         solve (``_packed_solve``) whose sums follow the ledger rule of
         ``reduce_terms``."""
-        if self.nvars != 1:
-            raise ValueError("series inverse is univariate")
         a0 = self.c((0,))
         if a0.is_zero_like() or a0.v != 0:
             raise NotInvertible("constant term is not a unit")
@@ -284,37 +244,21 @@ class PSeries:
                 raise PrecisionExhausted("coefficient unresolved modulo p")
             if c.v == 0:
                 out[e] = PadicNum(p, 0, c.u % p, 1)
-        return PSeries(p, self.nvars, self.x_prec, out, 1)
+        return PSeries(p, self.x_prec, out, 1)
 
     def weierstrass_degree(self):
         """Least index with a unit coefficient, or None below the truncation."""
-        if self.nvars != 1:
-            raise ValueError("weierstrass degree is univariate")
         best = None
         for (i,), c in self.coeffs.items():
             if c.v == 0 and (best is None or i < best):
                 best = i
         return best
 
-    # -- variable plumbing ------------------------------------------------------
-
-    def set_var_zero(self, index: int) -> "PSeries":
-        """Substitute 0 for one variable, dropping it from the ring."""
-        out = {}
-        for e, c in self.coeffs.items():
-            if e[index] != 0:
-                continue
-            key = tuple(x for i, x in enumerate(e) if i != index)
-            out[key] = c
-        return PSeries(self.prime, self.nvars - 1, self.x_prec, out, self.coeff_prec)
-
     def equal_to_precision(self, other) -> bool:
-        """Coefficient-wise congruence at the lesser declared precision, by
-        ``first_disagreement``."""
+        """Coefficient-wise congruence below the lesser truncation, by
+        ``coefficients_agree``."""
         other = self._align(other)
-        M = min(self.x_prec, other.x_prec)
-        keys = [e for e in self.coeffs.keys() | other.coeffs.keys() if sum(e) < M]
-        return first_disagreement((e, self.c(e), other.c(e)) for e in keys) is None
+        return coefficients_agree(self.prime, self.coeffs, other.coeffs, min(self.x_prec, other.x_prec))
 
     # -- serialization ------------------------------------------------------------
 
@@ -352,7 +296,29 @@ class PSeries:
             except (TypeError, ValueError, ZeroDivisionError):
                 msg = f"series field 'coeffs' needs univariate [[exponent >= 0], value] entries, got {json.dumps(item)}"
                 raise ValueError(msg) from None
-        return cls(p, 1, obj["M"], coeffs, N)
+        return cls(p, obj["M"], coeffs, N)
+
+
+def coefficient_table(p: int, x_prec, coeffs: dict, coeff_prec) -> dict:
+    """The coefficients {exponents: PadicNum} of total degree below x_prec,
+    ints and Fractions coerced at coeff_prec and exact zeros dropped, of a
+    series or of a two-variable law (``formalgroup.FormalGroupLaw``).  A
+    coefficient of another prime raises PrimeMismatch, and one with a finite
+    valuation and infinite precision, given or coerced at coeff_prec INF,
+    ValueError: the kernels read N = INF as an absent slot."""
+    clean = {}
+    for exps, c in coeffs.items():
+        if sum(exps) >= x_prec:
+            continue
+        if not isinstance(c, PadicNum):
+            c = PadicNum.from_fraction(Fraction(c), p, coeff_prec)
+        elif c.p != p:
+            raise PrimeMismatch("coefficient prime differs from series prime")
+        if c.N == INF and c.v != INF:
+            raise ValueError(f"coefficient at {exps} has finite valuation and infinite precision")
+        if not c.is_exact_zero():
+            clean[exps] = c
+    return clean
 
 
 def first_disagreement(pairs):
@@ -374,10 +340,18 @@ def first_disagreement(pairs):
     return None
 
 
-def raise_if_not_integral(F: PSeries, what: str):
-    """Raise IntegralityFailure at the least exponent whose coefficient
-    certifies a negative valuation, or else, with certified=False, at the
-    least whose valuation floor is merely unresolved below 0."""
+def coefficients_agree(p: int, a: dict, b: dict, M=INF) -> bool:
+    """Whether the coefficient tables a and b, an absent key an exact zero,
+    agree at every key of total degree below M by ``first_disagreement``."""
+    zero = PadicNum.exact_zero(p)
+    return first_disagreement((e, a.get(e, zero), b.get(e, zero)) for e in a.keys() | b.keys() if sum(e) < M) is None
+
+
+def raise_if_not_integral(F, what: str):
+    """Raise IntegralityFailure at the least exponent whose coefficient in
+    F.coeffs (F a series or a law) certifies a negative valuation, or else,
+    with certified=False, at the least whose valuation floor is merely
+    unresolved below 0."""
     bad = {e: c for e, c in F.coeffs.items() if c.val_floor() < 0}
     if bad:
         e = min(bad, key=lambda e: (bad[e].v == INF, e))
@@ -444,13 +418,14 @@ def _part(p: int, items) -> tuple:
     return s, [(a, 0 if c.v == INF else c.u * p ** (c.v - s), c.N, c.val_floor()) for a, c in items]
 
 
-def _parts(s: PSeries, M: int) -> list:
-    """The homogeneous parts of a bivariate s below total degree M as factors."""
+def _parts(F, M: int) -> list:
+    """The homogeneous parts of a law F (``formalgroup.FormalGroupLaw``)
+    below total degree M as factors."""
     parts = [[] for _ in range(M)]
-    for (a, b), c in s.coeffs.items():
+    for (a, b), c in F.coeffs.items():
         if a + b < M:
             parts[a + b].append((a, c))
-    return [_part(s.prime, items) for items in parts]
+    return [_part(F.prime, items) for items in parts]
 
 
 def _part_mul(p: int, A, B, e: int) -> list:
@@ -522,7 +497,7 @@ def _unpack(p: int, packed, M: int, coeff_prec) -> PSeries:
         for e, (v, u, n) in enumerate(zip(V, U, N))
         if n != _ABSENT
     }
-    return PSeries(p, 1, M, coeffs, coeff_prec)
+    return PSeries(p, M, coeffs, coeff_prec)
 
 
 def _packed_add(p: int, a, b, negate: bool = False):

@@ -37,7 +37,7 @@ def random_s0(rnd: random.Random, p, M, N, unit_linear=False, terms=None):
     if unit_linear and lin % p == 0:
         lin += 1
     coeffs[(1,)] = lin
-    return PSeries(p, 1, M, coeffs, N)
+    return PSeries(p, M, coeffs, N)
 
 
 @pytest.fixture

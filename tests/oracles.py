@@ -464,15 +464,10 @@ def triple_substitute(p: int, F: dict, pows: list, D: int, left: bool, keep: boo
     return out
 
 
-def swap_vars(F, i: int, j: int):
-    """A series with variables i and j exchanged: the reference for the
-    symmetry of a two-variable law (a series of F's own class)."""
-    out = {}
-    for e, c in F.coeffs.items():
-        le = list(e)
-        le[i], le[j] = le[j], le[i]
-        out[tuple(le)] = c
-    return type(F)(F.prime, F.nvars, F.x_prec, out, F.coeff_prec)
+def swap_vars(coeffs: dict) -> dict:
+    """The coefficients {(a, b): c} of a two-variable law with x and y
+    exchanged: the reference for the symmetry of a law."""
+    return {(b, a): c for (a, b), c in coeffs.items()}
 
 
 # -- the Lubin-Tate lift as it ran before the degree-incremental stages ----------

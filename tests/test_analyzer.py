@@ -85,7 +85,7 @@ def test_perturbed_pair_rejected_at_degree_two():
     p = 3
     f, u = gm_pair(p, SMALL.M, working(p))
     pert = PSeries(
-        p, 1, SMALL.M, {(2,): PadicNum.from_int(p ** (SMALL.N - 1), p, working(p))}, working(p)
+        p, SMALL.M, {(2,): PadicNum.from_int(p ** (SMALL.N - 1), p, working(p))}, working(p)
     )
     rep = analyze(f, u + pert, SMALL, name="perturbed")
     assert rep.verdict == REJECTED

@@ -130,7 +130,7 @@ def test_packed_limit_matches_dict_limit(case):
     replaced (``oracles.triple_limit``): the series and the evidence triple
     for triple, or the same exception class and message."""
     p, M, N, coeffs, n_max = case
-    f = PSeries(p, 1, M, {(d,): PadicNum(p, *t) for d, t in coeffs.items()}, N)
+    f = PSeries(p, M, {(d,): PadicNum(p, *t) for d, t in coeffs.items()}, N)
     try:
         want = triple_limit(p, triples(f), M, N, default_n_max(p, M) if n_max is None else n_max)
     except (NoDigits, ZeroDivisor) as ex:
@@ -180,7 +180,7 @@ def test_functional_equations():
     L = logarithm_recurrence(f)
 
     def scaled(s):
-        return PSeries(p, 1, L.x_prec, {e: c * s for e, c in L.coeffs.items()}, L.coeff_prec)
+        return PSeries(p, L.x_prec, {e: c * s for e, c in L.coeffs.items()}, L.coeff_prec)
 
     assert L.compose(f).equal_to_precision(scaled(f.linear_coeff()))
     assert L.compose(u).equal_to_precision(scaled(u.linear_coeff()))
@@ -197,7 +197,7 @@ def test_dlog_integrality():
     f = one_plus_x_pow(3, 3, 32, 30)
     assert dlog_integrality(logarithm_recurrence(f))
     fake = logarithm_recurrence(f) + PSeries(
-        3, 1, 32, {(2,): PadicNum.from_fraction(Fraction(1, 3), 3, 30)}, 30
+        3, 32, {(2,): PadicNum.from_fraction(Fraction(1, 3), 3, 30)}, 30
     )
     assert not dlog_integrality(fake)
 

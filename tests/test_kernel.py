@@ -26,7 +26,7 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from lubinlab import INF, PadicNum, PrecisionExhausted, PSeries, analyzer, polygon, series
+from lubinlab import INF, FormalGroupLaw, PadicNum, PrecisionExhausted, PSeries, analyzer, polygon, series
 from lubinlab.padic import vp_int
 from conftest import outcome
 from lubinlab.polygon import _divisor, _poly_divide_monic, vertex_split, weierstrass_preparation
@@ -69,7 +69,7 @@ def triple_series(draw, p, constant=True):
 
 
 def to_series(p, M, triples):
-    return PSeries(p, 1, M, {(d,): PadicNum(p, v, u, n) for d, (v, u, n) in triples.items()}, 30)
+    return PSeries(p, M, {(d,): PadicNum(p, v, u, n) for d, (v, u, n) in triples.items()}, 30)
 
 
 def as_triples(s):
@@ -217,7 +217,7 @@ def test_compose_multiple_matches_powers_of_a(case):
 
     def by_pow():
         scaled = {(k,): c * a**k if k else c for (k,), c in g.truncate(min(Mg, Mh)).coeffs.items()}
-        return as_triples(PSeries(p, 1, Mg, scaled, g.coeff_prec).compose(h))
+        return as_triples(PSeries(p, Mg, scaled, g.coeff_prec).compose(h))
 
     assert outcome(lambda: as_triples(g.compose(h, a))) == outcome(by_pow)
 
@@ -226,7 +226,7 @@ def test_compose_with_zero_inner_series():
     """g(0) keeps only the constant term of g (none of its higher terms)."""
     p, M = 3, 8
     g = to_series(p, M, {0: (0, 1, 4), 1: (0, 2, 4), 3: (1, 1, 4)})
-    zero = PSeries(p, 1, M, {}, 30)
+    zero = PSeries(p, M, {}, 30)
     got = g.compose(zero)
     assert as_triples(got) == {0: (0, 1, 4)} == table_compose(p, below(as_triples(g), M), {}, M)
     assert got.x_prec == M
@@ -490,7 +490,7 @@ def test_kernels_call_reduce_terms_once_or_not_at_all(monkeypatch):
     A, H = (series._pack(s.coeffs, M) for s in (a, h))
     table = h.power_table()
     table.grow(M - 1)
-    F = PSeries(p, 2, 6, {(1, 0): 1, (0, 1): 1, (1, 1): 3, (2, 1): 2}, 12)
+    F = FormalGroupLaw(p, 6, {(1, 0): 1, (0, 1): 1, (1, 1): 3, (2, 1): 2}, 12, "test")
     parts = series._parts(F, 6)
     D = series._pack({(0,): PadicNum(p, 1, 1, 12), (1,): PadicNum(p, 0, 2, 12), (2,): PadicNum.one(p, 12)}, 3)
     assert count(lambda: series._product(p, series._operand(p, A), series._operand(p, H), M)) == 1
@@ -529,7 +529,7 @@ def test_inverse_matches_per_pair_loop(case):
     replaced: the same triples in the same order, or the same exception and
     message, including products of a zero-like factor that keep no digit."""
     p, (M, triples), N = case
-    s = PSeries(p, 1, M, {(d,): PadicNum(p, *t) for d, t in triples.items()}, N)
+    s = PSeries(p, M, {(d,): PadicNum(p, *t) for d, t in triples.items()}, N)
     check(s.inverse, lambda: triple_inverse(p, below(triples, M), M, N))
 
 
@@ -665,7 +665,7 @@ def test_preparation_matches_fixed_point(case):
     whole series: the same P and U triple for triple, or the same
     exception.  (P's keys came in a set's order before; compared as dicts.)"""
     p, M, N, triples = case
-    g = PSeries(p, 1, M, {(d,): PadicNum(p, *t) for d, t in triples.items()}, N)
+    g = PSeries(p, M, {(d,): PadicNum(p, *t) for d, t in triples.items()}, N)
     try:
         want_P, want_U = triple_preparation(p, triples, M, N)
     except NoDigits as ex:
@@ -732,7 +732,7 @@ def test_vertex_split_matches_whole_series_steps(case):
     which these inputs never hold (their zero-like coefficients have
     N >= 1)."""
     p, M, N, degree, istar, triples = case
-    P = PSeries(p, 1, M, {(d,): PadicNum(p, *t) for d, t in triples.items()}, N)
+    P = PSeries(p, M, {(d,): PadicNum(p, *t) for d, t in triples.items()}, N)
     try:
         want = triple_vertex_split(p, {(d,): t for d, t in triples.items()}, M, N, degree, istar)
     except NoDigits as ex:
@@ -828,7 +828,7 @@ def test_analysis_forms_each_power_once(monkeypatch):
         return product(*args, **kwargs)
 
     def series_mul(a, b):
-        counts["series"] += a.nvars == 1
+        counts["series"] += 1
         return mul(a, b)
 
     monkeypatch.setattr(series._PowerTable, "__init__", record)

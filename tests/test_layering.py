@@ -81,3 +81,41 @@ def test_modular_inverses_live_in_the_division_rules():
         for site in modular_inverses(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     ]
     assert sorted(sites) == ["padic.div_triples", "series._packed_div_int"]
+
+
+def variable_counts(tree, module):
+    """(module, line, kind) of each occurrence of ``nvars`` in ``tree``: a
+    parameter, a keyword, an attribute, a name or a string (a slot), except
+    the target of the class constant ``nvars = 1`` in ``series.PSeries``."""
+    constant = None
+    for node in ast.walk(tree):
+        if module == "series" and isinstance(node, ast.ClassDef) and node.name == "PSeries":
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign) and ast.unparse(stmt) == "nvars = 1":
+                    constant = stmt.targets[0]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.arg == "nvars":
+            yield module, node.lineno, "parameter"
+        elif isinstance(node, ast.keyword) and node.arg == "nvars":
+            yield module, node.value.lineno, "keyword"
+        elif isinstance(node, ast.Attribute) and node.attr == "nvars":
+            yield module, node.lineno, "attribute"
+        elif isinstance(node, ast.Name) and node.id == "nvars" and node is not constant:
+            yield module, node.lineno, "name"
+        elif isinstance(node, ast.Constant) and node.value == "nvars":
+            yield module, node.lineno, "string"
+
+
+def test_series_take_no_variable_count():
+    """``PSeries`` is a series in one variable, and the law of
+    ``formalgroup`` keeps its own coefficient table: ``nvars`` occurs in
+    ``src/lubinlab`` only as the class constant ``PSeries.nvars = 1``,
+    never as a parameter, a slot, an attribute read or a branch."""
+    src = Path(lubinlab.__file__).parent
+    uses = [
+        use
+        for path in sorted(src.glob("*.py"))
+        for use in variable_counts(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    ]
+    assert uses == []
+    assert lubinlab.PSeries.nvars == 1 and "nvars" not in lubinlab.PSeries.__slots__

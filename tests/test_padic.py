@@ -410,3 +410,24 @@ def test_exact_nonzero_times_an_int_stays_exact():
     with an integer unit."""
     got = PadicNum.one(3, INF) * -18
     assert (got.v, got.u, got.N) == (2, -2, INF) and type(got.u) is int
+
+
+def triple(x):
+    return x.v, x.u, x.N
+
+
+def test_exact_nonzero_operands_stay_exact_or_name_the_divisor():
+    """Exact nonzero operands follow one rule: a difference, a product or a
+    quotient by +-p^w is exact, and a quotient of two exact values with no
+    finite expansion raises ValueError naming the exact divisor."""
+    one = PadicNum.one(3, INF)
+    assert triple(one / one) == (0, 1, INF)
+    assert triple(one ** -1) == (0, 1, INF)
+    with pytest.raises(ValueError, match=r"^the quotient of an exact value by the exact 2 has no finite 3-adic expansion$"):
+        one.div_int(2)
+    zero = one - one
+    assert zero.is_exact_zero() and type(zero.u) is int
+    assert triple(one - one * 2) == (0, -1, INF)
+    assert triple(one.div_int(-9)) == (-2, -1, INF)
+    assert triple(one * 2 * (one * 5)) == (0, 10, INF)
+    assert triple(one ** 0) == (0, 1, INF)

@@ -89,7 +89,6 @@ def test_uncertain_coefficient_blocks_count():
     p = 3
     g = PSeries(
         p,
-        1,
         16,
         {(1,): PadicNum.from_int(27, p, 6), (2,): PadicNum.zero_to_prec(p, 1), (3,): PadicNum.one(p, 6)},
         6,
@@ -177,7 +176,7 @@ def shape_inputs(draw):
         v = -1 if kind == 5 else v + 1 if kind == 6 else v
         N = max(N, v + 1)
         coeffs[(d,)] = PadicNum(p, v, draw(st.integers(1, p ** (N - v) - 1).map(lambda x: x if x % p else x + 1)), N)
-    return p, n, PSeries(p, 1, M, coeffs, INF if draw(st.integers(0, 9)) == 0 else draw(st.integers(1, 12)))
+    return p, n, PSeries(p, M, coeffs, INF if draw(st.integers(0, 9)) == 0 else draw(st.integers(1, 12)))
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -237,13 +236,13 @@ def chain_inputs(draw):
             v = draw(st.integers(-2, N - 1))
             coeffs[(d,)] = PadicNum(p, v, draw(st.integers(1, p ** (N - v) - 1).map(lambda x: x if x % p else x + 1)), N)
     M, N = draw(st.integers(1, 12)), draw(st.integers(1, 20) | st.just(INF))
-    return p, draw(st.integers(0, 4)), PSeries(p, 1, M, coeffs, N)
+    return p, draw(st.integers(0, 4)), PSeries(p, M, coeffs, N)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(chain_inputs())
-@example((2, 3, PSeries(2, 1, 8, {(1,): PadicNum(2, 1, 1, 6), (2,): PadicNum(2, -1, 1, 1)}, 10)))  # f^2 forms, f^3 raises
-@example((3, 1, PSeries(3, 1, 6, {(0,): PadicNum(3, 0, 1, 4), (1,): PadicNum(3, 1, 1, 4)}, INF)))  # both refusals apply
+@example((2, 3, PSeries(2, 8, {(1,): PadicNum(2, 1, 1, 6), (2,): PadicNum(2, -1, 1, 1)}, 10)))  # f^2 forms, f^3 raises
+@example((3, 1, PSeries(3, 6, {(0,): PadicNum(3, 0, 1, 4), (1,): PadicNum(3, 1, 1, 4)}, INF)))  # both refusals apply
 def test_iterate_matches_the_compose_chain(case):
     """``iterate(f, n)``, tabled sums on packed lists, against the n-fold
     ``PSeries.compose`` chain it replaced: triple for triple, or the same
@@ -296,7 +295,7 @@ def test_factor_polygon_is_single_segment():
 
 def polynomial(p, coeffs, N):
     """sum coeffs[i] x^i at coefficient precision N, truncated well above its degree."""
-    return PSeries(p, 1, 2 * len(coeffs), {(i,): c for i, c in enumerate(coeffs)}, N)
+    return PSeries(p, 2 * len(coeffs), {(i,): c for i, c in enumerate(coeffs)}, N)
 
 
 def test_vertex_split_separates_eisenstein_factors():
@@ -333,7 +332,7 @@ def test_eisenstein_results():
 def test_eisenstein_lead_without_digits_is_undecided():
     """The lead 2^-2 + O(2^0) carries no digits; it was read as not 1 and
     the polynomial refused as not monic."""
-    poly = PSeries(2, 1, 3, {(0,): PadicNum.from_int(2, 2, 8), (1,): PadicNum(2, -2, 1, 0)}, 8)
+    poly = PSeries(2, 3, {(0,): PadicNum.from_int(2, 2, 8), (1,): PadicNum(2, -2, 1, 0)}, 8)
     with pytest.raises(PrecisionExhausted, match=r"^compared coefficients at 1 carry no digits$"):
         is_eisenstein(poly)
 
@@ -396,7 +395,7 @@ def test_weierstrass_factor_shares_the_preparation_and_the_splits(monkeypatch):
         segments, before = newton_polygon(fn).negative_segments(), len(preps)
         for seg in segments:
             for tp in (12, 8):
-                fresh = PSeries(fn.prime, 1, fn.x_prec, dict(fn.coeffs), fn.coeff_prec)
+                fresh = PSeries(fn.prime, fn.x_prec, dict(fn.coeffs), fn.coeff_prec)
                 kept, once = weierstrass_factor(fn, seg.slope, tp), weierstrass_factor(fresh, seg.slope, tp)
                 assert [triples(s) for s in kept] == [triples(s) for s in once]
         # fn is prepared once per target_prec, each fresh copy once
@@ -448,7 +447,7 @@ def test_preparation_reuses_its_ledgers(monkeypatch):
     none)."""
     f, _ = make_twist_fixture("gm", PSeries.from_univariate_coeffs(3, [1, 1, 2], 64, 24))
     fn = iterate(f, 2).cap_coeff_prec(16)
-    g = PSeries(3, 1, 63, {(e - 1,): c for (e,), c in fn.coeffs.items()}, 16)
+    g = PSeries(3, 63, {(e - 1,): c for (e,), c in fn.coeffs.items()}, 16)
     counts = Counter()
     product, ledger = polygon._product, series._ledger
 
@@ -471,7 +470,7 @@ def test_preparation_reuses_its_ledgers(monkeypatch):
 
 def test_preparation_splits_unit():
     g = series_from_fractions(3, [3, 0, 1, 1, 2], 24, 20)
-    shifted = PSeries(3, 1, 23, {(e[0] - 1,): c for e, c in g.coeffs.items()}, 20)
+    shifted = PSeries(3, 23, {(e[0] - 1,): c for e, c in g.coeffs.items()}, 20)
     P, U = weierstrass_preparation(shifted)
     assert (P * U).equal_to_precision(shifted)
     assert U.c((0,)).v == 0

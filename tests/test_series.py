@@ -1,10 +1,11 @@
 """Ring operations, composition, reversion, mod-p reduction."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
-from lubinlab import INF, ConstantTermError, IntegralityFailure, NotInvertible, PadicNum, PSeries, PrimeMismatch, logarithm_limit, logarithm_recurrence
+from lubinlab import INF, ConstantTermError, FormalGroupLaw, IntegralityFailure, NotInvertible, PadicNum, PSeries, PrimeMismatch, logarithm_limit, logarithm_recurrence
 from conftest import random_s0, series_from_fractions
 from oracles import lagrange_inversion, poly_compose, poly_mul, swap_vars
 
@@ -129,7 +130,7 @@ def test_reversion_with_nonunit_linear_records_loss():
 
 def test_reversion_needs_invertible_linear_term():
     g = series_from_fractions(3, [0, 1], 8, 4)  # x^2 only: g'(0) = 0 exactly -> no point
-    g2 = PSeries(3, 1, 8, {(1,): PadicNum.zero_to_prec(3, 4), (2,): PadicNum.one(3, 4)}, 4)
+    g2 = PSeries(3, 8, {(1,): PadicNum.zero_to_prec(3, 4), (2,): PadicNum.one(3, 4)}, 4)
     with pytest.raises(NotInvertible):
         g2.reversion()
     with pytest.raises(NotInvertible):
@@ -181,14 +182,12 @@ def test_series_json_roundtrip():
 
 
 def test_multivariate_basics():
+    """The one two-variable object is a law: x + y + xy has F(x, 0) = x =
+    F(0, x), and its copy with x and y exchanged equals it."""
     p, M, N = 2, 8, 10
-    F = PSeries(p, 2, M, {(1, 0): 1, (0, 1): 1, (1, 1): 1}, N)
-    assert F.set_var_zero(1).equal_to_precision(PSeries.identity(p, M, N))
-    assert swap_vars(F, 0, 1).equal_to_precision(F)
-    with pytest.raises(ValueError, match="univariate"):
-        F.derivative()
-    with pytest.raises(ValueError, match="series sum is univariate"):
-        F + F
+    F = FormalGroupLaw(p, M, {(1, 0): 1, (0, 1): 1, (1, 1): 1}, N, "test")
+    assert F.check_identity()
+    assert FormalGroupLaw(p, M, swap_vars(F.coeffs), N, "test").equal_to_precision(F)
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, -3, 9])
@@ -209,35 +208,26 @@ def test_constant_only_outer_series_keeps_its_constant():
     assert as_fracs(five.compose(x)) == {0: 5}
 
 
-def test_compose_refuses_a_multivariate_series():
-    p, M, N = 3, 8, 10
-    x = PSeries.identity(p, M, N)
-    xy = PSeries(p, 2, M, {(1, 0): 1, (0, 1): 1}, N)
-    with pytest.raises(ValueError, match="univariate"):
-        x.compose(xy)
-    with pytest.raises(ValueError, match="univariate"):
-        xy.compose(x)
-
-
 @pytest.mark.parametrize(
-    "nvars, series",
+    "nvars, build",
     [
-        (1, lambda a: PSeries(3, 1, 4, {(1,): a}, INF)),  # its square read as {}
-        (2, lambda a: PSeries(3, 2, 4, {(1, 0): a, (0, 1): a}, INF)),  # so did x a + y a
+        (1, lambda coeffs: PSeries(3, 4, coeffs, INF)),  # the square of x a read as {}
+        (2, lambda coeffs: FormalGroupLaw(3, 4, coeffs, INF, "test")),  # so did the powers of x a + y a
     ],
 )
-def test_exact_nonzero_coefficient_is_refused(nvars, series):
+def test_exact_nonzero_coefficient_is_refused(nvars, build):
     """A coefficient with a finite valuation and infinite precision claims an
     exact nonzero value; the kernels read N = INF as an absent slot, so the
-    squares above came out as the zero series.  The series refuses it and
-    names the exponent; exact zeros and zero-like coefficients stay allowed."""
+    products above came out as zero.  The series and the law refuse it,
+    given or coerced from an int at coeff_prec INF, and name the exponent;
+    exact zeros are dropped and zero-like coefficients stay allowed."""
     a = PadicNum(3, 0, 2, INF)
-    exps = r"\(1,\)" if nvars == 1 else r"\(1, 0\)"
-    with pytest.raises(ValueError, match=rf"coefficient at {exps} has finite valuation and infinite precision"):
-        series(a)
+    x, y = [(1,), (2,)] if nvars == 1 else [(1, 0), (1, 1)]
+    for c in (a, 2):
+        with pytest.raises(ValueError, match=rf"coefficient at {re.escape(str(x))} has finite valuation and infinite precision"):
+            build({x: c})
     zero, zero_like = PadicNum.exact_zero(3), PadicNum.zero_to_prec(3, 5)
-    s = PSeries(3, nvars, 4, {(1,) * nvars: zero, (2,) * nvars if nvars == 1 else (1, 1): zero_like}, INF)
-    assert list(s.coeffs.values()) == [zero_like]
+    assert list(build({x: zero, y: zero_like}).coeffs.values()) == [zero_like]
 
 
 def test_solve_from_an_exact_nonzero_is_refused():
@@ -245,7 +235,7 @@ def test_solve_from_an_exact_nonzero_is_refused():
     precision, here INF: an exact nonzero, which the kernels read as an
     absent slot.  The recurrence refuses it up front, naming coeff_prec, not
     a coefficient the caller never gave."""
-    f = PSeries(3, 1, 4, {(1,): PadicNum(3, 1, 1, 5)}, INF)
+    f = PSeries(3, 4, {(1,): PadicNum(3, 1, 1, 5)}, INF)
     with pytest.raises(ValueError, match=r"needs a finite coeff_prec"):
         logarithm_recurrence(f)
 
@@ -255,6 +245,6 @@ def test_limit_from_an_exact_nonzero_is_refused():
     series' precision, here INF.  It refuses that up front, naming itself
     and coeff_prec, where it raised from ``PSeries.identity`` about a
     coefficient at (1,) the caller never gave."""
-    f = PSeries(3, 1, 6, {(1,): PadicNum(3, 1, 1, 20), (2,): PadicNum(3, 0, 1, 20)}, INF)
+    f = PSeries(3, 6, {(1,): PadicNum(3, 1, 1, 20), (2,): PadicNum(3, 0, 1, 20)}, INF)
     with pytest.raises(ValueError, match=r"^logarithm_limit needs a finite coeff_prec"):
         logarithm_limit(f)

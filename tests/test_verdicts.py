@@ -369,6 +369,6 @@ def test_u_derivative_without_digits_is_inconclusive(monkeypatch):
         (1, (REJECTED, "u'(0) is not a unit")),
     ]:
         coeffs[(1,)] = PadicNum(2, INF, 0, N)
-        report = analyze(f, PSeries(2, 1, CFG.M, coeffs, NW), CFG)
+        report = analyze(f, PSeries(2, CFG.M, coeffs, NW), CFG)
         assert (report.verdict, report.reason) == want
         assert ("u_invertible" in report.data["hypotheses"]) == (want[0] == REJECTED)
