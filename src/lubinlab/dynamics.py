@@ -18,9 +18,9 @@ as a library function that acceptance criterion 2 and
 result carries its stabilization record too.  It always forms a fixed
 number of iterates, and its only claim is the ultrametric Cauchy cap at
 the last increment; a run that leaves a coefficient no digits raises
-PrecisionExhausted.  It runs on the packed lists of ``series``: each
-iterate is one tabled sum on the power table of f, divided by f'(0)^n
-slot by slot, and only its result becomes a series.
+PrecisionExhausted.  Each iterate is one tabled sum on the power table of
+f (``series._iterates``); the rest is the public rules of series and
+scalars: the division by f'(0)^n, the increment and the cap.
 """
 
 from fractions import Fraction
@@ -32,8 +32,8 @@ from .errors import (
     TorsionDetected,
     TruncationInconclusive,
 )
-from .padic import _ABSENT, INF, PadicNum, ceil_log, is_root_of_unity, padic_pow
-from .series import PSeries, _iterates, _pack, _packed_add, _packed_div, _solve_by_powers, _unpack, first_disagreement
+from .padic import INF, PadicNum, ceil_log, is_root_of_unity, order_mod_p, padic_pow
+from .series import PSeries, _iterates, _solve_by_powers, _unpack, first_disagreement
 from .polygon import iterate
 
 
@@ -101,8 +101,10 @@ def logarithm_limit(f: PSeries, n_max: int = None) -> Logarithm:
     comparisons happen at capped digits only.  A run whose last increment is
     no smaller than its first, or whose cap leaves a coefficient no digits,
     raises PrecisionExhausted.  The iterates are ``polygon.iterate``'s chain,
-    f^(n+1) = f^n ∘ f; the division by f'(0)^n is ``series._packed_div`` and
-    each increment ``series._packed_add``.
+    f^(n+1) = f^n ∘ f (``series._iterates``); each becomes a series divided
+    by f'(0)^n coefficient by coefficient in degree order (``PadicNum``
+    division), each increment is a series difference, and the cap is
+    ``PadicNum.cap_prec``.
     """
     if f.coeff_prec == INF:
         raise ValueError("logarithm_limit needs a finite coeff_prec: its iterates are normalised from the identity known to coeff_prec")
@@ -111,27 +113,24 @@ def logarithm_limit(f: PSeries, n_max: int = None) -> Logarithm:
     c = f.linear_coeff()
     if n_max is None:
         n_max = default_n_max(p, M)
-    ident = PSeries.identity(p, M, f.coeff_prec)
+    norm = PSeries.identity(p, M, f.coeff_prec)
     if n_max == 0:
-        return Logarithm(ident, [])
-    norm = _pack(ident.coeffs, M)
+        return Logarithm(norm, [])
     evidence = []
     for n, fn in zip(range(1, n_max + 1), _iterates(f)):
-        prev, norm = norm, _packed_div(p, fn, c**n)
-        dV, _, dN = incr = _packed_add(p, norm, prev, negate=True)
-        evidence.append((n, min((k if v == _ABSENT else v for v, k in zip(dV, dN) if k != _ABSENT), default=INF)))
+        cn, fn = c**n, _unpack(p, fn, M, f.coeff_prec)
+        prev, norm = norm, PSeries(p, M, {e: a / cn for e, a in sorted(fn.coeffs.items())}, f.coeff_prec)
+        incr = norm - prev
+        evidence.append((n, incr.min_val_floor()))
     if len(evidence) >= 2 and evidence[-1][1] <= evidence[0][1]:
         raise PrecisionExhausted(f"no stabilization after {n_max} iterates")
-    V, U, N = norm
-    for k, (v, n) in enumerate(zip(V, N)):
-        if n == _ABSENT:
-            continue
-        cap = dN[k] if dV[k] == _ABSENT else dV[k]  # the increment's floor; norm's slot is in it
+    capped = {}
+    for e, a in sorted(norm.coeffs.items()):
+        cap = incr.coeffs[e].val_floor()  # the increment's floor; norm's coefficient is in it
         if cap <= 0:
-            raise PrecisionExhausted(f"coefficient {(k,)} certifies no digits after {n_max} iterates")
-        if cap < n:  # cap_prec
-            V[k], U[k], N[k] = (_ABSENT, 0, cap) if v == _ABSENT or v >= cap else (v, U[k] % p ** (cap - v), cap)
-    return Logarithm(_unpack(p, norm, M, f.coeff_prec), evidence)
+            raise PrecisionExhausted(f"coefficient {e} certifies no digits after {n_max} iterates")
+        capped[e] = a.cap_prec(cap)
+    return Logarithm(PSeries(p, M, capped, f.coeff_prec), evidence)
 
 
 def log_polygon_vertices(p: int, M: int) -> list:
@@ -149,11 +148,12 @@ def normalize_u(u: PSeries):
     """The minimal iterate of u with u'(0) = 1 mod p (mod 4 if p=2).
 
     Returns (iterate, e) with e the iterate taken: the order of u'(0) in
-    (Z/p)^x, doubled when p = 2 and u'(0) = 3 mod 4 (u itself when e = 1).
-    After this, v_p((1-u'(0))^m) = v_p(1-u'(0)) + v_p(m) for all m, which is
-    exactly what the Z_p-iteration needs.  Raises TorsionDetected when u'(0)
-    is a root of unity to precision; the flag on the exception records
-    whether the matching iterate of u is itself the identity to precision.
+    (Z/p)^x (``padic.order_mod_p``), doubled when p = 2 and u'(0) = 3 mod 4
+    (u itself when e = 1).  After this, v_p((1-u'(0))^m) = v_p(1-u'(0)) +
+    v_p(m) for all m, which is exactly what the Z_p-iteration needs.
+    Raises TorsionDetected when u'(0) is a root of unity to precision; the
+    flag on the exception records whether the matching iterate of u is
+    itself the identity to precision.
     """
     p = u.prime
     gamma = u.linear_coeff()
@@ -167,14 +167,7 @@ def normalize_u(u: PSeries):
             f"O({p}^{gamma.N})",
             identity_to_precision=is_id,
         )
-    if p == 2:
-        e = 2 if gamma.u % 4 == 3 else 1
-    else:
-        e = 1
-        acc = gamma.u % p
-        while acc != 1:
-            acc = acc * (gamma.u % p) % p
-            e += 1
+    e = (2 if gamma.u % 4 == 3 else 1) if p == 2 else order_mod_p(gamma)
     if e == 1:
         return u, 1
     return iterate(u, e), e

@@ -195,6 +195,8 @@ def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
     NonUniqueLift, and a stage raises PrecisionExhausted (its first
     unresolved correction) only when it has no certified failure.
     """
+    if f.coeff_prec == INF:
+        raise ValueError("lubin_tate_lift needs a finite coeff_prec: its law starts from x + y known to coeff_prec")
     p, N, c = f.prime, f.coeff_prec, f.linear_coeff()
     D = min(x_prec, f.x_prec)
     f = f.truncate(D)

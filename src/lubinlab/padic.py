@@ -580,10 +580,15 @@ def is_root_of_unity(gamma: PadicNum):
     w = gamma ** (p - 1) - one
     if not w.is_zero_like():
         return False, None
-    g0 = gamma.u % p
-    order = 1
-    acc = g0
+    return True, order_mod_p(gamma)
+
+
+def order_mod_p(gamma: PadicNum) -> int:
+    """The multiplicative order of the unit gamma mod p: the least e >= 1
+    with gamma^e = 1 mod p."""
+    p, g0 = gamma.p, gamma.u % gamma.p
+    e, acc = 1, g0
     while acc != 1:
         acc = acc * g0 % p
-        order += 1
-    return True, order
+        e += 1
+    return e

@@ -17,18 +17,17 @@ operands and returns the result both packed and as an operand;
 normalises its slots with one ``padic.reduce_terms``, the one
 normalise-and-raise rule of the kernels.
 A derivative multiplies slot k by the exact integer k
-(``_packed_derivative`` under ``padic.scale_int``) and a division by a
-scalar runs slot by slot (``_packed_div``), each slot by
-``padic.div_triples``, the rule of ``PadicNum.__truediv__``.  Inverses
-and the quotients of monic divisions are one recurrence on the same lists
+(``_packed_derivative`` under ``padic.scale_int``).  Inverses and the
+quotients of monic divisions are one recurrence on the same lists
 (``_packed_solve``): each coefficient is one sum against those already
 found (``_fold``), normalised by ``padic._scaled``, the rule of a scalar,
-and divided by the same ``div_triples``, with no ``PadicNum`` per
-coefficient.  The bivariate kernel holds a law's coefficients as its
-homogeneous parts: part k keys the coefficients of total degree k by a
-for x^a y^(k-a), and a part of a product is one pass over the pairs of
-entries (``_part_sum``), the kernel of the lift's Horner intermediates
-and of the associativity certificate.
+and divided by ``padic.div_triples``, the rule of
+``PadicNum.__truediv__``, with no ``PadicNum`` per coefficient.  The
+bivariate kernel holds a law's coefficients as its homogeneous parts:
+part k keys the coefficients of total degree k by a for x^a y^(k-a), and
+a part of a product is one pass over the pairs of entries
+(``_part_sum``), the kernel of the lift's Horner intermediates and of the
+associativity certificate.
 
 Series and certificates compare by one rule (``first_disagreement``, over
 two coefficient tables ``coefficients_agree``): a pair of coefficients
@@ -538,22 +537,6 @@ def _packed_derivative(p: int, c):
     return dV, dU, dN
 
 
-def _packed_div(p: int, c, d: PadicNum):
-    """c / d slot by slot in degree order, each present slot by
-    ``padic.div_triples``, the rule of ``PadicNum.__truediv__``, raises
-    included: a zero-like d raises DivisionByZeroToPrecision at the first
-    present slot, a zero-like slot is known to N - v(d) and raises where
-    that is <= 0, and a finite slot keeps min(N - v, N(d) - v(d)) relative
-    digits.  (``_packed_div_int`` divides by an exact integer and keeps a
-    zero-like slot without digits.)"""
-    q = [_ABSENT] * len(c[0]), [0] * len(c[0]), [_ABSENT] * len(c[0])
-    for k, (v, u, n) in enumerate(zip(*c)):
-        if n != _ABSENT:
-            v, q[1][k], q[2][k] = div_triples(p, INF if v == _ABSENT else v, u, n, d.v, d.u, d.N)
-            q[0][k] = _ABSENT if v == INF else v
-    return q
-
-
 def _packed_div_int(p: int, c, q: int):
     """A packed series divided exactly by an integer q >= 1, slot by slot as
     ``PadicNum.div_int`` divides: valuations and precisions drop by v_p(q),
@@ -762,7 +745,7 @@ def _packed_solve(p: int, a, c, M: int, a0: PadicNum = None):
     fold zips a to the b found so far and its value does not depend on the
     shift, so a factor longer than M - 1 slots gives the same b.  The
     division by a0, of finite valuation and precision, is
-    ``padic.div_triples``, ``_packed_div``'s rule for a slot.
+    ``padic.div_triples``, the rule of ``PadicNum.__truediv__``.
     """
     sa, A = a
     V, U, N, F, X = [], [], [], [], []  # V, N, F and X hold b_(n-1) .. b_0: b_(n-k) meets a_k

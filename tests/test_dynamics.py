@@ -25,7 +25,6 @@ from lubinlab import (
     ramification_index,
     zp_iterate,
 )
-from lubinlab import dynamics, series
 from lubinlab.dynamics import default_n_max
 from conftest import one_plus_x_pow, series_from_fractions
 from oracles import NoDigits, ZeroDivisor, triple_limit
@@ -126,9 +125,9 @@ def triples(s):
 @example((2, 3, 10, {1: (INF, 0, 5), 2: (0, 1, 4)}, 6))  # c zero-like
 @example((3, 12, 8, {1: (1, 1, 8), 3: (0, 1, 8)}, None))  # f = 3x + x^3
 def test_packed_limit_matches_dict_limit(case):
-    """``logarithm_limit`` on packed lists against the dict limit it
-    replaced (``oracles.triple_limit``): the series and the evidence triple
-    for triple, or the same exception class and message."""
+    """``logarithm_limit`` against the dict limit ``oracles.triple_limit``:
+    the series and the evidence triple for triple, or the same exception
+    class and message."""
     p, M, N, coeffs, n_max = case
     f = PSeries(p, M, {(d,): PadicNum(p, *t) for d, t in coeffs.items()}, N)
     try:
@@ -141,26 +140,6 @@ def test_packed_limit_matches_dict_limit(case):
         return
     lim = logarithm_limit(f, n_max)
     assert (triples(lim.series), lim.stabilization) == want
-
-
-@pytest.mark.parametrize("n_max", [0, 1, 3])
-def test_limit_unpacks_only_the_kept_iterates_and_the_result(monkeypatch, n_max):
-    """The limit runs on packed lists and keeps none of its iterates: of the
-    n_max it forms none becomes a series, only the result does (n_max = 0
-    returns the identity and unpacks nothing)."""
-    f = series_from_fractions(3, [3, 9], 32, 20)  # 3x + 9x^2: its increments shrink from the first
-    calls = []
-    unpack = series._unpack
-
-    def counted(*args):
-        calls.append(1)
-        return unpack(*args)
-
-    monkeypatch.setattr(series, "_unpack", counted)
-    monkeypatch.setattr(dynamics, "_unpack", counted)
-    lim = logarithm_limit(f, n_max)
-    assert len(lim.stabilization) == n_max
-    assert len(calls) == min(n_max, 1)
 
 
 def test_limit_runs_its_full_count():

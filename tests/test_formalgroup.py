@@ -777,6 +777,18 @@ def test_unresolved_lift_correction_names_its_place():
         lubin_tate_lift(f, 4)
 
 
+def test_lift_from_an_exact_nonzero_is_refused():
+    """The lift starts F from x + y at the series' precision, here INF:
+    exact 1s, which the part-list kernels read as absent, so the Lubin-Tate
+    series 3x + x^3 raised NonUniqueLift at (0, 3).  It refuses that up
+    front, naming itself and coeff_prec; at coeff_prec 5 the same f lifts."""
+    coeffs = {(1,): PadicNum(3, 1, 1, 5), (3,): PadicNum(3, 0, 1, 5)}
+    with pytest.raises(ValueError, match=r"^lubin_tate_lift needs a finite coeff_prec"):
+        lubin_tate_lift(PSeries(3, 8, coeffs, INF), 8)
+    f = PSeries(3, 8, coeffs, 5)
+    assert lubin_tate_lift(f, 8).equal_to_precision(group_from_log(logarithm_recurrence(f)))
+
+
 def test_lift_multiplies_no_series(monkeypatch):
     """F(f(x), f(y)) reads the power table of f, grown to f^(D-2) at most:
     the lift forms no ``PSeries`` product (the powers of f were D - 3)."""

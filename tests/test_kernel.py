@@ -16,10 +16,9 @@ preparation) is held against the per-pair loops it replaced
 (``oracles.triple_inverse``, ``triple_divide_monic``,
 ``triple_preparation``), and ``vertex_split`` against its Newton steps on
 whole triple series (``oracles.triple_vertex_split``).  The packed
-derivative and divisions are held against ``PadicNum`` times an int,
-``PadicNum`` division and ``PadicNum.div_int``, slot by slot, and the
-kernels' calls of ``padic.reduce_terms``, their one normalise-and-raise
-rule, are counted.
+derivative and division by an integer are held against ``PadicNum`` times
+an int and ``PadicNum.div_int``, slot by slot, and the kernels' calls of
+``padic.reduce_terms``, their one normalise-and-raise rule, are counted.
 """
 
 import pytest
@@ -425,26 +424,6 @@ def test_packed_derivative_matches_padic_product(case):
     def packed():
         d = series._unpack(p, series._packed_derivative(p, series._pack({(k,): c}, k + 1)), k, N).c(k - 1)
         return d.v, d.u, d.N
-
-    assert outcome(packed) == outcome(scalar)
-
-
-@SETTINGS
-@given(st.sampled_from((2, 3, 5)).flatmap(lambda p: st.tuples(st.just(p), triple_series(p), coefficient(p))))
-@example((3, (4, {1: (0, 1, 8), 2: (INF, 0, 1)}), (1, 1, 3)))  # O(3) / 3 keeps no digit
-@example((2, (4, {1: (0, 1, 8)}), (INF, 0, 2)))  # zero-like divisor
-@example((5, (4, {1: (0, 1, 8), 2: (-1, 3, 6)}), (0, 2, 2)))  # the divisor's two digits bound both quotients
-def test_packed_div_matches_padic_division(case):
-    """``_packed_div`` against ``PadicNum`` division slot by slot in degree
-    order: the same triples, or the class and message of the first raise."""
-    p, (M, triples), (v, u, n) = case
-    a, d = to_series(p, M, triples), PadicNum(p, v, u, n)
-
-    def scalar():
-        return {e: (q.v, q.u, q.N) for e, q in ((e, c / d) for (e,), c in sorted(a.coeffs.items()))}
-
-    def packed():
-        return as_triples(series._unpack(p, series._packed_div(p, series._pack(a.coeffs, M), d), M, 30))
 
     assert outcome(packed) == outcome(scalar)
 

@@ -119,3 +119,20 @@ def test_series_take_no_variable_count():
     ]
     assert uses == []
     assert lubinlab.PSeries.nvars == 1 and "nvars" not in lubinlab.PSeries.__slots__
+
+
+def private_imports(tree, source):
+    """The underscored names an import in ``tree`` takes from the lubinlab
+    module ``source``, relative or absolute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in (source, f"lubinlab.{source}"):
+            yield from (a.name for a in node.names if a.name.startswith("_"))
+
+
+def test_dynamics_takes_only_the_iterates_and_the_solve_from_the_kernel():
+    """The iterate limit runs on the public rules of series and scalars: of
+    the private kernel of ``series``, ``dynamics`` takes only the iterate
+    chain, its unpacking and the logarithm's solve, and of ``padic`` none."""
+    tree = ast.parse((Path(lubinlab.__file__).parent / "dynamics.py").read_text(encoding="utf-8"))
+    assert sorted(set(private_imports(tree, "series")) - {"_iterates", "_solve_by_powers", "_unpack"}) == []
+    assert list(private_imports(tree, "padic")) == []
