@@ -337,9 +337,9 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
             raise
         return inconclusive(stage if proven else UNPROVEN_INTEGRALITY.get(stage, stage), ex)
 
-    # 10. precision budget (informational: every certificate above already
-    # passed at its own declared precision; starvation shows up as a stage
-    # that cannot decide, not as a low floor here)
+    # 10. precision budget: every certificate above already passed at its
+    # own declared precision, but CERTIFIED also keeps the N target digits,
+    # which inputs short of Nw digits can leave out of reach
     min_prec = min(
         min((co.N for co in L.coeffs.values()), default=Nw),
         min((co.N for co in G.coeffs.values()), default=Nw),
@@ -351,6 +351,8 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         "min_remaining": _val_str(min_prec),
         "consumed": _val_str(Nw - min_prec),
     }
+    if min_prec < cfg.N:
+        return inconclusive("precision", f"min_remaining {min_prec} is below the target {cfg.N}")
     report["verdict"] = CERTIFIED
     return AnalysisReport(report)
 
@@ -414,9 +416,10 @@ def make_twist_fixture(base, w: PSeries):
 
 
 def parse_series_arg(text, p: int, M: int, N: int) -> PSeries:
-    """Accept either the JSON series object or inline "c1,c2,...@k" text."""
+    """Accept either the JSON series object or inline "c1,c2,...@k" text,
+    built at N digits or, for a JSON series known to fewer, at its own "N"."""
     if isinstance(text, dict):
-        s = PSeries.from_json(text)
+        s = PSeries.from_json(text, cap=N)
         if s.prime != p:
             raise ValueError("series prime differs from fixture prime")
         return s.truncate(M)

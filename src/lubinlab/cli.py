@@ -1,14 +1,22 @@
 """Command-line front door.
 
-Subcommands: polygon, log, group, frobenius, analyze, batch.  Exit code 0
-on success/CERTIFIED, 1 on REJECTED, 2 on INCONCLUSIVE or input errors.
-Inline series syntax: "c1,c2,...@k" means sum_i c_i x^(k+i-1) with integer
-or a/b coefficients (shift defaults to 1).
+Subcommands: polygon, log, group, frobenius, analyze, batch.  The four
+single-series subcommands share one path, ``cmd_series``: it resolves the
+Config, parses ``--series`` at the working precision, runs the subcommand's
+computation and emits its JSON payload, or builds its text or svg body only
+when that format is asked for.  Each subcommand takes only the flags it
+reads: --N --M --guard --out on every one, --p on all but batch (each
+fixture entry names its own prime), --M2 on group, analyze and batch, and
+--n-shape on analyze and batch.  Exit code 0 on success/CERTIFIED, 1 on
+REJECTED, 2 on INCONCLUSIVE or input errors.  Inline series syntax:
+"c1,c2,...@k" means sum_i c_i x^(k+i-1) with integer or a/b coefficients
+(shift defaults to 1).
 """
 
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .analyzer import (
     CERTIFIED,
@@ -26,15 +34,108 @@ from .errors import LubinlabError
 from .formalgroup import frobenius_multiplier, group_from_log
 from .polygon import newton_polygon
 
+# a Config knob left out is absent from the parsed arguments, so it keeps
+# Config's default
+KNOB = {"type": int, "default": argparse.SUPPRESS}
+FLAGS = {
+    "--p": {"type": int, "help": "prime of the coefficient ring"},
+    "--N": {**KNOB, "help": "target p-adic digits (>= 4)"},
+    "--M": {**KNOB, "help": "x-adic truncation order (>= p^2)"},
+    "--M2": {**KNOB, "dest": "m2", "help": "truncation for the associativity certificate and the lift"},
+    "--guard": {**KNOB, "help": "extra digits carried through exp/reversion (>= ceil(M/(p-1)))"},
+    "--n-shape": {**KNOB, "help": "iterate polygon checks up to this n"},
+    "--out": {"help": "write the report here instead of stdout"},
+}
+SHARED_FLAGS = ("--N", "--M", "--guard", "--out")
 
-def _add_config_flags(sp):
-    sp.add_argument("--p", type=int, help="prime of the coefficient ring")
-    sp.add_argument("--N", type=int, default=16, help="target p-adic digits (>= 4)")
-    sp.add_argument("--M", type=int, default=64, help="x-adic truncation order (>= p^2)")
-    sp.add_argument("--M2", type=int, default=12, help="truncation for the associativity certificate and the lift")
-    sp.add_argument("--guard", type=int, default=None, help="extra digits carried through exp/reversion (>= ceil(M/(p-1)))")
-    sp.add_argument("--n-shape", type=int, default=None, help="iterate polygon checks up to this n")
-    sp.add_argument("--out", default=None, help="write the report here instead of stdout")
+
+def _scalar_table(s):
+    """The coefficients of a series or a law as [exponents, scalar JSON] rows."""
+    return [[list(e), c.to_json()] for e, c in sorted(s.coeffs.items())]
+
+
+# Each computation takes the parsed series and the Config, and returns its
+# JSON payload with a body builder for each other format.
+
+
+def _polygon(g, cfg):
+    poly = newton_polygon(g)
+    payload = poly.to_json()
+    return payload, {"text": lambda: poly.ascii() + "\n" + json.dumps(payload["segments"]), "svg": poly.svg}
+
+
+def _log(g, cfg):
+    L = logarithm_recurrence(g)
+    vertices = newton_polygon(L).negative_vertices()
+    payload = {
+        "p": g.prime,
+        "coefficients": _scalar_table(L),
+        "polygon_vertices": [list(v) for v in vertices],
+        "polygon_ok": vertices == log_polygon_vertices(g.prime, g.x_prec),
+    }
+
+    def text():
+        lines = [f"log coefficients (p={g.prime}):"]
+        lines += [f"  x^{i:<3} = {c!r}" for (i,), c in sorted(L.coeffs.items())]
+        lines.append(f"polygon vertices: {payload['polygon_vertices']}")
+        lines.append(f"polygon ok: {payload['polygon_ok']}")
+        return "\n".join(lines)
+
+    return payload, {"text": text}
+
+
+def _group(g, cfg):
+    G = group_from_log(logarithm_recurrence(g))
+    G.certify(cfg.m2)
+    payload = {
+        "p": g.prime,
+        "construction": G.construction,
+        "min_coeff_valuation": G.min_coeff_valuation(),
+        "certificates": G.certificates,
+        "coefficients": _scalar_table(G),
+    }
+
+    def text():
+        lines = [f"formal group law (p={g.prime}), min valuation {payload['min_coeff_valuation']}:"]
+        lines += [f"  x^{a} y^{b} = {c!r}" for (a, b), c in sorted(G.coeffs.items()) if not c.is_zero_like()]
+        lines.append(f"certificates: {G.certificates}")
+        return "\n".join(lines)
+
+    return payload, {"text": text}
+
+
+def _frobenius(g, cfg):
+    p = g.prime
+    pi, bk = frobenius_multiplier(logarithm_recurrence(g), g)
+    digits = [pi.u // p**k % p for k in range(pi.N - pi.v)]
+    payload = {
+        "p": p,
+        "pi": pi.to_json(),
+        "pi_residue": str(pi.as_fraction()),
+        "unit_digits": digits,
+        "congruent_xp_mod_p": True,
+        "bracket": _scalar_table(bk),
+    }
+    return payload, {"text": lambda: f"pi = {pi!r} (unit digits {digits}); bracket congruent to x^{p} mod {p}"}
+
+
+# name: (help, flags beyond the shared ones and --p, formats, computation)
+SERIES_COMMANDS = {
+    "polygon": ("Newton polygon of a series", (), ["json", "text", "svg"], _polygon),
+    "log": ("power-series logarithm with precision ledger", (), ["json", "text"], _log),
+    "group": ("formal group law from the logarithm", ("--M2",), ["json", "text"], _group),
+    "frobenius": ("Frobenius multiplier and its bracket", (), ["json", "text"], _frobenius),
+}
+
+
+def _subparser(sub, name, title, flags, handler):
+    """A subcommand with the shared flags and those of ``flags``."""
+    sp = sub.add_parser(name, help=title)
+    sp.set_defaults(handler=handler)
+    for flag, options in FLAGS.items():
+        if flag in SHARED_FLAGS or flag in flags:
+            sp.add_argument(flag, **options)
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,37 +145,19 @@ def build_parser() -> argparse.ArgumentParser:
         "Lubin-Tate formal groups, commuting-pair certification",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    for name, (title, flags, formats, _) in SERIES_COMMANDS.items():
+        sp = _subparser(sub, name, title, ("--p", *flags), cmd_series)
+        sp.add_argument("--series", required=True, help='inline series "c1,c2,...@k"')
+        sp.add_argument("--format", choices=formats, default="json")
 
-    sp = sub.add_parser("polygon", help="Newton polygon of a series")
-    _add_config_flags(sp)
-    sp.add_argument("--series", required=True, help='inline series "c1,c2,...@k"')
-    sp.add_argument("--format", choices=["json", "text", "svg"], default="json")
-
-    sp = sub.add_parser("log", help="power-series logarithm with precision ledger")
-    _add_config_flags(sp)
-    sp.add_argument("--series", required=True, help="the noninvertible series f")
-    sp.add_argument("--format", choices=["json", "text"], default="json")
-
-    sp = sub.add_parser("group", help="formal group law from the logarithm")
-    _add_config_flags(sp)
-    sp.add_argument("--series", required=True, help="the noninvertible series f")
-    sp.add_argument("--format", choices=["json", "text"], default="json")
-
-    sp = sub.add_parser("frobenius", help="Frobenius multiplier and its bracket")
-    _add_config_flags(sp)
-    sp.add_argument("--series", required=True, help="the noninvertible series f")
-    sp.add_argument("--format", choices=["json", "text"], default="json")
-
-    sp = sub.add_parser("analyze", help="certify one commuting pair")
-    _add_config_flags(sp)
+    sp = _subparser(sub, "analyze", "certify one commuting pair", ("--p", "--M2", "--n-shape"), cmd_analyze)
     sp.add_argument("--fixture", help="JSON fixture file")
     sp.add_argument("--name", help="entry to pick when the file holds several")
     sp.add_argument("--f", dest="f_inline", help="inline f (requires --p and --u)")
     sp.add_argument("--u", dest="u_inline", help="inline u")
     sp.add_argument("--format", choices=["json", "text"], default="json")
 
-    sp = sub.add_parser("batch", help="certify every fixture in a file")
-    _add_config_flags(sp)
+    sp = _subparser(sub, "batch", "certify every fixture in a file", ("--M2", "--n-shape"), cmd_batch)
     sp.add_argument("--fixture", required=True, help="JSON fixture file (array)")
     sp.add_argument("--format", choices=["json", "text"], default="text")
     return ap
@@ -89,107 +172,20 @@ def _emit(text: str, out_path):
 
 
 def _config(args) -> Config:
-    return Config(N=args.N, M=args.M, m2=args.M2, guard=args.guard, n_shape=args.n_shape)
+    return Config(**{f.name: getattr(args, f.name) for f in fields(Config) if hasattr(args, f.name)})
 
 
-def _series_from_args(args, cfg: Config):
+def cmd_series(args) -> int:
+    """polygon, log, group and frobenius: one inline series in, one report out."""
+    cfg = _config(args)
     if args.p is None:
         raise LubinlabError("--p is required with an inline series")
-    resolved = cfg.resolve(args.p)
-    return parse_series_arg(args.series, args.p, cfg.M, resolved.working_prec())
-
-
-def _scalar_table(s):
-    """The coefficients of a series or a law as [exponents, scalar JSON] rows."""
-    return [[list(e), c.to_json()] for e, c in sorted(s.coeffs.items())]
-
-
-def cmd_polygon(args) -> int:
-    cfg = _config(args)
-    g = _series_from_args(args, cfg)
-    poly = newton_polygon(g)
-    if args.format == "svg":
-        _emit(poly.svg() + "\n", args.out)
-    elif args.format == "text":
-        body = poly.ascii() + "\n" + json.dumps(poly.to_json()["segments"]) + "\n"
-        _emit(body, args.out)
-    else:
-        _emit(json.dumps(poly.to_json(), sort_keys=True, indent=2) + "\n", args.out)
-    return 0
-
-
-def cmd_log(args) -> int:
-    cfg = _config(args)
-    g = _series_from_args(args, cfg)
-    L = logarithm_recurrence(g)
-    poly = newton_polygon(L)
-    p = g.prime
-    payload = {
-        "p": p,
-        "coefficients": _scalar_table(L),
-        "polygon_vertices": [list(v) for v in poly.negative_vertices()],
-        "polygon_ok": poly.negative_vertices() == log_polygon_vertices(p, g.x_prec),
-    }
-    if args.format == "text":
-        lines = [f"log coefficients (p={p}):"]
-        for (i,), c in sorted(L.coeffs.items()):
-            lines.append(f"  x^{i:<3} = {c!r}")
-        lines.append(f"polygon vertices: {payload['polygon_vertices']}")
-        lines.append(f"polygon ok: {payload['polygon_ok']}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
+    g = parse_series_arg(args.series, args.p, cfg.M, cfg.resolve(args.p).working_prec())
+    payload, bodies = SERIES_COMMANDS[args.command][3](g, cfg)
+    if args.format == "json":
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-    return 0
-
-
-def cmd_group(args) -> int:
-    cfg = _config(args)
-    g = _series_from_args(args, cfg)
-    G = group_from_log(logarithm_recurrence(g))
-    G.certify(cfg.m2)
-    payload = {
-        "p": g.prime,
-        "construction": G.construction,
-        "min_coeff_valuation": G.min_coeff_valuation(),
-        "certificates": G.certificates,
-        "coefficients": _scalar_table(G),
-    }
-    if args.format == "text":
-        lines = [f"formal group law (p={g.prime}), min valuation {payload['min_coeff_valuation']}:"]
-        for (a, b), c in sorted(G.coeffs.items()):
-            if not c.is_zero_like():
-                lines.append(f"  x^{a} y^{b} = {c!r}")
-        lines.append(f"certificates: {G.certificates}")
-        _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-    return 0
-
-
-def cmd_frobenius(args) -> int:
-    cfg = _config(args)
-    g = _series_from_args(args, cfg)
-    pi, bk = frobenius_multiplier(logarithm_recurrence(g), g)
-    digits = []
-    u = pi.u
-    for _ in range(pi.N - pi.v):
-        digits.append(u % g.prime)
-        u //= g.prime
-    payload = {
-        "p": g.prime,
-        "pi": pi.to_json(),
-        "pi_residue": str(pi.as_fraction()),
-        "unit_digits": digits,
-        "congruent_xp_mod_p": True,
-        "bracket": _scalar_table(bk),
-    }
-    if args.format == "text":
-        _emit(
-            f"pi = {pi!r} (unit digits {digits}); bracket congruent to x^{g.prime} mod {g.prime}\n",
-            args.out,
-        )
-    else:
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(bodies[args.format]() + "\n", args.out)
     return 0
 
 
@@ -234,18 +230,9 @@ def cmd_batch(args) -> int:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    handlers = {
-        "polygon": cmd_polygon,
-        "log": cmd_log,
-        "group": cmd_group,
-        "frobenius": cmd_frobenius,
-        "analyze": cmd_analyze,
-        "batch": cmd_batch,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (LubinlabError, ValueError, OSError, json.JSONDecodeError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

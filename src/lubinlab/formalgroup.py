@@ -248,8 +248,6 @@ def _is_xp_mod_p(series: PSeries, D: int) -> bool:
     p = series.prime
     red = series.truncate(D).reduce_mod_p()
     for (i,), c in red.coeffs.items():
-        if c.is_zero_like():
-            continue
         if i != p or c.u % p != 1:
             return False
     return not red.c((p,)).is_zero_like() if D > p else True
@@ -284,10 +282,7 @@ def frobenius_multiplier(L: PSeries, f: PSeries, exp_series: PSeries = None):
         winners = []
         lo = 1 if k == 0 else 0
         for d in range(lo, p):
-            cand = unit + d * p**k
-            if cand == 0:
-                continue
-            if _is_xp_mod_p(candidate_bracket(cand, D), D):
+            if _is_xp_mod_p(candidate_bracket(unit + d * p**k, D), D):
                 winners.append(d)
         if not winners:
             raise NoCandidate(

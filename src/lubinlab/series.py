@@ -272,11 +272,12 @@ class PSeries:
         return {"p": self.prime, "M": self.x_prec, "N": self.coeff_prec, "coeffs": entries}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "PSeries":
-        """The univariate series of ``to_json``.  A malformed object raises
-        ValueError naming its field: p, M and N are JSON integers, N >= 1,
-        and each entry of coeffs is [[exponent], value], one nonnegative
-        integer exponent and an integer or "a/b" value."""
+    def from_json(cls, obj: dict, cap=INF) -> "PSeries":
+        """The univariate series of ``to_json``, its coefficients built at
+        min(N, cap) digits.  A malformed object raises ValueError naming its
+        field: p, M and N are JSON integers, N >= 1, and each entry of coeffs
+        is [[exponent], value], one nonnegative integer exponent and an
+        integer or "a/b" value."""
         for key in ("p", "M", "N"):
             if type(obj.get(key)) is not int:  # not isinstance: true is no integer
                 raise ValueError(f"series field {key!r} must be an integer, got {json.dumps(obj.get(key))}")
@@ -284,7 +285,7 @@ class PSeries:
             raise ValueError(f"series field 'N' must be at least 1, got {obj['N']}")
         if not isinstance(obj.get("coeffs"), list):
             raise ValueError(f"series field 'coeffs' must be a list, got {json.dumps(obj.get('coeffs'))}")
-        p, N = require_prime(obj["p"]), obj["N"]
+        p, N = require_prime(obj["p"]), min(obj["N"], cap)
         coeffs = {}
         for item in obj["coeffs"]:
             try:

@@ -1,5 +1,6 @@
 """CLI surface: flags, formats, exit codes, golden summary format."""
 
+import argparse
 import collections
 import dataclasses
 import json
@@ -148,16 +149,48 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 
 def test_help_documents_every_flag():
+    """Each subcommand registers exactly the flags it reads: --M2 and
+    --n-shape only where a certificate or an iterate check runs, and --p
+    everywhere but batch, whose entries carry their own prime."""
     ap = build_parser()
-    for sub in ("polygon", "log", "group", "frobenius", "analyze", "batch"):
-        args = ap.parse_args([sub, "--help"]) if False else None
-    # --help exits; instead verify the option registry directly
-    subparsers = next(
-        a for a in ap._actions if isinstance(a, type(ap._subparsers._group_actions[0]))
-    )
-    for name, sp in subparsers.choices.items():
-        flags = {s for a in sp._actions for s in a.option_strings}
-        assert {"--p", "--N", "--M", "--guard", "--out"} <= flags, name
+    subparsers = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    shared = {"-h", "--help", "--N", "--M", "--guard", "--out", "--format"}
+    series = shared | {"--p", "--series"}
+    want = {
+        "polygon": series,
+        "log": series,
+        "group": series | {"--M2"},
+        "frobenius": series,
+        "analyze": shared | {"--p", "--M2", "--n-shape", "--fixture", "--name", "--f", "--u"},
+        "batch": shared | {"--M2", "--n-shape", "--fixture"},
+    }
+    assert {name: {s for a in sp._actions for s in a.option_strings} for name, sp in subparsers.choices.items()} == want
+
+
+PAIRS = Path(__file__).resolve().parent.parent / "demos" / "fixtures" / "pairs.json"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["polygon", "--p", "2", "--series", "2,1@1", "--M2", "5"],
+        ["polygon", "--p", "2", "--series", "2,1@1", "--n-shape", "1"],
+        ["log", "--p", "3", "--series", "3,0,1@1", "--M2", "2"],
+        ["log", "--p", "3", "--series", "3,0,1@1", "--n-shape", "1"],
+        ["group", "--p", "2", "--series", "2,1@1", "--M", "16", "--n-shape", "1"],
+        ["frobenius", "--p", "2", "--series", "2,1@1", "--M", "16", "--M2", "5"],
+        ["frobenius", "--p", "2", "--series", "2,1@1", "--M", "16", "--n-shape", "1"],
+        ["batch", "--fixture", str(PAIRS), "--p", "2"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_flag_the_subcommand_does_not_read_is_refused(capsys, argv):
+    """These flags were accepted and never read; ``log --M2 2`` was even
+    refused with "M2 must be at least 3".  argparse now refuses each."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 def test_every_config_field_is_set_by_the_cli():
@@ -207,9 +240,6 @@ def test_no_iterate_shape_refused(capsys, n_shape):
     )
     assert code == 2 and out == ""
     assert err == f"error: n_shape must be at least 1, got {n_shape}\n"
-
-
-PAIRS = Path(__file__).resolve().parent.parent / "demos" / "fixtures" / "pairs.json"
 
 
 def test_batch_refuses_vacuous_m2(capsys):
@@ -269,8 +299,9 @@ def test_fixture_file_of_a_scalar_refused(tmp_path, capsys, command, body):
     assert err == f"error: fixture file must hold a JSON object or array, got {body}\n"
 
 
-def run_capped(argv, limit):
-    """``lubinlab`` in a subprocess whose address space is capped at limit bytes."""
+def run_capped(argv, limit, timeout=120):
+    """``lubinlab`` in a subprocess whose address space is capped at limit
+    bytes and whose run is cut after timeout seconds."""
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -280,7 +311,7 @@ def run_capped(argv, limit):
         env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
         preexec_fn=cap,
     )
 
@@ -303,6 +334,24 @@ def test_sparse_logarithm_runs_in_bounded_memory():
     done = run_capped(["log", "--p", "2", "--series", "2", "--M", "4000"], 100 << 20)
     assert done.returncode == 0 and "Traceback" not in done.stderr, done.stderr
     assert [e for e, _ in json.loads(done.stdout)["coefficients"]] == [[1]]
+
+
+def test_series_precision_past_the_working_precision_is_not_built(tmp_path, capsys):
+    """A serialized f that says N = 10^8 was built at 10^8 digits before
+    ``analyze`` cut it to the working precision of 15, and the run did not
+    finish in 30 s under a 1 GB address-space limit.  It is built at 15
+    digits and prints the report of the same f at N = 15."""
+
+    def fixture(n):
+        f = {"p": 3, "M": 9, "N": n, "coeffs": [[[1], "3"], [[2], "3"], [[3], "1"]]}
+        path = tmp_path / f"deep-{n}.json"
+        path.write_text(json.dumps({"name": "deep", "p": 3, "N": 6, "M": 9, "f": f, "u": "4,6,4,1@1"}))
+        return str(path)
+
+    done = run_capped(["analyze", "--fixture", fixture(10**8)], 1 << 30, timeout=20)
+    code, out, _ = run(capsys, "analyze", "--fixture", fixture(15))
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
+    assert code == 0 and json.loads(out)["verdict"] == "CERTIFIED"
 
 
 @pytest.mark.parametrize("field, value", [("p", [2]), ("p", 2.7), ("p", True), ("N", "20"), ("M", 16.0), ("p", None)])

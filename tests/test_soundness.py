@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from lubinlab import (
     CERTIFIED,
+    INF,
     REJECTED,
     Config,
     DomainError,
@@ -35,11 +36,14 @@ from lubinlab import (
     PrecisionExhausted,
     PSeries,
     analyze,
+    bracket,
     exp_from_log,
+    gm_pair,
     group_from_log,
     iterate,
     logarithm_limit,
     logarithm_recurrence,
+    lt_pair,
     make_twist_fixture,
     newton_polygon,
     weierstrass_factor,
@@ -343,10 +347,26 @@ def test_weierstrass_factor_claims_no_digit_the_truncation_leaves_open():
 # -- the whole report at two precisions ----------------------------------------
 
 
+def base_pair(base, p, M, N):
+    """The base pair of a twist below degree M at N digits: ``gm_pair`` or
+    ``lt_pair`` for "gm" or "lt", and for a unit eps other than 1 the
+    Lubin-Tate pair f0 = p eps x + x^p, u0 = [1 + p], whose Frobenius
+    multiplier is p eps, built with lt_pair's extra digits and capped at N."""
+    if base == "gm":
+        return gm_pair(p, M, N)
+    if base == "lt":
+        return lt_pair(p, M, N)
+    n_int = N + -(-M // (p - 1)) + 4
+    f0 = univariate(p, M, [p * base] + [0] * (p - 2) + [1], n_int)
+    u0 = bracket(logarithm_recurrence(f0), PadicNum.from_int(1 + p, p, n_int))
+    return f0.cap_coeff_prec(N), u0.cap_coeff_prec(N)
+
+
 def twist_cases(seed, n):
     """n valid twists (p, M, N, guard, base, w): M >= p^2, the guard at its
-    least, ceil(M/(p-1)), plus 0 to 2, and w an integer series with a unit
-    linear coefficient."""
+    least, ceil(M/(p-1)), plus 0 to 2, the base of ``base_pair`` gm, lt or
+    lt with a unit eps other than 1, so that π is not p, and w an integer
+    series with a unit linear coefficient."""
     rnd = random.Random(seed)
     cases = []
     for _ in range(n):
@@ -355,7 +375,8 @@ def twist_cases(seed, n):
         guard = -(-M // (p - 1)) + rnd.randint(0, 2)
         unit = rnd.choice([a for a in range(1, p * p) if a % p])
         w = [unit] + [rnd.randint(-p * p, p * p) for _ in range(rnd.randint(0, 3))]
-        cases.append((p, M, rnd.randint(4, 8), guard, rnd.choice(("gm", "lt")), w))
+        base = rnd.choice(("gm", "lt", rnd.choice([a for a in range(2, 2 * p) if a % p])))
+        cases.append((p, M, rnd.randint(4, 8), guard, base, w))
     return cases
 
 
@@ -368,7 +389,8 @@ def test_report_claims_only_what_a_deeper_run_confirms():
     that starved."""
     for p, M, N, guard, base, w in twist_cases(27, 20):
         hi_cfg = Config(N + 10, 3 * M)
-        f, u = make_twist_fixture(base, univariate(p, 3 * M, w, hi_cfg.resolve(p).working_prec()))
+        Nw = hi_cfg.resolve(p).working_prec()
+        f, u = make_twist_fixture(base_pair(base, p, 3 * M, Nw), univariate(p, 3 * M, w, Nw))
         case = (p, M, N, guard, base, w)
         lo, hi = analyze(f, u, Config(N, M, guard=guard)), analyze(f, u, hi_cfg)
         for rep in (lo, hi):
@@ -377,3 +399,16 @@ def test_report_claims_only_what_a_deeper_run_confirms():
         if lo.verdict == hi.verdict == CERTIFIED:
             shallow, deep = (PadicNum.from_json(r.data["frobenius"]["pi"], p) for r in (lo, hi))
             assert deep.N >= shallow.N and deep.congruent(shallow), (case, shallow, deep)
+
+
+@pytest.mark.parametrize("p, eps, M", [(2, 3, 16), (3, 2, 27), (5, 2, 25), (2, 5, 32), (3, 4, 16)])
+def test_frobenius_multiplier_that_is_not_p(p, eps, M):
+    """Every gm or lt twist has π = p, so π past its first digit reads only
+    zeros.  The Lubin-Tate base of p eps, twisted by w = x + x^2 + p x^3,
+    certifies at N = 10 with π = p eps at every digit it claims."""
+    cfg = Config(N=10, M=M)
+    Nw = cfg.resolve(p).working_prec()
+    report = analyze(*make_twist_fixture(base_pair(eps, p, M, Nw), univariate(p, M, [1, 1, p], Nw)), cfg)
+    assert report.verdict == CERTIFIED, report.reason
+    pi = PadicNum.from_json(report.data["frobenius"]["pi"], p)
+    assert pi.N >= 2 and agree(pi, PadicNum.from_int(p * eps, p, INF)), pi

@@ -23,6 +23,7 @@ from lubinlab import (
     analyzer,
     batch_run,
     gm_pair,
+    lt_pair,
     make_twist_fixture,
 )
 from lubinlab.cli import main
@@ -323,6 +324,23 @@ def test_inputs_short_of_the_working_precision_are_named_as_the_limit():
     assert analyze(*twist(84)).verdict == CERTIFIED
 
 
+def test_certified_keeps_the_target_digits():
+    """lt_pair(2, 16, 24) cut to 16 digits certified at N = 4 with
+    min_remaining 1 against the target 4.  Now it starves and names the
+    inputs as the limit; the pair at the 24 digits asked for certifies with
+    9 digits to spare."""
+    f, u = lt_pair(2, 16, 24)
+    cfg = Config(N=4, M=16)
+    report = analyze(f.cap_coeff_prec(16), u.cap_coeff_prec(16), cfg)
+    assert (report.verdict, report.reason) == (
+        INCONCLUSIVE,
+        "stage precision starved: min_remaining 1 is below the target 4; "
+        "the inputs are the limit: they carry 16 digits, the working precision is 24; rebuild f and u with 24 digits",
+    )
+    report = analyze(f, u, cfg)
+    assert report.verdict == CERTIFIED and report.data["precision"]["min_remaining"] == 9
+
+
 def test_larger_m_within_the_input_truncation_is_suggested_plainly(monkeypatch):
     """RETRY's pair stops at degree M, so its M>=2M names the degree f and u
     must be known below; a pair known to degree 2M needs no such note."""
@@ -372,3 +390,26 @@ def test_u_derivative_without_digits_is_inconclusive(monkeypatch):
         report = analyze(f, PSeries(2, CFG.M, coeffs, NW), CFG)
         assert (report.verdict, report.reason) == want
         assert ("u_invertible" in report.data["hypotheses"]) == (want[0] == REJECTED)
+
+
+# -- where a verdict flips -----------------------------------------------------
+
+
+@pytest.mark.parametrize("p, M", [(2, 32), (3, 27), (5, 25)])
+def test_commutation_boundary_is_the_working_precision(p, M):
+    """The gm pair at N = 8 with u + p^k x^d is REJECTED on commutation at
+    k = Nw - 2 and certifies at k = Nw, where the change is below every
+    digit ``analyze`` keeps.  At k = Nw - 1 it is still REJECTED, except at
+    p = 5 with d = 5 or 23: there f'(0) = 5 and the unit coefficient of f^d
+    sits at x^(5d), past M, so the defect gains a digit and reaches Nw."""
+    cfg = Config(N=8, M=M)
+    Nw = cfg.resolve(p).working_prec()
+    f, u = gm_pair(p, M, Nw)
+    for d in (2, 5, M - 2):
+        last_rejected = Nw - 2 if (p, d) in ((5, 5), (5, 23)) else Nw - 1
+        for k in (Nw - 2, Nw - 1, Nw):
+            report = analyze(f, u + PSeries.from_univariate_coeffs(p, [p**k], M, Nw, shift=d), cfg)
+            if k <= last_rejected:
+                assert report.verdict == REJECTED and report.reason.startswith("pair does not commute"), (d, k)
+            else:
+                assert report.verdict == CERTIFIED, (d, k, report.reason)
