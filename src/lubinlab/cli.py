@@ -201,7 +201,7 @@ def cmd_analyze(args) -> int:
             raise LubinlabError("fixture file holds several entries; pick one with --name")
         report = analyze_fixture(entries[0], cfg)
     else:
-        if not (args.p and args.f_inline and args.u_inline):
+        if args.p is None or not (args.f_inline and args.u_inline):
             raise LubinlabError("need --fixture, or --p with --f and --u")
         entry = {"name": "inline", "p": args.p, "f": args.f_inline, "u": args.u_inline}
         report = analyze_fixture(entry, cfg)

@@ -10,12 +10,17 @@ F(x, y) is a ``FormalGroupLaw``, which keeps its own coefficient table.
 its compositional inverse, without a two-variable composition: the Taylor
 orders A_j = E^(j)(L(x)) satisfy A_0 = x and A_{j+1} = A_j' / L'(x), so
 F = sum_a x^a g_a(L(y)) with g_a(t) = sum_j [A_j]_a t^j / j!.  The orders
-stay packed, one product each, and each row g_a is one tabled sum against
-the power table of L that ``exp_from_log`` built.
+stay packed, one product each, are transposed into rows, and each row g_a
+is one tabled sum against the power table of L that ``exp_from_log``
+built.
 
-``FormalGroupLaw.check_associative`` expands both sides of
-F(F(x,y),z) = F(x,F(y,z)) as linear combinations of the powers of F, which
-are formed once as part lists (homogeneous parts, see ``series``).
+The bivariate kernel of this module holds a law's coefficients as its
+homogeneous parts: part k keys the coefficients of total degree k by a for
+x^a y^(k-a), and a part of a product is one pass over the pairs of entries
+(``_part_sum``) under the min-plus ledger of ``series``' kernels, normalised
+by one ``padic.reduce_terms``.  ``FormalGroupLaw.check_associative``
+expands both sides of F(F(x,y),z) = F(x,F(y,z)) as linear combinations of
+the powers of F, which are formed once as part lists.
 
 ``lubin_tate_lift`` solves f(F(x,y)) = F(f(x), f(y)) degree by degree with
 F = x + y mod degree 2, below the truncation of f; for f congruent to x^p
@@ -24,8 +29,9 @@ is what makes it an independent oracle for the first construction.  Stage d
 forms only the degree-d parts of both sides: the Horner intermediates of
 f(F) are part lists that gain one part per stage, and F(f(x), f(y)) =
 sum_b G_b(f(x)) f(y)^b, G_b the column of y^b in F, is read from the power
-table of f, each column G_b(f) carried from stage to stage
-(``_PowerTable.sum_pair``).
+table of f (``_right_side``): the lift keeps the columns of F, whose sums
+give the G_b(f), and the rows [G_b(f)]_a by b, whose sums against the
+table give the degree-d part, each carried from stage to stage.
 
 ``frobenius_multiplier`` recovers the scalar pi with v(pi) = 1 whose
 bracket endomorphism exp(pi * L) reduces to x^p mod p, one base-p digit at
@@ -34,14 +40,16 @@ p^(k+1), so testing the congruence below min(M, p^(k+1)+1) pins it.  It
 returns pi with the series [pi], as ``bracket`` returns the series [a].
 """
 
+from itertools import zip_longest
+
 from .errors import (
     AmbiguousAtPrecision,
     NoCandidate,
     NonUniqueLift,
     PrecisionExhausted,
 )
-from .padic import _ABSENT, INF, PadicNum, require_prime
-from .series import PSeries, _operand, _pack, _packed_derivative, _packed_div_int, _part, _part_mul, _part_sum, _parts, _product, coefficient_table, coefficients_agree, first_disagreement, raise_if_not_integral
+from .padic import _ABSENT, _HALF, INF, PadicNum, prime_powers, reduce_terms, require_prime
+from .series import PSeries, _operand, _pack, _packed_derivative, _packed_div_int, _product, coefficient_table, coefficients_agree, first_disagreement, raise_if_not_integral
 
 
 class FormalGroupLaw:
@@ -110,6 +118,61 @@ class FormalGroupLaw:
         return self.check_identity() and self.check_commutative() and self.check_associative(m2)
 
 
+# -- homogeneous parts: the bivariate kernel ----------------------------------
+
+
+def _part(p: int, items) -> tuple:
+    """(key, coefficient) items as a factor of ``_part_sum``: (s, [(key, X, N,
+    F)]), s the least valuation, X the value over p^s, F the valuation floor."""
+    s = min((c.v for _, c in items if c.v != INF), default=0)
+    return s, [(a, 0 if c.v == INF else c.u * p ** (c.v - s), c.N, c.val_floor()) for a, c in items]
+
+
+def _parts(F, M: int) -> list:
+    """The homogeneous parts of a law F below total degree M as factors."""
+    parts = [[] for _ in range(M)]
+    for (a, b), c in F.coeffs.items():
+        if a + b < M:
+            parts[a + b].append((a, c))
+    return [_part(F.prime, items) for items in parts]
+
+
+def _part_mul(p: int, A, B, e: int) -> list:
+    """Degree-e part of the product of the part lists A and B."""
+    return _part_sum(p, [(A[k], B[e - k]) for k in range(max(0, e - len(B) + 1), min(e + 1, len(A)))], e + 1)
+
+
+def _part_sum(p: int, pairs, size: int, raises: bool = True) -> list:
+    """sum P_a P_b over the pairs of factors (P_a, P_b), keys below size, as
+    (key, coefficient) items in key order: one pass over the pairs of
+    entries keeps per key the ledger K = min(N_a + F_b, F_a + N_b) and the
+    integer sum of the X_a X_b at the least shift, then one
+    ``reduce_terms`` normalises every key.  The first key without digits
+    raises, or without ``raises`` is kept zero-like at its precision K <= 0."""
+    pairs = [(A, B) for A, B in pairs if A[1] and B[1]]
+    t = min((sa + sb for (sa, _), (sb, _) in pairs), default=0)
+    P = prime_powers(p, max((sa + sb for (sa, _), (sb, _) in pairs), default=t) - t)
+    S, K = [0] * size, [_ABSENT] * size
+    for (sa, Pa), (sb, Pb) in pairs:
+        scale = P[sa + sb - t]
+        for ka, xa, na, fa in Pa:
+            xa *= scale
+            for kb, xb, nb, fb in Pb:
+                n, m = na + fb, fa + nb
+                key = ka + kb
+                S[key] += xa * xb
+                if m < n:
+                    n = m
+                if n < K[key]:
+                    K[key] = n
+
+    def least_term(key):  # the least valuation among the terms of the key
+        return min((fa + fb for (_, Pa), (_, Pb) in pairs for ka, xa, _, fa in Pa for kb, xb, _, fb in Pb if ka + kb == key and xa and xb), default=INF)
+
+    V, U, _ = reduce_terms(p, t, S, K, least_term if raises else None)
+    return [(key, PadicNum(p, INF if V[key] == _ABSENT else V[key], U[key], n)) for key, n in enumerate(K) if n < _HALF]
+
+
 def _sides(F: FormalGroupLaw, D: int) -> list:
     """F(F(x,y), z) = sum c_ab z^b F(x,y)^a and F(x, F(y,z)) = sum c_ab x^a
     F(y,z)^b below total degree D, {(x, y, z) exponents: coefficient}: the
@@ -151,10 +214,11 @@ def group_from_log(L: PSeries) -> FormalGroupLaw:
     The orders A_0 = x, A_{j+1} = A_j' / L' (below degree M - j - 1) stay
     packed, one derivative and one product with 1/L' each (1/L' laid out
     once as an operand of ``series._product``), and are divided
-    by j! exactly (``series._packed_div_int``).  Each row g_a is one tabled
-    sum over degrees 1 <= b < M - a against the power table of L
-    (``_PowerTable.sum_orders``), grown at most to the last order; F_10 = 1
-    is the j = 0 term.  A coefficient without digits at precision <= 0
+    by j! exactly (``series._packed_div_int``).  One C-level transposition
+    then lays them out as rows, row a holding the x^a coefficients by j.
+    Each row g_a is one tabled sum over degrees 1 <= b < M - a against the
+    power table of L (``_PowerTable.sum``); F_10 = 1 is the j = 0 term,
+    which enters no sum.  A coefficient without digits at precision <= 0
     raises PrecisionExhausted, as ``reduce_terms`` does.
 
     Raises IntegralityFailure as ``series.raise_if_not_integral`` does.
@@ -162,14 +226,19 @@ def group_from_log(L: PSeries) -> FormalGroupLaw:
     p, M, N = L.prime, L.x_prec, L.coeff_prec
     inv_dlog = _operand(p, _pack(L.derivative().inverse().coeffs, M - 1))
     A = _pack({(1,): PadicNum.one(p, N)}, M)
-    orders = [A]  # A_j / j!
+    orders = []  # A_j / j!, j >= 1
     factorial = 1
     for j in range(1, M):
         A = _product(p, _operand(p, _packed_derivative(p, A)), inv_dlog, M - j)[0]
         factorial *= j
         orders.append(_packed_div_int(p, A, factorial))
-    coeffs = L.power_table().sum_orders(orders)
-    del orders, A
+    # row a: the x^a coefficients of the A_j / j! by j, slot 0 unread
+    transposed = (zip_longest([fill], *(A[k] for A in orders), fillvalue=fill) for k, fill in enumerate((_ABSENT, 0, _ABSENT)))
+    table, coeffs = L.power_table(), {}
+    for a, row in zip(range(M - 1), zip(*transposed)):
+        for b, (v, u, n) in enumerate(zip(*table.sum(row, 1, M - a)), 1):
+            if n != _ABSENT:
+                coeffs[a, b] = PadicNum(p, INF if v == _ABSENT else v, u, n)
     G = FormalGroupLaw(p, M, {(1, 0): PadicNum.one(p, N), **coeffs}, N, "from-log")
     raise_if_not_integral(G, "group law from logarithm")
     return G
@@ -189,7 +258,7 @@ def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
     degree-(d-i) part, [acc_(i+1) F]_(d-i), which reads only parts earlier
     stages fixed, and the left side is [acc_1 F]_d.  The right side is the
     degree-d part of F(f(x), f(y)) from the power table of f
-    (``_PowerTable.sum_pair``), and F gains the corrections as its part d.
+    (``_right_side``), and F gains the corrections as its part d.
     The corrections of a stage are checked in exponent order.  A certified
     failure anywhere in the stage decides the lift: the first one raises
     NonUniqueLift, and a stage raises PrecisionExhausted (its first
@@ -204,13 +273,13 @@ def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
     F, Fparts = {(a, 1 - a): x for a, x in part}, [_part(p, []), _part(p, part)]
     # acc[i][e]: the degree-e part of acc_i; its degree-0 part is c_i
     acc = [None] + [[_part(p, [(0, f.coeffs[(i,)])] if (i,) in f.coeffs else [])] for i in range(1, D)]
-    powers, columns, cpow = f.power_table(), [], c
+    powers, cols, rows, cpow = f.power_table(), [], [], c
     for d in range(2, D):
         cpow = cpow * c  # c^d
         for i in range(d - 1, 0, -1):
             acc[i].append(_part(p, _part_mul(p, acc[i + 1], Fparts, d - i)))
         lhs = {(a, d - a): x for a, x in _part_mul(p, acc[1], Fparts, d)}
-        rhs = powers.sum_pair(columns, part, d)
+        rhs = _right_side(powers, cols, rows, part, d)
         denom, corr, unresolved = cpow - c, {}, None
         for e in sorted(lhs.keys() | rhs.keys()):
             left, right = lhs.get(e), rhs.get(e)
@@ -235,6 +304,41 @@ def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
     G = FormalGroupLaw(p, D, F, N, "lubin-tate-lift")
     raise_if_not_integral(G, "group law lift")
     return G
+
+
+def _put(packed, i: int, triple):
+    """Set slot i of packed lists to triple, padding with absent slots."""
+    for x, y, fill in zip(packed, triple, (_ABSENT, 0, _ABSENT)):
+        x += [fill] * (i + 1 - len(x))
+        x[i] = y
+
+
+def _right_side(table, cols: list, rows: list, part, d: int) -> dict:
+    """The degree-d part of G(h(x), h(y)) = sum_b G_b(h(x)) h(y)^b, G_b the
+    column of y^b and ``table`` the power table of h, at stage d = 2, 3, ...
+    of the lift, which keeps ``cols`` and ``rows`` and passes G's
+    degree-(d-1) part as (a, coefficient of x^a y^(d-1-a)) items.
+
+    cols[b] holds G_b packed, the c_ab by a, and rows[a] the [G_b(h)]_a by
+    b (slot 0 unread).  The new c_(d-1-b)b moves only degrees d-b-1 and d-b
+    of G_b(h), b >= 1: one column ``sum``, written into the rows.  The x^d
+    coefficient is [G_0(h)]_d, and that of x^a y^(d-a) is the row ``sum``
+    of the [G_b(h)]_a [h^b]_(d-a)."""
+    p = table.p
+    cols += [([], [], []) for _ in range(len(cols), d)]
+    rows += [([], [], []) for _ in range(len(rows), d)]
+    for a, c in part:
+        triple = _ABSENT if c.v == INF else c.v, c.u, c.N
+        _put(cols[d - 1 - a], a, triple)
+        if a == 0:  # a new column: degree 0 of G_b(h) is c_0b
+            _put(rows[0], d - 1, triple)
+    top = table.sum(cols[0], d, d + 1)
+    for b in range(1, d):
+        lo = max(1, d - b - 1)
+        for a, triple in enumerate(zip(*table.sum(cols[b], lo, d - b + 1)), lo):
+            _put(rows[a], b, triple)
+    sums = [((d, 0), top)] + [((a, d - a), table.sum(rows[a], d - a, d - a + 1)) for a in range(d)]
+    return {e: PadicNum(p, INF if v == _ABSENT else v, u, n) for e, ((v,), (u,), (n,)) in sums if n != _ABSENT}
 
 
 def bracket(L: PSeries, a: PadicNum, exp_series: PSeries = None) -> PSeries:

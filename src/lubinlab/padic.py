@@ -16,14 +16,18 @@ quotient by +-p^w; any other quotient of two exact values has no finite
 expansion and raises ValueError naming the divisor.  Series refuse exact
 nonzero coefficients, which their kernels would read as absent.
 
-The packed kernels of ``series`` apply the same rules to bare triples:
-``_scaled`` normalises one value, ``add_triples``, ``mul_triples``,
-``div_triples`` and ``scale_int`` are ``PadicNum``'s sum, product,
-quotient and product by an int, and ``reduce_terms`` normalises whole
-lists of slot sums, raising where one keeps no digit.  Every quotient of
-scalars, and of the slots of a packed series by a scalar, is
-``div_triples``; only ``series._packed_div_int``, which divides a whole
-series by one exact integer, inverts a unit apart from it.
+The packed kernels of ``series`` and the part kernel of ``formalgroup``
+apply the same rules to bare triples: ``_scaled`` normalises one value,
+``add_triples``, ``mul_triples``, ``div_triples`` and ``scale_int`` are
+``PadicNum``'s sum, product, quotient and product by an int, and
+``reduce_terms`` normalises whole lists of slot sums, raising where one
+keeps no digit.  The min-plus ledger of a sum of products,
+min(N_a + v'_b, v'_a + N_b), sits in those two modules: three copies in
+``series`` (products, the solve, tabled sums) and one in ``formalgroup``
+(the parts of a law).  Every quotient of scalars, and of the slots of a
+packed series by a scalar, is ``div_triples``; only
+``series._packed_div_int``, which divides a whole series by one exact
+integer, inverts a unit apart from it.
 """
 
 import math

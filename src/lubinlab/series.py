@@ -13,7 +13,7 @@ product in two stages: an operand stage (``_operand``) drops a series'
 leading exact zeros (its x-adic order) and lays out its values and
 precision pairs once, and a product stage (``_product``) multiplies two
 operands and returns the result both packed and as an operand;
-``_packed_mul`` is the two in a row.  Each product, tabled sum and part sum
+``_packed_mul`` is the two in a row.  Each product and tabled sum
 normalises its slots with one ``padic.reduce_terms``, the one
 normalise-and-raise rule of the kernels.
 A derivative multiplies slot k by the exact integer k
@@ -23,11 +23,11 @@ quotients of monic divisions are one recurrence on the same lists
 found (``_fold``), normalised by ``padic._scaled``, the rule of a scalar,
 and divided by ``padic.div_triples``, the rule of
 ``PadicNum.__truediv__``, with no ``PadicNum`` per coefficient.  The
-bivariate kernel holds a law's coefficients as its homogeneous parts:
-part k keys the coefficients of total degree k by a for x^a y^(k-a), and
-a part of a product is one pass over the pairs of entries
-(``_part_sum``), the kernel of the lift's Horner intermediates and of the
-associativity certificate.
+min-plus ledger min(N_a + v'_b, v'_a + N_b) has three copies here:
+``_ledger`` for products, ``_fold`` for the solve and ``_PowerTable.sum``
+for tabled sums.  The fourth, the part kernel of a two-variable law
+(``formalgroup._part_sum``), lives with the law: this module knows
+nothing of a law.
 
 Series and certificates compare by one rule (``first_disagreement``, over
 two coefficient tables ``coefficients_agree``): a pair of coefficients
@@ -48,7 +48,8 @@ composition, so no x-adic accuracy is lost beyond min(x_prec).  Reversion
 and the logarithm recurrence of ``dynamics`` are one degree-by-degree solve
 against the same table (``_solve_by_powers``), and each row of the group
 law of ``formalgroup`` is one sum against the table of the logarithm, as
-is the Lubin-Tate lift's F(f(x), f(y)) against the table of f.
+are the columns and rows of the Lubin-Tate lift's F(f(x), f(y)) against
+the table of f; ``formalgroup`` lays those rows out itself.
 """
 
 import json
@@ -406,62 +407,6 @@ def _iterates(f: PSeries, M: int = None):
         top = max((d for d, n in enumerate(N, 1) if n != _ABSENT), default=0)
         fn = [_ABSENT] + V[:top], [0] + U[:top], [_ABSENT] + N[:top]
         yield fn
-
-
-# -- homogeneous parts: the bivariate kernel ----------------------------------
-
-
-def _part(p: int, items) -> tuple:
-    """(key, coefficient) items as a factor of ``_part_sum``: (s, [(key, X, N,
-    F)]), s the least valuation, X the value over p^s, F the valuation floor."""
-    s = min((c.v for _, c in items if c.v != INF), default=0)
-    return s, [(a, 0 if c.v == INF else c.u * p ** (c.v - s), c.N, c.val_floor()) for a, c in items]
-
-
-def _parts(F, M: int) -> list:
-    """The homogeneous parts of a law F (``formalgroup.FormalGroupLaw``)
-    below total degree M as factors."""
-    parts = [[] for _ in range(M)]
-    for (a, b), c in F.coeffs.items():
-        if a + b < M:
-            parts[a + b].append((a, c))
-    return [_part(F.prime, items) for items in parts]
-
-
-def _part_mul(p: int, A, B, e: int) -> list:
-    """Degree-e part of the product of the part lists A and B."""
-    return _part_sum(p, [(A[k], B[e - k]) for k in range(max(0, e - len(B) + 1), min(e + 1, len(A)))], e + 1)
-
-
-def _part_sum(p: int, pairs, size: int, raises: bool = True) -> list:
-    """sum P_a P_b over the pairs of factors (P_a, P_b), keys below size, as
-    (key, coefficient) items in key order: one pass over the pairs of
-    entries keeps per key the ledger K = min(N_a + F_b, F_a + N_b) and the
-    integer sum of the X_a X_b at the least shift, then one
-    ``reduce_terms`` normalises every key.  The first key without digits
-    raises, or without ``raises`` is kept zero-like at its precision K <= 0."""
-    pairs = [(A, B) for A, B in pairs if A[1] and B[1]]
-    t = min((sa + sb for (sa, _), (sb, _) in pairs), default=0)
-    P = prime_powers(p, max((sa + sb for (sa, _), (sb, _) in pairs), default=t) - t)
-    S, K = [0] * size, [_ABSENT] * size
-    for (sa, Pa), (sb, Pb) in pairs:
-        scale = P[sa + sb - t]
-        for ka, xa, na, fa in Pa:
-            xa *= scale
-            for kb, xb, nb, fb in Pb:
-                n, m = na + fb, fa + nb
-                key = ka + kb
-                S[key] += xa * xb
-                if m < n:
-                    n = m
-                if n < K[key]:
-                    K[key] = n
-
-    def least_term(key):  # the least valuation among the terms of the key
-        return min((fa + fb for (_, Pa), (_, Pb) in pairs for ka, xa, _, fa in Pa for kb, xb, _, fb in Pb if ka + kb == key and xa and xb), default=INF)
-
-    V, U, _ = reduce_terms(p, t, S, K, least_term if raises else None)
-    return [(key, PadicNum(p, INF if V[key] == _ABSENT else V[key], U[key], n)) for key, n in enumerate(K) if n < _HALF]
 
 
 # -- packed univariate kernel ------------------------------------------------
@@ -837,58 +782,3 @@ class _PowerTable:
 
         V, U, _ = reduce_terms(p, t, S, N, least_term)
         return V, U, N
-
-    def sum_orders(self, orders, d: int = None) -> dict:
-        """The coefficients of y^b x^a, 1 <= b < M - a, of sum_j A_j(x) h(y)^j
-        for packed A_0 .. A_J (A_0 enters no sum), or with d only those of
-        total degree d: row a, the x^a coefficients of the A_j, is one ``sum``."""
-        p, M = self.p, self.M
-        J = max((j for j, (_, _, N) in enumerate(orders) if _order(N) < len(N)), default=0)
-        self.grow(J)
-        rows = [([_ABSENT] * (J + 1), [0] * (J + 1), [_ABSENT] * (J + 1)) for _ in range(M)]
-        for j, A in enumerate(orders[: J + 1]):
-            for a, (v, u, n) in enumerate(zip(*A)):
-                if n < _HALF:
-                    rows[a][0][j], rows[a][1][j], rows[a][2][j] = v, u, n
-        out = {}
-        for a in range(M - 1 if d is None else d):
-            if d is not None:
-                # the orders present in row a and the powers present at
-                # degree d - a as bit masks: with no common bit, every term
-                # of the sum is absent
-                mask = sum(1 << j for j, n in enumerate(rows[a][2]) if n < _HALF)
-                if not mask & sum(1 << k for k, n in enumerate(self.N[d - a], 1) if n < _HALF):
-                    continue
-            lo, D = (1, M - a) if d is None else (d - a, d - a + 1)
-            V, U, N = self.sum(rows[a], lo, D)
-            rows[a] = None
-            for b, (v, u, n) in enumerate(zip(V, U, N), lo):
-                if n != _ABSENT:
-                    out[a, b] = PadicNum(p, INF if v == _ABSENT else v, u, n)
-        return out
-
-    def sum_pair(self, columns: list, part, d: int) -> dict:
-        """The degree-d part of G(h(x), h(y)) = sum_b G_b(h(x)) h(y)^b, G_b
-        the column of y^b, at stage d = 2, 3, ... of a caller that keeps
-        ``columns`` and passes G's degree-(d-1) part as (a, coefficient of
-        x^a y^(d-1-a)) items.  columns[b] carries G_b and G_b(h) packed; the
-        new c_(d-1-b)b moves only degrees d-b-1 and d-b of G_b(h), b >= 1,
-        one ``sum``.  The x^d coefficient is [G_0(h)]_d, the others
-        ``sum_orders`` of the G_b(h) at total degree d."""
-        columns += [[[_ABSENT], [0], [_ABSENT], [_ABSENT], [0], [_ABSENT]] for _ in range(len(columns), d)]
-        for a, c in part:
-            col = columns[d - 1 - a]
-            for x, y, fill in zip(col, (_ABSENT if c.v == INF else c.v, c.u, c.N), (_ABSENT, 0, _ABSENT)):
-                x += [fill] * (a + 1 - len(x))
-                x[a] = y
-            if a == 0:  # a new column: degree 0 of G_b(h) is c_0b
-                col[3:] = [x[:1] for x in col[:3]]
-        (v,), (u,), (n,) = self.sum(columns[0][:3], d, d + 1)
-        out = {} if n == _ABSENT else {(d, 0): PadicNum(self.p, INF if v == _ABSENT else v, u, n)}
-        orders = [columns[0][:3]]  # A_0 enters no sum of sum_orders
-        for b in range(1, d):
-            col, lo = columns[b], max(1, d - b - 1)
-            for x, y in zip(col[3:], self.sum(col[:3], lo, d - b + 1)):
-                x[lo:] = y
-            orders.append(col[3:])
-        return {**out, **self.sum_orders(orders, d)}

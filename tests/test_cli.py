@@ -221,6 +221,14 @@ def test_non_prime_p_rejected(capsys, p):
     assert err.startswith("error:") and "prime" in err
 
 
+@pytest.mark.parametrize("p", ["0", "1", "4", "-3"])
+def test_non_prime_p_rejected_by_analyze(capsys, p):
+    """An inline pair with a p that is not prime is refused for that p, not
+    as a missing one: 0 is a value given, as 4 is."""
+    code, out, err = run(capsys, "analyze", "--p", p, "--f", "2,1@1", "--u", "3,3,1@1")
+    assert (code, out, err) == (2, "", f"error: p must be a prime, got {p}\n")
+
+
 @pytest.mark.parametrize("m2", ["0", "1", "2"])
 def test_vacuous_m2_rejected(capsys, m2):
     code, out, err = run(

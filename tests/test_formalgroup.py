@@ -661,33 +661,46 @@ def pair_stages(draw):
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(pair_stages())
-def test_carried_pair_columns_match_fresh_sums(case):
-    """Stage by stage, the columns G_b(h) that ``_PowerTable.sum_pair``
-    carries equal the column sums formed afresh from G's coefficients below
-    degree d, triple for triple, and so does the degree-d part it returns;
+def test_carried_right_side_matches_fresh_sums(case):
+    """Stage by stage, the rows [G_b(h)]_a that ``formalgroup._right_side``
+    carries equal the column sums G_b(h) formed afresh from G's
+    coefficients below degree d, triple for triple, and so does the
+    degree-d part it returns, each row summed afresh against the table;
     where the fresh sums raise, the stage raises the same."""
     p, D, h, G = case
+    absent = series._ABSENT
     table = PSeries(p, D, {(d,): PadicNum(p, *t) for d, t in h.items()}, 20).power_table()
     coeff = {e: PadicNum(p, *t) for e, t in G.items()}
-    columns = []
+    cols, rows = [], []
+
+    def entries(rows):
+        return {(a, b): (v, u, n) for a, row in enumerate(rows) for b, (v, u, n) in enumerate(zip(*row)) if b and n != absent}
+
+    def triple(v, u, n):
+        return INF if v == absent else v, u, n
 
     def fresh(d):
         cols = [series._pack({(a,): c for (a, b2), c in coeff.items() if b2 == b and a + b < d}, d + 1) for b in range(d)]
         (v,), (u,), (n,) = table.sum(cols[0], d, d + 1)
-        sums = [cols[0]] + [[x[:1] + y for x, y in zip(g, table.sum(g, 1, d - b + 1))] for b, g in enumerate(cols) if b]
-        top = {} if n == series._ABSENT else {(d, 0): (INF if v == series._ABSENT else v, u, n)}
-        return sums, {**top, **{e: (c.v, c.u, c.N) for e, c in table.sum_orders(sums, d).items()}}
+        out = {} if n == absent else {(d, 0): triple(v, u, n)}
+        sums = [[x[:1] + y for x, y in zip(g, table.sum(g, 1, d - b + 1))] for b, g in enumerate(cols) if b]
+        rows = [[[fill] + [g[k][a] for g in sums[: d - a]] for k, fill in enumerate((absent, 0, absent))] for a in range(d)]
+        for a, row in enumerate(rows):
+            (v,), (u,), (n,) = table.sum(row, d - a, d - a + 1)
+            if n != absent:
+                out[a, d - a] = triple(v, u, n)
+        return entries(rows), out
 
     for d in range(2, D):
         part = [(a, coeff[(a, d - 1 - a)]) for a in range(d) if (a, d - 1 - a) in coeff]
         want = outcome(lambda: fresh(d))
-        got = outcome(lambda: table.sum_pair(columns, part, d))
+        got = outcome(lambda: formalgroup._right_side(table, cols, rows, part, d))
         if isinstance(want[0], type):
             event("a stage raises")
             assert got == want
             return
-        sums, rhs = want
-        assert [list(col[3:]) for col in columns[1:]] == sums[1:]
+        carried, rhs = want
+        assert entries(rows) == carried
         assert {e: (c.v, c.u, c.N) for e, c in got.items()} == rhs
 
 

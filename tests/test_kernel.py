@@ -25,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from lubinlab import INF, FormalGroupLaw, PadicNum, PrecisionExhausted, PSeries, analyzer, polygon, series
+from lubinlab import INF, FormalGroupLaw, PadicNum, PrecisionExhausted, PSeries, analyzer, formalgroup, polygon, series
 from lubinlab.padic import vp_int
 from conftest import outcome
 from lubinlab.polygon import _divisor, _poly_divide_monic, vertex_split, weierstrass_preparation
@@ -451,13 +451,15 @@ def test_packed_div_int_matches_div_int(case):
 
 
 def test_kernels_call_reduce_terms_once_or_not_at_all(monkeypatch):
-    """Counted through its binding in ``series``: a product, a tabled sum
-    and a part sum each normalise with exactly one ``padic.reduce_terms``.
+    """Counted through its bindings in ``series`` and ``formalgroup``: a
+    product, a tabled sum and a part sum each normalise with exactly one
+    ``padic.reduce_terms``.
     The packed solve and the monic division, whose sums here all keep
     digits, make none: they normalise each value by ``padic._scaled``."""
     p, M, calls = 3, 10, []
     reduce_terms = series.reduce_terms
-    monkeypatch.setattr(series, "reduce_terms", lambda *args: calls.append(args) or reduce_terms(*args))
+    for module in (series, formalgroup):
+        monkeypatch.setattr(module, "reduce_terms", lambda *args: calls.append(args) or reduce_terms(*args))
 
     def count(run):
         calls.clear()
@@ -470,11 +472,11 @@ def test_kernels_call_reduce_terms_once_or_not_at_all(monkeypatch):
     table = h.power_table()
     table.grow(M - 1)
     F = FormalGroupLaw(p, 6, {(1, 0): 1, (0, 1): 1, (1, 1): 3, (2, 1): 2}, 12, "test")
-    parts = series._parts(F, 6)
+    parts = formalgroup._parts(F, 6)
     D = series._pack({(0,): PadicNum(p, 1, 1, 12), (1,): PadicNum(p, 0, 2, 12), (2,): PadicNum.one(p, 12)}, 3)
     assert count(lambda: series._product(p, series._operand(p, A), series._operand(p, H), M)) == 1
     assert count(lambda: table.sum(A, 1, M)) == 1
-    assert count(lambda: series._part_mul(p, parts, parts, 3)) == 1
+    assert count(lambda: formalgroup._part_mul(p, parts, parts, 3)) == 1
     a1 = series._factor(p, *(x[1:] for x in A))
     assert count(lambda: series._packed_solve(p, a1, series._pack({(0,): PadicNum.one(p, 12)}, 1), M, a.c(0))) == 0
     assert count(lambda: _poly_divide_monic(p, A, 4, _divisor(p, D, 2))) == 0

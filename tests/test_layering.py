@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import lubinlab
+from lubinlab import formalgroup, series
 
 # dynamics and formalgroup share a rank: neither may import the other
 RANKS = {
@@ -136,3 +137,15 @@ def test_dynamics_takes_only_the_iterates_and_the_solve_from_the_kernel():
     tree = ast.parse((Path(lubinlab.__file__).parent / "dynamics.py").read_text(encoding="utf-8"))
     assert sorted(set(private_imports(tree, "series")) - {"_iterates", "_solve_by_powers", "_unpack"}) == []
     assert list(private_imports(tree, "padic")) == []
+
+
+def test_series_knows_no_law():
+    """The part kernel of a two-variable law lives in ``formalgroup``, its one
+    user, so ``series`` defines none of its names; and the power table of
+    ``series`` keeps only its growth and the tabled sum, with no adapter
+    for the rows or the right side of a law."""
+    kernel = ["_part", "_part_mul", "_part_sum", "_parts"]
+    assert [name for name in kernel if hasattr(series, name)] == []
+    assert [name for name in kernel if callable(getattr(formalgroup, name, None))] == kernel
+    methods = sorted(name for name, value in vars(series._PowerTable).items() if callable(value))
+    assert methods == ["__init__", "grow", "sum"]

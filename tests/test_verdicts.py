@@ -8,6 +8,7 @@ any other error escapes.
 """
 
 import json
+import re
 
 import pytest
 
@@ -322,6 +323,39 @@ def test_inputs_short_of_the_working_precision_are_named_as_the_limit():
         "the inputs are the limit: they carry 40 digits, the working precision is 84; rebuild f and u with 84 digits",
     )
     assert analyze(*twist(84)).verdict == CERTIFIED
+
+
+@pytest.mark.parametrize(
+    "p, base, w, M, N, digits",
+    [
+        (2, "gm", [1, 2, 1, 3], 64, 16, 40),  # the case above
+        (2, "gm", [1, 2, 1, 3], 16, 8, 18),
+        (2, "lt", [1, 1, 1], 32, 8, 8),
+        (3, "lt", [2, 1, 1], 27, 8, 8),
+        (3, "gm", [1, 3, 2], 18, 6, 12),
+        (5, "gm", [3, 1], 25, 6, 6),
+        (5, "lt", [2, 1, 4], 30, 6, 12),
+    ],
+)
+def test_rebuilding_with_the_digits_named_certifies(p, base, w, M, N, digits):
+    """Twists cut below the working precision Nw starve, at group_from_log
+    or at stage precision, and name the inputs as the limit.  Followed once
+    with the digits it names, the suggestion decides: the same twist built
+    with them certifies."""
+
+    def twist(digits):
+        return make_twist_fixture(base, PSeries.from_univariate_coeffs(p, w, M, digits))
+
+    cfg = Config(N=N, M=M)
+    report = analyze(*twist(digits), cfg)
+    asked = re.fullmatch(
+        r"stage \w+ starved: .*; the inputs are the limit: they carry (\d+) digits, "
+        r"the working precision is (\d+); rebuild f and u with (\d+) digits",
+        report.reason,
+    )
+    assert report.verdict == INCONCLUSIVE and asked is not None
+    assert (int(asked[1]), int(asked[2])) == (digits, cfg.resolve(p).working_prec()) and asked[2] == asked[3]
+    assert analyze(*twist(int(asked[3])), cfg).verdict == CERTIFIED
 
 
 def test_certified_keeps_the_target_digits():
