@@ -23,15 +23,16 @@ polynomials, rev(D) rev(q) = rev(P), with no scalar per coefficient.  The
 preparation and the splits run on the packed lists of ``series``:
 products are ``_product``, sums and differences ``_packed_add``, the
 addition of ``PSeries`` too, and a division's quotient and remainder stay
-packed.  A preparation lays out its fixed operands once and keeps the precision
-ledgers of its products by their operands' precision lists, which settle
-after a few passes, so most passes compute none.  A series is prepared
-once per ``target_prec``, and P split once per vertex, for all its
-slopes: ``weierstrass_factor`` keeps that work on the series, with the
-capped series and its polygon.  The iterate shape test reads an integral
-f's iterate f^n first up to x^(p^n) only, the chain of tabled sums of
-``series._iterates`` cut there, and forms the whole iterate only when
-that head's polygon is not certified.
+packed.  A preparation lays out its fixed operands once and keeps the
+precision ledgers of its products by their operands' precision lists,
+which settle after a few passes, so most passes compute none.  A series
+is prepared once per ``target_prec``, and its n slopes take n - 1
+splits, right to left: P at its rightmost interior vertex, then each
+left factor at the next vertex left of it.  ``weierstrass_factor`` keeps
+that work on the series, with the capped series and its polygon.  The
+iterate shape test reads an integral f's iterate f^n first up to x^(p^n)
+only, the chain of tabled sums of ``series._iterates`` cut there, and
+forms the whole iterate only when that head's polygon is not certified.
 """
 
 from fractions import Fraction
@@ -125,7 +126,7 @@ class NewtonPolygon:
     def ascii(self) -> str:
         if not self.points:
             return "(empty polygon)"
-        vset = set(self.vertices)
+        vset, pset = set(self.vertices), set(self.points)
         vs = [v for _, v in self.points]
         rows = []
         imax = max(i for i, _ in self.points)
@@ -134,7 +135,7 @@ class NewtonPolygon:
             for i in range(0, imax + 1):
                 if (i, v) in vset:
                     row.append("*")
-                elif (i, v) in set(self.points):
+                elif (i, v) in pset:
                     row.append("o")
                 else:
                     row.append(".")
@@ -272,9 +273,10 @@ def weierstrass_preparation(g: PSeries):
     sub-W block of g, g_hi = shift_W(g) and shift_W the division by x^W that
     drops the lower terms.  g_low is divisible by p, so each pass gains at
     least one p-adic digit.  The passes run on packed lists: products are
-    ``series._product``, 1/g_hi and 1/q one ``_packed_solve`` each, and the
-    stop test (q repeats at the lesser precision of each coefficient)
-    decides on the integers, as ``PadicNum.congruent`` does.  Each pass
+    ``series._product``, 1/g_hi and 1/q one ``_packed_solve`` each (1/q on
+    q's lists), and the stop test (q repeats at the lesser precision of
+    each coefficient) decides on the integers, as ``PadicNum.congruent``
+    does.  Each pass
     multiplies a fixed operand (g_low or 1/g_hi, laid out once by
     ``series._operand``, as is g) by q, the operand of the last pass's
     product, or by the shifted remainder, whose (N, v') pairs soon repeat:
@@ -310,7 +312,10 @@ def weierstrass_preparation(g: PSeries):
     # x^W - r is 1 at x^W and [q*g]_e below it
     P = _unpack(p, _product(p, qop, _operand(p, G), W)[0], M, N)
     P.coeffs[(W,)] = one
-    return P, _unpack(p, q, M, N).inverse()
+    # q_0 is a unit: 1/g_W times 1 less [q*g_low]_W, which p divides, each
+    # known to a digit at least, since a product slot that keeps none raises
+    a0 = PadicNum(p, 0, q[1][0], q[2][0])
+    return P, _unpack(p, _packed_solve(p, _factor(p, *(x[1:] for x in q)), unit, M, a0), M, N)
 
 
 def _repeats(p: int, a, b) -> bool:
@@ -477,21 +482,33 @@ def weierstrass_factor(g: PSeries, slope, target_prec=None):
     iteration gains one digit per pass, so capping is the honest way to
     trade digits for time).
 
-    The preparation (P, U), each split of P, and g capped at ``target_prec``
-    with its Newton polygon are kept on g, per ``target_prec``, and read
-    back by the calls for the other slopes, which check the kept polygon as
-    the first call checked it; they live and die with g.  An exception is
-    not kept, so a call that failed raises again.  Returned series may be
-    shared between calls: treat them as values.
+    With the x-power peeled off, the hull's negative vertices sit at
+    0 = v_0 < ... < v_n = W, and the preparation gives g = P * U, P of
+    degree W.  The factors are peeled off P right to left, n - 1 splits in
+    all (von zur Gathen & Gerhard, *Modern Computer Algebra*, §15.5, the
+    factor tree): L_n = P, and L_(j+1) split at v_j gives (L_j, A_(j+1)).
+    The k-th slope's factor is A_k (A_1 = L_1), one part of the split at
+    v_m, m = max(k - 1, 1), and its cofactor is the other part times
+    R_(m+1), where R_j = U * A_(j+1) * ... * A_n.
+
+    The splits by vertex (the preparation's (P, U) at W, P dropped once it
+    is split), the products R_j (1 < j < n) by vertex, and g capped at
+    ``target_prec`` with its Newton polygon are kept on g, per
+    ``target_prec``, and read back by the calls for the other slopes, which
+    check the kept polygon as the first call checked it; they live and die
+    with g.  So one call per slope makes n - 1 splits and 2(n - 1) products
+    in all, in any order.  An exception is not kept, so a call that failed
+    raises again; a stall at v_(n-1) fails every slope.  Returned series
+    may be shared between calls: treat them as values.
     """
     if target_prec is not None and (type(target_prec) is not int or target_prec < 1):  # bool too
         raise ValueError(f"target_prec must be None or an int >= 1, got {target_prec!r}")
-    memo = g._factoring = g._factoring or {}  # target_prec -> (P, U, wdeg, splits, capped g, its polygon)
+    memo = g._factoring = g._factoring or {}  # target_prec -> (capped g, its polygon, splits, products)
     slope = Fraction(slope)
     if slope >= 0:
         raise ValueError("requested slope must be negative")
     if target_prec in memo:
-        g, poly = memo[target_prec][4:]
+        g, poly = memo[target_prec][:2]
     else:
         g = g if target_prec is None else g.cap_coeff_prec(target_prec)
         poly = newton_polygon(g)
@@ -504,27 +521,26 @@ def weierstrass_factor(g: PSeries, slope, target_prec=None):
     i0 = poly.points[0][0]
     if any(i < i0 for i, _ in poly.unknowns):
         raise TruncationInconclusive("x-adic valuation depends on unresolved coefficients")
+    vs = [i - i0 for i, _ in poly.negative_vertices()]  # v_0 .. v_n
     if target_prec not in memo:
         coeffs = {(e[0] - i0,): c for e, c in g.coeffs.items() if e[0] >= i0}
         shifted = PSeries(p, g.x_prec - i0, coeffs, g.coeff_prec)
-        memo[target_prec] = weierstrass_preparation(shifted) + (shifted.weierstrass_degree(), {}, g, poly)
-    P, U, wdeg, splits = memo[target_prec][:4]
-
-    def split(A, degree, istar):  # a split of P (degree wdeg) is kept by istar, one of its factors is not
-        if A is not P:
-            return vertex_split(A, degree, istar)
-        if istar not in splits:
-            splits[istar] = vertex_split(P, degree, istar)
-        return splits[istar]
-
-    jl, jr = seg.start[0] - i0, seg.end[0] - i0
-    factor, cof = P, U
-    if jr < wdeg:
-        factor, hi = split(factor, wdeg, jr)
-        cof = cof * hi
-    if jl > 0:
-        lo, factor = split(factor, jr, jl)
-        cof = cof * lo
+        memo[target_prec] = g, poly, {vs[-1]: weierstrass_preparation(shifted)}, {}
+    splits, products = memo[target_prec][2:]  # by vertex v_j: (L_j, A_(j+1)), and R_j
+    n, k = len(vs) - 1, vs.index(seg.end[0] - i0)  # the factor is A_k
+    m = max(k - 1, 1)
+    for j in range(n - 1, m - 1, -1):  # L_(j+1) split at v_j into (L_j, A_(j+1)), right to left
+        if vs[j] not in splits:
+            splits[vs[j]] = vertex_split(splits[vs[j + 1]][0], vs[j + 1], vs[j])
+            if j == n - 1:
+                splits[vs[n]] = None, splits[vs[n]][1]  # P is split for good
+    R = splits[vs[n]][1]  # R_n = U
+    for j in range(n - 1, m, -1):  # R_j = R_(j+1) * A_(j+1)
+        if vs[j] not in products:
+            products[vs[j]] = R * splits[vs[j]][1]
+        R = products[vs[j]]
+    factor, other = splits[vs[m]] if k == 1 else splits[vs[m]][::-1]  # A_1 = L_1, else A_k is the right part
+    cof = R * other if n > 1 else other
     cofactor = {(e[0] + i0,): c for e, c in cof.coeffs.items() if e[0] + i0 < g.x_prec}
     return factor, PSeries(p, g.x_prec, cofactor, g.coeff_prec)
 

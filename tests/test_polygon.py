@@ -372,20 +372,19 @@ def twisted_iterates():
 
 def test_weierstrass_factor_shares_the_preparation_and_the_splits(monkeypatch):
     """Every slope of a twisted iterate, at two target_prec values in turn:
-    one preparation per (series, target_prec), one split of each P per
-    (degree, istar), and each (factor, cofactor) the one a fresh copy of the
-    series gives, on which nothing is shared."""
-    preps, splits, prepared = [], Counter(), {}  # prepared keeps each P alive, so no id is reused
+    one preparation per (series, target_prec), one split of each polynomial
+    (P or a left factor peeled off it) per (degree, istar), and each
+    (factor, cofactor) the one a fresh copy of the series gives, on which
+    nothing is shared."""
+    preps, splits, split_inputs = [], Counter(), []  # split_inputs keeps each split polynomial alive, so no id is reused
 
     def counting_preparation(g):
-        P, U = weierstrass_preparation(g)
         preps.append(g)
-        prepared[id(P)] = P
-        return P, U
+        return weierstrass_preparation(g)
 
     def counting_split(P, degree, istar):
-        if id(P) in prepared:
-            splits[id(P), degree, istar] += 1
+        split_inputs.append(P)
+        splits[id(P), degree, istar] += 1
         return vertex_split(P, degree, istar)
 
     monkeypatch.setattr(polygon, "weierstrass_preparation", counting_preparation)
@@ -407,6 +406,51 @@ def test_weierstrass_factor_shares_the_preparation_and_the_splits(monkeypatch):
     assert splits and max(splits.values()) == 1
 
 
+def test_weierstrass_factor_peels_right_to_left(monkeypatch):
+    """Every slope, steepest first, of each twisted iterate with n >= 2
+    slopes (n = 3 at p = 2 and 3), at two target_prec values in turn: n - 1
+    splits per (series, target_prec), one per interior vertex, the first
+    of P at the rightmost and each next of the left factor the last one
+    left; 2(n - 1) cofactor products; and the slope factors multiply back
+    to P.  A three-slope chain made 3 splits, two of them of P."""
+    prepared, calls, products = [], [], Counter()
+    mul = PSeries.__mul__
+
+    def kept_preparation(g):
+        P, U = weierstrass_preparation(g)
+        prepared.append(P)
+        return P, U
+
+    def recorded_split(P, degree, istar):
+        calls.append((P, degree, istar))
+        return vertex_split(P, degree, istar)
+
+    monkeypatch.setattr(polygon, "weierstrass_preparation", kept_preparation)
+    monkeypatch.setattr(polygon, "vertex_split", recorded_split)
+    monkeypatch.setattr(PSeries, "__mul__", lambda a, b: products.update(["mul"]) or mul(a, b))
+    chains = Counter()
+    for fn in twisted_iterates():
+        poly = newton_polygon(fn)
+        i0, n = poly.points[0][0], len(poly.negative_segments())
+        if n < 2:
+            continue
+        vs = [i - i0 for i, _ in poly.negative_vertices()]
+        for tp in (12, 8):
+            calls.clear()
+            products.clear()
+            factors = [weierstrass_factor(fn, s.slope, tp)[0] for s in poly.negative_segments()]
+            assert [(degree, istar) for _, degree, istar in calls] == [(vs[j + 1], vs[j]) for j in range(n - 1, 0, -1)]
+            lefts = [prepared[-1]] + [fn._factoring[tp][2][vs[j]][0] for j in range(n - 1, 1, -1)]
+            assert all(A is L for (A, _, _), L in zip(calls, lefts))
+            assert products == {"mul": 2 * (n - 1)}
+            whole = factors[0]
+            for A in factors[1:]:
+                whole = mul(whole, A)
+            assert whole.equal_to_precision(prepared[-1])
+        chains[fn.prime, n] += 1
+    assert chains == {(2, 2): 1, (2, 3): 1, (3, 2): 1, (3, 3): 1, (5, 2): 1}
+
+
 def test_weierstrass_factor_caps_and_hulls_once_per_target_prec(monkeypatch):
     """Every slope of the third iterate of a twisted gm at p = 2, at
     target_prec 12, 8 and None in turn: g is capped and its polygon formed
@@ -426,16 +470,21 @@ def test_weierstrass_factor_caps_and_hulls_once_per_target_prec(monkeypatch):
     assert counts == {"cap": 2, "hull": 3}
 
 
-def test_a_failing_split_raises_again():
-    """At N = 7 the split of P at istar = 4, the vertex (5, 2) both slopes
-    share, stalls; it is not kept, so each call raises the same error."""
+def test_a_failing_split_raises_again(monkeypatch):
+    """At N = 7 the split of P (degree 7) at istar = 4, the vertex (5, 2)
+    the two slopes share and so the rightmost interior one, stalls; it is
+    not kept, so each call of either slope makes it again and raises the
+    same error."""
     g = PSeries.from_univariate_coeffs(2, [32, 32, 96, 48, 4, 8, 6, 1, 2, 3, 1], 16, 7)
+    calls = []
+    monkeypatch.setattr(polygon, "vertex_split", lambda P, degree, istar: calls.append((degree, istar)) or vertex_split(P, degree, istar))
     for _ in range(2):
         for slope in (Fraction(-3, 4), Fraction(-2, 3)):
             with pytest.raises(PrecisionExhausted, match="^vertex split stalled; digits cannot be separated$"):
                 weierstrass_factor(g, slope)
-    (P, U, wdeg, splits, _, _), = g._factoring.values()
-    assert wdeg == 7 and splits == {}
+    assert calls == [(7, 4)] * 4
+    (_, _, splits, products), = g._factoring.values()
+    assert list(splits) == [7] and products == {}
 
 
 def test_preparation_reuses_its_ledgers(monkeypatch):
