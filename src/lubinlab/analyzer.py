@@ -417,12 +417,13 @@ def make_twist_fixture(base, w: PSeries):
 
 def parse_series_arg(text, p: int, M: int, N: int) -> PSeries:
     """Accept either the JSON series object or inline "c1,c2,...@k" text,
-    built at N digits or, for a JSON series known to fewer, at its own "N"."""
+    below x^M (or, for a JSON series, its own "M" if less), built at N
+    digits or, for a JSON series known to fewer, at its own "N"."""
     if isinstance(text, dict):
-        s = PSeries.from_json(text, cap=N)
+        s = PSeries.from_json(text, cap=(M, N))
         if s.prime != p:
             raise ValueError("series prime differs from fixture prime")
-        return s.truncate(M)
+        return s
     if isinstance(text, str):
         body, _, shift = text.partition("@")
         try:

@@ -126,7 +126,7 @@ def logarithm_limit(f: PSeries, n_max: int = None) -> Logarithm:
         raise PrecisionExhausted(f"no stabilization after {n_max} iterates")
     capped = {}
     for e, a in sorted(norm.coeffs.items()):
-        cap = incr.coeffs[e].val_floor()  # the increment's floor; norm's coefficient is in it
+        cap = incr.c(e).val_floor()  # the increment's floor; norm's coefficient is in it
         if cap <= 0:
             raise PrecisionExhausted(f"coefficient {e} certifies no digits after {n_max} iterates")
         capped[e] = a.cap_prec(cap)

@@ -224,7 +224,7 @@ def group_from_log(L: PSeries) -> FormalGroupLaw:
     Raises IntegralityFailure as ``series.raise_if_not_integral`` does.
     """
     p, M, N = L.prime, L.x_prec, L.coeff_prec
-    inv_dlog = _operand(p, _pack(L.derivative().inverse().coeffs, M - 1))
+    inv_dlog = _operand(p, L.derivative().inverse().packed)
     A = _pack({(1,): PadicNum.one(p, N)}, M)
     orders = []  # A_j / j!, j >= 1
     factorial = 1
@@ -272,7 +272,7 @@ def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
     part = [(1, PadicNum.one(p, N)), (0, PadicNum.one(p, N))]  # F's degree-1 part, x^a y^(1-a) at key a
     F, Fparts = {(a, 1 - a): x for a, x in part}, [_part(p, []), _part(p, part)]
     # acc[i][e]: the degree-e part of acc_i; its degree-0 part is c_i
-    acc = [None] + [[_part(p, [(0, f.coeffs[(i,)])] if (i,) in f.coeffs else [])] for i in range(1, D)]
+    acc = [None] + [[_part(p, [] if c.is_exact_zero() else [(0, c)])] for c in map(f.c, range(1, D))]
     powers, cols, rows, cpow = f.power_table(), [], [], c
     for d in range(2, D):
         cpow = cpow * c  # c^d

@@ -20,16 +20,17 @@ unit series times the factors split off beside it.  The layer has one
 recurrence, ``series._packed_solve``: it forms the preparation's inverses
 1/g_hi and 1/q, and a monic division is the same solve on the reversed
 polynomials, rev(D) rev(q) = rev(P), with no scalar per coefficient.  The
-preparation and the splits run on the packed lists of ``series``:
+polygon, the preparation and the splits read a series' packed lists:
 products are ``_product``, sums and differences ``_packed_add``, the
-addition of ``PSeries`` too, and a division's quotient and remainder stay
-packed.  A preparation lays out its fixed operands once and keeps the
-precision ledgers of its products by their operands' precision lists,
-which settle after a few passes, so most passes compute none.  A series
-is prepared once per ``target_prec``, and its n slopes take n - 1
-splits, right to left: P at its rightmost interior vertex, then each
-left factor at the next vertex left of it.  ``weierstrass_factor`` keeps
-that work on the series, with the capped series and its polygon.  The
+addition of ``PSeries`` too, a division's quotient and remainder stay
+packed, and a factor's shifts by x^i0 shift the lists.  A preparation
+lays out its fixed operands once and keeps the precision ledgers of its
+products by their operands' precision lists, which settle after a few
+passes, so most passes compute none.  A series is prepared once per
+``target_prec``, and its n slopes take n - 1 splits, right to left: P at
+its rightmost interior vertex, then each left factor at the next vertex
+left of it.  ``weierstrass_factor`` keeps that work on the series, with
+the capped series and its polygon.  The
 iterate shape test reads an integral f's iterate f^n first up to x^(p^n)
 only, the chain of tabled sums of ``series._iterates`` cut there, and
 forms the whole iterate only when that head's polygon is not certified.
@@ -40,7 +41,7 @@ from itertools import islice
 
 from .errors import PrecisionExhausted, TruncationInconclusive
 from .padic import _ABSENT, _HALF, INF, PadicNum, add_triples, mul_triples, neg_unit
-from .series import PSeries, _factor, _fold, _iterates, _operand, _pack, _packed_add, _packed_solve, _padded, _product, _unpack, first_disagreement
+from .series import PSeries, _cut, _factor, _fold, _iterates, _operand, _pack, _packed_add, _packed_solve, _padded, _product, _unpack, first_disagreement
 
 
 class Segment:
@@ -188,13 +189,9 @@ def _lower_hull(points):
 
 def newton_polygon(g: PSeries) -> NewtonPolygon:
     """Polygon of a univariate series from its certified coefficient valuations."""
-    points = []
-    unknowns = []
-    for (i,), c in g.coeffs.items():
-        if c.v == INF:
-            unknowns.append((i, c.N))
-        else:
-            points.append((i, c.v))
+    V, _, N = g.packed
+    points = [(i, v) for i, v in enumerate(V) if v != _ABSENT]
+    unknowns = [(i, n) for i, (v, n) in enumerate(zip(V, N)) if v == _ABSENT != n]
     return NewtonPolygon(points, unknowns, g.x_prec)
 
 
@@ -294,7 +291,7 @@ def weierstrass_preparation(g: PSeries):
     one = PadicNum.one(p, N)
     if W == 0:
         return PSeries(p, M, {(0,): one}, N), g
-    G = _pack(g.coeffs, M)
+    G = g.packed
     low = _operand(p, tuple(x[:W] for x in G))
     unit = _pack({(0,): one}, 1)
     inv_hi = _operand(p, _packed_solve(p, _factor(p, *(x[W + 1 :] for x in G)), unit, M, g.c((W,))))
@@ -310,8 +307,8 @@ def weierstrass_preparation(g: PSeries):
     else:
         raise PrecisionExhausted("weierstrass division did not stabilize")
     # x^W - r is 1 at x^W and [q*g]_e below it
-    P = _unpack(p, _product(p, qop, _operand(p, G), W)[0], M, N)
-    P.coeffs[(W,)] = one
+    V, U, K = _padded(_product(p, qop, _operand(p, G), W)[0], W)
+    P = _unpack(p, (V + [0], U + [1], K + [N]), M, N)
     # q_0 is a unit: 1/g_W times 1 less [q*g_low]_W, which p divides, each
     # known to a digit at least, since a product slot that keeps none raises
     a0 = PadicNum(p, 0, q[1][0], q[2][0])
@@ -383,14 +380,14 @@ def vertex_split(P: PSeries, degree: int, istar: int):
     cstar = P.c((istar,))
     if cstar.is_zero_like():
         raise PrecisionExhausted("vertex coefficient unresolved")
-    A = {(i,): P.coeffs[(i,)] / cstar for i in range(istar) if (i,) in P.coeffs}
+    A = {e: c / cstar for e, c in P.truncate(istar).coeffs.items()}
     A[(istar,)] = PadicNum.one(p, max(int(N - cstar.v), 1))
     A = _pack(A, M)
-    B = _pack({(i - istar,): c for (i,), c in P.coeffs.items() if istar <= i <= degree}, M)
+    P = P.packed
+    B = _cut(tuple(x[istar : degree + 1] for x in P))
     one = PadicNum.one(p, N)
     t = _pack({(0,): one / cstar}, 1)
     one = _pack({(0,): one}, 1)
-    P = _pack(P.coeffs, M)
     divisor, bop, top = _divisor(p, A, istar), op(B), op(t)
     last_gap, stalls = -INF, 0
     for _ in range(_SPLIT_STEPS):
@@ -467,11 +464,6 @@ def _poly_divide_monic(p: int, P, degree: int, divisor):
     return q, _cut(R)
 
 
-def _cut(a):
-    """Packed a cut after its highest present slot, one slot at least."""
-    return _padded(a, max((e for e, n in enumerate(a[2]) if n != _ABSENT), default=0) + 1)
-
-
 def weierstrass_factor(g: PSeries, slope, target_prec=None):
     """Monic factor carrying exactly the roots on one negative-slope segment.
 
@@ -523,8 +515,7 @@ def weierstrass_factor(g: PSeries, slope, target_prec=None):
         raise TruncationInconclusive("x-adic valuation depends on unresolved coefficients")
     vs = [i - i0 for i, _ in poly.negative_vertices()]  # v_0 .. v_n
     if target_prec not in memo:
-        coeffs = {(e[0] - i0,): c for e, c in g.coeffs.items() if e[0] >= i0}
-        shifted = PSeries(p, g.x_prec - i0, coeffs, g.coeff_prec)
+        shifted = _unpack(p, tuple(x[i0:] for x in g.packed), g.x_prec - i0, g.coeff_prec)
         memo[target_prec] = g, poly, {vs[-1]: weierstrass_preparation(shifted)}, {}
     splits, products = memo[target_prec][2:]  # by vertex v_j: (L_j, A_(j+1)), and R_j
     n, k = len(vs) - 1, vs.index(seg.end[0] - i0)  # the factor is A_k
@@ -541,8 +532,7 @@ def weierstrass_factor(g: PSeries, slope, target_prec=None):
         R = products[vs[j]]
     factor, other = splits[vs[m]] if k == 1 else splits[vs[m]][::-1]  # A_1 = L_1, else A_k is the right part
     cof = R * other if n > 1 else other
-    cofactor = {(e[0] + i0,): c for e, c in cof.coeffs.items() if e[0] + i0 < g.x_prec}
-    return factor, PSeries(p, g.x_prec, cofactor, g.coeff_prec)
+    return factor, _unpack(p, tuple([fill] * i0 + x for x, fill in zip(cof.packed, (_ABSENT, 0, _ABSENT))), g.x_prec, g.coeff_prec)
 
 
 def is_eisenstein(poly: PSeries) -> bool:
@@ -553,7 +543,7 @@ def is_eisenstein(poly: PSeries) -> bool:
     the lead carries no digits or the constant term's valuation is
     unresolved at the working precision.
     """
-    finite = [e[0] for e, c in poly.coeffs.items() if not c.is_zero_like()]
+    finite = [e for e, v in enumerate(poly.packed[0]) if v != _ABSENT]
     if not finite:
         raise ValueError("zero polynomial")
     degree = max(finite)

@@ -1,13 +1,14 @@
 """Truncated power series in one variable over p-adic scalars.
 
-A series keeps its coefficients below x^x_prec in a dict keyed by
-exponent tuples (e,).  An absent key is an exact zero; a coefficient that
-merely vanished to its working precision stays stored, so the
-truncation-honesty machinery downstream (Newton polygons) can see the
-difference.  ``coeff_prec`` is the ambient p-adic precision used when
-coercing plain integers or rationals into coefficients
-(``coefficient_table``, which also cleans the coefficients of the law of
-``formalgroup``).  Series sums and products run on a packed list form: a sum
+A series stores its coefficients below x^x_prec as the packed lists laid
+out below (``PSeries.packed``); the dict {(e,): PadicNum} of ``coeffs``
+is a view.  An absent slot is an exact zero; a coefficient that merely
+vanished to its working precision stays stored, so the truncation-honesty
+machinery downstream (Newton polygons) can see the difference.
+``coeff_prec`` is the ambient p-adic precision used when coercing plain
+integers or rationals into coefficients (``coefficient_table``, which
+also cleans the coefficients of the law of ``formalgroup``).  The kernels
+read and return packed lists, made a series by ``_unpack``: a sum
 slot by slot under the rule of ``PadicNum.__add__`` (``_packed_add``), a
 product in two stages: an operand stage (``_operand``) drops a series'
 leading exact zeros (its x-adic order) and lays out its values and
@@ -67,17 +68,21 @@ from .padic import _ABSENT, _HALF, INF, PadicNum, _scaled, add_triples, div_trip
 
 
 class PSeries:
-    """Dense truncated power series in one variable over PadicNum
-    coefficients, keyed by exponent tuples (e,)."""
+    """Dense truncated power series in one variable, stored as the packed
+    lists below x_prec (``packed``, laid out as ``_cut`` cuts them) of the
+    coefficients {(e,): value} given; ``coeffs`` derives that dict back."""
 
-    __slots__ = ("prime", "x_prec", "coeffs", "coeff_prec", "_powers", "_factoring")
+    __slots__ = ("prime", "x_prec", "packed", "coeff_prec", "_powers", "_factoring")
     nvars = 1  # the benchmark's tracer names series spans by it
 
     def __init__(self, prime, x_prec, coeffs, coeff_prec):
         self.prime = require_prime(prime)
         self.x_prec = x_prec
         self.coeff_prec = coeff_prec
-        self.coeffs = coefficient_table(self.prime, x_prec, coeffs, coeff_prec)
+        for e in coeffs:
+            if type(e) is not tuple or len(e) != 1 or type(e[0]) is not int:  # not isinstance: true is no exponent
+                raise ValueError(f"series coefficient key {e!r} is not one exponent (e,)")
+        self.packed = _pack(coefficient_table(self.prime, x_prec, coeffs, coeff_prec), x_prec)
         self._powers = None  # the power table, once the series is substituted
         self._factoring = None  # the Weierstrass work of ``polygon.weierstrass_factor``, once factored
 
@@ -91,39 +96,42 @@ class PSeries:
     @classmethod
     def from_univariate_coeffs(cls, p, coeffs, M, N, shift=1):
         """Series sum_i coeffs[i] * x^(shift+i) from ints/Fractions."""
-        d = {}
-        for i, c in enumerate(coeffs):
-            if shift + i < M:
-                d[(shift + i,)] = PadicNum.from_fraction(Fraction(c), p, N)
-        return cls(p, M, d, N)
+        return cls(p, M, {(shift + i,): Fraction(c) for i, c in enumerate(coeffs) if shift + i < M}, N)
 
     # -- basic access ------------------------------------------------------
 
-    def c(self, exps) -> PadicNum:
-        """Coefficient at an exponent tuple (exact zero when absent)."""
-        if isinstance(exps, int):
-            exps = (exps,)
-        c = self.coeffs.get(exps)
-        return PadicNum.exact_zero(self.prime) if c is None else c
+    @property
+    def coeffs(self) -> dict:
+        """The dict {(e,): PadicNum} of the present slots, built on each read."""
+        return {(e,): self.c(e) for e, n in enumerate(self.packed[2]) if n != _ABSENT}
+
+    def c(self, e) -> PadicNum:
+        """The coefficient of x^e, e an int or (e,), read off the lists (an
+        exact zero where the slot is absent)."""
+        if not isinstance(e, int):
+            (e,) = e
+        V, U, N = self.packed
+        if 0 <= e < len(N) and N[e] != _ABSENT:
+            return PadicNum(self.prime, INF if V[e] == _ABSENT else V[e], U[e], N[e])
+        return PadicNum.exact_zero(self.prime)
 
     @property
     def s0(self) -> bool:
         """True when the constant term is exactly zero."""
-        return (0,) not in self.coeffs
+        return self.packed[2][0] == _ABSENT
 
     def linear_coeff(self) -> PadicNum:
-        return self.c((1,))
+        return self.c(1)
 
     def min_val_floor(self):
         """Least certified valuation lower bound over stored coefficients."""
-        floors = [c.val_floor() for c in self.coeffs.values()]
-        return min(floors) if floors else INF
+        V, _, N = self.packed
+        return min((n if v == _ABSENT else v for v, n in zip(V, N) if n != _ABSENT), default=INF)
 
     def __repr__(self):
-        items = ", ".join(
-            f"{exps}:{c!r}" for exps, c in sorted(self.coeffs.items())[:6]
-        )
-        more = "..." if len(self.coeffs) > 6 else ""
+        coeffs = sorted(self.coeffs.items())
+        items = ", ".join(f"{exps}:{c!r}" for exps, c in coeffs[:6])
+        more = "..." if len(coeffs) > 6 else ""
         return f"PSeries(p={self.prime}, M={self.x_prec}, {{{items}{more}}})"
 
     # -- compatibility ------------------------------------------------------
@@ -142,7 +150,7 @@ class PSeries:
         other = self._align(other)
         M, p = min(self.x_prec, other.x_prec), self.prime
         N = min(self.coeff_prec, other.coeff_prec)
-        return _unpack(p, _packed_add(p, _pack(self.coeffs, M), _pack(other.coeffs, M), negate), M, N)
+        return _unpack(p, _packed_add(p, self.truncate(M).packed, other.truncate(M).packed, negate), M, N)
 
     def __sub__(self, other):
         return self.__add__(other, negate=True)
@@ -152,19 +160,18 @@ class PSeries:
         other = self._align(other)
         M, p = min(self.x_prec, other.x_prec), self.prime
         N = min(self.coeff_prec, other.coeff_prec)
-        return _unpack(p, _packed_mul(p, _pack(self.coeffs, M), _pack(other.coeffs, M), M), M, N)
+        return _unpack(p, _packed_mul(p, self.truncate(M).packed, other.truncate(M).packed, M), M, N)
 
     def derivative(self) -> "PSeries":
         """Formal derivative; the truncation order drops by 1
         (``_packed_derivative``, which the Taylor orders of ``formalgroup``
         share)."""
-        packed = _packed_derivative(self.prime, _pack(self.coeffs, self.x_prec))
-        return _unpack(self.prime, packed, self.x_prec - 1, self.coeff_prec)
+        return _unpack(self.prime, _packed_derivative(self.prime, self.packed), self.x_prec - 1, self.coeff_prec)
 
     def truncate(self, M: int) -> "PSeries":
         if M >= self.x_prec:
             return self
-        return PSeries(self.prime, M, {e: c for e, c in self.coeffs.items() if e[0] < M}, self.coeff_prec)
+        return _unpack(self.prime, self.packed, M, self.coeff_prec)
 
     def cap_coeff_prec(self, N) -> "PSeries":
         return PSeries(self.prime, self.x_prec, {e: c.cap_prec(N) for e, c in self.coeffs.items()}, min(self.coeff_prec, N))
@@ -178,13 +185,12 @@ class PSeries:
         if h.prime != self.prime:
             raise PrimeMismatch("mixed primes in composition")
         M = min(self.x_prec, h.x_prec)
-        coeffs = self.truncate(M).coeffs
+        g = self.truncate(M).packed
         if a is not None:
             apow = [None, a]  # a^k = a^(k-1) a
-            for _ in range(2, max((k for (k,) in coeffs), default=0) + 1):
+            for _ in range(2, len(g[0])):
                 apow.append(apow[-1] * a)
-            coeffs = {(k,): c * apow[k] if k else c for (k,), c in coeffs.items()}
-        g = _pack(coeffs, M)
+            g = _pack({(k,): c * apow[k] if k else c for (k,), c in self.truncate(M).coeffs.items()}, M)
         V, U, N = h.power_table().sum(g, 1, M)
         packed = g[0][:1] + V, g[1][:1] + U, g[2][:1] + N
         return _unpack(self.prime, packed, M, min(self.coeff_prec, h.coeff_prec))
@@ -221,12 +227,12 @@ class PSeries:
         b_0 = 1/a_0 and b_n = -(sum_(k=1..n) a_k b_(n-k)) / a_0, one packed
         solve (``_packed_solve``) whose sums follow the ledger rule of
         ``reduce_terms``."""
-        a0 = self.c((0,))
+        a0 = self.c(0)
         if a0.is_zero_like() or a0.v != 0:
             raise NotInvertible("constant term is not a unit")
         M, p = self.x_prec, self.prime
         one = _pack({(0,): PadicNum.one(p, self.coeff_prec)}, 1)
-        a = _factor(p, *(x[1:] for x in _pack(self.coeffs, M)))  # a_1, a_2, ...
+        a = _factor(p, *(x[1:] for x in self.packed))  # a_1, a_2, ...
         return _unpack(p, _packed_solve(p, a, one, M, a0), M, self.coeff_prec)
 
     # -- reduction and shape mod p -------------------------------------------
@@ -248,11 +254,7 @@ class PSeries:
 
     def weierstrass_degree(self):
         """Least index with a unit coefficient, or None below the truncation."""
-        best = None
-        for (i,), c in self.coeffs.items():
-            if c.v == 0 and (best is None or i < best):
-                best = i
-        return best
+        return next((i for i, v in enumerate(self.packed[0]) if v == 0), None)
 
     def equal_to_precision(self, other) -> bool:
         """Coefficient-wise congruence below the lesser truncation, by
@@ -273,12 +275,12 @@ class PSeries:
         return {"p": self.prime, "M": self.x_prec, "N": self.coeff_prec, "coeffs": entries}
 
     @classmethod
-    def from_json(cls, obj: dict, cap=INF) -> "PSeries":
-        """The univariate series of ``to_json``, its coefficients built at
-        min(N, cap) digits.  A malformed object raises ValueError naming its
-        field: p, M and N are JSON integers, N >= 1, and each entry of coeffs
-        is [[exponent], value], one nonnegative integer exponent and an
-        integer or "a/b" value."""
+    def from_json(cls, obj: dict, cap=(INF, INF)) -> "PSeries":
+        """The univariate series of ``to_json`` below x^min(M, cap M), built
+        at min(N, cap N) digits, cap the (M, N) of a run.  A malformed object
+        raises ValueError naming its field: p, M and N are JSON integers, N >=
+        1, and each entry of coeffs is [[exponent], value], one nonnegative
+        integer exponent and an integer or "a/b" value."""
         for key in ("p", "M", "N"):
             if type(obj.get(key)) is not int:  # not isinstance: true is no integer
                 raise ValueError(f"series field {key!r} must be an integer, got {json.dumps(obj.get(key))}")
@@ -286,7 +288,7 @@ class PSeries:
             raise ValueError(f"series field 'N' must be at least 1, got {obj['N']}")
         if not isinstance(obj.get("coeffs"), list):
             raise ValueError(f"series field 'coeffs' must be a list, got {json.dumps(obj.get('coeffs'))}")
-        p, N = require_prime(obj["p"]), min(obj["N"], cap)
+        p, M, N = require_prime(obj["p"]), min(obj["M"], cap[0]), min(obj["N"], cap[1])
         coeffs = {}
         for item in obj["coeffs"]:
             try:
@@ -297,18 +299,21 @@ class PSeries:
             except (TypeError, ValueError, ZeroDivisionError):
                 msg = f"series field 'coeffs' needs univariate [[exponent >= 0], value] entries, got {json.dumps(item)}"
                 raise ValueError(msg) from None
-        return cls(p, obj["M"], coeffs, N)
+        return cls(p, M, coeffs, N)
 
 
 def coefficient_table(p: int, x_prec, coeffs: dict, coeff_prec) -> dict:
     """The coefficients {exponents: PadicNum} of total degree below x_prec,
     ints and Fractions coerced at coeff_prec and exact zeros dropped, of a
     series or of a two-variable law (``formalgroup.FormalGroupLaw``).  A
-    coefficient of another prime raises PrimeMismatch, and one with a finite
-    valuation and infinite precision, given or coerced at coeff_prec INF,
-    ValueError: the kernels read N = INF as an absent slot."""
+    coefficient of another prime raises PrimeMismatch, and ValueError one at
+    a negative exponent, which has no slot, or one of finite valuation and
+    infinite precision, given or coerced at coeff_prec INF, which the
+    kernels read as an absent slot."""
     clean = {}
     for exps, c in coeffs.items():
+        if min(exps) < 0:
+            raise ValueError(f"coefficient at {exps} has a negative exponent")
         if sum(exps) >= x_prec:
             continue
         if not isinstance(c, PadicNum):
@@ -401,7 +406,7 @@ def _iterates(f: PSeries, M: int = None):
     over the lower degrees of the last iterate, so the iterates below a
     lesser M hold exactly the slots of the whole ones there."""
     M = f.x_prec if M is None else M
-    fn, table = _pack(PSeries.identity(f.prime, M, f.coeff_prec).coeffs, M), f.power_table()
+    fn, table = PSeries.identity(f.prime, M, f.coeff_prec).packed, f.power_table()
     while True:
         V, U, N = table.sum(fn, 1, M)
         top = max((d for d, n in enumerate(N, 1) if n != _ABSENT), default=0)
@@ -435,14 +440,18 @@ def _pack(coeffs: dict, M: int):
 
 
 def _unpack(p: int, packed, M: int, coeff_prec) -> PSeries:
-    V, U, N = packed
-    # a slot at precision INF (an exact nonzero) reaches the constructor, which refuses it
-    coeffs = {
-        (e,): PadicNum(p, INF if v >= _HALF else v, u, n)
-        for e, (v, u, n) in enumerate(zip(V, U, N))
-        if n != _ABSENT
-    }
-    return PSeries(p, M, coeffs, coeff_prec)
+    """The series whose store is a kernel's packed result, cut at M by
+    ``_cut``, with no ``PadicNum``: a kernel's slots have finite precisions."""
+    s = PSeries(p, M, {}, coeff_prec)
+    s.packed = _cut(packed, M)
+    return s
+
+
+def _cut(a, M: int = _ABSENT):
+    """Packed a below degree M, cut after its highest present slot, one
+    slot at least (new lists): the layout of a series' store."""
+    top = max((e for e, n in enumerate(a[2][: max(M, 0)]) if n != _ABSENT), default=-1)
+    return tuple(x[: top + 1] or [fill] for x, fill in zip(a, (_ABSENT, 0, _ABSENT)))
 
 
 def _packed_add(p: int, a, b, negate: bool = False):
@@ -731,7 +740,7 @@ class _PowerTable:
 
     def __init__(self, h: PSeries):
         self.p, self.M = h.prime, h.x_prec
-        self.H = self.last = _operand(self.p, _pack(h.coeffs, self.M))
+        self.H = self.last = _operand(self.p, h.packed)
         self.shift = []
         self.X = [[] for _ in range(self.M)]
         self.N = [[] for _ in range(self.M)]

@@ -362,6 +362,25 @@ def test_series_precision_past_the_working_precision_is_not_built(tmp_path, caps
     assert code == 0 and json.loads(out)["verdict"] == "CERTIFIED"
 
 
+def test_series_term_past_the_working_truncation_is_not_built(tmp_path, capsys):
+    """A serialized f whose own M is 10^9 carries a term x^(10^8), past the
+    run's M of 9.  A series laid out as packed lists by degree, built at its
+    own M, would hold 10^8 slots before ``analyze`` cut it to the run's.
+    It is built below the run's M and prints the report of the same f
+    without that term, under a 20 s and 1 GB bound."""
+
+    def fixture(terms):
+        f = {"p": 3, "M": 10**9, "N": 15, "coeffs": [[[1], "3"], [[2], "3"], [[3], "1"], *terms]}
+        path = tmp_path / f"far-{len(terms)}.json"
+        path.write_text(json.dumps({"name": "far", "p": 3, "N": 6, "M": 9, "f": f, "u": "4,6,4,1@1"}))
+        return str(path)
+
+    done = run_capped(["analyze", "--fixture", fixture([[[10**8], "1"]])], 1 << 30, timeout=20)
+    code, out, _ = run(capsys, "analyze", "--fixture", fixture([]))
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
+    assert code == 0 and json.loads(out)["verdict"] == "CERTIFIED"
+
+
 @pytest.mark.parametrize("field, value", [("p", [2]), ("p", 2.7), ("p", True), ("N", "20"), ("M", 16.0), ("p", None)])
 def test_wrong_typed_fixture_field_refused(tmp_path, capsys, field, value):
     """p, N and M must be JSON integers: a list raised TypeError out of

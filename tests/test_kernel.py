@@ -21,6 +21,8 @@ an int and ``PadicNum.div_int``, slot by slot, and the kernels' calls of
 ``padic.reduce_terms``, their one normalise-and-raise rule, are counted.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
@@ -822,15 +824,39 @@ def test_analysis_forms_each_power_once(monkeypatch):
     assert 0 < table_products <= sum(max(len(t.shift) - 1, 0) for _, t in tables)
 
 
-@pytest.mark.parametrize("built", [False, True])
-def test_solve_by_powers_packs_at_most_once(monkeypatch, built):
-    """Reversion and the logarithm recurrence keep their solution packed: the
-    one ``series._pack`` is the power table's of h, and none when h has its
-    table already.  The solve packed its growing solution at every degree."""
-    h = PSeries.from_univariate_coeffs(3, [3, 1, 2, 1], 16, 20)
-    if built:
-        h.power_table()
-    calls, pack = [], series._pack
-    monkeypatch.setattr(series, "_pack", lambda *args: calls.append(1) or pack(*args))
-    h.reversion()
-    assert len(calls) == (0 if built else 1)
+def test_series_operations_build_no_scalar(monkeypatch):
+    """A series keeps its packed lists as its one store, so sums,
+    differences, products, the derivative, a truncation and a composition
+    without a scalar run list to list and build no ``PadicNum`` (counted
+    through ``PadicNum.__init__``); they built one per coefficient of every
+    result when the store was a dict of scalars.  An inverse builds a few
+    for its constant term, however long the series."""
+    built = []
+    init = PadicNum.__init__
+
+    def counted(*args):
+        built.append(1)
+        init(*args)
+
+    def count(run):
+        built.clear()
+        monkeypatch.setattr(PadicNum, "__init__", counted)
+        try:
+            run()
+        finally:
+            monkeypatch.setattr(PadicNum, "__init__", init)
+        return len(built)
+
+    f = PSeries.from_univariate_coeffs(3, [3, 1, 2, 1, 0, 5, Fraction(1, 2)], 16, 20)
+    g = PSeries.from_univariate_coeffs(3, [6, 4, Fraction(2, 9), 1, 7], 13, 18)
+    operations = {
+        "*": lambda: f * g,
+        "+": lambda: f + g,
+        "-": lambda: f - g,
+        "derivative": f.derivative,
+        "truncate": lambda: f.truncate(9),
+        "compose": lambda: f.compose(g),
+    }
+    assert {name: count(run) for name, run in operations.items()} == dict.fromkeys(operations, 0)
+    units = [PSeries.from_univariate_coeffs(3, range(1, M + 1), M, 20, shift=0) for M in (16, 32)]
+    assert count(units[0].inverse) == count(units[1].inverse) > 0

@@ -149,3 +149,10 @@ def test_series_knows_no_law():
     assert [name for name in kernel if callable(getattr(formalgroup, name, None))] == kernel
     methods = sorted(name for name, value in vars(series._PowerTable).items() if callable(value))
     assert methods == ["__init__", "grow", "sum"]
+
+
+def test_series_stores_only_its_packed_lists():
+    """A univariate series keeps its packed (V, U, N) lists as its one
+    store; the dict of scalars is a view derived from them on each read."""
+    assert "packed" in series.PSeries.__slots__ and "coeffs" not in series.PSeries.__slots__
+    assert isinstance(vars(series.PSeries)["coeffs"], property)

@@ -230,6 +230,27 @@ def test_exact_nonzero_coefficient_is_refused(nvars, build):
     assert list(build({x: zero, y: zero_like}).coeffs.values()) == [zero_like]
 
 
+@pytest.mark.parametrize(
+    "build, key",
+    [
+        (lambda: PSeries.from_univariate_coeffs(2, [1, 2, 3], 8, 8, shift=-1), (-1,)),  # its square dropped x^-2 and x^-1
+        (lambda: FormalGroupLaw(2, 6, {(1, 0): 1, (0, 1): 1, (-1, 3): 1}, 8, "x"), (-1, 3)),  # associativity raised IndexError
+        (lambda: PSeries(2, 8, {(1, 2): 1}, 8), (1, 2)),  # its product failed to unpack the key
+        (lambda: PSeries(2, 8, {1: 1}, 8), 1),  # TypeError
+        (lambda: PSeries(2, 8, {(1.0,): 1}, 8), (1.0,)),
+        (lambda: PSeries(2, 8, {(True,): 1}, 8), (True,)),
+    ],
+    ids=["negative-shift", "law-negative-exponent", "two-exponents", "bare-int", "float-exponent", "bool-exponent"],
+)
+def test_malformed_coefficient_key_is_refused(build, key):
+    """A negative exponent, in a series or a law, and a series key that is
+    not a 1-tuple of an int are refused where the coefficients come in,
+    with a ValueError that names the key.  A series lays its coefficients
+    out by exponent, where x^-1 would land in the last slot."""
+    with pytest.raises(ValueError, match=re.escape(str(key))):
+        build()
+
+
 def test_solve_from_an_exact_nonzero_is_refused():
     """The logarithm's packed solve starts from L'(0) = 1 at the series'
     precision, here INF: an exact nonzero, which the kernels read as an
