@@ -824,6 +824,22 @@ def test_analysis_forms_each_power_once(monkeypatch):
     assert 0 < table_products <= sum(max(len(t.shift) - 1, 0) for _, t in tables)
 
 
+@pytest.mark.parametrize("built", [False, True])
+def test_solve_by_powers_packs_at_most_once(monkeypatch, built):
+    """Reversion and the logarithm recurrence keep their solution packed and
+    read h's power table off h's own packed lists: no ``series._pack`` call
+    packs a coefficient, whether or not h has its table already (the result's
+    constructor packs only its empty dict).  The solve packed its growing
+    solution at every degree, and the table packed h once."""
+    h = PSeries.from_univariate_coeffs(3, [3, 1, 2, 1], 16, 20)
+    if built:
+        h.power_table()
+    packed, pack = [], series._pack
+    monkeypatch.setattr(series, "_pack", lambda coeffs, M: packed.extend(coeffs) or pack(coeffs, M))
+    h.reversion()
+    assert packed == []
+
+
 def test_series_operations_build_no_scalar(monkeypatch):
     """A series keeps its packed lists as its one store, so sums,
     differences, products, the derivative, a truncation and a composition
