@@ -221,7 +221,7 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         hyp["fprime0_valuation"] = None if c.is_zero_like() else c.v
         if c.is_zero_like() and c.N <= 1:
             raise PrecisionExhausted(f"f'(0) is zero to precision O({p}^{c.N})")
-        if c.is_zero_like() or c.v != 1:
+        if c.v != 1:
             return rejected("f'(0) must have valuation exactly 1")
         stage = "weierstrass_degree"
         wdeg = f.reduce_mod_p().weierstrass_degree()
@@ -239,7 +239,7 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         gamma = u.linear_coeff()
         if gamma.is_zero_like() and gamma.N <= 0:
             raise PrecisionExhausted(f"u'(0) is zero to precision O({p}^{gamma.N})")
-        hyp["u_invertible"] = (not gamma.is_zero_like()) and gamma.v == 0
+        hyp["u_invertible"] = gamma.v == 0
         if not hyp["u_invertible"]:
             return rejected("u'(0) is not a unit")
         stage = "normalization"
@@ -400,7 +400,7 @@ def make_twist_fixture(base, w: PSeries):
     if not w.s0:
         raise ValueError("twist must have zero constant term")
     w1 = w.linear_coeff()
-    if w1.is_zero_like() or w1.v != 0:
+    if w1.v != 0:
         raise NotInvertible("twist derivative must be a unit")
     if isinstance(base, str):
         f0, u0 = {"gm": gm_pair, "lt": lt_pair}[base](p, M, N)

@@ -32,7 +32,7 @@ from .errors import (
     TorsionDetected,
     TruncationInconclusive,
 )
-from .padic import INF, PadicNum, ceil_log, is_root_of_unity, order_mod_p, padic_pow
+from .padic import PadicNum, ceil_log, is_root_of_unity, order_mod_p, padic_pow
 from .series import PSeries, _iterates, _solve_by_powers, _unpack, first_disagreement
 from .polygon import iterate
 
@@ -75,8 +75,6 @@ def logarithm_recurrence(f: PSeries) -> PSeries:
     the scalars records the cumulative loss.  This is the solve of
     ``series.reversion`` with lam = f'(0) (``_solve_by_powers``).
     """
-    if f.coeff_prec == INF:
-        raise ValueError("logarithm_recurrence needs a finite coeff_prec: its solve starts from 1 known to coeff_prec")
     c = f.linear_coeff()
     if c.is_zero_like():
         raise NotInvertible("f'(0) is zero to precision")
@@ -106,8 +104,6 @@ def logarithm_limit(f: PSeries, n_max: int = None) -> Logarithm:
     division), each increment is a series difference, and the cap is
     ``PadicNum.cap_prec``.
     """
-    if f.coeff_prec == INF:
-        raise ValueError("logarithm_limit needs a finite coeff_prec: its iterates are normalised from the identity known to coeff_prec")
     p = f.prime
     M = f.x_prec
     c = f.linear_coeff()
@@ -195,7 +191,7 @@ def ramification_index(omega: PSeries, n_max: int):
     """
     p = omega.prime
     gamma = omega.linear_coeff()
-    if gamma.is_zero_like() or gamma.v != 0:
+    if gamma.v != 0:
         raise NotInvertible("series must be invertible")
     if not gamma.congruent(PadicNum.one(p, 1), 1):
         raise DomainError("derivative at 0 must be 1 mod p")

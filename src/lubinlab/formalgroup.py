@@ -264,8 +264,6 @@ def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
     NonUniqueLift, and a stage raises PrecisionExhausted (its first
     unresolved correction) only when it has no certified failure.
     """
-    if f.coeff_prec == INF:
-        raise ValueError("lubin_tate_lift needs a finite coeff_prec: its law starts from x + y known to coeff_prec")
     p, N, c = f.prime, f.coeff_prec, f.linear_coeff()
     D = min(x_prec, f.x_prec)
     f = f.truncate(D)
@@ -349,12 +347,9 @@ def bracket(L: PSeries, a: PadicNum, exp_series: PSeries = None) -> PSeries:
 
 
 def _is_xp_mod_p(series: PSeries, D: int) -> bool:
+    """Whether series is x^p mod p below degree D (0 there when D <= p)."""
     p = series.prime
-    red = series.truncate(D).reduce_mod_p()
-    for (i,), c in red.coeffs.items():
-        if i != p or c.u % p != 1:
-            return False
-    return not red.c((p,)).is_zero_like() if D > p else True
+    return series.truncate(D).reduce_mod_p().packed == _pack({(p,): PadicNum.one(p, 1)}, D)
 
 
 def frobenius_multiplier(L: PSeries, f: PSeries, exp_series: PSeries = None):
@@ -377,17 +372,9 @@ def frobenius_multiplier(L: PSeries, f: PSeries, exp_series: PSeries = None):
         return exp_series.truncate(D).compose(L, PadicNum(p, 1, unit_digits, N))
 
     unit = 0
-    ndigits = 0
-    k = 0
-    while True:
-        D = p ** (k + 1) + 1
-        if D > M:
-            break
-        winners = []
-        lo = 1 if k == 0 else 0
-        for d in range(lo, p):
-            if _is_xp_mod_p(candidate_bracket(unit + d * p**k, D), D):
-                winners.append(d)
+    k = 0  # the digits pinned so far
+    while (D := p ** (k + 1) + 1) <= M:
+        winners = [d for d in range(1 if k == 0 else 0, p) if _is_xp_mod_p(candidate_bracket(unit + d * p**k, D), D)]
         if not winners:
             raise NoCandidate(
                 f"no digit at p^{k} satisfies the Frobenius congruence below degree {D}"
@@ -397,15 +384,14 @@ def frobenius_multiplier(L: PSeries, f: PSeries, exp_series: PSeries = None):
                 f"digits {winners} all satisfy the congruence below degree {D}; raise M"
             )
         unit += winners[0] * p**k
-        ndigits += 1
         k += 1
-    if ndigits == 0:
+    if k == 0:
         raise NoCandidate("truncation order is too small to pin any digit; raise M")
     series = candidate_bracket(unit, M)
     if not _is_xp_mod_p(series, M):
         raise NoCandidate("recovered scalar fails the congruence at full truncation")
     raise_if_not_integral(series, "Frobenius bracket")
-    pi_report = PadicNum(p, 1, unit, 1 + ndigits)
+    pi_report = PadicNum(p, 1, unit, 1 + k)
     pi_full = PadicNum(p, 1, unit, N)
     if first_disagreement([(1, series.c((1,)), pi_full)]) is not None:
         raise NoCandidate("bracket derivative does not match the recovered scalar")

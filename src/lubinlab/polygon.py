@@ -298,7 +298,7 @@ def weierstrass_preparation(g: PSeries):
     q = [_ABSENT] * M, [0] * M, [_ABSENT] * M
     qop = _operand(p, q)
     ledgers = {}  # the ledgers of the passes' products, by their operands' (N, v') pairs
-    for _ in range(int(N) + 9):  # the first pass, from q = 0, forms 1/g_hi
+    for _ in range(N + 9):  # the first pass, from q = 0, forms 1/g_hi
         # shift_W(x^W - q*g_low): 1 less the slots of q*g_low from x^W on
         s = _packed_add(p, unit, tuple(x[W:] for x in _product(p, qop, low, M, ledgers=ledgers)[0]), negate=True)
         last, (q, qop) = q, _product(p, _operand(p, s), inv_hi, M, ledgers=ledgers)
@@ -381,7 +381,7 @@ def vertex_split(P: PSeries, degree: int, istar: int):
     if cstar.is_zero_like():
         raise PrecisionExhausted("vertex coefficient unresolved")
     A = {e: c / cstar for e, c in P.truncate(istar).coeffs.items()}
-    A[(istar,)] = PadicNum.one(p, max(int(N - cstar.v), 1))
+    A[(istar,)] = PadicNum.one(p, max(N - cstar.v, 1))
     A = _pack(A, M)
     P = P.packed
     B = _cut(tuple(x[istar : degree + 1] for x in P))
@@ -548,7 +548,7 @@ def is_eisenstein(poly: PSeries) -> bool:
         raise ValueError("zero polynomial")
     degree = max(finite)
     lead = poly.c((degree,))
-    one = PadicNum.one(poly.prime, max(lead.N, 1) if lead.N != INF else 1)
+    one = PadicNum.one(poly.prime, max(lead.N, 1))
     if first_disagreement([(degree, lead, one)]) is not None:
         raise ValueError("polynomial is not monic to precision")
     const = poly.c((0,))

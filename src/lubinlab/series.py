@@ -7,14 +7,15 @@ vanished to its working precision stays stored, so the truncation-honesty
 machinery downstream (Newton polygons) can see the difference.
 ``coeff_prec`` is the ambient p-adic precision used when coercing plain
 integers or rationals into coefficients (``coefficient_table``, which
-also cleans the coefficients of the law of ``formalgroup``).  The kernels
+also cleans the coefficients of the law of ``formalgroup``, and is the one
+place that checks that x_prec and coeff_prec are ints).  The kernels
 read and return packed lists, made a series by ``_unpack``: a sum
 slot by slot under the rule of ``PadicNum.__add__`` (``_packed_add``), a
 product in two stages: an operand stage (``_operand``) drops a series'
 leading exact zeros (its x-adic order) and lays out its values and
 precision pairs once, and a product stage (``_product``) multiplies two
-operands and returns the result both packed and as an operand;
-``_packed_mul`` is the two in a row.  Each product and tabled sum
+operands and returns the result both packed and as an operand; a
+series product is the two in a row.  Each product and tabled sum
 normalises its slots with one ``padic.reduce_terms``, the one
 normalise-and-raise rule of the kernels.
 A derivative multiplies slot k by the exact integer k
@@ -156,11 +157,11 @@ class PSeries:
         return self.__add__(other, negate=True)
 
     def __mul__(self, other):
-        """Product of two series (``_packed_mul``)."""
+        """Product of two series: the ``_product`` of their operands."""
         other = self._align(other)
         M, p = min(self.x_prec, other.x_prec), self.prime
         N = min(self.coeff_prec, other.coeff_prec)
-        return _unpack(p, _packed_mul(p, self.truncate(M).packed, other.truncate(M).packed, M), M, N)
+        return _unpack(p, _product(p, _operand(p, self.truncate(M).packed), _operand(p, other.truncate(M).packed), M)[0], M, N)
 
     def derivative(self) -> "PSeries":
         """Formal derivative; the truncation order drops by 1
@@ -182,8 +183,7 @@ class PSeries:
         """g(a h) below the lesser x_prec of g and h, for h(0) = 0: at
         degree d, the sum of c_k a^k [h^k]_d over the power table of h.  a
         defaults to 1."""
-        if h.prime != self.prime:
-            raise PrimeMismatch("mixed primes in composition")
+        h = self._align(h)
         M = min(self.x_prec, h.x_prec)
         g = self.truncate(M).packed
         if a is not None:
@@ -228,7 +228,7 @@ class PSeries:
         solve (``_packed_solve``) whose sums follow the ledger rule of
         ``reduce_terms``."""
         a0 = self.c(0)
-        if a0.is_zero_like() or a0.v != 0:
+        if a0.v != 0:
             raise NotInvertible("constant term is not a unit")
         M, p = self.x_prec, self.prime
         one = _pack({(0,): PadicNum.one(p, self.coeff_prec)}, 1)
@@ -305,11 +305,15 @@ class PSeries:
 def coefficient_table(p: int, x_prec, coeffs: dict, coeff_prec) -> dict:
     """The coefficients {exponents: PadicNum} of total degree below x_prec,
     ints and Fractions coerced at coeff_prec and exact zeros dropped, of a
-    series or of a two-variable law (``formalgroup.FormalGroupLaw``).  A
-    coefficient of another prime raises PrimeMismatch, and ValueError one at
-    a negative exponent, which has no slot, or one of finite valuation and
-    infinite precision, given or coerced at coeff_prec INF, which the
-    kernels read as an absent slot."""
+    series or of a two-variable law (``formalgroup.FormalGroupLaw``), the
+    one check of both precisions: x_prec and coeff_prec are ints, or
+    ValueError names the one that is not.  A coefficient of another prime
+    raises PrimeMismatch, and ValueError one at a negative exponent, which
+    has no slot, or one given of finite valuation and infinite precision,
+    which the kernels read as an absent slot."""
+    if type(x_prec) is not int or type(coeff_prec) is not int:  # not isinstance: True is no precision
+        name, prec = ("x_prec", x_prec) if type(x_prec) is not int else ("coeff_prec", coeff_prec)
+        raise ValueError(f"{name} must be an integer, got {prec!r}")
     clean = {}
     for exps, c in coeffs.items():
         if min(exps) < 0:
@@ -559,12 +563,6 @@ def _operand(p: int, packed) -> _Operand:
     t = _order(N)
     V, U, N = V[t:], U[t:], N[t:]
     return _Operand(t, V, N, *_kronecker(p, V, U))
-
-
-def _packed_mul(p: int, a, b, M: int, raises: bool = True, ledgers: dict = None):
-    """Product of two packed series below degree M: the ``_product`` of
-    their operands, packed."""
-    return _product(p, _operand(p, a), _operand(p, b), M, raises, ledgers)[0]
 
 
 def _product(p: int, a: _Operand, b: _Operand, M: int, raises: bool = True, ledgers: dict = None):

@@ -164,7 +164,7 @@ def test_mul_with_leading_absent_slots(case):
 @example((2, (6, {0: (-3, 1, -1)}), (6, {0: (INF, 0, 1)})), 3)  # raises, K <= 0
 @example((3, (6, {1: (-2, 1, 1), 2: (0, 1, 2)}), (6, {1: (0, 2, 1)})), 5)
 def test_mul_with_a_kept_ledger_matches_the_plain_call(case, k):
-    """``_packed_mul`` with a ledger dict filled by a product whose operands
+    """``_product`` with a ledger dict filled by a product whose operands
     have the same (N, v') lists, and other units (u k^(d+1) at degree d, k
     made prime to p), reads the ledger from the dict and gives what the
     plain call gives: the same triples, or the same exception and message,
@@ -179,13 +179,13 @@ def test_mul_with_a_kept_ledger_matches_the_plain_call(case, k):
     def packed(triples):
         return series._pack(to_series(p, M, below(triples, M)).coeffs, M)
 
-    a, b, a2, b2 = packed(ta), packed(tb), packed(other_units(ta)), packed(other_units(tb))
+    a, b, a2, b2 = (series._operand(p, packed(t)) for t in (ta, tb, other_units(ta), other_units(tb)))
     for raises in (True, False):
         ledgers = {}
-        outcome(lambda: series._packed_mul(p, a, b, M, raises, ledgers))
-        kept = outcome(lambda: series._packed_mul(p, a2, b2, M, raises, ledgers))
+        outcome(lambda: series._product(p, a, b, M, raises, ledgers)[0])
+        kept = outcome(lambda: series._product(p, a2, b2, M, raises, ledgers)[0])
         event(kept[1] if isinstance(kept[0], type) else "product")
-        assert kept == outcome(lambda: series._packed_mul(p, a2, b2, M, raises))
+        assert kept == outcome(lambda: series._product(p, a2, b2, M, raises)[0])
         assert len(ledgers) <= 1
 
 
@@ -267,14 +267,14 @@ def test_compose_against_horner(case):
 def generic_table(p, h: PSeries):
     """The shifts and the X, N and F columns of h's power table up to h^(M-1),
     grown as before the table kept its operands: each power one generic
-    ``_packed_mul`` of the last power and h, padded to M, shifted by
+    ``_product`` of the last power's and h's operands, padded to M, shifted by
     ``_kronecker``."""
     M = h.x_prec
     H = last = series._pack(h.coeffs, M)
     shift, X, N, F = [], [[] for _ in range(M)], [[] for _ in range(M)], [[] for _ in range(M)]
     for k in range(1, M):
         if k > 1:
-            last = series._packed_mul(p, last, H, M, raises=False)
+            last = series._product(p, series._operand(p, last), series._operand(p, H), M, raises=False)[0]
         V, U, Nk = (x + [fill] * (M - len(x)) for x, fill in zip(last, (series._ABSENT, 0, series._ABSENT)))
         s, Xk = series._kronecker(p, V, U)
         shift.append(s)

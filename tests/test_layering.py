@@ -84,6 +84,34 @@ def test_modular_inverses_live_in_the_division_rules():
     assert sorted(sites) == ["padic.div_triples", "series._packed_div_int"]
 
 
+def infinite_precision_tests(tree, module):
+    """``module.function`` of each comparison of a ``coeff_prec`` with
+    ``INF`` in ``tree``, by its outermost enclosing function or class."""
+    for fn in tree.body:
+        if not isinstance(fn, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Compare):
+                names = {ast.unparse(x).split(".")[-1] for x in (node.left, *node.comparators)}
+                if {"coeff_prec", "INF"} <= names:
+                    yield f"{module}.{fn.name}"
+
+
+def test_no_operation_tests_for_an_infinite_coeff_prec():
+    """x_prec and coeff_prec are ints, checked once where a series or a law
+    is built (``series.coefficient_table``), so no function refuses
+    coeff_prec INF on its own."""
+    sample = "def lift(f):\n    if f.coeff_prec == INF:\n        raise ValueError"
+    assert list(infinite_precision_tests(ast.parse(sample), "m")) == ["m.lift"]
+    src = Path(lubinlab.__file__).parent
+    sites = [
+        site
+        for path in sorted(src.glob("*.py"))
+        for site in infinite_precision_tests(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    ]
+    assert sites == []
+
+
 def variable_counts(tree, module):
     """(module, line, kind) of each occurrence of ``nvars`` in ``tree``: a
     parameter, a keyword, an attribute, a name or a string (a slot), except

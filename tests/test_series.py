@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lubinlab import INF, ConstantTermError, FormalGroupLaw, IntegralityFailure, NotInvertible, PadicNum, PSeries, PrimeMismatch, logarithm_limit, logarithm_recurrence
+from lubinlab import INF, ConstantTermError, FormalGroupLaw, IntegralityFailure, NotInvertible, PadicNum, PSeries, PrimeMismatch
 from conftest import random_s0, series_from_fractions
 from oracles import lagrange_inversion, poly_compose, poly_mul, swap_vars
 
@@ -211,21 +211,19 @@ def test_constant_only_outer_series_keeps_its_constant():
 @pytest.mark.parametrize(
     "nvars, build",
     [
-        (1, lambda coeffs: PSeries(3, 4, coeffs, INF)),  # the square of x a read as {}
-        (2, lambda coeffs: FormalGroupLaw(3, 4, coeffs, INF, "test")),  # so did the powers of x a + y a
+        (1, lambda coeffs: PSeries(3, 4, coeffs, 8)),  # the square of x a read as {}
+        (2, lambda coeffs: FormalGroupLaw(3, 4, coeffs, 8, "test")),  # so did the powers of x a + y a
     ],
 )
 def test_exact_nonzero_coefficient_is_refused(nvars, build):
     """A coefficient with a finite valuation and infinite precision claims an
     exact nonzero value; the kernels read N = INF as an absent slot, so the
-    products above came out as zero.  The series and the law refuse it,
-    given or coerced from an int at coeff_prec INF, and name the exponent;
-    exact zeros are dropped and zero-like coefficients stay allowed."""
-    a = PadicNum(3, 0, 2, INF)
+    products above came out as zero.  The series and the law refuse it when
+    it is given, and name the exponent; exact zeros are dropped and
+    zero-like coefficients stay allowed."""
     x, y = [(1,), (2,)] if nvars == 1 else [(1, 0), (1, 1)]
-    for c in (a, 2):
-        with pytest.raises(ValueError, match=rf"coefficient at {re.escape(str(x))} has finite valuation and infinite precision"):
-            build({x: c})
+    with pytest.raises(ValueError, match=rf"coefficient at {re.escape(str(x))} has finite valuation and infinite precision"):
+        build({x: PadicNum(3, 0, 2, INF)})
     zero, zero_like = PadicNum.exact_zero(3), PadicNum.zero_to_prec(3, 5)
     assert list(build({x: zero, y: zero_like}).coeffs.values()) == [zero_like]
 
@@ -251,21 +249,30 @@ def test_malformed_coefficient_key_is_refused(build, key):
         build()
 
 
-def test_solve_from_an_exact_nonzero_is_refused():
-    """The logarithm's packed solve starts from L'(0) = 1 at the series'
-    precision, here INF: an exact nonzero, which the kernels read as an
-    absent slot.  The recurrence refuses it up front, naming coeff_prec, not
-    a coefficient the caller never gave."""
-    f = PSeries(3, 4, {(1,): PadicNum(3, 1, 1, 5)}, INF)
-    with pytest.raises(ValueError, match=r"needs a finite coeff_prec"):
-        logarithm_recurrence(f)
+PRECISION_BUILDS = {
+    "PSeries": lambda M, N: PSeries(3, M, {(1,): 3, (2,): PadicNum(3, 0, 1, 5)}, N),
+    "identity": lambda M, N: PSeries.identity(3, M, N),
+    "from_univariate_coeffs": lambda M, N: PSeries.from_univariate_coeffs(3, [3, 1], M, N),
+    "FormalGroupLaw": lambda M, N: FormalGroupLaw(3, M, {(1, 0): 1, (0, 1): 1}, N, "test"),
+}
 
 
-def test_limit_from_an_exact_nonzero_is_refused():
-    """The iterate limit normalises its iterates from the identity at the
-    series' precision, here INF.  It refuses that up front, naming itself
-    and coeff_prec, where it raised from ``PSeries.identity`` about a
-    coefficient at (1,) the caller never gave."""
-    f = PSeries(3, 6, {(1,): PadicNum(3, 1, 1, 20), (2,): PadicNum(3, 0, 1, 20)}, INF)
-    with pytest.raises(ValueError, match=r"^logarithm_limit needs a finite coeff_prec"):
-        logarithm_limit(f)
+@pytest.mark.parametrize("build", PRECISION_BUILDS.values(), ids=PRECISION_BUILDS.keys())
+@pytest.mark.parametrize(
+    "name, value",
+    [("coeff_prec", INF), ("coeff_prec", 8.0), ("coeff_prec", True), ("x_prec", INF), ("x_prec", 8.0)],
+    ids=["coeff_prec-inf", "coeff_prec-float", "coeff_prec-bool", "x_prec-inf", "x_prec-float"],
+)
+def test_precisions_are_checked_where_a_series_is_built(build, name, value):
+    """x_prec and coeff_prec are ints, checked once where a series or a law
+    is built (``series.coefficient_table``), with a ValueError naming the
+    argument.  At coeff_prec INF a coefficient coerced or made later (the
+    identity of the iterate limit, the 1 of the logarithm's solve, the x + y
+    of the Lubin-Tate lift) would be an exact nonzero, which the kernels
+    read as an absent slot, and a later operation would fail on a
+    coefficient the caller never gave.  True is no int here, as in
+    ``PSeries.from_json``."""
+    M, N = {"x_prec": (value, 8), "coeff_prec": (8, value)}[name]
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        build(M, N)
+    assert build(8, 8).coeff_prec == 8
