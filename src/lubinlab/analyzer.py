@@ -4,9 +4,9 @@ formal-group hypotheses.
 ``analyze`` runs the whole pipeline, and is the one place the hypotheses
 are decided: commutation check, integrality and the other hypothesis checks
 on f and u, normalization of u, the logarithm by its recurrence,
-integrality of the logarithm derivative, iterate polygon shapes, the
-formal group law with its certificates, endomorphism identification,
-Frobenius-multiplier recovery, and the independent degree-by-degree lift.
+integrality of the logarithm derivative, the formal group law with its
+certificates, endomorphism identification, Frobenius-multiplier recovery,
+and the independent degree-by-degree lift.
 One handler turns a stage's exception into the verdict:
 
 * REJECTED     - a hypothesis provably fails at certified digits;
@@ -34,13 +34,11 @@ from .errors import (
     TorsionDetected,
     TruncationInconclusive,
 )
-from .padic import INF, PadicNum, ceil_log, require_prime
+from .padic import INF, PadicNum, require_prime
 from .series import PSeries, raise_if_not_integral
-from .polygon import count_roots_open_disk, newton_polygon, verify_iterate_shape
 from .dynamics import (
     check_commute,
     dlog_integrality,
-    log_polygon_vertices,
     logarithm_recurrence,
     normalize_u,
 )
@@ -61,17 +59,12 @@ class Config:
     M: int = 64
     m2: int = 12
     guard: int | None = None
-    n_shape: int | None = None
 
     def __post_init__(self):
         # below degree 3 the associativity and lift certificates check
         # nothing, whatever the prime, so refuse before any fixture runs
         if self.m2 < 3:
             raise ValueError(f"M2 must be at least 3, got {self.m2}")
-        # no iterate shape to check, or a negative iteration count, is a
-        # meaningless request rather than a vacuous pass or a crash
-        if self.n_shape is not None and self.n_shape < 1:
-            raise ValueError(f"n_shape must be at least 1, got {self.n_shape}")
 
     def resolve(self, p: int) -> "Config":
         require_prime(p)
@@ -85,10 +78,7 @@ class Config:
             guard = min_guard + 4
         if guard < min_guard:
             raise ValueError(f"guard must be at least ceil(M/(p-1)) = {min_guard}")
-        n_shape = self.n_shape
-        if n_shape is None:
-            n_shape = min(3, ceil_log(self.M + 1, p) - 1)  # the greatest k with p^k <= M
-        return replace(self, guard=guard, n_shape=n_shape)
+        return replace(self, guard=guard)
 
     def working_prec(self) -> int:
         return self.N + self.guard
@@ -165,11 +155,29 @@ UNPROVEN_INTEGRALITY = {"group_from_log": "group_integrality", "frobenius_multip
 
 
 def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -> AnalysisReport:
-    """Validate a candidate commuting pair and certify its formal group."""
+    """Validate a candidate commuting pair and certify its formal group.
+
+    The theorem assumes f'(0) prime and exactly p roots of f in the open
+    unit disk.  Stage 2 certifies that f is integral, that v(f'(0)) = 1 and
+    that f mod p has Weierstrass degree p, and that is all the roots need.
+    By p-adic Weierstrass preparation f is a unit of Z_p[[x]] times a
+    distinguished polynomial of degree p, so f has exactly p roots in the
+    open disk: 0, and p - 1 of valuation 1/(p-1) (one polygon segment from
+    (1, 1) to (p, 0)).  The roots of f^n are the preimages of f's roots
+    under f (Lubin, "Nonarchimedean dynamical systems", Compositio Math. 94,
+    1994): a root of valuation s <= 1/(p-1) has p preimages of valuation
+    s/p, so level k adds p^(k-1)(p-1) roots of valuation 1/(p^(k-1)(p-1)),
+    and the polygon of f^n has the vertices (p^k, n - k).  The logarithm
+    L = lim f^n / f'(0)^n moves them to (p^k, -k).  So the open-disk root
+    count, the iterate shapes and the logarithm polygon are not checked
+    again: no f that passes stage 2 can fail them.  The integrality of
+    L' is not implied, since it needs u, and stage 4 checks it.
+    """
     p = f.prime
     cfg = (config or Config()).resolve(p)
-    # a series known only below degree M' < M cannot show the degrees the
-    # checks below read (the logarithm polygon's vertices up to M, say)
+    # a series known only below degree M' < M is refused: the law, its
+    # certificates and the lift would be known only below M', while the
+    # report's formal_group.truncation and certificate degrees say M
     for label, s in (("f", f), ("u", u)):
         if s.x_prec < cfg.M:
             raise ValueError(f"series {label} is truncated at degree {s.x_prec}, below M={cfg.M}")
@@ -188,7 +196,6 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
             "M": cfg.M,
             "M2": cfg.m2,
             "guard": cfg.guard,
-            "n_shape": cfg.n_shape,
         },
         "verdict": None,
         "reason": None,
@@ -228,11 +235,6 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         hyp["weierstrass_degree"] = wdeg if wdeg is not None else f"none below M={cfg.M}"
         if wdeg != p:
             return rejected(f"weierstrass degree {hyp['weierstrass_degree']} != p (root-count hypothesis)")
-        stage = "root_count"
-        roots = count_roots_open_disk(f)
-        hyp["root_count"] = roots
-        if roots != p:
-            return rejected(f"f has {roots} open-disk roots, expected exactly p={p}")
 
         # 3. hypotheses on u (zero to no digits, u'(0) may be a unit), normalization
         stage = "hypotheses"
@@ -252,36 +254,20 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         }
 
         # 4. logarithm, by its recurrence alone: L is the one series with
-        # L'(0) = 1 and L(f) = f'(0) L, so any other L fails stage 7's endo_f,
+        # L'(0) = 1 and L(f) = f'(0) L, so any other L fails stage 6's endo_f,
         # E(f'(0) L) = f at certified digits
         stage = "logarithm"
         L = logarithm_recurrence(f)
-        logpoly = newton_polygon(L)
-        poly_ok = logpoly.negative_vertices() == log_polygon_vertices(p, cfg.M)
         dlog_ok = dlog_integrality(L)
-        report["logarithm"] = {
-            "polygon_ok": poly_ok,
-            "polygon_vertices": [list(v) for v in logpoly.negative_vertices()],
-            "dlog_integral": dlog_ok,
-        }
-        if not poly_ok:
-            return rejected("logarithm polygon vertices differ from (p^k, -k)")
+        report["logarithm"] = {"dlog_integral": dlog_ok}
         if not dlog_ok:
             return rejected("logarithm derivative is not integral")
-
-        # 5. iterate polygon shapes for p^n < M; f is integral here, so each
-        # shape reads only the head of f^n, up to x^(p^n)
-        stage = "iterate_shape"
-        shapes = [{"n": n, "ok": verify_iterate_shape(f, n)} for n in range(1, cfg.n_shape + 1) if p**n < cfg.M]
-        report["iterate_shape"] = shapes
-        if not all(s["ok"] for s in shapes):
-            return rejected("iterate polygon shape differs from (p^k, n-k)")
 
         # no later composition reads the powers of f or u: keeping their
         # tables beside the logarithm's raises the group law's peak memory
         f.release_powers()
         u.release_powers()
-        # 6. formal group from the logarithm
+        # 5. formal group from the logarithm
         stage = "group_from_log"
         exp_series = exp_from_log(L)
         G = group_from_log(L)
@@ -298,7 +284,7 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         if not law_ok:
             return rejected("group-law certificate failed (identity/commutativity/associativity)")
 
-        # 7. endomorphism identification
+        # 6. endomorphism identification
         stage = "endomorphisms"
         bf = bracket(L, c, exp_series)
         bu = bracket(L, gamma, exp_series)
@@ -307,7 +293,7 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         if not (fg["endo_f"] and fg["endo_u"]):
             return rejected("f or u is not the bracket of its derivative")
 
-        # 8. Frobenius multiplier
+        # 7. Frobenius multiplier
         stage = "frobenius_multiplier"
         pi, bk = frobenius_multiplier(L, f, exp_series)
         report["frobenius"] = {
@@ -318,7 +304,7 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
             "bracket_integral": True,
         }
 
-        # 9. independent lift cross-check
+        # 8. independent lift cross-check
         stage = "lubin_tate_lift"
         GL = lubin_tate_lift(bk, cfg.m2)
         lift_agrees = GL.equal_to_precision(G)
@@ -337,7 +323,7 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
             raise
         return inconclusive(stage if proven else UNPROVEN_INTEGRALITY.get(stage, stage), ex)
 
-    # 10. precision budget: every certificate above already passed at its
+    # 9. precision budget: every certificate above already passed at its
     # own declared precision, but CERTIFIED also keeps the N target digits,
     # which inputs short of Nw digits can leave out of reach
     min_prec = min(

@@ -6,8 +6,9 @@ Config, parses ``--series`` at the working precision, runs the subcommand's
 computation and emits its JSON payload, or builds its text or svg body only
 when that format is asked for.  Each subcommand takes only the flags it
 reads: --N --M --guard --out on every one, --p on all but batch (each
-fixture entry names its own prime), --M2 on group, analyze and batch, and
---n-shape on analyze and batch.  Exit code 0 on success/CERTIFIED, 1 on
+fixture entry names its own prime), and --M2 on group, analyze and batch.
+``analyze`` takes its pair from --fixture (with --name) or from --p, --f
+and --u, never from both.  Exit code 0 on success/CERTIFIED, 1 on
 REJECTED, 2 on INCONCLUSIVE or input errors.  Inline series syntax:
 "c1,c2,...@k" means sum_i c_i x^(k+i-1) with integer or a/b coefficients
 (shift defaults to 1).
@@ -43,7 +44,6 @@ FLAGS = {
     "--M": {**KNOB, "help": "x-adic truncation order (>= p^2)"},
     "--M2": {**KNOB, "dest": "m2", "help": "truncation for the associativity certificate and the lift"},
     "--guard": {**KNOB, "help": "extra digits carried through exp/reversion (>= ceil(M/(p-1)))"},
-    "--n-shape": {**KNOB, "help": "iterate polygon checks up to this n"},
     "--out": {"help": "write the report here instead of stdout"},
 }
 SHARED_FLAGS = ("--N", "--M", "--guard", "--out")
@@ -150,14 +150,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--series", required=True, help='inline series "c1,c2,...@k"')
         sp.add_argument("--format", choices=formats, default="json")
 
-    sp = _subparser(sub, "analyze", "certify one commuting pair", ("--p", "--M2", "--n-shape"), cmd_analyze)
+    sp = _subparser(sub, "analyze", "certify one commuting pair", ("--p", "--M2"), cmd_analyze)
     sp.add_argument("--fixture", help="JSON fixture file")
     sp.add_argument("--name", help="entry to pick when the file holds several")
     sp.add_argument("--f", dest="f_inline", help="inline f (requires --p and --u)")
     sp.add_argument("--u", dest="u_inline", help="inline u")
     sp.add_argument("--format", choices=["json", "text"], default="json")
 
-    sp = _subparser(sub, "batch", "certify every fixture in a file", ("--M2", "--n-shape"), cmd_batch)
+    sp = _subparser(sub, "batch", "certify every fixture in a file", ("--M2",), cmd_batch)
     sp.add_argument("--fixture", required=True, help="JSON fixture file (array)")
     sp.add_argument("--format", choices=["json", "text"], default="text")
     return ap
@@ -191,16 +191,23 @@ def cmd_series(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = _config(args)
+    inline = [flag for flag, value in (("--p", args.p), ("--f", args.f_inline), ("--u", args.u_inline)) if value is not None]
     if args.fixture:
+        if inline:
+            raise LubinlabError(f"--fixture takes its pair from the file, not from {', '.join(inline)}")
         entries = load_fixtures(args.fixture)
         if args.name is not None:
             entries = [e for e in entries if isinstance(e, dict) and e.get("name") == args.name]
             if not entries:
                 raise LubinlabError(f"no fixture named {args.name!r}")
-        if len(entries) != 1:
+            if len(entries) > 1:
+                raise LubinlabError(f"{len(entries)} entries are named {args.name!r}")
+        elif len(entries) != 1:
             raise LubinlabError("fixture file holds several entries; pick one with --name")
         report = analyze_fixture(entries[0], cfg)
     else:
+        if args.name is not None:
+            raise LubinlabError("--name picks an entry of --fixture, which is not given")
         if args.p is None or not (args.f_inline and args.u_inline):
             raise LubinlabError("need --fixture, or --p with --f and --u")
         entry = {"name": "inline", "p": args.p, "f": args.f_inline, "u": args.u_inline}

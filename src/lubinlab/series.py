@@ -280,7 +280,7 @@ class PSeries:
         at min(N, cap N) digits, cap the (M, N) of a run.  A malformed object
         raises ValueError naming its field: p, M and N are JSON integers, N >=
         1, and each entry of coeffs is [[exponent], value], one nonnegative
-        integer exponent and an integer or "a/b" value."""
+        integer exponent, given once, and an integer or "a/b" value."""
         for key in ("p", "M", "N"):
             if type(obj.get(key)) is not int:  # not isinstance: true is no integer
                 raise ValueError(f"series field {key!r} must be an integer, got {json.dumps(obj.get(key))}")
@@ -295,10 +295,13 @@ class PSeries:
                 (e,), value = item
                 if type(value) not in (int, str) or type(e) is not int or e < 0:
                     raise ValueError
-                coeffs[(e,)] = PadicNum.from_fraction(Fraction(value), p, N)
+                c = PadicNum.from_fraction(Fraction(value), p, N)
             except (TypeError, ValueError, ZeroDivisionError):
                 msg = f"series field 'coeffs' needs univariate [[exponent >= 0], value] entries, got {json.dumps(item)}"
                 raise ValueError(msg) from None
+            if (e,) in coeffs:
+                raise ValueError(f"series field 'coeffs' gives exponent {e} twice")
+            coeffs[(e,)] = c
         return cls(p, M, coeffs, N)
 
 

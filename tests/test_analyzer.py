@@ -1,26 +1,38 @@
 """Pipeline verdicts, twist covariance, determinism, report contents."""
 
+import collections
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from lubinlab import (
     CERTIFIED,
+    INF,
     Config,
+    IntegralityFailure,
+    NotInvertible,
     PadicNum,
+    PrecisionExhausted,
     PSeries,
     REJECTED,
     analyze,
     analyze_fixture,
     analyzer,
     batch_run,
+    count_roots_open_disk,
     dynamics,
     gm_pair,
+    logarithm_recurrence,
     lt_pair,
     make_twist_fixture,
+    newton_polygon,
+    polygon,
     summary_table,
+    verify_iterate_shape,
 )
+from lubinlab.series import raise_if_not_integral
 from conftest import one_plus_x_pow, series_from_fractions
 
 SMALL = Config(N=10, M=25)
@@ -38,7 +50,7 @@ def test_gm_pair_certifies():
     d = rep.data
     assert d["frobenius"]["pi_residue"] == "3"
     assert d["formal_group"]["min_coeff_valuation"] == 0
-    assert d["hypotheses"]["root_count"] == p
+    assert d["hypotheses"]["weierstrass_degree"] == p
     assert d["frobenius"]["lift_agrees"]
 
 
@@ -128,7 +140,7 @@ def test_report_json_parses_and_has_config():
     f, u = gm_pair(p, cfg.M, cfg.resolve(p).working_prec())
     rep = analyze(f, u, cfg)
     parsed = json.loads(rep.to_json())
-    assert parsed["config"] == {"N": 8, "M": 16, "M2": 12, "guard": 20, "n_shape": 3}
+    assert parsed["config"] == {"N": 8, "M": 16, "M2": 12, "guard": 20}
     assert parsed["verdict"] == CERTIFIED
 
 
@@ -209,22 +221,6 @@ def test_vacuous_m2_refused(m2):
     assert analyze(f, u, Config(N=8, M=16, m2=3)).verdict == CERTIFIED
 
 
-@pytest.mark.parametrize(
-    "kwargs, message",
-    [
-        ({"n_shape": 0}, "n_shape must be at least 1, got 0"),
-        ({"n_shape": -1}, "n_shape must be at least 1, got -1"),
-    ],
-)
-def test_meaningless_sizes_refused(kwargs, message):
-    """No iterate shape to check passed vacuously."""
-    with pytest.raises(ValueError, match=message):
-        Config(N=8, M=16, **kwargs)
-    p = 2
-    f, u = gm_pair(p, 16, working(p))
-    assert analyze(f, u, Config(N=8, M=16, n_shape=1)).data["iterate_shape"] == [{"n": 1, "ok": True}]
-
-
 def test_reported_degrees_are_the_degrees_checked():
     """F is only known below M, so M2 > M checks below M; the report said M2."""
     p = 2
@@ -236,8 +232,10 @@ def test_reported_degrees_are_the_degrees_checked():
 
 
 def test_series_truncated_below_M_refused():
-    """A series known only below degree M' < M cannot show the logarithm
-    polygon's vertices up to M; the multiplicative group was REJECTED."""
+    """A series known only below degree M' < M is refused: the law, its
+    certificates and the lift would be known only below M', while the
+    report says M (``formal_group.truncation``).  The multiplicative group
+    cut at 64 was REJECTED at M = 128."""
     f, u = gm_pair(5, 64, 40)
     with pytest.raises(ValueError, match=r"^series f is truncated at degree 64, below M=128$"):
         analyze(f, u, Config(M=128))
@@ -255,21 +253,85 @@ def test_series_truncated_below_M_refused():
 
 
 def test_analyze_never_runs_the_limit(monkeypatch):
-    """Stage 4 builds the logarithm by its recurrence alone, and stage 5
-    reads the iterate shapes without the limit's chain of iterates."""
+    """Stage 4 builds the logarithm by its recurrence alone.  No stage
+    forms a Newton polygon: the root count, the iterate shapes and the
+    logarithm polygon follow from stage 2 (see ``analyze``)."""
     p, cfg = 2, Config()
     Nw = working(p, cfg)
     f, u = make_twist_fixture(gm_pair(p, cfg.M, Nw), series_from_fractions(p, [1, 1], cfg.M, Nw))
 
-    def boom(*args, **kwargs):
-        raise AssertionError("analyze called logarithm_limit")
+    def boom(name):
+        def raise_(*args, **kwargs):
+            raise AssertionError(f"analyze called {name}")
 
-    for owner in (dynamics, analyzer):
-        monkeypatch.setattr(owner, "logarithm_limit", boom, raising=False)
+        return raise_
+
+    for name in ("logarithm_limit", "count_roots_open_disk", "verify_iterate_shape", "newton_polygon"):
+        for owner in (dynamics, polygon, analyzer):
+            monkeypatch.setattr(owner, name, boom(name), raising=False)
     report = analyze(f, u, cfg, name="gm_w1")
     assert report.verdict == CERTIFIED, report.reason
-    shapes = report.data["iterate_shape"]
-    assert [s["n"] for s in shapes] == [1, 2, 3] and all(s["ok"] for s in shapes)
+
+
+def draw_f(rnd):
+    """p, M from max(9, p^2) to 40 and f near a Frobenius lift, p x + ... +
+    x^p + ..., at N from 4 to 20: the linear coefficient mostly of valuation
+    1, those of degree 2 .. p - 1 mostly divisible by p, x^p's mostly a
+    unit.  About 40% of the coefficients have their own precision below N,
+    a few are zero-like or absent, and a few have one more digit of
+    valuation or valuation -1, so that some f fail stage 2."""
+    p = rnd.choice((2, 3, 5))
+    M, N = rnd.randint(max(9, p * p), 40), rnd.randint(4, 20)
+    coeffs = {}
+    for d in range(1, M):
+        kind, n = rnd.randrange(40), rnd.randint(1, N) if rnd.random() < 0.4 else N
+        if kind < 4:
+            continue
+        if kind < 8:
+            coeffs[(d,)] = PadicNum(p, INF, 0, n)
+            continue
+        v = 1 if d < p else 0 if d == p else rnd.randint(0, 2)
+        v = -1 if kind == 8 else v + 1 if kind == 9 else v
+        n = max(n, v + 1)
+        unit = rnd.randrange(1, p ** (n - v))
+        coeffs[(d,)] = PadicNum(p, v, unit if unit % p else unit + 1, n)
+    return PSeries(p, M, coeffs, N)
+
+
+def passes_stage_2(f):
+    """The hypotheses ``analyze`` certifies on f in stage 2: f integral,
+    v(f'(0)) = 1 and Weierstrass degree p modulo p."""
+    try:
+        raise_if_not_integral(f, "f")
+        return f.linear_coeff().v == 1 and f.reduce_mod_p().weierstrass_degree() == f.prime
+    except (IntegralityFailure, PrecisionExhausted):
+        return False
+
+
+def test_stage_2_implies_the_roots_the_iterates_and_the_log_polygon():
+    """The three checks ``analyze`` no longer runs hold on every random f
+    that passes stage 2: p roots in the open disk, the vertices (p^k, n - k)
+    of f^n for each n <= 3 with p^n < M, and the vertices (p^k, -k) of the
+    logarithm wherever its recurrence has the digits to return."""
+    rnd, seen = random.Random(20261021), collections.Counter()
+    for _ in range(2000):
+        f = draw_f(rnd)
+        if not passes_stage_2(f):
+            continue
+        p, M = f.prime, f.x_prec
+        seen["f"] += 1
+        assert count_roots_open_disk(f) == p, f
+        for n in range(1, 4):
+            if p**n < M:
+                seen["shape"] += 1
+                assert verify_iterate_shape(f, n), (f, n)
+        try:
+            L = logarithm_recurrence(f)
+        except (PrecisionExhausted, NotInvertible):
+            continue
+        seen["log"] += 1
+        assert newton_polygon(L).negative_vertices() == dynamics.log_polygon_vertices(p, M), f
+    assert seen["f"] >= 500 and seen["shape"] >= 1000 and seen["log"] >= 200, seen
 
 
 # the cases where the iterate limit over-claimed one coefficient of a valid

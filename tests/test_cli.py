@@ -149,9 +149,9 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 
 def test_help_documents_every_flag():
-    """Each subcommand registers exactly the flags it reads: --M2 and
-    --n-shape only where a certificate or an iterate check runs, and --p
-    everywhere but batch, whose entries carry their own prime."""
+    """Each subcommand registers exactly the flags it reads: --M2 only
+    where a certificate runs, and --p everywhere but batch, whose entries
+    carry their own prime."""
     ap = build_parser()
     subparsers = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
     shared = {"-h", "--help", "--N", "--M", "--guard", "--out", "--format"}
@@ -161,8 +161,8 @@ def test_help_documents_every_flag():
         "log": series,
         "group": series | {"--M2"},
         "frobenius": series,
-        "analyze": shared | {"--p", "--M2", "--n-shape", "--fixture", "--name", "--f", "--u"},
-        "batch": shared | {"--M2", "--n-shape", "--fixture"},
+        "analyze": shared | {"--p", "--M2", "--fixture", "--name", "--f", "--u"},
+        "batch": shared | {"--M2", "--fixture"},
     }
     assert {name: {s for a in sp._actions for s in a.option_strings} for name, sp in subparsers.choices.items()} == want
 
@@ -181,12 +181,14 @@ PAIRS = Path(__file__).resolve().parent.parent / "demos" / "fixtures" / "pairs.j
         ["frobenius", "--p", "2", "--series", "2,1@1", "--M", "16", "--M2", "5"],
         ["frobenius", "--p", "2", "--series", "2,1@1", "--M", "16", "--n-shape", "1"],
         ["batch", "--fixture", str(PAIRS), "--p", "2"],
+        ["batch", "--fixture", str(PAIRS), "--n-shape", "1"],
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}",
 )
 def test_flag_the_subcommand_does_not_read_is_refused(capsys, argv):
     """These flags were accepted and never read; ``log --M2 2`` was even
-    refused with "M2 must be at least 3".  argparse now refuses each."""
+    refused with "M2 must be at least 3".  argparse now refuses each.
+    --n-shape is read by no subcommand: ``analyze`` checks no iterate shape."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -196,7 +198,7 @@ def test_flag_the_subcommand_does_not_read_is_refused(capsys, argv):
 def test_every_config_field_is_set_by_the_cli():
     """A Config field that the CLI leaves at its default is a knob no user
     can reach."""
-    argv = ["analyze", "--N", "20", "--M", "32", "--M2", "5", "--guard", "40", "--n-shape", "2"]
+    argv = ["analyze", "--N", "20", "--M", "32", "--M2", "5", "--guard", "40"]
     cfg, default = _config(build_parser().parse_args(argv)), Config()
     unset = [f.name for f in dataclasses.fields(Config) if getattr(cfg, f.name) == getattr(default, f.name)]
     assert unset == []
@@ -241,13 +243,55 @@ def test_vacuous_m2_rejected(capsys, m2):
 
 @pytest.mark.parametrize("n_shape", ["0", "-1"])
 def test_no_iterate_shape_refused(capsys, n_shape):
-    """Checking no iterate shape used to pass as CERTIFIED with an empty list."""
-    code, out, err = run(
-        capsys, "analyze", "--p", "3", "--N", "10", "--M", "25", "--n-shape", n_shape,
-        "--f", "3,3,1@1", "--u", "4,6,4,1@1",
-    )
-    assert code == 2 and out == ""
-    assert err == f"error: n_shape must be at least 1, got {n_shape}\n"
+    """Checking no iterate shape used to pass as CERTIFIED with an empty
+    list, and was then refused as a meaningless --n-shape.  ``analyze``
+    checks no iterate shape now, since stage 2 implies them, and refuses
+    the flag."""
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "analyze", "--p", "3", "--N", "10", "--M", "25", "--n-shape", n_shape,
+            "--f", "3,3,1@1", "--u", "4,6,4,1@1",
+        ])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --n-shape {n_shape}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["--name", "gm_p3", "--p", "2", "--f", "2,1", "--u", "3,3,1"], "--p, --f, --u"),
+        (["--p", "2"], "--p"),
+        (["--f", "2,1", "--u", "3,3,1"], "--f, --u"),
+        (["--u", ""], "--u"),
+    ],
+)
+def test_analyze_refuses_inline_flags_with_a_fixture(capsys, argv, flags):
+    """``analyze --fixture F --name gm_p3 --p 2 --f 2,1 --u 3,3,1``
+    certified gm_p3 at p = 3 and dropped --p, --f and --u without a word."""
+    code, out, err = run(capsys, "analyze", "--fixture", str(PAIRS), *argv)
+    assert (code, out, err) == (2, "", f"error: --fixture takes its pair from the file, not from {flags}\n")
+
+
+def test_analyze_refuses_a_name_without_a_fixture(capsys):
+    """--name without --fixture named the inline pair's report "inline"."""
+    code, out, err = run(capsys, "analyze", "--name", "gm_p3", "--p", "3", "--f", "3,3,1@1", "--u", "4,6,4,1@1")
+    assert (code, out, err) == (2, "", "error: --name picks an entry of --fixture, which is not given\n")
+    code, out, _ = run(capsys, "analyze", "--p", "3", "--f", "3,3,1@1", "--u", "4,6,4,1@1")
+    assert code == 0 and json.loads(out)["name"] == "inline"
+
+
+def test_analyze_names_a_name_given_twice(tmp_path, capsys):
+    """Two entries named 'a' were refused with "fixture file holds several
+    entries; pick one with --name", though --name was given."""
+    entry = {"name": "a", "p": 2, "N": 8, "M": 16, "f": "2,1@1", "u": "3,3,1@1"}
+    path = tmp_path / "fx.json"
+    path.write_text(json.dumps([entry, {**entry, "name": "b"}, entry]))
+    code, out, err = run(capsys, "analyze", "--fixture", str(path), "--name", "a")
+    assert (code, out, err) == (2, "", "error: 2 entries are named 'a'\n")
+    code, out, _ = run(capsys, "analyze", "--fixture", str(path), "--name", "b")
+    assert code == 0 and json.loads(out)["name"] == "b"
+    code, out, err = run(capsys, "analyze", "--fixture", str(path))
+    assert (code, out, err) == (2, "", "error: fixture file holds several entries; pick one with --name\n")
 
 
 def test_batch_refuses_vacuous_m2(capsys):
@@ -412,6 +456,11 @@ MALFORMED = [
         id="two-variables",
     ),
     pytest.param({"f": {"p": 2, "M": 16, "N": 0, "coeffs": [[[1], "2"]]}}, "fixture field 'f': series field 'N' must be at least 1, got 0", id="N-0"),
+    pytest.param(
+        {"f": {"p": 2, "M": 16, "N": 8, "coeffs": [[[1], "2"], [[1], "6"], [[2], "1"]]}},
+        "fixture field 'f': series field 'coeffs' gives exponent 1 twice",
+        id="repeated-exponent",
+    ),
     pytest.param({"f": "2,1@-1"}, "fixture field 'f': inline series shift must be at least 0, got -1", id="negative-shift"),
     pytest.param({"u": "3,3,1@1.5"}, "fixture field 'u': inline series '3,3,1@1.5' is not", id="float-shift"),
 ]
@@ -426,7 +475,7 @@ def test_malformed_series_refused(tmp_path, capsys, change, message):
     ``vp_int``; a negative inline shift was analysed; a series in two
     variables or with N = 0 was refused inside ``analyze`` by "composition
     is univariate" or "zero known to nonpositive precision carries no
-    digits"."""
+    digits"; of an exponent given twice, the last value was kept."""
     entry = {"name": "x", "p": 2, "N": 8, "M": 16, "f": "2,1@1", "u": "3,3,1@1", **change}
     if entry["f"] is None:
         del entry["f"]

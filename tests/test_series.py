@@ -181,6 +181,18 @@ def test_series_json_roundtrip():
     assert again.x_prec == f.x_prec
 
 
+@pytest.mark.parametrize("repeat", ["6", "9", "3"])
+def test_series_json_exponent_given_twice_refused(repeat):
+    """The last value of a repeated exponent was kept without a word: 3x
+    and then 6x read as 6x, and 9x would flip a verdict on f'(0).  Even a
+    repeat of the same value is refused; ``to_json`` writes none."""
+    obj = {"p": 3, "M": 8, "N": 8, "coeffs": [[[1], "3"], [[1], repeat], [[2], "1"]]}
+    with pytest.raises(ValueError, match=r"^series field 'coeffs' gives exponent 1 twice$"):
+        PSeries.from_json(obj)
+    del obj["coeffs"][1]
+    assert PSeries.from_json(obj).equal_to_precision(series_from_fractions(3, [3, 1], 8, 8))
+
+
 def test_multivariate_basics():
     """The one two-variable object is a law: x + y + xy has F(x, 0) = x =
     F(0, x), and its copy with x and y exchanged equals it."""

@@ -49,7 +49,7 @@ NW = CFG.resolve(2).working_prec()
 RETRY = "retry with N>=16 or M>=32 with f and u known below degree 32"
 BASE = ["config", "name", "prime", "reason", "verdict"]
 # the report sections in the order the stages write them
-SECTIONS = ["hypotheses", "normalization", "logarithm", "iterate_shape", "formal_group", "frobenius"]
+SECTIONS = ["hypotheses", "normalization", "logarithm", "formal_group", "frobenius"]
 
 
 def pair():
@@ -74,32 +74,31 @@ def starved(stage):
 # (patched owner, attribute, exception, verdict and reason, last section written)
 CASES = [
     (PSeries, "reduce_mod_p", PrecisionExhausted("boom"), starved("weierstrass_degree"), "hypotheses"),
-    (analyzer, "count_roots_open_disk", TruncationInconclusive("boom"), starved("root_count"), "hypotheses"),
     (analyzer, "logarithm_recurrence", PrecisionExhausted("boom"), starved("logarithm"), "normalization"),
-    (analyzer, "verify_iterate_shape", TruncationInconclusive("boom"), starved("iterate_shape"), "logarithm"),
+    (analyzer, "dlog_integrality", TruncationInconclusive("boom"), starved("logarithm"), "normalization"),
     (
         analyzer,
         "exp_from_log",
         IntegralityFailure("boom"),
         (REJECTED, "formal group is not integral: boom"),
-        "iterate_shape",
+        "logarithm",
     ),
     (
         analyzer,
         "group_from_log",
         IntegralityFailure("boom"),
         (REJECTED, "formal group is not integral: boom"),
-        "iterate_shape",
+        "logarithm",
     ),
     (
         analyzer,
         "group_from_log",
         IntegralityFailure("boom", certified=False),
         starved("group_integrality"),
-        "iterate_shape",
+        "logarithm",
     ),
-    (analyzer, "exp_from_log", PrecisionExhausted("boom"), starved("group_from_log"), "iterate_shape"),
-    (analyzer, "group_from_log", NotInvertible("boom"), starved("group_from_log"), "iterate_shape"),
+    (analyzer, "exp_from_log", PrecisionExhausted("boom"), starved("group_from_log"), "logarithm"),
+    (analyzer, "group_from_log", NotInvertible("boom"), starved("group_from_log"), "logarithm"),
     (
         analyzer,
         "frobenius_multiplier",
