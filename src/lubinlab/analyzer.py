@@ -157,21 +157,22 @@ UNPROVEN_INTEGRALITY = {"group_from_log": "group_integrality", "frobenius_multip
 def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -> AnalysisReport:
     """Validate a candidate commuting pair and certify its formal group.
 
-    The theorem assumes f'(0) prime and exactly p roots of f in the open
-    unit disk.  Stage 2 certifies that f is integral, that v(f'(0)) = 1 and
-    that f mod p has Weierstrass degree p, and that is all the roots need.
-    By p-adic Weierstrass preparation f is a unit of Z_p[[x]] times a
-    distinguished polynomial of degree p, so f has exactly p roots in the
-    open disk: 0, and p - 1 of valuation 1/(p-1) (one polygon segment from
-    (1, 1) to (p, 0)).  The roots of f^n are the preimages of f's roots
-    under f (Lubin, "Nonarchimedean dynamical systems", Compositio Math. 94,
-    1994): a root of valuation s <= 1/(p-1) has p preimages of valuation
-    s/p, so level k adds p^(k-1)(p-1) roots of valuation 1/(p^(k-1)(p-1)),
-    and the polygon of f^n has the vertices (p^k, n - k).  The logarithm
-    L = lim f^n / f'(0)^n moves them to (p^k, -k).  So the open-disk root
-    count, the iterate shapes and the logarithm polygon are not checked
-    again: no f that passes stage 2 can fail them.  The integrality of
-    L' is not implied, since it needs u, and stage 4 checks it.
+    The theorem assumes that f'(0) is a prime element of Z_p and that f has
+    exactly p roots in the open unit disk.  Stage 2 certifies that f is
+    integral, that v(f'(0)) = 1 and that f mod p has Weierstrass degree p,
+    and nothing more about the roots needs checking.  By p-adic Weierstrass
+    preparation f is a unit of Z_p[[x]] times a distinguished polynomial of
+    degree p, so f has exactly p roots in the open disk: 0, and p - 1 of
+    valuation 1/(p-1) (one polygon segment from (1, 1) to (p, 0)).  The
+    roots of f^n are the preimages of f's roots under f (Lubin,
+    "Nonarchimedean dynamical systems", Compositio Math. 94, 1994): a root
+    of valuation s <= 1/(p-1) has p preimages of valuation s/p, so level k
+    adds p^(k-1)(p-1) roots of valuation 1/(p^(k-1)(p-1)), and the polygon
+    of f^n has the vertices (p^k, n - k).  The logarithm L = lim f^n /
+    f'(0)^n moves them to (p^k, -k).  So the open-disk root count, the
+    iterate shapes and the logarithm polygon are not checked again: no f
+    that passes stage 2 can fail them.  The integrality of L' is not
+    implied, since it needs u, and stage 4 checks it.
     """
     p = f.prime
     cfg = (config or Config()).resolve(p)

@@ -266,8 +266,13 @@ def test_analyze_never_runs_the_limit(monkeypatch):
 
         return raise_
 
-    for name in ("logarithm_limit", "count_roots_open_disk", "verify_iterate_shape", "newton_polygon"):
-        for owner in (dynamics, polygon, analyzer):
+    for home, name in [
+        (dynamics, "logarithm_limit"),
+        (polygon, "count_roots_open_disk"),
+        (polygon, "verify_iterate_shape"),
+        (polygon, "newton_polygon"),
+    ]:
+        for owner in (home, analyzer):
             monkeypatch.setattr(owner, name, boom(name), raising=False)
     report = analyze(f, u, cfg, name="gm_w1")
     assert report.verdict == CERTIFIED, report.reason
