@@ -32,7 +32,6 @@ from .errors import (
     NotInvertible,
     PrecisionExhausted,
     TorsionDetected,
-    TruncationInconclusive,
 )
 from .padic import INF, PadicNum, require_prime
 from .series import PSeries, raise_if_not_integral
@@ -148,9 +147,7 @@ REJECTIONS = {
 }
 # What precision or truncation cannot decide starves the stage: INCONCLUSIVE.
 # So does an IntegralityFailure with certified=False, named as below.
-PRECISION_FAILURES = (
-    PrecisionExhausted, TruncationInconclusive, NotInvertible, AmbiguousAtPrecision
-)
+PRECISION_FAILURES = (PrecisionExhausted, NotInvertible, AmbiguousAtPrecision)
 UNPROVEN_INTEGRALITY = {"group_from_log": "group_integrality", "frobenius_multiplier": "frobenius_integrality"}
 
 
@@ -185,7 +182,7 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         if not s.s0:
             raise ValueError(f"series {label} has a constant term")
     Nw = cfg.working_prec()
-    digits = min((c.N for s in (f, u) for e, c in s.coeffs.items() if sum(e) < cfg.M), default=INF)
+    digits = min((n for s in (f, u) for _, _, n in s.truncate(cfg.M).valuations()), default=INF)
     x_prec = min(f.x_prec, u.x_prec)
     f = f.truncate(cfg.M).cap_coeff_prec(Nw)
     u = u.truncate(cfg.M).cap_coeff_prec(Nw)
@@ -327,11 +324,7 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
     # 9. precision budget: every certificate above already passed at its
     # own declared precision, but CERTIFIED also keeps the N target digits,
     # which inputs short of Nw digits can leave out of reach
-    min_prec = min(
-        min((co.N for co in L.coeffs.values()), default=Nw),
-        min((co.N for co in G.coeffs.values()), default=Nw),
-        min((co.N for co in bk.coeffs.values()), default=Nw),
-    )
+    min_prec = min((n for s in (L, G, bk) for _, _, n in s.valuations()), default=Nw)
     report["precision"] = {
         "working": Nw,
         "target": cfg.N,

@@ -202,7 +202,9 @@ def cmd_analyze(args) -> int:
                 raise LubinlabError(f"no fixture named {args.name!r}")
             if len(entries) > 1:
                 raise LubinlabError(f"{len(entries)} entries are named {args.name!r}")
-        elif len(entries) != 1:
+        elif not entries:
+            raise LubinlabError("fixture file holds no entries")
+        elif len(entries) > 1:
             raise LubinlabError("fixture file holds several entries; pick one with --name")
         report = analyze_fixture(entries[0], cfg)
     else:

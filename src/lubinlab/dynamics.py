@@ -33,22 +33,21 @@ from .errors import (
     TruncationInconclusive,
 )
 from .padic import PadicNum, ceil_log, is_root_of_unity, order_mod_p, padic_pow
-from .series import PSeries, _iterates, _solve_by_powers, _unpack, first_disagreement
+from .series import PSeries, _iterates, _solve_by_powers, _unpack
 from .polygon import iterate
 
 
 def check_commute(f: PSeries, u: PSeries):
     """Compare f∘u with u∘f degree by degree at the working precision, by
-    ``first_disagreement``.
+    ``PSeries.disagreement``.
 
     Returns (ok, first_defect_degree, max_degree_certified).
     """
     fu = f.compose(u)
     uf = u.compose(f)
-    M = min(fu.x_prec, uf.x_prec)
-    first_bad = first_disagreement((i, fu.c((i,)), uf.c((i,))) for i in range(1, M))
+    first_bad = fu.disagreement(uf)
     if first_bad is None:
-        return True, None, M - 1
+        return True, None, min(fu.x_prec, uf.x_prec) - 1
     return False, first_bad, first_bad - 1
 
 

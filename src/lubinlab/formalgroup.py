@@ -4,7 +4,7 @@ Two independent constructions are implemented and cross-checked.
 
 The logarithm L is taken as a plain PSeries, so this module imports
 nothing from ``dynamics``.  A ``PSeries`` has one variable; the law
-F(x, y) is a ``FormalGroupLaw``, which keeps its own coefficient table.
+F(x, y) is a ``FormalGroupLaw``, which keeps its homogeneous parts.
 
 ``group_from_log`` builds F(x, y) = E(L(x) + L(y)), L the logarithm and E
 its compositional inverse, without a two-variable composition: the Taylor
@@ -15,12 +15,21 @@ is one tabled sum against the power table of L that ``exp_from_log``
 built.
 
 The bivariate kernel of this module holds a law's coefficients as its
-homogeneous parts: part k keys the coefficients of total degree k by a for
-x^a y^(k-a), and a part of a product is one pass over the pairs of entries
-(``_part_sum``) under the min-plus ledger of ``series``' kernels, normalised
-by one ``padic.reduce_terms``.  ``FormalGroupLaw.check_associative``
-expands both sides of F(F(x,y),z) = F(x,F(y,z)) as linear combinations of
-the powers of F, which are formed once as part lists.
+homogeneous parts, and a law stores them in the layout the kernel reads:
+part k keys the coefficients of total degree k by a for x^a y^(k-a), as
+values X over the part's least valuation s with their precisions and
+valuation floors.  A part of a product is one pass over the pairs of
+entries (``_part_sum``) under the min-plus ledger of ``series``' kernels,
+normalised by one ``padic.reduce_terms`` and returned in the same layout,
+so part products chain with no ``PadicNum`` between them.  Coefficients
+enter a part only through ``_part`` (a law's given coefficients, the row
+sums of ``group_from_log``, the lift's corrections and f's coefficients)
+and leave it as scalars only through ``_scalars`` (the ``coeffs`` view and
+the lift's left side).  The certificates compare
+the entries as triples (s, X, N) by ``series.first_disagreement``.
+``FormalGroupLaw.check_associative`` expands both sides of F(F(x,y),z) =
+F(x,F(y,z)) as linear combinations of the powers of F, which are formed
+once as part lists.
 
 ``lubin_tate_lift`` solves f(F(x,y)) = F(f(x), f(y)) degree by degree with
 F = x + y mod degree 2, below the truncation of f; for f congruent to x^p
@@ -49,45 +58,60 @@ from .errors import (
     PrecisionExhausted,
 )
 from .padic import _ABSENT, _HALF, INF, PadicNum, prime_powers, reduce_terms, require_prime
-from .series import PSeries, _operand, _pack, _packed_derivative, _packed_div_int, _product, coefficient_table, coefficients_agree, first_disagreement, raise_if_not_integral
+from .series import PSeries, _operand, _pack, _packed_derivative, _packed_div_int, _product, coefficient_table, first_disagreement, raise_if_not_integral
 
 
 class FormalGroupLaw:
-    """Two-variable group law with certification flags: the coefficients
-    {(a, b): PadicNum} of x^a y^b below total degree x_prec, cleaned as a
-    series' are (``series.coefficient_table``), with the prime and the
-    coefficient precision.
+    """Two-variable group law with certification flags: its homogeneous
+    parts below total degree x_prec (``parts``; part k holds the
+    coefficients of x^a y^(k-a) by a, as a factor of ``_part_sum``), with the
+    prime and the coefficient precision.  The coefficients {(a, b):
+    coefficient} it is given are cleaned as a series' are
+    (``series.coefficient_table``), and ``coeffs`` derives that dict back.
 
     Certificates are computed, not assumed: ``certify`` runs the identity,
     commutativity and (at a smaller truncation) associativity checks and
     records the truncation degree each was verified at.
     """
 
-    __slots__ = ("prime", "x_prec", "coeffs", "coeff_prec", "construction", "certificates")
+    __slots__ = ("prime", "x_prec", "parts", "coeff_prec", "construction", "certificates")
 
     def __init__(self, prime, x_prec, coeffs, coeff_prec, construction: str):
         self.prime = require_prime(prime)
         self.x_prec = x_prec
-        self.coeffs = coefficient_table(self.prime, x_prec, coeffs, coeff_prec)
+        coeffs = sorted(coefficient_table(self.prime, x_prec, coeffs, coeff_prec).items())
+        self.parts = [_part(self.prime, [(a, c.v, c.u, c.N) for (a, b), c in coeffs if a + b == k]) for k in range(x_prec)]
         self.coeff_prec = coeff_prec
         self.construction = construction
         self.certificates = {}
 
+    @property
+    def coeffs(self) -> dict:
+        """The dict {(a, b): PadicNum} of the stored coefficients, built on each read."""
+        return {(a, k - a): c for k, part in enumerate(self.parts) for a, c in _scalars(self.prime, part)}
+
+    def valuations(self) -> list:
+        """(exponents, v, N) of each stored coefficient, v _ABSENT where it is
+        zero-like, read off the parts, as a series gives them."""
+        return [((a, k - a), f if x else _ABSENT, n) for k, (_, P) in enumerate(self.parts) for a, x, n, f in P]
+
     def min_coeff_valuation(self):
         """Least certified valuation floor over all coefficients."""
-        return min((c.val_floor() for c in self.coeffs.values()), default=INF)
+        return min((f for _, P in self.parts for _, _, _, f in P), default=INF)
 
     def equal_to_precision(self, other: "FormalGroupLaw") -> bool:
         """Coefficient-wise congruence below the lesser truncation, by
-        ``series.coefficients_agree``."""
-        return coefficients_agree(self.prime, self.coeffs, other.coeffs, min(self.x_prec, other.x_prec))
+        ``_agree``."""
+        M = min(self.x_prec, other.x_prec)
+        return _agree(self.prime, _keyed(self.parts[:M]), _keyed(other.parts[:M]))
 
     def check_identity(self) -> bool:
         """F(x, 0) = x and F(0, y) = y, each side keyed (a,) as a series, by
-        ``series.coefficients_agree``."""
+        ``_agree``."""
         p, M = self.prime, self.x_prec
-        x = {(1,): PadicNum.one(p, self.coeff_prec)}
-        ok = all(coefficients_agree(p, {(e[i],): c for e, c in self.coeffs.items() if not e[1 - i]}, x, M) for i in (0, 1))
+        one = PadicNum.one(p, self.coeff_prec)
+        ident = {(1,): (0, 1, one.N)} if M > 1 else {}
+        ok = all(_agree(p, {(k,): (s, x, n) for k, (s, P) in enumerate(self.parts) for a, x, n, _ in P if a == k * i}, ident) for i in (1, 0))
         self.certificates["identity"] = {"ok": ok, "degree": M}
         return ok
 
@@ -96,21 +120,21 @@ class FormalGroupLaw:
         and c_ba, a <= b, and c_ab against the exact zero where the mirror
         is absent.  (A diagonal coefficient meets itself, which only one
         without digits leaves undecided.)"""
-        coeffs = self.coeffs
-        zero = PadicNum.exact_zero(self.prime)
-        pairs = (((a, b), c, coeffs.get((b, a), zero)) for (a, b), c in coeffs.items() if a <= b or (b, a) not in coeffs)
-        ok = first_disagreement(pairs) is None
+        c = _keyed(self.parts)
+        pairs = (((a, b), t, c.get((b, a), _ZERO)) for (a, b), t in c.items() if a <= b or (b, a) not in c)
+        ok = first_disagreement(self.prime, pairs) is None
         self.certificates["commutative"] = {"ok": ok, "degree": self.x_prec}
         return ok
 
     def check_associative(self, m2: int) -> bool:
         """F(F(x,y),z) = F(x,F(y,z)) in the 3-variable ring below degree
         D = min(m2, x_prec), the degree the certificate records, compared
-        coefficient by coefficient by ``series.coefficients_agree``
-        (``_sides``).  Both expansions claim only digits their ledgers
-        support, so agreement certifies associativity at those digits."""
+        coefficient by coefficient, keyed (i, j, l) for x^i y^j z^l, by
+        ``_agree`` (``_sides``).  Both expansions claim only digits their
+        ledgers support, so agreement certifies associativity at those
+        digits."""
         D = min(m2, self.x_prec)
-        ok = coefficients_agree(self.prime, *_sides(self, D))
+        ok = _agree(self.prime, *(_keyed(side, lambda e, key: (key // D, key % D, e - key // D - key % D)) for side in _sides(self, D)))
         self.certificates["associative"] = {"ok": ok, "degree": D}
         return ok
 
@@ -120,35 +144,52 @@ class FormalGroupLaw:
 
 # -- homogeneous parts: the bivariate kernel ----------------------------------
 
+_ZERO = (0, 0, _ABSENT)  # the exact zero as a triple of ``first_disagreement``
+
 
 def _part(p: int, items) -> tuple:
-    """(key, coefficient) items as a factor of ``_part_sum``: (s, [(key, X, N,
-    F)]), s the least valuation, X the value over p^s, F the valuation floor."""
-    s = min((c.v for _, c in items if c.v != INF), default=0)
-    return s, [(a, 0 if c.v == INF else c.u * p ** (c.v - s), c.N, c.val_floor()) for a, c in items]
+    """(key, v, u, N) items, u 0 where zero-like (v then unread), as a factor
+    of ``_part_sum``: (s, [(key, X, N, F)]), s the least valuation, X the
+    value over p^s, F the valuation floor: the coefficients a law is given,
+    the row sums of ``group_from_log``, and the lift's corrections and f's
+    coefficients."""
+    s = min((v for _, v, u, _ in items if u), default=0)
+    return s, [(key, u * p ** (v - s) if u else 0, n, v if u else n) for key, v, u, n in items]
 
 
-def _parts(F, M: int) -> list:
-    """The homogeneous parts of a law F below total degree M as factors."""
-    parts = [[] for _ in range(M)]
-    for (a, b), c in F.coeffs.items():
-        if a + b < M:
-            parts[a + b].append((a, c))
-    return [_part(F.prime, items) for items in parts]
+def _scalars(p: int, part) -> list:
+    """The (key, PadicNum) items of a factor of ``_part_sum``."""
+    s, P = part
+    return [(key, PadicNum(p, f, x // p ** (f - s), n) if x else PadicNum(p, INF, 0, n)) for key, x, n, f in P]
 
 
-def _part_mul(p: int, A, B, e: int) -> list:
+def _keyed(parts, name=lambda k, a: (a, k - a)) -> dict:
+    """The triples (s, X, N) of the entries of a part list, the value X over
+    p^s known modulo p^N, each keyed name(k, key) for the entry key of part
+    k: by default a law's exponents (a, k - a)."""
+    return {name(k, key): (s, x, n) for k, (s, P) in enumerate(parts) for key, x, n, _ in P}
+
+
+def _agree(p: int, a: dict, b: dict) -> bool:
+    """Whether the triples a and b agree at every key, an absent key the
+    exact zero, by ``first_disagreement``."""
+    return first_disagreement(p, ((e, a.get(e, _ZERO), b.get(e, _ZERO)) for e in a.keys() | b.keys())) is None
+
+
+def _part_mul(p: int, A, B, e: int) -> tuple:
     """Degree-e part of the product of the part lists A and B."""
     return _part_sum(p, [(A[k], B[e - k]) for k in range(max(0, e - len(B) + 1), min(e + 1, len(A)))], e + 1)
 
 
-def _part_sum(p: int, pairs, size: int, raises: bool = True) -> list:
-    """sum P_a P_b over the pairs of factors (P_a, P_b), keys below size, as
-    (key, coefficient) items in key order: one pass over the pairs of
+def _part_sum(p: int, pairs, size: int, raises: bool = True) -> tuple:
+    """sum P_a P_b over the pairs of factors (P_a, P_b), keys below size, as a
+    factor (s, [(key, X, N, F)]) in key order: one pass over the pairs of
     entries keeps per key the ledger K = min(N_a + F_b, F_a + N_b) and the
-    integer sum of the X_a X_b at the least shift, then one
-    ``reduce_terms`` normalises every key.  The first key without digits
-    raises, or without ``raises`` is kept zero-like at its precision K <= 0."""
+    integer sum of the X_a X_b at the least shift t, then one
+    ``reduce_terms`` normalises every key, and its values R over p^t,
+    divided by p^(s - t), are the X over the least valuation s.  The first
+    key without digits raises, or without ``raises`` is kept zero-like at
+    its precision K <= 0."""
     pairs = [(A, B) for A, B in pairs if A[1] and B[1]]
     t = min((sa + sb for (sa, _), (sb, _) in pairs), default=0)
     P = prime_powers(p, max((sa + sb for (sa, _), (sb, _) in pairs), default=t) - t)
@@ -169,31 +210,33 @@ def _part_sum(p: int, pairs, size: int, raises: bool = True) -> list:
     def least_term(key):  # the least valuation among the terms of the key
         return min((fa + fb for (_, Pa), (_, Pb) in pairs for ka, xa, _, fa in Pa for kb, xb, _, fb in Pb if ka + kb == key and xa and xb), default=INF)
 
-    V, U, _ = reduce_terms(p, t, S, K, least_term if raises else None)
-    return [(key, PadicNum(p, INF if V[key] == _ABSENT else V[key], U[key], n)) for key, n in enumerate(K) if n < _HALF]
+    V, _, R = reduce_terms(p, t, S, K, least_term if raises else None)
+    s = min(V)
+    s, q = (0, 1) if s >= _HALF else (s, p ** (s - t))  # every R is 0 where no key has a finite valuation
+    return s, [(key, r // q, n, n if v == _ABSENT else v) for key, (v, r, n) in enumerate(zip(V, R, K)) if n < _HALF]
 
 
 def _sides(F: FormalGroupLaw, D: int) -> list:
     """F(F(x,y), z) = sum c_ab z^b F(x,y)^a and F(x, F(y,z)) = sum c_ab x^a
-    F(y,z)^b below total degree D, {(x, y, z) exponents: coefficient}: the
-    powers F^k = F^(k-1) F are part lists, and the degree-e part of a side
-    is one ``_part_sum`` over the pairs of c_ab and a part of F^k.  A
-    coefficient of a power without digits raises, at the first in graded
-    order; one of a side is kept, zero-like at its precision K <= 0, for the
-    comparison to decide."""
-    p, parts = F.prime, _parts(F, D)
+    F(y,z)^b below total degree D, each as D parts, part e keyed i D + j
+    for x^i y^j z^(e-i-j): the powers F^k = F^(k-1) F are part lists, from
+    degree k on where F has no constant term, and the degree-e part of a
+    side is one ``_part_sum`` over the pairs of c_ab, read off F's parts,
+    and a part of F^k.  A coefficient of a power without digits raises, at
+    the first in graded order; one of a side is kept, zero-like at its
+    precision K <= 0, for the comparison to decide."""
+    p, parts = F.prime, F.parts[:D]
     powers = [[(0, [(0, 1, _ABSENT, 0)])] + [(0, [])] * (D - 1), parts]  # F^0 is the exact 1
-    for _ in range(2, D):
-        powers.append([_part(p, _part_mul(p, powers[-1], parts, e)) for e in range(D)])
+    for k in range(2, D):
+        lo = 0 if parts[0][1] else k
+        powers.append([(0, [])] * lo + [_part_mul(p, powers[-1], parts, e) for e in range(lo, D)])
     # left: x^i y^j z^l at key i D + j; right: x^a y^i z^j at key a D + i
     lpow = [[(s, [(i * D + k - i, *t) for i, *t in P]) for k, (s, P) in enumerate(pw)] for pw in powers]
-    sides = [{}, {}]
-    for side, left in zip(sides, (True, False)):
-        cs = [(a, b, _part(p, [(0 if left else a * D, c)])) for (a, b), c in F.coeffs.items() if a + b < D]
-        for e in range(D):
-            pairs = [(c, lpow[a][e - b] if left else powers[b][e - a]) for a, b, c in cs if (b if left else a) <= e]
-            for key, c in _part_sum(p, pairs, e * D + 1, raises=False):
-                side[key // D, key % D, e - key // D - key % D] = c
+    sides = []
+    for left in (True, False):
+        cs = [(a, k - a, (s, [(0 if left else a * D, *t)])) for k, (s, P) in enumerate(parts) for a, *t in P]
+        pairs = ([(c, lpow[a][e - b] if left else powers[b][e - a]) for a, b, c in cs if (b if left else a) <= e] for e in range(D))
+        sides.append([_part_sum(p, terms, e * D + 1, raises=False) for e, terms in enumerate(pairs)])
     return sides
 
 
@@ -234,12 +277,14 @@ def group_from_log(L: PSeries) -> FormalGroupLaw:
         orders.append(_packed_div_int(p, A, factorial))
     # row a: the x^a coefficients of the A_j / j! by j, slot 0 unread
     transposed = (zip_longest([fill], *(A[k] for A in orders), fillvalue=fill) for k, fill in enumerate((_ABSENT, 0, _ABSENT)))
-    table, coeffs = L.power_table(), {}
+    table, parts = L.power_table(), [[] for _ in range(M)]
     for a, row in zip(range(M - 1), zip(*transposed)):
         for b, (v, u, n) in enumerate(zip(*table.sum(row, 1, M - a)), 1):
             if n != _ABSENT:
-                coeffs[a, b] = PadicNum(p, INF if v == _ABSENT else v, u, n)
-    G = FormalGroupLaw(p, M, {(1, 0): PadicNum.one(p, N), **coeffs}, N, "from-log")
+                parts[a + b].append((a, v, u, n))
+    parts[1].append((1, 0, 1, N))  # F_10 = 1
+    G = FormalGroupLaw(p, M, {}, N, "from-log")
+    G.parts = [_part(p, part) for part in parts]
     raise_if_not_integral(G, "group law from logarithm")
     return G
 
@@ -267,16 +312,16 @@ def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
     p, N, c = f.prime, f.coeff_prec, f.linear_coeff()
     D = min(x_prec, f.x_prec)
     f = f.truncate(D)
-    part = [(1, PadicNum.one(p, N)), (0, PadicNum.one(p, N))]  # F's degree-1 part, x^a y^(1-a) at key a
-    F, Fparts = {(a, 1 - a): x for a, x in part}, [_part(p, []), _part(p, part)]
+    part = [(0, PadicNum.one(p, N)), (1, PadicNum.one(p, N))]  # F's degree-1 part, x^a y^(1-a) at key a
+    Fparts = [(0, []), _part(p, [(a, x.v, x.u, x.N) for a, x in part])]
     # acc[i][e]: the degree-e part of acc_i; its degree-0 part is c_i
-    acc = [None] + [[_part(p, [] if c.is_exact_zero() else [(0, c)])] for c in map(f.c, range(1, D))]
+    acc = [None] + [[_part(p, [] if c.is_exact_zero() else [(0, c.v, c.u, c.N)])] for c in map(f.c, range(1, D))]
     powers, cols, rows, cpow = f.power_table(), [], [], c
     for d in range(2, D):
         cpow = cpow * c  # c^d
         for i in range(d - 1, 0, -1):
-            acc[i].append(_part(p, _part_mul(p, acc[i + 1], Fparts, d - i)))
-        lhs = {(a, d - a): x for a, x in _part_mul(p, acc[1], Fparts, d)}
+            acc[i].append(_part_mul(p, acc[i + 1], Fparts, d - i))
+        lhs = {(a, d - a): x for a, x in _scalars(p, _part_mul(p, acc[1], Fparts, d))}
         rhs = _right_side(powers, cols, rows, part, d)
         denom, corr, unresolved = cpow - c, {}, None
         for e in sorted(lhs.keys() | rhs.keys()):
@@ -297,9 +342,9 @@ def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
         if unresolved is not None:
             raise unresolved
         part = [(a, delta) for (a, _), delta in corr.items()]
-        Fparts.append(_part(p, part))
-        F.update(corr)
-    G = FormalGroupLaw(p, D, F, N, "lubin-tate-lift")
+        Fparts.append(_part(p, [(a, x.v, x.u, x.N) for a, x in part]))
+    G = FormalGroupLaw(p, D, {}, N, "lubin-tate-lift")
+    G.parts = Fparts[:D]
     raise_if_not_integral(G, "group law lift")
     return G
 
@@ -392,7 +437,7 @@ def frobenius_multiplier(L: PSeries, f: PSeries, exp_series: PSeries = None):
         raise NoCandidate("recovered scalar fails the congruence at full truncation")
     raise_if_not_integral(series, "Frobenius bracket")
     pi_report = PadicNum(p, 1, unit, 1 + k)
-    pi_full = PadicNum(p, 1, unit, N)
-    if first_disagreement([(1, series.c((1,)), pi_full)]) is not None:
+    b1 = series.linear_coeff()
+    if first_disagreement(p, [(1, (b1.v, b1.u, b1.N), (1, unit, N))]) is not None:
         raise NoCandidate("bracket derivative does not match the recovered scalar")
     return pi_report, series

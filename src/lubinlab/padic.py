@@ -18,10 +18,10 @@ nonzero coefficients, which their kernels would read as absent.
 
 The packed kernels of ``series`` and the part kernel of ``formalgroup``
 apply the same rules to bare triples: ``_scaled`` normalises one value,
-``add_triples``, ``mul_triples``, ``div_triples`` and ``scale_int`` are
-``PadicNum``'s sum, product, quotient and product by an int, and
-``reduce_terms`` normalises whole lists of slot sums, raising where one
-keeps no digit.  The min-plus ledger of a sum of products,
+``add_triples``, ``mul_triples``, ``div_triples``, ``scale_int`` and
+``congruent_triples`` are ``PadicNum``'s sum, product, quotient, product
+by an int and congruence, and ``reduce_terms`` normalises whole lists of
+slot sums, raising where one keeps no digit.  The min-plus ledger of a sum of products,
 min(N_a + v'_b, v'_a + N_b), sits in those two modules: three copies in
 ``series`` (products, the solve, tabled sums) and one in ``formalgroup``
 (the parts of a law).  Every quotient of scalars, and of the slots of a
@@ -329,9 +329,7 @@ class PadicNum:
         other = self._check(other)
         P = min(self.N, other.N) if prec is None else min(self.N, other.N, prec)
         if 0 < P < INF:
-            if self.v >= P or other.v >= P:
-                return self.v >= P and other.v >= P
-            return self.v == other.v and (self.u - other.u) % self.p ** (P - self.v) == 0
+            return congruent_triples(self.p, self.v, self.u, other.v, other.u, P)
         d = self - other
         if prec is not None:
             d = d.cap_prec(min(prec, d.N if d.N != INF else prec))
@@ -389,6 +387,19 @@ def add_triples(p: int, va, ua, na, vb, ub, nb) -> tuple:
     m = min(va, vb)
     r = (ua * p ** (va - m) if va != INF else 0) + (ub * p ** (vb - m) if vb != INF else 0)
     return _scaled(p, m, r, min(na, nb))
+
+
+def congruent_triples(p: int, va, ua, vb, ub, P) -> bool:
+    """Whether p^va ua and p^vb ub agree modulo p^P, P > 0: the congruence
+    of ``PadicNum.congruent`` and of ``series.first_disagreement``.  u need
+    not be a unit, so the value X over the shift s of a part of a law is
+    (s, X); u 0 is zero, and its v, INF or ``_ABSENT`` where zero-like, is
+    not read."""
+    m = min(va if ua else P, vb if ub else P)
+    if m >= P:
+        return True
+    d = (ua * p ** (va - m) if ua else 0) - (ub * p ** (vb - m) if ub else 0)
+    return d % p ** (P - m) == 0
 
 
 def mul_triples(p: int, va, ua, na, vb, ub, nb) -> tuple:

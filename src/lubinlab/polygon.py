@@ -40,7 +40,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .errors import PrecisionExhausted, TruncationInconclusive
-from .padic import _ABSENT, _HALF, INF, PadicNum, add_triples, mul_triples, neg_unit
+from .padic import _ABSENT, INF, PadicNum, add_triples, mul_triples, neg_unit
 from .series import PSeries, _cut, _factor, _fold, _iterates, _operand, _pack, _packed_add, _packed_solve, _padded, _product, _unpack, first_disagreement
 
 
@@ -272,9 +272,8 @@ def weierstrass_preparation(g: PSeries):
     least one p-adic digit.  The passes run on packed lists: products are
     ``series._product``, 1/g_hi and 1/q one ``_packed_solve`` each (1/q on
     q's lists), and the stop test (q repeats at the lesser precision of
-    each coefficient) decides on the integers, as ``PadicNum.congruent``
-    does.  Each pass
-    multiplies a fixed operand (g_low or 1/g_hi, laid out once by
+    each coefficient) is ``series.first_disagreement`` on the slots.  Each
+    pass multiplies a fixed operand (g_low or 1/g_hi, laid out once by
     ``series._operand``, as is g) by q, the operand of the last pass's
     product, or by the shifted remainder, whose (N, v') pairs soon repeat:
     the products share one dict of ledgers, so a ledger is computed once
@@ -302,7 +301,9 @@ def weierstrass_preparation(g: PSeries):
         # shift_W(x^W - q*g_low): 1 less the slots of q*g_low from x^W on
         s = _packed_add(p, unit, tuple(x[W:] for x in _product(p, qop, low, M, ledgers=ledgers)[0]), negate=True)
         last, (q, qop) = q, _product(p, _operand(p, s), inv_hi, M, ledgers=ledgers)
-        if _repeats(p, q, last):
+        # every precision here is positive: the series are integral, and a
+        # coefficient without digits has raised
+        if first_disagreement(p, zip(range(M), zip(*q), zip(*last))) is None:
             break
     else:
         raise PrecisionExhausted("weierstrass division did not stabilize")
@@ -313,19 +314,6 @@ def weierstrass_preparation(g: PSeries):
     # known to a digit at least, since a product slot that keeps none raises
     a0 = PadicNum(p, 0, q[1][0], q[2][0])
     return P, _unpack(p, _packed_solve(p, _factor(p, *(x[1:] for x in q)), unit, M, a0), M, N)
-
-
-def _repeats(p: int, a, b) -> bool:
-    """Each coefficient of packed a congruent to b's (of the same length) at
-    the lesser precision P of the two: both zero-like at P, or one valuation
-    and units equal modulo p^(P - v).  (Every P here is positive: the
-    preparation's series are integral, and a coefficient without digits has
-    raised.)"""
-    for va, ua, na, vb, ub, nb in zip(*a, *b):
-        P = min(na, nb)
-        if P < _HALF and ((va >= P) != (vb >= P) or va < P and (va != vb or (ua - ub) % p ** (P - va))):
-            return False
-    return True
 
 
 _SPLIT_STEPS = 40  # Newton steps before a split gives up
@@ -548,8 +536,7 @@ def is_eisenstein(poly: PSeries) -> bool:
         raise ValueError("zero polynomial")
     degree = max(finite)
     lead = poly.c((degree,))
-    one = PadicNum.one(poly.prime, max(lead.N, 1))
-    if first_disagreement([(degree, lead, one)]) is not None:
+    if first_disagreement(poly.prime, [(degree, (lead.v, lead.u, lead.N), (0, 1, max(lead.N, 1)))]) is not None:
         raise ValueError("polynomial is not monic to precision")
     const = poly.c((0,))
     if const.is_zero_like():

@@ -31,11 +31,12 @@ for tabled sums.  The fourth, the part kernel of a two-variable law
 (``formalgroup._part_sum``), lives with the law: this module knows
 nothing of a law.
 
-Series and certificates compare by one rule (``first_disagreement``, over
-two coefficient tables ``coefficients_agree``): a pair of coefficients
-disagrees only at digits both claim, and a pair with no such digit leaves
-the comparison undecided unless another pair disagrees, whatever order
-the pairs come in.
+Series and certificates compare by one rule, ``first_disagreement`` on
+(v, u, N) triples under ``padic.congruent_triples``: a pair of
+coefficients disagrees only at digits both claim, and a pair with no such
+digit leaves the comparison undecided unless another pair disagrees,
+whatever order the pairs come in.  A series compares its packed slots
+(``PSeries.disagreement``), and a law of ``formalgroup`` its parts.
 
 Composition costs no series products of its own: the first series
 substituted into another gets a power table (``_PowerTable``),
@@ -65,7 +66,7 @@ from .errors import (
     PrecisionExhausted,
     PrimeMismatch,
 )
-from .padic import _ABSENT, _HALF, INF, PadicNum, _scaled, add_triples, div_triples, neg_unit, prime_powers, reduce_terms, require_prime, scale_int, vp_int
+from .padic import _ABSENT, _HALF, INF, PadicNum, _scaled, add_triples, congruent_triples, div_triples, neg_unit, prime_powers, reduce_terms, require_prime, scale_int, vp_int
 
 
 class PSeries:
@@ -126,8 +127,13 @@ class PSeries:
 
     def min_val_floor(self):
         """Least certified valuation lower bound over stored coefficients."""
+        return min((n if v == _ABSENT else v for _, v, n in self.valuations()), default=INF)
+
+    def valuations(self) -> list:
+        """(exponents, v, N) of each stored coefficient, v _ABSENT where it is
+        zero-like, read off the packed lists, as a law gives them."""
         V, _, N = self.packed
-        return min((n if v == _ABSENT else v for v, n in zip(V, N) if n != _ABSENT), default=INF)
+        return [((e,), v, n) for e, (v, n) in enumerate(zip(V, N)) if n != _ABSENT]
 
     def __repr__(self):
         coeffs = sorted(self.coeffs.items())
@@ -238,40 +244,40 @@ class PSeries:
     # -- reduction and shape mod p -------------------------------------------
 
     def reduce_mod_p(self) -> "PSeries":
-        """Image in F_p[[x]]: every coefficient reduced modulo p (precision 1).
-        A coefficient of certified negative valuation has no image and
-        raises IntegralityFailure."""
-        p = self.prime
-        out = {}
-        for e, c in self.coeffs.items():
-            if c.v < 0:
-                raise IntegralityFailure(f"coefficient at {e} has valuation {c.v}, no image modulo p", exponents=e)
-            if c.val_floor() < 1 and c.v == INF:
+        """Image in F_p[[x]]: every coefficient reduced modulo p (precision 1),
+        on the packed lists.  The first coefficient, by degree, of certified
+        negative valuation has no image and raises IntegralityFailure, or
+        the first zero-like one known to no digit PrecisionExhausted."""
+        V, U, _ = self.packed
+        for e, v, n in self.valuations():
+            if v < 0:
+                raise IntegralityFailure(f"coefficient at {e} has valuation {v}, no image modulo p", exponents=e)
+            if v == _ABSENT and n < 1:
                 raise PrecisionExhausted("coefficient unresolved modulo p")
-            if c.v == 0:
-                out[e] = PadicNum(p, 0, c.u % p, 1)
-        return PSeries(p, self.x_prec, out, 1)
+        unit = [v == 0 for v in V]
+        return _unpack(self.prime, ([0 if w else _ABSENT for w in unit], [u % self.prime if w else 0 for w, u in zip(unit, U)], [1 if w else _ABSENT for w in unit]), self.x_prec, 1)
 
     def weierstrass_degree(self):
         """Least index with a unit coefficient, or None below the truncation."""
         return next((i for i, v in enumerate(self.packed[0]) if v == 0), None)
 
     def equal_to_precision(self, other) -> bool:
-        """Coefficient-wise congruence below the lesser truncation, by
-        ``coefficients_agree``."""
+        """Coefficient-wise congruence below the lesser truncation."""
+        return self.disagreement(other) is None
+
+    def disagreement(self, other):
+        """The least degree below the lesser truncation at which the
+        coefficients of self and other disagree, or None, by
+        ``first_disagreement`` over their packed slots (an absent one the
+        exact zero)."""
         other = self._align(other)
-        return coefficients_agree(self.prime, self.coeffs, other.coeffs, min(self.x_prec, other.x_prec))
+        M = min(self.x_prec, other.x_prec)
+        return first_disagreement(self.prime, zip(range(M), zip(*_padded(self.packed, M)), zip(*_padded(other.packed, M))))
 
     # -- serialization ------------------------------------------------------------
 
     def to_json(self) -> dict:
-        entries = []
-        for e, c in sorted(self.coeffs.items()):
-            if c.is_zero_like():
-                continue
-            frac = c.as_fraction()
-            s = str(frac.numerator) if frac.denominator == 1 else str(frac)
-            entries.append([list(e), s])
+        entries = [[list(e), str(c.as_fraction())] for e, c in sorted(self.coeffs.items()) if not c.is_zero_like()]
         return {"p": self.prime, "M": self.x_prec, "N": self.coeff_prec, "coeffs": entries}
 
     @classmethod
@@ -334,42 +340,36 @@ def coefficient_table(p: int, x_prec, coeffs: dict, coeff_prec) -> dict:
     return clean
 
 
-def first_disagreement(pairs):
-    """The key of the first (key, a, b) in ``pairs`` whose scalars a and b
-    are not congruent at P = min(a.N, b.N), or None when no pair
-    disagrees.  A pair with P <= 0 has no digits and neither agrees nor
-    disagrees: when no pair disagrees and one has no digits, the comparison
-    is undecided and raises PrecisionExhausted, naming the least such key.
-    So the outcome does not depend on the order of the pairs; only which
-    disagreement is named does."""
+def first_disagreement(p: int, pairs):
+    """The key of the first (key, a, b) in ``pairs`` whose triples a = (v, u,
+    N) and b are not congruent at P = min of their N
+    (``padic.congruent_triples``), or None when no pair disagrees.  A pair
+    with P <= 0 has no digits and neither agrees nor disagrees: when no
+    pair disagrees and one has no digits, the comparison is undecided and
+    raises PrecisionExhausted, naming the least such key.  So the outcome
+    does not depend on the order of the pairs; only which disagreement is
+    named does."""
     unresolved = []
     for key, a, b in pairs:
-        if min(a.N, b.N) <= 0:
+        P = min(a[2], b[2])
+        if P <= 0:
             unresolved.append(key)
-        elif not a.congruent(b):
+        elif a != b and not congruent_triples(p, a[0], a[1], b[0], b[1], P):
             return key
     if unresolved:
         raise PrecisionExhausted(f"compared coefficients at {min(unresolved)} carry no digits")
     return None
 
 
-def coefficients_agree(p: int, a: dict, b: dict, M=INF) -> bool:
-    """Whether the coefficient tables a and b, an absent key an exact zero,
-    agree at every key of total degree below M by ``first_disagreement``."""
-    zero = PadicNum.exact_zero(p)
-    return first_disagreement((e, a.get(e, zero), b.get(e, zero)) for e in a.keys() | b.keys() if sum(e) < M) is None
-
-
 def raise_if_not_integral(F, what: str):
     """Raise IntegralityFailure at the least exponent whose coefficient in
-    F.coeffs (F a series or a law) certifies a negative valuation, or else,
-    with certified=False, at the least whose valuation floor is merely
-    unresolved below 0."""
-    bad = {e: c for e, c in F.coeffs.items() if c.val_floor() < 0}
+    F.valuations() (F a series or a law) certifies a negative valuation,
+    or else, with certified=False, at the least whose valuation floor is
+    merely unresolved below 0."""
+    bad = [(v == _ABSENT, e, floor) for e, v, n in F.valuations() if (floor := n if v == _ABSENT else v) < 0]
     if bad:
-        e = min(bad, key=lambda e: (bad[e].v == INF, e))
-        msg = f"{what}: coefficient at {e} has valuation floor {bad[e].val_floor()}"
-        raise IntegralityFailure(msg, exponents=e, certified=bad[e].v != INF)
+        unresolved, e, floor = min(bad)
+        raise IntegralityFailure(f"{what}: coefficient at {e} has valuation floor {floor}", exponents=e, certified=not unresolved)
 
 
 def _solve_by_powers(h: PSeries, a1: PadicNum, lam: PadicNum) -> PSeries:

@@ -218,6 +218,49 @@ def reduce_triples(p: int, terms):
     return (INF, 0, K)
 
 
+def part_factor(p: int, items):
+    """(key, (v, u, N)) items as a factor of the part kernel: (s, [(key, X,
+    N, F)]), s the least finite valuation (0 if none), X the value over p^s
+    and F the valuation floor.  This is the scalar-item ``_part`` of
+    ``formalgroup`` before the kernel returned factors."""
+    s = min((v for _, (v, _, _) in items if v != INF), default=0)
+    return s, [(a, 0 if v == INF else u * p ** (v - s), n, n if v == INF else v) for a, (v, u, n) in items]
+
+
+def part_sum(p: int, pairs, size: int, raises: bool = True):
+    """sum P_a P_b over the pairs of factors (P_a, P_b) as (key, (v, u, N))
+    items in key order, as the part kernel of ``formalgroup`` returned them
+    before it returned factors: per key the ledger min(N_a + F_b, F_a +
+    N_b) and the integer sum of the X_a X_b at the least shift t.  The
+    first key without digits raises NoDigits, or without ``raises`` is
+    kept as (INF, 0, K)."""
+    pairs = [(A, B) for A, B in pairs if A[1] and B[1]]
+    t = min((sa + sb for (sa, _), (sb, _) in pairs), default=0)
+    S, K = [0] * size, [INF] * size
+    for (sa, Pa), (sb, Pb) in pairs:
+        for ka, xa, na, fa in Pa:
+            for kb, xb, nb, fb in Pb:
+                S[ka + kb] += xa * xb * p ** (sa + sb - t)
+                K[ka + kb] = min(K[ka + kb], na + fb, fa + nb)
+    items = []
+    for key, (r, n) in enumerate(zip(S, K)):
+        if n == INF:
+            continue
+        r = r % p ** (n - t) if n > t else 0
+        if r:
+            w = 0
+            while r % p == 0:
+                r //= p
+                w += 1
+            items.append((key, (t + w, r, n)))
+            continue
+        if n <= 0 and raises:
+            terms = [fa + fb for (_, Pa), (_, Pb) in pairs for ka, xa, _, fa in Pa for kb, xb, _, fb in Pb if ka + kb == key and xa and xb]
+            raise NoDigits(_no_digits_msg(min(terms, default=INF), n))
+        items.append((key, (INF, 0, n)))
+    return items
+
+
 def triple_product(a, b):
     """The term triple of one product of coefficients, as the kernels form it."""
     (va, ua, na), (vb, ub, nb) = a, b

@@ -294,6 +294,15 @@ def test_analyze_names_a_name_given_twice(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: fixture file holds several entries; pick one with --name\n")
 
 
+def test_analyze_names_an_empty_fixture_file(tmp_path, capsys):
+    """A fixture file holding [] was refused with "fixture file holds
+    several entries; pick one with --name"."""
+    path = tmp_path / "fx.json"
+    path.write_text("[]")
+    code, out, err = run(capsys, "analyze", "--fixture", str(path))
+    assert (code, out, err) == (2, "", "error: fixture file holds no entries\n")
+
+
 def test_batch_refuses_vacuous_m2(capsys):
     """M2 does not depend on any fixture, so the whole run is refused once."""
     code, out, err = run(capsys, "batch", "--fixture", str(PAIRS), "--M2", "1")

@@ -1,5 +1,6 @@
 """Group-law construction, brackets, Frobenius multiplier, independent lift."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -20,9 +21,12 @@ from lubinlab import (
     bracket,
     exp_from_log,
     frobenius_multiplier,
+    gm_pair,
     group_from_log,
     logarithm_recurrence,
+    lt_pair,
     lubin_tate_lift,
+    make_twist_fixture,
 )
 from conftest import one_plus_x_pow, outcome, series_from_fractions
 from lubinlab import formalgroup, series
@@ -35,6 +39,8 @@ from oracles import (
     _horner_2var,
     binom,
     horner_associative,
+    part_factor,
+    part_sum,
     swap_vars,
     taylor_assembly,
     triple_add,
@@ -53,6 +59,12 @@ def make_law(p, M, coeffs, N=20):
 def coeff(F, e):
     """The coefficient of a law at e, an exact zero where absent."""
     return F.coeffs.get(e, PadicNum.exact_zero(F.prime))
+
+
+def side_triples(p, side, D):
+    """A side of ``formalgroup._sides``, D parts whose part e is keyed i D + j
+    for x^i y^j z^(e-i-j), as {(i, j, l): (v, u, N)}."""
+    return {(key // D, key % D, e - key // D - key % D): (c.v, c.u, c.N) for e, part in enumerate(side) for key, c in formalgroup._scalars(p, part)}
 
 
 def gm_log(p, M=32, N=40):
@@ -520,14 +532,80 @@ def test_associativity_sides_match_per_pair_substitution(case):
             assert outcome(run) == (PrecisionExhausted, str(ex))
         return
     want = [triple_substitute(p, pows[1], pows, D, left, keep=True) for left in (True, False)]
-    got = [{e: (c.v, c.u, c.N) for e, c in side.items()} for side in formalgroup._sides(F, D)]
+    got = [side_triples(p, side, D) for side in formalgroup._sides(F, D)]
     assert got == want
     if any(t[2] <= 0 for side in want for t in side.values()):
         event("a side coefficient with N <= 0")
-    left, right = ({e: PadicNum(p, *t) for e, t in side.items()} for side in want)
-    zero = PadicNum.exact_zero(p)
+    left, right = want
+    zero = (INF, 0, INF)
     pairs = [(e, left.get(e, zero), right.get(e, zero)) for e in left.keys() | right.keys()]
-    assert outcome(lambda: F.check_associative(m2)) == outcome(lambda: first_disagreement(pairs) is None)
+    assert outcome(lambda: F.check_associative(m2)) == outcome(lambda: first_disagreement(p, pairs) is None)
+
+
+@st.composite
+def factor_pairs(draw):
+    """p, pairs of factors of the part kernel and the size of its keys: each
+    factor laid out by ``oracles.part_factor`` from up to four (key, (v, u,
+    N)) items at mixed precisions, finite ones of any valuation below N,
+    zero-like ones, and ones known to no digit (N <= 0)."""
+    p = draw(st.sampled_from((2, 3, 5)))
+
+    def coefficient():
+        kind = draw(st.sampled_from(("finite", "finite", "zero-like", "no digits")))
+        if kind == "zero-like":
+            return (INF, 0, draw(st.integers(-1, 6)))
+        N = draw(st.integers(-2, 0)) if kind == "no digits" else draw(st.integers(-2, 8))
+        v = draw(st.integers(N - 4, N - 1))
+        return (v, p * draw(st.integers(0, p ** (N - v - 1) - 1)) + draw(st.integers(1, p - 1)), N)
+
+    def factor():
+        return part_factor(p, [(key, coefficient()) for key in sorted(draw(st.sets(st.integers(0, 4), max_size=4)))])
+
+    return p, [(factor(), factor()) for _ in range(draw(st.integers(0, 4)))], 9
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(factor_pairs(), st.booleans())
+def test_part_kernel_matches_the_scalar_item_kernel(case, raises):
+    """``formalgroup._part_sum``, which returns a factor, against the kernel
+    it replaced, which returned scalars that ``_part`` laid out again
+    (``oracles.part_sum`` and ``part_factor``): the same factor, entry for
+    entry, or PrecisionExhausted with the same message."""
+    p, pairs, size = case
+    try:
+        want = part_factor(p, part_sum(p, pairs, size, raises))
+    except NoDigits as ex:
+        event("a key without digits raises")
+        want = (PrecisionExhausted, str(ex))
+    assert outcome(lambda: formalgroup._part_sum(p, pairs, size, raises)) == want
+
+
+# sha256 of the triples below, frozen from the kernel that returned scalars
+# and the laws that stored a dict of them
+LAW_TRIPLES = {
+    2: "dc67c377279a795b2004115d9eb0678afc709fa1c7e87ac1798f001e97b777f1",
+    3: "c3378b933b83f3b3a7432d19e44885a0d114d7e382325794f0cfff98516333b1",
+    5: "2f084106107e9b968e249eab620b2d12de9380491fe6a2217d82a698acf1c816",
+}
+
+
+@pytest.mark.parametrize("p", sorted(LAW_TRIPLES))
+def test_law_triples_are_unchanged(p):
+    """Every (v, u, N) triple of ``group_from_log``, of ``lubin_tate_lift``
+    of the Frobenius bracket and of both associativity sides of the first
+    (``_sides``) on the gm and lt pairs and their twists by x + x^2, below
+    M = max(16, p^2) at the analyzer's guard and at D = 10."""
+    M, D = max(16, p * p), 10
+    N = 12 + -(-M // (p - 1)) + 4
+    w = PSeries.from_univariate_coeffs(p, [1, 1], M, N)
+    laws = []
+    for f, _ in (gm_pair(p, M, N), lt_pair(p, M, N), make_twist_fixture("gm", w), make_twist_fixture("lt", w)):
+        L = logarithm_recurrence(f)
+        G = group_from_log(L)
+        GL = lubin_tate_lift(frobenius_multiplier(L, f)[1], D)
+        triples = [sorted((e, (c.v, c.u, c.N)) for e, c in F.coeffs.items()) for F in (G, GL)]
+        laws.append(triples + [sorted(side_triples(p, side, D).items()) for side in formalgroup._sides(G, D)])
+    assert hashlib.sha256(repr(laws).encode()).hexdigest() == LAW_TRIPLES[p]
 
 
 def test_bivariate_layer_multiplies_no_series(monkeypatch):
@@ -553,9 +631,9 @@ def test_a_disagreement_beside_a_pair_without_digits_decides():
     """A pair known to no digit (P <= 0) beside a certified disagreement:
     the comparison reads False in either order, and names the disagreement."""
     p = 2
-    blind = ((2, 2), PadicNum(p, -2, 1, 0), PadicNum(p, -2, 3, 0))
-    differ = ((1, 2), PadicNum.one(p, 4), PadicNum.from_int(3, p, 4))
-    assert first_disagreement([blind, differ]) == first_disagreement([differ, blind]) == (1, 2)
+    blind = ((2, 2), (-2, 1, 0), (-2, 3, 0))
+    differ = ((1, 2), (0, 1, 4), (0, 3, 4))
+    assert first_disagreement(p, [blind, differ]) == first_disagreement(p, [differ, blind]) == (1, 2)
     F = make_law(p, 8, {(2, 2): blind[1], (1, 2): differ[1]}, 8)
     G = make_law(p, 8, {(1, 2): differ[2], (2, 2): blind[2]}, 8)
     assert not F.equal_to_precision(G) and not G.equal_to_precision(F)
@@ -565,10 +643,10 @@ def test_a_pair_without_digits_alone_raises_even_when_its_units_differ():
     """p^-2 and 3 p^-2 known to p^0 claim no digit, so they neither agree
     nor disagree: alone, the comparison is undecided."""
     p = 2
-    a, b = PadicNum(p, -2, 1, 0), PadicNum(p, -2, 3, 0)
+    a, b = (-2, 1, 0), (-2, 3, 0)
     msg = r"^compared coefficients at \(2, 2\) carry no digits$"
     with pytest.raises(PrecisionExhausted, match=msg):
-        first_disagreement([((2, 2), a, b), ((1, 0), PadicNum.one(p, 4), PadicNum.one(p, 4))])
+        first_disagreement(p, [((2, 2), a, b), ((1, 0), (0, 1, 4), (0, 1, 4))])
     with pytest.raises(PrecisionExhausted, match=msg):
         make_law(p, 8, {(2, 2): a}, 8).equal_to_precision(make_law(p, 8, {(2, 2): b}, 8))
 
@@ -630,9 +708,10 @@ def test_certificates_decide_as_the_walks_where_every_pair_has_digits(case):
     F, _, m2 = case
     zero = PadicNum.exact_zero(F.prime)
     checks = [(F.check_commutative, [(c, coeff(F, (b, a))) for (a, b), c in F.coeffs.items()])]
-    sides = outcome(lambda: formalgroup._sides(F, min(m2, F.x_prec)))
+    D = min(m2, F.x_prec)
+    sides = outcome(lambda: formalgroup._sides(F, D))
     if isinstance(sides, list):
-        left, right = sides
+        left, right = ({e: PadicNum(F.prime, *t) for e, t in side_triples(F.prime, side, D).items()} for side in sides)
         checks.append((lambda: F.check_associative(m2), [(left.get(e, zero), right.get(e, zero)) for e in left.keys() | right.keys()]))
     for check, pairs in checks:
         blind = [min(a.N, b.N) <= 0 for a, b in pairs]

@@ -47,8 +47,8 @@ def test_every_import_goes_to_a_lower_layer():
     assert upward == []
 
 
-def modular_inverses(tree, module):
-    """``module.function`` of each call ``pow(a, -1, m)`` in ``tree``, by
+def sites(tree, module, match):
+    """``module.function`` of each node of ``tree`` that ``match`` accepts, by
     its innermost enclosing function (methods named through their class)."""
 
     def visit(node, scope):
@@ -56,17 +56,26 @@ def modular_inverses(tree, module):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 yield from visit(child, scope + [child.name])
                 continue
-            if (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Name)
-                and child.func.id == "pow"
-                and len(child.args) == 3
-                and ast.unparse(child.args[1]) == "-1"
-            ):
+            if match(child):
                 yield ".".join([module] + scope)
             yield from visit(child, scope)
 
     yield from visit(tree, [])
+
+
+def modular_inverses(tree, module):
+    """The sites of each call ``pow(a, -1, m)`` in ``tree``."""
+
+    def match(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "pow"
+            and len(node.args) == 3
+            and ast.unparse(node.args[1]) == "-1"
+        )
+
+    yield from sites(tree, module, match)
 
 
 def test_modular_inverses_live_in_the_division_rules():
@@ -137,7 +146,7 @@ def variable_counts(tree, module):
 
 def test_series_take_no_variable_count():
     """``PSeries`` is a series in one variable, and the law of
-    ``formalgroup`` keeps its own coefficient table: ``nvars`` occurs in
+    ``formalgroup`` keeps its own homogeneous parts: ``nvars`` occurs in
     ``src/lubinlab`` only as the class constant ``PSeries.nvars = 1``,
     never as a parameter, a slot, an attribute read or a branch."""
     src = Path(lubinlab.__file__).parent
@@ -172,7 +181,7 @@ def test_series_knows_no_law():
     user, so ``series`` defines none of its names; and the power table of
     ``series`` keeps only its growth and the tabled sum, with no adapter
     for the rows or the right side of a law."""
-    kernel = ["_part", "_part_mul", "_part_sum", "_parts"]
+    kernel = ["_agree", "_keyed", "_part", "_part_mul", "_part_sum", "_scalars"]
     assert [name for name in kernel if hasattr(series, name)] == []
     assert [name for name in kernel if callable(getattr(formalgroup, name, None))] == kernel
     methods = sorted(name for name, value in vars(series._PowerTable).items() if callable(value))
@@ -184,3 +193,31 @@ def test_series_stores_only_its_packed_lists():
     store; the dict of scalars is a view derived from them on each read."""
     assert "packed" in series.PSeries.__slots__ and "coeffs" not in series.PSeries.__slots__
     assert isinstance(vars(series.PSeries)["coeffs"], property)
+
+
+def test_only_the_views_read_the_coefficient_dict():
+    """A series keeps its packed lists and a law its parts, and the
+    comparisons, the integrality check and the precision minima read
+    those.  ``coeffs``, the dict of scalars built on each read, is read in
+    ``src`` only by the CLI's printing, ``PSeries.__repr__`` and
+    ``to_json``, and by readers that would not be shorter on the lists:
+    a precision cap, the composition with a scalar, the iterate limit, the
+    ramification estimate and the Hensel split's division."""
+    src = Path(lubinlab.__file__).parent
+    readers = {
+        site
+        for path in sorted(src.glob("*.py"))
+        for site in sites(ast.parse(path.read_text(encoding="utf-8")), path.stem, lambda node: isinstance(node, ast.Attribute) and node.attr == "coeffs")
+    }
+    assert sorted(readers) == [
+        "cli._group.text",
+        "cli._log.text",
+        "cli._scalar_table",
+        "dynamics.logarithm_limit",
+        "dynamics.ramification_index",
+        "polygon.vertex_split",
+        "series.PSeries.__repr__",
+        "series.PSeries.cap_coeff_prec",
+        "series.PSeries.compose",
+        "series.PSeries.to_json",
+    ]

@@ -75,7 +75,6 @@ def starved(stage):
 CASES = [
     (PSeries, "reduce_mod_p", PrecisionExhausted("boom"), starved("weierstrass_degree"), "hypotheses"),
     (analyzer, "logarithm_recurrence", PrecisionExhausted("boom"), starved("logarithm"), "normalization"),
-    (analyzer, "dlog_integrality", TruncationInconclusive("boom"), starved("logarithm"), "normalization"),
     (
         analyzer,
         "exp_from_log",
@@ -212,6 +211,9 @@ def test_torsion_control_rejected():
         (analyzer, "group_from_log", DivisionByZeroToPrecision("boom")),
         (analyzer, "frobenius_multiplier", ConstantTermError("boom")),
         (analyzer, "lubin_tate_lift", PrimeMismatch("boom")),
+        # no stage of analyze calls what raises it: the polygon layer and
+        # the ramification estimate
+        (analyzer, "dlog_integrality", TruncationInconclusive("boom")),
     ],
     ids=lambda x: getattr(x, "__name__", type(x).__name__),
 )
