@@ -25,8 +25,8 @@ so part products chain with no ``PadicNum`` between them.  Coefficients
 enter a part only through ``_part`` (a law's given coefficients, the row
 sums of ``group_from_log``, the lift's corrections and f's coefficients)
 and leave it as scalars only through ``_scalars`` (the ``coeffs`` view and
-the lift's left side).  The certificates compare
-the entries as triples (s, X, N) by ``series.first_disagreement``.
+the lift's left side).  The certificates compare the entries as triples
+(s, X, N) by ``series.first_disagreement``.
 ``FormalGroupLaw.check_associative`` expands both sides of F(F(x,y),z) =
 F(x,F(y,z)) as linear combinations of the powers of F, which are formed
 once as part lists.
