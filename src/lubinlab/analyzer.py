@@ -52,32 +52,36 @@ from .formalgroup import (
 
 @dataclass
 class Config:
-    """Analyzer knobs; None fields resolve per prime."""
+    """Analyzer knobs: N target digits, the truncation M, and m2 for the
+    associativity certificate and the lift.  The working precision is not
+    a knob: ``resolve(p)`` checks M against the prime and derives the
+    guard, the ceil(M/(p-1)) + 4 digits carried beyond N."""
 
     N: int = 16
     M: int = 64
     m2: int = 12
-    guard: int | None = None
+    guard = None  # not a field: set by ``resolve``
 
     def __post_init__(self):
+        for label, value in (("N", self.N), ("M", self.M), ("M2", self.m2)):
+            if type(value) is not int:  # not isinstance: True is no integer
+                raise ValueError(f"{label} must be an integer, got {value!r}")
         # below degree 3 the associativity and lift certificates check
         # nothing, whatever the prime, so refuse before any fixture runs
         if self.m2 < 3:
             raise ValueError(f"M2 must be at least 3, got {self.m2}")
+        if self.N < 4:
+            raise ValueError("N must be at least 4")
 
     def resolve(self, p: int) -> "Config":
         require_prime(p)
-        if self.N < 4:
-            raise ValueError("N must be at least 4")
         if self.M < p * p:
             raise ValueError(f"M must be at least p^2 = {p * p}")
-        guard = self.guard
-        min_guard = -(-self.M // (p - 1))  # ceil
-        if guard is None:
-            guard = min_guard + 4
-        if guard < min_guard:
-            raise ValueError(f"guard must be at least ceil(M/(p-1)) = {min_guard}")
-        return replace(self, guard=guard)
+        cfg = replace(self)
+        # no certified twist measured (p = 2-7, M = 9-64) used up more than
+        # ceil(M/(p-1)) digits (``precision.consumed``), so 4 stay spare
+        cfg.guard = -(-self.M // (p - 1)) + 4
+        return cfg
 
     def working_prec(self) -> int:
         return self.N + self.guard

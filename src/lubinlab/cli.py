@@ -5,8 +5,9 @@ single-series subcommands share one path, ``cmd_series``: it resolves the
 Config, parses ``--series`` at the working precision, runs the subcommand's
 computation and emits its JSON payload, or builds its text or svg body only
 when that format is asked for.  Each subcommand takes only the flags it
-reads: --N --M --guard --out on every one, --p on all but batch (each
-fixture entry names its own prime), and --M2 on group, analyze and batch.
+reads: --N --M --out on every one, --p on all but batch (each fixture
+entry names its own prime), and --M2 on group, analyze and batch.  The
+working precision is derived, N + ceil(M/(p-1)) + 4, and no flag sets it.
 ``analyze`` takes its pair from --fixture (with --name) or from --p, --f
 and --u, never from both.  Exit code 0 on success/CERTIFIED, 1 on
 REJECTED, 2 on INCONCLUSIVE or input errors.  Inline series syntax:
@@ -43,10 +44,9 @@ FLAGS = {
     "--N": {**KNOB, "help": "target p-adic digits (>= 4)"},
     "--M": {**KNOB, "help": "x-adic truncation order (>= p^2)"},
     "--M2": {**KNOB, "dest": "m2", "help": "truncation for the associativity certificate and the lift"},
-    "--guard": {**KNOB, "help": "extra digits carried through exp/reversion (>= ceil(M/(p-1)))"},
     "--out": {"help": "write the report here instead of stdout"},
 }
-SHARED_FLAGS = ("--N", "--M", "--guard", "--out")
+SHARED_FLAGS = ("--N", "--M", "--out")
 
 
 def _scalar_table(s):

@@ -192,7 +192,7 @@ def ramification_index(omega: PSeries, n_max: int):
     gamma = omega.linear_coeff()
     if gamma.v != 0:
         raise NotInvertible("series must be invertible")
-    if not gamma.congruent(PadicNum.one(p, 1), 1):
+    if not gamma.congruent(PadicNum.one(p, 1)):
         raise DomainError("derivative at 0 must be 1 mod p")
     ident = PSeries.identity(p, omega.x_prec, omega.coeff_prec)
     if omega.equal_to_precision(ident):

@@ -63,11 +63,11 @@ from .series import PSeries, _operand, _pack, _packed_derivative, _packed_div_in
 
 class FormalGroupLaw:
     """Two-variable group law with certification flags: its homogeneous
-    parts below total degree x_prec (``parts``; part k holds the
-    coefficients of x^a y^(k-a) by a, as a factor of ``_part_sum``), with the
-    prime and the coefficient precision.  The coefficients {(a, b):
-    coefficient} it is given are cleaned as a series' are
-    (``series.coefficient_table``), and ``coeffs`` derives that dict back.
+    parts below total degree x_prec = len(parts) (``parts``; part k holds
+    the coefficients of x^a y^(k-a) by a, as a factor of ``_part_sum``),
+    with the prime and the coefficient precision.  ``from_coeffs`` builds
+    a law from its coefficients {(a, b): coefficient}, and ``coeffs``
+    derives that dict back.
 
     Certificates are computed, not assumed: ``certify`` runs the identity,
     commutativity and (at a smaller truncation) associativity checks and
@@ -76,14 +76,21 @@ class FormalGroupLaw:
 
     __slots__ = ("prime", "x_prec", "parts", "coeff_prec", "construction", "certificates")
 
-    def __init__(self, prime, x_prec, coeffs, coeff_prec, construction: str):
-        self.prime = require_prime(prime)
-        self.x_prec = x_prec
-        coeffs = sorted(coefficient_table(self.prime, x_prec, coeffs, coeff_prec).items())
-        self.parts = [_part(self.prime, [(a, c.v, c.u, c.N) for (a, b), c in coeffs if a + b == k]) for k in range(x_prec)]
+    def __init__(self, prime, parts, coeff_prec, construction: str):
+        self.prime = prime
+        self.x_prec = len(parts)
+        self.parts = parts
         self.coeff_prec = coeff_prec
         self.construction = construction
         self.certificates = {}
+
+    @classmethod
+    def from_coeffs(cls, prime, x_prec, coeffs, coeff_prec, construction: str) -> "FormalGroupLaw":
+        """The law of the coefficients {(a, b): coefficient} below total
+        degree x_prec, cleaned as a series' are (``series.coefficient_table``)."""
+        require_prime(prime)
+        coeffs = sorted(coefficient_table(prime, x_prec, coeffs, coeff_prec).items())
+        return cls(prime, [_part(prime, [(a, c.v, c.u, c.N) for (a, b), c in coeffs if a + b == k]) for k in range(x_prec)], coeff_prec, construction)
 
     @property
     def coeffs(self) -> dict:
@@ -283,8 +290,7 @@ def group_from_log(L: PSeries) -> FormalGroupLaw:
             if n != _ABSENT:
                 parts[a + b].append((a, v, u, n))
     parts[1].append((1, 0, 1, N))  # F_10 = 1
-    G = FormalGroupLaw(p, M, {}, N, "from-log")
-    G.parts = [_part(p, part) for part in parts]
+    G = FormalGroupLaw(p, [_part(p, part) for part in parts], N, "from-log")
     raise_if_not_integral(G, "group law from logarithm")
     return G
 
@@ -343,8 +349,7 @@ def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
             raise unresolved
         part = [(a, delta) for (a, _), delta in corr.items()]
         Fparts.append(_part(p, [(a, x.v, x.u, x.N) for a, x in part]))
-    G = FormalGroupLaw(p, D, {}, N, "lubin-tate-lift")
-    G.parts = Fparts[:D]
+    G = FormalGroupLaw(p, Fparts[:D], N, "lubin-tate-lift")
     raise_if_not_integral(G, "group law lift")
     return G
 

@@ -320,20 +320,17 @@ class PadicNum:
 
     # -- comparisons -------------------------------------------------------
 
-    def congruent(self, other, prec=None) -> bool:
-        """Equality of residues modulo p^P, P = min(precisions[, prec]).
+    def congruent(self, other) -> bool:
+        """Equality of residues modulo p^P, P = min(precisions).
 
         For finite P > 0 this is decided on the integers (v, u, N); the
         difference is formed only where P <= 0, which raises, or P = INF.
         """
         other = self._check(other)
-        P = min(self.N, other.N) if prec is None else min(self.N, other.N, prec)
+        P = min(self.N, other.N)
         if 0 < P < INF:
             return congruent_triples(self.p, self.v, self.u, other.v, other.u, P)
-        d = self - other
-        if prec is not None:
-            d = d.cap_prec(min(prec, d.N if d.N != INF else prec))
-        return d.is_zero_like()
+        return (self - other).is_zero_like()
 
     def __eq__(self, other):
         try:

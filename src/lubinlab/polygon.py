@@ -62,10 +62,9 @@ class Segment:
 class NewtonPolygon:
     """Lower convex hull of (index, valuation) with truncation honesty."""
 
-    def __init__(self, points, unknowns, x_prec):
+    def __init__(self, points, unknowns):
         self.points = sorted(points)
         self.unknowns = sorted(unknowns)
-        self.x_prec = x_prec
         self.vertices = _lower_hull(self.points)
         self.segments = [
             Segment(a, b) for a, b in zip(self.vertices, self.vertices[1:])
@@ -192,7 +191,7 @@ def newton_polygon(g: PSeries) -> NewtonPolygon:
     V, _, N = g.packed
     points = [(i, v) for i, v in enumerate(V) if v != _ABSENT]
     unknowns = [(i, n) for i, (v, n) in enumerate(zip(V, N)) if v == _ABSENT != n]
-    return NewtonPolygon(points, unknowns, g.x_prec)
+    return NewtonPolygon(points, unknowns)
 
 
 def count_roots_open_disk(g: PSeries) -> int:

@@ -1,6 +1,7 @@
 """Pipeline verdicts, twist covariance, determinism, report contents."""
 
 import collections
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -219,6 +220,33 @@ def test_vacuous_m2_refused(m2):
     with pytest.raises(ValueError, match="M2 must be at least 3"):
         analyze(f, u, Config(N=8, M=16, m2=m2))
     assert analyze(f, u, Config(N=8, M=16, m2=3)).verdict == CERTIFIED
+
+
+@pytest.mark.parametrize(
+    "fields, label",
+    [({"N": 8.0}, "N"), ({"M": 16.0}, "M"), ({"m2": 12.0}, "M2"), ({"N": True}, "N"), ({"m2": True}, "M2")],
+    ids=["N-float", "M-float", "m2-float", "N-bool", "m2-bool"],
+)
+def test_config_fields_must_be_integers(fields, label):
+    """A Config field that is no int is refused where it comes in, with a
+    ValueError that names it.  m2 = 12.0 escaped the verdict handler as a
+    TypeError from the associativity certificate's slicing, and N = 8.0 was
+    refused as "coeff_prec must be an integer", a name the caller never
+    set.  True is no integer here, as in a fixture entry."""
+    value = next(iter(fields.values()))
+    with pytest.raises(ValueError, match=rf"^{label} must be an integer, got {value!r}$"):
+        Config(**{"N": 8, "M": 16, **fields})
+
+
+@pytest.mark.parametrize("p, N, M", [(2, 8, 16), (3, 4, 9), (5, 16, 64), (7, 10, 50)])
+def test_the_working_precision_is_derived(p, N, M):
+    """N, M and m2 are the knobs; the guard is ceil(M/(p-1)) + 4, which no
+    caller sets, and the report keeps it."""
+    assert [f.name for f in dataclasses.fields(Config)] == ["N", "M", "m2"]
+    with pytest.raises(TypeError):
+        Config(guard=40)
+    cfg = Config(N=N, M=M).resolve(p)
+    assert cfg.working_prec() == N + -(-M // (p - 1)) + 4 == N + cfg.guard
 
 
 def test_reported_degrees_are_the_degrees_checked():

@@ -154,7 +154,7 @@ def test_help_documents_every_flag():
     carry their own prime."""
     ap = build_parser()
     subparsers = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
-    shared = {"-h", "--help", "--N", "--M", "--guard", "--out", "--format"}
+    shared = {"-h", "--help", "--N", "--M", "--out", "--format"}
     series = shared | {"--p", "--series"}
     want = {
         "polygon": series,
@@ -182,13 +182,20 @@ PAIRS = Path(__file__).resolve().parent.parent / "demos" / "fixtures" / "pairs.j
         ["frobenius", "--p", "2", "--series", "2,1@1", "--M", "16", "--n-shape", "1"],
         ["batch", "--fixture", str(PAIRS), "--p", "2"],
         ["batch", "--fixture", str(PAIRS), "--n-shape", "1"],
+        ["polygon", "--p", "2", "--series", "2,1@1", "--guard", "8"],
+        ["log", "--p", "3", "--series", "3,0,1@1", "--guard", "8"],
+        ["group", "--p", "2", "--series", "2,1@1", "--M", "16", "--guard", "8"],
+        ["frobenius", "--p", "2", "--series", "2,1@1", "--M", "16", "--guard", "8"],
+        ["analyze", "--fixture", str(PAIRS), "--name", "gm_p2", "--guard", "8"],
+        ["batch", "--fixture", str(PAIRS), "--guard", "8"],
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}",
 )
 def test_flag_the_subcommand_does_not_read_is_refused(capsys, argv):
     """These flags were accepted and never read; ``log --M2 2`` was even
     refused with "M2 must be at least 3".  argparse now refuses each.
-    --n-shape is read by no subcommand: ``analyze`` checks no iterate shape."""
+    --n-shape is read by no subcommand: ``analyze`` checks no iterate shape.
+    Nor is --guard: the working precision is derived from N, M and p."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -198,7 +205,7 @@ def test_flag_the_subcommand_does_not_read_is_refused(capsys, argv):
 def test_every_config_field_is_set_by_the_cli():
     """A Config field that the CLI leaves at its default is a knob no user
     can reach."""
-    argv = ["analyze", "--N", "20", "--M", "32", "--M2", "5", "--guard", "40"]
+    argv = ["analyze", "--N", "20", "--M", "32", "--M2", "5"]
     cfg, default = _config(build_parser().parse_args(argv)), Config()
     unset = [f.name for f in dataclasses.fields(Config) if getattr(cfg, f.name) == getattr(default, f.name)]
     assert unset == []

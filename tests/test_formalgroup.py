@@ -53,7 +53,7 @@ from oracles import lubin_tate_lift as recomputing_lift
 def make_law(p, M, coeffs, N=20):
     """A test law below degree M from coefficients given as (v, u, N)
     triples, PadicNums or ints (coerced at N)."""
-    return FormalGroupLaw(p, M, {e: PadicNum(p, *c) if isinstance(c, tuple) else c for e, c in coeffs.items()}, N, "test")
+    return FormalGroupLaw.from_coeffs(p, M, {e: PadicNum(p, *c) if isinstance(c, tuple) else c for e, c in coeffs.items()}, N, "test")
 
 
 def coeff(F, e):
@@ -372,7 +372,7 @@ def test_group_law_reads_the_table_exp_from_log_built(monkeypatch):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_non_associative_law_rejected(p):
     """x + y + x^2 y^2 is a unital commutative law but not associative."""
-    G = FormalGroupLaw(p, 12, {(1, 0): 1, (0, 1): 1, (2, 2): 1}, 20, "test")
+    G = FormalGroupLaw.from_coeffs(p, 12, {(1, 0): 1, (0, 1): 1, (2, 2): 1}, 20, "test")
     assert G.check_identity()
     assert G.check_commutative()
     assert not G.check_associative(12)

@@ -473,7 +473,7 @@ def test_kernels_call_reduce_terms_once_or_not_at_all(monkeypatch):
     A, H = (series._pack(s.coeffs, M) for s in (a, h))
     table = h.power_table()
     table.grow(M - 1)
-    F = FormalGroupLaw(p, 6, {(1, 0): 1, (0, 1): 1, (1, 1): 3, (2, 1): 2}, 12, "test")
+    F = FormalGroupLaw.from_coeffs(p, 6, {(1, 0): 1, (0, 1): 1, (1, 1): 3, (2, 1): 2}, 12, "test")
     parts = F.parts
     D = series._pack({(0,): PadicNum(p, 1, 1, 12), (1,): PadicNum(p, 0, 2, 12), (2,): PadicNum.one(p, 12)}, 3)
     assert count(lambda: series._product(p, series._operand(p, A), series._operand(p, H), M)) == 1

@@ -266,7 +266,7 @@ def test_scalar_json_roundtrip():
 def triple_pair(draw):
     """Two (v, u, N) triples -- exact zeros, zero-like, negative valuations
     and precisions <= 0 included -- the second often the first plus a
-    multiple of p^t, and a comparison precision, None or possibly <= 0."""
+    multiple of p^t."""
     p = draw(st.sampled_from((2, 3, 5)))
 
     def triple():
@@ -284,28 +284,19 @@ def triple_pair(draw):
     if a[0] != INF and draw(st.booleans()):
         nb = draw(st.integers(a[0] + 1, a[0] + 9))
         b = (a[0], (a[1] + p ** draw(st.integers(1, 9)) * draw(st.integers(0, 9))) % p ** (nb - a[0]), nb)
-    return p, a, b, draw(st.none() | st.integers(-3, 10))
+    return p, a, b
 
 
 @settings(max_examples=500, deadline=None)
 @given(triple_pair())
-@example((3, (-1, 1, 0), (-1, 4, 1), None))  # K <= 0: forming the difference raises
-@example((2, (-2, 1, 3), (-2, 5, 4), -1))  # prec <= 0: capping the difference raises
-@example((5, (1, 7, 4), (1, 2, 3), 2))  # equal below prec, different at N
+@example((3, (-1, 1, 0), (-1, 4, 1)))  # K <= 0: forming the difference raises
+@example((5, (1, 7, 4), (1, 2, 3)))  # equal modulo p^2, different at P = 3
 def test_congruent_matches_difference(case):
     """``PadicNum.congruent``, decided on the integers (v, u, N), against its
-    definition: the difference, capped at prec, is zero-like.  Results and
-    raises."""
-    p, a, b, prec = case
+    definition: the difference is zero-like.  Results and raises."""
+    p, a, b = case
     x, y = PadicNum(p, *a), PadicNum(p, *b)
-
-    def by_difference():
-        d = x - y
-        if prec is not None:
-            d = d.cap_prec(min(prec, d.N if d.N != INF else prec))
-        return d.is_zero_like()
-
-    assert outcome(lambda: x.congruent(y, prec)) == outcome(by_difference)
+    assert outcome(lambda: x.congruent(y)) == outcome(lambda: (x - y).is_zero_like())
 
 
 @st.composite

@@ -197,9 +197,9 @@ def test_multivariate_basics():
     """The one two-variable object is a law: x + y + xy has F(x, 0) = x =
     F(0, x), and its copy with x and y exchanged equals it."""
     p, M, N = 2, 8, 10
-    F = FormalGroupLaw(p, M, {(1, 0): 1, (0, 1): 1, (1, 1): 1}, N, "test")
+    F = FormalGroupLaw.from_coeffs(p, M, {(1, 0): 1, (0, 1): 1, (1, 1): 1}, N, "test")
     assert F.check_identity()
-    assert FormalGroupLaw(p, M, swap_vars(F.coeffs), N, "test").equal_to_precision(F)
+    assert FormalGroupLaw.from_coeffs(p, M, swap_vars(F.coeffs), N, "test").equal_to_precision(F)
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, -3, 9])
@@ -224,7 +224,7 @@ def test_constant_only_outer_series_keeps_its_constant():
     "nvars, build",
     [
         (1, lambda coeffs: PSeries(3, 4, coeffs, 8)),  # the square of x a read as {}
-        (2, lambda coeffs: FormalGroupLaw(3, 4, coeffs, 8, "test")),  # so did the powers of x a + y a
+        (2, lambda coeffs: FormalGroupLaw.from_coeffs(3, 4, coeffs, 8, "test")),  # so did the powers of x a + y a
     ],
 )
 def test_exact_nonzero_coefficient_is_refused(nvars, build):
@@ -244,7 +244,7 @@ def test_exact_nonzero_coefficient_is_refused(nvars, build):
     "build, key",
     [
         (lambda: PSeries.from_univariate_coeffs(2, [1, 2, 3], 8, 8, shift=-1), (-1,)),  # its square dropped x^-2 and x^-1
-        (lambda: FormalGroupLaw(2, 6, {(1, 0): 1, (0, 1): 1, (-1, 3): 1}, 8, "x"), (-1, 3)),  # associativity raised IndexError
+        (lambda: FormalGroupLaw.from_coeffs(2, 6, {(1, 0): 1, (0, 1): 1, (-1, 3): 1}, 8, "x"), (-1, 3)),  # associativity raised IndexError
         (lambda: PSeries(2, 8, {(1, 2): 1}, 8), (1, 2)),  # its product failed to unpack the key
         (lambda: PSeries(2, 8, {1: 1}, 8), 1),  # TypeError
         (lambda: PSeries(2, 8, {(1.0,): 1}, 8), (1.0,)),
@@ -265,7 +265,7 @@ PRECISION_BUILDS = {
     "PSeries": lambda M, N: PSeries(3, M, {(1,): 3, (2,): PadicNum(3, 0, 1, 5)}, N),
     "identity": lambda M, N: PSeries.identity(3, M, N),
     "from_univariate_coeffs": lambda M, N: PSeries.from_univariate_coeffs(3, [3, 1], M, N),
-    "FormalGroupLaw": lambda M, N: FormalGroupLaw(3, M, {(1, 0): 1, (0, 1): 1}, N, "test"),
+    "FormalGroupLaw": lambda M, N: FormalGroupLaw.from_coeffs(3, M, {(1, 0): 1, (0, 1): 1}, N, "test"),
 }
 
 
