@@ -50,26 +50,35 @@ from .formalgroup import (
 )
 
 
+# The degree below which the associativity certificate and the lift run,
+# cut to M.  The lift is unique (Lubin and Tate, Ann. Math. 81, 1965), so
+# both test the code rather than the pair: no verdict measured moved with
+# the degree, and the cost grows about as its fourth power.
+M2 = 12
+
+
+def guard_digits(p: int, M: int) -> int:
+    """The digits carried beyond N at prime p and truncation M: no certified
+    twist measured (p = 2-7, M = 9-64) used up more than ceil(M/(p-1)) digits
+    (``precision.consumed``), so 4 stay spare."""
+    return -(-M // (p - 1)) + 4
+
+
 @dataclass
 class Config:
-    """Analyzer knobs: N target digits, the truncation M, and m2 for the
-    associativity certificate and the lift.  The working precision is not
-    a knob: ``resolve(p)`` checks M against the prime and derives the
-    guard, the ceil(M/(p-1)) + 4 digits carried beyond N."""
+    """Analyzer knobs: N target digits and the truncation M.  The working
+    precision is not a knob: ``resolve(p)`` checks M against the prime and
+    derives the guard, ``guard_digits(p, M)``.  Nor is the certificate
+    degree, the constant ``M2``."""
 
     N: int = 16
     M: int = 64
-    m2: int = 12
     guard = None  # not a field: set by ``resolve``
 
     def __post_init__(self):
-        for label, value in (("N", self.N), ("M", self.M), ("M2", self.m2)):
+        for label, value in (("N", self.N), ("M", self.M)):
             if type(value) is not int:  # not isinstance: True is no integer
                 raise ValueError(f"{label} must be an integer, got {value!r}")
-        # below degree 3 the associativity and lift certificates check
-        # nothing, whatever the prime, so refuse before any fixture runs
-        if self.m2 < 3:
-            raise ValueError(f"M2 must be at least 3, got {self.m2}")
         if self.N < 4:
             raise ValueError("N must be at least 4")
 
@@ -78,9 +87,7 @@ class Config:
         if self.M < p * p:
             raise ValueError(f"M must be at least p^2 = {p * p}")
         cfg = replace(self)
-        # no certified twist measured (p = 2-7, M = 9-64) used up more than
-        # ceil(M/(p-1)) digits (``precision.consumed``), so 4 stay spare
-        cfg.guard = -(-self.M // (p - 1)) + 4
+        cfg.guard = guard_digits(p, self.M)
         return cfg
 
     def working_prec(self) -> int:
@@ -147,12 +154,11 @@ REJECTIONS = {
     ("frobenius_multiplier", NoCandidate): "no Frobenius multiplier: {ex}",
     ("frobenius_multiplier", IntegralityFailure): "Frobenius bracket not integral: {ex}",
     ("lubin_tate_lift", NonUniqueLift): "lift of the Frobenius bracket failed: {ex}",
-    ("lubin_tate_lift", IntegralityFailure): "lift of the Frobenius bracket failed: {ex}",
 }
 # What precision or truncation cannot decide starves the stage: INCONCLUSIVE.
 # So does an IntegralityFailure with certified=False, named as below.
 PRECISION_FAILURES = (PrecisionExhausted, NotInvertible, AmbiguousAtPrecision)
-UNPROVEN_INTEGRALITY = {"group_from_log": "group_integrality", "frobenius_multiplier": "frobenius_integrality"}
+UNPROVEN_INTEGRALITY = {"group_from_log": "group_integrality"}
 
 
 def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -> AnalysisReport:
@@ -196,7 +202,7 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         "config": {
             "N": cfg.N,
             "M": cfg.M,
-            "M2": cfg.m2,
+            "M2": M2,
             "guard": cfg.guard,
         },
         "verdict": None,
@@ -273,7 +279,7 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
         stage = "group_from_log"
         exp_series = exp_from_log(L)
         G = group_from_log(L)
-        law_ok = G.certify(cfg.m2)
+        law_ok = G.certify(M2)
         fg = {
             "min_coeff_valuation": _val_str(G.min_coeff_valuation()),
             "truncation": cfg.M,
@@ -308,7 +314,7 @@ def analyze(f: PSeries, u: PSeries, config: Config = None, name: str = "pair") -
 
         # 8. independent lift cross-check
         stage = "lubin_tate_lift"
-        GL = lubin_tate_lift(bk, cfg.m2)
+        GL = lubin_tate_lift(bk, M2)
         lift_agrees = GL.equal_to_precision(G)
         report["frobenius"]["lift_agrees"] = lift_agrees
         report["frobenius"]["lift_degree"] = GL.x_prec
@@ -361,10 +367,10 @@ def lt_pair(p: int, M: int, N: int):
     """The special-uniformizer pair px + x^p with its (1+p)-bracket.
 
     The bracket construction consumes roughly M/(p-1) digits internally, so
-    the pair is built with that many extra and capped back to N: fixtures
-    should enter the analyzer with their full declared precision.
+    the pair is built with the analyzer's guard beyond N and capped back to
+    N: fixtures should enter the analyzer with their full declared precision.
     """
-    n_int = N + -(-M // (p - 1)) + 4
+    n_int = N + guard_digits(p, M)
     coeffs = [0] * p
     coeffs[0] = p
     coeffs[p - 1] = 1

@@ -5,9 +5,10 @@ single-series subcommands share one path, ``cmd_series``: it resolves the
 Config, parses ``--series`` at the working precision, runs the subcommand's
 computation and emits its JSON payload, or builds its text or svg body only
 when that format is asked for.  Each subcommand takes only the flags it
-reads: --N --M --out on every one, --p on all but batch (each fixture
-entry names its own prime), and --M2 on group, analyze and batch.  The
-working precision is derived, N + ceil(M/(p-1)) + 4, and no flag sets it.
+reads: --N --M --out on every one, and --p on all but batch (each fixture
+entry names its own prime).  The working precision is derived, N +
+ceil(M/(p-1)) + 4, and the certificate degree is the constant
+``analyzer.M2``; no flag sets either.
 ``analyze`` takes its pair from --fixture (with --name) or from --p, --f
 and --u, never from both.  Exit code 0 on success/CERTIFIED, 1 on
 REJECTED, 2 on INCONCLUSIVE or input errors.  Inline series syntax:
@@ -24,6 +25,7 @@ from .analyzer import (
     CERTIFIED,
     Config,
     INCONCLUSIVE,
+    M2,
     REJECTED,
     analyze_fixture,
     batch_run,
@@ -43,7 +45,6 @@ FLAGS = {
     "--p": {"type": int, "help": "prime of the coefficient ring"},
     "--N": {**KNOB, "help": "target p-adic digits (>= 4)"},
     "--M": {**KNOB, "help": "x-adic truncation order (>= p^2)"},
-    "--M2": {**KNOB, "dest": "m2", "help": "truncation for the associativity certificate and the lift"},
     "--out": {"help": "write the report here instead of stdout"},
 }
 SHARED_FLAGS = ("--N", "--M", "--out")
@@ -86,7 +87,7 @@ def _log(g, cfg):
 
 def _group(g, cfg):
     G = group_from_log(logarithm_recurrence(g))
-    G.certify(cfg.m2)
+    G.certify(M2)
     payload = {
         "p": g.prime,
         "construction": G.construction,
@@ -119,12 +120,12 @@ def _frobenius(g, cfg):
     return payload, {"text": lambda: f"pi = {pi!r} (unit digits {digits}); bracket congruent to x^{p} mod {p}"}
 
 
-# name: (help, flags beyond the shared ones and --p, formats, computation)
+# name: (help, formats, computation)
 SERIES_COMMANDS = {
-    "polygon": ("Newton polygon of a series", (), ["json", "text", "svg"], _polygon),
-    "log": ("power-series logarithm with precision ledger", (), ["json", "text"], _log),
-    "group": ("formal group law from the logarithm", ("--M2",), ["json", "text"], _group),
-    "frobenius": ("Frobenius multiplier and its bracket", (), ["json", "text"], _frobenius),
+    "polygon": ("Newton polygon of a series", ["json", "text", "svg"], _polygon),
+    "log": ("power-series logarithm with precision ledger", ["json", "text"], _log),
+    "group": ("formal group law from the logarithm", ["json", "text"], _group),
+    "frobenius": ("Frobenius multiplier and its bracket", ["json", "text"], _frobenius),
 }
 
 
@@ -145,19 +146,19 @@ def build_parser() -> argparse.ArgumentParser:
         "Lubin-Tate formal groups, commuting-pair certification",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (title, flags, formats, _) in SERIES_COMMANDS.items():
-        sp = _subparser(sub, name, title, ("--p", *flags), cmd_series)
+    for name, (title, formats, _) in SERIES_COMMANDS.items():
+        sp = _subparser(sub, name, title, ("--p",), cmd_series)
         sp.add_argument("--series", required=True, help='inline series "c1,c2,...@k"')
         sp.add_argument("--format", choices=formats, default="json")
 
-    sp = _subparser(sub, "analyze", "certify one commuting pair", ("--p", "--M2"), cmd_analyze)
+    sp = _subparser(sub, "analyze", "certify one commuting pair", ("--p",), cmd_analyze)
     sp.add_argument("--fixture", help="JSON fixture file")
     sp.add_argument("--name", help="entry to pick when the file holds several")
     sp.add_argument("--f", dest="f_inline", help="inline f (requires --p and --u)")
     sp.add_argument("--u", dest="u_inline", help="inline u")
     sp.add_argument("--format", choices=["json", "text"], default="json")
 
-    sp = _subparser(sub, "batch", "certify every fixture in a file", ("--M2",), cmd_batch)
+    sp = _subparser(sub, "batch", "certify every fixture in a file", (), cmd_batch)
     sp.add_argument("--fixture", required=True, help="JSON fixture file (array)")
     sp.add_argument("--format", choices=["json", "text"], default="text")
     return ap
@@ -181,7 +182,7 @@ def cmd_series(args) -> int:
     if args.p is None:
         raise LubinlabError("--p is required with an inline series")
     g = parse_series_arg(args.series, args.p, cfg.M, cfg.resolve(args.p).working_prec())
-    payload, bodies = SERIES_COMMANDS[args.command][3](g, cfg)
+    payload, bodies = SERIES_COMMANDS[args.command][2](g, cfg)
     if args.format == "json":
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     else:

@@ -302,7 +302,9 @@ def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
     correction is the degree-d defect divided by f'(0)^d - f'(0), a scalar of
     valuation exactly 1 when v(f'(0)) = 1.  Non-integral corrections mean the
     preconditions fail and raise NonUniqueLift (certified) or
-    PrecisionExhausted (unresolved).
+    PrecisionExhausted (unresolved), so the law returned is integral: its
+    degree-1 part is x + y, and every correction has a valuation floor of
+    at least 0.
 
     Stage d forms only degree-d parts, on part lists.  The Horner
     intermediates acc_i = sum_{k>=i} c_k F^(k-i) of f(F) gain their
@@ -349,9 +351,7 @@ def lubin_tate_lift(f: PSeries, x_prec: int) -> FormalGroupLaw:
             raise unresolved
         part = [(a, delta) for (a, _), delta in corr.items()]
         Fparts.append(_part(p, [(a, x.v, x.u, x.N) for a, x in part]))
-    G = FormalGroupLaw(p, Fparts[:D], N, "lubin-tate-lift")
-    raise_if_not_integral(G, "group law lift")
-    return G
+    return FormalGroupLaw(p, Fparts[:D], N, "lubin-tate-lift")
 
 
 def _put(packed, i: int, triple):
@@ -438,9 +438,10 @@ def frobenius_multiplier(L: PSeries, f: PSeries, exp_series: PSeries = None):
     if k == 0:
         raise NoCandidate("truncation order is too small to pin any digit; raise M")
     series = candidate_bracket(unit, M)
+    # the congruence also makes the bracket integral: ``reduce_mod_p`` has
+    # raised on any coefficient without a nonnegative valuation floor
     if not _is_xp_mod_p(series, M):
         raise NoCandidate("recovered scalar fails the congruence at full truncation")
-    raise_if_not_integral(series, "Frobenius bracket")
     pi_report = PadicNum(p, 1, unit, 1 + k)
     b1 = series.linear_coeff()
     if first_disagreement(p, [(1, (b1.v, b1.u, b1.N), (1, unit, N))]) is not None:

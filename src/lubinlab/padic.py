@@ -487,7 +487,8 @@ def reduce_terms(p: int, t: int, S, K, least=None) -> tuple:
 
 
 def _log_domain_val(x: PadicNum) -> int:
-    """Valuation of x - 1 required for log convergence: >= 1, >= 2 if p = 2."""
+    """Valuation of x - 1 required for log convergence, and of x for exp
+    convergence: >= 1, >= 2 if p = 2."""
     return 2 if x.p == 2 else 1
 
 
@@ -529,7 +530,7 @@ def padic_log(x: PadicNum) -> PadicNum:
 def padic_exp(x: PadicNum) -> PadicNum:
     """p-adic exponential; requires v(x) >= 1 (>= 2 when p = 2)."""
     p = x.p
-    tmin = 2 if p == 2 else 1
+    tmin = _log_domain_val(x)
     if x.val_floor() < tmin:
         raise DomainError(
             f"exp requires valuation >= {tmin} (got bound {x.val_floor()})"
@@ -538,7 +539,7 @@ def padic_exp(x: PadicNum) -> PadicNum:
         return PadicNum.one(p, x.N if x.N != INF else 1)
     target = x.N
     t = x.v
-    one = PadicNum.one(p, target - t + t)  # known mod p^N like x
+    one = PadicNum.one(p, target)  # known mod p^N like x
     acc = one + x
     term = x
     k = 1

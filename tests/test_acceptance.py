@@ -35,10 +35,11 @@ from lubinlab import (
     verify_iterate_shape,
     weierstrass_factor,
 )
+from lubinlab.analyzer import M2
 from conftest import one_plus_x_pow, series_from_fractions
 
 PRIMES = (2, 3, 5)
-CFG = Config()  # N=16, M=64, M2=12
+CFG = Config()  # N=16, M=64
 
 
 def working(p):
@@ -166,7 +167,7 @@ def test_criterion_4_integral_group_certification():
             fg = d["formal_group"]
             assert fg["min_coeff_valuation"] >= 0, name
             assert fg["identity"] and fg["commutative"] and fg["associative"], name
-            assert fg["associativity_degree"] == CFG.m2
+            assert fg["associativity_degree"] == M2
             assert fg["endo_f"] and fg["endo_u"], name
             fr = d["frobenius"]
             assert fr["congruent_xp_mod_p"] and fr["pi_over_p_is_unit"], name

@@ -214,25 +214,26 @@ def test_p2_twist_lift_keeps_zero_like_corrections(base, M, N):
 
 @pytest.mark.parametrize("m2", [0, 1, 2])
 def test_vacuous_m2_refused(m2):
-    """Below degree 3 the associativity and lift certificates check nothing."""
+    """Below degree 3 the associativity and lift certificates check nothing,
+    and an m2 of 0, 1 or 2 was refused as such.  The certificate degree is
+    the constant ``analyzer.M2`` now, so Config refuses an m2 of any value."""
     p = 2
     f, u = gm_pair(p, 16, working(p))
-    with pytest.raises(ValueError, match="M2 must be at least 3"):
-        analyze(f, u, Config(N=8, M=16, m2=m2))
-    assert analyze(f, u, Config(N=8, M=16, m2=3)).verdict == CERTIFIED
+    with pytest.raises(TypeError):
+        Config(N=8, M=16, m2=m2)
+    assert analyze(f, u, Config(N=8, M=16)).verdict == CERTIFIED
 
 
 @pytest.mark.parametrize(
     "fields, label",
-    [({"N": 8.0}, "N"), ({"M": 16.0}, "M"), ({"m2": 12.0}, "M2"), ({"N": True}, "N"), ({"m2": True}, "M2")],
-    ids=["N-float", "M-float", "m2-float", "N-bool", "m2-bool"],
+    [({"N": 8.0}, "N"), ({"M": 16.0}, "M"), ({"N": True}, "N")],
+    ids=["N-float", "M-float", "N-bool"],
 )
 def test_config_fields_must_be_integers(fields, label):
     """A Config field that is no int is refused where it comes in, with a
-    ValueError that names it.  m2 = 12.0 escaped the verdict handler as a
-    TypeError from the associativity certificate's slicing, and N = 8.0 was
-    refused as "coeff_prec must be an integer", a name the caller never
-    set.  True is no integer here, as in a fixture entry."""
+    ValueError that names it.  N = 8.0 was refused as "coeff_prec must be
+    an integer", a name the caller never set.  True is no integer here, as
+    in a fixture entry."""
     value = next(iter(fields.values()))
     with pytest.raises(ValueError, match=rf"^{label} must be an integer, got {value!r}$"):
         Config(**{"N": 8, "M": 16, **fields})
@@ -240,23 +241,26 @@ def test_config_fields_must_be_integers(fields, label):
 
 @pytest.mark.parametrize("p, N, M", [(2, 8, 16), (3, 4, 9), (5, 16, 64), (7, 10, 50)])
 def test_the_working_precision_is_derived(p, N, M):
-    """N, M and m2 are the knobs; the guard is ceil(M/(p-1)) + 4, which no
-    caller sets, and the report keeps it."""
-    assert [f.name for f in dataclasses.fields(Config)] == ["N", "M", "m2"]
-    with pytest.raises(TypeError):
-        Config(guard=40)
+    """N and M are the knobs; the guard is ceil(M/(p-1)) + 4 and the
+    certificate degree is ``analyzer.M2``, which no caller sets, and the
+    report keeps both."""
+    assert [f.name for f in dataclasses.fields(Config)] == ["N", "M"]
+    for knob in ({"guard": 40}, {"m2": 12}):
+        with pytest.raises(TypeError):
+            Config(**knob)
     cfg = Config(N=N, M=M).resolve(p)
     assert cfg.working_prec() == N + -(-M // (p - 1)) + 4 == N + cfg.guard
 
 
 def test_reported_degrees_are_the_degrees_checked():
-    """F is only known below M, so M2 > M checks below M; the report said M2."""
-    p = 2
-    f, u = gm_pair(p, 16, working(p))
-    data = analyze(f, u, Config(N=8, M=16, m2=20)).data
-    assert data["verdict"] == CERTIFIED
-    assert data["formal_group"]["associativity_degree"] == 16
-    assert data["frobenius"]["lift_degree"] == 16
+    """F is only known below M, so at M < M2 both certificates check below
+    M; the report said M2."""
+    p, cfg = 2, Config(N=8, M=8)
+    f, u = gm_pair(p, cfg.M, working(p, cfg))
+    data = analyze(f, u, cfg).data
+    assert data["verdict"] == CERTIFIED and data["config"]["M2"] == analyzer.M2 > cfg.M
+    assert data["formal_group"]["associativity_degree"] == 8
+    assert data["frobenius"]["lift_degree"] == 8
 
 
 def test_series_truncated_below_M_refused():

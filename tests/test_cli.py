@@ -149,9 +149,8 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 
 def test_help_documents_every_flag():
-    """Each subcommand registers exactly the flags it reads: --M2 only
-    where a certificate runs, and --p everywhere but batch, whose entries
-    carry their own prime."""
+    """Each subcommand registers exactly the flags it reads: --p everywhere
+    but batch, whose entries carry their own prime."""
     ap = build_parser()
     subparsers = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
     shared = {"-h", "--help", "--N", "--M", "--out", "--format"}
@@ -159,10 +158,10 @@ def test_help_documents_every_flag():
     want = {
         "polygon": series,
         "log": series,
-        "group": series | {"--M2"},
+        "group": series,
         "frobenius": series,
-        "analyze": shared | {"--p", "--M2", "--fixture", "--name", "--f", "--u"},
-        "batch": shared | {"--M2", "--fixture"},
+        "analyze": shared | {"--p", "--fixture", "--name", "--f", "--u"},
+        "batch": shared | {"--fixture"},
     }
     assert {name: {s for a in sp._actions for s in a.option_strings} for name, sp in subparsers.choices.items()} == want
 
@@ -188,6 +187,9 @@ PAIRS = Path(__file__).resolve().parent.parent / "demos" / "fixtures" / "pairs.j
         ["frobenius", "--p", "2", "--series", "2,1@1", "--M", "16", "--guard", "8"],
         ["analyze", "--fixture", str(PAIRS), "--name", "gm_p2", "--guard", "8"],
         ["batch", "--fixture", str(PAIRS), "--guard", "8"],
+        ["group", "--p", "2", "--series", "2,1@1", "--M", "16", "--M2", "12"],
+        ["analyze", "--fixture", str(PAIRS), "--name", "gm_p2", "--M2", "12"],
+        ["batch", "--fixture", str(PAIRS), "--M2", "12"],
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}",
 )
@@ -195,7 +197,8 @@ def test_flag_the_subcommand_does_not_read_is_refused(capsys, argv):
     """These flags were accepted and never read; ``log --M2 2`` was even
     refused with "M2 must be at least 3".  argparse now refuses each.
     --n-shape is read by no subcommand: ``analyze`` checks no iterate shape.
-    Nor is --guard: the working precision is derived from N, M and p."""
+    Nor is --guard: the working precision is derived from N, M and p.  Nor,
+    on any subcommand, is --M2: the certificate degree is a constant."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -205,7 +208,7 @@ def test_flag_the_subcommand_does_not_read_is_refused(capsys, argv):
 def test_every_config_field_is_set_by_the_cli():
     """A Config field that the CLI leaves at its default is a knob no user
     can reach."""
-    argv = ["analyze", "--N", "20", "--M", "32", "--M2", "5"]
+    argv = ["analyze", "--N", "20", "--M", "32"]
     cfg, default = _config(build_parser().parse_args(argv)), Config()
     unset = [f.name for f in dataclasses.fields(Config) if getattr(cfg, f.name) == getattr(default, f.name)]
     assert unset == []
@@ -240,12 +243,15 @@ def test_non_prime_p_rejected_by_analyze(capsys, p):
 
 @pytest.mark.parametrize("m2", ["0", "1", "2"])
 def test_vacuous_m2_rejected(capsys, m2):
-    code, out, err = run(
-        capsys, "analyze", "--p", "3", "--N", "10", "--M", "25", "--M2", m2,
-        "--f", "3,3,1@1", "--u", "4,6,4,1@1",
-    )
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "M2 must be at least 3" in err
+    """--M2 0, 1 or 2 was refused as "M2 must be at least 3".  The
+    certificate degree is a constant now, and argparse refuses the flag."""
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "analyze", "--p", "3", "--N", "10", "--M", "25", "--M2", m2,
+            "--f", "3,3,1@1", "--u", "4,6,4,1@1",
+        ])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --M2 {m2}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n_shape", ["0", "-1"])
@@ -311,10 +317,13 @@ def test_analyze_names_an_empty_fixture_file(tmp_path, capsys):
 
 
 def test_batch_refuses_vacuous_m2(capsys):
-    """M2 does not depend on any fixture, so the whole run is refused once."""
-    code, out, err = run(capsys, "batch", "--fixture", str(PAIRS), "--M2", "1")
-    assert code == 2 and out == ""
-    assert err == "error: M2 must be at least 3, got 1\n"
+    """--M2 1 was refused once for the whole run, as "M2 must be at least
+    3"; argparse now refuses the flag before any fixture is read."""
+    with pytest.raises(SystemExit) as exc:
+        main(["batch", "--fixture", str(PAIRS), "--M2", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --M2 1" in captured.err
 
 
 def test_batch_bad_fixture_entries_keep_their_rows(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Group-law construction, brackets, Frobenius multiplier, independent lift."""
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from lubinlab import (
     INF,
     AmbiguousAtPrecision,
+    Config,
     FormalGroupLaw,
     IntegralityFailure,
     LubinlabError,
@@ -30,7 +32,7 @@ from lubinlab import (
 )
 from conftest import one_plus_x_pow, outcome, series_from_fractions
 from lubinlab import formalgroup, series
-from lubinlab.series import first_disagreement
+from lubinlab.series import first_disagreement, raise_if_not_integral
 from oracles import (
     NoDigits,
     NonUnique,
@@ -246,6 +248,34 @@ def test_frobenius_window_too_small():
     logf = logarithm_recurrence(f)
     with pytest.raises((NoCandidate, AmbiguousAtPrecision)):
         frobenius_multiplier(logf, f)
+
+
+def test_lift_and_bracket_of_random_twists_are_integral():
+    """Neither ``lubin_tate_lift`` nor ``frobenius_multiplier`` checks the
+    integrality of what it returns: a lift correction with a negative floor
+    raises NonUniqueLift, and the bracket's congruence to x^p mod p reduces
+    every coefficient.  On random gm and lt twists, built at the working
+    precision or short of it, every law the lift returns and every bracket
+    the multiplier returns has all valuation floors at least 0."""
+    rnd = random.Random(39)
+    laws = 0
+    for _ in range(40):
+        p = rnd.choice((2, 3, 5))
+        M = rnd.choice([m for m in (9, 12, 16, 25) if m >= p * p])
+        Nw = Config(N=rnd.randint(4, 12), M=M).resolve(p).working_prec()
+        digits = Nw if rnd.random() < 0.7 else rnd.randint(3, Nw - 1)
+        unit = rnd.choice([a for a in range(1, p * p) if a % p])
+        w = [unit] + [rnd.randint(-p * p, p * p) for _ in range(rnd.randint(0, 3))]
+        f, _ = make_twist_fixture(rnd.choice(("gm", "lt")), series_from_fractions(p, w, M, digits))
+        try:
+            _, bk = frobenius_multiplier(logarithm_recurrence(f), f)
+            raise_if_not_integral(bk, "bracket")
+            GL = lubin_tate_lift(bk, rnd.choice((8, 12, M)))
+        except (PrecisionExhausted, NoCandidate, AmbiguousAtPrecision):
+            continue
+        raise_if_not_integral(GL, "lift")
+        laws += 1
+    assert laws >= 30
 
 
 # -- the tabled group law against the per-pair loop ------------------------------

@@ -48,6 +48,7 @@ from lubinlab import (
     newton_polygon,
     weierstrass_factor,
 )
+from lubinlab.analyzer import guard_digits
 from lubinlab.polygon import vertex_split
 from oracles import frac_val, lagrange_inversion, poly_compose, poly_inverse, poly_mul
 
@@ -356,7 +357,7 @@ def base_pair(base, p, M, N):
         return gm_pair(p, M, N)
     if base == "lt":
         return lt_pair(p, M, N)
-    n_int = N + -(-M // (p - 1)) + 4
+    n_int = N + guard_digits(p, M)
     f0 = univariate(p, M, [p * base] + [0] * (p - 2) + [1], n_int)
     u0 = bracket(logarithm_recurrence(f0), PadicNum.from_int(1 + p, p, n_int))
     return f0.cap_coeff_prec(N), u0.cap_coeff_prec(N)
